@@ -21,7 +21,6 @@ from .contact import (
     blair_identity_suite,
     boeckx_invariant,
     classification_flags,
-    h_operator,
     nijenhuis_norm,
     nullity_fit,
     validate_contact,
@@ -44,7 +43,6 @@ from .paracontact import (
     ParacontactMetricStructure,
     ParaNullityReport,
     canonical_pc_connection,
-    h_tilde,
     integrability_and_parasasaki,
     para_nullity_fit,
     validate_paracontact,
@@ -103,8 +101,6 @@ __all__ = [
     "derive_next",
     "eigendistributions",
     "family_3d",
-    "h_operator",
-    "h_tilde",
     "heisenberg_3d",
     "integrability_and_parasasaki",
     "jacobi_residual",

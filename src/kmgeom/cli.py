@@ -20,7 +20,6 @@ round-trips are byte-identical.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -287,11 +286,11 @@ def cmd_analyze(args) -> int:
         print("error: supply a model file or --batch", file=sys.stderr)
         return EXIT_PARSE
 
-    def run(path: str) -> tuple[str, dict | None, int]:
+    def run(path: str) -> tuple[dict | None, int]:
         try:
             doc = _load(path)
         except ModelFormatError:
-            return path, None, EXIT_PARSE
+            return None, EXIT_PARSE
         try:
             report = _analyze_doc(
                 doc, args.tol, run_sasakian=args.sasakian,
@@ -299,24 +298,24 @@ def cmd_analyze(args) -> int:
             )
         except GeometryError as exc:
             print(f"error analyzing {path}: {exc}", file=sys.stderr)
-            return path, None, EXIT_INVALID
-        return path, report, EXIT_OK if report["valid"] else EXIT_INVALID
+            return None, EXIT_INVALID
+        return report, EXIT_OK if report["valid"] else EXIT_INVALID
 
     if len(paths) == 1:
-        path, report, code = run(paths[0])
+        report, code = run(paths[0])
         if report is None:
-            print(f"error: cannot analyze {path}", file=sys.stderr)
+            print(f"error: cannot analyze {paths[0]}", file=sys.stderr)
             return code
         _write_outputs(report, args.json)
         return code
 
     worst = EXIT_OK
-    with ThreadPoolExecutor() as pool:
-        for path, report, code in pool.map(run, paths):
-            print(f"== {path}")
-            if report is not None:
-                _print_human(report)
-            worst = max(worst, code)
+    for path in paths:
+        report, code = run(path)
+        print(f"== {path}")
+        if report is not None:
+            _print_human(report)
+        worst = max(worst, code)
     return worst
 
 

@@ -21,8 +21,17 @@ import numpy as np
 
 from .errors import NotNullity, SasakianOrInvalid
 from .lie_model import LieModel, d_one_form, lie_derivative_endo
-from .report import DEFAULT_TOL, ResidualReport
-from .riemann import AffineConnection, curvature, levi_civita, signature
+from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .riemann import (
+    AffineConnection,
+    curvature_xi,
+    eta_x,
+    eta_y,
+    form_xy,
+    levi_civita,
+    nijenhuis_tensor,
+    signature,
+)
 
 # Nijenhuis vanishing uses a looser threshold: two bracket layers of roundoff.
 SASAKIAN_FACTOR = 10.0
@@ -112,13 +121,13 @@ def validate_contact(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> Res
     ident = np.eye(dim)
     deta = s.d_eta()
 
-    report.add("phi_square", np.max(np.abs(phi @ phi + ident - np.outer(xi, eta))))
-    report.add("deta_compatibility", np.max(np.abs(deta - g @ phi)))
-    report.add("metric_compatibility", np.max(np.abs(phi.T @ g @ phi - g + np.outer(eta, eta))))
-    report.add("eta_xi", abs(eta @ xi - 1.0))
-    report.add("phi_xi", np.max(np.abs(phi @ xi)))
-    report.add("eta_circ_phi", np.max(np.abs(eta @ phi)))
-    report.add("eta_is_g_xi", np.max(np.abs(g @ xi - eta)))
+    report.add("phi_square", phi @ phi + ident - np.outer(xi, eta))
+    report.add("deta_compatibility", deta - g @ phi)
+    report.add("metric_compatibility", phi.T @ g @ phi - g + np.outer(eta, eta))
+    report.add("eta_xi", eta @ xi - 1.0)
+    report.add("phi_xi", phi @ xi)
+    report.add("eta_circ_phi", eta @ phi)
+    report.add("eta_is_g_xi", g @ xi - eta)
 
     k = _kernel_basis(eta)
     det_restricted = np.linalg.det(k @ deta @ k.T)
@@ -131,31 +140,13 @@ def validate_contact(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> Res
     report.add("riemannian_signature", 0.0 if (q == 0 and z == 0) else 1.0,
                note=f"signature ({p},{q},{z})")
 
-    report.add("h_xi", np.max(np.abs(h @ xi)))
-    report.add("eta_circ_h", np.max(np.abs(eta @ h)))
-    report.add("h_phi_anticommute", np.max(np.abs(h @ phi + phi @ h)))
-    report.add("trace_h", abs(np.trace(h)))
-    report.add("trace_phi_h", abs(np.trace(phi @ h)))
-    report.add("h_g_symmetric", np.max(np.abs(h.T @ g - g @ h)))
+    report.add("h_xi", h @ xi)
+    report.add("eta_circ_h", eta @ h)
+    report.add("h_phi_anticommute", h @ phi + phi @ h)
+    report.add("trace_h", np.trace(h))
+    report.add("trace_phi_h", np.trace(phi @ h))
+    report.add("h_g_symmetric", h.T @ g - g @ h)
     return report
-
-
-def h_operator(s: ContactMetricStructure) -> np.ndarray:
-    """h = (1/2) L_xi phi (cached on the structure)."""
-    return s.h
-
-
-def nijenhuis(s: ContactMetricStructure, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """N_phi(u, v) with the contact sign (+2 d eta(u, v) xi)."""
-    m, phi = s.model, s.phi
-    deta = s.d_eta()
-    return (
-        phi @ phi @ m.bracket(u, v)
-        + m.bracket(phi @ u, phi @ v)
-        - phi @ m.bracket(phi @ u, v)
-        - phi @ m.bracket(u, phi @ v)
-        + 2.0 * (u @ deta @ v) * s.xi
-    )
 
 
 def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
@@ -164,27 +155,16 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     The side residuals check phi N(X,Y) + N(phi X, Y) = 2 eta(X) h Y and the
     vanishing of eta(N(phi X, Y)).
     """
-    dim = s.dim
-    basis = np.eye(dim)
-    worst = 0.0
-    shift = 0.0
-    eta_comp = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            nij = nijenhuis(s, basis[i], basis[j])
-            worst = max(worst, np.max(np.abs(nij)))
-            lhs = s.phi @ nij + nijenhuis(s, s.phi @ basis[i], basis[j])
-            shift = max(shift, np.max(np.abs(lhs - 2.0 * s.eta[i] * (s.h @ basis[j]))))
-            eta_comp = max(eta_comp, abs(s.eta @ nijenhuis(s, s.phi @ basis[i], basis[j])))
+    nij = nijenhuis_tensor(s.model, s.phi, s.xi, s.eta, 1.0)
+    nij_phi = np.tensordot(s.phi.T, nij, 1)  # [i, j, :] = N(phi e_i, e_j)
     side = ResidualReport(tol=tol)
-    side.add("nijenhuis_phi_shift", shift)
-    side.add("nijenhuis_eta_component", eta_comp)
-    return worst, side
+    side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * eta_x(s.eta, s.h))
+    side.add("nijenhuis_eta_component", nij_phi @ s.eta)
+    return max_abs(nij), side
 
 
 def _fit_r_xi(
-    model: LieModel,
-    conn: AffineConnection,
+    r_xi: np.ndarray,
     xi: np.ndarray,
     eta: np.ndarray,
     h: np.ndarray,
@@ -192,35 +172,23 @@ def _fit_r_xi(
 ) -> tuple[float, float | None, float]:
     """Least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta).
 
-    Shared by the contact and paracontact fits; returns (kappa, mu, residual)
-    with mu = None when ||h|| <= tol (the mu-term is identically zero).
+    ``r_xi`` is :func:`curvature_xi`.  Shared by the contact and paracontact
+    fits; returns (kappa, mu, residual) with mu = None when ||h|| <= tol (the
+    mu-term is identically zero); the residual is that of the full equation
+    R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y).
     """
     dbasis = _kernel_basis(eta)
-    h_zero = np.max(np.abs(h)) <= tol
-    rows, targets = [], []
-    for b in dbasis:
-        rows.append(np.column_stack([b] if h_zero else [b, h @ b]))
-        targets.append(curvature(model, conn, b, xi, xi))
-    a = np.vstack(rows)
-    t = np.concatenate(targets)
+    h_zero = max_abs(h) <= tol
+    cols = [dbasis] if h_zero else [dbasis, dbasis @ h.T]  # rows b and h b
+    a = np.stack([col.ravel() for col in cols], axis=1)
+    t = (dbasis @ (xi @ r_xi)).ravel()  # rows R_{b xi} xi
     sol, *_ = np.linalg.lstsq(a, t, rcond=None)
-    if h_zero:
-        kappa, mu = float(sol[0]), None
-    else:
-        kappa, mu = float(sol[0]), float(sol[1])
-
-    dim = model.dim
-    basis = np.eye(dim)
-    worst = 0.0
-    mu_eff = 0.0 if mu is None else mu
-    for i in range(dim):
-        for j in range(dim):
-            r = curvature(model, conn, basis[i], basis[j], xi)
-            pred = kappa * (eta[j] * basis[i] - eta[i] * basis[j]) + mu_eff * (
-                eta[j] * (h @ basis[i]) - eta[i] * (h @ basis[j])
-            )
-            worst = max(worst, float(np.max(np.abs(r - pred))))
-    return kappa, mu, worst
+    kappa, mu = float(sol[0]), (None if h_zero else float(sol[1]))
+    ident = np.eye(len(eta))
+    pred = kappa * (eta_y(eta, ident) - eta_x(eta, ident))
+    if mu is not None:
+        pred = pred + mu * (eta_y(eta, h) - eta_x(eta, h))
+    return kappa, mu, max_abs(r_xi - pred)
 
 
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
@@ -254,8 +222,9 @@ def nullity_fit(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> NullityR
     beyond roundoff, which no contact metric structure can do.
     """
     conn = s.levi_civita(tol)
-    kappa, mu, residual = _fit_r_xi(s.model, conn, s.xi, s.eta, s.h, tol)
-    if residual > tol:
+    r_xi = curvature_xi(s.model, conn, s.xi)
+    kappa, mu, residual = _fit_r_xi(r_xi, s.xi, s.eta, s.h, tol)
+    if not residual <= tol:
         raise NotNullity(
             f"curvature does not satisfy a nullity condition (residual {residual:.3e})",
             residual,
@@ -290,40 +259,24 @@ def blair_identity_suite(
     * nabla_xi h = mu h phi
     """
     report = ResidualReport(tol=tol)
-    m, phi, xi, eta, g, h = s.model, s.phi, s.xi, s.eta, s.g, s.h
-    dim = s.dim
+    phi, xi, eta, g, h = s.phi, s.xi, s.eta, s.g, s.h
     conn = s.levi_civita(tol)
-    basis = np.eye(dim)
+    ident = np.eye(s.dim)
     phih = phi @ h
+    phi2 = phi @ phi
+    d_h = conn.nabla_endo_all(h)
 
-    r1 = r2 = r3 = 0.0
-    for i in range(dim):
-        x = basis[i]
-        d_phi = conn.nabla_endo(i, phi)
-        d_h = conn.nabla_endo(i, h)
-        d_phih = conn.nabla_endo(i, phih)
-        for j in range(dim):
-            y = basis[j]
-            lhs1 = d_phi @ y
-            rhs1 = (x @ g @ (y + h @ y)) * xi - eta[j] * (x + h @ x)
-            r1 = max(r1, np.max(np.abs(lhs1 - rhs1)))
-
-            lhs2 = d_h @ y
-            rhs2 = ((1 - kappa) * (x @ g @ (phi @ y)) + x @ g @ (h @ phi @ y)) * xi
-            rhs2 += eta[j] * (h @ (phi @ x + phih @ x)) - mu * eta[i] * (phih @ y)
-            r2 = max(r2, np.max(np.abs(lhs2 - rhs2)))
-
-            lhs3 = d_phih @ y
-            rhs3 = (x @ g @ (h @ y) - (1 - kappa) * (x @ g @ (phi @ phi @ y))) * xi
-            rhs3 += eta[j] * (h @ x - (1 - kappa) * (phi @ phi @ x)) + mu * eta[i] * (h @ y)
-            r3 = max(r3, np.max(np.abs(lhs3 - rhs3)))
-
-    report.add("nabla_phi_identity", r1)
-    report.add("nabla_h_identity", r2)
-    report.add("nabla_phi_h_identity", r3)
-    report.add("h_square_identity", np.max(np.abs(h @ h - (kappa - 1) * phi @ phi)))
-    d_xi_h = sum(s.xi[i] * conn.nabla_endo(i, h) for i in range(dim))
-    report.add("nabla_xi_h_identity", np.max(np.abs(d_xi_h - mu * h @ phi)))
+    rhs1 = form_xy(g @ (ident + h), xi) - eta_y(eta, ident + h)
+    rhs2 = form_xy(g @ ((1 - kappa) * phi + h @ phi), xi)
+    rhs2 += eta_y(eta, h @ (phi + phih)) - mu * eta_x(eta, phih)
+    rhs3 = form_xy(g @ (h - (1 - kappa) * phi2), xi)
+    rhs3 += eta_y(eta, h - (1 - kappa) * phi2) + mu * eta_x(eta, h)
+    report.add("nabla_phi_identity", conn.nabla_endo_all(phi) - rhs1)
+    report.add("nabla_h_identity", d_h - rhs2)
+    report.add("nabla_phi_h_identity", conn.nabla_endo_all(phih) - rhs3)
+    report.add("h_square_identity", h @ h - (kappa - 1) * phi2)
+    # rows (nabla_xi h) e_j against the columns of mu h phi
+    report.add("nabla_xi_h_identity", np.tensordot(xi, d_h, 1) - mu * (h @ phi).T)
     return report
 
 
@@ -336,7 +289,7 @@ def classification_flags(
     """
     nij, _ = nijenhuis_norm(s, tol)
     sasakian = nij <= SASAKIAN_FACTOR * tol
-    k_contact = float(np.max(np.abs(s.h))) <= tol
+    k_contact = max_abs(s.h) <= tol
     non_sasakian = report.kappa < 1.0 - tol
     tw_parallel = bool(non_sasakian and report.mu is not None and abs(report.mu - 2.0) <= tol)
     return {"sasakian": bool(sasakian), "k_contact": bool(k_contact), "tw_parallel": tw_parallel}

@@ -16,7 +16,6 @@ is exactly the canonical paracontact structure.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .contact import ContactMetricStructure, NullityReport
 from .errors import (
@@ -32,8 +31,8 @@ from .paracontact import (
     canonical_pc_connection,
     integrability_and_parasasaki,
 )
-from .report import DEFAULT_TOL, ResidualReport
-from .riemann import AffineConnection
+from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .riemann import AffineConnection, form_xy, on_pairs
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,9 @@ class LibermannMap:
 
 
 def _pang_matrix(model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    deta = d_one_form(model, eta)
-    n = vectors.shape[0]
-    pi = np.empty((n, n))
-    for i in range(n):
-        bi = model.bracket(xi, vectors[i])
-        for j in range(n):
-            pi[i, j] = 2.0 * (bi @ deta @ vectors[j])
-    return pi
+    """Pi[i, j] = 2 d eta([xi, b_i], b_j) for the rows b_i of ``vectors``."""
+    xi_brackets = vectors @ model.ad(xi).T  # rows [xi, b_i]
+    return 2.0 * xi_brackets @ d_one_form(model, eta) @ vectors.T
 
 
 def _definiteness(pi: np.ndarray, tol: float) -> str:
@@ -107,12 +101,12 @@ def legendre_distribution(
         raise NotTransversal(f"expected {n} basis vectors of length {model.dim}")
     if np.linalg.matrix_rank(vectors, tol=1e-12) < n:
         raise NotTransversal("basis vectors are linearly dependent")
-    worst_eta = float(np.max(np.abs(vectors @ eta)))
-    if worst_eta > tol:
+    worst_eta = max_abs(vectors @ eta)
+    if not worst_eta <= tol:
         raise NotTransversal(f"basis not tangent to the contact distribution ({worst_eta:.3e})")
     deta = d_one_form(model, eta)
-    iso = float(np.max(np.abs(vectors @ deta @ vectors.T)))
-    if iso > tol:
+    iso = max_abs(vectors @ deta @ vectors.T)
+    if not iso <= tol:
         raise NotTransversal(f"d eta does not vanish on the span ({iso:.3e})")
     pi = _pang_matrix(model, eta, xi, vectors)
     return LegendreDistribution(vectors=vectors, pang=pi, definiteness=_definiteness(pi, tol))
@@ -134,18 +128,10 @@ def involutivity_residual(
     Zero iff the distribution is a foliation whose leaves stay tangent to
     ker(eta).
     """
-    n = vectors.shape[0]
-    if n == 1:
-        return 0.0
-    aug = np.vstack([vectors, xi])
-    q, _ = np.linalg.qr(aug.T)
-    proj = q @ q.T
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = model.bracket(vectors[i], vectors[j])
-            worst = max(worst, float(np.max(np.abs(br - proj @ br))), float(abs(eta @ br)))
-    return worst
+    q, _ = np.linalg.qr(np.vstack([vectors, xi]).T)
+    br = on_pairs(model.c, vectors, vectors)  # [i, j, :] = [b_i, b_j]
+    off_span = br - br @ (q @ q.T)  # the projector q q^T is symmetric
+    return max_abs(np.concatenate([off_span, (br @ eta)[..., None]], axis=-1))
 
 
 def eigendistributions(
@@ -155,9 +141,13 @@ def eigendistributions(
     if report.kappa >= 1.0 - tol:
         raise SasakianDegenerate("h has no +-lambda eigenspaces when kappa >= 1")
     lam = report.lam
-    # h is g-symmetric: solve the symmetric generalized problem (g h) v = lam g v
+    # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
+    # g = L L^T, to the symmetric problem L^-1 (g h) L^-T w = lam w; the vectors
+    # v = L^-T w are then g-orthonormal
     gh = s.g @ s.h
-    vals, vecs = scipy.linalg.eigh(0.5 * (gh + gh.T), s.g)
+    l_inv = np.linalg.inv(np.linalg.cholesky(s.g))
+    vals, w = np.linalg.eigh(l_inv @ (0.5 * (gh + gh.T)) @ l_inv.T)
+    vecs = l_inv.T @ w
     out = []
     for target in (lam, -lam):
         idx = np.where(np.abs(vals - target) <= max(100 * tol, 1e-8 * max(1.0, abs(lam))))[0]
@@ -168,7 +158,7 @@ def eigendistributions(
         basis = vecs[:, idx].T
         ld = legendre_distribution(s.model, s.eta, s.xi, basis, tol)
         inv = involutivity_residual(s.model, s.eta, s.xi, basis)
-        if inv > tol:
+        if not inv <= tol:
             raise NotIntegrable(f"eigendistribution not involutive (residual {inv:.3e})")
         out.append(ld)
     return out[0], out[1]
@@ -218,12 +208,10 @@ def libermann_map(
     deta = d_one_form(model, eta)
 
     n = ld.n
-    # action on the complementary basis: Lambda q = sum_j coeff_j l_j
-    images = np.zeros((n, dim))
-    for r, q in enumerate(other.vectors):
-        rhs = np.array([q @ deta @ l for l in ld.vectors])
-        coeffs = np.linalg.solve(pi.T, rhs)
-        images[r] = coeffs @ ld.vectors
+    # action on the complementary basis: Lambda q_r = sum_j coeffs[r, j] l_j,
+    # with sum_j coeffs[r, j] Pi_L(l_j, l_k) = d eta(q_r, l_k)
+    rhs = other.vectors @ deta @ ld.vectors.T
+    images = np.linalg.solve(pi.T, rhs.T).T @ ld.vectors
 
     # assemble the full endomorphism in the model basis
     basis_change = np.column_stack([ld.vectors.T, other.vectors.T, xi[:, None]])
@@ -235,13 +223,12 @@ def libermann_map(
     lam_in_frame[:, n : 2 * n] = coords
     lam_op = basis_change @ lam_in_frame @ np.linalg.inv(basis_change)
 
-    sq = float(np.max(np.abs(lam_op @ lam_op)))
-    if sq > 10 * tol:
+    sq = max_abs(lam_op @ lam_op)
+    if not sq <= 10 * tol:
         raise DegeneratePang(f"Lambda^2 != 0 (residual {sq:.3e})")
-    half = 0.0
-    for l in ld.vectors:
-        half = max(half, float(np.max(np.abs(lam_op @ model.bracket(xi, l) - 0.5 * l))))
-    if half > 10 * tol:
+    xi_brackets = ld.vectors @ model.ad(xi).T  # rows [xi, l]
+    half = max_abs(xi_brackets @ lam_op.T - 0.5 * ld.vectors)
+    if not half <= 10 * tol:
         raise DegeneratePang(f"Lambda [xi, X] != X/2 on the foliation (residual {half:.3e})")
     return LibermannMap(lambda_op=lam_op)
 
@@ -252,8 +239,8 @@ def conjugate_distribution(
     """Q = phi L, the conjugate Legendre distribution (g-orthogonal to L)."""
     vectors = (s.phi @ ld.vectors.T).T
     q = legendre_distribution(s.model, s.eta, s.xi, vectors, tol)
-    ortho = float(np.max(np.abs(ld.vectors @ s.g @ vectors.T)))
-    if ortho > tol:
+    ortho = max_abs(ld.vectors @ s.g @ vectors.T)
+    if not ortho <= tol:
         raise NotTransversal(f"conjugate distribution not g-orthogonal ({ortho:.3e})")
     return q
 
@@ -306,8 +293,6 @@ def bilegendrian_connection(
         )
     conn, _ = canonical_pc_connection(induced, tol)
     model, eta, xi = induced.model, induced.eta, induced.xi
-    dim = model.dim
-    basis = np.eye(dim)
     deta = d_one_form(model, eta)
 
     report = ResidualReport(tol=tol)
@@ -315,70 +300,37 @@ def bilegendrian_connection(
     frame_inv = np.linalg.inv(frame)
     n = l1.n
 
-    def off_block(v: np.ndarray, block: slice) -> float:
-        coords = frame_inv @ v
-        mask = np.ones(dim, dtype=bool)
-        mask[block] = False
-        return float(np.max(np.abs(coords[mask])))
+    def off_block(vectors: np.ndarray, block: slice) -> np.ndarray:
+        """Frame coordinates outside ``block`` of nabla_{e_i} v, for every e_i and row v."""
+        coords = (vectors @ conn.gamma) @ frame_inv.T  # [i, r, :] for nabla_{e_i} v_r
+        return np.delete(coords, block, axis=-1)
 
-    pres1 = pres2 = 0.0
-    for i in range(dim):
-        for v in l1.vectors:
-            pres1 = max(pres1, off_block(conn.nabla(basis[i], v), slice(0, n)))
-        for v in l2.vectors:
-            pres2 = max(pres2, off_block(conn.nabla(basis[i], v), slice(n, 2 * n)))
-    report.add("preserves_l1", pres1)
-    report.add("preserves_l2", pres2)
-
-    nabla_xi = np.column_stack([conn.nabla(basis[i], xi) for i in range(dim)])
-    report.add("parallel_xi", np.max(np.abs(nabla_xi)))
-    report.add("parallel_deta", max(np.max(np.abs(conn.nabla_bilinear(i, deta))) for i in range(dim)))
+    report.add("preserves_l1", off_block(l1.vectors, np.s_[:n]))
+    report.add("preserves_l2", off_block(l2.vectors, np.s_[n : 2 * n]))
+    report.add("parallel_xi", xi @ conn.gamma)  # [i, :] = nabla_{e_i} xi
+    report.add("parallel_deta", conn.nabla_bilinear_all(deta))
 
     tors = conn.torsion(model)
-
-    def t_of(u, v):
-        return np.einsum("i,j,ijk->k", u, v, tors)
-
-    mixed = 0.0
-    for u in l1.vectors:
-        for v in l2.vectors:
-            mixed = max(mixed, float(np.max(np.abs(t_of(u, v) - 2.0 * (u @ deta @ v) * xi))))
-    report.add("torsion_mixed_pair", mixed)
-
+    report.add(
+        "torsion_mixed_pair", on_pairs(tors - 2.0 * form_xy(deta, xi), l1.vectors, l2.vectors)
+    )
     proj1 = frame @ np.diag([1.0] * n + [0.0] * n + [0.0]) @ frame_inv
     proj2 = frame @ np.diag([0.0] * n + [1.0] * n + [0.0]) @ frame_inv
-    t_xi = 0.0
-    for i in range(dim):
-        x = basis[i]
-        expected = proj2 @ model.bracket(xi, proj1 @ x) + proj1 @ model.bracket(xi, proj2 @ x)
-        t_xi = max(t_xi, float(np.max(np.abs(t_of(x, xi) - expected))))
-    report.add("torsion_xi_slot", t_xi)
+    ad_xi = model.ad(xi)
+    expected = proj2 @ ad_xi @ proj1 + proj1 @ ad_xi @ proj2  # column i: expected T(e_i, xi)
+    report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)
 
-    report.add(
-        "parallel_phi_t", max(np.max(np.abs(conn.nabla_endo(i, induced.phi_t))) for i in range(dim))
-    )
-    report.add(
-        "parallel_g_t", max(np.max(np.abs(conn.nabla_bilinear(i, induced.g_t))) for i in range(dim))
-    )
+    report.add("parallel_phi_t", conn.nabla_endo_all(induced.phi_t))
+    report.add("parallel_g_t", conn.nabla_bilinear_all(induced.g_t))
 
     if contact is not None:
-        report.add(
-            "parallel_g", max(np.max(np.abs(conn.nabla_bilinear(i, contact.g))) for i in range(dim))
-        )
-        report.add(
-            "parallel_phi", max(np.max(np.abs(conn.nabla_endo(i, contact.phi))) for i in range(dim))
-        )
-        report.add(
-            "parallel_h", max(np.max(np.abs(conn.nabla_endo(i, contact.h))) for i in range(dim))
-        )
+        report.add("parallel_g", conn.nabla_bilinear_all(contact.g))
+        report.add("parallel_phi", conn.nabla_endo_all(contact.phi))
+        report.add("parallel_h", conn.nabla_endo_all(contact.h))
         for name, ld in (("parallel_pang_l1", l1), ("parallel_pang_l2", l2)):
-            worst = 0.0
-            pinv = np.linalg.pinv(ld.vectors.T)
-            for i in range(dim):
-                # express nabla_i b_k in the distribution's own basis
-                a = np.column_stack([pinv @ conn.nabla(basis[i], v) for v in ld.vectors])
-                worst = max(worst, float(np.max(np.abs(a.T @ ld.pang + ld.pang @ a))))
-            report.add(name, worst)
+            # a[i] expresses nabla_{e_i} of the distribution's basis in that basis
+            a = np.linalg.pinv(ld.vectors.T) @ (ld.vectors @ conn.gamma).transpose(0, 2, 1)
+            report.add(name, a.transpose(0, 2, 1) @ ld.pang + ld.pang @ a)
     return conn, report
 
 

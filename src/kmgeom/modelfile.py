@@ -86,6 +86,8 @@ def _parse_structure(model: LieModel, block: dict):
     dim = model.dim
     if phi.shape != (dim, dim) or g.shape != (dim, dim) or xi.shape != (dim,) or eta.shape != (dim,):
         raise ModelFormatError("structure tensor shapes do not match the model dimension")
+    if not all(np.all(np.isfinite(t)) for t in (phi, xi, eta, g)):
+        raise ModelFormatError("structure tensors must be finite (no NaN or infinity)")
     if kind == "contact":
         return ContactMetricStructure(model=model, phi=phi, xi=xi, eta=eta, g=g)
     if kind == "paracontact":
@@ -112,6 +114,8 @@ def loads(text: str) -> ModelDocument:
         if len(labels) != dim:
             raise ModelFormatError("basis_labels length does not match dim")
     c = _parse_brackets(dim, doc.get("brackets", []))
+    if not np.all(np.isfinite(c)):
+        raise ModelFormatError("bracket coefficients must be finite (no NaN or infinity)")
     model = LieModel(c=c, basis_labels=labels)
     structure = None
     if "structure" in doc and doc["structure"] is not None:

@@ -18,8 +18,18 @@ import numpy as np
 
 from .errors import DegenerateMetric, InternalInconsistency, NotNullity
 from .lie_model import LieModel, d_one_form, lie_derivative_endo
-from .report import DEFAULT_TOL, ResidualReport
-from .riemann import AffineConnection, curvature, levi_civita, signature
+from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .riemann import (
+    AffineConnection,
+    curvature_xi,
+    eta_x,
+    eta_y,
+    form_xy,
+    levi_civita,
+    nijenhuis_tensor,
+    on_pairs,
+    signature,
+)
 from .contact import _fit_r_xi, _kernel_basis
 
 
@@ -101,13 +111,13 @@ def validate_paracontact(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL
     ident = np.eye(dim)
     deta = s.d_eta()
 
-    report.add("phi_square", np.max(np.abs(phi @ phi - ident + np.outer(xi, eta))))
-    report.add("deta_compatibility", np.max(np.abs(deta - g @ phi)))
-    report.add("metric_compatibility", np.max(np.abs(phi.T @ g @ phi + g - np.outer(eta, eta))))
-    report.add("eta_xi", abs(eta @ xi - 1.0))
-    report.add("phi_xi", np.max(np.abs(phi @ xi)))
-    report.add("eta_circ_phi", np.max(np.abs(eta @ phi)))
-    report.add("eta_is_g_xi", np.max(np.abs(g @ xi - eta)))
+    report.add("phi_square", phi @ phi - ident + np.outer(xi, eta))
+    report.add("deta_compatibility", deta - g @ phi)
+    report.add("metric_compatibility", phi.T @ g @ phi + g - np.outer(eta, eta))
+    report.add("eta_xi", eta @ xi - 1.0)
+    report.add("phi_xi", phi @ xi)
+    report.add("eta_circ_phi", eta @ phi)
+    report.add("eta_is_g_xi", g @ xi - eta)
 
     k = _kernel_basis(eta)
     det_restricted = np.linalg.det(k @ deta @ k.T)
@@ -129,23 +139,18 @@ def validate_paracontact(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL
         report.add(name, 0.0 if rank == n else float(abs(rank - n)),
                    note=f"rank {rank}, expected {n}")
 
-    report.add("h_xi", np.max(np.abs(h @ xi)))
-    report.add("eta_circ_h", np.max(np.abs(eta @ h)))
-    report.add("h_phi_anticommute", np.max(np.abs(h @ phi + phi @ h)))
-    report.add("trace_h", abs(np.trace(h)))
-    report.add("h_g_symmetric", np.max(np.abs(h.T @ g - g @ h)))
+    report.add("h_xi", h @ xi)
+    report.add("eta_circ_h", eta @ h)
+    report.add("h_phi_anticommute", h @ phi + phi @ h)
+    report.add("trace_h", np.trace(h))
+    report.add("h_g_symmetric", h.T @ g - g @ h)
     try:
         conn = s.levi_civita(tol)
-        nabla_xi = np.column_stack([conn.nabla(np.eye(dim)[i], xi) for i in range(dim)])
-        report.add("nabla_xi_identity", np.max(np.abs(nabla_xi - (-phi + phi @ h))))
+        # xi @ gamma has rows nabla_{e_i} xi, the columns of the operator nabla xi
+        report.add("nabla_xi_identity", (xi @ conn.gamma).T - (-phi + phi @ h))
     except (DegenerateMetric, np.linalg.LinAlgError) as exc:  # record, keep reporting
         report.add("nabla_xi_identity", np.inf, note=str(exc))
     return report
-
-
-def h_tilde(s: ParacontactMetricStructure) -> np.ndarray:
-    """h~ = (1/2) L_xi phi~ (cached on the structure)."""
-    return s.h_t
 
 
 def h_square_scalar(s: ParacontactMetricStructure) -> tuple[float, float]:
@@ -159,7 +164,7 @@ def h_square_scalar(s: ParacontactMetricStructure) -> tuple[float, float]:
     p2 = s.phi_t @ s.phi_t
     denom = float(np.sum(p2 * p2))
     scal = float(np.sum(h2 * p2) / denom)
-    return scal, float(np.max(np.abs(h2 - scal * p2)))
+    return scal, max_abs(h2 - scal * p2)
 
 
 def spectral_type(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL) -> tuple[str, float, float | None]:
@@ -169,11 +174,11 @@ def spectral_type(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL) -> tu
     complex pair for s < 0, nilpotent for s = 0 with h~ != 0, zero otherwise.
     """
     scal, fit_residual = h_square_scalar(s)
-    if fit_residual > tol:
+    if not fit_residual <= tol:
         raise InternalInconsistency(
             f"h~^2 is not proportional to phi~^2 (residual {fit_residual:.3e})"
         )
-    if np.max(np.abs(s.h_t)) <= tol:
+    if max_abs(s.h_t) <= tol:
         return "zero", scal, None
     if scal > tol:
         return "real_pair", scal, float(np.sqrt(scal))
@@ -189,28 +194,21 @@ def para_nullity_fit(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL) ->
     identity R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).
     """
     conn = s.levi_civita(tol)
-    kappa, mu, residual = _fit_r_xi(s.model, conn, s.xi, s.eta, s.h_t, tol)
-    if residual > tol:
+    r_xi = curvature_xi(s.model, conn, s.xi)
+    kappa, mu, residual = _fit_r_xi(r_xi, s.xi, s.eta, s.h_t, tol)
+    if not residual <= tol:
         raise NotNullity(
             f"curvature does not satisfy a paracontact nullity condition "
             f"(residual {residual:.3e})",
             residual,
         )
     stype, scal, lam = spectral_type(s, tol)
-    para1 = float(np.max(np.abs(s.h_t @ s.h_t - (1.0 + kappa) * s.phi_t @ s.phi_t)))
-
-    dim = s.dim
-    basis = np.eye(dim)
-    rz = 0.0
     p2 = s.phi_t @ s.phi_t
     h2 = s.h_t @ s.h_t
-    for i in range(dim):
-        x = basis[i]
-        lhs = curvature(s.model, conn, s.xi, x, s.xi) + s.phi_t @ curvature(
-            s.model, conn, s.xi, s.phi_t @ x, s.xi
-        )
-        rhs = 2.0 * (p2 @ x - h2 @ x)
-        rz = max(rz, float(np.max(np.abs(lhs - rhs))))
+    para1 = max_abs(h2 - (1.0 + kappa) * p2)
+    # rows R~_{xi e_i} xi + phi~ R~_{xi phi~ e_i} xi against the columns of 2 (phi~^2 - h~^2)
+    r_xi_x = np.tensordot(s.xi, r_xi, 1)
+    rz = max_abs(r_xi_x + s.phi_t.T @ r_xi_x @ s.phi_t.T - 2.0 * (p2 - h2).T)
 
     return ParaNullityReport(
         kappa_t=kappa,
@@ -238,61 +236,28 @@ def canonical_pc_connection(
     torsion eta(X) phi~ h~ Y - eta(Y) phi~ h~ X + 2 g~(X, phi~ Y) xi.
     """
     m, phi, xi, eta, g, h = s.model, s.phi_t, s.xi, s.eta, s.g_t, s.h_t
-    dim = s.dim
     lc = s.levi_civita(tol)
-    basis = np.eye(dim)
+    ident = np.eye(s.dim)
     phih = phi @ h
 
-    gamma = np.array(lc.gamma, copy=True)
-    for i in range(dim):
-        for j in range(dim):
-            x, y = basis[i], basis[j]
-            gamma[i, j] += eta[i] * (phi @ y)
-            gamma[i, j] += eta[j] * (phi @ x - phih @ x)
-            gamma[i, j] += ((x - h @ x) @ g @ (phi @ y)) * xi
+    gamma = lc.gamma + eta_x(eta, phi) + eta_y(eta, phi - phih) + form_xy((ident - h).T @ g @ phi, xi)
     conn = AffineConnection(gamma=gamma)
 
     report = ResidualReport(tol=tol)
-    report.add("parallel_eta", max(np.max(np.abs(conn.nabla_one_form(i, eta))) for i in range(dim)))
-    nabla_xi = np.column_stack([conn.nabla(basis[i], xi) for i in range(dim)])
-    report.add("parallel_xi", np.max(np.abs(nabla_xi)))
-    report.add("parallel_metric", max(np.max(np.abs(conn.nabla_bilinear(i, g))) for i in range(dim)))
-
-    shift = 0.0
-    for i in range(dim):
-        d_pc = conn.nabla_endo(i, phi)
-        d_lc = lc.nabla_endo(i, phi)
-        x = basis[i]
-        for j in range(dim):
-            y = basis[j]
-            rhs = d_lc @ y - eta[j] * (x - h @ x) + ((x - h @ x) @ g @ y) * xi
-            shift = max(shift, np.max(np.abs(d_pc @ y - rhs)))
-    report.add("phi_derivative_identity", shift)
+    report.add("parallel_eta", -(conn.gamma @ eta))  # [i, j] = (nabla_{e_i} eta)(e_j)
+    report.add("parallel_xi", xi @ conn.gamma)  # [i, :] = nabla_{e_i} xi
+    report.add("parallel_metric", conn.nabla_bilinear_all(g))
+    rhs = lc.nabla_endo_all(phi) - eta_y(eta, ident - h) + form_xy((ident - h).T @ g, xi)
+    report.add("phi_derivative_identity", conn.nabla_endo_all(phi) - rhs)
 
     tors = conn.torsion(m)
-
-    def t_of(u, v):
-        return np.einsum("i,j,ijk->k", u, v, tors)
-
-    refl = 0.0
-    closed = 0.0
-    on_d = 0.0
+    t_xi = np.tensordot(xi, tors, 1)  # [j, :] = T(xi, e_j)
+    report.add("torsion_phi_reflection", phi.T @ t_xi + t_xi @ phi.T)
+    closed = eta_x(eta, phih) - eta_y(eta, phih) + 2.0 * form_xy(g @ phi, xi)
+    report.add("torsion_closed_form", tors - closed)
     kbasis = _kernel_basis(eta)
-    for j in range(dim):
-        y = basis[j]
-        refl = max(refl, np.max(np.abs(t_of(xi, phi @ y) + phi @ t_of(xi, y))))
-    for i in range(dim):
-        for j in range(dim):
-            x, y = basis[i], basis[j]
-            rhs = eta[i] * (phih @ y) - eta[j] * (phih @ x) + 2.0 * (x @ g @ (phi @ y)) * xi
-            closed = max(closed, np.max(np.abs(t_of(x, y) - rhs)))
-    deta = s.d_eta()
-    for u in kbasis:
-        for v in kbasis:
-            on_d = max(on_d, np.max(np.abs(t_of(u, v) - 2.0 * (u @ deta @ v) * xi)))
-    report.add("torsion_phi_reflection", refl)
-    report.add("torsion_closed_form", closed)
-    report.add("torsion_on_contact_distribution", on_d)
+    report.add("torsion_on_contact_distribution",
+               on_pairs(tors - 2.0 * form_xy(s.d_eta(), xi), kbasis, kbasis))
     return conn, report
 
 
@@ -306,27 +271,13 @@ def integrability_and_parasasaki(
     disagreement beyond 10 tol signals an engine bug, not a model property.
     """
     m, phi, xi, eta = s.model, s.phi_t, s.xi, s.eta
-    deta = s.d_eta()
-
-    def nij(u, v):
-        return (
-            phi @ phi @ m.bracket(u, v)
-            + m.bracket(phi @ u, phi @ v)
-            - phi @ m.bracket(phi @ u, v)
-            - phi @ m.bracket(u, phi @ v)
-            - 2.0 * (u @ deta @ v) * xi
-        )
-
     kbasis = _kernel_basis(eta)
-    worst_d = 0.0
-    for u in kbasis:
-        for v in kbasis:
-            w = nij(u, v)
-            worst_d = max(worst_d, float(np.max(np.abs(w - (eta @ w) * xi))))
+    nij = on_pairs(nijenhuis_tensor(m, phi, xi, eta, -1.0), kbasis, kbasis)
+    worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
     integrable_n = worst_d <= tol
 
     conn_pc, _ = canonical_pc_connection(s, tol)
-    worst_pc = max(float(np.max(np.abs(conn_pc.nabla_endo(i, phi)))) for i in range(s.dim))
+    worst_pc = max_abs(conn_pc.nabla_endo_all(phi))
     integrable_pc = worst_pc <= tol
 
     if integrable_n != integrable_pc and abs(worst_d - worst_pc) > 10.0 * tol:
@@ -336,27 +287,15 @@ def integrability_and_parasasaki(
         )
 
     lc = s.levi_civita(tol)
-    basis = np.eye(s.dim)
-    ps = 0.0
-    for i in range(s.dim):
-        d_phi = lc.nabla_endo(i, phi)
-        x = basis[i]
-        for j in range(s.dim):
-            y = basis[j]
-            rhs = -(x @ s.g_t @ y) * xi + eta[j] * x
-            ps = max(ps, float(np.max(np.abs(d_phi @ y - rhs))))
+    ident = np.eye(s.dim)
+    # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X
+    ps = max_abs(lc.nabla_endo_all(phi) + form_xy(s.g_t, xi) - eta_y(eta, ident))
     para_sasakian = ps <= tol
     curv_res = None
     if para_sasakian:
         # curvature consequence R~_{XY} xi = -(eta(Y) X - eta(X) Y), i.e. the
         # kappa~ = -1 nullity form that the covariant condition forces
-        worst = 0.0
-        for i in range(s.dim):
-            for j in range(s.dim):
-                r = curvature(m, lc, basis[i], basis[j], xi)
-                pred = -(eta[j] * basis[i] - eta[i] * basis[j])
-                worst = max(worst, float(np.max(np.abs(r - pred))))
-        curv_res = worst
+        curv_res = max_abs(curvature_xi(m, lc, xi) + eta_y(eta, ident) - eta_x(eta, ident))
 
     return {
         "integrable": bool(integrable_n),

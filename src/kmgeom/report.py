@@ -1,9 +1,20 @@
-"""Residual reports: named max-abs residuals with a shared pass/fail tolerance."""
+"""Residual reports: named max-abs residuals with a shared pass/fail tolerance.
+
+:func:`max_abs` is the one reduction from a residual array to a number; it
+propagates NaN, so a non-finite residual can never compare as a pass.
+"""
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 DEFAULT_TOL = 1e-9
+
+
+def max_abs(residual) -> float:
+    """Max-abs of a residual scalar or array; NaN anywhere gives NaN."""
+    return float(np.max(np.abs(residual)))
 
 
 @dataclass
@@ -18,8 +29,9 @@ class ResidualReport:
     entries: dict[str, float] = field(default_factory=dict)
     notes: dict[str, str] = field(default_factory=dict)
 
-    def add(self, name: str, residual: float, note: str | None = None) -> None:
-        self.entries[name] = float(abs(residual))
+    def add(self, name: str, residual, note: str | None = None) -> None:
+        """Record the max-abs of ``residual`` (a number or a whole residual array)."""
+        self.entries[name] = max_abs(residual)
         if note:
             self.notes[name] = note
 
@@ -41,7 +53,7 @@ class ResidualReport:
         return (name, self.entries[name])
 
     def failures(self) -> dict[str, float]:
-        return {k: v for k, v in self.entries.items() if v > self.tol}
+        return {k: v for k, v in self.entries.items() if not v <= self.tol}
 
     def to_dict(self) -> dict:
         out = {"tol": self.tol, "valid": self.valid, "residuals": dict(self.entries)}

@@ -48,8 +48,8 @@ from .paracontact import (
     para_nullity_fit,
     validate_paracontact,
 )
-from .report import DEFAULT_TOL, ResidualReport
-from .riemann import signature
+from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .riemann import eta_x, eta_y, form_xy, signature
 
 # Guard band around |I_M| = 1: the tower normalizers contain
 # sqrt(|1 - kappa - (1 - mu/2)^2|), which vanishes exactly there.
@@ -139,14 +139,14 @@ def canonical_paracontact(
     checks = ResidualReport(tol=tol)
     checks.merge(validate_paracontact(st, tol))
     lie_phi = 0.5 * lie_derivative_endo(m, xi, s.phi) / root
-    checks.add("normalized_lie_derivative", np.max(np.abs(phi_t - lie_phi)))
+    checks.add("normalized_lie_derivative", phi_t - lie_phi)
     checks.add(
         "h_tilde_closed_form",
-        np.max(np.abs(2.0 * root * st.h_t - ((2.0 - mu) * s.phi @ s.h + 2.0 * (1.0 - kappa) * s.phi))),
+        2.0 * root * st.h_t - ((2.0 - mu) * s.phi @ s.h + 2.0 * (1.0 - kappa) * s.phi),
     )
     checks.add(
         "h_tilde_square_closed_form",
-        np.max(np.abs(st.h_t @ st.h_t - (1.0 - kappa - (1.0 - mu / 2) ** 2) * s.phi @ s.phi)),
+        st.h_t @ st.h_t - (1.0 - kappa - (1.0 - mu / 2) ** 2) * s.phi @ s.phi,
     )
 
     checks.add("levi_civita_relation", _levi_civita_relation_residual(s, st, kappa, mu, tol))
@@ -180,29 +180,16 @@ def _levi_civita_relation_residual(
                           - 2 g(X, phi Y)) / 2
                          - eta(nabla_X Y) ] xi
     """
-    m = s.model
-    dim = s.dim
     lc = s.levi_civita(tol)
     lc_t = st.levi_civita(tol)
-    basis = np.eye(dim)
     root = np.sqrt(1.0 - kappa)
     phi, h, g, eta, xi = s.phi, s.h, s.g, s.eta, s.xi
-    worst = 0.0
-    for i in range(dim):
-        x = basis[i]
-        for j in range(dim):
-            y = basis[j]
-            w = lc.nabla(x, y)
-            rhs = w + (mu / 2.0) * (eta[i] * (phi @ y) + eta[j] * (phi @ x))
-            rhs -= (eta[i] * (h @ y) + eta[j] * (h @ x)) / root
-            coeff = 0.5 * (
-                (2.0 - mu) / root * (x @ g @ (h @ y))
-                - 2.0 * root * (x @ g @ (phi @ phi @ y))
-                - 2.0 * (x @ g @ (phi @ y))
-            ) - eta @ w
-            rhs += coeff * xi
-            worst = max(worst, float(np.max(np.abs(lc_t.nabla(x, y) - rhs))))
-    return worst
+    w = lc.gamma  # [i, j, :] = nabla_X Y
+    rhs = w + (mu / 2.0) * (eta_x(eta, phi) + eta_y(eta, phi))
+    rhs -= (eta_x(eta, h) + eta_y(eta, h)) / root
+    coeff = 0.5 * ((2.0 - mu) / root * g @ h - 2.0 * root * g @ phi @ phi - 2.0 * g @ phi) - w @ eta
+    rhs += form_xy(coeff, xi)
+    return max_abs(lc_t.gamma - rhs)
 
 
 def _structure_derivative_residuals(
@@ -216,25 +203,14 @@ def _structure_derivative_residuals(
                             - 2 eta(X) phi~ h~ Y
                             - g~(X, phi~ h~ Y + phi~ h~^2 Y) xi
     """
-    dim = st.dim
     lc = st.levi_civita(tol)
-    basis = np.eye(dim)
     phi, h, g, eta, xi = st.phi_t, st.h_t, st.g_t, st.eta, st.xi
+    ident = np.eye(st.dim)
     phih = phi @ h
     phih2 = phih @ h
-    r_phi = r_h = 0.0
-    for i in range(dim):
-        x = basis[i]
-        d_phi = lc.nabla_endo(i, phi)
-        d_h = lc.nabla_endo(i, h)
-        for j in range(dim):
-            y = basis[j]
-            rhs1 = -((x - h @ x) @ g @ y) * xi + eta[j] * (x - h @ x)
-            r_phi = max(r_phi, float(np.max(np.abs(d_phi @ y - rhs1))))
-            rhs2 = -eta[j] * (phih @ x - phih2 @ x) - 2.0 * eta[i] * (phih @ y)
-            rhs2 -= (x @ g @ (phih @ y + phih2 @ y)) * xi
-            r_h = max(r_h, float(np.max(np.abs(d_h @ y - rhs2))))
-    return r_phi, r_h
+    rhs1 = -form_xy((ident - h).T @ g, xi) + eta_y(eta, ident - h)
+    rhs2 = -eta_y(eta, phih - phih2) - 2.0 * eta_x(eta, phih) - form_xy(g @ (phih + phih2), xi)
+    return max_abs(lc.nabla_endo_all(phi) - rhs1), max_abs(lc.nabla_endo_all(h) - rhs2)
 
 
 def derive_next(
@@ -279,10 +255,7 @@ def derive_next(
         fit = nullity_fit(s1, tol)
         checks.add("predicted_kappa_delta", abs(fit.kappa - (kappa + (1.0 - mu / 2.0) ** 2)))
         checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
-        checks.add(
-            "h_proportionality",
-            np.max(np.abs(s1.h - np.sqrt(1.0 - inv**2) * h_parent)),
-        )
+        checks.add("h_proportionality", s1.h - np.sqrt(1.0 - inv**2) * h_parent)
         return TowerNode(
             index=index,
             kind="contact",
@@ -305,10 +278,7 @@ def derive_next(
     fit = para_nullity_fit(s1, tol)
     checks.add("predicted_kappa_delta", abs(fit.kappa_t - (kappa - 2.0 + (1.0 - mu / 2.0) ** 2)))
     checks.add("predicted_mu_delta", abs((fit.mu_t if fit.mu_t is not None else 2.0) - 2.0))
-    checks.add(
-        "h_proportionality",
-        np.max(np.abs(s1.h_t + np.sqrt(inv**2 - 1.0) * h_parent)),
-    )
+    checks.add("h_proportionality", s1.h_t + np.sqrt(inv**2 - 1.0) * h_parent)
     checks.add("levi_civita_relation", _second_levi_civita_relation_residual(st, s1, root, tol))
     r_phi, r_h = _structure_derivative_residuals(s1, tol)
     checks.add("nabla_phi_tilde_identity", r_phi)
@@ -340,23 +310,13 @@ def _second_levi_civita_relation_residual(
 
     with root = sqrt((1 - mu/2)^2 - (1 - kappa)).
     """
-    dim = st.dim
     lc = st.levi_civita(tol)
     lc1 = s1.levi_civita(tol)
-    basis = np.eye(dim)
     phi, h, g, eta, xi = st.phi_t, st.h_t, st.g_t, st.eta, st.xi
-    phih = phi @ h
-    worst = 0.0
-    for i in range(dim):
-        x = basis[i]
-        for j in range(dim):
-            y = basis[j]
-            rhs = lc.nabla(x, y)
-            rhs += eta[i] * (phi @ y - (h @ y) / root)
-            rhs += eta[j] * (phi @ x - (h @ x) / root)
-            rhs += (root * (x @ g @ y - eta[i] * eta[j]) + x @ g @ (phih @ y)) * xi
-            worst = max(worst, float(np.max(np.abs(lc1.nabla(x, y) - rhs))))
-    return worst
+    shift = phi - h / root
+    rhs = lc.gamma + eta_x(eta, shift) + eta_y(eta, shift)
+    rhs += form_xy(root * (g - np.outer(eta, eta)) + g @ phi @ h, xi)
+    return max_abs(lc1.gamma - rhs)
 
 
 def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) -> list[TowerNode]:
@@ -499,17 +459,14 @@ def second_bilegendrian_analysis(
     h_t = st.h_t
     h_t1 = node.structure.h_t  # h of the tower paracontact structure
 
-    checks.add("lambda_square_vs_h_square_scalar",
-               np.max(np.abs(h_t @ h_t - delta * st.phi_t @ st.phi_t)))
+    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * st.phi_t @ st.phi_t)
 
     xs, ys = _phi_eigenframe(s, report, tol)
     gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
     plus = gamma * xs + ys if inv > 1.0 else gamma * xs - ys
     minus = -gamma * xs + ys if inv > 1.0 else gamma * xs + ys
-    eig_plus = max(float(np.max(np.abs(h_t @ v - lam_t * v))) for v in plus)
-    eig_minus = max(float(np.max(np.abs(h_t @ v + lam_t * v))) for v in minus)
-    checks.add("plus_eigenvector_pattern", eig_plus)
-    checks.add("minus_eigenvector_pattern", eig_minus)
+    checks.add("plus_eigenvector_pattern", plus @ h_t.T - lam_t * plus)
+    checks.add("minus_eigenvector_pattern", minus @ h_t.T + lam_t * minus)
 
     d_plus = legendre_distribution(s.model, s.eta, s.xi, plus, tol)
     d_minus = legendre_distribution(s.model, s.eta, s.xi, minus, tol)
@@ -517,8 +474,8 @@ def second_bilegendrian_analysis(
     checks.add("minus_involutive", involutivity_residual(s.model, s.eta, s.xi, minus))
 
     expected_pang = 4.0 * lam * (inv - 1.0)
-    checks.add("pang_value_plus", np.max(np.abs(d_plus.pang - expected_pang * np.eye(s.n))))
-    checks.add("pang_value_minus", np.max(np.abs(d_minus.pang - expected_pang * np.eye(s.n))))
+    checks.add("pang_value_plus", d_plus.pang - expected_pang * np.eye(s.n))
+    checks.add("pang_value_minus", d_minus.pang - expected_pang * np.eye(s.n))
 
     lam_map_plus = libermann_map(s, d_plus, d_minus, tol)
     lam_map_minus = libermann_map(s, d_minus, d_plus, tol)
@@ -526,10 +483,8 @@ def second_bilegendrian_analysis(
     proj_plus = d_plus.span_projector()
     closed_plus = (h_t1 / (2.0 * delta)) @ proj_minus
     closed_minus = -(h_t1 / (2.0 * delta)) @ proj_plus
-    checks.add("libermann_plus_closed_form",
-               np.max(np.abs(lam_map_plus.lambda_op @ proj_minus - closed_plus)))
-    checks.add("libermann_minus_closed_form",
-               np.max(np.abs(lam_map_minus.lambda_op @ proj_plus - closed_minus)))
+    checks.add("libermann_plus_closed_form", lam_map_plus.lambda_op @ proj_minus - closed_plus)
+    checks.add("libermann_minus_closed_form", lam_map_minus.lambda_op @ proj_plus - closed_minus)
 
     product = 4.0 * delta
     if a is None and b is None:
@@ -598,7 +553,7 @@ def sasakian_structure(
     p, q, z = signature(g_bar, tol)
     checks.add("metric_positive_definite", 0.0 if (q == 0 and z == 0) else 1.0,
                note=f"signature ({p},{q},{z})")
-    checks.add("h_bar_vanishes", np.max(np.abs(sbar.h)))
+    checks.add("h_bar_vanishes", sbar.h)
     nij, _ = nijenhuis_norm(sbar, tol)
     checks.add("nijenhuis_vanishes", nij)
     fit = nullity_fit(sbar, tol)
@@ -611,8 +566,8 @@ def sasakian_structure(
     phi_t, phi_t1 = st.phi_t, node.phi
     phi_bar_minus = phi_bar if sign < 0 else -phi_bar
     phi_bar_plus = phi_bar if sign > 0 else -phi_bar
-    checks.add("composition_minus", np.max(np.abs(phi_t @ phi_t1 - phi_bar_minus)))
-    checks.add("composition_plus", np.max(np.abs(phi_t1 @ phi_t - phi_bar_plus)))
+    checks.add("composition_minus", phi_t @ phi_t1 - phi_bar_minus)
+    checks.add("composition_plus", phi_t1 @ phi_t - phi_bar_plus)
 
     if inv > 1.0:
         triple = (phi_bar, phi_t1, phi_t)
@@ -620,11 +575,11 @@ def sasakian_structure(
         triple = (phi_bar, phi_t, phi_t1)
     proj = s.contact_projector()
     i1, i2, i3 = triple
-    checks.add("triple_i1_square", np.max(np.abs((i1 @ i1 + np.eye(s.dim)) @ proj)))
-    checks.add("triple_i2_square", np.max(np.abs((i2 @ i2 - np.eye(s.dim)) @ proj)))
-    checks.add("triple_i3_square", np.max(np.abs((i3 @ i3 - np.eye(s.dim)) @ proj)))
-    checks.add("triple_product", np.max(np.abs((i2 @ i3 - i1) @ proj)))
-    checks.add("triple_anticommute", np.max(np.abs((i2 @ i3 + i3 @ i2) @ proj)))
+    checks.add("triple_i1_square", (i1 @ i1 + np.eye(s.dim)) @ proj)
+    checks.add("triple_i2_square", (i2 @ i2 - np.eye(s.dim)) @ proj)
+    checks.add("triple_i3_square", (i3 @ i3 - np.eye(s.dim)) @ proj)
+    checks.add("triple_product", (i2 @ i3 - i1) @ proj)
+    checks.add("triple_anticommute", (i2 @ i3 + i3 @ i2) @ proj)
     return SasakianPackage(
         phi_bar=phi_bar,
         g_bar=g_bar,
@@ -658,15 +613,15 @@ def anti_hypercomplex_and_3web(
     ident = np.eye(s.dim)
 
     report_out = ResidualReport(tol=tol)
-    report_out.add("phi_tilde_square", np.max(np.abs((phi_t @ phi_t - ident) @ proj)))
-    report_out.add("phi_tilde1_square", np.max(np.abs((phi_t1 @ phi_t1 - ident) @ proj)))
-    report_out.add("anticommutation", np.max(np.abs((phi_t @ phi_t1 + phi_t1 @ phi_t) @ proj)))
-    report_out.add("product_minus", np.max(np.abs((phi_t @ phi_t1 - phi_bar_minus) @ proj)))
-    report_out.add("product_plus", np.max(np.abs((phi_t1 @ phi_t - phi_bar_plus) @ proj)))
-    report_out.add("opposite_signs", np.max(np.abs((phi_bar_plus + phi_bar_minus) @ proj)))
+    report_out.add("phi_tilde_square", (phi_t @ phi_t - ident) @ proj)
+    report_out.add("phi_tilde1_square", (phi_t1 @ phi_t1 - ident) @ proj)
+    report_out.add("anticommutation", (phi_t @ phi_t1 + phi_t1 @ phi_t) @ proj)
+    report_out.add("product_minus", (phi_t @ phi_t1 - phi_bar_minus) @ proj)
+    report_out.add("product_plus", (phi_t1 @ phi_t - phi_bar_plus) @ proj)
+    report_out.add("opposite_signs", (phi_bar_plus + phi_bar_minus) @ proj)
     for name, op in (("phi_bar_kills_xi", phi_bar_plus), ("phi_tilde_kills_xi", phi_t),
                      ("phi_tilde1_kills_xi", phi_t1)):
-        report_out.add(name, np.max(np.abs(op @ s.xi)))
+        report_out.add(name, op @ s.xi)
 
     xs, ys = _phi_eigenframe(s, report, tol)
     gamma = np.sqrt((inv - 1.0) / (inv + 1.0))

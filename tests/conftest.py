@@ -4,6 +4,7 @@ import pytest
 from kmgeom.catalog import family_3d, heisenberg_3d, nilpotent_h_5d
 from kmgeom.contact import ContactMetricStructure, nullity_fit
 from kmgeom.lie_model import LieModel
+from kmgeom.paracontact import ParacontactMetricStructure
 from kmgeom.tower import sasakian_structure
 
 # one parameter pair per class: I, II, III, IV, V
@@ -61,3 +62,25 @@ def twisted_contact_3d(a=1.0, r=1.0) -> ContactMetricStructure:
     return ContactMetricStructure(
         model=model, phi=phi, xi=np.eye(3)[2], eta=np.eye(3)[2], g=np.eye(3)
     )
+
+
+def heisenberg_model(dim, kind="contact"):
+    """H_dim with [X_i, Y_i] = 2 xi on the basis (X_1..X_n, Y_1..Y_n, xi).
+
+    contact: phi X_i = Y_i, g = I (Sasakian, kappa = 1).  paracontact:
+    phi~ = +1 on X, -1 on Y, g~ pairs X_i with Y_i (para-Sasakian).
+    """
+    n = (dim - 1) // 2
+    c = np.zeros((dim, dim, dim))
+    c[range(n), range(n, 2 * n), -1] = 2.0
+    c[range(n, 2 * n), range(n), -1] = -2.0
+    model = LieModel(c=c)
+    xi = np.eye(dim)[-1]
+    pair = np.zeros((dim, dim))
+    pair[n : 2 * n, :n] = np.eye(n)  # X_i -> Y_i
+    if kind == "contact":
+        return ContactMetricStructure(model=model, phi=pair - pair.T, xi=xi, eta=xi, g=np.eye(dim))
+    g_t = pair + pair.T
+    g_t[-1, -1] = 1.0
+    phi_t = np.diag([1.0] * n + [-1.0] * n + [0.0])
+    return ParacontactMetricStructure(model=model, phi_t=phi_t, xi=xi, eta=xi, g_t=g_t)

@@ -68,6 +68,28 @@ def test_load_rejects_malformed_documents(mutate):
         modelfile.loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [("bracket", float("nan")), ("phi", float("inf")), ("xi", float("nan")), ("g", float("-inf"))],
+)
+def test_non_finite_model_is_a_parse_error(tmp_path, capsys, where, value):
+    doc = json.loads(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+    if where == "bracket":
+        doc["brackets"][0]["coeffs"]["3"] = value
+    else:
+        row = doc["structure"][where]
+        if isinstance(row[0], list):
+            row = row[0]
+        row[0] = value
+    text = json.dumps(doc)  # writes the NaN / Infinity literals Python's json reads back
+    with pytest.raises(ModelFormatError):
+        modelfile.loads(text)
+    path = tmp_path / "non-finite.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_load_rejects_non_json():
     with pytest.raises(ModelFormatError):
         modelfile.loads("{not json")
