@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import ContactMetricStructure
+from .contact import ContactMetricStructure, MetricStructure
 from .errors import NonPositiveLambda
 from .lie_model import LieModel
 from .paracontact import ParacontactMetricStructure
@@ -28,12 +28,12 @@ from .paracontact import ParacontactMetricStructure
 class CatalogEntry:
     name: str
     model: LieModel
-    structure: ContactMetricStructure | ParacontactMetricStructure
+    structure: MetricStructure
     expected: dict = field(default_factory=dict)
 
     @property
     def kind(self) -> str:
-        return "contact" if isinstance(self.structure, ContactMetricStructure) else "paracontact"
+        return self.structure.kind
 
 
 def _structure_constants(dim: int, brackets: dict[tuple[int, int], dict[int, float]]) -> np.ndarray:
@@ -236,6 +236,5 @@ def get_entry(name: str, lam: float | None = None, d: float | None = None) -> Ca
             raise NonPositiveLambda("family-3d requires --lambda and --d")
         return family_3d(lam, d)
     if name in STANDARD_FAMILY_PARAMS:
-        lam0, d0 = STANDARD_FAMILY_PARAMS[name]
-        return family_3d(lam0, d0)
+        return family_3d(*STANDARD_FAMILY_PARAMS[name])
     raise KeyError(f"unknown catalog entry {name!r}; see list_entries()")

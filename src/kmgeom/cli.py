@@ -8,7 +8,8 @@ Subcommands:
   full report (axioms, nullity fit, class, identity suites); never fails on
   structures that are merely not nullity spaces (reported instead).
 * ``derive <model.json> --steps N``: the derived structure sequence; exit 3
-  when the Boeckx invariant sits on the degenerate |I_M| = 1 boundary.
+  when the Boeckx invariant sits on the degenerate |I_M| = 1 boundary, exit 1
+  (after the analyze report) when the structure is not a nullity space.
 * ``catalog list`` / ``catalog emit <name> [--lam --d] [--c] [--out path]``:
   built-in fixtures in the model file format.
 
@@ -44,12 +45,7 @@ from .errors import (
 )
 from .legendre import classify_class
 from .lie_model import jacobi_residual
-from .paracontact import (
-    canonical_pc_connection,
-    integrability_and_parasasaki,
-    para_nullity_fit,
-    validate_paracontact,
-)
+from .paracontact import canonical_pc_connection, integrability_and_parasasaki, para_nullity_fit
 from .report import DEFAULT_TOL
 from .tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
@@ -104,13 +100,8 @@ def _validate_doc(doc: modelfile.ModelDocument, tol: float) -> dict:
         report["structure"] = None
         report["valid"] = bool(jacobi_ok)
         return report
-    if isinstance(doc.structure, ContactMetricStructure):
-        srep = validate_contact(doc.structure, tol)
-        kind = "contact"
-    else:
-        srep = validate_paracontact(doc.structure, tol)
-        kind = "paracontact"
-    report["structure"] = {"kind": kind, **srep.to_dict()}
+    srep = validate_contact(doc.structure, tol)
+    report["structure"] = {"kind": doc.structure.kind, **srep.to_dict()}
     report["valid"] = bool(jacobi_ok and srep.valid)
     return report
 
@@ -130,13 +121,13 @@ def _analyze_doc(
     if doc.expected:
         report["expected"] = doc.expected
 
-    if isinstance(s, ContactMetricStructure):
-        try:
-            fit = nullity_fit(s, tol)
-        except NotNullity as exc:
-            report["nullity"] = {"error": "not_nullity", "residual": exc.residual}
-            return report
-        report["nullity"] = fit.to_dict()
+    try:
+        fit = nullity_fit(s, tol) if s.eps > 0 else para_nullity_fit(s, tol)
+    except NotNullity as exc:
+        report["nullity"] = {"error": "not_nullity", "residual": exc.residual}
+        return report
+    report["nullity"] = fit.to_dict()
+    if s.eps > 0:
         try:
             report["nullity"]["class_pang_checked"] = classify_class(s, fit, tol)
         except SasakianDegenerate:
@@ -173,19 +164,10 @@ def _analyze_doc(
             except (InvariantTooSmall, SasakianDegenerate, SasakianOrInvalid) as exc:
                 report["legendre3"] = {"error": str(exc)}
     else:
-        try:
-            fit = para_nullity_fit(s, tol)
-        except NotNullity as exc:
-            report["nullity"] = {"error": "not_nullity", "residual": exc.residual}
-            return report
-        report["nullity"] = fit.to_dict()
         _, pc_rep = canonical_pc_connection(s, tol)
         report["identities"] = dict(pc_rep.to_dict()["residuals"])
         flags = integrability_and_parasasaki(s, tol)
-        report["flags"] = {
-            "integrable": flags["integrable"],
-            "para_sasakian": flags["para_sasakian"],
-        }
+        report["flags"] = {key: flags[key] for key in ("integrable", "para_sasakian")}
         report["identities"]["nijenhuis_d_component"] = flags["nijenhuis_d_residual"]
         report["identities"]["pc_parallel_phi"] = flags["pc_parallel_phi_residual"]
     return report
@@ -332,14 +314,16 @@ def cmd_derive(args) -> int:
     if not isinstance(doc.structure, ContactMetricStructure):
         print("error: derive requires a contact structure", file=sys.stderr)
         return EXIT_INVALID
+    if "error" in report["nullity"]:
+        _write_outputs(report, args.json)
+        print("error: the structure is not a nullity space (residual "
+              f"{_fmt(report['nullity']['residual'])}): no derived structures", file=sys.stderr)
+        return EXIT_INVALID
     try:
         nodes = sequence(doc.structure, args.steps, args.tol)
-    except DegenerateInvariant as exc:
+    except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (SasakianDegenerate, SasakianOrInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
     report["tower"] = [
         {
             "index": n.index,

@@ -13,13 +13,16 @@ Reeb field to be Killing; a structure is a (kappa, mu)-space when
 for constants kappa, mu.  Non-Sasakian (kappa < 1) spaces carry the Boeckx
 invariant I_M = (1 - mu/2) / sqrt(1 - kappa), which positions the structure
 in one of five classes and drives every derived construction downstream.
+Contact and paracontact structures differ by the sign eps = +1 / -1 in
+phi^2 = -eps (I - eta (x) xi) and share one base, :class:`MetricStructure`,
+and one validator, :func:`validate_contact`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotNullity, SasakianOrInvalid
+from .errors import DegenerateMetric, NotNullity, SasakianOrInvalid
 from .lie_model import LieModel, d_one_form, lie_derivative_endo
 from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import (
@@ -37,9 +40,18 @@ from .riemann import (
 SASAKIAN_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class ContactMetricStructure:
-    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h."""
+@dataclass(frozen=True, eq=False)
+class MetricStructure:
+    """Tensor quadruple (phi, xi, eta, g) on a Lie model with
+
+        phi^2 = -eps (I - eta (x) xi),   d eta(X, Y) = g(X, phi Y),
+        g(phi X, phi Y) = eps (g(X, Y) - eta(X) eta(Y)),
+
+    a contact metric structure for eps = +1 and a paracontact one for
+    eps = -1 (the subclasses set ``eps`` and ``kind``).  h = (1/2) L_xi phi is
+    computed on construction; the Levi-Civita connection, R(., .) xi and the
+    nullity fit are computed once per ``tol`` and kept, their arrays read-only.
+    """
 
     model: LieModel
     phi: np.ndarray
@@ -47,12 +59,14 @@ class ContactMetricStructure:
     eta: np.ndarray
     g: np.ndarray
     h: np.ndarray = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("phi", "xi", "eta", "g"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.h is None:
             h = 0.5 * lie_derivative_endo(self.model, self.xi, self.phi)
+            h.flags.writeable = False
             object.__setattr__(self, "h", h)
 
     @property
@@ -66,9 +80,6 @@ class ContactMetricStructure:
     def d_eta(self) -> np.ndarray:
         return d_one_form(self.model, self.eta)
 
-    def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
-        return levi_civita(self.model, self.g, tol)
-
     def contact_projector(self) -> np.ndarray:
         """Projector onto the contact distribution ker(eta) along xi."""
         return np.eye(self.dim) - np.outer(self.xi, self.eta)
@@ -77,11 +88,51 @@ class ContactMetricStructure:
         """Orthonormal (Euclidean) basis of ker(eta), shape (2n, dim)."""
         return _kernel_basis(self.eta)
 
+    def cached(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept on the instance."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
+        conn = self.cached(("levi_civita", tol), lambda: levi_civita(self.model, self.g, tol))
+        conn.gamma.flags.writeable = False
+        return conn
+
+    def curvature_xi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """R_{e_i e_j} xi at [i, j, :] for the Levi-Civita connection."""
+        r_xi = self.cached(
+            ("curvature_xi", tol), lambda: curvature_xi(self.model, self.levi_civita(tol), self.xi)
+        )
+        r_xi.flags.writeable = False
+        return r_xi
+
+    def nullity_constants(self, tol: float = DEFAULT_TOL) -> tuple[float, float | None, float]:
+        """(kappa, mu, residual) of the nullity fit (see :func:`_fit_r_xi`).
+
+        Raises :class:`NotNullity` when the best-fit residual exceeds ``tol``.
+        """
+        kappa, mu, residual = self.cached(("nullity", tol), lambda: _fit_r_xi(self, tol))
+        if not residual <= tol:
+            kind = "" if self.eps > 0 else "paracontact "
+            raise NotNullity(
+                f"curvature does not satisfy a {kind}nullity condition (residual {residual:.3e})",
+                residual,
+            )
+        return kappa, mu, residual
+
+
+@dataclass(frozen=True, eq=False)
+class ContactMetricStructure(MetricStructure):
+    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h."""
+
+    eps = 1.0
+    kind = "contact"
+
 
 def _kernel_basis(eta: np.ndarray) -> np.ndarray:
-    dim = eta.shape[0]
-    _, _, vt = np.linalg.svd(eta[None, :])
-    return vt[1:dim]
+    _, _, vt = np.linalg.svd(eta[None, :])  # rows 1.. of vt span the kernel
+    return vt[1:]
 
 
 @dataclass(frozen=True)
@@ -111,19 +162,23 @@ class NullityReport:
         }
 
 
-def validate_contact(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> ResidualReport:
-    """Per-axiom residual report; the structure is valid iff all entries <= tol.
+def validate_contact(s: MetricStructure, tol: float = DEFAULT_TOL) -> ResidualReport:
+    """Per-axiom residual report of a contact (eps = +1) or paracontact (eps = -1)
+    metric structure; the structure is valid iff all entries <= tol.
 
-    Reports rather than raises so invalid inputs can be inspected.
+    Reports rather than raises so invalid inputs can be inspected.  The sign
+    decides the signature entry (Riemannian, or (n+1, n) with the +-1
+    eigendistributions of phi of rank n each on ker(eta)), ``trace_phi_h``
+    (contact) and ``nabla_xi_identity`` (paracontact: nabla xi = -phi + phi h).
     """
     report = ResidualReport(tol=tol)
-    dim, phi, xi, eta, g, h = s.dim, s.phi, s.xi, s.eta, s.g, s.h
+    dim, n, eps, phi, xi, eta, g, h = s.dim, s.n, s.eps, s.phi, s.xi, s.eta, s.g, s.h
     ident = np.eye(dim)
     deta = s.d_eta()
 
-    report.add("phi_square", phi @ phi + ident - np.outer(xi, eta))
+    report.add("phi_square", phi @ phi + eps * ident - eps * np.outer(xi, eta))
     report.add("deta_compatibility", deta - g @ phi)
-    report.add("metric_compatibility", phi.T @ g @ phi - g + np.outer(eta, eta))
+    report.add("metric_compatibility", phi.T @ g @ phi - eps * g + eps * np.outer(eta, eta))
     report.add("eta_xi", eta @ xi - 1.0)
     report.add("phi_xi", phi @ xi)
     report.add("eta_circ_phi", eta @ phi)
@@ -137,15 +192,35 @@ def validate_contact(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> Res
         note=f"|det d_eta|_ker eta| = {abs(det_restricted):.3e}",
     )
     p, q, z = signature(g, tol)
-    report.add("riemannian_signature", 0.0 if (q == 0 and z == 0) else 1.0,
-               note=f"signature ({p},{q},{z})")
+    if eps > 0:
+        report.add("riemannian_signature", 0.0 if (q == 0 and z == 0) else 1.0,
+                   note=f"signature ({p},{q},{z})")
+    else:
+        report.add(
+            "paracontact_signature",
+            0.0 if (p == n + 1 and q == n and z == 0) else 1.0,
+            note=f"signature ({p},{q},{z}), expected ({n + 1},{n},0)",
+        )
+        for sign, name in ((1.0, "plus_one_eigenrank"), (-1.0, "minus_one_eigenrank")):
+            mat = (phi - sign * ident) @ k.T  # columns: (phi -+ I) applied to a ker(eta) basis
+            rank = int(np.linalg.matrix_rank(mat, tol=max(tol, 1e-12)))
+            report.add(name, 0.0 if rank == n else float(abs(rank - n)),
+                       note=f"rank {rank}, expected {n}")
 
     report.add("h_xi", h @ xi)
     report.add("eta_circ_h", eta @ h)
     report.add("h_phi_anticommute", h @ phi + phi @ h)
     report.add("trace_h", np.trace(h))
-    report.add("trace_phi_h", np.trace(phi @ h))
+    if eps > 0:
+        report.add("trace_phi_h", np.trace(phi @ h))
     report.add("h_g_symmetric", h.T @ g - g @ h)
+    if eps < 0:
+        try:
+            # xi @ gamma has rows nabla_{e_i} xi, the columns of the operator nabla xi
+            nabla_xi = (xi @ s.levi_civita(tol).gamma).T
+            report.add("nabla_xi_identity", nabla_xi - (-phi + phi @ h))
+        except (DegenerateMetric, np.linalg.LinAlgError) as exc:  # record, keep reporting
+            report.add("nabla_xi_identity", np.inf, note=str(exc))
     return report
 
 
@@ -163,20 +238,16 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     return max_abs(nij), side
 
 
-def _fit_r_xi(
-    r_xi: np.ndarray,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    h: np.ndarray,
-    tol: float,
-) -> tuple[float, float | None, float]:
+def _fit_r_xi(s: MetricStructure, tol: float) -> tuple[float, float | None, float]:
     """Least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta).
 
-    ``r_xi`` is :func:`curvature_xi`.  Shared by the contact and paracontact
-    fits; returns (kappa, mu, residual) with mu = None when ||h|| <= tol (the
-    mu-term is identically zero); the residual is that of the full equation
+    Shared by the contact and paracontact fits through
+    :meth:`MetricStructure.nullity_constants`; returns (kappa, mu, residual)
+    with mu = None when ||h|| <= tol (the mu-term is identically zero); the
+    residual is that of the full equation
     R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y).
     """
+    r_xi, xi, eta, h = s.curvature_xi(tol), s.xi, s.eta, s.h
     dbasis = _kernel_basis(eta)
     h_zero = max_abs(h) <= tol
     cols = [dbasis] if h_zero else [dbasis, dbasis @ h.T]  # rows b and h b
@@ -221,14 +292,7 @@ def nullity_fit(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> NullityR
     :class:`NotNullity` with a kappa diagnostic when kappa lands above 1
     beyond roundoff, which no contact metric structure can do.
     """
-    conn = s.levi_civita(tol)
-    r_xi = curvature_xi(s.model, conn, s.xi)
-    kappa, mu, residual = _fit_r_xi(r_xi, s.xi, s.eta, s.h, tol)
-    if not residual <= tol:
-        raise NotNullity(
-            f"curvature does not satisfy a nullity condition (residual {residual:.3e})",
-            residual,
-        )
+    kappa, mu, residual = s.nullity_constants(tol)
     if kappa > 1.0 + tol:
         raise NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)
 
@@ -288,8 +352,10 @@ def classification_flags(
     ``tw_parallel`` uses the mu = 2 criterion for non-Sasakian nullity spaces.
     """
     nij, _ = nijenhuis_norm(s, tol)
-    sasakian = nij <= SASAKIAN_FACTOR * tol
-    k_contact = max_abs(s.h) <= tol
-    non_sasakian = report.kappa < 1.0 - tol
-    tw_parallel = bool(non_sasakian and report.mu is not None and abs(report.mu - 2.0) <= tol)
-    return {"sasakian": bool(sasakian), "k_contact": bool(k_contact), "tw_parallel": tw_parallel}
+    return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": bool(max_abs(s.h) <= tol),
+            "tw_parallel": _tw_parallel(report, tol)}
+
+
+def _tw_parallel(report: NullityReport, tol: float) -> bool:
+    """mu = 2 on a non-Sasakian nullity space."""
+    return bool(report.kappa < 1.0 - tol and report.mu is not None and abs(report.mu - 2.0) <= tol)

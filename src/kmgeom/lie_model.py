@@ -87,8 +87,10 @@ def jacobi_residual(m: LieModel) -> float:
 
     Zero (up to roundoff) iff the structure constants define a Lie algebra.
     """
-    # t[i, j, k, l] = component l of [e_i, [e_j, e_k]]
-    t = np.einsum("jkm,iml->ijkl", m.c, m.c)
+    # t[i, j, k, l] = component l of [e_i, [e_j, e_k]], as one matmul over m
+    c, d = m.c, m.dim
+    t = (c.reshape(d * d, d) @ c.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+    t = t.transpose(2, 0, 1, 3)
     cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     return float(np.max(np.abs(cyc)))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import CatalogEntry
-from .contact import ContactMetricStructure
+from .contact import ContactMetricStructure, MetricStructure
 from .errors import ModelFormatError
 from .lie_model import LieModel
 from .paracontact import ParacontactMetricStructure
@@ -36,7 +36,7 @@ from .paracontact import ParacontactMetricStructure
 @dataclass
 class ModelDocument:
     model: LieModel
-    structure: ContactMetricStructure | ParacontactMetricStructure | None
+    structure: MetricStructure | None
     name: str | None = None
     expected: dict = field(default_factory=dict)
 
@@ -88,10 +88,9 @@ def _parse_structure(model: LieModel, block: dict):
         raise ModelFormatError("structure tensor shapes do not match the model dimension")
     if not all(np.all(np.isfinite(t)) for t in (phi, xi, eta, g)):
         raise ModelFormatError("structure tensors must be finite (no NaN or infinity)")
-    if kind == "contact":
-        return ContactMetricStructure(model=model, phi=phi, xi=xi, eta=eta, g=g)
-    if kind == "paracontact":
-        return ParacontactMetricStructure(model=model, phi_t=phi, xi=xi, eta=eta, g_t=g)
+    for cls in (ContactMetricStructure, ParacontactMetricStructure):
+        if kind == cls.kind:
+            return cls(model, phi, xi, eta, g)
     raise ModelFormatError(f"unknown structure kind {kind!r}")
 
 
@@ -146,21 +145,17 @@ def dumps_entry(entry: CatalogEntry) -> str:
             }
             if coeffs:
                 brackets.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
-    if isinstance(s, ContactMetricStructure):
-        kind, phi, g = "contact", s.phi, s.g
-    else:
-        kind, phi, g = "paracontact", s.phi_t, s.g_t
     doc = {
         "name": entry.name,
         "dim": dim,
         "basis_labels": list(model.labels()),
         "brackets": brackets,
         "structure": {
-            "kind": kind,
-            "phi": phi.tolist(),
+            "kind": s.kind,
+            "phi": s.phi.tolist(),
             "xi": s.xi.tolist(),
             "eta": s.eta.tolist(),
-            "g": g.tolist(),
+            "g": s.g.tolist(),
         },
         "expected": entry.expected,
     }

@@ -91,9 +91,6 @@ class AffineConnection:
         gi = self.direction(i)
         return -(gi.T @ b + b @ gi)
 
-    def nabla_one_form(self, i: int, eta: np.ndarray) -> np.ndarray:
-        return -self.direction(i).T @ eta
-
     def nabla_endo_all(self, t: Endomorphism) -> np.ndarray:
         """(nabla_{e_i} T) e_j at [i, j, :]: every commutator [Gamma_i, T] at once."""
         return t.T @ self.gamma - self.gamma @ t.T
@@ -140,8 +137,9 @@ def curvature_tensor(m: LieModel, conn: AffineConnection) -> np.ndarray:
     """Full array R[i, j, k, :] = R_{e_i e_j} e_k."""
     d = m.dim
     gam = conn.gamma
-    # nabla_{e_i} nabla_{e_j} e_k = sum_m gamma[j,k,m] gamma[i,m,:]
-    t = np.einsum("jkm,iml->ijkl", gam, gam)
+    # nabla_{e_i} nabla_{e_j} e_k = sum_m gamma[j,k,m] gamma[i,m,:], as one matmul over m
+    t = (gam.reshape(d * d, d) @ gam.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+    t = t.transpose(2, 0, 1, 3)
     r = t - t.transpose(1, 0, 2, 3)
     r -= np.einsum("ijm,mkl->ijkl", m.c, gam)
     return r.reshape(d, d, d, d)

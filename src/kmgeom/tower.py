@@ -17,15 +17,17 @@ every step:
   distribution.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact import (
     ContactMetricStructure,
+    MetricStructure,
     NullityReport,
+    _tw_parallel,
     boeckx_invariant,
-    classification_flags,
     nijenhuis_norm,
     nullity_fit,
     validate_contact,
@@ -43,13 +45,9 @@ from .legendre import (
     libermann_map,
 )
 from .lie_model import lie_derivative_endo
-from .paracontact import (
-    ParacontactMetricStructure,
-    para_nullity_fit,
-    validate_paracontact,
-)
+from .paracontact import ParacontactMetricStructure, para_nullity_fit
 from .report import DEFAULT_TOL, ResidualReport, max_abs
-from .riemann import eta_x, eta_y, form_xy, signature
+from .riemann import eta_x, eta_y, form_xy
 
 # Guard band around |I_M| = 1: the tower normalizers contain
 # sqrt(|1 - kappa - (1 - mu/2)^2|), which vanishes exactly there.
@@ -67,7 +65,7 @@ class TowerNode:
     kappa: float
     mu: float
     fit_residual: float
-    structure: ContactMetricStructure | ParacontactMetricStructure
+    structure: MetricStructure
     tw_parallel: bool = False
     checks: ResidualReport | None = None
 
@@ -129,36 +127,35 @@ def canonical_paracontact(
     """
     _require_non_sasakian(report, tol)
     kappa, mu = report.kappa, report.mu
-    m, eta, xi = s.model, s.eta, s.xi
     root = np.sqrt(1.0 - kappa)
-    phi_t = s.h / root
-    deta = s.d_eta()
-    g_t = deta @ phi_t + np.outer(eta, eta)
-    st = ParacontactMetricStructure(model=m, phi_t=phi_t, xi=xi, eta=eta, g_t=g_t)
-
-    checks = ResidualReport(tol=tol)
-    checks.merge(validate_paracontact(st, tol))
-    lie_phi = 0.5 * lie_derivative_endo(m, xi, s.phi) / root
-    checks.add("normalized_lie_derivative", phi_t - lie_phi)
+    node = _derived_node(s, root, -1.0, report, tol, 1)
+    st, checks = node.structure, node.checks
+    lie_phi = 0.5 * lie_derivative_endo(s.model, s.xi, s.phi) / root
+    checks.add("normalized_lie_derivative", st.phi - lie_phi)
     checks.add(
         "h_tilde_closed_form",
-        2.0 * root * st.h_t - ((2.0 - mu) * s.phi @ s.h + 2.0 * (1.0 - kappa) * s.phi),
+        2.0 * root * st.h - ((2.0 - mu) * s.phi @ s.h + 2.0 * (1.0 - kappa) * s.phi),
     )
     checks.add(
         "h_tilde_square_closed_form",
-        st.h_t @ st.h_t - (1.0 - kappa - (1.0 - mu / 2) ** 2) * s.phi @ s.phi,
+        st.h @ st.h - (1.0 - kappa - (1.0 - mu / 2) ** 2) * s.phi @ s.phi,
     )
-
     checks.add("levi_civita_relation", _levi_civita_relation_residual(s, st, kappa, mu, tol))
-    r_phi, r_h = _structure_derivative_residuals(st, tol)
-    checks.add("nabla_phi_tilde_identity", r_phi)
-    checks.add("nabla_h_tilde_identity", r_h)
-
-    fit = para_nullity_fit(st, tol)
-    checks.add("predicted_kappa_delta", abs(fit.kappa_t - (kappa - 2.0 + (1.0 - mu / 2.0) ** 2)))
-    mu_t = fit.mu_t if fit.mu_t is not None else 2.0
-    checks.add("predicted_mu_delta", abs(mu_t - 2.0))
+    _add_structure_derivative_checks(checks, st, tol)
     return st, checks
+
+
+def _canonical_pair(
+    s: ContactMetricStructure, report: NullityReport, tol: float
+) -> tuple[ParacontactMetricStructure, TowerNode]:
+    """The canonical paracontact structure of ``s`` and the tower node derived
+    from it, built once per (report, tol) and kept on ``s``."""
+
+    def build():
+        st, _ = canonical_paracontact(s, report, tol)
+        return st, derive_next(st, report, tol)
+
+    return s.cached(("canonical_pair", report, tol), build)
 
 
 def _levi_civita_relation_residual(
@@ -192,11 +189,11 @@ def _levi_civita_relation_residual(
     return max_abs(lc_t.gamma - rhs)
 
 
-def _structure_derivative_residuals(
-    st: ParacontactMetricStructure, tol: float
-) -> tuple[float, float]:
-    """Residuals of the nabla~ phi~ and nabla~ h~ closed forms of a canonical
-    (or tower) paracontact structure:
+def _add_structure_derivative_checks(
+    checks: ResidualReport, st: ParacontactMetricStructure, tol: float
+) -> None:
+    """Add the residuals of the nabla~ phi~ and nabla~ h~ closed forms of a
+    canonical (or tower) paracontact structure to ``checks``:
 
         (nabla~_X phi~) Y = -g~(X - h~X, Y) xi + eta(Y)(X - h~X)
         (nabla~_X h~) Y   = -eta(Y)(phi~ h~ X - phi~ h~^2 X)
@@ -204,13 +201,14 @@ def _structure_derivative_residuals(
                             - g~(X, phi~ h~ Y + phi~ h~^2 Y) xi
     """
     lc = st.levi_civita(tol)
-    phi, h, g, eta, xi = st.phi_t, st.h_t, st.g_t, st.eta, st.xi
+    phi, h, g, eta, xi = st.phi, st.h, st.g, st.eta, st.xi
     ident = np.eye(st.dim)
     phih = phi @ h
     phih2 = phih @ h
     rhs1 = -form_xy((ident - h).T @ g, xi) + eta_y(eta, ident - h)
     rhs2 = -eta_y(eta, phih - phih2) - 2.0 * eta_x(eta, phih) - form_xy(g @ (phih + phih2), xi)
-    return max_abs(lc.nabla_endo_all(phi) - rhs1), max_abs(lc.nabla_endo_all(h) - rhs2)
+    checks.add("nabla_phi_tilde_identity", lc.nabla_endo_all(phi) - rhs1)
+    checks.add("nabla_h_tilde_identity", lc.nabla_endo_all(h) - rhs2)
 
 
 def derive_next(
@@ -238,60 +236,67 @@ def derive_next(
         raise DegenerateInvariant(
             f"|I_M| = {abs(inv)} within {INVARIANT_GUARD} of 1: no derived structure"
         )
-    m, eta, xi = st.model, st.eta, st.xi
-    deta = st.d_eta()
-    h_parent = np.sqrt(1.0 - kappa) * st.phi_t
-    checks = ResidualReport(tol=tol)
-
-    if abs(inv) < 1.0:
-        root = np.sqrt(1.0 - kappa - (1.0 - mu / 2.0) ** 2)
-        phi1 = st.h_t / root
-        g1 = -deta @ phi1 + np.outer(eta, eta)
-        s1 = ContactMetricStructure(model=m, phi=phi1, xi=xi, eta=eta, g=g1)
-        checks.merge(validate_contact(s1, tol))
-        p, q, z = signature(g1, tol)
-        checks.add("metric_positive_definite", 0.0 if (q == 0 and z == 0) else 1.0,
-                   note=f"signature ({p},{q},{z})")
-        fit = nullity_fit(s1, tol)
-        checks.add("predicted_kappa_delta", abs(fit.kappa - (kappa + (1.0 - mu / 2.0) ** 2)))
-        checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
+    eps = 1.0 if abs(inv) < 1.0 else -1.0
+    root = np.sqrt(-eps * _delta(kappa, mu))
+    node = _derived_node(st, root, eps, parent, tol, index)
+    s1, checks = node.structure, node.checks
+    h_parent = np.sqrt(1.0 - kappa) * st.phi
+    if eps > 0:
+        checks.add("metric_positive_definite", checks["riemannian_signature"],
+                   note=checks.notes["riemannian_signature"])
         checks.add("h_proportionality", s1.h - np.sqrt(1.0 - inv**2) * h_parent)
-        return TowerNode(
-            index=index,
-            kind="contact",
-            phi=phi1,
-            G=g1,
-            kappa=fit.kappa,
-            mu=fit.mu,
-            fit_residual=fit.residual,
-            structure=s1,
-            tw_parallel=classification_flags(s1, fit, tol)["tw_parallel"],
-            checks=checks,
-        )
+    else:
+        checks.add("h_proportionality", s1.h + np.sqrt(inv**2 - 1.0) * h_parent)
+        checks.add("levi_civita_relation", _second_levi_civita_relation_residual(st, s1, root, tol))
+        _add_structure_derivative_checks(checks, s1, tol)
+    return node
 
-    delta = _delta(kappa, mu)
-    root = np.sqrt(delta)
-    phi1 = st.h_t / root
-    g1 = deta @ phi1 + np.outer(eta, eta)
-    s1 = ParacontactMetricStructure(model=m, phi_t=phi1, xi=xi, eta=eta, g_t=g1)
-    checks.merge(validate_paracontact(s1, tol))
-    fit = para_nullity_fit(s1, tol)
-    checks.add("predicted_kappa_delta", abs(fit.kappa_t - (kappa - 2.0 + (1.0 - mu / 2.0) ** 2)))
-    checks.add("predicted_mu_delta", abs((fit.mu_t if fit.mu_t is not None else 2.0) - 2.0))
-    checks.add("h_proportionality", s1.h_t + np.sqrt(inv**2 - 1.0) * h_parent)
-    checks.add("levi_civita_relation", _second_levi_civita_relation_residual(st, s1, root, tol))
-    r_phi, r_h = _structure_derivative_residuals(s1, tol)
-    checks.add("nabla_phi_tilde_identity", r_phi)
-    checks.add("nabla_h_tilde_identity", r_h)
+
+def _derived_node(
+    prev: MetricStructure, root: float, eps: float, parent: NullityReport, tol: float, index: int,
+    tower: list[TowerNode] | tuple = (),
+) -> TowerNode:
+    """Tower node ``index``, built from the structure ``prev`` before it.
+
+    phi = (1/2) L_xi phi_prev / root and g = -eps d eta(., phi .) + eta (x) eta
+    give a contact node (eps = +1) or a paracontact node (eps = -1).  It is
+    validated and freshly fitted, and its constants are compared with those
+    predicted from the (kappa, mu) of the contact structure ``parent``:
+    (kappa + (1 - mu/2)^2, 2) for a contact node, (kappa - 2 + (1 - mu/2)^2, 2)
+    for a paracontact one.  A node equal to an earlier one of ``tower`` shares
+    its structure, so the connection and the fit are not computed again.
+    """
+    eta = prev.eta
+    phi = prev.h / root
+    g = -eps * prev.d_eta() @ phi + np.outer(eta, eta)
+    cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
+    s = cls(prev.model, phi, prev.xi, eta, g)
+    for n in tower:
+        if n.kind == s.kind and np.array_equal(n.phi, phi) and np.array_equal(n.G, g):
+            s = n.structure
+    checks = ResidualReport(tol=tol)
+    checks.merge(validate_contact(s, tol))
+    fit = nullity_fit(s, tol) if eps > 0 else para_nullity_fit(s, tol)
+    node = _node(index, s, fit, tol, checks)
+    predicted = parent.kappa + (eps - 1.0) + (1.0 - parent.mu / 2.0) ** 2
+    checks.add("predicted_kappa_delta", abs(node.kappa - predicted))
+    checks.add("predicted_mu_delta", abs((node.mu if node.mu is not None else 2.0) - 2.0))
+    return node
+
+
+def _node(index: int, s: MetricStructure, fit, tol: float, checks=None) -> TowerNode:
+    """The tower node of structure ``s`` with its nullity ``fit``."""
+    kappa, mu = (fit.kappa, fit.mu) if s.eps > 0 else (fit.kappa_t, fit.mu_t)
     return TowerNode(
         index=index,
-        kind="paracontact",
-        phi=phi1,
-        G=g1,
-        kappa=fit.kappa_t,
-        mu=fit.mu_t,
+        kind=s.kind,
+        phi=s.phi,
+        G=s.g,
+        kappa=kappa,
+        mu=mu,
         fit_residual=fit.residual,
-        structure=s1,
+        structure=s,
+        tw_parallel=s.eps > 0 and _tw_parallel(fit, tol),
         checks=checks,
     )
 
@@ -312,7 +317,7 @@ def _second_levi_civita_relation_residual(
     """
     lc = st.levi_civita(tol)
     lc1 = s1.levi_civita(tol)
-    phi, h, g, eta, xi = st.phi_t, st.h_t, st.g_t, st.eta, st.xi
+    phi, h, g, eta, xi = st.phi, st.h, st.g, st.eta, st.xi
     shift = phi - h / root
     rhs = lc.gamma + eta_x(eta, shift) + eta_y(eta, shift)
     rhs += form_xy(root * (g - np.outer(eta, eta)) + g @ phi @ h, xi)
@@ -333,80 +338,25 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
       (kappa - 2 + (1-mu/2)^2, 2).
     """
     fit0 = nullity_fit(s, tol)
-    node0 = TowerNode(
-        index=0,
-        kind="contact",
-        phi=s.phi,
-        G=s.g,
-        kappa=fit0.kappa,
-        mu=fit0.mu,
-        fit_residual=fit0.residual,
-        structure=s,
-        tw_parallel=classification_flags(s, fit0, tol)["tw_parallel"],
-    )
+    nodes = [_node(0, s, fit0, tol)]
     if n_nodes <= 1:
-        return [node0]
+        return nodes
     _require_non_sasakian(fit0, tol)
     kappa, mu = fit0.kappa, fit0.mu
     inv = boeckx_invariant(kappa, mu, tol)
     if abs(abs(inv) - 1.0) <= INVARIANT_GUARD:
         raise DegenerateInvariant(f"|I_M| = {abs(inv)}: the sequence is undefined")
 
-    contact_branch = abs(inv) < 1.0
-    first_norm = 2.0 * np.sqrt(1.0 - kappa)
-    later_norm = (
-        2.0 * np.sqrt(1.0 - kappa - (1.0 - mu / 2.0) ** 2)
-        if contact_branch
-        else 2.0 * np.sqrt(_delta(kappa, mu))
-    )
-    kappa_even = kappa + (1.0 - mu / 2.0) ** 2
-    kappa_odd = kappa - 2.0 + (1.0 - mu / 2.0) ** 2
-
-    nodes = [node0]
-    m, eta, xi = s.model, s.eta, s.xi
-    deta = s.d_eta()
-    phi_prev = s.phi
+    branch = 1.0 if abs(inv) < 1.0 else -1.0  # the sign of the nodes at even indices
     for k in range(1, n_nodes):
-        norm = first_norm if k == 1 else later_norm
-        phi_k = lie_derivative_endo(m, xi, phi_prev) / norm
-        is_contact = contact_branch and (k % 2 == 0)
-        checks = ResidualReport(tol=tol)
-        if is_contact:
-            g_k = -deta @ phi_k + np.outer(eta, eta)
-            s_k = ContactMetricStructure(model=m, phi=phi_k, xi=xi, eta=eta, g=g_k)
-            checks.merge(validate_contact(s_k, tol))
-            fit = nullity_fit(s_k, tol)
-            kap, mu_k, res = fit.kappa, fit.mu, fit.residual
-            checks.add("predicted_kappa_delta", abs(kap - kappa_even))
-            tw = classification_flags(s_k, fit, tol)["tw_parallel"]
-        else:
-            g_k = deta @ phi_k + np.outer(eta, eta)
-            s_k = ParacontactMetricStructure(model=m, phi_t=phi_k, xi=xi, eta=eta, g_t=g_k)
-            checks.merge(validate_paracontact(s_k, tol))
-            fit = para_nullity_fit(s_k, tol)
-            kap, mu_k, res = fit.kappa_t, fit.mu_t, fit.residual
-            checks.add("predicted_kappa_delta", abs(kap - kappa_odd))
-            tw = False
-        checks.add("predicted_mu_delta", abs((mu_k if mu_k is not None else 2.0) - 2.0))
-        if not checks.valid:
+        eps = branch if k % 2 == 0 else -1.0
+        root = np.sqrt(1.0 - kappa) if k == 1 else np.sqrt(-branch * _delta(kappa, mu))
+        node = _derived_node(nodes[-1].structure, root, eps, fit0, tol, k, nodes)
+        if not node.checks.valid:
             raise InternalInconsistency(
-                f"tower node {k} failed verification: {checks.failures()}"
+                f"tower node {k} failed verification: {node.checks.failures()}"
             )
-        nodes.append(
-            TowerNode(
-                index=k,
-                kind="contact" if is_contact else "paracontact",
-                phi=phi_k,
-                G=g_k,
-                kappa=kap,
-                mu=mu_k,
-                fit_residual=res,
-                structure=s_k,
-                tw_parallel=tw,
-                checks=checks,
-            )
-        )
-        phi_prev = phi_k
+        nodes.append(node)
     return nodes
 
 
@@ -418,14 +368,18 @@ def _require_large_invariant(report: NullityReport, tol: float) -> float:
     return inv
 
 
-def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, tol: float):
-    """g-orthonormal h-eigenbasis (X_1..X_n with h X_i = lambda X_i) and Y_i = phi X_i."""
+def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, inv: float, tol: float):
+    """g-orthonormal h-eigenbasis (X_1..X_n with h X_i = lambda X_i), Y_i = phi X_i,
+    and the h~-eigenvectors gamma X_i +- Y_i for +-lambda~ (gamma = sqrt((I_M-1)/(I_M+1)))."""
     from .legendre import eigendistributions  # local import, avoids cycle at module load
 
     d_pos, _ = eigendistributions(s, report, tol)
     xs = d_pos.vectors
     ys = (s.phi @ xs.T).T
-    return xs, ys
+    gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
+    plus = gamma * xs + ys if inv > 1.0 else gamma * xs - ys
+    minus = -gamma * xs + ys if inv > 1.0 else gamma * xs + ys
+    return xs, ys, plus, minus
 
 
 def second_bilegendrian_analysis(
@@ -448,43 +402,30 @@ def second_bilegendrian_analysis(
     constants of the next tower node.
     """
     inv = _require_large_invariant(report, tol)
-    kappa, mu = report.kappa, report.mu
-    lam = report.lam
-    delta = _delta(kappa, mu)
+    delta = _delta(report.kappa, report.mu)
     lam_t = float(np.sqrt(delta))
     checks = ResidualReport(tol=tol)
 
-    st, _ = canonical_paracontact(s, report, tol)
-    node = derive_next(st, report, tol)
+    st, node = _canonical_pair(s, report, tol)
     h_t = st.h_t
-    h_t1 = node.structure.h_t  # h of the tower paracontact structure
 
     checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * st.phi_t @ st.phi_t)
 
-    xs, ys = _phi_eigenframe(s, report, tol)
-    gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
-    plus = gamma * xs + ys if inv > 1.0 else gamma * xs - ys
-    minus = -gamma * xs + ys if inv > 1.0 else gamma * xs + ys
-    checks.add("plus_eigenvector_pattern", plus @ h_t.T - lam_t * plus)
-    checks.add("minus_eigenvector_pattern", minus @ h_t.T + lam_t * minus)
-
-    d_plus = legendre_distribution(s.model, s.eta, s.xi, plus, tol)
-    d_minus = legendre_distribution(s.model, s.eta, s.xi, minus, tol)
-    checks.add("plus_involutive", involutivity_residual(s.model, s.eta, s.xi, plus))
-    checks.add("minus_involutive", involutivity_residual(s.model, s.eta, s.xi, minus))
-
-    expected_pang = 4.0 * lam * (inv - 1.0)
-    checks.add("pang_value_plus", d_plus.pang - expected_pang * np.eye(s.n))
-    checks.add("pang_value_minus", d_minus.pang - expected_pang * np.eye(s.n))
-
-    lam_map_plus = libermann_map(s, d_plus, d_minus, tol)
-    lam_map_minus = libermann_map(s, d_minus, d_plus, tol)
-    proj_minus = d_minus.span_projector()
-    proj_plus = d_plus.span_projector()
-    closed_plus = (h_t1 / (2.0 * delta)) @ proj_minus
-    closed_minus = -(h_t1 / (2.0 * delta)) @ proj_plus
-    checks.add("libermann_plus_closed_form", lam_map_plus.lambda_op @ proj_minus - closed_plus)
-    checks.add("libermann_minus_closed_form", lam_map_minus.lambda_op @ proj_plus - closed_minus)
+    _, _, plus, minus = _phi_eigenframe(s, report, inv, tol)
+    expected_pang = 4.0 * report.lam * (inv - 1.0)
+    pair = []
+    for sign, name, vecs in ((1.0, "plus", plus), (-1.0, "minus", minus)):
+        checks.add(f"{name}_eigenvector_pattern", vecs @ h_t.T - sign * lam_t * vecs)
+        pair.append(legendre_distribution(s.model, s.eta, s.xi, vecs, tol))
+        checks.add(f"{name}_involutive", involutivity_residual(s.model, s.eta, s.xi, vecs))
+        checks.add(f"pang_value_{name}", pair[-1].pang - expected_pang * np.eye(s.n))
+    d_plus, d_minus = pair
+    # each Libermann map is +-h~_1 / (2 delta) on the opposite distribution (h~_1 of the node)
+    for sign, name, ld, other in ((1.0, "plus", d_plus, d_minus), (-1.0, "minus", d_minus, d_plus)):
+        proj = other.span_projector()
+        closed = sign * (node.structure.h / (2.0 * delta)) @ proj
+        lam_op = libermann_map(s, ld, other, tol).lambda_op
+        checks.add(f"libermann_{name}_closed_form", lam_op @ proj - closed)
 
     product = 4.0 * delta
     if a is None and b is None:
@@ -544,15 +485,13 @@ def sasakian_structure(
     sign = 1.0 if inv > 1.0 else -1.0
     base = (1.0 - mu / 2.0) * s.phi + s.phi @ s.h
     phi_bar = sign * beta * base
-    deta = s.d_eta()
-    g_bar = -deta @ phi_bar + np.outer(s.eta, s.eta)
+    g_bar = -s.d_eta() @ phi_bar + np.outer(s.eta, s.eta)
     sbar = ContactMetricStructure(model=s.model, phi=phi_bar, xi=s.xi, eta=s.eta, g=g_bar)
 
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(sbar, tol))
-    p, q, z = signature(g_bar, tol)
-    checks.add("metric_positive_definite", 0.0 if (q == 0 and z == 0) else 1.0,
-               note=f"signature ({p},{q},{z})")
+    checks.add("metric_positive_definite", checks["riemannian_signature"],
+               note=checks.notes["riemannian_signature"])
     checks.add("h_bar_vanishes", sbar.h)
     nij, _ = nijenhuis_norm(sbar, tol)
     checks.add("nijenhuis_vanishes", nij)
@@ -561,18 +500,12 @@ def sasakian_structure(
     checks.add("sasakian_h_zero", 0.0 if fit.mu is None else 1.0,
                note="mu must be indeterminate (h = 0)")
 
-    st, _ = canonical_paracontact(s, report, tol)
-    node = derive_next(st, report, tol)
+    st, node = _canonical_pair(s, report, tol)
     phi_t, phi_t1 = st.phi_t, node.phi
-    phi_bar_minus = phi_bar if sign < 0 else -phi_bar
-    phi_bar_plus = phi_bar if sign > 0 else -phi_bar
-    checks.add("composition_minus", phi_t @ phi_t1 - phi_bar_minus)
-    checks.add("composition_plus", phi_t1 @ phi_t - phi_bar_plus)
+    checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
+    checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 
-    if inv > 1.0:
-        triple = (phi_bar, phi_t1, phi_t)
-    else:
-        triple = (phi_bar, phi_t, phi_t1)
+    triple = (phi_bar, phi_t1, phi_t) if inv > 1.0 else (phi_bar, phi_t, phi_t1)
     proj = s.contact_projector()
     i1, i2, i3 = triple
     checks.add("triple_i1_square", (i1 @ i1 + np.eye(s.dim)) @ proj)
@@ -603,8 +536,7 @@ def anti_hypercomplex_and_3web(
     inv = _require_large_invariant(report, tol)
     kappa, mu = report.kappa, report.mu
     beta = 1.0 / np.sqrt(_delta(kappa, mu))
-    st, _ = canonical_paracontact(s, report, tol)
-    node = derive_next(st, report, tol)
+    st, node = _canonical_pair(s, report, tol)
     phi_t, phi_t1 = st.phi_t, node.phi
     base = (1.0 - mu / 2.0) * s.phi + s.phi @ s.h
     phi_bar_plus = beta * base
@@ -623,10 +555,7 @@ def anti_hypercomplex_and_3web(
                      ("phi_tilde1_kills_xi", phi_t1)):
         report_out.add(name, op @ s.xi)
 
-    xs, ys = _phi_eigenframe(s, report, tol)
-    gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
-    plus = gamma * xs + ys if inv > 1.0 else gamma * xs - ys
-    minus = -gamma * xs + ys if inv > 1.0 else gamma * xs + ys
+    xs, ys, plus, minus = _phi_eigenframe(s, report, inv, tol)
     dists = {
         "d_plus_lambda": xs,
         "d_minus_lambda": ys,
@@ -634,14 +563,9 @@ def anti_hypercomplex_and_3web(
         "d_minus_lambda_t": minus / np.linalg.norm(minus, axis=1, keepdims=True),
     }
     kbasis = s.contact_basis()
-    names = list(dists)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            stacked = np.vstack([dists[names[i]], dists[names[j]]])
-            det = np.linalg.det(kbasis @ stacked.T)
-            report_out.add(
-                f"web_{names[i]}__{names[j]}",
-                0.0 if abs(det) > tol else 1.0,
-                note=f"|det| = {abs(det):.3e}",
-            )
+    for (name1, d1), (name2, d2) in itertools.combinations(dists.items(), 2):
+        det = np.linalg.det(kbasis @ np.vstack([d1, d2]).T)
+        report_out.add(
+            f"web_{name1}__{name2}", 0.0 if abs(det) > tol else 1.0, note=f"|det| = {abs(det):.3e}"
+        )
     return report_out

@@ -1,0 +1,74 @@
+"""Compute-once analysis: one Levi-Civita solve per distinct metric, and each
+derived structure built once per run of the CLI."""
+
+import hashlib
+import sys
+
+import pytest
+
+from kmgeom import cli, modelfile, paracontact, riemann, tower
+from kmgeom.catalog import family_3d, nilpotent_h_5d
+
+COUNTED = {
+    "levi_civita": riemann.levi_civita,
+    "canonical_paracontact": tower.canonical_paracontact,
+    "derive_next": tower.derive_next,
+    "canonical_pc_connection": paracontact.canonical_pc_connection,
+}
+
+
+def _count_calls(monkeypatch) -> tuple[dict, set]:
+    """Count calls of the functions in COUNTED, rebinding each name in every
+    kmgeom module that binds it; also collect the distinct metrics solved."""
+    counts = dict.fromkeys(COUNTED, 0)
+    metrics = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if name == "levi_civita":
+                metrics.add(hashlib.sha1(args[0].c.tobytes() + args[1].tobytes()).digest())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "kmgeom":
+            continue
+        for name, fn in COUNTED.items():
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return counts, metrics
+
+
+@pytest.mark.parametrize(
+    "entry, argv, expected",
+    [
+        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
+         {"levi_civita": 4, "canonical_paracontact": 1, "derive_next": 1}),
+        (family_3d(1.0, 0.5), ["derive", "--steps", "6"], {"levi_civita": 6}),
+        # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
+        (family_3d(1.0, 0.0), ["derive", "--steps", "6"], {"levi_civita": 2}),
+        (nilpotent_h_5d(), ["analyze"], {"levi_civita": 1, "canonical_pc_connection": 1}),
+    ],
+    ids=["class-I-analyze", "class-II-derive", "class-II-mu-2-derive", "nilpotent-h-5d-analyze"],
+)
+def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv, expected):
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(entry))
+    counts, metrics = _count_calls(monkeypatch)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert {name: counts[name] for name in expected} == expected
+    assert len(metrics) == counts["levi_civita"]  # no metric is solved twice
+
+
+def test_cached_connection_is_shared_and_read_only():
+    s = family_3d(1.0, 2.0).structure
+    conn = s.levi_civita()
+    assert s.levi_civita() is conn
+    with pytest.raises(ValueError):
+        conn.gamma[0, 0, 0] = 1.0
+    pc, _ = paracontact.canonical_pc_connection(nilpotent_h_5d().structure)
+    with pytest.raises(ValueError):
+        pc.gamma[0, 0, 0] = 1.0

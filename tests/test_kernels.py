@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kmgeom
-from kmgeom.catalog import heisenberg_3d, nilpotent_h_5d
+from kmgeom.catalog import get_entry, heisenberg_3d, list_entries, nilpotent_h_5d
 from kmgeom.contact import (
     ContactMetricStructure,
     blair_identity_suite,
@@ -18,7 +18,7 @@ from kmgeom.contact import (
     nullity_fit,
 )
 from kmgeom.legendre import involutivity_residual
-from kmgeom.lie_model import LieModel
+from kmgeom.lie_model import LieModel, jacobi_residual
 from kmgeom.paracontact import (
     ParacontactMetricStructure,
     canonical_pc_connection,
@@ -28,6 +28,7 @@ from kmgeom.riemann import (
     AffineConnection,
     connection_identity_suite,
     curvature,
+    curvature_tensor,
     curvature_xi,
     levi_civita,
     nijenhuis_tensor,
@@ -107,6 +108,40 @@ def test_kernels_match_pointwise_references(name):
     for kernel, want in expected.items():
         assert got[kernel].shape == want.shape, kernel
         assert np.max(np.abs(got[kernel] - want)) <= KERNEL_TOL, kernel
+
+
+# Fixed before jacobi_residual and curvature_tensor moved from a four-index
+# einsum to one matmul; relative to the largest term of the contraction.
+CONTRACTION_RTOL = 1e-13
+
+
+def _random_antisymmetric(dim, seed):
+    c = np.random.default_rng(seed).standard_normal((dim, dim, dim))
+    return c - c.transpose(1, 0, 2)
+
+
+CONTRACTION_CASES = {
+    **{name: lambda name=name: get_entry(name).model.c
+       for name in list_entries() if name != "family-3d"},
+    "random-antisymmetric-21": lambda: _random_antisymmetric(21, 7),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACTION_CASES)
+def test_matmul_contractions_match_einsum(name):
+    c = CONTRACTION_CASES[name]()
+    m = LieModel(c=c)
+    t = np.einsum("jkm,iml->ijkl", c, c)  # [e_i, [e_j, e_k]], the reference form
+    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    scale = max(np.max(np.abs(t)), 1.0)
+    assert abs(jacobi_residual(m) - np.max(np.abs(cyc))) <= CONTRACTION_RTOL * scale
+
+    gam = levi_civita(m, np.eye(m.dim)).gamma
+    t = np.einsum("jkm,iml->ijkl", gam, gam)
+    want = t - t.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", m.c, gam)
+    got = curvature_tensor(m, AffineConnection(gamma=gam))
+    scale = max(np.max(np.abs(t)), 1.0)
+    assert np.max(np.abs(got - want)) <= CONTRACTION_RTOL * scale
 
 
 # ------------------------------------------------------------- non-finite input

@@ -254,3 +254,19 @@ def test_cli_analyze_model_without_structure(tmp_path, capsys):
     path.write_text(json.dumps(MINIMAL))
     assert main(["analyze", str(path)]) == 0
     assert "jacobi" in capsys.readouterr().out
+
+
+def test_cli_derive_reports_non_nullity_as_one_error_line(tmp_path, capsys):
+    from kmgeom.catalog import CatalogEntry
+    from conftest import twisted_contact_3d
+
+    s = twisted_contact_3d(a=0.7, r=0.4)
+    path = tmp_path / "twisted.json"
+    path.write_text(modelfile.dumps_entry(CatalogEntry(name="twisted", model=s.model, structure=s)))
+    assert main(["derive", str(path), "--steps", "6", "--json", "-"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out[captured.out.index("{") :])
+    assert payload["nullity"]["error"] == "not_nullity"
+    assert "tower" not in payload
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
