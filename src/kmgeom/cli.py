@@ -19,6 +19,7 @@ round-trips are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -417,8 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

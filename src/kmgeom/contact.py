@@ -49,8 +49,9 @@ class MetricStructure:
 
     a contact metric structure for eps = +1 and a paracontact one for
     eps = -1 (the subclasses set ``eps`` and ``kind``).  h = (1/2) L_xi phi is
-    computed on construction; the Levi-Civita connection, R(., .) xi and the
-    nullity fit are computed once per ``tol`` and kept, their arrays read-only.
+    computed on construction; the Nijenhuis tensor once, and the Levi-Civita
+    connection, R(., .) xi and the nullity fit once per ``tol``, are kept with
+    their arrays read-only.
     """
 
     model: LieModel
@@ -106,6 +107,15 @@ class MetricStructure:
         )
         r_xi.flags.writeable = False
         return r_xi
+
+    def nijenhuis_tensor(self) -> np.ndarray:
+        """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
+        nij = self.cached(
+            "nijenhuis_tensor",
+            lambda: nijenhuis_tensor(self.model, self.phi, self.xi, self.eta, self.eps),
+        )
+        nij.flags.writeable = False
+        return nij
 
     def nullity_constants(self, tol: float = DEFAULT_TOL) -> tuple[float, float | None, float]:
         """(kappa, mu, residual) of the nullity fit (see :func:`_fit_r_xi`).
@@ -230,7 +240,7 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     The side residuals check phi N(X,Y) + N(phi X, Y) = 2 eta(X) h Y and the
     vanishing of eta(N(phi X, Y)).
     """
-    nij = nijenhuis_tensor(s.model, s.phi, s.xi, s.eta, 1.0)
+    nij = s.nijenhuis_tensor()
     nij_phi = np.tensordot(s.phi.T, nij, 1)  # [i, j, :] = N(phi e_i, e_j)
     side = ResidualReport(tol=tol)
     side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * eta_x(s.eta, s.h))

@@ -164,6 +164,22 @@ def eigendistributions(
     return out[0], out[1]
 
 
+def _cached_eigendistributions(
+    s: ContactMetricStructure, report: NullityReport, tol: float
+) -> tuple[LegendreDistribution, LegendreDistribution]:
+    """:func:`eigendistributions`, built once per (report, tol) and kept on ``s``
+    with read-only arrays."""
+
+    def build():
+        pair = eigendistributions(s, report, tol)
+        for ld in pair:
+            ld.vectors.flags.writeable = False
+            ld.pang.flags.writeable = False
+        return pair
+
+    return s.cached(("eigendistributions", report, tol), build)
+
+
 _CLASS_BY_PATTERN = {
     ("positive", "positive"): "I",
     ("positive", "negative"): "II",
@@ -177,7 +193,7 @@ def classify_class(
     s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
 ) -> str:
     """Class I-V from Pang definiteness, cross-checked against the invariant rule."""
-    d_pos, d_neg = eigendistributions(s, report, tol)
+    d_pos, d_neg = _cached_eigendistributions(s, report, tol)
     pattern = (d_pos.definiteness, d_neg.definiteness)
     pang_tag = _CLASS_BY_PATTERN.get(pattern)
     if pang_tag is None:

@@ -43,6 +43,8 @@ class LieModel:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatch(f"structure constants must be cubic, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise DimensionMismatch("structure constants must be finite (NaN or inf found)")
         anti = np.max(np.abs(c + c.transpose(1, 0, 2)))
         if anti > 1e-12:
             raise DimensionMismatch(f"structure constants not antisymmetric (residual {anti:.3e})")
@@ -86,13 +88,16 @@ def jacobi_residual(m: LieModel) -> float:
     """Max-abs of the cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
 
     Zero (up to roundoff) iff the structure constants define a Lie algebra.
+    For antisymmetric constants the cyclic sum alternates in (i, j, k), so it
+    is evaluated on the triples i < j < k only (0.0 below dimension 3).
     """
-    # t[i, j, k, l] = component l of [e_i, [e_j, e_k]], as one matmul over m
+    # b[j, k, i, l] = component l of [e_i, [e_j, e_k]], as one matmul over m
     c, d = m.c, m.dim
-    t = (c.reshape(d * d, d) @ c.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
-    t = t.transpose(2, 0, 1, 3)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.max(np.abs(cyc)))
+    b = (c.reshape(d * d, d) @ c.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+    r = np.arange(d)
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    cyc = b[j, k, i] + b[k, i, j] + b[i, j, k]
+    return float(np.max(np.abs(cyc), initial=0.0))
 
 
 def d_one_form(m: LieModel, eta: OneForm) -> BilinearForm:

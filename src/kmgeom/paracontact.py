@@ -22,7 +22,7 @@ import numpy as np
 from .contact import MetricStructure, _kernel_basis, validate_contact
 from .errors import InternalInconsistency
 from .report import DEFAULT_TOL, ResidualReport, max_abs
-from .riemann import AffineConnection, eta_x, eta_y, form_xy, nijenhuis_tensor, on_pairs
+from .riemann import AffineConnection, eta_x, eta_y, form_xy, on_pairs
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -200,9 +200,9 @@ def integrability_and_parasasaki(
     in R xi on the contact distribution, and vanishing of nabla^pc phi~); a
     disagreement beyond 10 tol signals an engine bug, not a model property.
     """
-    m, phi, xi, eta = s.model, s.phi_t, s.xi, s.eta
+    phi, xi, eta = s.phi_t, s.xi, s.eta
     kbasis = _kernel_basis(eta)
-    nij = on_pairs(nijenhuis_tensor(m, phi, xi, eta, -1.0), kbasis, kbasis)
+    nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
     worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
     integrable_n = worst_d <= tol
 

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .legendre import (
     LegendreDistribution,
+    _cached_eigendistributions,
     involutivity_residual,
     legendre_distribution,
     libermann_map,
@@ -371,9 +372,7 @@ def _require_large_invariant(report: NullityReport, tol: float) -> float:
 def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, inv: float, tol: float):
     """g-orthonormal h-eigenbasis (X_1..X_n with h X_i = lambda X_i), Y_i = phi X_i,
     and the h~-eigenvectors gamma X_i +- Y_i for +-lambda~ (gamma = sqrt((I_M-1)/(I_M+1)))."""
-    from .legendre import eigendistributions  # local import, avoids cycle at module load
-
-    d_pos, _ = eigendistributions(s, report, tol)
+    d_pos, _ = _cached_eigendistributions(s, report, tol)
     xs = d_pos.vectors
     ys = (s.phi @ xs.T).T
     gamma = np.sqrt((inv - 1.0) / (inv + 1.0))

@@ -1,12 +1,13 @@
-"""Compute-once analysis: one Levi-Civita solve per distinct metric, and each
-derived structure built once per run of the CLI."""
+"""Compute-once analysis: one Levi-Civita solve per distinct metric, each
+derived structure, Nijenhuis tensor and h-eigenframe built once per run of the
+CLI, and one argument parser per process."""
 
 import hashlib
 import sys
 
 import pytest
 
-from kmgeom import cli, modelfile, paracontact, riemann, tower
+from kmgeom import cli, legendre, modelfile, paracontact, riemann, tower
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 
 COUNTED = {
@@ -14,6 +15,9 @@ COUNTED = {
     "canonical_paracontact": tower.canonical_paracontact,
     "derive_next": tower.derive_next,
     "canonical_pc_connection": paracontact.canonical_pc_connection,
+    "nijenhuis_tensor": riemann.nijenhuis_tensor,
+    "eigendistributions": legendre.eigendistributions,
+    "build_parser": cli.build_parser,
 }
 
 
@@ -44,12 +48,16 @@ def _count_calls(monkeypatch) -> tuple[dict, set]:
 @pytest.mark.parametrize(
     "entry, argv, expected",
     [
+        # one Nijenhuis tensor for the structure and one for its Sasakian partner
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
-         {"levi_civita": 4, "canonical_paracontact": 1, "derive_next": 1}),
-        (family_3d(1.0, 0.5), ["derive", "--steps", "6"], {"levi_civita": 6}),
+         {"levi_civita": 4, "canonical_paracontact": 1, "derive_next": 1,
+          "nijenhuis_tensor": 2, "eigendistributions": 1}),
+        (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
+         {"levi_civita": 6, "nijenhuis_tensor": 1, "eigendistributions": 1}),
         # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
-        (family_3d(1.0, 0.0), ["derive", "--steps", "6"], {"levi_civita": 2}),
-        (nilpotent_h_5d(), ["analyze"], {"levi_civita": 1, "canonical_pc_connection": 1}),
+        (family_3d(1.0, 0.0), ["derive", "--steps", "6"], {"levi_civita": 2, "nijenhuis_tensor": 1}),
+        (nilpotent_h_5d(), ["analyze"],
+         {"levi_civita": 1, "canonical_pc_connection": 1, "nijenhuis_tensor": 1}),
     ],
     ids=["class-I-analyze", "class-II-derive", "class-II-mu-2-derive", "nilpotent-h-5d-analyze"],
 )
@@ -72,3 +80,25 @@ def test_cached_connection_is_shared_and_read_only():
     pc, _ = paracontact.canonical_pc_connection(nilpotent_h_5d().structure)
     with pytest.raises(ValueError):
         pc.gamma[0, 0, 0] = 1.0
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+    counts, _ = _count_calls(monkeypatch)
+    argv = ["analyze", str(path), "--json", "-"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr()
+    # both kinds of argparse error exit 2: a missing required option, an unknown one
+    for bad in (["derive", str(path)], ["analyze", str(path), "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            COUNTED["build_parser"]().parse_args(bad)  # a fresh, uncounted parser
+        assert capsys.readouterr().err == err
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == first
+    # 0 when an earlier test in this process already built the parser
+    assert counts["build_parser"] <= 1

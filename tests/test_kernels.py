@@ -123,7 +123,12 @@ def _random_antisymmetric(dim, seed):
 CONTRACTION_CASES = {
     **{name: lambda name=name: get_entry(name).model.c
        for name in list_entries() if name != "family-3d"},
+    # dims 1 and 2 have no triple i < j < k: the residual is exactly 0
+    "zero-1": lambda: np.zeros((1, 1, 1)),
+    "zero-2": lambda: np.zeros((2, 2, 2)),
+    "random-antisymmetric-5": lambda: _random_antisymmetric(5, 5),
     "random-antisymmetric-21": lambda: _random_antisymmetric(21, 7),
+    "random-antisymmetric-41": lambda: _random_antisymmetric(41, 41),
 }
 
 

@@ -53,6 +53,16 @@ def test_antisymmetry_enforced_at_construction():
         LieModel(c=c)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_constants_rejected_at_construction(dim, value):
+    # at dim 2 there is no Jacobi triple, so a NaN must not reach jacobi_residual
+    c = np.zeros((dim, dim, dim))
+    c[0, 1, 1], c[1, 0, 1] = value, -value
+    with pytest.raises(DimensionMismatch):
+        LieModel(c=c)
+
+
 @pytest.mark.parametrize("lam,d", [(1, 0), (1, 2), (2, 1), (0.5, -2), (3, 3)])
 def test_jacobi_family(lam, d):
     assert jacobi_residual(family(lam, d).model) <= 1e-12
