@@ -90,14 +90,31 @@ def jacobi_residual(m: LieModel) -> float:
     Zero (up to roundoff) iff the structure constants define a Lie algebra.
     For antisymmetric constants the cyclic sum alternates in (i, j, k), so it
     is evaluated on the triples i < j < k only (0.0 below dimension 3).
+
+    b[j, k, i, l] = component l of [e_i, [e_j, e_k]] = sum_m c[j,k,m] c[i,m,l]
+    vanishes unless [e_j, e_k] != 0 and e_l lies in the image of the bracket.
+    So the one matmul runs on those rows (j, k) and components l only, and the
+    cyclic sum on the triples with one of its three rows in the support: a
+    sparse model costs what its support costs, a dense one the O(dim^5) product.
     """
-    # b[j, k, i, l] = component l of [e_i, [e_j, e_k]], as one matmul over m
     c, d = m.c, m.dim
-    b = (c.reshape(d * d, d) @ c.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+    rows = c.reshape(d * d, d)  # row (j, k): [e_j, e_k]
+    on_row = rows.any(1)
+    support = rows[on_row]
+    cols = c[:, :, support.any(0)].transpose(1, 0, 2)  # [m, i, l] = c[i, m, l], l in the image
+    n_l = cols.shape[2]
+    # b[row_at[j, k], i] = b[j, k, i, l in the image], with row 0 zero for (j, k) off the support
+    a = np.zeros((len(support) + 1, d))
+    a[1:] = support
+    b = (a @ cols.reshape(d, d * n_l)).reshape(len(a), d, n_l)
+    row_at = (on_row.cumsum() * on_row).reshape(d, d)
+    s = on_row.reshape(d, d)
     r = np.arange(d)
-    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-    cyc = b[j, k, i] + b[k, i, j] + b[i, j, k]
-    return float(np.max(np.abs(cyc), initial=0.0))
+    ordered = (r[:, None, None] < r[:, None]) & (r[:, None] < r)
+    triples = ordered & (s | s.T[:, None] | s[:, :, None])
+    i, j, k = np.unravel_index(triples.ravel().nonzero()[0], triples.shape)
+    cyc = b[row_at[j, k], i] + b[row_at[k, i], j] + b[row_at[i, j], k]
+    return float(np.abs(cyc).max(initial=0.0))
 
 
 def d_one_form(m: LieModel, eta: OneForm) -> BilinearForm:

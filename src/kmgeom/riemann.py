@@ -116,8 +116,8 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
         raise DimensionMismatch(f"metric shape {g.shape} does not match dim {m.dim}")
     if abs(np.linalg.det(g)) <= tol:
         raise DegenerateMetric("metric determinant below tolerance")
-    # b[i, j, k] = g([e_i, e_j], e_k); transpose(2,0,1)[i,j,k] = b[j,k,i]
-    b = np.einsum("ijm,mk->ijk", m.c, g)
+    # b[i, j, k] = g([e_i, e_j], e_k), one matmul; transpose(2,0,1)[i,j,k] = b[j,k,i]
+    b = m.c @ g
     rhs = 0.5 * (b - b.transpose(2, 0, 1) + b.transpose(1, 2, 0))
     # solve g . gamma[i, j, :] = rhs[i, j, :] for every (i, j)
     gamma = np.linalg.solve(g, rhs.reshape(-1, m.dim).T).T.reshape(m.dim, m.dim, m.dim)

@@ -115,9 +115,34 @@ def test_kernels_match_pointwise_references(name):
 CONTRACTION_RTOL = 1e-13
 
 
-def _random_antisymmetric(dim, seed):
-    c = np.random.default_rng(seed).standard_normal((dim, dim, dim))
+def _random_antisymmetric(dim, seed, zero_frac=0.0):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((dim, dim, dim))
+    c[rng.random(c.shape) < zero_frac] = 0.0
     return c - c.transpose(1, 0, 2)
+
+
+def _semidirect(dim, seed, broken=False):
+    """R xi x| R^(dim-1): [xi, X_a] = p_a Y_a, [xi, Y_a] = q_a X_a with p_a, q_a > 0.
+
+    Sparse, solvable and not nilpotent: ad xi has the real eigenvalues
+    +-sqrt(p_a q_a) on each partner pair (X_a, Y_a).  ``broken`` adds
+    [X_1, Y_1] = 2 xi, so Jacobi fails on the one support row (X_1, Y_1):
+    [X_b, [X_1, Y_1]] = -2 p_b Y_b.
+    """
+    n = (dim - 1) // 2
+    p, q = np.random.default_rng(seed).uniform(0.5, 2.0, (2, n))
+    c = np.zeros((dim, dim, dim))
+    c[-1, range(n), range(n, 2 * n)] = p
+    c[-1, range(n, 2 * n), range(n)] = q
+    c[0, n, -1] = 2.0 if broken else 0.0
+    return c - c.transpose(1, 0, 2)
+
+
+def _near_antisymmetric(c, seed):
+    """c plus asymmetric noise that LieModel's 1e-12 antisymmetry guard lets through."""
+    rng = np.random.default_rng(seed)
+    return c + 4e-13 * (rng.random(c.shape) < 0.3) * rng.choice([-1.0, 1.0], c.shape)
 
 
 CONTRACTION_CASES = {
@@ -129,6 +154,11 @@ CONTRACTION_CASES = {
     "random-antisymmetric-5": lambda: _random_antisymmetric(5, 5),
     "random-antisymmetric-21": lambda: _random_antisymmetric(21, 7),
     "random-antisymmetric-41": lambda: _random_antisymmetric(41, 41),
+    # sparse constants: the Jacobi product runs on their support only
+    "semidirect-7": lambda: _semidirect(7, 7),
+    "semidirect-21": lambda: _semidirect(21, 21),
+    "semidirect-41": lambda: _semidirect(41, 41),
+    "semidirect-broken-21": lambda: _semidirect(21, 3, broken=True),
 }
 
 
@@ -147,6 +177,44 @@ def test_matmul_contractions_match_einsum(name):
     got = curvature_tensor(m, AffineConnection(gamma=gam))
     scale = max(np.max(np.abs(t)), 1.0)
     assert np.max(np.abs(got - want)) <= CONTRACTION_RTOL * scale
+
+
+# The residual is the cyclic sum b[j,k,i] + b[k,i,j] + b[i,j,k] of the dense
+# b[j, k, i, l] = sum_m c[j,k,m] c[i,m,l] on the triples i < j < k, with no
+# further antisymmetry assumed: constants antisymmetric only to within 1e-12 too.
+DENSE_FORM_CASES = {
+    **{f"near-antisymmetric-{dim}":
+       lambda dim=dim: _near_antisymmetric(_random_antisymmetric(dim, dim), dim)
+       for dim in (3, 6, 9)},
+    **{f"near-antisymmetric-sparse-{dim}":
+       lambda dim=dim: _near_antisymmetric(_random_antisymmetric(dim, dim, zero_frac=0.7), dim)
+       for dim in (4, 7)},
+    "near-antisymmetric-semidirect-7": lambda: _near_antisymmetric(_semidirect(7, 7), 1),
+    "near-antisymmetric-heisenberg-11": lambda: _near_antisymmetric(heisenberg_model(11).model.c, 3),
+    "semidirect-broken-21": CONTRACTION_CASES["semidirect-broken-21"],
+}
+
+
+@pytest.mark.parametrize("name", DENSE_FORM_CASES)
+def test_jacobi_residual_is_the_dense_form_on_triples(name):
+    c = DENSE_FORM_CASES[name]()
+    b = np.einsum("jkm,iml->jkil", c, c)
+    r = np.arange(len(c))
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    want = np.max(np.abs(b[j, k, i] + b[k, i, j] + b[i, j, k]))
+    scale = max(np.max(np.abs(b)), 1.0)
+    assert abs(jacobi_residual(LieModel(c=c)) - want) <= CONTRACTION_RTOL * scale
+
+
+def test_jacobi_residual_closed_forms_at_dim_81():
+    """H_81 and H_81 with [xi, X_1] = a Y_1, whose cyclic sum is -2a Y_1 on the
+    triples (X_1, X_b, Y_b), from [X_1, [X_b, Y_b]] = [X_1, 2 xi], and 0 elsewhere.
+    (The einsum reference's arrays would take 344 MB each at this dimension.)"""
+    m = heisenberg_model(81).model
+    assert jacobi_residual(m) == 0.0
+    c = m.c.copy()
+    c[80, 0, 40], c[0, 80, 40] = 0.75, -0.75
+    assert jacobi_residual(LieModel(c=c)) == 1.5
 
 
 # ------------------------------------------------------------- non-finite input
