@@ -44,11 +44,11 @@ print(f"  max |h~^2| = {np.max(np.abs(h @ h)):g}   (nilpotent)")
 
 print("\n== nullity fit ==")
 fit = para_nullity_fit(st)
-print(f"  kappa~ = {fit.kappa_t:+.12f}")
-print(f"  mu~    = {fit.mu_t:+.12f}")
+print(f"  kappa~ = {fit.kappa:+.12f}")
+print(f"  mu~    = {fit.mu:+.12f}")
 print(f"  full-tensor residual = {fit.residual:.2e}")
 print(f"  spectral type: {fit.spectral_type}")
-print(f"  h~^2 - (1 + kappa~) phi~^2 residual = {fit.para1_residual:.2e}")
+print(f"  h~^2 - (1 + kappa~) phi~^2 residual = {fit.h_square_vs_kappa_residual:.2e}")
 
 print("\n== canonical paracontact connection ==")
 _, pc_report = canonical_pc_connection(st)

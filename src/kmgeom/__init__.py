@@ -35,13 +35,11 @@ from .legendre import (
     eigendistributions,
     legendre_pair_constants,
     libermann_map,
-    pang_invariant,
     psi_to_paracontact,
 )
-from .lie_model import LieModel, bracket, d_one_form, jacobi_residual, lie_derivative_endo
+from .lie_model import LieModel, d_one_form, jacobi_residual, lie_derivative_endo
 from .paracontact import (
     ParacontactMetricStructure,
-    ParaNullityReport,
     canonical_pc_connection,
     integrability_and_parasasaki,
     para_nullity_fit,
@@ -80,7 +78,6 @@ __all__ = [
     "LieModel",
     "MetricTensor",
     "NullityReport",
-    "ParaNullityReport",
     "ParacontactMetricStructure",
     "ResidualReport",
     "SasakianPackage",
@@ -89,7 +86,6 @@ __all__ = [
     "bilegendrian_connection",
     "blair_identity_suite",
     "boeckx_invariant",
-    "bracket",
     "canonical_paracontact",
     "canonical_pc_connection",
     "classification_flags",
@@ -111,7 +107,6 @@ __all__ = [
     "nijenhuis_norm",
     "nilpotent_h_5d",
     "nullity_fit",
-    "pang_invariant",
     "para_nullity_fit",
     "psi_to_paracontact",
     "sasakian_structure",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import ContactMetricStructure, MetricStructure
+from .contact import ContactMetricStructure, MetricStructure, classify_by_invariant
 from .errors import NonPositiveLambda
 from .lie_model import LieModel
 from .paracontact import ParacontactMetricStructure
@@ -112,16 +112,6 @@ def family_3d(lam: float, d: float) -> CatalogEntry:
     kappa = 1.0 - lam * lam
     mu = 2.0 - 2.0 * d
     inv = d / lam
-    if abs(inv - 1.0) <= 1e-12:
-        tag = "IV"
-    elif abs(inv + 1.0) <= 1e-12:
-        tag = "V"
-    elif inv > 1:
-        tag = "I"
-    elif inv < -1:
-        tag = "III"
-    else:
-        tag = "II"
     return CatalogEntry(
         name=f"family-3d(lambda={lam:g},d={d:g})",
         model=model,
@@ -131,7 +121,7 @@ def family_3d(lam: float, d: float) -> CatalogEntry:
             "kappa": kappa,
             "mu": mu,
             "boeckx": inv,
-            "class": tag,
+            "class": classify_by_invariant(inv, 1e-12),
             "lambda": lam,
         },
     )

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .legendre import classify_class
 from .lie_model import jacobi_residual
-from .paracontact import canonical_pc_connection, integrability_and_parasasaki, para_nullity_fit
+from .paracontact import canonical_pc_connection, integrability_and_parasasaki
 from .report import DEFAULT_TOL
 from .tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
@@ -107,6 +107,14 @@ def _validate_doc(doc: modelfile.ModelDocument, tol: float) -> dict:
     return report
 
 
+def _construction(build, *args, **kwargs) -> dict:
+    """The report of ``build(*args, **kwargs)``, or the reason it does not apply."""
+    try:
+        return build(*args, **kwargs).to_dict()
+    except (InvariantTooSmall, SasakianDegenerate, SasakianOrInvalid) as exc:
+        return {"error": str(exc)}
+
+
 def _analyze_doc(
     doc: modelfile.ModelDocument,
     tol: float,
@@ -123,7 +131,7 @@ def _analyze_doc(
         report["expected"] = doc.expected
 
     try:
-        fit = nullity_fit(s, tol) if s.eps > 0 else para_nullity_fit(s, tol)
+        fit = nullity_fit(s, tol)
     except NotNullity as exc:
         report["nullity"] = {"error": "not_nullity", "residual": exc.residual}
         return report
@@ -141,29 +149,11 @@ def _analyze_doc(
             blair = blair_identity_suite(s, fit.kappa, fit.mu, tol)
             report["identities"].update(blair.to_dict()["residuals"])
         if run_sasakian:
-            try:
-                pkg = sasakian_structure(s, fit, tol)
-                report["sasakian_construction"] = {
-                    "sign": pkg.sign,
-                    "checks": pkg.checks.to_dict(),
-                }
-            except (InvariantTooSmall, SasakianDegenerate, SasakianOrInvalid) as exc:
-                report["sasakian_construction"] = {"error": str(exc)}
+            report["sasakian_construction"] = _construction(sasakian_structure, s, fit, tol=tol)
         if run_legendre3:
-            try:
-                ana = second_bilegendrian_analysis(s, fit, a=a, b=b, tol=tol)
-                report["legendre3"] = {
-                    "lambda_tilde": ana.lambda_t,
-                    "pang_value": ana.pang_value,
-                    "a": ana.a,
-                    "b": ana.b,
-                    "kappa_new": ana.kappa_new,
-                    "mu_new": ana.mu_new,
-                    "new_invariant": ana.new_invariant,
-                    "checks": ana.checks.to_dict(),
-                }
-            except (InvariantTooSmall, SasakianDegenerate, SasakianOrInvalid) as exc:
-                report["legendre3"] = {"error": str(exc)}
+            report["legendre3"] = _construction(
+                second_bilegendrian_analysis, s, fit, a=a, b=b, tol=tol
+            )
     else:
         _, pc_rep = canonical_pc_connection(s, tol)
         report["identities"] = dict(pc_rep.to_dict()["residuals"])
@@ -325,20 +315,7 @@ def cmd_derive(args) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
-    report["tower"] = [
-        {
-            "index": n.index,
-            "kind": n.kind,
-            "kappa": n.kappa,
-            "mu": n.mu,
-            "fit_residual": n.fit_residual,
-            "tw_parallel": n.tw_parallel,
-            "constant_formula_delta": (
-                None if n.checks is None else n.checks.entries.get("predicted_kappa_delta")
-            ),
-        }
-        for n in nodes
-    ]
+    report["tower"] = [node.to_dict() for node in nodes]
     _write_outputs(report, args.json)
     return EXIT_OK
 

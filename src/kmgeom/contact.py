@@ -15,14 +15,17 @@ invariant I_M = (1 - mu/2) / sqrt(1 - kappa), which positions the structure
 in one of five classes and drives every derived construction downstream.
 Contact and paracontact structures differ by the sign eps = +1 / -1 in
 phi^2 = -eps (I - eta (x) xi) and share one base, :class:`MetricStructure`,
-and one validator, :func:`validate_contact`.
+one validator, :func:`validate_contact`, and one nullity fit,
+:func:`nullity_fit`, whose :class:`NullityReport` carries the Boeckx
+invariant and class of a contact structure or the spectral type of a
+paracontact h~.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetric, NotNullity, SasakianOrInvalid
+from .errors import DegenerateMetric, InternalInconsistency, NotNullity, SasakianOrInvalid
 from .lie_model import LieModel, d_one_form, lie_derivative_endo
 from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import (
@@ -147,28 +150,52 @@ def _kernel_basis(eta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullityReport:
-    """Fitted nullity constants and derived invariants of a contact structure."""
+    """Fitted nullity constants of a contact (eps = +1) or paracontact (eps = -1)
+    structure, with the invariants of its h that the sign selects.
+
+    ``lam`` is the positive eigenvalue of h: sqrt(1 - kappa) for a non-Sasakian
+    contact structure, sqrt(s) for a paracontact h~ with a real eigenvalue pair
+    (h~^2 = s phi~^2, s > 0), otherwise None.
+    """
 
     kappa: float
     mu: float | None  # None when h = 0 makes mu indeterminate
     residual: float
-    lam: float | None  # sqrt(1 - kappa) for kappa < 1
-    boeckx: float | None  # undefined for Sasakian structures
-    class_tag: str  # "I".."V" or "Sasakian"
+    lam: float | None
+    # contact
+    boeckx: float | None = None  # undefined for Sasakian structures
+    class_tag: str | None = None  # "I".."V" or "Sasakian"
+    # paracontact
+    spectral_type: str | None = None  # real_pair | complex_pair | nilpotent | zero
+    h_square_scalar: float | None = None  # s with h~^2 = s phi~^2
+    h_square_vs_kappa_residual: float | None = None  # |h~^2 - (1 + kappa) phi~^2|
+    curvature_reflection_residual: float | None = None
 
     @property
     def mu_indeterminate(self) -> bool:
         return self.mu is None
 
+    @property
+    def contact(self) -> bool:
+        """True for the fit of a contact structure, which always carries a class."""
+        return self.class_tag is not None
+
     def to_dict(self) -> dict:
-        return {
+        out = {
             "kappa": self.kappa,
             "mu": self.mu,
             "mu_indeterminate": self.mu_indeterminate,
             "residual": self.residual,
+        }
+        if self.contact:
+            return {**out, "lambda": self.lam, "boeckx": self.boeckx, "class": self.class_tag}
+        return {
+            **out,
+            "spectral_type": self.spectral_type,
             "lambda": self.lam,
-            "boeckx": self.boeckx,
-            "class": self.class_tag,
+            "h_square_scalar": self.h_square_scalar,
+            "h_square_vs_kappa_residual": self.h_square_vs_kappa_residual,
+            "curvature_reflection_residual": self.curvature_reflection_residual,
         }
 
 
@@ -294,15 +321,64 @@ def classify_by_invariant(boeckx: float | None, tol: float = DEFAULT_TOL) -> str
     return "II"
 
 
-def nullity_fit(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> NullityReport:
-    """Fit (kappa, mu) and verify the full nullity tensor equation.
+def h_square_scalar(s: MetricStructure) -> tuple[float, float]:
+    """Least-squares scalar with h^2 = s phi^2, and the residual of that fit.
 
-    Raises :class:`NotNullity` when the best-fit residual exceeds ``tol``
-    (a valid contact metric structure that is not a nullity space), and
-    :class:`NotNullity` with a kappa diagnostic when kappa lands above 1
-    beyond roundoff, which no contact metric structure can do.
+    Preferred over an eigensolver: g~-symmetric operators under an indefinite
+    metric may be non-diagonalizable, while s is always well-defined on the
+    paracontact structures this engine certifies.
+    """
+    h2 = s.h @ s.h
+    p2 = s.phi @ s.phi
+    denom = float(np.sum(p2 * p2))
+    scal = float(np.sum(h2 * p2) / denom)
+    return scal, max_abs(h2 - scal * p2)
+
+
+def spectral_type(s: MetricStructure, tol: float = DEFAULT_TOL) -> tuple[str, float, float | None]:
+    """Classify a paracontact h~ by the sign of s in h~^2 = s phi~^2.
+
+    Returns (type, s, lambda): real eigenvalue pair +-sqrt(s) for s > 0,
+    complex pair for s < 0, nilpotent for s = 0 with h~ != 0, zero otherwise.
+    """
+    scal, fit_residual = h_square_scalar(s)
+    if not fit_residual <= tol:
+        raise InternalInconsistency(
+            f"h~^2 is not proportional to phi~^2 (residual {fit_residual:.3e})"
+        )
+    if max_abs(s.h) <= tol:
+        return "zero", scal, None
+    if scal > tol:
+        return "real_pair", scal, float(np.sqrt(scal))
+    if scal < -tol:
+        return "complex_pair", scal, None
+    return "nilpotent", scal, None
+
+
+def nullity_fit(s: MetricStructure, tol: float = DEFAULT_TOL) -> NullityReport:
+    """Fit (kappa, mu), verify the full nullity tensor equation, and add the
+    invariants of h that the sign of ``s`` selects.
+
+    Raises :class:`NotNullity` when the best-fit residual exceeds ``tol`` (a
+    valid structure that is not a nullity space).  Contact: also when kappa
+    lands above 1 beyond roundoff, which no contact metric structure can do;
+    otherwise the Boeckx invariant and the class.  Paracontact: the spectral
+    type of h~ and the side checks h~^2 = (1 + kappa~) phi~^2 and
+    R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).
     """
     kappa, mu, residual = s.nullity_constants(tol)
+    if s.eps < 0:
+        stype, scal, lam = spectral_type(s, tol)
+        p2 = s.phi @ s.phi
+        h2 = s.h @ s.h
+        # rows R~_{xi e_i} xi + phi~ R~_{xi phi~ e_i} xi against the columns of 2 (phi~^2 - h~^2)
+        r_xi_x = np.tensordot(s.xi, s.curvature_xi(tol), 1)
+        reflection = r_xi_x + s.phi.T @ r_xi_x @ s.phi.T - 2.0 * (p2 - h2).T
+        return NullityReport(
+            kappa=kappa, mu=mu, residual=residual, lam=lam, spectral_type=stype,
+            h_square_scalar=scal, h_square_vs_kappa_residual=max_abs(h2 - (1.0 + kappa) * p2),
+            curvature_reflection_residual=max_abs(reflection),
+        )
     if kappa > 1.0 + tol:
         raise NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)
 
@@ -367,5 +443,7 @@ def classification_flags(
 
 
 def _tw_parallel(report: NullityReport, tol: float) -> bool:
-    """mu = 2 on a non-Sasakian nullity space."""
-    return bool(report.kappa < 1.0 - tol and report.mu is not None and abs(report.mu - 2.0) <= tol)
+    """mu = 2 on a non-Sasakian contact nullity space."""
+    return report.contact and bool(
+        report.kappa < 1.0 - tol and report.mu is not None and abs(report.mu - 2.0) <= tol
+    )

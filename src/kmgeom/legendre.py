@@ -112,14 +112,6 @@ def legendre_distribution(
     return LegendreDistribution(vectors=vectors, pang=pi, definiteness=_definiteness(pi, tol))
 
 
-def pang_invariant(
-    s: ContactMetricStructure, ld: LegendreDistribution, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, str]:
-    """Pang form 2 d eta([xi, b_i], b_j) on the distribution's basis."""
-    pi = _pang_matrix(s.model, s.eta, s.xi, ld.vectors)
-    return pi, _definiteness(pi, tol)
-
-
 def involutivity_residual(
     model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors: np.ndarray
 ) -> float:

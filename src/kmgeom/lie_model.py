@@ -80,16 +80,15 @@ class LieModel:
         return np.einsum("i,ijk->kj", u, self.c)
 
 
-def bracket(m: LieModel, u: Vector, v: Vector) -> Vector:
-    return m.bracket(u, v)
-
-
 def jacobi_residual(m: LieModel) -> float:
-    """Max-abs of the cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
+    """Max-abs over the triples i < j < k of the cyclic sum
+    [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] (0.0 below dimension 3).
 
     Zero (up to roundoff) iff the structure constants define a Lie algebra.
-    For antisymmetric constants the cyclic sum alternates in (i, j, k), so it
-    is evaluated on the triples i < j < k only (0.0 below dimension 3).
+    For exactly antisymmetric constants the cyclic sum alternates in (i, j, k),
+    so these triples give the max over all index orders.  Constants that are
+    antisymmetric only to within the 1e-12 guard of :class:`LieModel` can
+    read below that max, by about their asymmetry times their size.
 
     b[j, k, i, l] = component l of [e_i, [e_j, e_k]] = sum_m c[j,k,m] c[i,m,l]
     vanishes unless [e_j, e_k] != 0 and e_l lies in the image of the bracket.

@@ -12,14 +12,23 @@ its square is always proportional to phi~^2 on nullity spaces, and the sign
 of that scalar classifies the spectrum (real pair / complex pair / nilpotent).
 
 :class:`ParacontactMetricStructure` is the eps = -1 member of
-:class:`kmgeom.contact.MetricStructure`, validated by the same function.
+:class:`kmgeom.contact.MetricStructure`, validated and fitted by the same
+functions; the fit's :class:`kmgeom.contact.NullityReport` carries the
+spectral type of h~.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import MetricStructure, _kernel_basis, validate_contact
+from .contact import (  # noqa: F401 (h_square_scalar, spectral_type: public here too)
+    MetricStructure,
+    _kernel_basis,
+    h_square_scalar,
+    nullity_fit,
+    spectral_type,
+    validate_contact,
+)
 from .errors import InternalInconsistency
 from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import AffineConnection, eta_x, eta_y, form_xy, on_pairs
@@ -44,99 +53,10 @@ class ParacontactMetricStructure(MetricStructure):
     h_t = property(lambda self: self.h)
 
 
-@dataclass(frozen=True)
-class ParaNullityReport:
-    """Fitted paracontact nullity constants and the spectral type of h~."""
-
-    kappa_t: float
-    mu_t: float | None
-    residual: float
-    spectral_type: str  # real_pair | complex_pair | nilpotent | zero
-    lambda_t: float | None  # sqrt(s) when real_pair
-    s: float  # scalar with h~^2 = s phi~^2
-    para1_residual: float  # |h~^2 - (1 + kappa_t) phi~^2|
-    rz_residual: float
-
-    @property
-    def mu_indeterminate(self) -> bool:
-        return self.mu_t is None
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa_t,
-            "mu": self.mu_t,
-            "mu_indeterminate": self.mu_indeterminate,
-            "residual": self.residual,
-            "spectral_type": self.spectral_type,
-            "lambda": self.lambda_t,
-            "h_square_scalar": self.s,
-            "h_square_vs_kappa_residual": self.para1_residual,
-            "curvature_reflection_residual": self.rz_residual,
-        }
-
-
+# one sign-aware fit and validator serve both kinds; the spectral type of h~
+# is part of that fit
+para_nullity_fit = nullity_fit
 validate_paracontact = validate_contact
-
-
-def h_square_scalar(s: ParacontactMetricStructure) -> tuple[float, float]:
-    """Least-squares scalar with h~^2 = s phi~^2, and the residual of that fit.
-
-    Preferred over an eigensolver: g~-symmetric operators under an indefinite
-    metric may be non-diagonalizable, while s is always well-defined on the
-    structures this engine certifies.
-    """
-    h2 = s.h_t @ s.h_t
-    p2 = s.phi_t @ s.phi_t
-    denom = float(np.sum(p2 * p2))
-    scal = float(np.sum(h2 * p2) / denom)
-    return scal, max_abs(h2 - scal * p2)
-
-
-def spectral_type(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL) -> tuple[str, float, float | None]:
-    """Classify h~ by the sign of s in h~^2 = s phi~^2.
-
-    Returns (type, s, lambda_t): real eigenvalue pair +-sqrt(s) for s > 0,
-    complex pair for s < 0, nilpotent for s = 0 with h~ != 0, zero otherwise.
-    """
-    scal, fit_residual = h_square_scalar(s)
-    if not fit_residual <= tol:
-        raise InternalInconsistency(
-            f"h~^2 is not proportional to phi~^2 (residual {fit_residual:.3e})"
-        )
-    if max_abs(s.h_t) <= tol:
-        return "zero", scal, None
-    if scal > tol:
-        return "real_pair", scal, float(np.sqrt(scal))
-    if scal < -tol:
-        return "complex_pair", scal, None
-    return "nilpotent", scal, None
-
-
-def para_nullity_fit(s: ParacontactMetricStructure, tol: float = DEFAULT_TOL) -> ParaNullityReport:
-    """Fit (kappa~, mu~), classify the spectrum of h~ and run the side checks.
-
-    Side checks: h~^2 = (1 + kappa~) phi~^2 and the curvature reflection
-    identity R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).
-    """
-    kappa, mu, residual = s.nullity_constants(tol)
-    stype, scal, lam = spectral_type(s, tol)
-    p2 = s.phi_t @ s.phi_t
-    h2 = s.h_t @ s.h_t
-    para1 = max_abs(h2 - (1.0 + kappa) * p2)
-    # rows R~_{xi e_i} xi + phi~ R~_{xi phi~ e_i} xi against the columns of 2 (phi~^2 - h~^2)
-    r_xi_x = np.tensordot(s.xi, s.curvature_xi(tol), 1)
-    rz = max_abs(r_xi_x + s.phi_t.T @ r_xi_x @ s.phi_t.T - 2.0 * (p2 - h2).T)
-
-    return ParaNullityReport(
-        kappa_t=kappa,
-        mu_t=mu,
-        residual=residual,
-        spectral_type=stype,
-        lambda_t=lam,
-        s=scal,
-        para1_residual=para1,
-        rz_residual=rz,
-    )
 
 
 def canonical_pc_connection(

@@ -43,10 +43,11 @@ from .legendre import (
     _cached_eigendistributions,
     involutivity_residual,
     legendre_distribution,
+    legendre_pair_constants,
     libermann_map,
 )
 from .lie_model import lie_derivative_endo
-from .paracontact import ParacontactMetricStructure, para_nullity_fit
+from .paracontact import ParacontactMetricStructure
 from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import eta_x, eta_y, form_xy
 
@@ -70,6 +71,19 @@ class TowerNode:
     tw_parallel: bool = False
     checks: ResidualReport | None = None
 
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "kind": self.kind,
+            "kappa": self.kappa,
+            "mu": self.mu,
+            "fit_residual": self.fit_residual,
+            "tw_parallel": self.tw_parallel,
+            "constant_formula_delta": (
+                None if self.checks is None else self.checks.entries.get("predicted_kappa_delta")
+            ),
+        }
+
 
 @dataclass(frozen=True)
 class SasakianPackage:
@@ -81,6 +95,9 @@ class SasakianPackage:
     triple: tuple[np.ndarray, np.ndarray, np.ndarray]  # (I1, I2, I3) with I2 I3 = I1
     structure: ContactMetricStructure
     checks: ResidualReport
+
+    def to_dict(self) -> dict:
+        return {"sign": self.sign, "checks": self.checks.to_dict()}
 
 
 @dataclass
@@ -98,6 +115,18 @@ class SecondPairAnalysis:
     new_invariant: float
     checks: ResidualReport = field(default_factory=ResidualReport)
 
+    def to_dict(self) -> dict:
+        return {
+            "lambda_tilde": self.lambda_t,
+            "pang_value": self.pang_value,
+            "a": self.a,
+            "b": self.b,
+            "kappa_new": self.kappa_new,
+            "mu_new": self.mu_new,
+            "new_invariant": self.new_invariant,
+            "checks": self.checks.to_dict(),
+        }
+
 
 def _delta(kappa: float, mu: float) -> float:
     """(1 - mu/2)^2 - (1 - kappa); positive iff |I_M| > 1."""
@@ -109,6 +138,23 @@ def _require_non_sasakian(report: NullityReport, tol: float) -> None:
         raise SasakianDegenerate("construction requires a non-Sasakian structure (kappa < 1)")
     if report.mu is None:
         raise SasakianDegenerate("mu indeterminate (h = 0); no derived structure")
+
+
+def _tower_branch(report: NullityReport, tol: float) -> tuple[float, float]:
+    """(I_M, eps) of a non-Sasakian nullity space: eps = +1 when |I_M| < 1 (the
+    next node is contact), -1 when |I_M| > 1 (paracontact); no tower exists
+    within INVARIANT_GUARD of |I_M| = 1."""
+    _require_non_sasakian(report, tol)
+    inv = boeckx_invariant(report.kappa, report.mu, tol)
+    if abs(abs(inv) - 1.0) <= INVARIANT_GUARD:
+        raise DegenerateInvariant(f"|I_M| = {abs(inv)}: the sequence is undefined")
+    return inv, (1.0 if abs(inv) < 1.0 else -1.0)
+
+
+def _phi_bar(s: ContactMetricStructure, report: NullityReport) -> np.ndarray:
+    """phi-bar_+ = ((1 - mu/2) phi + phi h) / sqrt(delta); phi-bar_- = -phi-bar_+."""
+    beta = 1.0 / np.sqrt(_delta(report.kappa, report.mu))
+    return beta * ((1.0 - report.mu / 2.0) * s.phi + s.phi @ s.h)
 
 
 def canonical_paracontact(
@@ -141,7 +187,15 @@ def canonical_paracontact(
         "h_tilde_square_closed_form",
         st.h @ st.h - (1.0 - kappa - (1.0 - mu / 2) ** 2) * s.phi @ s.phi,
     )
-    checks.add("levi_civita_relation", _levi_civita_relation_residual(s, st, kappa, mu, tol))
+    # nabla~_X Y = nabla_X Y + (mu/2)(eta(X) phi Y + eta(Y) phi X)
+    #              - (eta(X) h Y + eta(Y) h X) / sqrt(1-kappa)
+    #              + [ ((2-mu)/sqrt(1-kappa) g(hX, Y) - 2 sqrt(1-kappa) g(phi^2 X, Y)
+    #                   - 2 g(X, phi Y)) / 2 - eta(nabla_X Y) ] xi
+    phi, h, g = s.phi, s.h, s.g
+    form = 0.5 * ((2.0 - mu) / root * g @ h - 2.0 * root * g @ phi @ phi - 2.0 * g @ phi)
+    form -= s.levi_civita(tol).gamma @ s.eta
+    checks.add("levi_civita_relation",
+               _levi_civita_relation(s, st, (mu / 2.0) * phi - h / root, form, tol))
     _add_structure_derivative_checks(checks, st, tol)
     return st, checks
 
@@ -159,35 +213,20 @@ def _canonical_pair(
     return s.cached(("canonical_pair", report, tol), build)
 
 
-def _levi_civita_relation_residual(
-    s: ContactMetricStructure,
-    st: ParacontactMetricStructure,
-    kappa: float,
-    mu: float,
-    tol: float,
+def _levi_civita_relation(
+    prev: MetricStructure, new: MetricStructure, shift: np.ndarray, form: np.ndarray, tol: float
 ) -> float:
-    """Residual of the closed-form relation between nabla (of g) and nabla~ (of g~).
+    """Residual of a closed-form relation between the Levi-Civita connections
+    nabla of ``prev`` and nabla' of ``new`` (same eta and xi):
 
-    For left-invariant fields:
+        nabla'_X Y = nabla_X Y + eta(X) A Y + eta(Y) A X + B(X, Y) xi
 
-        nabla~_X Y = nabla_X Y
-                     + (mu/2)(eta(X) phi Y + eta(Y) phi X)
-                     - (eta(X) h Y + eta(Y) h X) / sqrt(1-kappa)
-                     + [ ((2-mu)/sqrt(1-kappa) g(hX, Y)
-                          - 2 sqrt(1-kappa) g(phi^2 X, Y)
-                          - 2 g(X, phi Y)) / 2
-                         - eta(nabla_X Y) ] xi
+    for the endomorphism A = ``shift`` and the bilinear form B = ``form``.
     """
-    lc = s.levi_civita(tol)
-    lc_t = st.levi_civita(tol)
-    root = np.sqrt(1.0 - kappa)
-    phi, h, g, eta, xi = s.phi, s.h, s.g, s.eta, s.xi
-    w = lc.gamma  # [i, j, :] = nabla_X Y
-    rhs = w + (mu / 2.0) * (eta_x(eta, phi) + eta_y(eta, phi))
-    rhs -= (eta_x(eta, h) + eta_y(eta, h)) / root
-    coeff = 0.5 * ((2.0 - mu) / root * g @ h - 2.0 * root * g @ phi @ phi - 2.0 * g @ phi) - w @ eta
-    rhs += form_xy(coeff, xi)
-    return max_abs(lc_t.gamma - rhs)
+    eta = prev.eta
+    rhs = prev.levi_civita(tol).gamma + eta_x(eta, shift) + eta_y(eta, shift)
+    rhs += form_xy(form, prev.xi)
+    return max_abs(new.levi_civita(tol).gamma - rhs)
 
 
 def _add_structure_derivative_checks(
@@ -230,14 +269,8 @@ def derive_next(
       h~_1 = -sqrt(I_M^2 - 1) h, plus the Levi-Civita relation between g~ and
       g~_1 and the derived covariant identities.
     """
-    _require_non_sasakian(parent, tol)
+    inv, eps = _tower_branch(parent, tol)
     kappa, mu = parent.kappa, parent.mu
-    inv = boeckx_invariant(kappa, mu, tol)
-    if abs(abs(inv) - 1.0) <= INVARIANT_GUARD:
-        raise DegenerateInvariant(
-            f"|I_M| = {abs(inv)} within {INVARIANT_GUARD} of 1: no derived structure"
-        )
-    eps = 1.0 if abs(inv) < 1.0 else -1.0
     root = np.sqrt(-eps * _delta(kappa, mu))
     node = _derived_node(st, root, eps, parent, tol, index)
     s1, checks = node.structure, node.checks
@@ -248,7 +281,11 @@ def derive_next(
         checks.add("h_proportionality", s1.h - np.sqrt(1.0 - inv**2) * h_parent)
     else:
         checks.add("h_proportionality", s1.h + np.sqrt(inv**2 - 1.0) * h_parent)
-        checks.add("levi_civita_relation", _second_levi_civita_relation_residual(st, s1, root, tol))
+        # nabla1_X Y = nabla~_X Y + eta(X)(phi~ Y - h~ Y / root) + eta(Y)(phi~ X - h~ X / root)
+        #              + [ root (g~(X,Y) - eta(X) eta(Y)) + g~(X, phi~ h~ Y) ] xi
+        form = root * (st.g - np.outer(st.eta, st.eta)) + st.g @ st.phi @ st.h
+        checks.add("levi_civita_relation",
+                   _levi_civita_relation(st, s1, st.phi - st.h / root, form, tol))
         _add_structure_derivative_checks(checks, s1, tol)
     return node
 
@@ -277,8 +314,7 @@ def _derived_node(
             s = n.structure
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(s, tol))
-    fit = nullity_fit(s, tol) if eps > 0 else para_nullity_fit(s, tol)
-    node = _node(index, s, fit, tol, checks)
+    node = _node(index, s, nullity_fit(s, tol), tol, checks)
     predicted = parent.kappa + (eps - 1.0) + (1.0 - parent.mu / 2.0) ** 2
     checks.add("predicted_kappa_delta", abs(node.kappa - predicted))
     checks.add("predicted_mu_delta", abs((node.mu if node.mu is not None else 2.0) - 2.0))
@@ -287,42 +323,18 @@ def _derived_node(
 
 def _node(index: int, s: MetricStructure, fit, tol: float, checks=None) -> TowerNode:
     """The tower node of structure ``s`` with its nullity ``fit``."""
-    kappa, mu = (fit.kappa, fit.mu) if s.eps > 0 else (fit.kappa_t, fit.mu_t)
     return TowerNode(
         index=index,
         kind=s.kind,
         phi=s.phi,
         G=s.g,
-        kappa=kappa,
-        mu=mu,
+        kappa=fit.kappa,
+        mu=fit.mu,
         fit_residual=fit.residual,
         structure=s,
-        tw_parallel=s.eps > 0 and _tw_parallel(fit, tol),
+        tw_parallel=_tw_parallel(fit, tol),
         checks=checks,
     )
-
-
-def _second_levi_civita_relation_residual(
-    st: ParacontactMetricStructure,
-    s1: ParacontactMetricStructure,
-    root: float,
-    tol: float,
-) -> float:
-    """Residual of the relation between the Levi-Civita connections of g~ and g~_1:
-
-        nabla1_X Y = nabla~_X Y + eta(X)(phi~ Y - h~ Y / root)
-                     + eta(Y)(phi~ X - h~ X / root)
-                     + [ root (g~(X,Y) - eta(X) eta(Y)) + g~(X, phi~ h~ Y) ] xi
-
-    with root = sqrt((1 - mu/2)^2 - (1 - kappa)).
-    """
-    lc = st.levi_civita(tol)
-    lc1 = s1.levi_civita(tol)
-    phi, h, g, eta, xi = st.phi, st.h, st.g, st.eta, st.xi
-    shift = phi - h / root
-    rhs = lc.gamma + eta_x(eta, shift) + eta_y(eta, shift)
-    rhs += form_xy(root * (g - np.outer(eta, eta)) + g @ phi @ h, xi)
-    return max_abs(lc1.gamma - rhs)
 
 
 def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) -> list[TowerNode]:
@@ -342,13 +354,8 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     nodes = [_node(0, s, fit0, tol)]
     if n_nodes <= 1:
         return nodes
-    _require_non_sasakian(fit0, tol)
+    _, branch = _tower_branch(fit0, tol)  # the sign of the nodes at even indices
     kappa, mu = fit0.kappa, fit0.mu
-    inv = boeckx_invariant(kappa, mu, tol)
-    if abs(abs(inv) - 1.0) <= INVARIANT_GUARD:
-        raise DegenerateInvariant(f"|I_M| = {abs(inv)}: the sequence is undefined")
-
-    branch = 1.0 if abs(inv) < 1.0 else -1.0  # the sign of the nodes at even indices
     for k in range(1, n_nodes):
         eps = branch if k % 2 == 0 else -1.0
         root = np.sqrt(1.0 - kappa) if k == 1 else np.sqrt(-branch * _delta(kappa, mu))
@@ -406,9 +413,9 @@ def second_bilegendrian_analysis(
     checks = ResidualReport(tol=tol)
 
     st, node = _canonical_pair(s, report, tol)
-    h_t = st.h_t
+    h_t = st.h
 
-    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * st.phi_t @ st.phi_t)
+    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * st.phi @ st.phi)
 
     _, _, plus, minus = _phi_eigenframe(s, report, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
@@ -440,8 +447,7 @@ def second_bilegendrian_analysis(
     if inv < -1.0 and not (a < 0 and b < 0):
         raise DegenerateInvariant("a, b must be negative when I_M < -1")
 
-    kappa_new = 1.0 - (a - b) ** 2 / 16.0
-    mu_new = 2.0 - (a + b) / 2.0
+    kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
     # a = b generates the Sasakian member of the family (kappa' = 1); the
     # invariant degenerates to +-infinity there
     new_inv = (a + b) / abs(a - b) if abs(a - b) > 1e-15 else np.sign(a) * np.inf
@@ -479,11 +485,8 @@ def sasakian_structure(
     anti-hypercomplex relations of the triple.
     """
     inv = _require_large_invariant(report, tol)
-    kappa, mu = report.kappa, report.mu
-    beta = 1.0 / np.sqrt(_delta(kappa, mu))
     sign = 1.0 if inv > 1.0 else -1.0
-    base = (1.0 - mu / 2.0) * s.phi + s.phi @ s.h
-    phi_bar = sign * beta * base
+    phi_bar = sign * _phi_bar(s, report)
     g_bar = -s.d_eta() @ phi_bar + np.outer(s.eta, s.eta)
     sbar = ContactMetricStructure(model=s.model, phi=phi_bar, xi=s.xi, eta=s.eta, g=g_bar)
 
@@ -500,7 +503,7 @@ def sasakian_structure(
                note="mu must be indeterminate (h = 0)")
 
     st, node = _canonical_pair(s, report, tol)
-    phi_t, phi_t1 = st.phi_t, node.phi
+    phi_t, phi_t1 = st.phi, node.phi
     checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 
@@ -533,12 +536,9 @@ def anti_hypercomplex_and_3web(
     (D(lambda), D(-lambda), D(lambda~), D(-lambda~)) spans ker(eta).
     """
     inv = _require_large_invariant(report, tol)
-    kappa, mu = report.kappa, report.mu
-    beta = 1.0 / np.sqrt(_delta(kappa, mu))
     st, node = _canonical_pair(s, report, tol)
-    phi_t, phi_t1 = st.phi_t, node.phi
-    base = (1.0 - mu / 2.0) * s.phi + s.phi @ s.h
-    phi_bar_plus = beta * base
+    phi_t, phi_t1 = st.phi, node.phi
+    phi_bar_plus = _phi_bar(s, report)
     phi_bar_minus = -phi_bar_plus
     proj = s.contact_projector()
     ident = np.eye(s.dim)

@@ -48,14 +48,14 @@ def test_criterion_1_five_dim_model():
     assert np.max(np.abs(st.h_t @ st.h_t)) <= 1e-9  # nilpotent
     fit = para_nullity_fit(st, tol=1e-9)
     assert fit.residual <= 1e-9
-    assert abs(fit.kappa_t + 1.0) <= 1e-9
+    assert abs(fit.kappa + 1.0) <= 1e-9
     assert fit.spectral_type == "nilpotent"
     # the fitted mu~ is reported and compared against 2; under this engine's
     # exterior-derivative convention the fit lands on 2 exactly even though
     # the h~ operator itself is twice the value quoted alongside the model
-    mu_delta = abs(fit.mu_t - 2.0)
-    _pass(1, f"5-dim model: |kappa~ + 1| = {abs(fit.kappa_t + 1.0):.2e}, nilpotent, "
-             f"fitted mu~ = {fit.mu_t:.12g} (|mu~ - 2| = {mu_delta:.2e}, reported)")
+    mu_delta = abs(fit.mu - 2.0)
+    _pass(1, f"5-dim model: |kappa~ + 1| = {abs(fit.kappa + 1.0):.2e}, nilpotent, "
+             f"fitted mu~ = {fit.mu:.12g} (|mu~ - 2| = {mu_delta:.2e}, reported)")
 
 
 def test_criterion_2_canonical_paracontact_constants_grid():
@@ -67,9 +67,9 @@ def test_criterion_2_canonical_paracontact_constants_grid():
             st, checks = canonical_paracontact(s, fit)
             pfit = para_nullity_fit(st)
             predicted = fit.kappa - 2.0 + (1.0 - fit.mu / 2.0) ** 2
-            worst = max(worst, abs(pfit.kappa_t - predicted), abs(pfit.mu_t - 2.0))
-            assert abs(pfit.kappa_t - predicted) <= 1e-8
-            assert abs(pfit.mu_t - 2.0) <= 1e-8
+            worst = max(worst, abs(pfit.kappa - predicted), abs(pfit.mu - 2.0))
+            assert abs(pfit.kappa - predicted) <= 1e-8
+            assert abs(pfit.mu - 2.0) <= 1e-8
     _pass(2, f"canonical paracontact constants match the closed form on the "
              f"{len(GRID_LAMBDAS)}x{len(GRID_DS)} grid (worst delta {worst:.2e})")
 
@@ -176,7 +176,7 @@ def _paracontact_suite_residual(st) -> float:
     _, pc_rep = canonical_pc_connection(st)
     worst = pc_rep.worst[1]
     fit = para_nullity_fit(st)
-    return max(worst, fit.para1_residual, fit.rz_residual)
+    return max(worst, fit.h_square_vs_kappa_residual, fit.curvature_reflection_residual)
 
 
 def test_criterion_7_identity_suites():

@@ -48,7 +48,7 @@ def test_nilpotent_5d_expectations():
     assert np.max(np.abs(h)) > 0.5
     assert np.max(np.abs(h @ h)) <= 1e-12
     fit = para_nullity_fit(entry.structure)
-    assert fit.kappa_t == pytest.approx(-1.0, abs=1e-9)
+    assert fit.kappa == pytest.approx(-1.0, abs=1e-9)
     assert fit.spectral_type == "nilpotent"
 
 
@@ -58,7 +58,7 @@ def test_heisenberg_expectations():
     assert np.max(np.abs(entry.structure.h_t)) == 0.0
     fit = para_nullity_fit(entry.structure)
     # para-Sasakian: the kappa~ = -1 nullity form with h~ = 0
-    assert fit.kappa_t == pytest.approx(-1.0, abs=1e-12)
+    assert fit.kappa == pytest.approx(-1.0, abs=1e-12)
     assert fit.mu_indeterminate
     assert fit.spectral_type == "zero"
 

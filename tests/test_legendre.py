@@ -20,7 +20,6 @@ from kmgeom.legendre import (
     legendre_distribution,
     legendre_pair_constants,
     libermann_map,
-    pang_invariant,
     psi_to_paracontact,
 )
 from kmgeom.paracontact import validate_paracontact
@@ -68,9 +67,6 @@ def test_pang_closed_form_values(lam, d, coeff_pos, coeff_neg):
     g_neg = d_neg.vectors @ s.g @ d_neg.vectors.T
     assert np.allclose(d_pos.pang, coeff_pos * g_pos, atol=1e-9)
     assert np.allclose(d_neg.pang, coeff_neg * g_neg, atol=1e-9)
-    pi, definiteness = pang_invariant(s, d_neg)
-    assert np.allclose(pi, d_neg.pang)
-    assert definiteness == d_neg.definiteness
 
 
 @pytest.mark.parametrize("tag,params", sorted(CLASS_PARAMS.items()))

@@ -6,7 +6,6 @@ import pytest
 from kmgeom.errors import DimensionMismatch
 from kmgeom.lie_model import (
     LieModel,
-    bracket,
     d_one_form,
     jacobi_residual,
     lie_derivative_endo,
@@ -33,7 +32,7 @@ def test_bracket_5d_x1_x2(model_5d):
 def test_bracket_vanishes_on_equal_arguments(model_5d):
     m = model_5d.model
     v = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-    assert np.allclose(bracket(m, v, v), 0.0)
+    assert np.allclose(m.bracket(v, v), 0.0)
 
 
 def test_bracket_family_x_y():

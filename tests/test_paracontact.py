@@ -104,11 +104,11 @@ def test_h_square_scalar_5d(model_5d):
 
 def test_para_nullity_fit_5d(model_5d):
     fit = para_nullity_fit(model_5d.structure)
-    assert fit.kappa_t == pytest.approx(-1.0, abs=1e-9)
+    assert fit.kappa == pytest.approx(-1.0, abs=1e-9)
     assert fit.residual <= 1e-9
     assert fit.spectral_type == "nilpotent"
-    assert fit.para1_residual <= 1e-9
-    assert fit.rz_residual <= 1e-9
+    assert fit.h_square_vs_kappa_residual <= 1e-9
+    assert fit.curvature_reflection_residual <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -117,12 +117,12 @@ def test_para_nullity_fit_5d(model_5d):
 )
 def test_para_nullity_fit_canonical(lam, d, kappa_t, stype):
     fit = para_nullity_fit(canonical(lam, d))
-    assert fit.kappa_t == pytest.approx(kappa_t, abs=1e-9)
-    assert fit.mu_t == pytest.approx(2.0, abs=1e-9)
+    assert fit.kappa == pytest.approx(kappa_t, abs=1e-9)
+    assert fit.mu == pytest.approx(2.0, abs=1e-9)
     assert fit.spectral_type == stype
     if stype == "real_pair":
         # lambda~^2 = 1 + kappa~
-        assert fit.lambda_t**2 == pytest.approx(1.0 + kappa_t, abs=1e-9)
+        assert fit.lam**2 == pytest.approx(1.0 + kappa_t, abs=1e-9)
 
 
 def test_canonical_pc_connection_5d(model_5d):

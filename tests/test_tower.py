@@ -36,8 +36,8 @@ def test_canonical_paracontact_constants(lam, d, kappa_t):
     st, checks = canonical_paracontact(s, fit)
     assert checks.valid, checks.failures()
     pfit = para_nullity_fit(st)
-    assert pfit.kappa_t == pytest.approx(kappa_t, abs=1e-8)
-    assert pfit.mu_t == pytest.approx(2.0, abs=1e-8)
+    assert pfit.kappa == pytest.approx(kappa_t, abs=1e-8)
+    assert pfit.mu == pytest.approx(2.0, abs=1e-8)
 
 
 def test_canonical_paracontact_rejects_sasakian(sasakian_fixture):
