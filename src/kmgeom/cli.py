@@ -21,6 +21,7 @@ round-trips are byte-identical.
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,7 +32,6 @@ from .contact import (
     ContactMetricStructure,
     blair_identity_suite,
     classification_flags,
-    nijenhuis_norm,
     nullity_fit,
     validate_contact,
 )
@@ -69,7 +69,7 @@ def _jsonable(x):
         return _jsonable(x.tolist())
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
+    if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
     return x
 
@@ -142,7 +142,7 @@ def _analyze_doc(
         except SasakianDegenerate:
             report["nullity"]["class_pang_checked"] = None
         report["flags"] = classification_flags(s, fit, tol)
-        nij, side = nijenhuis_norm(s, tol)
+        nij, side = s.nijenhuis_norm(tol)
         report["nullity"]["nijenhuis_norm"] = nij
         report["identities"] = dict(side.to_dict()["residuals"])
         if fit.mu is not None:

@@ -52,9 +52,9 @@ class MetricStructure:
 
     a contact metric structure for eps = +1 and a paracontact one for
     eps = -1 (the subclasses set ``eps`` and ``kind``).  h = (1/2) L_xi phi is
-    computed on construction; the Nijenhuis tensor once, and the Levi-Civita
-    connection, R(., .) xi and the nullity fit once per ``tol``, are kept with
-    their arrays read-only.
+    computed on construction; the basis of ker(eta) and the Nijenhuis tensor
+    once, and the Levi-Civita connection, nabla phi, R(., .) xi and the
+    nullity fit once per ``tol``, are kept with their arrays read-only.
     """
 
     model: LieModel
@@ -88,37 +88,45 @@ class MetricStructure:
         """Projector onto the contact distribution ker(eta) along xi."""
         return np.eye(self.dim) - np.outer(self.xi, self.eta)
 
-    def contact_basis(self) -> np.ndarray:
-        """Orthonormal (Euclidean) basis of ker(eta), shape (2n, dim)."""
-        return _kernel_basis(self.eta)
-
     def cached(self, key, build):
         """``build()``, computed on the first call with ``key`` and kept on the instance."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
+    def cached_array(self, key, build) -> np.ndarray:
+        """:meth:`cached` for an array, which is kept read-only."""
+        arr = self.cached(key, build)
+        arr.flags.writeable = False
+        return arr
+
+    def contact_basis(self) -> np.ndarray:
+        """Orthonormal (Euclidean) basis of ker(eta), shape (2n, dim)."""
+        return self.cached_array("contact_basis", lambda: _kernel_basis(self.eta))
+
     def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
         conn = self.cached(("levi_civita", tol), lambda: levi_civita(self.model, self.g, tol))
         conn.gamma.flags.writeable = False
         return conn
 
+    def nabla_phi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """(nabla_{e_i} phi) e_j at [i, j, :] for the Levi-Civita connection."""
+        return self.cached_array(
+            ("nabla_phi", tol), lambda: self.levi_civita(tol).nabla_endo_all(self.phi)
+        )
+
     def curvature_xi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """R_{e_i e_j} xi at [i, j, :] for the Levi-Civita connection."""
-        r_xi = self.cached(
+        return self.cached_array(
             ("curvature_xi", tol), lambda: curvature_xi(self.model, self.levi_civita(tol), self.xi)
         )
-        r_xi.flags.writeable = False
-        return r_xi
 
     def nijenhuis_tensor(self) -> np.ndarray:
         """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
-        nij = self.cached(
+        return self.cached_array(
             "nijenhuis_tensor",
             lambda: nijenhuis_tensor(self.model, self.phi, self.xi, self.eta, self.eps),
         )
-        nij.flags.writeable = False
-        return nij
 
     def nullity_constants(self, tol: float = DEFAULT_TOL) -> tuple[float, float | None, float]:
         """(kappa, mu, residual) of the nullity fit (see :func:`_fit_r_xi`).
@@ -137,10 +145,15 @@ class MetricStructure:
 
 @dataclass(frozen=True, eq=False)
 class ContactMetricStructure(MetricStructure):
-    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h."""
+    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h; the
+    Nijenhuis norm and its side report are kept once per ``tol``."""
 
     eps = 1.0
     kind = "contact"
+
+    def nijenhuis_norm(self, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
+        """:func:`nijenhuis_norm` of this structure, built once per ``tol``."""
+        return self.cached(("nijenhuis_norm", tol), lambda: nijenhuis_norm(self, tol))
 
 
 def _kernel_basis(eta: np.ndarray) -> np.ndarray:
@@ -221,7 +234,7 @@ def validate_contact(s: MetricStructure, tol: float = DEFAULT_TOL) -> ResidualRe
     report.add("eta_circ_phi", eta @ phi)
     report.add("eta_is_g_xi", g @ xi - eta)
 
-    k = _kernel_basis(eta)
+    k = s.contact_basis()
     det_restricted = np.linalg.det(k @ deta @ k.T)
     report.add(
         "contact_nondegeneracy",
@@ -285,7 +298,7 @@ def _fit_r_xi(s: MetricStructure, tol: float) -> tuple[float, float | None, floa
     R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y).
     """
     r_xi, xi, eta, h = s.curvature_xi(tol), s.xi, s.eta, s.h
-    dbasis = _kernel_basis(eta)
+    dbasis = s.contact_basis()
     h_zero = max_abs(h) <= tol
     cols = [dbasis] if h_zero else [dbasis, dbasis @ h.T]  # rows b and h b
     a = np.stack([col.ravel() for col in cols], axis=1)
@@ -421,7 +434,7 @@ def blair_identity_suite(
     rhs2 += eta_y(eta, h @ (phi + phih)) - mu * eta_x(eta, phih)
     rhs3 = form_xy(g @ (h - (1 - kappa) * phi2), xi)
     rhs3 += eta_y(eta, h - (1 - kappa) * phi2) + mu * eta_x(eta, h)
-    report.add("nabla_phi_identity", conn.nabla_endo_all(phi) - rhs1)
+    report.add("nabla_phi_identity", s.nabla_phi(tol) - rhs1)
     report.add("nabla_h_identity", d_h - rhs2)
     report.add("nabla_phi_h_identity", conn.nabla_endo_all(phih) - rhs3)
     report.add("h_square_identity", h @ h - (kappa - 1) * phi2)
@@ -437,7 +450,7 @@ def classification_flags(
 
     ``tw_parallel`` uses the mu = 2 criterion for non-Sasakian nullity spaces.
     """
-    nij, _ = nijenhuis_norm(s, tol)
+    nij, _ = s.nijenhuis_norm(tol)
     return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": bool(max_abs(s.h) <= tol),
             "tw_parallel": _tw_parallel(report, tol)}
 

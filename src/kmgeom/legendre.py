@@ -328,7 +328,7 @@ def bilegendrian_connection(
     expected = proj2 @ ad_xi @ proj1 + proj1 @ ad_xi @ proj2  # column i: expected T(e_i, xi)
     report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)
 
-    report.add("parallel_phi_t", conn.nabla_endo_all(induced.phi_t))
+    report.add("parallel_phi_t", flags["pc_parallel_phi_residual"])  # max-abs of nabla^pc phi~
     report.add("parallel_g_t", conn.nabla_bilinear_all(induced.g_t))
 
     if contact is not None:

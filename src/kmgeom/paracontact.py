@@ -23,7 +23,6 @@ import numpy as np
 
 from .contact import (  # noqa: F401 (h_square_scalar, spectral_type: public here too)
     MetricStructure,
-    _kernel_basis,
     h_square_scalar,
     nullity_fit,
     spectral_type,
@@ -72,13 +71,15 @@ def canonical_pc_connection(
     2 d eta(X, Y) xi on the contact distribution; and the full closed-form
     torsion eta(X) phi~ h~ Y - eta(Y) phi~ h~ X + 2 g~(X, phi~ Y) xi.
     """
-    return _pc_connection(s, tol)
+    conn, report, _ = _pc_connection(s, tol)
+    return conn, report
 
 
 def _pc_connection(
     s: ParacontactMetricStructure, tol: float
-) -> tuple[AffineConnection, ResidualReport]:
-    """:func:`canonical_pc_connection`, built once per ``tol`` and kept on ``s``."""
+) -> tuple[AffineConnection, ResidualReport, np.ndarray]:
+    """:func:`canonical_pc_connection` with (nabla^pc_{e_i} phi~) e_j at [i, j, :],
+    built once per ``tol`` and kept on ``s``."""
 
     def build():
         m, phi, xi, eta, g, h = s.model, s.phi, s.xi, s.eta, s.g, s.h
@@ -95,18 +96,20 @@ def _pc_connection(
         report.add("parallel_eta", -(conn.gamma @ eta))  # [i, j] = (nabla_{e_i} eta)(e_j)
         report.add("parallel_xi", xi @ conn.gamma)  # [i, :] = nabla_{e_i} xi
         report.add("parallel_metric", conn.nabla_bilinear_all(g))
-        rhs = lc.nabla_endo_all(phi) - eta_y(eta, ident - h) + form_xy((ident - h).T @ g, xi)
-        report.add("phi_derivative_identity", conn.nabla_endo_all(phi) - rhs)
+        nabla_phi = conn.nabla_endo_all(phi)
+        nabla_phi.flags.writeable = False
+        rhs = s.nabla_phi(tol) - eta_y(eta, ident - h) + form_xy((ident - h).T @ g, xi)
+        report.add("phi_derivative_identity", nabla_phi - rhs)
 
         tors = conn.torsion(m)
         t_xi = np.tensordot(xi, tors, 1)  # [j, :] = T(xi, e_j)
         report.add("torsion_phi_reflection", phi.T @ t_xi + t_xi @ phi.T)
         closed = eta_x(eta, phih) - eta_y(eta, phih) + 2.0 * form_xy(g @ phi, xi)
         report.add("torsion_closed_form", tors - closed)
-        kbasis = _kernel_basis(eta)
+        kbasis = s.contact_basis()
         report.add("torsion_on_contact_distribution",
                    on_pairs(tors - 2.0 * form_xy(s.d_eta(), xi), kbasis, kbasis))
-        return conn, report
+        return conn, report, nabla_phi
 
     return s.cached(("canonical_pc_connection", tol), build)
 
@@ -120,14 +123,14 @@ def integrability_and_parasasaki(
     in R xi on the contact distribution, and vanishing of nabla^pc phi~); a
     disagreement beyond 10 tol signals an engine bug, not a model property.
     """
-    phi, xi, eta = s.phi_t, s.xi, s.eta
-    kbasis = _kernel_basis(eta)
+    xi, eta = s.xi, s.eta
+    kbasis = s.contact_basis()
     nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
     worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
     integrable_n = worst_d <= tol
 
-    conn_pc, _ = _pc_connection(s, tol)
-    worst_pc = max_abs(conn_pc.nabla_endo_all(phi))
+    _, _, pc_nabla_phi = _pc_connection(s, tol)
+    worst_pc = max_abs(pc_nabla_phi)
     integrable_pc = worst_pc <= tol
 
     if integrable_n != integrable_pc and abs(worst_d - worst_pc) > 10.0 * tol:
@@ -136,10 +139,9 @@ def integrability_and_parasasaki(
             f"nabla^pc phi~ residual {worst_pc:.3e}"
         )
 
-    lc = s.levi_civita(tol)
     ident = np.eye(s.dim)
     # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X
-    ps = max_abs(lc.nabla_endo_all(phi) + form_xy(s.g_t, xi) - eta_y(eta, ident))
+    ps = max_abs(s.nabla_phi(tol) + form_xy(s.g_t, xi) - eta_y(eta, ident))
     para_sasakian = ps <= tol
     curv_res = None
     if para_sasakian:

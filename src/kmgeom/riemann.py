@@ -5,7 +5,8 @@ The Koszul formula loses its derivative terms on left-invariant data:
     2 g(nabla_A B, C) = g([A,B], C) - g([B,C], A) + g([C,A], B)
 
 so the connection is a ``dim x dim x dim`` array of constants,
-``gamma[i, j, k]`` with ``nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k``.
+``gamma[i, j, k]`` with ``nabla_{e_i} e_j = sum_k gamma[i, j, k] e_k``: one
+inverse of g and one matmul of the Koszul right-hand sides with it.
 
 Tensor identities are checked as whole arrays over all basis pairs, in the
 layout of ``gamma`` and the torsion: a vector-valued expression F(X, Y) is
@@ -37,10 +38,12 @@ class MetricTensor:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"metric must be square, got {mat.shape}")
-        asym = np.max(np.abs(mat - mat.T))
-        if asym > tol:
-            raise DegenerateMetric(f"metric not symmetric (residual {asym:.3e})")
-        if abs(np.linalg.det(mat)) <= tol:
+        # a NaN or inf entry makes asym NaN or inf (inf - inf is NaN), and `not asym <= tol` raises
+        with np.errstate(invalid="ignore"):
+            asym = np.max(np.abs(mat - mat.T))
+        if not asym <= tol:
+            raise DegenerateMetric(f"metric not finite and symmetric (residual {asym:.3e})")
+        if not abs(np.linalg.det(mat)) > tol:
             raise DegenerateMetric("metric determinant below tolerance")
         return cls(mat=mat, signature=signature(mat, tol))
 
@@ -107,6 +110,8 @@ class AffineConnection:
 def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> AffineConnection:
     """Levi-Civita connection of a left-invariant metric via the Koszul formula.
 
+    The d^2 right-hand sides share one ``g``, so the connection is one inverse
+    of ``g`` and one matmul rather than a solve against all of them.
     Raises :class:`DegenerateMetric` when ``|det g|`` falls below ``tol``.
     The result is metric (``nabla g = 0``) and torsion-free by construction,
     which :func:`connection_identity_suite` re-checks numerically.
@@ -119,8 +124,8 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
     # b[i, j, k] = g([e_i, e_j], e_k), one matmul; transpose(2,0,1)[i,j,k] = b[j,k,i]
     b = m.c @ g
     rhs = 0.5 * (b - b.transpose(2, 0, 1) + b.transpose(1, 2, 0))
-    # solve g . gamma[i, j, :] = rhs[i, j, :] for every (i, j)
-    gamma = np.linalg.solve(g, rhs.reshape(-1, m.dim).T).T.reshape(m.dim, m.dim, m.dim)
+    # g . gamma[i, j, :] = rhs[i, j, :] for every (i, j)
+    gamma = rhs @ np.linalg.inv(g).T
     return AffineConnection(gamma=gamma)
 
 

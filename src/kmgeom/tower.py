@@ -28,7 +28,6 @@ from .contact import (
     NullityReport,
     _tw_parallel,
     boeckx_invariant,
-    nijenhuis_norm,
     nullity_fit,
     validate_contact,
 )
@@ -247,7 +246,7 @@ def _add_structure_derivative_checks(
     phih2 = phih @ h
     rhs1 = -form_xy((ident - h).T @ g, xi) + eta_y(eta, ident - h)
     rhs2 = -eta_y(eta, phih - phih2) - 2.0 * eta_x(eta, phih) - form_xy(g @ (phih + phih2), xi)
-    checks.add("nabla_phi_tilde_identity", lc.nabla_endo_all(phi) - rhs1)
+    checks.add("nabla_phi_tilde_identity", st.nabla_phi(tol) - rhs1)
     checks.add("nabla_h_tilde_identity", lc.nabla_endo_all(h) - rhs2)
 
 
@@ -495,7 +494,7 @@ def sasakian_structure(
     checks.add("metric_positive_definite", checks["riemannian_signature"],
                note=checks.notes["riemannian_signature"])
     checks.add("h_bar_vanishes", sbar.h)
-    nij, _ = nijenhuis_norm(sbar, tol)
+    nij, _ = sbar.nijenhuis_norm(tol)
     checks.add("nijenhuis_vanishes", nij)
     fit = nullity_fit(sbar, tol)
     checks.add("fitted_kappa_is_one", abs(fit.kappa - 1.0))

@@ -1,13 +1,14 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
-derived structure, Nijenhuis tensor and h-eigenframe built once per run of the
-CLI, and one argument parser per process."""
+derived structure, Nijenhuis tensor, Nijenhuis side report, kernel basis of
+eta and h-eigenframe built once per run of the CLI, and one argument parser
+per process."""
 
 import hashlib
 import sys
 
 import pytest
 
-from kmgeom import cli, legendre, modelfile, paracontact, riemann, tower
+from kmgeom import cli, contact, legendre, modelfile, paracontact, riemann, tower
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 
 COUNTED = {
@@ -16,22 +17,29 @@ COUNTED = {
     "derive_next": tower.derive_next,
     "canonical_pc_connection": paracontact.canonical_pc_connection,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
+    "nijenhuis_norm": contact.nijenhuis_norm,  # builds the side report
+    "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
     "eigendistributions": legendre.eigendistributions,
     "build_parser": cli.build_parser,
 }
 
 
-def _count_calls(monkeypatch) -> tuple[dict, set]:
+def _count_calls(monkeypatch) -> tuple[dict, set, dict]:
     """Count calls of the functions in COUNTED, rebinding each name in every
-    kmgeom module that binds it; also collect the distinct metrics solved."""
+    kmgeom module that binds it; also collect the distinct metrics solved and,
+    per counted build, the structures that asked for it (kept alive, so that
+    their ids stay distinct)."""
     counts = dict.fromkeys(COUNTED, 0)
     metrics = set()
+    askers = {"nijenhuis_norm": [], "_kernel_basis": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             if name == "levi_civita":
                 metrics.add(hashlib.sha1(args[0].c.tobytes() + args[1].tobytes()).digest())
+            if name == "nijenhuis_norm":
+                askers[name].append(args[0])
             return fn(*args, **kwargs)
 
         return wrapper
@@ -42,7 +50,15 @@ def _count_calls(monkeypatch) -> tuple[dict, set]:
         for name, fn in COUNTED.items():
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
-    return counts, metrics
+
+    contact_basis = contact.MetricStructure.contact_basis
+
+    def asking_contact_basis(self):
+        askers["_kernel_basis"].append(self)
+        return contact_basis(self)
+
+    monkeypatch.setattr(contact.MetricStructure, "contact_basis", asking_contact_basis)
+    return counts, metrics, askers
 
 
 @pytest.mark.parametrize(
@@ -51,24 +67,30 @@ def _count_calls(monkeypatch) -> tuple[dict, set]:
         # one Nijenhuis tensor for the structure and one for its Sasakian partner
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
          {"levi_civita": 4, "canonical_paracontact": 1, "derive_next": 1,
-          "nijenhuis_tensor": 2, "eigendistributions": 1}),
+          "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
+          "_kernel_basis": 4}),
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
-         {"levi_civita": 6, "nijenhuis_tensor": 1, "eigendistributions": 1}),
+         {"levi_civita": 6, "nijenhuis_tensor": 1, "eigendistributions": 1,
+          "nijenhuis_norm": 1, "_kernel_basis": 6}),
         # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
-        (family_3d(1.0, 0.0), ["derive", "--steps", "6"], {"levi_civita": 2, "nijenhuis_tensor": 1}),
+        (family_3d(1.0, 0.0), ["derive", "--steps", "6"],
+         {"levi_civita": 2, "nijenhuis_tensor": 1, "nijenhuis_norm": 1, "_kernel_basis": 2}),
         (nilpotent_h_5d(), ["analyze"],
-         {"levi_civita": 1, "canonical_pc_connection": 1, "nijenhuis_tensor": 1}),
+         {"levi_civita": 1, "canonical_pc_connection": 1, "nijenhuis_tensor": 1,
+          "nijenhuis_norm": 0, "_kernel_basis": 1}),
     ],
     ids=["class-I-analyze", "class-II-derive", "class-II-mu-2-derive", "nilpotent-h-5d-analyze"],
 )
 def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv, expected):
     path = tmp_path / "model.json"
     path.write_text(modelfile.dumps_entry(entry))
-    counts, metrics = _count_calls(monkeypatch)
+    counts, metrics, askers = _count_calls(monkeypatch)
     assert cli.main([argv[0], str(path), *argv[1:]]) == 0
     capsys.readouterr()
     assert {name: counts[name] for name in expected} == expected
     assert len(metrics) == counts["levi_civita"]  # no metric is solved twice
+    for name, structures in askers.items():  # one build per structure that asks
+        assert counts[name] == len({id(st) for st in structures})
 
 
 def test_cached_connection_is_shared_and_read_only():
@@ -85,7 +107,7 @@ def test_cached_connection_is_shared_and_read_only():
 def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
     path = tmp_path / "model.json"
     path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
-    counts, _ = _count_calls(monkeypatch)
+    counts, _, _ = _count_calls(monkeypatch)
     argv = ["analyze", str(path), "--json", "-"]
     assert cli.main(argv) == 0
     first = capsys.readouterr()

@@ -13,6 +13,7 @@ all other derivatives vanish (g the identity, basis X, Y, xi).
 import numpy as np
 import pytest
 
+from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.errors import DegenerateMetric
 from kmgeom.lie_model import LieModel
 from kmgeom.riemann import (
@@ -21,10 +22,11 @@ from kmgeom.riemann import (
     curvature,
     curvature_tensor,
     levi_civita,
+    on_pairs,
     signature,
 )
 
-from conftest import family
+from conftest import family, heisenberg_model
 
 
 def expected_family_gamma(lam, d):
@@ -108,6 +110,41 @@ def test_identity_suite_abelian():
     assert rep.worst[1] == 0.0
 
 
+def _random_basis(rng, dim, cond):
+    """Rows of a random basis whose singular values run geometrically over
+    [cond^-1/2, cond^1/2], so the rebased metric has condition number about cond^2."""
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q1 @ np.diag(np.geomspace(cond**-0.5, cond**0.5, dim)) @ q2.T
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [family_3d(1.0, 2.0).structure, nilpotent_h_5d().structure]
+    + [heisenberg_model(dim, kind) for dim in (3, 5, 11, 21, 41) for kind in ("contact", "paracontact")],
+    ids=["family_3d", "nilpotent_h_5d"]
+    + [f"H_{dim}-{kind}" for dim in (3, 5, 11, 21, 41) for kind in ("contact", "paracontact")],
+)
+def test_connection_matches_solve_on_random_bases(structure):
+    # the reference: solve g . gamma[i, j, :] = rhs[i, j, :] against all d^2 right-hand sides
+    d = structure.dim
+    for seed in range(3):
+        p = _random_basis(np.random.default_rng(seed), d, 10.0)
+        c = on_pairs(structure.model.c, p, p) @ np.linalg.inv(p)  # [f_a, f_b] in the basis f = p e
+        m = LieModel(c=0.5 * (c - c.transpose(1, 0, 2)))
+        g = p @ structure.g @ p.T
+        g = 0.5 * (g + g.T)
+        assert np.linalg.cond(g) <= 1e2 * (1 + 1e-9)
+        b = m.c @ g
+        rhs = 0.5 * (b - b.transpose(2, 0, 1) + b.transpose(1, 2, 0))
+        ref = np.linalg.solve(g, rhs.reshape(-1, d).T).T.reshape(d, d, d)
+        conn = levi_civita(m, g)
+        assert np.max(np.abs(conn.gamma - ref)) <= 1e-12 * np.max(np.abs(conn.gamma))
+        rep = connection_identity_suite(m, conn, g)
+        assert rep["metric_compatibility"] <= 1e-12
+        assert rep["torsion_free"] <= 1e-12
+
+
 def test_degenerate_metric_rejected():
     m = LieModel(c=np.zeros((3, 3, 3)))
     with pytest.raises(DegenerateMetric):
@@ -138,3 +175,7 @@ def test_signature_and_metric_tensor(model_5d):
         MetricTensor.from_matrix(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(DegenerateMetric):
         MetricTensor.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # a non-finite entry fails both guards instead of slipping past them
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateMetric):
+            MetricTensor.from_matrix(np.diag([1.0, bad, 1.0]))
