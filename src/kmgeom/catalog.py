@@ -14,6 +14,7 @@
   tangent bundle of a constant-curvature-c space (constants only, no model).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,31 +201,28 @@ STANDARD_FAMILY_PARAMS = {
 }
 
 
+# name -> constructor, in the order of ``catalog list``; "family-3d" takes
+# explicit (lambda, d), the others no argument
+_ENTRIES = {
+    "nilpotent-h-5d": nilpotent_h_5d,
+    "heisenberg-3d": heisenberg_3d,
+    "family-3d": family_3d,
+    **{name: functools.partial(family_3d, *p) for name, p in STANDARD_FAMILY_PARAMS.items()},
+    "broken-jacobi-3d": broken_jacobi_3d,
+    "scaled-metric-3d": scaled_metric_invalid_3d,
+}
+
+
 def list_entries() -> list[str]:
     """Names accepted by :func:`get_entry` (family-3d also takes explicit parameters)."""
-    return [
-        "nilpotent-h-5d",
-        "heisenberg-3d",
-        "family-3d",
-        *STANDARD_FAMILY_PARAMS,
-        "broken-jacobi-3d",
-        "scaled-metric-3d",
-    ]
+    return list(_ENTRIES)
 
 
 def get_entry(name: str, lam: float | None = None, d: float | None = None) -> CatalogEntry:
-    if name == "nilpotent-h-5d":
-        return nilpotent_h_5d()
-    if name == "heisenberg-3d":
-        return heisenberg_3d()
-    if name == "broken-jacobi-3d":
-        return broken_jacobi_3d()
-    if name == "scaled-metric-3d":
-        return scaled_metric_invalid_3d()
-    if name == "family-3d":
-        if lam is None or d is None:
-            raise NonPositiveLambda("family-3d requires --lambda and --d")
-        return family_3d(lam, d)
-    if name in STANDARD_FAMILY_PARAMS:
-        return family_3d(*STANDARD_FAMILY_PARAMS[name])
-    raise KeyError(f"unknown catalog entry {name!r}; see list_entries()")
+    if name not in _ENTRIES:
+        raise KeyError(f"unknown catalog entry {name!r}; see list_entries()")
+    if name != "family-3d":
+        return _ENTRIES[name]()
+    if lam is None or d is None:
+        raise NonPositiveLambda("family-3d requires --lambda and --d")
+    return family_3d(lam, d)

@@ -111,7 +111,7 @@ def _construction(build, *args, **kwargs) -> dict:
     """The report of ``build(*args, **kwargs)``, or the reason it does not apply."""
     try:
         return build(*args, **kwargs).to_dict()
-    except (InvariantTooSmall, SasakianDegenerate, SasakianOrInvalid) as exc:
+    except (InvariantTooSmall, NotNullity, SasakianDegenerate, SasakianOrInvalid) as exc:
         return {"error": str(exc)}
 
 

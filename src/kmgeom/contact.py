@@ -73,6 +73,13 @@ class MetricStructure:
             h.flags.writeable = False
             object.__setattr__(self, "h", h)
 
+    @classmethod
+    def compatible(cls, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray):
+        """The structure of ``phi`` on the contact model (model, eta) with its compatible
+        metric g = -eps d eta(., phi .) + eta (x) eta, eps that of the class."""
+        g = -cls.eps * d_one_form(model, eta) @ phi + np.outer(eta, eta)
+        return cls(model, phi, xi, eta, g)
+
     @property
     def dim(self) -> int:
         return self.model.dim

@@ -197,6 +197,16 @@ def classify_class(
     return pang_tag
 
 
+def _frame(
+    l1: LegendreDistribution, l2: LegendreDistribution, xi: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frame {L1, L2, xi} as columns, and its inverse; NotTransversal unless it spans."""
+    frame = np.column_stack([l1.vectors.T, l2.vectors.T, xi[:, None]])
+    if not abs(np.linalg.det(frame)) > tol:
+        raise NotTransversal("span(L1, L2, xi) has rank below the model dimension")
+    return frame, np.linalg.inv(frame)
+
+
 def libermann_map(
     s: ContactMetricStructure | ParacontactMetricStructure,
     ld: LegendreDistribution,
@@ -212,7 +222,6 @@ def libermann_map(
     if abs(np.linalg.det(pi)) <= tol:
         raise DegeneratePang("Pang form is singular; no Libermann map")
     model, eta, xi = s.model, s.eta, s.xi
-    dim = model.dim
     deta = d_one_form(model, eta)
 
     n = ld.n
@@ -221,15 +230,10 @@ def libermann_map(
     rhs = other.vectors @ deta @ ld.vectors.T
     images = np.linalg.solve(pi.T, rhs.T).T @ ld.vectors
 
-    # assemble the full endomorphism in the model basis
-    basis_change = np.column_stack([ld.vectors.T, other.vectors.T, xi[:, None]])
-    if abs(np.linalg.det(basis_change)) <= tol:
-        raise NotTransversal("distributions plus Reeb vector do not span")
-    lam_in_frame = np.zeros((dim, dim))
-    # columns n..2n-1 (the `other` block) map to the solved images
-    coords = np.linalg.solve(basis_change, images.T)  # images expressed in the frame
-    lam_in_frame[:, n : 2 * n] = coords
-    lam_op = basis_change @ lam_in_frame @ np.linalg.inv(basis_change)
+    # the full endomorphism in the model basis: it maps the `other` block of
+    # the frame to the solved images and kills the rest
+    _, frame_inv = _frame(ld, other, xi, tol)
+    lam_op = images.T @ frame_inv[n : 2 * n]
 
     sq = max_abs(lam_op @ lam_op)
     if not sq <= 10 * tol:
@@ -266,15 +270,10 @@ def psi_to_paracontact(
     g~ = d eta(., phi~ .) + eta (x) eta.
     """
     xi = reeb_vector(model, eta, tol)
-    frame = np.column_stack([l1.vectors.T, l2.vectors.T, xi[:, None]])
-    if abs(np.linalg.det(frame)) <= tol:
-        raise NotTransversal("span(L1, L2, xi) has rank below the model dimension")
+    frame, frame_inv = _frame(l1, l2, xi, tol)
     n = l1.n
-    diag = np.diag([1.0] * n + [-1.0] * n + [0.0])
-    phi_t = frame @ diag @ np.linalg.inv(frame)
-    deta = d_one_form(model, eta)
-    g_t = deta @ phi_t + np.outer(eta, eta)
-    return ParacontactMetricStructure(model=model, phi_t=phi_t, xi=xi, eta=eta, g_t=g_t)
+    phi_t = frame[:, :n] @ frame_inv[:n] - frame[:, n : 2 * n] @ frame_inv[n : 2 * n]
+    return ParacontactMetricStructure.compatible(model, phi_t, xi, eta)
 
 
 def bilegendrian_connection(
@@ -304,8 +303,7 @@ def bilegendrian_connection(
     deta = d_one_form(model, eta)
 
     report = ResidualReport(tol=tol)
-    frame = np.column_stack([l1.vectors.T, l2.vectors.T, xi[:, None]])
-    frame_inv = np.linalg.inv(frame)
+    frame, frame_inv = _frame(l1, l2, xi, tol)
     n = l1.n
 
     def off_block(vectors: np.ndarray, block: slice) -> np.ndarray:
@@ -322,8 +320,8 @@ def bilegendrian_connection(
     report.add(
         "torsion_mixed_pair", on_pairs(tors - 2.0 * form_xy(deta, xi), l1.vectors, l2.vectors)
     )
-    proj1 = frame @ np.diag([1.0] * n + [0.0] * n + [0.0]) @ frame_inv
-    proj2 = frame @ np.diag([0.0] * n + [1.0] * n + [0.0]) @ frame_inv
+    proj1 = frame[:, :n] @ frame_inv[:n]
+    proj2 = frame[:, n : 2 * n] @ frame_inv[n : 2 * n]
     ad_xi = model.ad(xi)
     expected = proj2 @ ad_xi @ proj1 + proj1 @ ad_xi @ proj2  # column i: expected T(e_i, xi)
     report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, _structure_constants
 from .contact import ContactMetricStructure, MetricStructure
 from .errors import ModelFormatError
 from .lie_model import LieModel
@@ -42,7 +42,6 @@ class ModelDocument:
 
 
 def _parse_brackets(dim: int, entries: list) -> np.ndarray:
-    c = np.zeros((dim, dim, dim))
     seen: dict[tuple[int, int], dict[int, float]] = {}
     for entry in entries:
         try:
@@ -58,20 +57,13 @@ def _parse_brackets(dim: int, entries: list) -> np.ndarray:
                 raise ModelFormatError(f"[e_{i + 1}, e_{i + 1}] must vanish")
             continue
         key, signed = ((i, j), coeffs) if i < j else ((j, i), {k: -v for k, v in coeffs.items()})
-        if key in seen:
-            if any(abs(seen[key].get(k, 0.0) - v) > 1e-12 for k, v in signed.items()) or any(
-                abs(v - signed.get(k, 0.0)) > 1e-12 for k, v in seen[key].items()
-            ):
-                raise ModelFormatError(
-                    f"inconsistent duplicate bracket for pair ({key[0] + 1}, {key[1] + 1})"
-                )
-            continue
-        seen[key] = signed
-    for (i, j), coeffs in seen.items():
-        for k, v in coeffs.items():
-            c[i, j, k] = v
-            c[j, i, k] = -v
-    return c
+        if key in seen and any(abs(seen[key].get(k, 0.0) - signed.get(k, 0.0)) > 1e-12
+                               for k in seen[key].keys() | signed.keys()):
+            raise ModelFormatError(
+                f"inconsistent duplicate bracket for pair ({key[0] + 1}, {key[1] + 1})"
+            )
+        seen.setdefault(key, signed)  # a consistent duplicate keeps the first entry
+    return _structure_constants(dim, seen)
 
 
 def _parse_structure(model: LieModel, block: dict):

@@ -27,7 +27,6 @@ from .contact import (
     MetricStructure,
     NullityReport,
     _tw_parallel,
-    boeckx_invariant,
     nullity_fit,
     validate_contact,
 )
@@ -60,15 +59,16 @@ class TowerNode:
     """One structure in the derived sequence, with its freshly fitted constants."""
 
     index: int
-    kind: str  # "contact" | "paracontact"
-    phi: np.ndarray
-    G: np.ndarray
     kappa: float
     mu: float
     fit_residual: float
     structure: MetricStructure
     tw_parallel: bool = False
     checks: ResidualReport | None = None
+
+    kind = property(lambda self: self.structure.kind)  # "contact" | "paracontact"
+    phi = property(lambda self: self.structure.phi)
+    G = property(lambda self: self.structure.g)
 
     def to_dict(self) -> dict:
         return {
@@ -88,12 +88,13 @@ class TowerNode:
 class SasakianPackage:
     """A compatible Sasakian structure plus the anti-hypercomplex triple on ker(eta)."""
 
-    phi_bar: np.ndarray
-    g_bar: np.ndarray
     sign: str  # "+" for I_M > 1, "-" for I_M < -1
     triple: tuple[np.ndarray, np.ndarray, np.ndarray]  # (I1, I2, I3) with I2 I3 = I1
     structure: ContactMetricStructure
     checks: ResidualReport
+
+    phi_bar = property(lambda self: self.structure.phi)
+    g_bar = property(lambda self: self.structure.g)
 
     def to_dict(self) -> dict:
         return {"sign": self.sign, "checks": self.checks.to_dict()}
@@ -139,15 +140,19 @@ def _require_non_sasakian(report: NullityReport, tol: float) -> None:
         raise SasakianDegenerate("mu indeterminate (h = 0); no derived structure")
 
 
-def _tower_branch(report: NullityReport, tol: float) -> tuple[float, float]:
-    """(I_M, eps) of a non-Sasakian nullity space: eps = +1 when |I_M| < 1 (the
-    next node is contact), -1 when |I_M| > 1 (paracontact); no tower exists
-    within INVARIANT_GUARD of |I_M| = 1."""
+def _step(report: NullityReport, k: int, tol: float) -> tuple[float, float]:
+    """(eps, root) of tower node k >= 1 of a non-Sasakian nullity space, built as
+    phi_k = (1/2) L_xi phi_{k-1} / root: paracontact (eps = -1) at odd k; at even k
+    contact (+1) when |I_M| < 1, paracontact when |I_M| > 1.  root = sqrt(1 - kappa)
+    at k = 1, else sqrt(|delta|); nodes k >= 2 need |I_M| outside 1 +- INVARIANT_GUARD."""
     _require_non_sasakian(report, tol)
-    inv = boeckx_invariant(report.kappa, report.mu, tol)
+    if k == 1:
+        return -1.0, np.sqrt(1.0 - report.kappa)
+    inv = report.boeckx
     if abs(abs(inv) - 1.0) <= INVARIANT_GUARD:
         raise DegenerateInvariant(f"|I_M| = {abs(inv)}: the sequence is undefined")
-    return inv, (1.0 if abs(inv) < 1.0 else -1.0)
+    branch = 1.0 if abs(inv) < 1.0 else -1.0
+    return (branch if k % 2 == 0 else -1.0), np.sqrt(-branch * _delta(report.kappa, report.mu))
 
 
 def _phi_bar(s: ContactMetricStructure, report: NullityReport) -> np.ndarray:
@@ -171,10 +176,9 @@ def canonical_paracontact(
     * the covariant-derivative identities for phi~ and h~;
     * the fitted constants against (kappa - 2 + (1 - mu/2)^2, 2).
     """
-    _require_non_sasakian(report, tol)
+    eps, root = _step(report, 1, tol)
     kappa, mu = report.kappa, report.mu
-    root = np.sqrt(1.0 - kappa)
-    node = _derived_node(s, root, -1.0, report, tol, 1)
+    node = _derived_node(s, root, eps, report, tol, 1)
     st, checks = node.structure, node.checks
     lie_phi = 0.5 * lie_derivative_endo(s.model, s.xi, s.phi) / root
     checks.add("normalized_lie_derivative", st.phi - lie_phi)
@@ -268,18 +272,16 @@ def derive_next(
       h~_1 = -sqrt(I_M^2 - 1) h, plus the Levi-Civita relation between g~ and
       g~_1 and the derived covariant identities.
     """
-    inv, eps = _tower_branch(parent, tol)
-    kappa, mu = parent.kappa, parent.mu
-    root = np.sqrt(-eps * _delta(kappa, mu))
+    eps, root = _step(parent, 2, tol)
     node = _derived_node(st, root, eps, parent, tol, index)
     s1, checks = node.structure, node.checks
-    h_parent = np.sqrt(1.0 - kappa) * st.phi
+    h_parent = np.sqrt(1.0 - parent.kappa) * st.phi
     if eps > 0:
         checks.add("metric_positive_definite", checks["riemannian_signature"],
                    note=checks.notes["riemannian_signature"])
-        checks.add("h_proportionality", s1.h - np.sqrt(1.0 - inv**2) * h_parent)
+        checks.add("h_proportionality", s1.h - np.sqrt(1.0 - parent.boeckx**2) * h_parent)
     else:
-        checks.add("h_proportionality", s1.h + np.sqrt(inv**2 - 1.0) * h_parent)
+        checks.add("h_proportionality", s1.h + np.sqrt(parent.boeckx**2 - 1.0) * h_parent)
         # nabla1_X Y = nabla~_X Y + eta(X)(phi~ Y - h~ Y / root) + eta(Y)(phi~ X - h~ X / root)
         #              + [ root (g~(X,Y) - eta(X) eta(Y)) + g~(X, phi~ h~ Y) ] xi
         form = root * (st.g - np.outer(st.eta, st.eta)) + st.g @ st.phi @ st.h
@@ -295,22 +297,19 @@ def _derived_node(
 ) -> TowerNode:
     """Tower node ``index``, built from the structure ``prev`` before it.
 
-    phi = (1/2) L_xi phi_prev / root and g = -eps d eta(., phi .) + eta (x) eta
-    give a contact node (eps = +1) or a paracontact node (eps = -1).  It is
+    phi = (1/2) L_xi phi_prev / root with its compatible metric gives a
+    contact node (eps = +1) or a paracontact node (eps = -1).  It is
     validated and freshly fitted, and its constants are compared with those
     predicted from the (kappa, mu) of the contact structure ``parent``:
     (kappa + (1 - mu/2)^2, 2) for a contact node, (kappa - 2 + (1 - mu/2)^2, 2)
-    for a paracontact one.  A node equal to an earlier one of ``tower`` shares
-    its structure, so the connection and the fit are not computed again.
+    for a paracontact one.  A node whose kind, phi and g match an earlier one of
+    ``tower`` to within ``tol`` shares its structure: no second connection or fit.
     """
-    eta = prev.eta
-    phi = prev.h / root
-    g = -eps * prev.d_eta() @ phi + np.outer(eta, eta)
     cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
-    s = cls(prev.model, phi, prev.xi, eta, g)
-    for n in tower:
-        if n.kind == s.kind and np.array_equal(n.phi, phi) and np.array_equal(n.G, g):
-            s = n.structure
+    s = cls.compatible(prev.model, prev.h / root, prev.xi, prev.eta)
+    same = (n.structure for n in tower
+            if n.kind == s.kind and max_abs(n.phi - s.phi) <= tol and max_abs(n.G - s.g) <= tol)
+    s = next(same, s)
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(s, tol))
     node = _node(index, s, nullity_fit(s, tol), tol, checks)
@@ -324,9 +323,6 @@ def _node(index: int, s: MetricStructure, fit, tol: float, checks=None) -> Tower
     """The tower node of structure ``s`` with its nullity ``fit``."""
     return TowerNode(
         index=index,
-        kind=s.kind,
-        phi=s.phi,
-        G=s.g,
         kappa=fit.kappa,
         mu=fit.mu,
         fit_residual=fit.residual,
@@ -351,13 +347,10 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     """
     fit0 = nullity_fit(s, tol)
     nodes = [_node(0, s, fit0, tol)]
-    if n_nodes <= 1:
-        return nodes
-    _, branch = _tower_branch(fit0, tol)  # the sign of the nodes at even indices
-    kappa, mu = fit0.kappa, fit0.mu
+    if n_nodes > 1:
+        _step(fit0, 2, tol)  # no tower at |I_M| = 1: reject it before node 1 is built
     for k in range(1, n_nodes):
-        eps = branch if k % 2 == 0 else -1.0
-        root = np.sqrt(1.0 - kappa) if k == 1 else np.sqrt(-branch * _delta(kappa, mu))
+        eps, root = _step(fit0, k, tol)
         node = _derived_node(nodes[-1].structure, root, eps, fit0, tol, k, nodes)
         if not node.checks.valid:
             raise InternalInconsistency(
@@ -369,7 +362,7 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
 
 def _require_large_invariant(report: NullityReport, tol: float) -> float:
     _require_non_sasakian(report, tol)
-    inv = boeckx_invariant(report.kappa, report.mu, tol)
+    inv = report.boeckx
     if abs(inv) <= 1.0 + INVARIANT_GUARD:
         raise InvariantTooSmall(f"|I_M| = {abs(inv)} <= 1: construction undefined")
     return inv
@@ -486,8 +479,7 @@ def sasakian_structure(
     inv = _require_large_invariant(report, tol)
     sign = 1.0 if inv > 1.0 else -1.0
     phi_bar = sign * _phi_bar(s, report)
-    g_bar = -s.d_eta() @ phi_bar + np.outer(s.eta, s.eta)
-    sbar = ContactMetricStructure(model=s.model, phi=phi_bar, xi=s.xi, eta=s.eta, g=g_bar)
+    sbar = ContactMetricStructure.compatible(s.model, phi_bar, s.xi, s.eta)
 
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(sbar, tol))
@@ -515,8 +507,6 @@ def sasakian_structure(
     checks.add("triple_product", (i2 @ i3 - i1) @ proj)
     checks.add("triple_anticommute", (i2 @ i3 + i3 @ i2) @ proj)
     return SasakianPackage(
-        phi_bar=phi_bar,
-        g_bar=g_bar,
         sign="+" if sign > 0 else "-",
         triple=triple,
         structure=sbar,

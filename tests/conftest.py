@@ -64,6 +64,21 @@ def twisted_contact_3d(a=1.0, r=1.0) -> ContactMetricStructure:
     )
 
 
+def rebased(s: ContactMetricStructure, p: np.ndarray) -> ContactMetricStructure:
+    """The same structure in the basis f_a = sum_i p[i, a] e_i (p invertible), with the
+    structure constants antisymmetrized and the metric symmetrized after the change."""
+    p_inv = np.linalg.inv(p)
+    c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, p_inv)
+    g = p.T @ s.g @ p
+    return ContactMetricStructure(
+        model=LieModel(c=0.5 * (c - c.transpose(1, 0, 2))),
+        phi=p_inv @ s.phi @ p,
+        xi=p_inv @ s.xi,
+        eta=s.eta @ p,
+        g=0.5 * (g + g.T),
+    )
+
+
 def heisenberg_model(dim, kind="contact"):
     """H_dim with [X_i, Y_i] = 2 xi on the basis (X_1..X_n, Y_1..Y_n, xi).
 

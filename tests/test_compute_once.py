@@ -69,9 +69,13 @@ def _count_calls(monkeypatch) -> tuple[dict, set, dict]:
          {"levi_civita": 4, "canonical_paracontact": 1, "derive_next": 1,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
           "_kernel_basis": 4}),
+        # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its structure
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
-         {"levi_civita": 6, "nijenhuis_tensor": 1, "eigendistributions": 1,
-          "nijenhuis_norm": 1, "_kernel_basis": 6}),
+         {"levi_civita": 3, "nijenhuis_tensor": 1, "eigendistributions": 1,
+          "nijenhuis_norm": 1, "_kernel_basis": 3}),
+        # class I: every node from 1 on is paracontact, and node 5 is node 1
+        (family_3d(1.0, 2.0), ["derive", "--steps", "6"],
+         {"levi_civita": 5, "nijenhuis_tensor": 1, "nijenhuis_norm": 1, "_kernel_basis": 5}),
         # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
         (family_3d(1.0, 0.0), ["derive", "--steps", "6"],
          {"levi_civita": 2, "nijenhuis_tensor": 1, "nijenhuis_norm": 1, "_kernel_basis": 2}),
@@ -79,7 +83,8 @@ def _count_calls(monkeypatch) -> tuple[dict, set, dict]:
          {"levi_civita": 1, "canonical_pc_connection": 1, "nijenhuis_tensor": 1,
           "nijenhuis_norm": 0, "_kernel_basis": 1}),
     ],
-    ids=["class-I-analyze", "class-II-derive", "class-II-mu-2-derive", "nilpotent-h-5d-analyze"],
+    ids=["class-I-analyze", "class-II-derive", "class-I-derive", "class-II-mu-2-derive",
+         "nilpotent-h-5d-analyze"],
 )
 def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv, expected):
     path = tmp_path / "model.json"

@@ -156,6 +156,14 @@ def test_psi_rejects_non_transversal_pair():
         psi_to_paracontact(s.model, d_pos, d_pos, s.eta)
 
 
+def test_bilegendrian_connection_rejects_non_transversal_pair():
+    s = family(1.0, 0.0)
+    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
+    with pytest.raises(NotTransversal):
+        bilegendrian_connection(st, d_pos, d_pos)
+
+
 def test_bilegendrian_connection_parallelism():
     s = family(1.0, 0.0)
     fit = nullity_fit(s)

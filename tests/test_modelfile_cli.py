@@ -198,6 +198,28 @@ def test_cli_sasakian_and_legendre3(tmp_path, capsys):
     assert payload["legendre3"]["checks"]["valid"]
 
 
+def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
+    # family-3d(1, 2) in a basis of condition number 1e2: a class-I nullity
+    # space (fit residual 5.6e-10), whose Sasakian partner's fit misses the
+    # 1e-9 gate by roundoff (2.7e-9); the report keeps the structure's own verdict
+    from kmgeom.catalog import CatalogEntry
+    from conftest import rebased
+
+    p = np.array([
+        [-2.767607356654867, 2.4921399063025014, 7.24083077801514],
+        [-0.10227472896429135, 0.038814206225568644, -0.20694048506778487],
+        [-1.4856411127181344, 0.7735698326462813, 5.643547379266397],
+    ])
+    s = rebased(family_3d(1.0, 2.0).structure, p)
+    path = tmp_path / "rebased.json"
+    path.write_text(modelfile.dumps_entry(CatalogEntry(name="rebased", model=s.model, structure=s)))
+    assert main(["analyze", str(path), "--sasakian", "--legendre3", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    assert payload["nullity"]["class"] == "I"
+    assert "nullity condition" in payload["sasakian_construction"]["error"]
+
+
 def test_cli_sasakian_reports_error_inside_unit_band(tmp_path, capsys):
     path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "0")
     assert main(["analyze", path, "--sasakian"]) == 0  # reported, not fatal

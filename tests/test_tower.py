@@ -23,7 +23,7 @@ from kmgeom.tower import (
     sequence,
 )
 
-from conftest import family
+from conftest import family, rebased
 
 
 @pytest.mark.parametrize(
@@ -130,6 +130,21 @@ def test_sequence_rejects_boundary_and_sasakian(sasakian_fixture):
         sequence(family(1.0, 1.0), 3)
     with pytest.raises(SasakianDegenerate):
         sequence(sasakian_fixture, 2)
+
+
+def test_sequence_reuses_nodes_equal_up_to_roundoff():
+    # family-3d(1, 0.5) in a basis of condition number 1e2: node k + 2 equals
+    # node k (k >= 1) only up to roundoff, and a node rebuilt from scratch here
+    # fails its validation gate (phi_square 1.5e-9 at node 4)
+    p = np.array([
+        [-0.15844325593339695, -1.476435522247183, 1.517580114569407],
+        [-1.9582269570752229, -6.711552248682561, 2.340072929153007],
+        [-1.6217339412800236, -5.9681748924593885, 1.9741641876780083],
+    ])
+    nodes = sequence(rebased(family(1.0, 0.5), p), 6)
+    assert [n.kind for n in nodes] == ["contact", "paracontact"] * 3
+    for k, earlier in ((3, 1), (4, 2), (5, 1)):
+        assert nodes[k].structure is nodes[earlier].structure
 
 
 def test_constants_two_periodic_on_grid():
