@@ -8,7 +8,8 @@ Subcommands:
   full report (axioms, nullity fit, class, identity suites); never fails on
   structures that are merely not nullity spaces (reported instead).
 * ``derive <model.json> --steps N``: the derived structure sequence; exit 3
-  when the Boeckx invariant sits on the degenerate |I_M| = 1 boundary, exit 1
+  when N >= 3 and the Boeckx invariant sits on the degenerate |I_M| = 1
+  boundary (N <= 2 gives nodes 0 and 1 there), exit 1
   (after the analyze report) when the structure is not a nullity space.
 * ``catalog list`` / ``catalog emit <name> [--lam --d] [--c] [--out path]``:
   built-in fixtures in the model file format.

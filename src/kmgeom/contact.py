@@ -18,7 +18,8 @@ phi^2 = -eps (I - eta (x) xi) and share one base, :class:`MetricStructure`,
 one validator, :func:`validate_contact`, and one nullity fit,
 :func:`nullity_fit`, whose :class:`NullityReport` carries the Boeckx
 invariant and class of a contact structure or the spectral type of a
-paracontact h~.
+paracontact h~, and one eps-signed (kappa, mu) identity suite,
+:func:`blair_identity_suite`.
 """
 
 from dataclasses import dataclass, field
@@ -413,38 +414,49 @@ def nullity_fit(s: MetricStructure, tol: float = DEFAULT_TOL) -> NullityReport:
     )
 
 
+def nabla_phi_closed_form(s: MetricStructure, h: np.ndarray | float) -> np.ndarray:
+    """(nabla_X phi) Y = eps [g(X + eps hX, Y) xi - eta(Y)(X + eps hX)] at [i, j, :].
+
+    The Levi-Civita derivative of phi on a (kappa, mu)-space of either sign,
+    written with g(X, (I + eps h) Y) (h is g-symmetric); ``h = 0`` gives that of a
+    Sasakian (eps = +1) or para-Sasakian (eps = -1) structure.
+    """
+    a = np.eye(s.dim) + s.eps * h
+    return s.eps * (form_xy(s.g @ a, s.xi) - eta_y(s.eta, a))
+
+
 def blair_identity_suite(
-    s: ContactMetricStructure, kappa: float, mu: float, tol: float = DEFAULT_TOL
+    s: MetricStructure, kappa: float, mu: float, tol: float = DEFAULT_TOL
 ) -> ResidualReport:
-    """Covariant-derivative identities of a (kappa, mu)-space.
+    """Covariant-derivative identities of a contact (eps = +1) or paracontact
+    (eps = -1) (kappa, mu)-space, in Blair's eps-signed form.
 
     Checks, over all basis pairs (X, Y):
 
-    * (nabla_X phi) Y = g(X, Y + hY) xi - eta(Y)(X + hX)
-    * (nabla_X h) Y   = ((1-kappa) g(X, phi Y) + g(X, phi h Y)) xi
-                        + eta(Y) h(phi X + phi h X) - mu phi h Y
-    * (nabla_X phi h) Y = (g(X, hY) - (1-kappa) g(X, phi^2 Y)) xi
-                          + eta(Y)(hX - (1-kappa) phi^2 X) + mu eta(X) hY
-    * h^2 = (kappa - 1) phi^2
+    * (nabla_X phi) Y = eps [g(X + eps hX, Y) xi - eta(Y)(X + eps hX)]
+    * (nabla_X h) Y   = g(X, (eps - kappa) phi Y + h phi Y) xi
+                        + eta(Y)(h phi X - (eps - kappa) phi X) - mu eta(X) phi h Y
+    * (nabla_X phi h) Y = g(X, eps hY + (kappa - eps) phi^2 Y) xi
+                          + eta(Y)(eps hX + (kappa - eps) phi^2 X) + eps mu eta(X) hY
+    * h^2 = (kappa - eps) phi^2
     * nabla_xi h = mu h phi
     """
     report = ResidualReport(tol=tol)
-    phi, xi, eta, g, h = s.phi, s.xi, s.eta, s.g, s.h
+    eps, phi, xi, eta, g, h = s.eps, s.phi, s.xi, s.eta, s.g, s.h
     conn = s.levi_civita(tol)
-    ident = np.eye(s.dim)
     phih = phi @ h
     phi2 = phi @ phi
     d_h = conn.nabla_endo_all(h)
 
-    rhs1 = form_xy(g @ (ident + h), xi) - eta_y(eta, ident + h)
-    rhs2 = form_xy(g @ ((1 - kappa) * phi + h @ phi), xi)
-    rhs2 += eta_y(eta, h @ (phi + phih)) - mu * eta_x(eta, phih)
-    rhs3 = form_xy(g @ (h - (1 - kappa) * phi2), xi)
-    rhs3 += eta_y(eta, h - (1 - kappa) * phi2) + mu * eta_x(eta, h)
-    report.add("nabla_phi_identity", s.nabla_phi(tol) - rhs1)
+    rhs2 = form_xy(g @ ((eps - kappa) * phi + h @ phi), xi)
+    # h phi X - (eps - kappa) phi X = h (phi X + eps phi h X), by h^2 = (kappa - eps) phi^2
+    rhs2 += eta_y(eta, h @ (phi + eps * phih)) - mu * eta_x(eta, phih)
+    rhs3 = form_xy(g @ (eps * h - (eps - kappa) * phi2), xi)
+    rhs3 += eta_y(eta, eps * h - (eps - kappa) * phi2) + eps * mu * eta_x(eta, h)
+    report.add("nabla_phi_identity", s.nabla_phi(tol) - nabla_phi_closed_form(s, h))
     report.add("nabla_h_identity", d_h - rhs2)
     report.add("nabla_phi_h_identity", conn.nabla_endo_all(phih) - rhs3)
-    report.add("h_square_identity", h @ h - (kappa - 1) * phi2)
+    report.add("h_square_identity", h @ h - (kappa - eps) * phi2)
     # rows (nabla_xi h) e_j against the columns of mu h phi
     report.add("nabla_xi_h_identity", np.tensordot(xi, d_h, 1) - mu * (h @ phi).T)
     return report

@@ -128,20 +128,17 @@ def dumps_entry(entry: CatalogEntry) -> str:
     """Serialize a catalog entry in the model file format."""
     model = entry.model
     s = entry.structure
-    brackets = []
     dim = model.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coeffs = {
-                str(k + 1): model.c[i, j, k] for k in range(dim) if abs(model.c[i, j, k]) > 0
-            }
-            if coeffs:
-                brackets.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
+    # the nonzero c[i, j, k] with i < j, in (i, j, k) order
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)[:, :, None] & (np.abs(model.c) > 0)
+    coeffs = {}
+    for i, j, k in zip(*(idx.tolist() for idx in np.nonzero(upper))):
+        coeffs.setdefault((i, j), {})[str(k + 1)] = model.c[i, j, k]
     doc = {
         "name": entry.name,
         "dim": dim,
         "basis_labels": list(model.labels()),
-        "brackets": brackets,
+        "brackets": [{"i": i + 1, "j": j + 1, "coeffs": cs} for (i, j), cs in coeffs.items()],
         "structure": {
             "kind": s.kind,
             "phi": s.phi.tolist(),

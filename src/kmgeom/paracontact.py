@@ -24,6 +24,7 @@ import numpy as np
 from .contact import (  # noqa: F401 (h_square_scalar, spectral_type: public here too)
     MetricStructure,
     h_square_scalar,
+    nabla_phi_closed_form,
     nullity_fit,
     spectral_type,
     validate_contact,
@@ -98,8 +99,8 @@ def _pc_connection(
         report.add("parallel_metric", conn.nabla_bilinear_all(g))
         nabla_phi = conn.nabla_endo_all(phi)
         nabla_phi.flags.writeable = False
-        rhs = s.nabla_phi(tol) - eta_y(eta, ident - h) + form_xy((ident - h).T @ g, xi)
-        report.add("phi_derivative_identity", nabla_phi - rhs)
+        report.add("phi_derivative_identity",
+                   nabla_phi - (s.nabla_phi(tol) - nabla_phi_closed_form(s, h)))
 
         tors = conn.torsion(m)
         t_xi = np.tensordot(xi, tors, 1)  # [j, :] = T(xi, e_j)
@@ -139,14 +140,14 @@ def integrability_and_parasasaki(
             f"nabla^pc phi~ residual {worst_pc:.3e}"
         )
 
-    ident = np.eye(s.dim)
-    # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X
-    ps = max_abs(s.nabla_phi(tol) + form_xy(s.g_t, xi) - eta_y(eta, ident))
+    # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X, the closed form at h~ = 0
+    ps = max_abs(s.nabla_phi(tol) - nabla_phi_closed_form(s, 0.0))
     para_sasakian = ps <= tol
     curv_res = None
     if para_sasakian:
         # curvature consequence R~_{XY} xi = -(eta(Y) X - eta(X) Y), i.e. the
         # kappa~ = -1 nullity form that the covariant condition forces
+        ident = np.eye(s.dim)
         curv_res = max_abs(s.curvature_xi(tol) + eta_y(eta, ident) - eta_x(eta, ident))
 
     return {

@@ -18,7 +18,7 @@ every step:
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .contact import (
     MetricStructure,
     NullityReport,
     _tw_parallel,
+    blair_identity_suite,
     nullity_fit,
     validate_contact,
 )
@@ -59,16 +60,17 @@ class TowerNode:
     """One structure in the derived sequence, with its freshly fitted constants."""
 
     index: int
-    kappa: float
-    mu: float
-    fit_residual: float
     structure: MetricStructure
+    fit: NullityReport
     tw_parallel: bool = False
     checks: ResidualReport | None = None
 
     kind = property(lambda self: self.structure.kind)  # "contact" | "paracontact"
     phi = property(lambda self: self.structure.phi)
     G = property(lambda self: self.structure.g)
+    kappa = property(lambda self: self.fit.kappa)
+    mu = property(lambda self: self.fit.mu)
+    fit_residual = property(lambda self: self.fit.residual)
 
     def to_dict(self) -> dict:
         return {
@@ -173,13 +175,13 @@ def canonical_paracontact(
     * the closed forms 2 sqrt(1-kappa) h~ = (2 - mu) phi h + 2 (1-kappa) phi
       and h~^2 = (1 - kappa - (1 - mu/2)^2) phi^2;
     * the relation between the two Levi-Civita connections;
-    * the covariant-derivative identities for phi~ and h~;
+    * the (kappa, mu) identity suite of (phi~, h~) at the fitted constants;
     * the fitted constants against (kappa - 2 + (1 - mu/2)^2, 2).
     """
-    eps, root = _step(report, 1, tol)
-    kappa, mu = report.kappa, report.mu
-    node = _derived_node(s, root, eps, report, tol, 1)
+    node = _derived_node(s, 1, report, tol)
     st, checks = node.structure, node.checks
+    kappa, mu = report.kappa, report.mu
+    _, root = _step(report, 1, tol)
     lie_phi = 0.5 * lie_derivative_endo(s.model, s.xi, s.phi) / root
     checks.add("normalized_lie_derivative", st.phi - lie_phi)
     checks.add(
@@ -199,7 +201,7 @@ def canonical_paracontact(
     form -= s.levi_civita(tol).gamma @ s.eta
     checks.add("levi_civita_relation",
                _levi_civita_relation(s, st, (mu / 2.0) * phi - h / root, form, tol))
-    _add_structure_derivative_checks(checks, st, tol)
+    checks.merge(blair_identity_suite(st, node.kappa, node.mu, tol))
     return st, checks
 
 
@@ -207,11 +209,13 @@ def _canonical_pair(
     s: ContactMetricStructure, report: NullityReport, tol: float
 ) -> tuple[ParacontactMetricStructure, TowerNode]:
     """The canonical paracontact structure of ``s`` and the tower node derived
-    from it, built once per (report, tol) and kept on ``s``."""
+    from it (nodes 1 and 2, without the closed-form checks of
+    :func:`canonical_paracontact` and :func:`derive_next`), built once per
+    (report, tol) and kept on ``s``."""
 
     def build():
-        st, _ = canonical_paracontact(s, report, tol)
-        return st, derive_next(st, report, tol)
+        st = _derived_node(s, 1, report, tol).structure
+        return st, _derived_node(st, 2, report, tol)
 
     return s.cached(("canonical_pair", report, tol), build)
 
@@ -232,28 +236,6 @@ def _levi_civita_relation(
     return max_abs(new.levi_civita(tol).gamma - rhs)
 
 
-def _add_structure_derivative_checks(
-    checks: ResidualReport, st: ParacontactMetricStructure, tol: float
-) -> None:
-    """Add the residuals of the nabla~ phi~ and nabla~ h~ closed forms of a
-    canonical (or tower) paracontact structure to ``checks``:
-
-        (nabla~_X phi~) Y = -g~(X - h~X, Y) xi + eta(Y)(X - h~X)
-        (nabla~_X h~) Y   = -eta(Y)(phi~ h~ X - phi~ h~^2 X)
-                            - 2 eta(X) phi~ h~ Y
-                            - g~(X, phi~ h~ Y + phi~ h~^2 Y) xi
-    """
-    lc = st.levi_civita(tol)
-    phi, h, g, eta, xi = st.phi, st.h, st.g, st.eta, st.xi
-    ident = np.eye(st.dim)
-    phih = phi @ h
-    phih2 = phih @ h
-    rhs1 = -form_xy((ident - h).T @ g, xi) + eta_y(eta, ident - h)
-    rhs2 = -eta_y(eta, phih - phih2) - 2.0 * eta_x(eta, phih) - form_xy(g @ (phih + phih2), xi)
-    checks.add("nabla_phi_tilde_identity", st.nabla_phi(tol) - rhs1)
-    checks.add("nabla_h_tilde_identity", lc.nabla_endo_all(h) - rhs2)
-
-
 def derive_next(
     st: ParacontactMetricStructure,
     parent: NullityReport,
@@ -264,19 +246,19 @@ def derive_next(
 
     ``parent`` carries the constants (kappa, mu) of the contact structure
     whose canonical paracontact structure ``st`` is; its h operator is
-    recovered as sqrt(1-kappa) phi~.
+    recovered as sqrt(1-kappa) phi~.  The node, numbered ``index``, carries the
+    (kappa, mu) identity suite of its structure at the fitted constants.
 
     * |I_M| < 1: contact node with constants (kappa + (1 - mu/2)^2, 2),
       positive-definite metric, and h_1 = sqrt(1 - I_M^2) h.
     * |I_M| > 1: paracontact node with constants (kappa - 2 + (1-mu/2)^2, 2),
       h~_1 = -sqrt(I_M^2 - 1) h, plus the Levi-Civita relation between g~ and
-      g~_1 and the derived covariant identities.
+      g~_1.
     """
-    eps, root = _step(parent, 2, tol)
-    node = _derived_node(st, root, eps, parent, tol, index)
+    node = replace(_derived_node(st, 2, parent, tol), index=index)
     s1, checks = node.structure, node.checks
     h_parent = np.sqrt(1.0 - parent.kappa) * st.phi
-    if eps > 0:
+    if s1.eps > 0:
         checks.add("metric_positive_definite", checks["riemannian_signature"],
                    note=checks.notes["riemannian_signature"])
         checks.add("h_proportionality", s1.h - np.sqrt(1.0 - parent.boeckx**2) * h_parent)
@@ -284,52 +266,41 @@ def derive_next(
         checks.add("h_proportionality", s1.h + np.sqrt(parent.boeckx**2 - 1.0) * h_parent)
         # nabla1_X Y = nabla~_X Y + eta(X)(phi~ Y - h~ Y / root) + eta(Y)(phi~ X - h~ X / root)
         #              + [ root (g~(X,Y) - eta(X) eta(Y)) + g~(X, phi~ h~ Y) ] xi
+        _, root = _step(parent, 2, tol)
         form = root * (st.g - np.outer(st.eta, st.eta)) + st.g @ st.phi @ st.h
         checks.add("levi_civita_relation",
                    _levi_civita_relation(st, s1, st.phi - st.h / root, form, tol))
-        _add_structure_derivative_checks(checks, s1, tol)
+    checks.merge(blair_identity_suite(s1, node.kappa, node.mu, tol))
     return node
 
 
 def _derived_node(
-    prev: MetricStructure, root: float, eps: float, parent: NullityReport, tol: float, index: int,
+    prev: MetricStructure, k: int, fit0: NullityReport, tol: float,
     tower: list[TowerNode] | tuple = (),
 ) -> TowerNode:
-    """Tower node ``index``, built from the structure ``prev`` before it.
+    """Tower node ``k`` >= 1 of the contact nullity space with fit ``fit0``, built
+    from the structure ``prev`` of node k - 1.
 
-    phi = (1/2) L_xi phi_prev / root with its compatible metric gives a
-    contact node (eps = +1) or a paracontact node (eps = -1).  It is
-    validated and freshly fitted, and its constants are compared with those
-    predicted from the (kappa, mu) of the contact structure ``parent``:
-    (kappa + (1 - mu/2)^2, 2) for a contact node, (kappa - 2 + (1 - mu/2)^2, 2)
-    for a paracontact one.  A node whose kind, phi and g match an earlier one of
-    ``tower`` to within ``tol`` shares its structure: no second connection or fit.
+    phi = (1/2) L_xi phi_prev / root with its compatible metric, (eps, root) from
+    :func:`_step`, gives a contact node (eps = +1) or a paracontact node
+    (eps = -1).  It is validated and freshly fitted, and its constants are
+    compared with those predicted from ``fit0``: (kappa + (1 - mu/2)^2, 2) for
+    a contact node, (kappa - 2 + (1 - mu/2)^2, 2) for a paracontact one.  A node
+    whose kind, phi and g match an earlier one of ``tower`` to within ``tol``
+    shares its structure: no second connection or fit.
     """
+    eps, root = _step(fit0, k, tol)
     cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
     s = cls.compatible(prev.model, prev.h / root, prev.xi, prev.eta)
     same = (n.structure for n in tower
             if n.kind == s.kind and max_abs(n.phi - s.phi) <= tol and max_abs(n.G - s.g) <= tol)
     s = next(same, s)
-    checks = ResidualReport(tol=tol)
-    checks.merge(validate_contact(s, tol))
-    node = _node(index, s, nullity_fit(s, tol), tol, checks)
-    predicted = parent.kappa + (eps - 1.0) + (1.0 - parent.mu / 2.0) ** 2
-    checks.add("predicted_kappa_delta", abs(node.kappa - predicted))
-    checks.add("predicted_mu_delta", abs((node.mu if node.mu is not None else 2.0) - 2.0))
-    return node
-
-
-def _node(index: int, s: MetricStructure, fit, tol: float, checks=None) -> TowerNode:
-    """The tower node of structure ``s`` with its nullity ``fit``."""
-    return TowerNode(
-        index=index,
-        kappa=fit.kappa,
-        mu=fit.mu,
-        fit_residual=fit.residual,
-        structure=s,
-        tw_parallel=_tw_parallel(fit, tol),
-        checks=checks,
-    )
+    checks = validate_contact(s, tol)
+    fit = nullity_fit(s, tol)
+    predicted = fit0.kappa + (eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
+    checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
+    checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
+    return TowerNode(k, s, fit, _tw_parallel(fit, tol), checks)
 
 
 def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) -> list[TowerNode]:
@@ -344,14 +315,14 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
       indices; every contact node is flagged Tanaka-Webster parallel.
     * |I_M| > 1: every node from index 1 on is paracontact with constants
       (kappa - 2 + (1-mu/2)^2, 2).
+    * |I_M| = 1: only nodes 0 and 1 exist; N >= 3 raises :class:`DegenerateInvariant`.
     """
     fit0 = nullity_fit(s, tol)
-    nodes = [_node(0, s, fit0, tol)]
-    if n_nodes > 1:
-        _step(fit0, 2, tol)  # no tower at |I_M| = 1: reject it before node 1 is built
+    nodes = [TowerNode(0, s, fit0, _tw_parallel(fit0, tol))]
+    if n_nodes > 2:
+        _step(fit0, 2, tol)  # no node 2 at |I_M| = 1: reject such a tower before node 1 is built
     for k in range(1, n_nodes):
-        eps, root = _step(fit0, k, tol)
-        node = _derived_node(nodes[-1].structure, root, eps, fit0, tol, k, nodes)
+        node = _derived_node(nodes[-1].structure, k, fit0, tol, nodes)
         if not node.checks.valid:
             raise InternalInconsistency(
                 f"tower node {k} failed verification: {node.checks.failures()}"
@@ -520,15 +491,15 @@ def anti_hypercomplex_and_3web(
     """Product-structure identities on ker(eta) and 3-web transversality.
 
     On the contact distribution: phi~^2 = phi~_1^2 = I, the two anticommute,
-    phi~ phi~_1 = phi-bar_-, phi~_1 phi~ = phi-bar_+, phi-bar_+ = -phi-bar_-.
+    phi~ phi~_1 = phi-bar_- and phi~_1 phi~ = phi-bar_+ (so phi-bar_+ = -phi-bar_-
+    follows from the last three).
     Transversality: every pair among the four eigendistributions
     (D(lambda), D(-lambda), D(lambda~), D(-lambda~)) spans ker(eta).
     """
     inv = _require_large_invariant(report, tol)
     st, node = _canonical_pair(s, report, tol)
     phi_t, phi_t1 = st.phi, node.phi
-    phi_bar_plus = _phi_bar(s, report)
-    phi_bar_minus = -phi_bar_plus
+    phi_bar_plus = _phi_bar(s, report)  # phi-bar_- = -phi-bar_+
     proj = s.contact_projector()
     ident = np.eye(s.dim)
 
@@ -536,9 +507,8 @@ def anti_hypercomplex_and_3web(
     report_out.add("phi_tilde_square", (phi_t @ phi_t - ident) @ proj)
     report_out.add("phi_tilde1_square", (phi_t1 @ phi_t1 - ident) @ proj)
     report_out.add("anticommutation", (phi_t @ phi_t1 + phi_t1 @ phi_t) @ proj)
-    report_out.add("product_minus", (phi_t @ phi_t1 - phi_bar_minus) @ proj)
+    report_out.add("product_minus", (phi_t @ phi_t1 + phi_bar_plus) @ proj)
     report_out.add("product_plus", (phi_t1 @ phi_t - phi_bar_plus) @ proj)
-    report_out.add("opposite_signs", (phi_bar_plus + phi_bar_minus) @ proj)
     for name, op in (("phi_bar_kills_xi", phi_bar_plus), ("phi_tilde_kills_xi", phi_t),
                      ("phi_tilde1_kills_xi", phi_t1)):
         report_out.add(name, op @ s.xi)

@@ -64,9 +64,10 @@ def _count_calls(monkeypatch) -> tuple[dict, set, dict]:
 @pytest.mark.parametrize(
     "entry, argv, expected",
     [
-        # one Nijenhuis tensor for the structure and one for its Sasakian partner
+        # one Nijenhuis tensor for the structure and one for its Sasakian partner;
+        # tower nodes 1 and 2 are built without the closed-form checks no caller reads
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
-         {"levi_civita": 4, "canonical_paracontact": 1, "derive_next": 1,
+         {"levi_civita": 4, "canonical_paracontact": 0, "derive_next": 0,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
           "_kernel_basis": 4}),
         # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its structure

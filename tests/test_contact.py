@@ -12,9 +12,11 @@ from kmgeom.contact import (
     nullity_fit,
     validate_contact,
 )
+from kmgeom.catalog import heisenberg_3d, nilpotent_h_5d
 from kmgeom.errors import NotNullity, SasakianOrInvalid
+from kmgeom.tower import canonical_paracontact, derive_next
 
-from conftest import family, twisted_contact_3d
+from conftest import CLASS_PARAMS, family, heisenberg_model, twisted_contact_3d
 
 
 def test_validate_family_class_ii():
@@ -124,6 +126,34 @@ def test_blair_identities_sasakian_specialization(sasakian_fixture):
             rhs = (basis[i] @ s.g @ basis[j]) * s.xi - s.eta[j] * basis[i]
             worst = max(worst, np.max(np.abs(d_phi @ basis[j] - rhs)))
     assert worst <= 1e-9
+
+
+def _suite_cases():
+    """(name, structure) of paracontact and derived structures: tower nodes 1 and 2
+    of each class (no node 2 at |I_M| = 1) and three paracontact models."""
+    for cls, (lam, d) in CLASS_PARAMS.items():
+        s = family(lam, d)
+        fit = nullity_fit(s)
+        st, _ = canonical_paracontact(s, fit)
+        yield f"class-{cls}-node-1", st
+        if cls not in ("IV", "V"):
+            yield f"class-{cls}-node-2", derive_next(st, fit).structure
+    yield "heisenberg-5-paracontact", heisenberg_model(5, "paracontact")
+    yield "heisenberg-3d", heisenberg_3d().structure
+    yield "nilpotent-h-5d", nilpotent_h_5d().structure
+
+
+SUITE_CASES = dict(_suite_cases())
+
+
+@pytest.mark.parametrize("name", SUITE_CASES)
+def test_blair_identities_both_signs(name):
+    # the eps-signed suite holds on contact (class II node 2) and paracontact
+    # (kappa, mu)-spaces alike; mu is indeterminate, and read as 0, where h = 0
+    s = SUITE_CASES[name]
+    fit = nullity_fit(s)
+    rep = blair_identity_suite(s, fit.kappa, 0.0 if fit.mu is None else fit.mu)
+    assert rep.valid, rep.failures()
 
 
 def test_classification_flags():

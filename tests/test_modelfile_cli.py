@@ -1,6 +1,7 @@
 """Model file format and the command-line interface (exit codes, JSON reports)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from kmgeom import modelfile
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.cli import main, render_json
 from kmgeom.errors import ModelFormatError
+from kmgeom.lie_model import LieModel
 
 
 MINIMAL = {
@@ -104,6 +106,21 @@ def test_entry_roundtrip():
     assert doc.expected["kappa"] == -1.0
 
 
+def test_dumps_entry_brackets_match_loop_reference():
+    # the nonzero c[i, j, k] with i < j, in (i, j, k) order, as a loop over the basis
+    entry = nilpotent_h_5d()
+    raw = np.random.default_rng(3).standard_normal((5, 5, 5))
+    for c in (entry.model.c, 0.5 * (raw - raw.transpose(1, 0, 2))):  # sparse, dense
+        dumped = json.loads(modelfile.dumps_entry(replace(entry, model=LieModel(c=c))))
+        reference = []
+        for i in range(5):
+            for j in range(i + 1, 5):
+                coeffs = {str(k + 1): c[i, j, k] for k in range(5) if abs(c[i, j, k]) > 0}
+                if coeffs:
+                    reference.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
+        assert dumped["brackets"] == json.loads(json.dumps(reference))
+
+
 def test_report_json_roundtrip_is_byte_identical(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
@@ -174,6 +191,22 @@ def test_cli_derive_exit_codes(tmp_path, capsys):
     boundary = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "1")
     assert main(["derive", boundary, "--steps", "3"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["family-3d-class-IV", "family-3d-class-V"])
+def test_cli_derive_two_steps_on_the_unit_band(tmp_path, capsys, name):
+    # at |I_M| = 1 node 2 is undefined, but node 1 (the canonical paracontact
+    # structure) exists: --steps 2 returns nodes 0 and 1
+    path = _emit(tmp_path, name)
+    assert main(["derive", path, "--steps", "2", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    kappa, mu = payload["nullity"]["kappa"], payload["nullity"]["mu"]
+    node0, node1 = payload["tower"]
+    assert node0["kind"] == "contact"
+    assert node1["kind"] == "paracontact"
+    assert node1["kappa"] == pytest.approx(kappa - 2.0 + (1.0 - mu / 2.0) ** 2, abs=1e-9)
+    assert node1["mu"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_cli_derive_tower_constants(tmp_path, capsys):

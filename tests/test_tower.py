@@ -87,9 +87,9 @@ def test_derive_next_paracontact_branch():
     # h~_1 = -sqrt(I^2 - 1) h with I = 2
     expected = -np.sqrt(3.0) * s.h
     assert np.max(np.abs(node.structure.h_t - expected)) <= 1e-8
-    # the relation between the two Levi-Civita connections and the derived
-    # covariant identities are part of the node checks
-    for key in ("levi_civita_relation", "nabla_phi_tilde_identity", "nabla_h_tilde_identity"):
+    # the relation between the two Levi-Civita connections and the (kappa, mu)
+    # identity suite of the node are part of the node checks
+    for key in ("levi_civita_relation", "nabla_phi_identity", "nabla_h_identity"):
         assert node.checks[key] <= 1e-8
 
 
@@ -128,6 +128,8 @@ def test_sequence_zero_steps_returns_input_node():
 def test_sequence_rejects_boundary_and_sasakian(sasakian_fixture):
     with pytest.raises(DegenerateInvariant):
         sequence(family(1.0, 1.0), 3)
+    # node 1 exists at |I_M| = 1; only a tower of three or more nodes is undefined
+    assert [n.kind for n in sequence(family(1.0, 1.0), 2)] == ["contact", "paracontact"]
     with pytest.raises(SasakianDegenerate):
         sequence(sasakian_fixture, 2)
 

@@ -1,0 +1,53 @@
+"""Print the raw and code line counts of ``src/kmgeom``.
+
+Code lines are the lines that are not blank, not a comment and not part of a
+docstring (of a module, class or function).  Run from anywhere:
+
+    python tools/src_size.py
+"""
+
+import ast
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "kmgeom")
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """Line numbers spanned by the docstrings in ``tree``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def count(path: str) -> tuple[int, int]:
+    """(raw, code) line counts of the Python file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    doc = docstring_lines(ast.parse(text))
+    code = sum(
+        1 for no, line in enumerate(lines, 1)
+        if line.strip() and not line.strip().startswith("#") and no not in doc
+    )
+    return len(lines), code
+
+
+def main() -> int:
+    names = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+    raw = code = 0
+    for name in names:
+        r, c = count(os.path.join(SRC, name))
+        raw, code = raw + r, code + c
+        print(f"{name:16s} {r:5d} {c:5d}")
+    print(f"{'src/kmgeom':16s} {raw:5d} {code:5d}  (raw, code lines)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
