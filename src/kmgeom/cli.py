@@ -195,7 +195,8 @@ def _print_human(report: dict) -> None:
     if "flags" in report:
         print("flags:", ", ".join(f"{k} = {v}" for k, v in sorted(report["flags"].items())))
     if "identities" in report:
-        worst = max(report["identities"].items(), key=lambda kv: kv[1])
+        # the largest residual, ties to the smallest name: the line follows from the sorted JSON
+        worst = min(report["identities"].items(), key=lambda kv: (-kv[1], kv[0]))
         print(f"identity suites: {len(report['identities'])} checks, worst {worst[0]} = {_fmt(worst[1])}")
     if "sasakian_construction" in report:
         sas = report["sasakian_construction"]

@@ -20,16 +20,25 @@ one validator, :func:`validate_contact`, and one nullity fit,
 invariant and class of a contact structure or the spectral type of a
 paracontact h~, and one eps-signed (kappa, mu) identity suite,
 :func:`blair_identity_suite`.
+
+:func:`validate_contact`, :func:`nullity_fit`, :func:`h_square_scalar` and
+:func:`spectral_type` take one structure or a stack (a list of one kind on one
+(M, eta, xi), such as tower nodes; a single structure is a stack of one).  A
+stack gives each member what it gets alone, its exception included, and each
+member keeps its own connection, R(., .) xi and fit.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateMetric, InternalInconsistency, NotNullity, SasakianOrInvalid
+from .errors import (DegenerateMetric, DimensionMismatch, GeometryError, InternalInconsistency,
+                     NotNullity, SasakianOrInvalid)
 from .lie_model import LieModel, d_one_form, lie_derivative_endo
-from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .report import DEFAULT_TOL, ResidualReport, finite_stack, max_abs, max_abs_each
 from .riemann import (
+    DEGENERATE,
     AffineConnection,
     curvature_xi,
     eta_x,
@@ -113,8 +122,9 @@ class MetricStructure:
         return self.cached_array("contact_basis", lambda: _kernel_basis(self.eta))
 
     def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
-        conn = self.cached(("levi_civita", tol), lambda: levi_civita(self.model, self.g, tol))
-        conn.gamma.flags.writeable = False
+        conn = _each([self], "levi_civita", tol)[0]
+        if conn.degenerate:
+            raise DegenerateMetric(DEGENERATE)
         return conn
 
     def nabla_phi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -125,9 +135,8 @@ class MetricStructure:
 
     def curvature_xi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """R_{e_i e_j} xi at [i, j, :] for the Levi-Civita connection."""
-        return self.cached_array(
-            ("curvature_xi", tol), lambda: curvature_xi(self.model, self.levi_civita(tol), self.xi)
-        )
+        self.levi_civita(tol)  # a degenerate metric raises
+        return _each([self], "curvature_xi", tol)[0]
 
     def nijenhuis_tensor(self) -> np.ndarray:
         """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
@@ -136,19 +145,54 @@ class MetricStructure:
             lambda: nijenhuis_tensor(self.model, self.phi, self.xi, self.eta, self.eps),
         )
 
-    def nullity_constants(self, tol: float = DEFAULT_TOL) -> tuple[float, float | None, float]:
-        """(kappa, mu, residual) of the nullity fit (see :func:`_fit_r_xi`).
 
-        Raises :class:`NotNullity` when the best-fit residual exceeds ``tol``.
-        """
-        kappa, mu, residual = self.cached(("nullity", tol), lambda: _fit_r_xi(self, tol))
-        if not residual <= tol:
-            kind = "" if self.eps > 0 else "paracontact "
-            raise NotNullity(
-                f"curvature does not satisfy a {kind}nullity condition (residual {residual:.3e})",
-                residual,
-            )
-        return kappa, mu, residual
+def _stack(s, *names: str) -> tuple:
+    """(members, single, *arrays) of one structure (a stack of one) or of a list of
+    one kind on one (M, eta, xi), with the members' arrays ``names`` stacked."""
+    single = isinstance(s, MetricStructure)
+    members = [s] if single else list(s)
+    for t in members[1:]:
+        if t.kind != members[0].kind or t.model is not members[0].model:
+            raise DimensionMismatch("a stack holds structures of one kind on one model")
+    return members, single, *[_stack_of([getattr(t, n) for t in members]) for n in names]
+
+
+def _unstack(results: list, single: bool):
+    """A stack's results, or a single structure's result (raising its exception)."""
+    if single and isinstance(results[0], GeometryError):
+        raise results[0]
+    return results[0] if single else results
+
+
+def _stack_of(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays along a leading member axis (a view for a stack of one)."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _each(members: list[MetricStructure], key: str, tol: float) -> list:
+    """Each member's cached (key, tol) entry; the members that lack it get it
+    from one stacked call of the builder of ``key`` (:data:`_BUILDERS`)."""
+    missing = [t for t in members if (key, tol) not in t._cache]
+    if missing:
+        for t, value in zip(missing, _BUILDERS[key](missing, tol)):
+            t._cache[key, tol] = value
+    return [t._cache[key, tol] for t in members]
+
+
+def _connections(members: list[MetricStructure], tol: float) -> list[AffineConnection]:
+    """Each member's Levi-Civita connection, from one stacked solve."""
+    conn = levi_civita(members[0].model, _stack_of([t.g for t in members]), tol)
+    conn.gamma.flags.writeable = False
+    return [AffineConnection(gamma, bad)
+            for gamma, bad in zip(conn.gamma, conn.degenerate.tolist())]
+
+
+def _curvatures(members: list[MetricStructure], tol: float) -> list[np.ndarray]:
+    """Each member's R(., .) xi (NaN for a degenerate metric), in one stacked pass."""
+    gamma = _stack_of([c.gamma for c in _each(members, "levi_civita", tol)])
+    r_xi = curvature_xi(members[0].model, AffineConnection(gamma), members[0].xi)
+    r_xi.flags.writeable = False
+    return list(r_xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,66 +264,67 @@ class NullityReport:
         }
 
 
-def validate_contact(s: MetricStructure, tol: float = DEFAULT_TOL) -> ResidualReport:
+def validate_contact(s, tol: float = DEFAULT_TOL):
     """Per-axiom residual report of a contact (eps = +1) or paracontact (eps = -1)
-    metric structure; the structure is valid iff all entries <= tol.
+    metric structure (one per member of a stack); the structure is valid iff
+    all entries <= tol.
 
     Reports rather than raises so invalid inputs can be inspected.  The sign
     decides the signature entry (Riemannian, or (n+1, n) with the +-1
     eigendistributions of phi of rank n each on ker(eta)), ``trace_phi_h``
     (contact) and ``nabla_xi_identity`` (paracontact: nabla xi = -phi + phi h).
     """
-    report = ResidualReport(tol=tol)
-    dim, n, eps, phi, xi, eta, g, h = s.dim, s.n, s.eps, s.phi, s.xi, s.eta, s.g, s.h
-    ident = np.eye(dim)
-    deta = s.d_eta()
+    members, single, phi, g, h = _stack(s, "phi", "g", "h")
+    reports = [ResidualReport(tol=tol) for _ in members]
+    add = partial(ResidualReport.add_each, reports)
+    s0 = members[0]
+    n, eps, xi, eta = s0.n, s0.eps, s0.xi, s0.eta
+    ident = np.eye(s0.dim)
+    deta = s0.d_eta()
 
-    report.add("phi_square", phi @ phi + eps * ident - eps * np.outer(xi, eta))
-    report.add("deta_compatibility", deta - g @ phi)
-    report.add("metric_compatibility", phi.T @ g @ phi - eps * g + eps * np.outer(eta, eta))
-    report.add("eta_xi", eta @ xi - 1.0)
-    report.add("phi_xi", phi @ xi)
-    report.add("eta_circ_phi", eta @ phi)
-    report.add("eta_is_g_xi", g @ xi - eta)
+    add("phi_square", phi @ phi + eps * ident - eps * np.outer(xi, eta))
+    add("deta_compatibility", deta - g @ phi)
+    add("metric_compatibility", phi.swapaxes(1, 2) @ g @ phi - eps * g + eps * np.outer(eta, eta))
+    add("eta_xi", eta @ xi - 1.0)
+    add("phi_xi", phi @ xi)
+    add("eta_circ_phi", eta @ phi)
+    add("eta_is_g_xi", g @ xi - eta)
 
-    k = s.contact_basis()
-    det_restricted = np.linalg.det(k @ deta @ k.T)
-    report.add(
-        "contact_nondegeneracy",
-        0.0 if abs(det_restricted) > tol else 1.0,
-        note=f"|det d_eta|_ker eta| = {abs(det_restricted):.3e}",
-    )
-    p, q, z = signature(g, tol)
+    k = s0.contact_basis()
+    det_restricted = abs(np.linalg.det(k @ deta @ k.T))
+    add("contact_nondegeneracy", 0.0 if det_restricted > tol else 1.0,
+        [f"|det d_eta|_ker eta| = {det_restricted:.3e}"] * len(members))
+    sigs = signature(g, tol)
     if eps > 0:
-        report.add("riemannian_signature", 0.0 if (q == 0 and z == 0) else 1.0,
-                   note=f"signature ({p},{q},{z})")
+        add("riemannian_signature", [0.0 if (q == 0 and z == 0) else 1.0 for _, q, z in sigs],
+            [f"signature ({p},{q},{z})" for p, q, z in sigs])
     else:
-        report.add(
-            "paracontact_signature",
-            0.0 if (p == n + 1 and q == n and z == 0) else 1.0,
-            note=f"signature ({p},{q},{z}), expected ({n + 1},{n},0)",
-        )
+        add("paracontact_signature", [0.0 if sig == (n + 1, n, 0) else 1.0 for sig in sigs],
+            [f"signature ({p},{q},{z}), expected ({n + 1},{n},0)" for p, q, z in sigs])
         for sign, name in ((1.0, "plus_one_eigenrank"), (-1.0, "minus_one_eigenrank")):
-            mat = (phi - sign * ident) @ k.T  # columns: (phi -+ I) applied to a ker(eta) basis
-            rank = int(np.linalg.matrix_rank(mat, tol=max(tol, 1e-12)))
-            report.add(name, 0.0 if rank == n else float(abs(rank - n)),
-                       note=f"rank {rank}, expected {n}")
+            # columns: (phi -+ I) applied to a ker(eta) basis; its rank counts singular values
+            mat, bad = finite_stack((phi - sign * ident) @ k.T)
+            sv = np.linalg.svd(mat, compute_uv=False)
+            ranks = np.where(bad, 0, np.sum(sv > max(tol, 1e-12), axis=-1)).tolist()
+            add(name, [abs(rank - n) for rank in ranks], [f"rank {r}, expected {n}" for r in ranks])
 
-    report.add("h_xi", h @ xi)
-    report.add("eta_circ_h", eta @ h)
-    report.add("h_phi_anticommute", h @ phi + phi @ h)
-    report.add("trace_h", np.trace(h))
+    add("h_xi", h @ xi)
+    add("eta_circ_h", eta @ h)
+    add("h_phi_anticommute", h @ phi + phi @ h)
+    add("trace_h", np.trace(h, axis1=1, axis2=2))
     if eps > 0:
-        report.add("trace_phi_h", np.trace(phi @ h))
-    report.add("h_g_symmetric", h.T @ g - g @ h)
+        add("trace_phi_h", np.trace(phi @ h, axis1=1, axis2=2))
+    add("h_g_symmetric", h.swapaxes(1, 2) @ g - g @ h)
     if eps < 0:
-        try:
-            # xi @ gamma has rows nabla_{e_i} xi, the columns of the operator nabla xi
-            nabla_xi = (xi @ s.levi_civita(tol).gamma).T
-            report.add("nabla_xi_identity", nabla_xi - (-phi + phi @ h))
-        except (DegenerateMetric, np.linalg.LinAlgError) as exc:  # record, keep reporting
-            report.add("nabla_xi_identity", np.inf, note=str(exc))
-    return report
+        conns = _each(members, "levi_civita", tol)
+        degenerate = np.array([c.degenerate for c in conns])
+        # xi @ gamma has rows nabla_{e_i} xi, the columns of the operator nabla xi;
+        # a degenerate metric has no connection: recorded as inf, and reporting goes on
+        nabla_xi = (xi @ _stack_of([c.gamma for c in conns])).swapaxes(1, 2)
+        add("nabla_xi_identity",
+            np.where(degenerate[:, None, None], np.inf, nabla_xi - (-phi + phi @ h)),
+            [DEGENERATE if d else None for d in degenerate])
+    return _unstack(reports, single)
 
 
 def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
@@ -296,28 +341,44 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     return max_abs(nij), side
 
 
-def _fit_r_xi(s: MetricStructure, tol: float) -> tuple[float, float | None, float]:
+def _fit_r_xi(
+    members: list[MetricStructure], tol: float
+) -> list[tuple[float, float | None, float]]:
     """Least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta).
 
-    Shared by the contact and paracontact fits through
-    :meth:`MetricStructure.nullity_constants`; returns (kappa, mu, residual)
-    with mu = None when ||h|| <= tol (the mu-term is identically zero); the
-    residual is that of the full equation
+    Shared by the contact and paracontact fits; returns (kappa, mu, residual)
+    per member, with mu = None when ||h|| <= tol (the mu-term, and its column
+    of the fit, is identically zero); the residual is that of the full equation
     R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y).
     """
-    r_xi, xi, eta, h = s.curvature_xi(tol), s.xi, s.eta, s.h
-    dbasis = s.contact_basis()
-    h_zero = max_abs(h) <= tol
-    cols = [dbasis] if h_zero else [dbasis, dbasis @ h.T]  # rows b and h b
-    a = np.stack([col.ravel() for col in cols], axis=1)
-    t = (dbasis @ (xi @ r_xi)).ravel()  # rows R_{b xi} xi
-    sol, *_ = np.linalg.lstsq(a, t, rcond=None)
-    kappa, mu = float(sol[0]), (None if h_zero else float(sol[1]))
+    s0, nb = members[0], len(members)
+    xi, eta = s0.xi, s0.eta
+    r_xi = _stack_of(_each(members, "curvature_xi", tol))
+    h = _stack_of([t.h for t in members])
+    dbasis = s0.contact_basis()
+    h_zero = np.abs(h).max(axis=(1, 2)) <= tol  # NaN is not zero
+    a = np.empty((nb, dbasis.size, 1 if h_zero.all() else 2))
+    a[..., 0] = dbasis.ravel()  # rows b
+    if a.shape[2] > 1:  # rows h b, zero where the mu-term vanishes
+        a[..., 1] = (dbasis @ h.swapaxes(1, 2) * ~h_zero[:, None, None]).reshape(nb, -1)
+    a, bad = finite_stack(a)
+    t = (dbasis @ (xi @ r_xi)).reshape(nb, -1)  # rows R_{b xi} xi
+    # lstsq does not stack, and a stacked pinv solve moves the last bits of the
+    # constants (and of I_M in error messages): one lstsq per member
+    sol = np.array([np.linalg.lstsq(ab, tb, rcond=None)[0] for ab, tb in zip(a, t)])
+    sol[bad] = np.nan
+    kappa = sol[:, 0]
     ident = np.eye(len(eta))
-    pred = kappa * (eta_y(eta, ident) - eta_x(eta, ident))
-    if mu is not None:
-        pred = pred + mu * (eta_y(eta, h) - eta_x(eta, h))
-    return kappa, mu, max_abs(r_xi - pred)
+    pred = kappa[:, None, None, None] * (eta_y(eta, ident) - eta_x(eta, ident))
+    if a.shape[2] > 1:
+        mu = np.where(h_zero, 0.0, sol[:, 1])
+        pred = pred + mu[:, None, None, None] * (eta_y(eta, h) - eta_x(eta, h))
+    residual = max_abs_each(r_xi - pred, nb)
+    return [(kb, None if hz else mb, rb) for kb, mb, rb, hz in
+            zip(kappa.tolist(), sol[:, -1].tolist(), residual.tolist(), h_zero.tolist())]
+
+
+_BUILDERS = {"levi_civita": _connections, "curvature_xi": _curvatures, "nullity": _fit_r_xi}
 
 
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
@@ -342,43 +403,47 @@ def classify_by_invariant(boeckx: float | None, tol: float = DEFAULT_TOL) -> str
     return "II"
 
 
-def h_square_scalar(s: MetricStructure) -> tuple[float, float]:
-    """Least-squares scalar with h^2 = s phi^2, and the residual of that fit.
+def h_square_scalar(s):
+    """Least-squares scalar with h^2 = s phi^2, and the residual of that fit
+    (one pair per member of a stack).
 
     Preferred over an eigensolver: g~-symmetric operators under an indefinite
     metric may be non-diagonalizable, while s is always well-defined on the
     paracontact structures this engine certifies.
     """
-    h2 = s.h @ s.h
-    p2 = s.phi @ s.phi
-    denom = float(np.sum(p2 * p2))
-    scal = float(np.sum(h2 * p2) / denom)
-    return scal, max_abs(h2 - scal * p2)
+    members, single, h, phi = _stack(s, "h", "phi")
+    h2, p2 = h @ h, phi @ phi
+    scal = np.sum(h2 * p2, axis=(1, 2)) / np.sum(p2 * p2, axis=(1, 2))
+    residual = max_abs_each(h2 - scal[:, None, None] * p2, len(members))
+    return _unstack(list(zip(scal.tolist(), residual.tolist())), single)
 
 
-def spectral_type(s: MetricStructure, tol: float = DEFAULT_TOL) -> tuple[str, float, float | None]:
-    """Classify a paracontact h~ by the sign of s in h~^2 = s phi~^2.
+def spectral_type(s, tol: float = DEFAULT_TOL):
+    """Classify a paracontact h~ by the sign of s in h~^2 = s phi~^2 (one result
+    per member of a stack).
 
     Returns (type, s, lambda): real eigenvalue pair +-sqrt(s) for s > 0,
-    complex pair for s < 0, nilpotent for s = 0 with h~ != 0, zero otherwise.
+    complex pair for s < 0, nilpotent for s = 0 with h~ != 0, zero otherwise;
+    :class:`InternalInconsistency` when h~^2 is not proportional to phi~^2.
     """
-    scal, fit_residual = h_square_scalar(s)
-    if not fit_residual <= tol:
-        raise InternalInconsistency(
-            f"h~^2 is not proportional to phi~^2 (residual {fit_residual:.3e})"
-        )
-    if max_abs(s.h) <= tol:
-        return "zero", scal, None
-    if scal > tol:
-        return "real_pair", scal, float(np.sqrt(scal))
-    if scal < -tol:
-        return "complex_pair", scal, None
-    return "nilpotent", scal, None
+    members, single = _stack(s)
+    out = []
+    for t, (scal, fit_residual) in zip(members, h_square_scalar(members)):
+        if not fit_residual <= tol:
+            msg = f"h~^2 is not proportional to phi~^2 (residual {fit_residual:.3e})"
+            out.append(InternalInconsistency(msg))
+        elif max_abs(t.h) <= tol:
+            out.append(("zero", scal, None))
+        elif scal > tol:
+            out.append(("real_pair", scal, float(np.sqrt(scal))))
+        else:
+            out.append(("complex_pair" if scal < -tol else "nilpotent", scal, None))
+    return _unstack(out, single)
 
 
-def nullity_fit(s: MetricStructure, tol: float = DEFAULT_TOL) -> NullityReport:
+def nullity_fit(s, tol: float = DEFAULT_TOL):
     """Fit (kappa, mu), verify the full nullity tensor equation, and add the
-    invariants of h that the sign of ``s`` selects.
+    invariants of h that the sign of ``s`` selects (one stacked pass for a stack).
 
     Raises :class:`NotNullity` when the best-fit residual exceeds ``tol`` (a
     valid structure that is not a nullity space).  Contact: also when kappa
@@ -387,18 +452,54 @@ def nullity_fit(s: MetricStructure, tol: float = DEFAULT_TOL) -> NullityReport:
     type of h~ and the side checks h~^2 = (1 + kappa~) phi~^2 and
     R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).
     """
-    kappa, mu, residual = s.nullity_constants(tol)
-    if s.eps < 0:
-        stype, scal, lam = spectral_type(s, tol)
-        p2 = s.phi @ s.phi
-        h2 = s.h @ s.h
+    members, single = _stack(s)
+    nb = len(members)
+    constants = _each(members, "nullity", tol)
+    degenerate = [c.degenerate for c in _each(members, "levi_civita", tol)]
+    side = [()] * nb
+    if members[0].eps < 0:
+        kappa = np.array([c[0] for c in constants])
+        phi, h = _stack(members, "phi", "h")[2:]
+        p2, h2 = phi @ phi, h @ h
         # rows R~_{xi e_i} xi + phi~ R~_{xi phi~ e_i} xi against the columns of 2 (phi~^2 - h~^2)
-        r_xi_x = np.tensordot(s.xi, s.curvature_xi(tol), 1)
-        reflection = r_xi_x + s.phi.T @ r_xi_x @ s.phi.T - 2.0 * (p2 - h2).T
+        r_xi = _stack_of(_each(members, "curvature_xi", tol))
+        r_xi_x = np.einsum("i,bijk->bjk", members[0].xi, r_xi)
+        phi_t = phi.swapaxes(1, 2)
+        reflection = r_xi_x + phi_t @ r_xi_x @ phi_t - 2.0 * (p2 - h2).swapaxes(1, 2)
+        side = zip(spectral_type(members, tol),
+                   max_abs_each(h2 - (1.0 + kappa)[:, None, None] * p2, nb).tolist(),
+                   max_abs_each(reflection, nb).tolist())
+    out = []
+    for t, fitted, bad, extra in zip(members, constants, degenerate, side):
+        try:
+            out.append(_nullity_report(t, fitted, bad, extra, tol))
+        except GeometryError as exc:
+            out.append(exc)
+    return _unstack(out, single)
+
+
+def _nullity_report(
+    s: MetricStructure, fitted: tuple, degenerate: bool, side: tuple, tol: float
+) -> NullityReport:
+    """One member of :func:`nullity_fit`, from its (kappa, mu, residual) and, for a
+    paracontact member, its spectral type and h~^2 and reflection residuals."""
+    if degenerate:
+        raise DegenerateMetric(DEGENERATE)
+    kappa, mu, residual = fitted
+    if not residual <= tol:
+        kind = "" if s.eps > 0 else "paracontact "
+        raise NotNullity(
+            f"curvature does not satisfy a {kind}nullity condition (residual {residual:.3e})",
+            residual,
+        )
+    if s.eps < 0:
+        stype, h_square_residual, reflection = side
+        if isinstance(stype, GeometryError):
+            raise stype
         return NullityReport(
-            kappa=kappa, mu=mu, residual=residual, lam=lam, spectral_type=stype,
-            h_square_scalar=scal, h_square_vs_kappa_residual=max_abs(h2 - (1.0 + kappa) * p2),
-            curvature_reflection_residual=max_abs(reflection),
+            kappa=kappa, mu=mu, residual=residual, lam=stype[2], spectral_type=stype[0],
+            h_square_scalar=stype[1], h_square_vs_kappa_residual=h_square_residual,
+            curvature_reflection_residual=reflection,
         )
     if kappa > 1.0 + tol:
         raise NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)

@@ -15,6 +15,10 @@ that layout: :meth:`AffineConnection.nabla_endo_all`, :func:`curvature_xi`,
 :func:`nijenhuis_tensor` and :func:`on_pairs`; :func:`eta_x`, :func:`eta_y`
 and :func:`form_xy` build the right-hand sides.  The pointwise primitives
 (:meth:`AffineConnection.nabla`, :func:`curvature`) are their reference.
+
+:func:`levi_civita`, :func:`curvature_xi` and :func:`signature` also take a
+stack of metrics on one model, with a leading member axis (a single metric is
+a stack of one); each member's result is what it gets alone.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,9 @@ import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch
 from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, d_one_form
-from .report import DEFAULT_TOL, ResidualReport
+from .report import DEFAULT_TOL, ResidualReport, finite_stack
+
+DEGENERATE = "metric determinant below tolerance"
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class MetricTensor:
         if not asym <= tol:
             raise DegenerateMetric(f"metric not finite and symmetric (residual {asym:.3e})")
         if not abs(np.linalg.det(mat)) > tol:
-            raise DegenerateMetric("metric determinant below tolerance")
+            raise DegenerateMetric(DEGENERATE)
         return cls(mat=mat, signature=signature(mat, tol))
 
     def is_riemannian(self) -> bool:
@@ -57,20 +63,25 @@ class MetricTensor:
         return z == 0 and p == q + 1
 
 
-def signature(g: BilinearForm, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
-    """(p, q, z) counts of positive / negative / zero eigenvalues of a symmetric form."""
-    eig = np.linalg.eigvalsh(0.5 * (g + np.asarray(g).T))
-    p = int(np.sum(eig > tol))
-    q = int(np.sum(eig < -tol))
-    z = len(eig) - p - q
-    return (p, q, z)
+def signature(g: BilinearForm, tol: float = DEFAULT_TOL):
+    """(p, q, z) counts of positive / negative / zero eigenvalues of a symmetric form,
+    or their list for a stack; a member with a non-finite entry counts (0, 0, dim)."""
+    g = np.asarray(g, dtype=float)
+    safe, bad = finite_stack(0.5 * (g + g.swapaxes(-1, -2)))
+    eig = np.linalg.eigvalsh(safe)
+    eig[bad] = np.nan  # counted neither positive nor negative
+    p, q = (np.sum(x, axis=-1).reshape(-1).tolist() for x in (eig > tol, eig < -tol))
+    counts = [(a, b, g.shape[-1] - a - b) for a, b in zip(p, q)]
+    return counts[0] if g.ndim == 2 else counts
 
 
 @dataclass(frozen=True)
 class AffineConnection:
-    """Connection coefficients ``gamma[i, j, k]`` in the model basis."""
+    """Connection coefficients ``gamma[i, j, k]`` in the model basis (with a leading
+    member axis for a stack, whose ``degenerate`` members have a NaN ``gamma``)."""
 
     gamma: np.ndarray
+    degenerate: np.ndarray | bool = False
 
     @property
     def dim(self) -> int:
@@ -112,21 +123,35 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
 
     The d^2 right-hand sides share one ``g``, so the connection is one inverse
     of ``g`` and one matmul rather than a solve against all of them.
-    Raises :class:`DegenerateMetric` when ``|det g|`` falls below ``tol``.
+    Raises :class:`DegenerateMetric` when ``|det g|`` falls below ``tol``; in a
+    stack (B, dim, dim) such a member is marked ``degenerate`` instead.  A NaN
+    determinant (a NaN entry) passes the guard, with a NaN connection.
     The result is metric (``nabla g = 0``) and torsion-free by construction,
     which :func:`connection_identity_suite` re-checks numerically.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (m.dim, m.dim):
-        raise DimensionMismatch(f"metric shape {g.shape} does not match dim {m.dim}")
-    if abs(np.linalg.det(g)) <= tol:
-        raise DegenerateMetric("metric determinant below tolerance")
-    # b[i, j, k] = g([e_i, e_j], e_k), one matmul; transpose(2,0,1)[i,j,k] = b[j,k,i]
-    b = m.c @ g
-    rhs = 0.5 * (b - b.transpose(2, 0, 1) + b.transpose(1, 2, 0))
+    d = m.dim
+    if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"metric shape {g.shape} does not match dim {d}")
+    gs = g.reshape(-1, d, d)
+    with np.errstate(invalid="ignore"):  # a NaN member must not fail the stack under -W error
+        det = abs(np.linalg.det(gs))
+    degenerate = det <= tol
+    if g.ndim == 2 and degenerate[0]:
+        raise DegenerateMetric(DEGENERATE)
+    # b[., i, j, k] = g([e_i, e_j], e_k), one matmul; transpose(0,3,1,2)[., i,j,k] = b[., j,k,i]
+    b = m.c @ gs[:, None]
+    rhs = 0.5 * (b - b.transpose(0, 3, 1, 2) + b.transpose(0, 2, 3, 1))
+    bad = ~(det > tol)  # degenerate, or a NaN entry: solved as the identity, then NaN
+    any_bad = bad.any()
+    if any_bad:
+        gs = np.where(bad[:, None, None], np.eye(d), gs)
     # g . gamma[i, j, :] = rhs[i, j, :] for every (i, j)
-    gamma = rhs @ np.linalg.inv(g).T
-    return AffineConnection(gamma=gamma)
+    gamma = rhs @ np.linalg.inv(gs).swapaxes(1, 2)[:, None]
+    if any_bad:
+        gamma[bad] = np.nan
+    gamma = gamma.reshape(g.shape[:-2] + (d, d, d))
+    return AffineConnection(gamma, degenerate if g.ndim == 3 else False)
 
 
 def curvature(m: LieModel, conn: AffineConnection, u: Vector, v: Vector, w: Vector) -> Vector:
@@ -151,14 +176,14 @@ def curvature_tensor(m: LieModel, conn: AffineConnection) -> np.ndarray:
 
 
 def curvature_xi(m: LieModel, conn: AffineConnection, xi: Vector) -> np.ndarray:
-    """R_{e_i e_j} xi at [i, j, :].
+    """R_{e_i e_j} xi at [i, j, :] (at [b, i, j, :] for a stacked connection).
 
     xi is contracted before the second connection factor, so this costs
     O(dim^4) where slicing :func:`curvature_tensor` costs O(dim^5).
     """
-    nabla_xi = xi @ conn.gamma  # [j, :] = nabla_{e_j} xi
+    nabla_xi = (xi @ conn.gamma)[..., None, :, :]  # [j, :] = nabla_{e_j} xi
     t = nabla_xi @ conn.gamma  # [i, j, :] = nabla_{e_i} nabla_{e_j} xi
-    return t - t.transpose(1, 0, 2) - m.c @ nabla_xi
+    return t - t.swapaxes(-3, -2) - m.c @ nabla_xi
 
 
 def on_pairs(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,18 +196,18 @@ def on_pairs(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def eta_x(eta: OneForm, a: Endomorphism) -> np.ndarray:
-    """eta(X) A Y at [i, j, :] (X = e_i, Y = e_j)."""
-    return np.einsum("i,kj->ijk", eta, a)
+    """eta(X) A Y at [i, j, :] (X = e_i, Y = e_j); a stack of A gives a stack."""
+    return np.einsum("i,...kj->...ijk", eta, a)
 
 
 def eta_y(eta: OneForm, a: Endomorphism) -> np.ndarray:
     """eta(Y) A X at [i, j, :]."""
-    return np.einsum("j,ki->ijk", eta, a)
+    return np.einsum("j,...ki->...ijk", eta, a)
 
 
 def form_xy(b: BilinearForm, v: Vector) -> np.ndarray:
     """B(X, Y) v at [i, j, :]."""
-    return np.einsum("ij,k->ijk", b, v)
+    return np.einsum("...ij,k->...ijk", b, v)
 
 
 def nijenhuis_tensor(

@@ -33,6 +33,7 @@ from .contact import (
 )
 from .errors import (
     DegenerateInvariant,
+    GeometryError,
     InternalInconsistency,
     InvariantTooSmall,
     SasakianDegenerate,
@@ -178,7 +179,7 @@ def canonical_paracontact(
     * the (kappa, mu) identity suite of (phi~, h~) at the fitted constants;
     * the fitted constants against (kappa - 2 + (1 - mu/2)^2, 2).
     """
-    node = _derived_node(s, 1, report, tol)
+    (node,) = _derived_nodes(s, (1,), report, tol)
     st, checks = node.structure, node.checks
     kappa, mu = report.kappa, report.mu
     _, root = _step(report, 1, tol)
@@ -214,8 +215,8 @@ def _canonical_pair(
     (report, tol) and kept on ``s``."""
 
     def build():
-        st = _derived_node(s, 1, report, tol).structure
-        return st, _derived_node(st, 2, report, tol)
+        node1, node2 = _derived_nodes(s, (1, 2), report, tol)
+        return node1.structure, node2
 
     return s.cached(("canonical_pair", report, tol), build)
 
@@ -240,14 +241,14 @@ def derive_next(
     st: ParacontactMetricStructure,
     parent: NullityReport,
     tol: float = DEFAULT_TOL,
-    index: int = 1,
 ) -> TowerNode:
     """Normalize (1/2) L_xi phi~ into the next structure of the tower.
 
     ``parent`` carries the constants (kappa, mu) of the contact structure
     whose canonical paracontact structure ``st`` is; its h operator is
-    recovered as sqrt(1-kappa) phi~.  The node, numbered ``index``, carries the
-    (kappa, mu) identity suite of its structure at the fitted constants.
+    recovered as sqrt(1-kappa) phi~.  The node is tower node 2 of that contact
+    structure, and carries the (kappa, mu) identity suite of its structure at
+    the fitted constants.
 
     * |I_M| < 1: contact node with constants (kappa + (1 - mu/2)^2, 2),
       positive-definite metric, and h_1 = sqrt(1 - I_M^2) h.
@@ -255,7 +256,7 @@ def derive_next(
       h~_1 = -sqrt(I_M^2 - 1) h, plus the Levi-Civita relation between g~ and
       g~_1.
     """
-    node = replace(_derived_node(st, 2, parent, tol), index=index)
+    (node,) = _derived_nodes(st, (2,), parent, tol)
     s1, checks = node.structure, node.checks
     h_parent = np.sqrt(1.0 - parent.kappa) * st.phi
     if s1.eps > 0:
@@ -274,33 +275,53 @@ def derive_next(
     return node
 
 
-def _derived_node(
-    prev: MetricStructure, k: int, fit0: NullityReport, tol: float,
-    tower: list[TowerNode] | tuple = (),
-) -> TowerNode:
-    """Tower node ``k`` >= 1 of the contact nullity space with fit ``fit0``, built
-    from the structure ``prev`` of node k - 1.
+def _derived_nodes(
+    prev: MetricStructure, ks, fit0: NullityReport, tol: float, earlier: tuple = (),
+    require_valid: bool = False,
+) -> list[TowerNode]:
+    """Tower nodes ``ks`` (consecutive, k >= 1) of the contact nullity space with
+    fit ``fit0``, built from the structure ``prev`` of node ks[0] - 1.
 
-    phi = (1/2) L_xi phi_prev / root with its compatible metric, (eps, root) from
-    :func:`_step`, gives a contact node (eps = +1) or a paracontact node
-    (eps = -1).  It is validated and freshly fitted, and its constants are
-    compared with those predicted from ``fit0``: (kappa + (1 - mu/2)^2, 2) for
-    a contact node, (kappa - 2 + (1 - mu/2)^2, 2) for a paracontact one.  A node
-    whose kind, phi and g match an earlier one of ``tower`` to within ``tol``
-    shares its structure: no second connection or fit.
+    phi_k = (1/2) L_xi phi_{k-1} / root with its compatible metric, (eps, root)
+    from :func:`_step`, gives a contact node (eps = +1) or a paracontact node
+    (eps = -1); one matching an earlier structure (of ``earlier`` or of these
+    nodes) in kind, phi and g to within ``tol`` shares it.  The distinct
+    structures of each kind are validated and fitted as one stack, and each
+    node's constants compared with those predicted from ``fit0``:
+    (kappa + (1 - mu/2)^2, 2) for a contact node, (kappa - 2 + (1 - mu/2)^2, 2)
+    for a paracontact one.  In index order, the first node whose fit fails
+    raises its error, or (``require_valid``) whose checks fail raises
+    :class:`InternalInconsistency`.
     """
-    eps, root = _step(fit0, k, tol)
-    cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
-    s = cls.compatible(prev.model, prev.h / root, prev.xi, prev.eta)
-    same = (n.structure for n in tower
-            if n.kind == s.kind and max_abs(n.phi - s.phi) <= tol and max_abs(n.G - s.g) <= tol)
-    s = next(same, s)
-    checks = validate_contact(s, tol)
-    fit = nullity_fit(s, tol)
-    predicted = fit0.kappa + (eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
-    checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
-    checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
-    return TowerNode(k, s, fit, _tw_parallel(fit, tol), checks)
+    structures, pool = [], list(earlier)
+    for k in ks:
+        eps, root = _step(fit0, k, tol)
+        cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
+        s = cls.compatible(prev.model, prev.h / root, prev.xi, prev.eta)
+        same = (t for t in pool
+                if t.kind == s.kind and max_abs(t.phi - s.phi) <= tol and max_abs(t.g - s.g) <= tol)
+        prev = next(same, s)
+        structures.append(prev)
+        pool.append(prev)
+    verified = {}
+    for kind in ("contact", "paracontact"):
+        stack = list({id(s): s for s in structures if s.kind == kind}.values())
+        if stack:
+            results = zip(validate_contact(stack, tol), nullity_fit(stack, tol))
+            verified.update(zip(map(id, stack), results))
+    nodes = []
+    for k, s in zip(ks, structures):
+        checks, fit = verified[id(s)]
+        if isinstance(fit, GeometryError):
+            raise fit
+        checks = replace(checks, entries=dict(checks.entries), notes=dict(checks.notes))
+        predicted = fit0.kappa + (s.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
+        checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
+        checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
+        if require_valid and not checks.valid:
+            raise InternalInconsistency(f"tower node {k} failed verification: {checks.failures()}")
+        nodes.append(TowerNode(k, s, fit, _tw_parallel(fit, tol), checks))
+    return nodes
 
 
 def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) -> list[TowerNode]:
@@ -318,17 +339,10 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     * |I_M| = 1: only nodes 0 and 1 exist; N >= 3 raises :class:`DegenerateInvariant`.
     """
     fit0 = nullity_fit(s, tol)
-    nodes = [TowerNode(0, s, fit0, _tw_parallel(fit0, tol))]
     if n_nodes > 2:
         _step(fit0, 2, tol)  # no node 2 at |I_M| = 1: reject such a tower before node 1 is built
-    for k in range(1, n_nodes):
-        node = _derived_node(nodes[-1].structure, k, fit0, tol, nodes)
-        if not node.checks.valid:
-            raise InternalInconsistency(
-                f"tower node {k} failed verification: {node.checks.failures()}"
-            )
-        nodes.append(node)
-    return nodes
+    nodes = _derived_nodes(s, range(1, n_nodes), fit0, tol, (s,), require_valid=True)
+    return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *nodes]
 
 
 def _require_large_invariant(report: NullityReport, tol: float) -> float:

@@ -6,6 +6,7 @@ per process."""
 import hashlib
 import sys
 
+import numpy as np
 import pytest
 
 from kmgeom import cli, contact, legendre, modelfile, paracontact, riemann, tower
@@ -24,20 +25,21 @@ COUNTED = {
 }
 
 
-def _count_calls(monkeypatch) -> tuple[dict, set, dict]:
+def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
     """Count calls of the functions in COUNTED, rebinding each name in every
-    kmgeom module that binds it; also collect the distinct metrics solved and,
-    per counted build, the structures that asked for it (kept alive, so that
-    their ids stay distinct)."""
+    kmgeom module that binds it; also collect a digest of every metric solved
+    (each member of a stacked Levi-Civita call) and, per counted build, the
+    structures that asked for it (kept alive, so that their ids stay distinct)."""
     counts = dict.fromkeys(COUNTED, 0)
-    metrics = set()
+    solved = []
     askers = {"nijenhuis_norm": [], "_kernel_basis": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "levi_civita":
-                metrics.add(hashlib.sha1(args[0].c.tobytes() + args[1].tobytes()).digest())
+            if name == "levi_civita":  # one solve per member of a stack of metrics
+                for g in np.reshape(args[1], (-1, args[0].dim, args[0].dim)):
+                    solved.append(hashlib.sha1(args[0].c.tobytes() + g.tobytes()).digest())
             if name == "nijenhuis_norm":
                 askers[name].append(args[0])
             return fn(*args, **kwargs)
@@ -58,43 +60,47 @@ def _count_calls(monkeypatch) -> tuple[dict, set, dict]:
         return contact_basis(self)
 
     monkeypatch.setattr(contact.MetricStructure, "contact_basis", asking_contact_basis)
-    return counts, metrics, askers
+    return counts, solved, askers
 
 
 @pytest.mark.parametrize(
-    "entry, argv, expected",
+    "entry, argv, n_metrics, expected",
     [
         # one Nijenhuis tensor for the structure and one for its Sasakian partner;
-        # tower nodes 1 and 2 are built without the closed-form checks no caller reads
-        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
-         {"levi_civita": 4, "canonical_paracontact": 0, "derive_next": 0,
+        # tower nodes 1 and 2 are built without the closed-form checks no caller
+        # reads, and their two metrics are solved as one stack
+        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], 4,
+         {"levi_civita": 3, "canonical_paracontact": 0, "derive_next": 0,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
-          "_kernel_basis": 4}),
-        # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its structure
-        (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
+          "_kernel_basis": 3}),
+        # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its
+        # structure; one stack per kind (nodes 1, 2) after node 0
+        (family_3d(1.0, 0.5), ["derive", "--steps", "6"], 3,
          {"levi_civita": 3, "nijenhuis_tensor": 1, "eigendistributions": 1,
           "nijenhuis_norm": 1, "_kernel_basis": 3}),
-        # class I: every node from 1 on is paracontact, and node 5 is node 1
-        (family_3d(1.0, 2.0), ["derive", "--steps", "6"],
-         {"levi_civita": 5, "nijenhuis_tensor": 1, "nijenhuis_norm": 1, "_kernel_basis": 5}),
-        # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
-        (family_3d(1.0, 0.0), ["derive", "--steps", "6"],
+        # class I: every node from 1 on is paracontact, and node 5 is node 1;
+        # nodes 1-4 are solved as one stack
+        (family_3d(1.0, 2.0), ["derive", "--steps", "6"], 5,
          {"levi_civita": 2, "nijenhuis_tensor": 1, "nijenhuis_norm": 1, "_kernel_basis": 2}),
-        (nilpotent_h_5d(), ["analyze"],
+        # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
+        (family_3d(1.0, 0.0), ["derive", "--steps", "6"], 2,
+         {"levi_civita": 2, "nijenhuis_tensor": 1, "nijenhuis_norm": 1, "_kernel_basis": 2}),
+        (nilpotent_h_5d(), ["analyze"], 1,
          {"levi_civita": 1, "canonical_pc_connection": 1, "nijenhuis_tensor": 1,
           "nijenhuis_norm": 0, "_kernel_basis": 1}),
     ],
     ids=["class-I-analyze", "class-II-derive", "class-I-derive", "class-II-mu-2-derive",
          "nilpotent-h-5d-analyze"],
 )
-def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv, expected):
+def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv, n_metrics,
+                                     expected):
     path = tmp_path / "model.json"
     path.write_text(modelfile.dumps_entry(entry))
-    counts, metrics, askers = _count_calls(monkeypatch)
+    counts, solved, askers = _count_calls(monkeypatch)
     assert cli.main([argv[0], str(path), *argv[1:]]) == 0
     capsys.readouterr()
     assert {name: counts[name] for name in expected} == expected
-    assert len(metrics) == counts["levi_civita"]  # no metric is solved twice
+    assert len(solved) == len(set(solved)) == n_metrics  # no metric is solved twice
     for name, structures in askers.items():  # one build per structure that asks
         assert counts[name] == len({id(st) for st in structures})
 

@@ -62,8 +62,8 @@ def _run(case: str) -> dict:
     """The CLI record of ``case``: exit code, stderr, human text and JSON report.
 
     The report is the dict handed to ``cli._write_outputs``, kept in its key
-    order (the JSON text sorts its keys, but ``_print_human`` breaks ties in
-    that order), with its values as the JSON text gives them.
+    order (the JSON text sorts its keys; the key order of the report is pinned
+    too), with its values as the JSON text gives them.
     """
     cmd, name = case.split(":", 1)
     written = []
@@ -136,6 +136,15 @@ def test_report_matches_golden(case, golden):
 @pytest.mark.parametrize("case", CASES)
 def test_print_human_reproduces_golden_text(case, golden):
     assert _human(golden[case]["report"]) == golden[case]["human"]
+
+
+def test_worst_identity_ties_go_to_the_smallest_name():
+    identities = {"b_check": 1e-16, "c_check": 0.0, "a_check": 1e-16}
+    report = {"model": {"name": "m", "dim": 3, "jacobi_residual": 0.0}, "identities": identities}
+    assert "worst a_check = 1.000e-16" in _human(report)
+    # the line follows from the sorted JSON: the key order does not matter
+    for order in (sorted(identities), sorted(identities, reverse=True)):
+        assert _human({**report, "identities": {k: identities[k] for k in order}}) == _human(report)
 
 
 if __name__ == "__main__":

@@ -93,6 +93,18 @@ def test_derive_next_paracontact_branch():
         assert node.checks[key] <= 1e-8
 
 
+@pytest.mark.parametrize("lam,d", [(1.0, 0.5), (1.0, 2.0)])
+def test_derive_next_is_tower_node_two(lam, d):
+    s = family(lam, d)
+    fit = nullity_fit(s)
+    st, _ = canonical_paracontact(s, fit)
+    node = derive_next(st, fit)
+    assert node.to_dict()["index"] == 2
+    seq = sequence(s, 3)[2]
+    assert (node.index, node.kind) == (seq.index, seq.kind)
+    assert (node.kappa, node.mu) == pytest.approx((seq.kappa, seq.mu), abs=1e-12)
+
+
 def test_derive_next_rejects_boundary_invariant():
     s = family(1.0, 1.0)
     fit = nullity_fit(s)
