@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,22 +62,34 @@ def _fmt(x: float) -> str:
     return f"{x:.3e}"
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
-
-
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    """``report`` as JSON text (sorted keys, indent 2) in one walk: numpy values as Python
+    ones (a numpy NaN as JSON's NaN), a non-finite Python float as the string of its repr.
+    Keys are strings; a value JSON has no form for (``np.bool_``) raises TypeError."""
+
+    def render(x, newline: str) -> str:  # the text of x, whose lines continue with newline
+        if isinstance(x, (float, np.floating)):
+            if math.isfinite(x):
+                return float.__repr__(float(x))
+            return json.dumps(float(x)) if isinstance(x, np.floating) else f'"{x!r}"'
+        inner = newline + "  "
+        if isinstance(x, dict):
+            body = [f"{encode_basestring_ascii(key)}: {render(x[key], inner)}" for key in sorted(x)]
+            return "{" + inner + ("," + inner).join(body) + newline + "}" if body else "{}"
+        if isinstance(x, str):
+            return encode_basestring_ascii(x)
+        if x is None or isinstance(x, bool):
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return int.__repr__(int(x))
+        if isinstance(x, np.ndarray):
+            return render(x.tolist(), newline)
+        if isinstance(x, (list, tuple)):
+            body = [render(v, inner) for v in x]
+            return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    return render(report, "\n")
 
 
 def _load(path: str) -> modelfile.ModelDocument:

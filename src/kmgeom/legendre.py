@@ -11,16 +11,21 @@ definiteness pattern on the two h-eigendistributions realizes the five-class
 split of non-Sasakian nullity spaces.  A transversal pair (L1, L2) induces a
 paracontact metric structure (+1 on L1, -1 on L2); for the h-eigenpair this
 is exactly the canonical paracontact structure.
+
+:func:`legendre_distribution` and :func:`involutivity_residual` take a stack of
+bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair is
+one stack, and each member gets what it gets alone, its exception included.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactMetricStructure, NullityReport
+from .contact import ContactMetricStructure, NullityReport, _unstack
 from .errors import (
     ClassificationMismatch,
     DegeneratePang,
+    GeometryError,
     NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
@@ -31,7 +36,7 @@ from .paracontact import (
     canonical_pc_connection,
     integrability_and_parasasaki,
 )
-from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .report import DEFAULT_TOL, ResidualReport, finite_stack, max_abs, max_abs_each
 from .riemann import AffineConnection, form_xy, on_pairs
 
 
@@ -65,14 +70,7 @@ class LibermannMap:
     lambda_op: np.ndarray
 
 
-def _pang_matrix(model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Pi[i, j] = 2 d eta([xi, b_i], b_j) for the rows b_i of ``vectors``."""
-    xi_brackets = vectors @ model.ad(xi).T  # rows [xi, b_i]
-    return 2.0 * xi_brackets @ d_one_form(model, eta) @ vectors.T
-
-
-def _definiteness(pi: np.ndarray, tol: float) -> str:
-    eig = np.linalg.eigvalsh(0.5 * (pi + pi.T))
+def _definiteness(eig: np.ndarray, tol: float) -> str:
     pos = np.sum(eig > tol)
     neg = np.sum(eig < -tol)
     zero = len(eig) - pos - neg
@@ -87,49 +85,71 @@ def _definiteness(pi: np.ndarray, tol: float) -> str:
     return "indefinite"
 
 
+def _bases(vectors) -> tuple[np.ndarray, bool]:
+    """(``vectors`` as a stack of bases (B, n, dim), whether it was one basis)."""
+    v = np.asarray(vectors, dtype=float)
+    return (np.atleast_2d(v)[None], True) if v.ndim < 3 else (v, False)
+
+
 def legendre_distribution(
     model: LieModel,
     eta: np.ndarray,
     xi: np.ndarray,
     vectors: np.ndarray,
     tol: float = DEFAULT_TOL,
-) -> LegendreDistribution:
-    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n = (model.dim - 1) // 2
-    if vectors.shape != (n, model.dim):
+) -> LegendreDistribution | list:
+    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data
+    (DegeneratePang if it is not finite); a stack of bases gives a list, in one pass."""
+    v, single = _bases(vectors)
+    n, nb = (model.dim - 1) // 2, len(v)
+    if v.shape[1:] != (n, model.dim):
         raise NotTransversal(f"expected {n} basis vectors of length {model.dim}")
-    if np.linalg.matrix_rank(vectors, tol=1e-12) < n:
-        raise NotTransversal("basis vectors are linearly dependent")
-    worst_eta = max_abs(vectors @ eta)
-    if not worst_eta <= tol:
-        raise NotTransversal(f"basis not tangent to the contact distribution ({worst_eta:.3e})")
+    # a non-finite member is an identity here (its SVD would fail the stack); it fails on eta
+    rank = np.linalg.matrix_rank(finite_stack(v)[0], tol=1e-12)
+    worst_eta = max_abs_each(v @ eta, nb).tolist()
     deta = d_one_form(model, eta)
-    iso = max_abs(vectors @ deta @ vectors.T)
-    if not iso <= tol:
-        raise NotTransversal(f"d eta does not vanish on the span ({iso:.3e})")
-    pi = _pang_matrix(model, eta, xi, vectors)
-    return LegendreDistribution(vectors=vectors, pang=pi, definiteness=_definiteness(pi, tol))
+    iso = max_abs_each(v @ deta @ v.swapaxes(1, 2), nb).tolist()
+    pi = 2.0 * (v @ model.ad(xi).T) @ deta @ v.swapaxes(1, 2)  # [b, i, j] = 2 d eta([xi, b_i], b_j)
+    eig = np.linalg.eigvalsh(finite_stack(0.5 * (pi + pi.swapaxes(1, 2)))[0])
+    out = []
+    for b in range(nb):
+        if rank[b] < n:
+            out.append(NotTransversal("basis vectors are linearly dependent"))
+        elif not worst_eta[b] <= tol:
+            out.append(NotTransversal(
+                f"basis not tangent to the contact distribution ({worst_eta[b]:.3e})"))
+        elif not iso[b] <= tol:
+            out.append(NotTransversal(f"d eta does not vanish on the span ({iso[b]:.3e})"))
+        elif not np.isfinite(pi[b]).all():
+            out.append(DegeneratePang("Pang form is not finite"))
+        else:
+            out.append(LegendreDistribution(v[b], pi[b], _definiteness(eig[b], tol)))
+    return _unstack(out, single)
 
 
 def involutivity_residual(
     model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors: np.ndarray
-) -> float:
-    """Max deviation of [b_i, b_j] from span(basis), with its eta-component.
+) -> float | list[float]:
+    """Max deviation of [b_i, b_j] from span(basis), with its eta-component (a
+    list of them, from one pass, for a stack of bases).
 
     Zero iff the distribution is a foliation whose leaves stay tangent to
     ker(eta).
     """
-    q, _ = np.linalg.qr(np.vstack([vectors, xi]).T)
-    br = on_pairs(model.c, vectors, vectors)  # [i, j, :] = [b_i, b_j]
-    off_span = br - br @ (q @ q.T)  # the projector q q^T is symmetric
-    return max_abs(np.concatenate([off_span, (br @ eta)[..., None]], axis=-1))
+    v, single = _bases(vectors)
+    xis = np.broadcast_to(xi, (len(v), 1, model.dim))
+    q, _ = np.linalg.qr(np.concatenate([v, xis], axis=1).swapaxes(1, 2))
+    br = on_pairs(model.c, v, v)  # [b, i, j, :] = [v_bi, v_bj]
+    off_span = br - br @ (q @ q.swapaxes(1, 2))[:, None]  # the projector q q^T is symmetric
+    each = max_abs_each(np.concatenate([off_span, (br @ eta)[..., None]], axis=-1), len(v))
+    return each[0].item() if single else each.tolist()
 
 
 def eigendistributions(
     s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
 ) -> tuple[LegendreDistribution, LegendreDistribution]:
-    """g-orthonormal eigenbases of h for +-lambda, verified Legendre and involutive."""
+    """g-orthonormal eigenbases of h for +-lambda, verified Legendre and involutive
+    as one stack; the first failure, in the order (+lambda, -lambda), is raised."""
     if report.kappa >= 1.0 - tol:
         raise SasakianDegenerate("h has no +-lambda eigenspaces when kappa >= 1")
     lam = report.lam
@@ -140,20 +160,22 @@ def eigendistributions(
     l_inv = np.linalg.inv(np.linalg.cholesky(s.g))
     vals, w = np.linalg.eigh(l_inv @ (0.5 * (gh + gh.T)) @ l_inv.T)
     vecs = l_inv.T @ w
-    out = []
-    for target in (lam, -lam):
-        idx = np.where(np.abs(vals - target) <= max(100 * tol, 1e-8 * max(1.0, abs(lam))))[0]
-        if len(idx) != s.n:
-            raise SasakianDegenerate(
-                f"eigenvalue {target} has multiplicity {len(idx)}, expected {s.n}"
-            )
-        basis = vecs[:, idx].T
-        ld = legendre_distribution(s.model, s.eta, s.xi, basis, tol)
-        inv = involutivity_residual(s.model, s.eta, s.xi, basis)
-        if not inv <= tol:
-            raise NotIntegrable(f"eigendistribution not involutive (residual {inv:.3e})")
-        out.append(ld)
-    return out[0], out[1]
+    band = max(100 * tol, 1e-8 * max(1.0, abs(lam)))
+    idx = [np.flatnonzero(np.abs(vals - target) <= band) for target in (lam, -lam)]
+    # the members before the first of another multiplicity than n, as one stack
+    k = next((b for b, found in enumerate(idx) if len(found) != s.n), 2)
+    if k:
+        bases = vecs.T[np.array(idx[:k])]
+        pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
+        for ld, residual in zip(pair, involutivity_residual(s.model, s.eta, s.xi, bases)):
+            if isinstance(ld, GeometryError):
+                raise ld
+            if not residual <= tol:
+                raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
+    if k < 2:
+        raise SasakianDegenerate(
+            f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
+    return pair[0], pair[1]
 
 
 def _cached_eigendistributions(
@@ -219,7 +241,7 @@ def libermann_map(
     map acts nontrivially.  Verifies Lambda^2 = 0 and Lambda [xi, X] = X/2.
     """
     pi = ld.pang
-    if abs(np.linalg.det(pi)) <= tol:
+    if not (np.isfinite(pi).all() and abs(np.linalg.det(pi)) > tol):  # no det of a NaN
         raise DegeneratePang("Pang form is singular; no Libermann map")
     model, eta, xi = s.model, s.eta, s.xi
     deta = d_one_form(model, eta)

@@ -187,12 +187,14 @@ def curvature_xi(m: LieModel, conn: AffineConnection, xi: Vector) -> np.ndarray:
 
 
 def on_pairs(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """t(a_r, b_s) at [r, s, :] for the rows a_r of ``a`` and b_s of ``b``.
+    """t(a_r, b_s) at [..., r, s, :] for the rows a_r of ``a`` and b_s of ``b``
+    (two matrices, or two stacks of them with one leading member axis).
 
     ``t`` is a vector-valued bilinear array in the pair layout, such as the
     structure constants, a torsion or a Nijenhuis tensor.
     """
-    return np.tensordot(a, b @ t, 1)
+    tb = b[..., None, :, :] @ t  # [..., k, s, :] = t(e_k, b_s)
+    return (a @ tb.reshape(*tb.shape[:-3], len(t), -1)).reshape(*a.shape[:-1], *tb.shape[-2:])
 
 
 def eta_x(eta: OneForm, a: Endomorphism) -> np.ndarray:

@@ -396,12 +396,15 @@ def second_bilegendrian_analysis(
 
     _, _, plus, minus = _phi_eigenframe(s, report, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
-    pair = []
-    for sign, name, vecs in ((1.0, "plus", plus), (-1.0, "minus", minus)):
+    bases = np.stack([plus, minus])  # one stack; its first failure (plus, then minus) is raised
+    pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
+    involutive = involutivity_residual(s.model, s.eta, s.xi, bases)
+    for sign, name, vecs, ld, residual in zip((1.0, -1.0), ("plus", "minus"), bases, pair, involutive):
         checks.add(f"{name}_eigenvector_pattern", vecs @ h_t.T - sign * lam_t * vecs)
-        pair.append(legendre_distribution(s.model, s.eta, s.xi, vecs, tol))
-        checks.add(f"{name}_involutive", involutivity_residual(s.model, s.eta, s.xi, vecs))
-        checks.add(f"pang_value_{name}", pair[-1].pang - expected_pang * np.eye(s.n))
+        if isinstance(ld, GeometryError):
+            raise ld
+        checks.add(f"{name}_involutive", residual)
+        checks.add(f"pang_value_{name}", ld.pang - expected_pang * np.eye(s.n))
     d_plus, d_minus = pair
     # each Libermann map is +-h~_1 / (2 delta) on the opposite distribution (h~_1 of the node)
     for sign, name, ld, other in ((1.0, "plus", d_plus, d_minus), (-1.0, "minus", d_minus, d_plus)):

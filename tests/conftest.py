@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,25 @@ def heisenberg_model(dim, kind="contact"):
     g_t[-1, -1] = 1.0
     phi_t = np.diag([1.0] * n + [-1.0] * n + [0.0])
     return ParacontactMetricStructure(model=model, phi_t=phi_t, xi=xi, eta=xi, g_t=g_t)
+
+
+def jsonable(x):
+    """``x`` with numpy scalars and arrays as Python values and each non-finite
+    Python float as the string of its repr (a numpy scalar keeps its value)."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return jsonable(x.tolist())
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(x)
+    return x
+
+
+def reference_json(report) -> str:
+    """The reference for ``cli.render_json``: a walk to Python values, then the
+    standard library's encoder."""
+    return json.dumps(jsonable(report), indent=2, sort_keys=True)

@@ -1,7 +1,7 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
 derived structure, Nijenhuis tensor, Nijenhuis side report, kernel basis of
-eta and h-eigenframe built once per run of the CLI, and one argument parser
-per process."""
+eta and h-eigenframe built once per run of the CLI, one Legendre validation
+per bi-Legendrian pair, and one argument parser per process."""
 
 import hashlib
 import sys
@@ -21,6 +21,9 @@ COUNTED = {
     "nijenhuis_norm": contact.nijenhuis_norm,  # builds the side report
     "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
     "eigendistributions": legendre.eigendistributions,
+    # one call per bi-Legendrian pair: each validates its two distributions as a stack
+    "legendre_distribution": legendre.legendre_distribution,
+    "involutivity_residual": legendre.involutivity_residual,
     "build_parser": cli.build_parser,
 }
 
@@ -68,16 +71,18 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
     [
         # one Nijenhuis tensor for the structure and one for its Sasakian partner;
         # tower nodes 1 and 2 are built without the closed-form checks no caller
-        # reads, and their two metrics are solved as one stack
+        # reads, and their two metrics are solved as one stack; the h- and the
+        # h~-eigenpair are one Legendre validation each
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], 4,
          {"levi_civita": 3, "canonical_paracontact": 0, "derive_next": 0,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
-          "_kernel_basis": 3}),
+          "_kernel_basis": 3, "legendre_distribution": 2, "involutivity_residual": 2}),
         # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its
         # structure; one stack per kind (nodes 1, 2) after node 0
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"], 3,
          {"levi_civita": 3, "nijenhuis_tensor": 1, "eigendistributions": 1,
-          "nijenhuis_norm": 1, "_kernel_basis": 3}),
+          "nijenhuis_norm": 1, "_kernel_basis": 3, "legendre_distribution": 1,
+          "involutivity_residual": 1}),
         # class I: every node from 1 on is paracontact, and node 5 is node 1;
         # nodes 1-4 are solved as one stack
         (family_3d(1.0, 2.0), ["derive", "--steps", "6"], 5,

@@ -1,6 +1,8 @@
 """Legendre distributions, Pang forms, Libermann maps, the induced paracontact
 structure and the bi-Legendrian connection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from kmgeom.errors import (
     SasakianDegenerate,
 )
 from kmgeom.legendre import (
+    LegendreDistribution,
     bilegendrian_connection,
     classify_class,
     conjugate_distribution,
@@ -25,7 +28,7 @@ from kmgeom.legendre import (
 from kmgeom.paracontact import validate_paracontact
 from kmgeom.tower import canonical_paracontact, derive_next, second_bilegendrian_analysis
 
-from conftest import CLASS_PARAMS, family
+from conftest import CLASS_PARAMS, family, heisenberg_model
 
 E3 = np.eye(3)
 
@@ -216,3 +219,25 @@ def test_legendre_distribution_rejects_non_isotropic_basis(model_5d):
     e = np.eye(5)
     with pytest.raises(NotTransversal):
         legendre_distribution(m, st.eta, st.xi, np.vstack([e[0], e[2]]))
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_nan_xi_gives_a_degenerate_pang_form(dim):
+    """A NaN xi makes the Pang form of a valid Legendre basis NaN: DegeneratePang,
+    not the label "flat" (n = 1) or a LAPACK error."""
+    s = family(1.0, 2.0) if dim == 3 else heisenberg_model(dim)
+    basis = eigendistributions(s, nullity_fit(s))[0].vectors if dim == 3 else np.eye(dim)[:2]
+    xi = s.xi.copy()
+    xi[0] = np.nan
+    with pytest.raises(DegeneratePang, match="not finite"):
+        legendre_distribution(s.model, s.eta, xi, basis)
+
+
+def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():
+    s = family(1.0, 2.0)
+    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    nan_form = LegendreDistribution(d_pos.vectors, np.full((1, 1), np.nan), "flat")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePang, match="singular"):
+            libermann_map(s, nan_form, d_neg)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import reference_json
 
 from kmgeom import modelfile
 from kmgeom.catalog import family_3d, nilpotent_h_5d
@@ -279,6 +280,29 @@ def test_render_json_stable():
     report = {"b": 1.0, "a": {"y": np.float64(2.0), "x": [np.int64(1)]}}
     text = render_json(report)
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+
+EDGE_VALUES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 10**20, np.float64(2.5), np.int64(-3),
+    np.float64("nan"), np.float64("-inf"), np.float32(1.1), (1, (2.0, "t")), (), [], {}, [[]], [{}],
+    {"e": {}}, {"l": [[], {}]}, None, True, False, 0, "", "caf\u00e9 \u2202\u03b7", "q\"b\\n\n\t\x01",
+    np.array([[1.0, np.nan], [np.inf, -0.0]]), np.array(3.5), np.array([], dtype=float),
+    np.array([True, False]), np.arange(3),
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_render_json_is_the_reference_text_on_edge_values(value):
+    for report in (value, {"k": value, "a": [value, {"z": value}]}):
+        assert render_json(report) == reference_json(report)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {"k": [np.bool_(False)]}, {1, 2}, 1j])
+def test_render_json_raises_where_json_does(value):
+    with pytest.raises(TypeError):
+        reference_json(value)
+    with pytest.raises(TypeError):
+        render_json(value)
 
 
 def test_emitted_files_validate(tmp_path, capsys):

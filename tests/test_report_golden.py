@@ -20,7 +20,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import heisenberg_model, twisted_contact_3d
+from conftest import heisenberg_model, jsonable, reference_json, twisted_contact_3d
 
 from kmgeom import catalog, cli, modelfile
 
@@ -58,18 +58,21 @@ def _capture(fn, *args) -> tuple:
     return result, out.getvalue(), err.getvalue()
 
 
-def _run(case: str) -> dict:
+def _run(case: str, raw: list | None = None) -> dict:
     """The CLI record of ``case``: exit code, stderr, human text and JSON report.
 
     The report is the dict handed to ``cli._write_outputs``, kept in its key
     order (the JSON text sorts its keys; the key order of the report is pinned
-    too), with its values as the JSON text gives them.
+    too), with its values as the JSON text gives them.  ``raw`` collects the
+    dict itself.
     """
     cmd, name = case.split(":", 1)
     written = []
 
     def write_outputs(report, json_path):
-        written.append(json.loads(json.dumps(cli._jsonable(report))))
+        written.append(json.loads(json.dumps(jsonable(report))))
+        if raw is not None:
+            raw.append(report)
         real_write_outputs(report, json_path)
 
     real_write_outputs, cli._write_outputs = cli._write_outputs, write_outputs
@@ -136,6 +139,14 @@ def test_report_matches_golden(case, golden):
 @pytest.mark.parametrize("case", CASES)
 def test_print_human_reproduces_golden_text(case, golden):
     assert _human(golden[case]["report"]) == golden[case]["human"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_render_json_is_the_reference_text(case):
+    raw = []
+    _run(case, raw)
+    for report in raw:
+        assert cli.render_json(report) == reference_json(report)
 
 
 def test_worst_identity_ties_go_to_the_smallest_name():
