@@ -39,8 +39,8 @@ print("\n== induced paracontact structure ==")
 st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
 st_can, checks = canonical_paracontact(s, fit)
 print(f"  matches the canonical structure: "
-      f"{np.max(np.abs(st_psi.phi_t - st_can.phi_t)):.1e} (phi~), "
-      f"{np.max(np.abs(st_psi.g_t - st_can.g_t)):.1e} (g~)")
+      f"{np.max(np.abs(st_psi.phi - st_can.phi)):.1e} (phi~), "
+      f"{np.max(np.abs(st_psi.g - st_can.g)):.1e} (g~)")
 print(f"  canonical-structure checks valid: {checks.valid}")
 
 print("\n== bi-Legendrian connection ==")

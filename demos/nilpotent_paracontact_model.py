@@ -15,8 +15,8 @@ from kmgeom import (
     integrability_and_parasasaki,
     jacobi_residual,
     nilpotent_h_5d,
-    para_nullity_fit,
-    validate_paracontact,
+    nullity_fit,
+    validate_contact,
 )
 
 entry = nilpotent_h_5d()
@@ -28,13 +28,13 @@ print("basis:", ", ".join(labels))
 print(f"Jacobi residual: {jacobi_residual(model):.2e}")
 
 print("\n== structure axioms ==")
-report = validate_paracontact(st)
+report = validate_contact(st)
 for name, value in sorted(report.entries.items()):
     print(f"  {name:32s} {value:.2e}")
 print("valid:", report.valid)
 
 print("\n== the h~ operator ==")
-h = st.h_t
+h = st.h
 for j, lab in enumerate(labels):
     image = h @ np.eye(5)[j]
     terms = [f"{image[k]:+g} {labels[k]}" for k in range(5) if abs(image[k]) > 1e-12]
@@ -43,7 +43,7 @@ print(f"  max |h~|   = {np.max(np.abs(h)):g}   (nonzero)")
 print(f"  max |h~^2| = {np.max(np.abs(h @ h)):g}   (nilpotent)")
 
 print("\n== nullity fit ==")
-fit = para_nullity_fit(st)
+fit = nullity_fit(st)
 print(f"  kappa~ = {fit.kappa:+.12f}")
 print(f"  mu~    = {fit.mu:+.12f}")
 print(f"  full-tensor residual = {fit.residual:.2e}")

@@ -6,6 +6,11 @@ constructs and re-verifies every derived structure of a nullity space: the
 canonical paracontact structure, the alternating contact/paracontact tower,
 the second bi-Legendrian pair, compatible Sasakian structures, and the
 anti-hypercomplex 3-web on the contact distribution.
+
+The public names are the ones imported below, each under one spelling: a
+paracontact structure keeps phi~, g~ and h~ in ``phi``, ``g`` and ``h``, and
+one validator (:func:`validate_contact`) and one nullity fit
+(:func:`nullity_fit`) serve both kinds.
 """
 
 from .catalog import (
@@ -42,18 +47,9 @@ from .paracontact import (
     ParacontactMetricStructure,
     canonical_pc_connection,
     integrability_and_parasasaki,
-    para_nullity_fit,
-    validate_paracontact,
 )
 from .report import DEFAULT_TOL, ResidualReport
-from .riemann import (
-    AffineConnection,
-    MetricTensor,
-    connection_identity_suite,
-    curvature,
-    levi_civita,
-    signature,
-)
+from .riemann import AffineConnection, levi_civita, signature
 from .tower import (
     SasakianPackage,
     TowerNode,
@@ -66,54 +62,3 @@ from .tower import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineConnection",
-    "CatalogEntry",
-    "ContactMetricStructure",
-    "DEFAULT_TOL",
-    "GeometryError",
-    "LegendreDistribution",
-    "LibermannMap",
-    "LieModel",
-    "MetricTensor",
-    "NullityReport",
-    "ParacontactMetricStructure",
-    "ResidualReport",
-    "SasakianPackage",
-    "TowerNode",
-    "anti_hypercomplex_and_3web",
-    "bilegendrian_connection",
-    "blair_identity_suite",
-    "boeckx_invariant",
-    "canonical_paracontact",
-    "canonical_pc_connection",
-    "classification_flags",
-    "classify_class",
-    "connection_identity_suite",
-    "conjugate_distribution",
-    "curvature",
-    "d_one_form",
-    "derive_next",
-    "eigendistributions",
-    "family_3d",
-    "heisenberg_3d",
-    "integrability_and_parasasaki",
-    "jacobi_residual",
-    "legendre_pair_constants",
-    "levi_civita",
-    "lie_derivative_endo",
-    "libermann_map",
-    "nijenhuis_norm",
-    "nilpotent_h_5d",
-    "nullity_fit",
-    "para_nullity_fit",
-    "psi_to_paracontact",
-    "sasakian_structure",
-    "second_bilegendrian_analysis",
-    "sequence",
-    "signature",
-    "tangent_bundle_constants",
-    "validate_contact",
-    "validate_paracontact",
-]

@@ -66,14 +66,14 @@ def nilpotent_h_5d() -> CatalogEntry:
         },
     )
     model = LieModel(c=c, basis_labels=("X1", "X2", "Y1", "Y2", "xi"))
-    phi_t = np.diag([1.0, 1.0, -1.0, -1.0, 0.0])
+    phi = np.diag([1.0, 1.0, -1.0, -1.0, 0.0])
     xi = np.eye(5)[4]
     eta = np.eye(5)[4]
-    g_t = np.zeros((5, 5))
-    g_t[0, 2] = g_t[2, 0] = 1.0
-    g_t[1, 3] = g_t[3, 1] = 1.0
-    g_t[4, 4] = 1.0
-    structure = ParacontactMetricStructure(model=model, phi_t=phi_t, xi=xi, eta=eta, g_t=g_t)
+    g = np.zeros((5, 5))
+    g[0, 2] = g[2, 0] = 1.0
+    g[1, 3] = g[3, 1] = 1.0
+    g[4, 4] = 1.0
+    structure = ParacontactMetricStructure(model=model, phi=phi, xi=xi, eta=eta, g=g)
     return CatalogEntry(
         name="nilpotent-h-5d",
         model=model,
@@ -135,11 +135,9 @@ def heisenberg_3d() -> CatalogEntry:
     """
     c = _structure_constants(3, {(0, 1): {2: 2.0}})
     model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
-    phi_t = np.diag([1.0, -1.0, 0.0])
-    g_t = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    structure = ParacontactMetricStructure(
-        model=model, phi_t=phi_t, xi=np.eye(3)[2], eta=np.eye(3)[2], g_t=g_t
-    )
+    phi = np.diag([1.0, -1.0, 0.0])
+    g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    structure = ParacontactMetricStructure(model=model, phi=phi, xi=np.eye(3)[2], eta=np.eye(3)[2], g=g)
     return CatalogEntry(
         name="heisenberg-3d",
         model=model,

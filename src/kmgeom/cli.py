@@ -21,7 +21,6 @@ round-trips are byte-identical.
 
 import argparse
 import functools
-import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -64,14 +63,14 @@ def _fmt(x: float) -> str:
 
 def render_json(report: dict) -> str:
     """``report`` as JSON text (sorted keys, indent 2) in one walk: numpy values as Python
-    ones (a numpy NaN as JSON's NaN), a non-finite Python float as the string of its repr.
-    Keys are strings; a value JSON has no form for (``np.bool_``) raises TypeError."""
+    ones, and a non-finite float (Python or numpy) as the string of its repr, so that
+    strict JSON parsers read it.  Keys are strings; a value JSON has no form for
+    (``np.bool_``) raises TypeError."""
 
     def render(x, newline: str) -> str:  # the text of x, whose lines continue with newline
         if isinstance(x, (float, np.floating)):
-            if math.isfinite(x):
-                return float.__repr__(float(x))
-            return json.dumps(float(x)) if isinstance(x, np.floating) else f'"{x!r}"'
+            text = float.__repr__(float(x))
+            return text if math.isfinite(x) else f'"{text}"'
         inner = newline + "  "
         if isinstance(x, dict):
             body = [f"{encode_basestring_ascii(key)}: {render(x[key], inner)}" for key in sorted(x)]

@@ -349,7 +349,7 @@ def bilegendrian_connection(
     report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)
 
     report.add("parallel_phi_t", flags["pc_parallel_phi_residual"])  # max-abs of nabla^pc phi~
-    report.add("parallel_g_t", conn.nabla_bilinear_all(induced.g_t))
+    report.add("parallel_g_t", conn.nabla_bilinear_all(induced.g))
 
     if contact is not None:
         report.add("parallel_g", conn.nabla_bilinear_all(contact.g))

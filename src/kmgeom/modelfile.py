@@ -19,6 +19,9 @@ Format (1-based indices; unlisted brackets are zero):
 The loader antisymmetrizes bracket entries and rejects inconsistent
 duplicates (the same unordered pair listed twice with different
 coefficients, including an (i, j) / (j, i) pair that fails antisymmetry).
+``dim``, ``i`` and ``j`` are integers (an integral float such as 3.0 reads as
+one); a bool or a non-integral number there, or a bool coefficient, is a
+format error.
 """
 
 import json
@@ -41,13 +44,20 @@ class ModelDocument:
     expected: dict = field(default_factory=dict)
 
 
+def _number(x, cast=float):
+    """``cast(x)``; a bool, or a non-integral float cast to int, raises ValueError."""
+    if isinstance(x, bool) or cast is int and isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"not {'an integer' if cast is int else 'a number'}: {x!r}")
+    return cast(x)
+
+
 def _parse_brackets(dim: int, entries: list) -> np.ndarray:
     seen: dict[tuple[int, int], dict[int, float]] = {}
     for entry in entries:
         try:
-            i = int(entry["i"]) - 1
-            j = int(entry["j"]) - 1
-            coeffs = {int(k) - 1: float(v) for k, v in entry["coeffs"].items()}
+            i = _number(entry["i"], int) - 1
+            j = _number(entry["j"], int) - 1
+            coeffs = {int(k) - 1: _number(v) for k, v in entry["coeffs"].items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed bracket entry {entry!r}") from exc
         if not (0 <= i < dim and 0 <= j < dim) or any(not 0 <= k < dim for k in coeffs):
@@ -94,7 +104,7 @@ def loads(text: str) -> ModelDocument:
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level JSON value must be an object")
     try:
-        dim = int(doc["dim"])
+        dim = _number(doc["dim"], int)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError("missing or malformed 'dim'") from exc
     if dim < 1:

@@ -12,51 +12,32 @@ its square is always proportional to phi~^2 on nullity spaces, and the sign
 of that scalar classifies the spectrum (real pair / complex pair / nilpotent).
 
 :class:`ParacontactMetricStructure` is the eps = -1 member of
-:class:`kmgeom.contact.MetricStructure`, validated and fitted by the same
-functions; the fit's :class:`kmgeom.contact.NullityReport` carries the
-spectral type of h~.
+:class:`kmgeom.contact.MetricStructure`: its fields ``phi``, ``g`` and ``h``
+hold phi~, g~ and h~.  It is validated and fitted by the contact functions,
+:func:`kmgeom.contact.validate_contact` and :func:`kmgeom.contact.nullity_fit`,
+whose :class:`kmgeom.contact.NullityReport` carries the spectral type of h~.
+This module adds what only the paracontact side has: the canonical
+paracontact connection and the integrability and para-Sasakian predicates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import (  # noqa: F401 (h_square_scalar, spectral_type: public here too)
-    MetricStructure,
-    h_square_scalar,
-    nabla_phi_closed_form,
-    nullity_fit,
-    spectral_type,
-    validate_contact,
-)
+from .contact import MetricStructure, nabla_phi_closed_form
 from .errors import InternalInconsistency
 from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import AffineConnection, eta_x, eta_y, form_xy, on_pairs
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ParacontactMetricStructure(MetricStructure):
-    """Tensor quadruple (phi_t, xi, eta, g_t) on a Lie model, with cached h_t.
-
-    The eps = -1 member of :class:`MetricStructure`: ``phi_t``, ``g_t`` and
-    ``h_t`` are its ``phi``, ``g`` and ``h``.
-    """
+    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h: the
+    eps = -1 member of :class:`MetricStructure`, whose ``phi``, ``g`` and ``h``
+    are phi~, g~ and h~."""
 
     eps = -1.0
     kind = "paracontact"
-
-    def __init__(self, model, phi_t, xi, eta, g_t, h_t=None):
-        super().__init__(model, phi_t, xi, eta, g_t, h_t)
-
-    phi_t = property(lambda self: self.phi)
-    g_t = property(lambda self: self.g)
-    h_t = property(lambda self: self.h)
-
-
-# one sign-aware fit and validator serve both kinds; the spectral type of h~
-# is part of that fit
-para_nullity_fit = nullity_fit
-validate_paracontact = validate_contact
 
 
 def canonical_pc_connection(

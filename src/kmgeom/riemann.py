@@ -13,8 +13,9 @@ layout of ``gamma`` and the torsion: a vector-valued expression F(X, Y) is
 the array ``F[i, j, :] = F(e_i, e_j)``.  The kernels here produce arrays in
 that layout: :meth:`AffineConnection.nabla_endo_all`, :func:`curvature_xi`,
 :func:`nijenhuis_tensor` and :func:`on_pairs`; :func:`eta_x`, :func:`eta_y`
-and :func:`form_xy` build the right-hand sides.  The pointwise primitives
-(:meth:`AffineConnection.nabla`, :func:`curvature`) are their reference.
+and :func:`form_xy` build the right-hand sides.  Their pointwise references
+(nabla_u v, R_{u v} w and the full curvature tensor) are plain functions of a
+connection in ``tests/reference.py``.
 
 :func:`levi_civita`, :func:`curvature_xi` and :func:`signature` also take a
 stack of metrics on one model, with a leading member axis (a single metric is
@@ -27,40 +28,9 @@ import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch
 from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, d_one_form
-from .report import DEFAULT_TOL, ResidualReport, finite_stack
+from .report import DEFAULT_TOL, finite_stack
 
 DEGENERATE = "metric determinant below tolerance"
-
-
-@dataclass(frozen=True)
-class MetricTensor:
-    """A symmetric nondegenerate bilinear form with its signature."""
-
-    mat: np.ndarray
-    signature: tuple[int, int, int]  # (positive, negative, zero) eigenvalue counts
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, tol: float = DEFAULT_TOL) -> "MetricTensor":
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"metric must be square, got {mat.shape}")
-        # a NaN or inf entry makes asym NaN or inf (inf - inf is NaN), and `not asym <= tol` raises
-        with np.errstate(invalid="ignore"):
-            asym = np.max(np.abs(mat - mat.T))
-        if not asym <= tol:
-            raise DegenerateMetric(f"metric not finite and symmetric (residual {asym:.3e})")
-        if not abs(np.linalg.det(mat)) > tol:
-            raise DegenerateMetric(DEGENERATE)
-        return cls(mat=mat, signature=signature(mat, tol))
-
-    def is_riemannian(self) -> bool:
-        p, q, z = self.signature
-        return q == 0 and z == 0
-
-    def is_paracontact_signature(self) -> bool:
-        # odd dimension 2n+1, signature (n+1, n)
-        p, q, z = self.signature
-        return z == 0 and p == q + 1
 
 
 def signature(g: BilinearForm, tol: float = DEFAULT_TOL):
@@ -87,24 +57,6 @@ class AffineConnection:
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    def direction(self, i: int) -> np.ndarray:
-        """Matrix of nabla_{e_i}: column j holds nabla_{e_i} e_j."""
-        return self.gamma[i].T
-
-    def nabla(self, u: Vector, v: Vector) -> Vector:
-        """nabla_u v for constant-coefficient (left-invariant) fields."""
-        return np.einsum("i,j,ijk->k", u, v, self.gamma)
-
-    def nabla_endo(self, i: int, t: np.ndarray) -> np.ndarray:
-        """(nabla_{e_i} T) for a (1,1)-tensor: the commutator [Gamma_i, T]."""
-        gi = self.direction(i)
-        return gi @ t - t @ gi
-
-    def nabla_bilinear(self, i: int, b: np.ndarray) -> np.ndarray:
-        """(nabla_{e_i} B)(e_j, e_k) = -B(nabla_i e_j, e_k) - B(e_j, nabla_i e_k)."""
-        gi = self.direction(i)
-        return -(gi.T @ b + b @ gi)
-
     def nabla_endo_all(self, t: Endomorphism) -> np.ndarray:
         """(nabla_{e_i} T) e_j at [i, j, :]: every commutator [Gamma_i, T] at once."""
         return t.T @ self.gamma - self.gamma @ t.T
@@ -127,7 +79,8 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
     stack (B, dim, dim) such a member is marked ``degenerate`` instead.  A NaN
     determinant (a NaN entry) passes the guard, with a NaN connection.
     The result is metric (``nabla g = 0``) and torsion-free by construction,
-    which :func:`connection_identity_suite` re-checks numerically.
+    which the connection identity suite of ``tests/reference.py`` re-checks
+    numerically.
     """
     g = np.asarray(g, dtype=float)
     d = m.dim
@@ -154,32 +107,11 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
     return AffineConnection(gamma, degenerate if g.ndim == 3 else False)
 
 
-def curvature(m: LieModel, conn: AffineConnection, u: Vector, v: Vector, w: Vector) -> Vector:
-    """R_{u v} w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_{[u,v]} w."""
-    return (
-        conn.nabla(u, conn.nabla(v, w))
-        - conn.nabla(v, conn.nabla(u, w))
-        - conn.nabla(m.bracket(u, v), w)
-    )
-
-
-def curvature_tensor(m: LieModel, conn: AffineConnection) -> np.ndarray:
-    """Full array R[i, j, k, :] = R_{e_i e_j} e_k."""
-    d = m.dim
-    gam = conn.gamma
-    # nabla_{e_i} nabla_{e_j} e_k = sum_m gamma[j,k,m] gamma[i,m,:], as one matmul over m
-    t = (gam.reshape(d * d, d) @ gam.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
-    t = t.transpose(2, 0, 1, 3)
-    r = t - t.transpose(1, 0, 2, 3)
-    r -= np.einsum("ijm,mkl->ijkl", m.c, gam)
-    return r.reshape(d, d, d, d)
-
-
 def curvature_xi(m: LieModel, conn: AffineConnection, xi: Vector) -> np.ndarray:
     """R_{e_i e_j} xi at [i, j, :] (at [b, i, j, :] for a stacked connection).
 
     xi is contracted before the second connection factor, so this costs
-    O(dim^4) where slicing :func:`curvature_tensor` costs O(dim^5).
+    O(dim^4) where slicing the full curvature tensor costs O(dim^5).
     """
     nabla_xi = (xi @ conn.gamma)[..., None, :, :]  # [j, :] = nabla_{e_j} xi
     t = nabla_xi @ conn.gamma  # [i, j, :] = nabla_{e_i} nabla_{e_j} xi
@@ -231,14 +163,3 @@ def nijenhuis_tensor(
         + 2.0 * eps * form_xy(d_one_form(m, eta), xi)
     )
 
-
-def connection_identity_suite(
-    m: LieModel, conn: AffineConnection, g: BilinearForm, tol: float = DEFAULT_TOL
-) -> ResidualReport:
-    """Metric compatibility, torsion-freeness and the first Bianchi identity."""
-    report = ResidualReport(tol=tol)
-    report.add("metric_compatibility", conn.nabla_bilinear_all(g))
-    report.add("torsion_free", conn.torsion(m))
-    r = curvature_tensor(m, conn)
-    report.add("first_bianchi", r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3))
-    return report

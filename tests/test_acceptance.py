@@ -21,7 +21,7 @@ from kmgeom.errors import (
     SasakianOrInvalid,
 )
 from kmgeom.legendre import classify_class, eigendistributions, libermann_map, psi_to_paracontact
-from kmgeom.paracontact import canonical_pc_connection, para_nullity_fit, validate_paracontact
+from kmgeom.paracontact import canonical_pc_connection
 from kmgeom.riemann import levi_civita, signature
 from kmgeom.tower import (
     anti_hypercomplex_and_3web,
@@ -33,6 +33,7 @@ from kmgeom.tower import (
 )
 
 from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family
+from reference import nabla
 
 
 def _pass(n: int, message: str) -> None:
@@ -42,11 +43,11 @@ def _pass(n: int, message: str) -> None:
 def test_criterion_1_five_dim_model():
     entry = nilpotent_h_5d()
     st = entry.structure
-    rep = validate_paracontact(st, tol=1e-9)
+    rep = validate_contact(st, tol=1e-9)
     assert rep.valid, rep.failures()
-    assert np.max(np.abs(st.h_t)) > 1e-9          # h~ != 0
-    assert np.max(np.abs(st.h_t @ st.h_t)) <= 1e-9  # nilpotent
-    fit = para_nullity_fit(st, tol=1e-9)
+    assert np.max(np.abs(st.h)) > 1e-9          # h~ != 0
+    assert np.max(np.abs(st.h @ st.h)) <= 1e-9  # nilpotent
+    fit = nullity_fit(st, tol=1e-9)
     assert fit.residual <= 1e-9
     assert abs(fit.kappa + 1.0) <= 1e-9
     assert fit.spectral_type == "nilpotent"
@@ -65,7 +66,7 @@ def test_criterion_2_canonical_paracontact_constants_grid():
             s = family(lam, d)
             fit = nullity_fit(s)
             st, checks = canonical_paracontact(s, fit)
-            pfit = para_nullity_fit(st)
+            pfit = nullity_fit(st)
             predicted = fit.kappa - 2.0 + (1.0 - fit.mu / 2.0) ** 2
             worst = max(worst, abs(pfit.kappa - predicted), abs(pfit.mu - 2.0))
             assert abs(pfit.kappa - predicted) <= 1e-8
@@ -109,7 +110,7 @@ def test_criterion_4_paracontact_branch_and_second_pair():
     assert ana.checks["pang_value_plus"] <= 1e-8
     assert ana.checks["pang_value_minus"] <= 1e-8
     # Libermann maps against their closed forms +- h~_1 / (2 lambda~^2)
-    h_t1 = node.structure.h_t
+    h_t1 = node.structure.h
     lam_plus = libermann_map(s, ana.d_plus, ana.d_minus)
     lam_minus = libermann_map(s, ana.d_minus, ana.d_plus)
     pm = ana.d_minus.span_projector()
@@ -167,7 +168,7 @@ def _contact_identity_residual(s) -> float:
     keys = ("h_xi", "eta_circ_h", "h_phi_anticommute", "trace_h", "trace_phi_h")
     worst = max(rep[k] for k in keys)
     conn = levi_civita(s.model, s.g)
-    nabla_xi = np.column_stack([conn.nabla(np.eye(s.dim)[i], s.xi) for i in range(s.dim)])
+    nabla_xi = np.column_stack([nabla(conn, np.eye(s.dim)[i], s.xi) for i in range(s.dim)])
     return max(worst, float(np.max(np.abs(nabla_xi + s.phi + s.phi @ s.h))))
 
 
@@ -175,7 +176,7 @@ def _paracontact_suite_residual(st) -> float:
     """Worst residual over the canonical-connection properties and fit side checks."""
     _, pc_rep = canonical_pc_connection(st)
     worst = pc_rep.worst[1]
-    fit = para_nullity_fit(st)
+    fit = nullity_fit(st)
     return max(worst, fit.h_square_vs_kappa_residual, fit.curvature_reflection_residual)
 
 
@@ -245,8 +246,8 @@ def test_criterion_8_closed_form_cross_checks():
         st_can, _ = canonical_paracontact(s, fit)
         worst_psi = max(
             worst_psi,
-            float(np.max(np.abs(st_psi.phi_t - st_can.phi_t))),
-            float(np.max(np.abs(st_psi.g_t - st_can.g_t))),
+            float(np.max(np.abs(st_psi.phi - st_can.phi))),
+            float(np.max(np.abs(st_psi.g - st_can.g))),
         )
     assert worst_psi <= 1e-9
 

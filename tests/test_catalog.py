@@ -16,7 +16,6 @@ from kmgeom.catalog import (
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
 from kmgeom.errors import NonPositiveLambda
 from kmgeom.lie_model import jacobi_residual
-from kmgeom.paracontact import para_nullity_fit, validate_paracontact
 
 from conftest import GRID_DS, GRID_LAMBDAS
 
@@ -43,20 +42,20 @@ def test_family_rejects_nonpositive_lambda():
 def test_nilpotent_5d_expectations():
     entry = nilpotent_h_5d()
     assert jacobi_residual(entry.model) <= 1e-12
-    assert validate_paracontact(entry.structure).valid
-    h = entry.structure.h_t
+    assert validate_contact(entry.structure).valid
+    h = entry.structure.h
     assert np.max(np.abs(h)) > 0.5
     assert np.max(np.abs(h @ h)) <= 1e-12
-    fit = para_nullity_fit(entry.structure)
+    fit = nullity_fit(entry.structure)
     assert fit.kappa == pytest.approx(-1.0, abs=1e-9)
     assert fit.spectral_type == "nilpotent"
 
 
 def test_heisenberg_expectations():
     entry = heisenberg_3d()
-    assert validate_paracontact(entry.structure).valid
-    assert np.max(np.abs(entry.structure.h_t)) == 0.0
-    fit = para_nullity_fit(entry.structure)
+    assert validate_contact(entry.structure).valid
+    assert np.max(np.abs(entry.structure.h)) == 0.0
+    fit = nullity_fit(entry.structure)
     # para-Sasakian: the kappa~ = -1 nullity form with h~ = 0
     assert fit.kappa == pytest.approx(-1.0, abs=1e-12)
     assert fit.mu_indeterminate

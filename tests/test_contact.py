@@ -17,6 +17,7 @@ from kmgeom.errors import NotNullity, SasakianOrInvalid
 from kmgeom.tower import canonical_paracontact, derive_next
 
 from conftest import CLASS_PARAMS, family, heisenberg_model, twisted_contact_3d
+from reference import nabla_endo
 
 
 def test_validate_family_class_ii():
@@ -37,7 +38,7 @@ def test_validate_rejects_scaled_metric():
 def test_validate_rejects_paracontact_tensors(model_5d):
     st = model_5d.structure
     fake = ContactMetricStructure(
-        model=st.model, phi=st.phi_t, xi=st.xi, eta=st.eta, g=st.g_t
+        model=st.model, phi=st.phi, xi=st.xi, eta=st.eta, g=st.g
     )
     rep = validate_contact(fake)
     assert rep["phi_square"] > 1.0  # phi~^2 has the opposite sign
@@ -121,7 +122,7 @@ def test_blair_identities_sasakian_specialization(sasakian_fixture):
     worst = 0.0
     basis = np.eye(s.dim)
     for i in range(s.dim):
-        d_phi = conn.nabla_endo(i, s.phi)
+        d_phi = nabla_endo(conn, i, s.phi)
         for j in range(s.dim):
             rhs = (basis[i] @ s.g @ basis[j]) * s.xi - s.eta[j] * basis[i]
             worst = max(worst, np.max(np.abs(d_phi @ basis[j] - rhs)))

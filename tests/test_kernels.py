@@ -16,6 +16,7 @@ from kmgeom.contact import (
     classification_flags,
     nijenhuis_norm,
     nullity_fit,
+    validate_contact,
 )
 from kmgeom.legendre import involutivity_residual
 from kmgeom.lie_model import LieModel, jacobi_residual
@@ -24,19 +25,18 @@ from kmgeom.paracontact import (
     canonical_pc_connection,
     integrability_and_parasasaki,
 )
-from kmgeom.riemann import (
-    AffineConnection,
+from kmgeom.riemann import AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs
+from kmgeom.tower import canonical_paracontact
+
+from conftest import CLASS_PARAMS, family, heisenberg_model, rebased, twisted_contact_3d
+from reference import (
     connection_identity_suite,
     curvature,
     curvature_tensor,
-    curvature_xi,
-    levi_civita,
-    nijenhuis_tensor,
-    on_pairs,
+    nabla,
+    nabla_bilinear,
+    nabla_endo,
 )
-from kmgeom.tower import canonical_paracontact
-
-from conftest import CLASS_PARAMS, family, heisenberg_model, twisted_contact_3d
 
 # Fixed before the array kernels replaced the basis-pair loops.
 KERNEL_TOL = 1e-13
@@ -54,9 +54,7 @@ def changed_basis(s: ContactMetricStructure, seed: int) -> ContactMetricStructur
 
 def _tensors(s):
     """(model, phi, xi, eta, g, h, eps) of a contact (eps = +1) or paracontact (-1) structure."""
-    if isinstance(s, ContactMetricStructure):
-        return s.model, s.phi, s.xi, s.eta, s.g, s.h, 1.0
-    return s.model, s.phi_t, s.xi, s.eta, s.g_t, s.h_t, -1.0
+    return s.model, s.phi, s.xi, s.eta, s.g, s.h, s.eps
 
 
 KERNEL_CASES = {
@@ -91,9 +89,9 @@ def test_kernels_match_pointwise_references(name):
 
     expected = {
         "curvature_xi": pairs(lambda x, y, i, j: curvature(m, conn, x, y, xi)),
-        "nabla_endo_all(phi)": pairs(lambda x, y, i, j: conn.nabla_endo(i, phi) @ y),
-        "nabla_endo_all(h)": pairs(lambda x, y, i, j: conn.nabla(x, h @ y) - h @ conn.nabla(x, y)),
-        "nabla_bilinear_all(g)": np.array([conn.nabla_bilinear(i, g) for i in range(m.dim)]),
+        "nabla_endo_all(phi)": pairs(lambda x, y, i, j: nabla_endo(conn, i, phi) @ y),
+        "nabla_endo_all(h)": pairs(lambda x, y, i, j: nabla(conn, x, h @ y) - h @ nabla(conn, x, y)),
+        "nabla_bilinear_all(g)": np.array([nabla_bilinear(conn, i, g) for i in range(m.dim)]),
         "nijenhuis_tensor": pairs(lambda x, y, i, j: nij(x, y)),
         "on_pairs(c, phi, h)": pairs(lambda x, y, i, j: m.bracket(phi @ x, h @ y)),
     }
@@ -177,6 +175,23 @@ def test_matmul_contractions_match_einsum(name):
     got = curvature_tensor(m, AffineConnection(gamma=gam))
     scale = max(np.max(np.abs(t)), 1.0)
     assert np.max(np.abs(got - want)) <= CONTRACTION_RTOL * scale
+
+
+@pytest.mark.parametrize("dim", [3, 5, 11])
+def test_rebased_matches_the_plain_einsum(dim):
+    s = family(*CLASS_PARAMS["I"]) if dim == 3 else heisenberg_model(dim)
+    p = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
+    c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, np.linalg.inv(p))  # one O(dim^7) loop
+    got = rebased(s, p).model.c
+    assert np.max(np.abs(got - 0.5 * (c - c.transpose(1, 0, 2)))) <= 1e-12 * max(np.max(np.abs(c)), 1.0)
+
+
+def test_rebased_heisenberg_41_is_valid():
+    s = heisenberg_model(41)
+    p = np.eye(41) + 0.05 * np.random.default_rng(41).standard_normal((41, 41))
+    t = rebased(s, p)
+    assert jacobi_residual(t.model) <= 1e-10
+    assert validate_contact(t).valid
 
 
 # The residual is the cyclic sum b[j,k,i] + b[k,i,j] + b[i,j,k] of the dense
@@ -263,7 +278,7 @@ def test_nan_metric_is_not_para_sasakian():
     s = heisenberg_model(3, "paracontact")
     assert integrability_and_parasasaki(s)["para_sasakian"]
     bad = ParacontactMetricStructure(
-        model=s.model, phi_t=s.phi_t, xi=s.xi, eta=s.eta, g_t=_with_nan(s.g_t, (0, 0))
+        model=s.model, phi=s.phi, xi=s.xi, eta=s.eta, g=_with_nan(s.g, (0, 0))
     )
     flags = integrability_and_parasasaki(bad)
     assert not flags["para_sasakian"]

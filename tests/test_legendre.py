@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kmgeom.contact import nullity_fit
+from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import (
     ClassificationMismatch,
     DegeneratePang,
@@ -25,7 +25,6 @@ from kmgeom.legendre import (
     libermann_map,
     psi_to_paracontact,
 )
-from kmgeom.paracontact import validate_paracontact
 from kmgeom.tower import canonical_paracontact, derive_next, second_bilegendrian_analysis
 
 from conftest import CLASS_PARAMS, family, heisenberg_model
@@ -99,7 +98,7 @@ def test_libermann_closed_form_second_pair():
     st, _ = canonical_paracontact(s, fit)
     node = derive_next(st, fit)
     lam_map = libermann_map(s, ana.d_plus, ana.d_minus)
-    h_t1 = node.structure.h_t
+    h_t1 = node.structure.h
     proj_minus = ana.d_minus.span_projector()
     assert np.allclose(
         lam_map.lambda_op @ proj_minus, (h_t1 / 6.0) @ proj_minus, atol=1e-9
@@ -137,9 +136,9 @@ def test_psi_image_is_canonical_paracontact(lam, d):
     d_pos, d_neg = eigendistributions(s, fit)
     st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     st_can, _ = canonical_paracontact(s, fit)
-    assert np.max(np.abs(st_psi.phi_t - st_can.phi_t)) <= 1e-9
-    assert np.max(np.abs(st_psi.g_t - st_can.g_t)) <= 1e-9
-    assert validate_paracontact(st_psi).valid
+    assert np.max(np.abs(st_psi.phi - st_can.phi)) <= 1e-9
+    assert np.max(np.abs(st_psi.g - st_can.g)) <= 1e-9
+    assert validate_contact(st_psi).valid
 
 
 def test_psi_swapped_arguments_negate_phi():
@@ -149,7 +148,7 @@ def test_psi_swapped_arguments_negate_phi():
     a = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     b = psi_to_paracontact(s.model, d_neg, d_pos, s.eta)
     proj = a.contact_projector()
-    assert np.max(np.abs((a.phi_t + b.phi_t) @ proj)) <= 1e-12
+    assert np.max(np.abs((a.phi + b.phi) @ proj)) <= 1e-12
 
 
 def test_psi_rejects_non_transversal_pair():
@@ -198,7 +197,7 @@ def test_bilegendrian_rejects_non_integrable_pair(model_5d):
     l1 = legendre_distribution(m, st.eta, st.xi, np.vstack([e[0], e[3]]))
     l2 = legendre_distribution(m, st.eta, st.xi, np.vstack([e[1], e[2]]))
     induced = psi_to_paracontact(m, l1, l2, st.eta)
-    assert validate_paracontact(induced).valid
+    assert validate_contact(induced).valid
     with pytest.raises(NotIntegrable):
         bilegendrian_connection(induced, l1, l2)
 

