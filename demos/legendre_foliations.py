@@ -4,14 +4,14 @@ The +-lambda eigendistributions of h form a bi-Legendrian pair.  Assigning
 phi~ = +1 on one, -1 on the other and g~ = d eta(., phi~ .) + eta (x) eta
 induces a paracontact metric structure, which coincides with the canonical
 one; its canonical connection is simultaneously the bi-Legendrian connection
-of the pair and parallelizes g, phi and h.
+of the pair and parallelizes g, phi and h.  The canonical structure is node 1
+of the tower (tower.sequence), certified against node 0 by tower.step_checks.
 """
 
 import numpy as np
 
 from kmgeom import (
     bilegendrian_connection,
-    canonical_paracontact,
     conjugate_distribution,
     eigendistributions,
     family_3d,
@@ -19,6 +19,8 @@ from kmgeom import (
     nullity_fit,
     psi_to_paracontact,
     second_bilegendrian_analysis,
+    sequence,
+    step_checks,
 )
 
 s = family_3d(1.0, 2.0).structure
@@ -37,7 +39,8 @@ print(f"  conjugate phi D(+lambda) spans D(-lambda): "
 
 print("\n== induced paracontact structure ==")
 st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-st_can, checks = canonical_paracontact(s, fit)
+node0, node1 = sequence(s, 2)
+st_can, checks = node1.structure, step_checks(node0, node1)
 print(f"  matches the canonical structure: "
       f"{np.max(np.abs(st_psi.phi - st_can.phi)):.1e} (phi~), "
       f"{np.max(np.abs(st_psi.g - st_can.g)):.1e} (g~)")
@@ -61,5 +64,5 @@ print(f"  generated compatible structure: kappa' = {ana.kappa_new:.6g}, "
 
 lam_map = libermann_map(s, ana.d_plus, ana.d_minus)
 print(f"  Libermann map: Lambda^2 residual "
-      f"{np.max(np.abs(lam_map.lambda_op @ lam_map.lambda_op)):.1e}, "
-      f"Lambda xi = {np.round(lam_map.lambda_op @ s.xi, 12).tolist()}")
+      f"{np.max(np.abs(lam_map @ lam_map)):.1e}, "
+      f"Lambda xi = {np.round(lam_map @ s.xi, 12).tolist()}")

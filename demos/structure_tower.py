@@ -11,9 +11,14 @@ so on.  The Boeckx invariant decides the shape of the tower:
   Tanaka-Webster parallel structure.
 * |I| > 1: every derived structure is paracontact with the same constants.
 * |I| = 1: the normalizer vanishes and no derived structure exists.
+
+Each derived node is certified against the node before it (tower.step_checks):
+the normalized Lie derivative, the closed form of its h, the relation between
+the two Levi-Civita connections and its own (kappa, mu) identity suite; the
+last column is the worst of those residuals.
 """
 
-from kmgeom import family_3d, nullity_fit, sequence
+from kmgeom import family_3d, nullity_fit, sequence, step_checks
 from kmgeom.errors import DegenerateInvariant
 
 for lam, d, n_nodes in [(1.0, 0.0, 6), (2.0, 1.0, 5), (1.0, 2.0, 5)]:
@@ -21,11 +26,13 @@ for lam, d, n_nodes in [(1.0, 0.0, 6), (2.0, 1.0, 5), (1.0, 2.0, 5)]:
     fit = nullity_fit(s)
     print(f"== family (lambda, d) = ({lam:g}, {d:g}): kappa = {fit.kappa:g}, "
           f"mu = {fit.mu:g}, I = {fit.boeckx:g} ==")
-    for node in sequence(s, n_nodes):
+    nodes = sequence(s, n_nodes)
+    for prev, node in zip([None, *nodes], nodes):
         tw = "  [TW-parallel]" if node.tw_parallel else ""
+        step = "" if prev is None else f", step checks {step_checks(prev, node).worst[1]:.1e}"
         print(f"  node {node.index}: {node.kind:11s} "
               f"(kappa, mu) = ({node.kappa:+.6f}, {node.mu:+.6f}) "
-              f"fit residual {node.fit_residual:.1e}{tw}")
+              f"fit residual {node.fit_residual:.1e}{step}{tw}")
     print()
 
 print("at the boundary |I| = 1 the construction refuses:")

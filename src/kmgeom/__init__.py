@@ -3,9 +3,10 @@
 The package validates contact/paracontact metric structures given by
 structure constants, fits curvature nullity constants, and mechanically
 constructs and re-verifies every derived structure of a nullity space: the
-canonical paracontact structure, the alternating contact/paracontact tower,
-the second bi-Legendrian pair, compatible Sasakian structures, and the
-anti-hypercomplex 3-web on the contact distribution.
+canonical paracontact structure, the alternating contact/paracontact tower
+(each step certified against the paper's closed forms by one eps-signed
+:func:`step_checks`), the second bi-Legendrian pair, compatible Sasakian
+structures, and the anti-hypercomplex 3-web on the contact distribution.
 
 The public names are the ones imported below, each under one spelling: a
 paracontact structure keeps phi~, g~ and h~ in ``phi``, ``g`` and ``h``, and
@@ -33,7 +34,6 @@ from .contact import (
 from .errors import GeometryError
 from .legendre import (
     LegendreDistribution,
-    LibermannMap,
     bilegendrian_connection,
     classify_class,
     conjugate_distribution,
@@ -54,11 +54,10 @@ from .tower import (
     SasakianPackage,
     TowerNode,
     anti_hypercomplex_and_3web,
-    canonical_paracontact,
-    derive_next,
     sasakian_structure,
     second_bilegendrian_analysis,
     sequence,
+    step_checks,
 )
 
 __version__ = "0.1.0"

@@ -124,7 +124,8 @@ def _construction(build, *args, **kwargs) -> dict:
     """The report of ``build(*args, **kwargs)``, or the reason it does not apply."""
     try:
         return build(*args, **kwargs).to_dict()
-    except (InvariantTooSmall, NotNullity, SasakianDegenerate, SasakianOrInvalid) as exc:
+    except (DegenerateInvariant, InvariantTooSmall, NotNullity, SasakianDegenerate,
+            SasakianOrInvalid) as exc:
         return {"error": str(exc)}
 
 

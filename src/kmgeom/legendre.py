@@ -59,17 +59,6 @@ class LegendreDistribution:
         return q @ q.T
 
 
-@dataclass(frozen=True)
-class LibermannMap:
-    """The partial inverse of d eta attached to a nondegenerate Legendre foliation.
-
-    Materialized as a full endomorphism: zero on T F + R xi, solved from
-    Pi_F(Lambda Z, X) = d eta(Z, X) on the complementary distribution.
-    """
-
-    lambda_op: np.ndarray
-
-
 def _definiteness(eig: np.ndarray, tol: float) -> str:
     pos = np.sum(eig > tol)
     neg = np.sum(eig < -tol)
@@ -234,8 +223,10 @@ def libermann_map(
     ld: LegendreDistribution,
     other: LegendreDistribution,
     tol: float = DEFAULT_TOL,
-) -> LibermannMap:
-    """Solve Pi_L(Lambda Z, X) = d eta(Z, X) with kernel T L + R xi.
+) -> np.ndarray:
+    """The Libermann map Lambda of the nondegenerate Legendre foliation ``ld``: the
+    partial inverse of d eta, as a full endomorphism that solves
+    Pi_L(Lambda Z, X) = d eta(Z, X) with kernel T L + R xi.
 
     ``other`` supplies the complementary Legendre distribution on which the
     map acts nontrivially.  Verifies Lambda^2 = 0 and Lambda [xi, X] = X/2.
@@ -264,7 +255,7 @@ def libermann_map(
     half = max_abs(xi_brackets @ lam_op.T - 0.5 * ld.vectors)
     if not half <= 10 * tol:
         raise DegeneratePang(f"Lambda [xi, X] != X/2 on the foliation (residual {half:.3e})")
-    return LibermannMap(lambda_op=lam_op)
+    return lam_op
 
 
 def conjugate_distribution(

@@ -53,10 +53,6 @@ class AffineConnection:
     gamma: np.ndarray
     degenerate: np.ndarray | bool = False
 
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
     def nabla_endo_all(self, t: Endomorphism) -> np.ndarray:
         """(nabla_{e_i} T) e_j at [i, j, :]: every commutator [Gamma_i, T] at once."""
         return t.T @ self.gamma - self.gamma @ t.T

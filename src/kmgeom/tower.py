@@ -10,6 +10,9 @@ every step:
   a new *contact* structure when |I_M| < 1, a new *paracontact* structure
   when |I_M| > 1 (no construction exists at |I_M| = 1);
 * the full iterated sequence of such structures;
+* for any step of that sequence, of either kind, the paper's closed forms
+  (:func:`step_checks`): the normalized Lie derivative, h' and the relation
+  between the two Levi-Civita connections, with the node's identity suite;
 * for |I_M| > 1, the second bi-Legendrian pair carried by h~, the family of
   compatible nullity structures it generates, the Sasakian structure
   phi-bar = +-((1 - mu/2) phi + phi h) / sqrt((1 - mu/2)^2 - (1 - kappa)),
@@ -164,115 +167,18 @@ def _phi_bar(s: ContactMetricStructure, report: NullityReport) -> np.ndarray:
     return beta * ((1.0 - report.mu / 2.0) * s.phi + s.phi @ s.h)
 
 
-def canonical_paracontact(
-    s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
-) -> tuple[ParacontactMetricStructure, ResidualReport]:
-    """The canonical paracontact structure of a non-Sasakian nullity space.
-
-    phi~ = h / sqrt(1 - kappa), g~ = d eta(., phi~ .) + eta (x) eta.  The
-    returned report verifies, over all basis pairs:
-
-    * agreement of phi~ with the normalized Lie derivative of phi;
-    * the closed forms 2 sqrt(1-kappa) h~ = (2 - mu) phi h + 2 (1-kappa) phi
-      and h~^2 = (1 - kappa - (1 - mu/2)^2) phi^2;
-    * the relation between the two Levi-Civita connections;
-    * the (kappa, mu) identity suite of (phi~, h~) at the fitted constants;
-    * the fitted constants against (kappa - 2 + (1 - mu/2)^2, 2).
-    """
-    (node,) = _derived_nodes(s, (1,), report, tol)
-    st, checks = node.structure, node.checks
-    kappa, mu = report.kappa, report.mu
-    _, root = _step(report, 1, tol)
-    lie_phi = 0.5 * lie_derivative_endo(s.model, s.xi, s.phi) / root
-    checks.add("normalized_lie_derivative", st.phi - lie_phi)
-    checks.add(
-        "h_tilde_closed_form",
-        2.0 * root * st.h - ((2.0 - mu) * s.phi @ s.h + 2.0 * (1.0 - kappa) * s.phi),
-    )
-    checks.add(
-        "h_tilde_square_closed_form",
-        st.h @ st.h - (1.0 - kappa - (1.0 - mu / 2) ** 2) * s.phi @ s.phi,
-    )
-    # nabla~_X Y = nabla_X Y + (mu/2)(eta(X) phi Y + eta(Y) phi X)
-    #              - (eta(X) h Y + eta(Y) h X) / sqrt(1-kappa)
-    #              + [ ((2-mu)/sqrt(1-kappa) g(hX, Y) - 2 sqrt(1-kappa) g(phi^2 X, Y)
-    #                   - 2 g(X, phi Y)) / 2 - eta(nabla_X Y) ] xi
-    phi, h, g = s.phi, s.h, s.g
-    form = 0.5 * ((2.0 - mu) / root * g @ h - 2.0 * root * g @ phi @ phi - 2.0 * g @ phi)
-    form -= s.levi_civita(tol).gamma @ s.eta
-    checks.add("levi_civita_relation",
-               _levi_civita_relation(s, st, (mu / 2.0) * phi - h / root, form, tol))
-    checks.merge(blair_identity_suite(st, node.kappa, node.mu, tol))
-    return st, checks
-
-
 def _canonical_pair(
     s: ContactMetricStructure, report: NullityReport, tol: float
 ) -> tuple[ParacontactMetricStructure, TowerNode]:
     """The canonical paracontact structure of ``s`` and the tower node derived
     from it (nodes 1 and 2, without the closed-form checks of
-    :func:`canonical_paracontact` and :func:`derive_next`), built once per
-    (report, tol) and kept on ``s``."""
+    :func:`step_checks`), built once per (report, tol) and kept on ``s``."""
 
     def build():
         node1, node2 = _derived_nodes(s, (1, 2), report, tol)
         return node1.structure, node2
 
     return s.cached(("canonical_pair", report, tol), build)
-
-
-def _levi_civita_relation(
-    prev: MetricStructure, new: MetricStructure, shift: np.ndarray, form: np.ndarray, tol: float
-) -> float:
-    """Residual of a closed-form relation between the Levi-Civita connections
-    nabla of ``prev`` and nabla' of ``new`` (same eta and xi):
-
-        nabla'_X Y = nabla_X Y + eta(X) A Y + eta(Y) A X + B(X, Y) xi
-
-    for the endomorphism A = ``shift`` and the bilinear form B = ``form``.
-    """
-    eta = prev.eta
-    rhs = prev.levi_civita(tol).gamma + eta_x(eta, shift) + eta_y(eta, shift)
-    rhs += form_xy(form, prev.xi)
-    return max_abs(new.levi_civita(tol).gamma - rhs)
-
-
-def derive_next(
-    st: ParacontactMetricStructure,
-    parent: NullityReport,
-    tol: float = DEFAULT_TOL,
-) -> TowerNode:
-    """Normalize (1/2) L_xi phi~ into the next structure of the tower.
-
-    ``parent`` carries the constants (kappa, mu) of the contact structure
-    whose canonical paracontact structure ``st`` is; its h operator is
-    recovered as sqrt(1-kappa) phi~.  The node is tower node 2 of that contact
-    structure, and carries the (kappa, mu) identity suite of its structure at
-    the fitted constants.
-
-    * |I_M| < 1: contact node with constants (kappa + (1 - mu/2)^2, 2),
-      positive-definite metric, and h_1 = sqrt(1 - I_M^2) h.
-    * |I_M| > 1: paracontact node with constants (kappa - 2 + (1-mu/2)^2, 2),
-      h~_1 = -sqrt(I_M^2 - 1) h, plus the Levi-Civita relation between g~ and
-      g~_1.
-    """
-    (node,) = _derived_nodes(st, (2,), parent, tol)
-    s1, checks = node.structure, node.checks
-    h_parent = np.sqrt(1.0 - parent.kappa) * st.phi
-    if s1.eps > 0:
-        checks.add("metric_positive_definite", checks["riemannian_signature"],
-                   note=checks.notes["riemannian_signature"])
-        checks.add("h_proportionality", s1.h - np.sqrt(1.0 - parent.boeckx**2) * h_parent)
-    else:
-        checks.add("h_proportionality", s1.h + np.sqrt(parent.boeckx**2 - 1.0) * h_parent)
-        # nabla1_X Y = nabla~_X Y + eta(X)(phi~ Y - h~ Y / root) + eta(Y)(phi~ X - h~ X / root)
-        #              + [ root (g~(X,Y) - eta(X) eta(Y)) + g~(X, phi~ h~ Y) ] xi
-        _, root = _step(parent, 2, tol)
-        form = root * (st.g - np.outer(st.eta, st.eta)) + st.g @ st.phi @ st.h
-        checks.add("levi_civita_relation",
-                   _levi_civita_relation(st, s1, st.phi - st.h / root, form, tol))
-    checks.merge(blair_identity_suite(s1, node.kappa, node.mu, tol))
-    return node
 
 
 def _derived_nodes(
@@ -345,6 +251,41 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *nodes]
 
 
+def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> ResidualReport:
+    """The paper's closed forms for one tower step, node = (1/2) L_xi prev / root,
+    for either kind of either node.
+
+    With (kappa, mu, eps) the fitted constants and sign of ``prev`` and
+    root = sqrt(|kappa - eps|) (the normalizer of the step, as h^2 = (kappa - eps)
+    phi^2), the report checks, over all basis pairs:
+
+    * agreement of phi' with the normalized Lie derivative (1/2) L_xi phi / root;
+    * 2 root h' = (2 - mu) phi h + 2 (eps - kappa) phi, from
+      L_xi h = (2 - mu) phi h + 2 (eps - kappa) phi (at node 2 this is
+      h_2 = sqrt(1 - I_M^2) h for |I_M| < 1, -sqrt(I_M^2 - 1) h for |I_M| > 1);
+    * the relation between the Levi-Civita connections nabla of prev and nabla'
+      of node (same eta and xi):
+      nabla'_X Y = nabla_X Y + eta(X) A Y + eta(Y) A X + B(X, Y) xi with
+      A = (mu/2) phi - h / root and
+      B(X, Y) = g'((phi' + eps' phi' h') X, Y) - g((phi + eps phi h) X, Y);
+    * the (kappa, mu) identity suite of node at its fitted constants.
+    """
+    p, s = prev.structure, node.structure
+    kappa, mu, eps = prev.kappa, prev.mu, p.eps
+    root = np.sqrt(abs(kappa - eps))
+    checks = ResidualReport(tol=tol)
+    checks.add("normalized_lie_derivative",
+               s.phi - 0.5 * lie_derivative_endo(p.model, p.xi, p.phi) / root)
+    phih = p.phi @ p.h
+    checks.add("h_closed_form", 2.0 * root * s.h - ((2.0 - mu) * phih + 2.0 * (eps - kappa) * p.phi))
+    shift = (mu / 2.0) * p.phi - p.h / root
+    form = (s.phi + s.eps * s.phi @ s.h).T @ s.g - (p.phi + eps * phih).T @ p.g
+    rhs = p.levi_civita(tol).gamma + eta_x(p.eta, shift) + eta_y(p.eta, shift) + form_xy(form, p.xi)
+    checks.add("levi_civita_relation", s.levi_civita(tol).gamma - rhs)
+    checks.merge(blair_identity_suite(s, node.kappa, node.mu, tol))
+    return checks
+
+
 def _require_large_invariant(report: NullityReport, tol: float) -> float:
     _require_non_sasakian(report, tol)
     inv = report.boeckx
@@ -410,7 +351,7 @@ def second_bilegendrian_analysis(
     for sign, name, ld, other in ((1.0, "plus", d_plus, d_minus), (-1.0, "minus", d_minus, d_plus)):
         proj = other.span_projector()
         closed = sign * (node.structure.h / (2.0 * delta)) @ proj
-        lam_op = libermann_map(s, ld, other, tol).lambda_op
+        lam_op = libermann_map(s, ld, other, tol)
         checks.add(f"libermann_{name}_closed_form", lam_op @ proj - closed)
 
     product = 4.0 * delta

@@ -25,11 +25,10 @@ from kmgeom.paracontact import canonical_pc_connection
 from kmgeom.riemann import levi_civita, signature
 from kmgeom.tower import (
     anti_hypercomplex_and_3web,
-    canonical_paracontact,
-    derive_next,
     sasakian_structure,
     second_bilegendrian_analysis,
     sequence,
+    step_checks,
 )
 
 from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family
@@ -63,24 +62,26 @@ def test_criterion_2_canonical_paracontact_constants_grid():
     worst = 0.0
     for lam in GRID_LAMBDAS:
         for d in GRID_DS:
-            s = family(lam, d)
-            fit = nullity_fit(s)
-            st, checks = canonical_paracontact(s, fit)
-            pfit = nullity_fit(st)
+            # every step of the tower (only node 1 exists at |I_M| = 1)
+            nodes = sequence(family(lam, d), 2 if abs(d) == lam else 6)
+            for prev, node in zip(nodes, nodes[1:]):
+                checks = step_checks(prev, node, tol=1e-9)
+                assert checks.valid, checks.failures()
+            fit, pfit = nodes[0].fit, nullity_fit(nodes[1].structure)
             predicted = fit.kappa - 2.0 + (1.0 - fit.mu / 2.0) ** 2
             worst = max(worst, abs(pfit.kappa - predicted), abs(pfit.mu - 2.0))
             assert abs(pfit.kappa - predicted) <= 1e-8
             assert abs(pfit.mu - 2.0) <= 1e-8
-    _pass(2, f"canonical paracontact constants match the closed form on the "
-             f"{len(GRID_LAMBDAS)}x{len(GRID_DS)} grid (worst delta {worst:.2e})")
+    _pass(2, f"canonical paracontact constants and every tower step match the closed "
+             f"forms on the {len(GRID_LAMBDAS)}x{len(GRID_DS)} grid (worst delta {worst:.2e})")
 
 
 def test_criterion_3_contact_branch():
     for lam, d in [(1.0, 0.0), (2.0, 1.0)]:
         s = family(lam, d)
-        fit = nullity_fit(s)
-        st, _ = canonical_paracontact(s, fit)
-        node = derive_next(st, fit)
+        nodes = sequence(s, 3)
+        fit, node = nodes[0].fit, nodes[2]
+        assert step_checks(nodes[1], node, tol=1e-9).valid
         assert node.kind == "contact"
         predicted = fit.kappa + (1.0 - fit.mu / 2.0) ** 2
         assert abs(node.kappa - predicted) <= 1e-8
@@ -96,9 +97,9 @@ def test_criterion_3_contact_branch():
 
 def test_criterion_4_paracontact_branch_and_second_pair():
     s = family(1.0, 2.0)
-    fit = nullity_fit(s)
-    st, _ = canonical_paracontact(s, fit)
-    node = derive_next(st, fit)
+    nodes = sequence(s, 3)
+    fit, node = nodes[0].fit, nodes[2]
+    assert step_checks(nodes[1], node, tol=1e-9).valid
     assert node.kind == "paracontact"
     predicted = fit.kappa - 2.0 + (1.0 - fit.mu / 2.0) ** 2
     assert abs(node.kappa - predicted) <= 1e-8
@@ -115,8 +116,8 @@ def test_criterion_4_paracontact_branch_and_second_pair():
     lam_minus = libermann_map(s, ana.d_minus, ana.d_plus)
     pm = ana.d_minus.span_projector()
     pp = ana.d_plus.span_projector()
-    assert np.max(np.abs(lam_plus.lambda_op @ pm - (h_t1 / 6.0) @ pm)) <= 1e-8
-    assert np.max(np.abs(lam_minus.lambda_op @ pp + (h_t1 / 6.0) @ pp)) <= 1e-8
+    assert np.max(np.abs(lam_plus @ pm - (h_t1 / 6.0) @ pm)) <= 1e-8
+    assert np.max(np.abs(lam_minus @ pp + (h_t1 / 6.0) @ pp)) <= 1e-8
     _pass(4, f"paracontact branch: constants ({node.kappa:.6g}, {node.mu:.6g}), "
              f"lambda~ = sqrt(3), Pang value 4, Libermann closed forms match")
 
@@ -193,13 +194,13 @@ def test_criterion_7_identity_suites():
         from kmgeom.contact import blair_identity_suite
 
         worst = max(worst, blair_identity_suite(s, fit.kappa, fit.mu).worst[1])
-        st, checks = canonical_paracontact(s, fit)  # Lemma closed forms + LC relation
-        worst = max(worst, checks.worst[1])
-        worst = max(worst, _paracontact_suite_residual(st))
-        inv = fit.boeckx
-        if abs(abs(inv) - 1.0) > 1e-6:
-            node = derive_next(st, fit)  # branch identities incl. the g~_1 relation
-            worst = max(worst, node.checks.worst[1])
+        # every tower step: Lemma closed forms, Levi-Civita relation and node suite
+        nodes = sequence(s, 6 if abs(abs(fit.boeckx) - 1.0) > 1e-6 else 2)
+        for prev, node in zip(nodes, nodes[1:]):
+            checks = step_checks(prev, node, tol=1e-9)
+            assert checks.valid, checks.failures()
+            worst = max(worst, checks.worst[1], node.checks.worst[1])
+        worst = max(worst, _paracontact_suite_residual(nodes[1].structure))
 
     for lam, d in CLASS_PARAMS.values():
         check_family(family(lam, d))
@@ -243,7 +244,7 @@ def test_criterion_8_closed_form_cross_checks():
         fit = nullity_fit(s)
         d_pos, d_neg = eigendistributions(s, fit)
         st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-        st_can, _ = canonical_paracontact(s, fit)
+        st_can = sequence(s, 2)[1].structure
         worst_psi = max(
             worst_psi,
             float(np.max(np.abs(st_psi.phi - st_can.phi))),
@@ -269,9 +270,7 @@ def test_criterion_9_negative_paths(sasakian_fixture):
         fit = nullity_fit(s)
         assert fit.class_tag == tag
         assert classify_class(s, fit) == tag
-        st, _ = canonical_paracontact(s, fit)
-        with pytest.raises(DegenerateInvariant):
-            derive_next(st, fit)
+        assert step_checks(*sequence(s, 2)).valid  # node 1 exists at |I_M| = 1
         with pytest.raises(DegenerateInvariant):
             sequence(s, 3)
         with pytest.raises(InvariantTooSmall):

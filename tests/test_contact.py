@@ -14,7 +14,7 @@ from kmgeom.contact import (
 )
 from kmgeom.catalog import heisenberg_3d, nilpotent_h_5d
 from kmgeom.errors import NotNullity, SasakianOrInvalid
-from kmgeom.tower import canonical_paracontact, derive_next
+from kmgeom.tower import sequence
 
 from conftest import CLASS_PARAMS, family, heisenberg_model, twisted_contact_3d
 from reference import nabla_endo
@@ -133,12 +133,10 @@ def _suite_cases():
     """(name, structure) of paracontact and derived structures: tower nodes 1 and 2
     of each class (no node 2 at |I_M| = 1) and three paracontact models."""
     for cls, (lam, d) in CLASS_PARAMS.items():
-        s = family(lam, d)
-        fit = nullity_fit(s)
-        st, _ = canonical_paracontact(s, fit)
-        yield f"class-{cls}-node-1", st
+        nodes = sequence(family(lam, d), 2 if cls in ("IV", "V") else 3)
+        yield f"class-{cls}-node-1", nodes[1].structure
         if cls not in ("IV", "V"):
-            yield f"class-{cls}-node-2", derive_next(st, fit).structure
+            yield f"class-{cls}-node-2", nodes[2].structure
     yield "heisenberg-5-paracontact", heisenberg_model(5, "paracontact")
     yield "heisenberg-3d", heisenberg_3d().structure
     yield "nilpotent-h-5d", nilpotent_h_5d().structure

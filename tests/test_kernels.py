@@ -26,7 +26,7 @@ from kmgeom.paracontact import (
     integrability_and_parasasaki,
 )
 from kmgeom.riemann import AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs
-from kmgeom.tower import canonical_paracontact
+from kmgeom.tower import TowerNode, sequence, step_checks
 
 from conftest import CLASS_PARAMS, family, heisenberg_model, rebased, twisted_contact_3d
 from reference import (
@@ -299,7 +299,7 @@ def test_nan_metric_fails_levi_civita_relation():
     fit = nullity_fit(s)
     g = _with_nan(s.g, (0, 1))
     bad = ContactMetricStructure(model=s.model, phi=s.phi, xi=s.xi, eta=s.eta, g=g)
-    _, checks = canonical_paracontact(bad, fit)
+    checks = step_checks(TowerNode(0, bad, fit), sequence(s, 2)[1])
     assert np.isnan(checks["levi_civita_relation"])
     assert not checks.valid
 

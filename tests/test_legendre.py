@@ -25,7 +25,7 @@ from kmgeom.legendre import (
     libermann_map,
     psi_to_paracontact,
 )
-from kmgeom.tower import canonical_paracontact, derive_next, second_bilegendrian_analysis
+from kmgeom.tower import second_bilegendrian_analysis, sequence
 
 from conftest import CLASS_PARAMS, family, heisenberg_model
 
@@ -95,21 +95,16 @@ def test_libermann_closed_form_second_pair():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
     ana = second_bilegendrian_analysis(s, fit)
-    st, _ = canonical_paracontact(s, fit)
-    node = derive_next(st, fit)
+    node = sequence(s, 3)[2]
     lam_map = libermann_map(s, ana.d_plus, ana.d_minus)
     h_t1 = node.structure.h
     proj_minus = ana.d_minus.span_projector()
-    assert np.allclose(
-        lam_map.lambda_op @ proj_minus, (h_t1 / 6.0) @ proj_minus, atol=1e-9
-    )
+    assert np.allclose(lam_map @ proj_minus, (h_t1 / 6.0) @ proj_minus, atol=1e-9)
     # kernel convention and the defining properties
-    assert np.allclose(lam_map.lambda_op @ s.xi, 0.0)
-    assert np.max(np.abs(lam_map.lambda_op @ lam_map.lambda_op)) <= 1e-9
+    assert np.allclose(lam_map @ s.xi, 0.0)
+    assert np.max(np.abs(lam_map @ lam_map)) <= 1e-9
     for v in ana.d_plus.vectors:
-        assert np.allclose(
-            lam_map.lambda_op @ s.model.bracket(s.xi, v), 0.5 * v, atol=1e-9
-        )
+        assert np.allclose(lam_map @ s.model.bracket(s.xi, v), 0.5 * v, atol=1e-9)
 
 
 def test_libermann_rejects_flat_pang():
@@ -135,7 +130,7 @@ def test_psi_image_is_canonical_paracontact(lam, d):
     fit = nullity_fit(s)
     d_pos, d_neg = eigendistributions(s, fit)
     st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-    st_can, _ = canonical_paracontact(s, fit)
+    st_can = sequence(s, 2)[1].structure
     assert np.max(np.abs(st_psi.phi - st_can.phi)) <= 1e-9
     assert np.max(np.abs(st_psi.g - st_can.g)) <= 1e-9
     assert validate_contact(st_psi).valid

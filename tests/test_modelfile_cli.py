@@ -262,6 +262,22 @@ def test_cli_sasakian_and_legendre3(tmp_path, capsys):
     assert payload["legendre3"]["checks"]["valid"]
 
 
+@pytest.mark.parametrize(
+    "a,b,error",
+    [("-1", "-12", "a, b must be positive when I_M > 1"),
+     ("1", None, "supply both a and b, or neither")],
+)
+def test_cli_legendre3_reports_a_rejected_pang_pair(tmp_path, capsys, a, b, error):
+    # a wrong-sign or half-given (a, b) is the second pair's error, not the run's
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    pair = ["--a", a] + (["--b", b] if b is not None else [])
+    code = main(["analyze", path, "--legendre3", *pair, "--json", "-"])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads(out[out.index("{") :])
+    assert payload["legendre3"] == {"error": error}
+
+
 def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
     # family-3d(1, 2) in a basis of condition number 1e2: a class-I nullity
     # space (fit residual 5.6e-10), whose Sasakian partner's fit misses the

@@ -9,16 +9,14 @@ from kmgeom.paracontact import (
     canonical_pc_connection,
     integrability_and_parasasaki,
 )
-from kmgeom.tower import canonical_paracontact
+from kmgeom.tower import sequence
 
 from conftest import family
 from reference import nabla_endo
 
 
 def canonical(lam, d):
-    s = family(lam, d)
-    st, _ = canonical_paracontact(s, nullity_fit(s))
-    return st
+    return sequence(family(lam, d), 2)[1].structure
 
 
 def test_validate_5d(model_5d):

@@ -1,5 +1,5 @@
-"""Canonical paracontact structure, the derived tower, the second bi-Legendrian
-pair and the compatible Sasakian structures."""
+"""Canonical paracontact structure, the derived tower and its step checks, the
+second bi-Legendrian pair and the compatible Sasakian structures."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,13 @@ from kmgeom.legendre import eigendistributions
 from kmgeom.riemann import signature
 from kmgeom.tower import (
     anti_hypercomplex_and_3web,
-    canonical_paracontact,
-    derive_next,
     sasakian_structure,
     second_bilegendrian_analysis,
     sequence,
+    step_checks,
 )
 
-from conftest import family, rebased
+from conftest import CLASS_PARAMS, family, rebased
 
 
 @pytest.mark.parametrize(
@@ -30,55 +29,48 @@ from conftest import family, rebased
     [(1.0, 0.0, -2.0), (2.0, 1.0, -4.0), (1.0, 2.0, 2.0)],
 )
 def test_canonical_paracontact_constants(lam, d, kappa_t):
-    s = family(lam, d)
-    fit = nullity_fit(s)
-    st, checks = canonical_paracontact(s, fit)
+    nodes = sequence(family(lam, d), 2)
+    checks = step_checks(nodes[0], nodes[1])
     assert checks.valid, checks.failures()
-    pfit = nullity_fit(st)
+    pfit = nullity_fit(nodes[1].structure)
     assert pfit.kappa == pytest.approx(kappa_t, abs=1e-8)
     assert pfit.mu == pytest.approx(2.0, abs=1e-8)
 
 
 def test_canonical_paracontact_rejects_sasakian(sasakian_fixture):
-    fit = nullity_fit(sasakian_fixture)
     with pytest.raises(SasakianDegenerate):
-        canonical_paracontact(sasakian_fixture, fit)
+        sequence(sasakian_fixture, 2)
 
 
 def test_derive_next_contact_branch_identity_case():
-    # at (1, 0) the normalizer is 1, so phi_1 = h~ exactly
+    # at (1, 0) the normalizer is 1, so phi_2 = h~ exactly
     s = family(1.0, 0.0)
-    fit = nullity_fit(s)
-    st, _ = canonical_paracontact(s, fit)
-    node = derive_next(st, fit)
+    _, st, node = sequence(s, 3)
     assert node.kind == "contact"
-    assert np.allclose(node.phi, st.h)
+    assert np.allclose(node.phi, st.structure.h)
     assert node.kappa == pytest.approx(0.0, abs=1e-8)
     assert node.mu == pytest.approx(2.0, abs=1e-8)
-    assert node.checks["h_proportionality"] <= 1e-8  # h_1 = h at I_M = 0
+    assert np.max(np.abs(node.structure.h - s.h)) <= 1e-8  # h_2 = h at I_M = 0
     assert node.tw_parallel
 
 
 def test_derive_next_contact_branch_deep_case():
     s = family(2.0, 1.0)
-    fit = nullity_fit(s)
-    st, _ = canonical_paracontact(s, fit)
-    node = derive_next(st, fit)
+    node = sequence(s, 3)[2]
     assert node.kind == "contact"
     assert node.kappa == pytest.approx(-2.0, abs=1e-8)
     assert node.mu == pytest.approx(2.0, abs=1e-8)
     p, q, z = signature(node.G)
     assert (q, z) == (0, 0)
-    # h_1 = sqrt(1 - I^2) h with I = 1/2
+    # h_2 = sqrt(1 - I^2) h with I = 1/2
     expected = np.sqrt(1 - 0.25) * s.h
     assert np.max(np.abs(node.structure.h - expected)) <= 1e-8
 
 
 def test_derive_next_paracontact_branch():
     s = family(1.0, 2.0)
-    fit = nullity_fit(s)
-    st, _ = canonical_paracontact(s, fit)
-    node = derive_next(st, fit)
+    nodes = sequence(s, 3)
+    node = nodes[2]
     assert node.kind == "paracontact"
     assert node.kappa == pytest.approx(2.0, abs=1e-8)
     assert node.mu == pytest.approx(2.0, abs=1e-8)
@@ -87,29 +79,49 @@ def test_derive_next_paracontact_branch():
     expected = -np.sqrt(3.0) * s.h
     assert np.max(np.abs(node.structure.h - expected)) <= 1e-8
     # the relation between the two Levi-Civita connections and the (kappa, mu)
-    # identity suite of the node are part of the node checks
+    # identity suite of the node are part of the step checks
+    checks = step_checks(nodes[1], node)
     for key in ("levi_civita_relation", "nabla_phi_identity", "nabla_h_identity"):
-        assert node.checks[key] <= 1e-8
+        assert checks[key] <= 1e-8
 
 
 @pytest.mark.parametrize("lam,d", [(1.0, 0.5), (1.0, 2.0)])
 def test_derive_next_is_tower_node_two(lam, d):
-    s = family(lam, d)
-    fit = nullity_fit(s)
-    st, _ = canonical_paracontact(s, fit)
-    node = derive_next(st, fit)
+    nodes = sequence(family(lam, d), 3)
+    node = nodes[2]
     assert node.to_dict()["index"] == 2
-    seq = sequence(s, 3)[2]
-    assert (node.index, node.kind) == (seq.index, seq.kind)
-    assert (node.kappa, node.mu) == pytest.approx((seq.kappa, seq.mu), abs=1e-12)
+    checks = step_checks(nodes[1], node)
+    assert checks.valid, checks.failures()
+    assert node.checks["predicted_kappa_delta"] <= 1e-9
 
 
 def test_derive_next_rejects_boundary_invariant():
     s = family(1.0, 1.0)
-    fit = nullity_fit(s)
-    st, _ = canonical_paracontact(s, fit)
+    nodes = sequence(s, 2)  # node 1 exists at |I_M| = 1 and passes its step checks
+    assert step_checks(*nodes).valid
     with pytest.raises(DegenerateInvariant):
-        derive_next(st, fit)
+        sequence(s, 3)
+
+
+STEP_CASES = [
+    (cls, k) for cls in CLASS_PARAMS for k in range(1, 2 if cls in ("IV", "V") else 6)
+]
+
+
+@pytest.mark.parametrize("cls,k", STEP_CASES, ids=[f"{c}-{k}" for c, k in STEP_CASES])
+def test_step_checks_hold_on_every_tower_step(cls, k):
+    nodes = sequence(family(*CLASS_PARAMS[cls]), 6 if cls not in ("IV", "V") else 2)
+    checks = step_checks(nodes[k - 1], nodes[k], tol=1e-9)
+    assert checks.valid, checks.failures()
+
+
+@pytest.mark.parametrize("cls", ["I", "II", "III"])
+@pytest.mark.parametrize("a,b", [(0, 2), (1, 3)])
+def test_step_checks_reject_a_skipped_step(cls, a, b):
+    nodes = sequence(family(*CLASS_PARAMS[cls]), 6)
+    checks = step_checks(nodes[a], nodes[b])
+    for key in ("normalized_lie_derivative", "h_closed_form", "levi_civita_relation"):
+        assert checks[key] > 1e-3, key
 
 
 def test_sequence_alternating_pattern():
