@@ -5,8 +5,9 @@ structure constants, fits curvature nullity constants, and mechanically
 constructs and re-verifies every derived structure of a nullity space: the
 canonical paracontact structure, the alternating contact/paracontact tower
 (each step certified against the paper's closed forms by one eps-signed
-:func:`step_checks`), the second bi-Legendrian pair, compatible Sasakian
-structures, and the anti-hypercomplex 3-web on the contact distribution.
+:func:`step_checks`), the second bi-Legendrian pair, and compatible Sasakian
+structures, whose report also checks the anti-hypercomplex triple and the
+3-web on the contact distribution.
 
 The public names are the ones imported below, each under one spelling: a
 paracontact structure keeps phi~, g~ and h~ in ``phi``, ``g`` and ``h``, and
@@ -53,7 +54,6 @@ from .riemann import AffineConnection, levi_civita, signature
 from .tower import (
     SasakianPackage,
     TowerNode,
-    anti_hypercomplex_and_3web,
     sasakian_structure,
     second_bilegendrian_analysis,
     sequence,

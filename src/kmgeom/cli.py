@@ -39,6 +39,8 @@ from .contact import (
 from .errors import (
     DegenerateInvariant,
     GeometryError,
+    InternalInconsistency,
+    InvalidPangPair,
     InvariantTooSmall,
     ModelFormatError,
     NotNullity,
@@ -124,8 +126,8 @@ def _construction(build, *args, **kwargs) -> dict:
     """The report of ``build(*args, **kwargs)``, or the reason it does not apply."""
     try:
         return build(*args, **kwargs).to_dict()
-    except (DegenerateInvariant, InvariantTooSmall, NotNullity, SasakianDegenerate,
-            SasakianOrInvalid) as exc:
+    except (InternalInconsistency, InvalidPangPair, InvariantTooSmall, NotNullity,
+            SasakianDegenerate, SasakianOrInvalid) as exc:
         return {"error": str(exc)}
 
 

@@ -46,6 +46,10 @@ class InvariantTooSmall(GeometryError):
     """Operation requires |I_M| > 1."""
 
 
+class InvalidPangPair(GeometryError):
+    """Pang coefficients (a, b) half given, or not of the sign of I_M."""
+
+
 class NotTransversal(GeometryError):
     """The two Legendre distributions together with the Reeb field do not span."""
 

@@ -14,13 +14,15 @@ every step:
   (:func:`step_checks`): the normalized Lie derivative, h' and the relation
   between the two Levi-Civita connections, with the node's identity suite;
 * for |I_M| > 1, the second bi-Legendrian pair carried by h~, the family of
-  compatible nullity structures it generates, the Sasakian structure
+  compatible nullity structures it generates, and the Sasakian structure
   phi-bar = +-((1 - mu/2) phi + phi h) / sqrt((1 - mu/2)^2 - (1 - kappa)),
-  and the induced anti-hypercomplex triple / 3-web on the contact
-  distribution.
+  whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
+  and the 3-web its eigendistributions cut on the contact distribution.
+
+Every construction builds its tower nodes 1 and 2 through the one node builder,
+which verifies each node: a node that fails its checks stops the construction.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +40,7 @@ from .errors import (
     DegenerateInvariant,
     GeometryError,
     InternalInconsistency,
+    InvalidPangPair,
     InvariantTooSmall,
     SasakianDegenerate,
 )
@@ -92,10 +95,10 @@ class TowerNode:
 
 @dataclass(frozen=True)
 class SasakianPackage:
-    """A compatible Sasakian structure plus the anti-hypercomplex triple on ker(eta)."""
+    """A compatible Sasakian structure, with the checks of its anti-hypercomplex
+    triple and 3-web on ker(eta)."""
 
     sign: str  # "+" for I_M > 1, "-" for I_M < -1
-    triple: tuple[np.ndarray, np.ndarray, np.ndarray]  # (I1, I2, I3) with I2 I3 = I1
     structure: ContactMetricStructure
     checks: ResidualReport
 
@@ -171,8 +174,9 @@ def _canonical_pair(
     s: ContactMetricStructure, report: NullityReport, tol: float
 ) -> tuple[ParacontactMetricStructure, TowerNode]:
     """The canonical paracontact structure of ``s`` and the tower node derived
-    from it (nodes 1 and 2, without the closed-form checks of
-    :func:`step_checks`), built once per (report, tol) and kept on ``s``."""
+    from it (nodes 1 and 2, verified as :func:`sequence` verifies them, without
+    the closed-form checks of :func:`step_checks`), built once per (report, tol)
+    and kept on ``s``."""
 
     def build():
         node1, node2 = _derived_nodes(s, (1, 2), report, tol)
@@ -181,25 +185,21 @@ def _canonical_pair(
     return s.cached(("canonical_pair", report, tol), build)
 
 
-def _derived_nodes(
-    prev: MetricStructure, ks, fit0: NullityReport, tol: float, earlier: tuple = (),
-    require_valid: bool = False,
-) -> list[TowerNode]:
+def _derived_nodes(prev: MetricStructure, ks, fit0: NullityReport, tol: float) -> list[TowerNode]:
     """Tower nodes ``ks`` (consecutive, k >= 1) of the contact nullity space with
     fit ``fit0``, built from the structure ``prev`` of node ks[0] - 1.
 
     phi_k = (1/2) L_xi phi_{k-1} / root with its compatible metric, (eps, root)
     from :func:`_step`, gives a contact node (eps = +1) or a paracontact node
-    (eps = -1); one matching an earlier structure (of ``earlier`` or of these
+    (eps = -1); one matching an earlier structure (``prev`` or one of these
     nodes) in kind, phi and g to within ``tol`` shares it.  The distinct
     structures of each kind are validated and fitted as one stack, and each
     node's constants compared with those predicted from ``fit0``:
     (kappa + (1 - mu/2)^2, 2) for a contact node, (kappa - 2 + (1 - mu/2)^2, 2)
     for a paracontact one.  In index order, the first node whose fit fails
-    raises its error, or (``require_valid``) whose checks fail raises
-    :class:`InternalInconsistency`.
+    raises its error, or whose checks fail raises :class:`InternalInconsistency`.
     """
-    structures, pool = [], list(earlier)
+    structures, pool = [], [prev]
     for k in ks:
         eps, root = _step(fit0, k, tol)
         cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
@@ -224,7 +224,7 @@ def _derived_nodes(
         predicted = fit0.kappa + (s.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
         checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
         checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
-        if require_valid and not checks.valid:
+        if not checks.valid:
             raise InternalInconsistency(f"tower node {k} failed verification: {checks.failures()}")
         nodes.append(TowerNode(k, s, fit, _tw_parallel(fit, tol), checks))
     return nodes
@@ -247,7 +247,7 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     fit0 = nullity_fit(s, tol)
     if n_nodes > 2:
         _step(fit0, 2, tol)  # no node 2 at |I_M| = 1: reject such a tower before node 1 is built
-    nodes = _derived_nodes(s, range(1, n_nodes), fit0, tol, (s,), require_valid=True)
+    nodes = _derived_nodes(s, range(1, n_nodes), fit0, tol)
     return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *nodes]
 
 
@@ -323,10 +323,23 @@ def second_bilegendrian_analysis(
     the opposite eigendistribution); and the generated family of compatible
     nullity structures with Pang coefficients (a, b), constrained by
     a b = 4 ((1 - mu/2)^2 - (1 - kappa)), reproduces the paracontact
-    constants of the next tower node.
+    constants of the next tower node.  A caller's (a, b) must be given whole and
+    carry the sign of I_M; otherwise :class:`InvalidPangPair` is raised before
+    anything is built.
     """
     inv = _require_large_invariant(report, tol)
     delta = _delta(report.kappa, report.mu)
+    if a is None and b is None:
+        mag = np.sqrt(4.0 * delta)
+        a, b = 2.0 * mag, mag / 2.0
+        if inv < -1.0:
+            a, b = -a, -b
+    elif a is None or b is None:
+        raise InvalidPangPair("supply both a and b, or neither")
+    if inv > 1.0 and not (a > 0 and b > 0):
+        raise InvalidPangPair("a, b must be positive when I_M > 1")
+    if inv < -1.0 and not (a < 0 and b < 0):
+        raise InvalidPangPair("a, b must be negative when I_M < -1")
     lam_t = float(np.sqrt(delta))
     checks = ResidualReport(tol=tol)
 
@@ -354,19 +367,7 @@ def second_bilegendrian_analysis(
         lam_op = libermann_map(s, ld, other, tol)
         checks.add(f"libermann_{name}_closed_form", lam_op @ proj - closed)
 
-    product = 4.0 * delta
-    if a is None and b is None:
-        mag = np.sqrt(product)
-        a, b = 2.0 * mag, mag / 2.0
-        if inv < -1.0:
-            a, b = -a, -b
-    elif a is None or b is None:
-        raise InvariantTooSmall("supply both a and b, or neither")
-    checks.add("pang_coefficient_product", abs(a * b - product))
-    if inv > 1.0 and not (a > 0 and b > 0):
-        raise DegenerateInvariant("a, b must be positive when I_M > 1")
-    if inv < -1.0 and not (a < 0 and b < 0):
-        raise DegenerateInvariant("a, b must be negative when I_M < -1")
+    checks.add("pang_coefficient_product", abs(a * b - 4.0 * delta))
 
     kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
     # a = b generates the Sasakian member of the family (kappa' = 1); the
@@ -402,8 +403,11 @@ def sasakian_structure(
     g-bar = -d eta(., phi-bar .) + eta (x) eta.  Verified: contact metric
     axioms with positive-definite metric; h-bar = 0 (K-contact); vanishing
     Nijenhuis torsion; fitted kappa = 1; the composition identities
-    phi-bar_- = phi~ phi~_1 and phi-bar_+ = phi~_1 phi~; and the
-    anti-hypercomplex relations of the triple.
+    phi-bar_- = phi~ phi~_1 and phi-bar_+ = phi~_1 phi~; the
+    anti-hypercomplex relations of the triple, whose paracontact members phi~
+    and phi~_1 kill xi; and the 3-web: every pair among the four
+    eigendistributions D(lambda), D(-lambda), D(lambda~), D(-lambda~) spans
+    ker(eta).
     """
     inv = _require_large_invariant(report, tol)
     sign = 1.0 if inv > 1.0 else -1.0
@@ -412,76 +416,35 @@ def sasakian_structure(
 
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(sbar, tol))
-    checks.add("metric_positive_definite", checks["riemannian_signature"],
-               note=checks.notes["riemannian_signature"])
     checks.add("h_bar_vanishes", sbar.h)
     nij, _ = sbar.nijenhuis_norm(tol)
     checks.add("nijenhuis_vanishes", nij)
     fit = nullity_fit(sbar, tol)
     checks.add("fitted_kappa_is_one", abs(fit.kappa - 1.0))
-    checks.add("sasakian_h_zero", 0.0 if fit.mu is None else 1.0,
-               note="mu must be indeterminate (h = 0)")
 
     st, node = _canonical_pair(s, report, tol)
     phi_t, phi_t1 = st.phi, node.phi
     checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 
-    triple = (phi_bar, phi_t1, phi_t) if inv > 1.0 else (phi_bar, phi_t, phi_t1)
+    i1, i2, i3 = (phi_bar, phi_t1, phi_t) if inv > 1.0 else (phi_bar, phi_t, phi_t1)
     proj = s.contact_projector()
-    i1, i2, i3 = triple
     checks.add("triple_i1_square", (i1 @ i1 + np.eye(s.dim)) @ proj)
     checks.add("triple_i2_square", (i2 @ i2 - np.eye(s.dim)) @ proj)
     checks.add("triple_i3_square", (i3 @ i3 - np.eye(s.dim)) @ proj)
     checks.add("triple_product", (i2 @ i3 - i1) @ proj)
     checks.add("triple_anticommute", (i2 @ i3 + i3 @ i2) @ proj)
-    return SasakianPackage(
-        sign="+" if sign > 0 else "-",
-        triple=triple,
-        structure=sbar,
-        checks=checks,
-    )
+    checks.add("phi_tilde_kills_xi", phi_t @ s.xi)
+    checks.add("phi_tilde1_kills_xi", phi_t1 @ s.xi)
 
-
-def anti_hypercomplex_and_3web(
-    s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
-) -> ResidualReport:
-    """Product-structure identities on ker(eta) and 3-web transversality.
-
-    On the contact distribution: phi~^2 = phi~_1^2 = I, the two anticommute,
-    phi~ phi~_1 = phi-bar_- and phi~_1 phi~ = phi-bar_+ (so phi-bar_+ = -phi-bar_-
-    follows from the last three).
-    Transversality: every pair among the four eigendistributions
-    (D(lambda), D(-lambda), D(lambda~), D(-lambda~)) spans ker(eta).
-    """
-    inv = _require_large_invariant(report, tol)
-    st, node = _canonical_pair(s, report, tol)
-    phi_t, phi_t1 = st.phi, node.phi
-    phi_bar_plus = _phi_bar(s, report)  # phi-bar_- = -phi-bar_+
-    proj = s.contact_projector()
-    ident = np.eye(s.dim)
-
-    report_out = ResidualReport(tol=tol)
-    report_out.add("phi_tilde_square", (phi_t @ phi_t - ident) @ proj)
-    report_out.add("phi_tilde1_square", (phi_t1 @ phi_t1 - ident) @ proj)
-    report_out.add("anticommutation", (phi_t @ phi_t1 + phi_t1 @ phi_t) @ proj)
-    report_out.add("product_minus", (phi_t @ phi_t1 + phi_bar_plus) @ proj)
-    report_out.add("product_plus", (phi_t1 @ phi_t - phi_bar_plus) @ proj)
-    for name, op in (("phi_bar_kills_xi", phi_bar_plus), ("phi_tilde_kills_xi", phi_t),
-                     ("phi_tilde1_kills_xi", phi_t1)):
-        report_out.add(name, op @ s.xi)
-
+    # 3-web: the determinant on ker(eta) of each pair of the four eigenframes, one stack
     xs, ys, plus, minus = _phi_eigenframe(s, report, inv, tol)
-    dists = {
-        "d_plus_lambda": xs,
-        "d_minus_lambda": ys,
-        "d_plus_lambda_t": plus / np.linalg.norm(plus, axis=1, keepdims=True),
-        "d_minus_lambda_t": minus / np.linalg.norm(minus, axis=1, keepdims=True),
-    }
-    kbasis = s.contact_basis()
-    for (name1, d1), (name2, d2) in itertools.combinations(dists.items(), 2):
-        det = np.linalg.det(kbasis @ np.vstack([d1, d2]).T)
-        report_out.add(
-            f"web_{name1}__{name2}", 0.0 if abs(det) > tol else 1.0, note=f"|det| = {abs(det):.3e}"
-        )
-    return report_out
+    frames = np.stack([xs, ys, plus / np.linalg.norm(plus, axis=1, keepdims=True),
+                       minus / np.linalg.norm(minus, axis=1, keepdims=True)])
+    first, second = np.triu_indices(4, 1)
+    pairs = np.concatenate([frames[first], frames[second]], axis=1)
+    dets = np.abs(np.linalg.det(s.contact_basis() @ pairs.transpose(0, 2, 1)))
+    names = ("d_plus_lambda", "d_minus_lambda", "d_plus_lambda_t", "d_minus_lambda_t")
+    for p, q, det in zip(first, second, dets):
+        checks.add(f"web_{names[p]}__{names[q]}", 0.0 if det > tol else 1.0, note=f"|det| = {det:.3e}")
+    return SasakianPackage(sign="+" if sign > 0 else "-", structure=sbar, checks=checks)

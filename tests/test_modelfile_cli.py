@@ -281,7 +281,9 @@ def test_cli_legendre3_reports_a_rejected_pang_pair(tmp_path, capsys, a, b, erro
 def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
     # family-3d(1, 2) in a basis of condition number 1e2: a class-I nullity
     # space (fit residual 5.6e-10), whose Sasakian partner's fit misses the
-    # 1e-9 gate by roundoff (2.7e-9); the report keeps the structure's own verdict
+    # 1e-9 gate by roundoff (2.7e-9), and whose tower node 2 fails its own
+    # checks (metric_compatibility 3.0e-9); the report keeps the structure's own
+    # verdict, and the second pair is not built on the failed node
     from kmgeom.catalog import CatalogEntry
     from conftest import rebased
 
@@ -295,9 +297,10 @@ def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
     path.write_text(modelfile.dumps_entry(CatalogEntry(name="rebased", model=s.model, structure=s)))
     assert main(["analyze", str(path), "--sasakian", "--legendre3", "--json", "-"]) == 0
     out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
+    payload = json.loads(out[out.index("\n{") :])  # the human text holds a "{" too
     assert payload["nullity"]["class"] == "I"
     assert "nullity condition" in payload["sasakian_construction"]["error"]
+    assert payload["legendre3"]["error"].startswith("tower node 2 failed verification")
 
 
 def test_cli_sasakian_reports_error_inside_unit_band(tmp_path, capsys):

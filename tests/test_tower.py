@@ -1,12 +1,16 @@
 """Canonical paracontact structure, the derived tower and its step checks, the
 second bi-Legendrian pair and the compatible Sasakian structures."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
+from kmgeom import tower
 from kmgeom.errors import (
     DegenerateInvariant,
+    InternalInconsistency,
     InvariantTooSmall,
     SasakianDegenerate,
     SasakianOrInvalid,
@@ -14,14 +18,13 @@ from kmgeom.errors import (
 from kmgeom.legendre import eigendistributions
 from kmgeom.riemann import signature
 from kmgeom.tower import (
-    anti_hypercomplex_and_3web,
     sasakian_structure,
     second_bilegendrian_analysis,
     sequence,
     step_checks,
 )
 
-from conftest import CLASS_PARAMS, family, rebased
+from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family, rebased
 
 
 @pytest.mark.parametrize(
@@ -276,16 +279,48 @@ def test_sasakian_rejects_small_invariant():
 @pytest.mark.parametrize("d", [2.0, -2.0])
 def test_anti_hypercomplex_and_3web(d):
     s = family(1.0, d)
-    rep = anti_hypercomplex_and_3web(s, nullity_fit(s))
+    rep = sasakian_structure(s, nullity_fit(s)).checks
     assert rep.valid, rep.failures()
     web_entries = [k for k in rep.entries if k.startswith("web_")]
     assert len(web_entries) == 6
 
 
-def test_anti_hypercomplex_rejects_class_ii():
-    s = family(1.0, 0.0)
-    with pytest.raises(InvariantTooSmall):
-        anti_hypercomplex_and_3web(s, nullity_fit(s))
+# the 8 entries the 3-web adds to the Sasakian report, in their order
+WEB_KEYS = ["phi_tilde_kills_xi", "phi_tilde1_kills_xi"] + [
+    f"web_{p}__{q}" for p, q in itertools.combinations(
+        ("d_plus_lambda", "d_minus_lambda", "d_plus_lambda_t", "d_minus_lambda_t"), 2)
+]
+# the |I| > 1 points of the grid, classes I (1, 2) and III (1, -2) among them
+LARGE_INVARIANT = [(lam, d) for lam in GRID_LAMBDAS for d in GRID_DS if abs(d) > lam]
+
+
+@pytest.mark.parametrize("lam,d", LARGE_INVARIANT)
+def test_sasakian_report_holds_the_3web(lam, d):
+    s = family(lam, d)
+    rep = sasakian_structure(s, nullity_fit(s), tol=1e-9).checks
+    assert rep.valid, rep.failures()
+    assert [k for k in rep.entries if k in WEB_KEYS] == WEB_KEYS
+    assert all(rep.notes[k].startswith("|det| = ") for k in WEB_KEYS[2:])
+    assert not {"metric_positive_definite", "sasakian_h_zero"} & set(rep.entries)
+
+
+def test_constructions_stop_at_a_failed_tower_node(monkeypatch):
+    # one failing entry in every validation: node 1 fails its checks, and neither
+    # construction may build on it
+    real = tower.validate_contact
+
+    def failing(structures, tol):
+        reports = real(structures, tol)
+        for rep in reports if isinstance(reports, list) else [reports]:
+            rep.add("injected_failure", 1.0)
+        return reports
+
+    s = family(1.0, 2.0)
+    fit = nullity_fit(s)
+    monkeypatch.setattr(tower, "validate_contact", failing)
+    for build in (sasakian_structure, second_bilegendrian_analysis):
+        with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification"):
+            build(s, fit)
 
 
 def test_validate_contact_of_tower_contact_nodes():
