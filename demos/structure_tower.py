@@ -10,7 +10,8 @@ so on.  The Boeckx invariant decides the shape of the tower:
   (1-mu/2)^2, 2); every contact member has mu = 2, i.e. it is a
   Tanaka-Webster parallel structure.
 * |I| > 1: every derived structure is paracontact with the same constants.
-* |I| = 1: the normalizer vanishes and no derived structure exists.
+* classes IV and V (|I_M| within `tol` of 1): the normalizer of node 2
+  vanishes, and no structure after the canonical paracontact one exists.
 
 Each derived node is certified against the node before it (tower.step_checks):
 the normalized Lie derivative, the closed form of its h, the relation between
@@ -35,7 +36,7 @@ for lam, d, n_nodes in [(1.0, 0.0, 6), (2.0, 1.0, 5), (1.0, 2.0, 5)]:
               f"fit residual {node.fit_residual:.1e}{step}{tw}")
     print()
 
-print("at the boundary |I| = 1 the construction refuses:")
+print("in class IV (|I_M| within tol of 1) the construction refuses:")
 s = family_3d(1.0, 1.0).structure
 try:
     sequence(s, 3)

@@ -8,8 +8,8 @@ Subcommands:
   full report (axioms, nullity fit, class, identity suites); never fails on
   structures that are merely not nullity spaces (reported instead).
 * ``derive <model.json> --steps N``: the derived structure sequence; exit 3
-  when N >= 3 and the Boeckx invariant sits on the degenerate |I_M| = 1
-  boundary (N <= 2 gives nodes 0 and 1 there), exit 1
+  when N >= 3 and the space is in class IV or V (|I_M| within ``--tol`` of 1),
+  where no node 2 exists (N <= 2 gives nodes 0 and 1 there), exit 1
   (after the analyze report) when the structure is not a nullity space.
 * ``catalog list`` / ``catalog emit <name> [--lam --d] [--c] [--out path]``:
   built-in fixtures in the model file format.
@@ -30,7 +30,6 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import modelfile
 from .contact import (
-    ContactMetricStructure,
     blair_identity_suite,
     classification_flags,
     nullity_fit,
@@ -319,7 +318,7 @@ def cmd_derive(args) -> int:
     if not report["valid"]:
         _write_outputs(report, args.json)
         return EXIT_INVALID
-    if not isinstance(doc.structure, ContactMetricStructure):
+    if doc.structure.eps < 0:
         print("error: derive requires a contact structure", file=sys.stderr)
         return EXIT_INVALID
     if "error" in report["nullity"]:

@@ -106,9 +106,15 @@ class MetricStructure:
         return np.eye(self.dim) - np.outer(self.xi, self.eta)
 
     def cached(self, key, build):
-        """``build()``, computed on the first call with ``key`` and kept on the instance."""
+        """``build()``, computed on the first call with ``key`` and kept on the instance;
+        a :class:`GeometryError` it raises is kept too, and raised again by later calls."""
         if key not in self._cache:
-            self._cache[key] = build()
+            try:
+                self._cache[key] = build()
+            except GeometryError as exc:
+                self._cache[key] = exc
+        if isinstance(self._cache[key], GeometryError):
+            raise self._cache[key]
         return self._cache[key]
 
     def cached_array(self, key, build) -> np.ndarray:
@@ -240,11 +246,6 @@ class NullityReport:
     def mu_indeterminate(self) -> bool:
         return self.mu is None
 
-    @property
-    def contact(self) -> bool:
-        """True for the fit of a contact structure, which always carries a class."""
-        return self.class_tag is not None
-
     def to_dict(self) -> dict:
         out = {
             "kappa": self.kappa,
@@ -252,7 +253,7 @@ class NullityReport:
             "mu_indeterminate": self.mu_indeterminate,
             "residual": self.residual,
         }
-        if self.contact:
+        if self.class_tag is not None:  # the fit of a contact structure always has a class
             return {**out, "lambda": self.lam, "boeckx": self.boeckx, "class": self.class_tag}
         return {
             **out,
@@ -482,7 +483,8 @@ def _nullity_report(
     s: MetricStructure, fitted: tuple, degenerate: bool, side: tuple, tol: float
 ) -> NullityReport:
     """One member of :func:`nullity_fit`, from its (kappa, mu, residual) and, for a
-    paracontact member, its spectral type and h~^2 and reflection residuals."""
+    paracontact member, its spectral type and h~^2 and reflection residuals; the one
+    place that decides kappa < 1 and, by its class, where I_M sits relative to +-1."""
     if degenerate:
         raise DegenerateMetric(DEGENERATE)
     kappa, mu, residual = fitted
@@ -506,13 +508,9 @@ def _nullity_report(
 
     sasakian = kappa >= 1.0 - tol
     lam = None if sasakian else float(np.sqrt(1.0 - kappa))
-    boeckx = None
-    if not sasakian and mu is not None:
-        boeckx = boeckx_invariant(kappa, mu, tol)
-    tag = classify_by_invariant(None if sasakian else boeckx, tol)
-    return NullityReport(
-        kappa=kappa, mu=mu, residual=residual, lam=lam, boeckx=boeckx, class_tag=tag
-    )
+    boeckx = None if sasakian or mu is None else boeckx_invariant(kappa, mu, tol)
+    return NullityReport(kappa=kappa, mu=mu, residual=residual, lam=lam, boeckx=boeckx,
+                         class_tag=classify_by_invariant(boeckx, tol))
 
 
 def nabla_phi_closed_form(s: MetricStructure, h: np.ndarray | float) -> np.ndarray:
@@ -568,15 +566,14 @@ def classification_flags(
 ) -> dict:
     """Sasakian / K-contact / Tanaka-Webster-parallel predicates.
 
-    ``tw_parallel`` uses the mu = 2 criterion for non-Sasakian nullity spaces.
+    ``k_contact`` is the fit's h = 0 (mu indeterminate); ``tw_parallel`` uses the
+    mu = 2 criterion for non-Sasakian nullity spaces.
     """
     nij, _ = s.nijenhuis_norm(tol)
-    return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": bool(max_abs(s.h) <= tol),
+    return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": report.mu is None,
             "tw_parallel": _tw_parallel(report, tol)}
 
 
 def _tw_parallel(report: NullityReport, tol: float) -> bool:
-    """mu = 2 on a non-Sasakian contact nullity space."""
-    return report.contact and bool(
-        report.kappa < 1.0 - tol and report.mu is not None and abs(report.mu - 2.0) <= tol
-    )
+    """mu = 2 on a non-Sasakian contact nullity space (one that has an I_M)."""
+    return report.boeckx is not None and abs(report.mu - 2.0) <= tol

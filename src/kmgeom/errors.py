@@ -39,11 +39,11 @@ class SasakianDegenerate(GeometryError):
 
 
 class DegenerateInvariant(GeometryError):
-    """|I_M| = 1 within guard band: no derived structure exists."""
+    """Class IV or V (|I_M| within tol of 1): no tower node 2 exists."""
 
 
 class InvariantTooSmall(GeometryError):
-    """Operation requires |I_M| > 1."""
+    """Operation requires class I or III (|I_M| > 1)."""
 
 
 class InvalidPangPair(GeometryError):

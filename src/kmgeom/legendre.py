@@ -52,10 +52,9 @@ class LegendreDistribution:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def span_projector(self, extra: np.ndarray | None = None) -> np.ndarray:
-        """Orthogonal projector onto span(vectors [+ extra rows])."""
-        rows = self.vectors if extra is None else np.vstack([self.vectors, extra])
-        q, _ = np.linalg.qr(rows.T)
+    def span_projector(self) -> np.ndarray:
+        """Orthogonal projector onto span(vectors)."""
+        q, _ = np.linalg.qr(self.vectors.T)
         return q @ q.T
 
 
@@ -139,7 +138,7 @@ def eigendistributions(
 ) -> tuple[LegendreDistribution, LegendreDistribution]:
     """g-orthonormal eigenbases of h for +-lambda, verified Legendre and involutive
     as one stack; the first failure, in the order (+lambda, -lambda), is raised."""
-    if report.kappa >= 1.0 - tol:
+    if report.lam is None:
         raise SasakianDegenerate("h has no +-lambda eigenspaces when kappa >= 1")
     lam = report.lam
     # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
@@ -195,9 +194,11 @@ _CLASS_BY_PATTERN = {
 def classify_class(
     s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
 ) -> str:
-    """Class I-V from Pang definiteness, cross-checked against the invariant rule."""
-    d_pos, d_neg = _cached_eigendistributions(s, report, tol)
-    pattern = (d_pos.definiteness, d_neg.definiteness)
+    """Class I-V from Pang definiteness, cross-checked against the invariant rule; as
+    Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g, it is read in units of 2 lambda, where
+    ``tol`` is the band of the invariant-based class."""
+    pattern = tuple(_definiteness(np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * report.lam), tol)
+                    for ld in _cached_eigendistributions(s, report, tol))
     pang_tag = _CLASS_BY_PATTERN.get(pattern)
     if pang_tag is None:
         raise ClassificationMismatch(f"Pang pattern {pattern} matches no class")

@@ -63,11 +63,9 @@ class ResidualReport:
             if b < len(notes) and notes[b]:
                 reports[b].notes[name] = notes[b]
 
-    def merge(self, other: "ResidualReport", prefix: str = "") -> None:
-        for name, value in other.entries.items():
-            self.entries[prefix + name] = value
-        for name, note in other.notes.items():
-            self.notes[prefix + name] = note
+    def merge(self, other: "ResidualReport") -> None:
+        self.entries.update(other.entries)
+        self.notes.update(other.notes)
 
     @property
     def valid(self) -> bool:

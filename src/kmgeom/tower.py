@@ -7,20 +7,22 @@ every step:
   g~ = d eta(., phi~ .) + eta (x) eta, itself a nullity space with constants
   (kappa - 2 + (1 - mu/2)^2, 2);
 * the next structure in the tower, obtained by normalizing (1/2) L_xi phi~:
-  a new *contact* structure when |I_M| < 1, a new *paracontact* structure
-  when |I_M| > 1 (no construction exists at |I_M| = 1);
+  a new *contact* structure in class II (|I_M| < 1), a new *paracontact*
+  structure in classes I and III (|I_M| > 1); no construction exists in
+  classes IV and V (|I_M| within ``tol`` of 1);
 * the full iterated sequence of such structures;
 * for any step of that sequence, of either kind, the paper's closed forms
   (:func:`step_checks`): the normalized Lie derivative, h' and the relation
   between the two Levi-Civita connections, with the node's identity suite;
-* for |I_M| > 1, the second bi-Legendrian pair carried by h~, the family of
+* in classes I and III, the second bi-Legendrian pair carried by h~, the family of
   compatible nullity structures it generates, and the Sasakian structure
   phi-bar = +-((1 - mu/2) phi + phi h) / sqrt((1 - mu/2)^2 - (1 - kappa)),
   whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
   and the 3-web its eigendistributions cut on the contact distribution.
 
 Every construction builds its tower nodes 1 and 2 through the one node builder,
-which verifies each node: a node that fails its checks stops the construction.
+which verifies each node: a node that fails its checks stops the construction;
+where the space sits relative to |I_M| = 1 is read from the class of its fit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -56,10 +58,6 @@ from .lie_model import lie_derivative_endo
 from .paracontact import ParacontactMetricStructure
 from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import eta_x, eta_y, form_xy
-
-# Guard band around |I_M| = 1: the tower normalizers contain
-# sqrt(|1 - kappa - (1 - mu/2)^2|), which vanishes exactly there.
-INVARIANT_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -142,25 +140,23 @@ def _delta(kappa: float, mu: float) -> float:
     return (1.0 - mu / 2.0) ** 2 - (1.0 - kappa)
 
 
-def _require_non_sasakian(report: NullityReport, tol: float) -> None:
-    if report.kappa >= 1.0 - tol:
+def _require_non_sasakian(report: NullityReport) -> None:
+    if report.boeckx is None:
         raise SasakianDegenerate("construction requires a non-Sasakian structure (kappa < 1)")
-    if report.mu is None:
-        raise SasakianDegenerate("mu indeterminate (h = 0); no derived structure")
 
 
-def _step(report: NullityReport, k: int, tol: float) -> tuple[float, float]:
+def _step(report: NullityReport, k: int) -> tuple[float, float]:
     """(eps, root) of tower node k >= 1 of a non-Sasakian nullity space, built as
     phi_k = (1/2) L_xi phi_{k-1} / root: paracontact (eps = -1) at odd k; at even k
-    contact (+1) when |I_M| < 1, paracontact when |I_M| > 1.  root = sqrt(1 - kappa)
-    at k = 1, else sqrt(|delta|); nodes k >= 2 need |I_M| outside 1 +- INVARIANT_GUARD."""
-    _require_non_sasakian(report, tol)
+    contact (+1) in class II, paracontact in classes I and III.  root = lambda at
+    k = 1, else sqrt(|delta|), which vanishes at |I_M| = 1: nodes k >= 2 raise
+    :class:`DegenerateInvariant` in classes IV and V (|I_M| within ``tol`` of 1)."""
+    _require_non_sasakian(report)
     if k == 1:
-        return -1.0, np.sqrt(1.0 - report.kappa)
-    inv = report.boeckx
-    if abs(abs(inv) - 1.0) <= INVARIANT_GUARD:
-        raise DegenerateInvariant(f"|I_M| = {abs(inv)}: the sequence is undefined")
-    branch = 1.0 if abs(inv) < 1.0 else -1.0
+        return -1.0, report.lam
+    if report.class_tag in ("IV", "V"):
+        raise DegenerateInvariant(f"|I_M| = {abs(report.boeckx)}: the sequence is undefined")
+    branch = 1.0 if report.class_tag == "II" else -1.0
     return (branch if k % 2 == 0 else -1.0), np.sqrt(-branch * _delta(report.kappa, report.mu))
 
 
@@ -176,7 +172,7 @@ def _canonical_pair(
     """The canonical paracontact structure of ``s`` and the tower node derived
     from it (nodes 1 and 2, verified as :func:`sequence` verifies them, without
     the closed-form checks of :func:`step_checks`), built once per (report, tol)
-    and kept on ``s``."""
+    and kept on ``s``, as is the error of a node that fails."""
 
     def build():
         node1, node2 = _derived_nodes(s, (1, 2), report, tol)
@@ -201,7 +197,7 @@ def _derived_nodes(prev: MetricStructure, ks, fit0: NullityReport, tol: float) -
     """
     structures, pool = [], [prev]
     for k in ks:
-        eps, root = _step(fit0, k, tol)
+        eps, root = _step(fit0, k)
         cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
         s = cls.compatible(prev.model, prev.h / root, prev.xi, prev.eta)
         same = (t for t in pool
@@ -237,16 +233,17 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     normalized Lie derivative of the previous structure tensor, validated,
     freshly fitted, and compared against the predicted constant pattern:
 
-    * |I_M| < 1: kinds alternate contact / paracontact with constants
+    * class II (|I_M| < 1): kinds alternate contact / paracontact with constants
       (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
       indices; every contact node is flagged Tanaka-Webster parallel.
-    * |I_M| > 1: every node from index 1 on is paracontact with constants
+    * classes I and III (|I_M| > 1): every node from index 1 on is paracontact with constants
       (kappa - 2 + (1-mu/2)^2, 2).
-    * |I_M| = 1: only nodes 0 and 1 exist; N >= 3 raises :class:`DegenerateInvariant`.
+    * classes IV and V (|I_M| within ``tol`` of 1): only nodes 0 and 1 exist;
+      N >= 3 raises :class:`DegenerateInvariant`.
     """
     fit0 = nullity_fit(s, tol)
     if n_nodes > 2:
-        _step(fit0, 2, tol)  # no node 2 at |I_M| = 1: reject such a tower before node 1 is built
+        _step(fit0, 2)  # no node 2 in classes IV and V: reject such a tower before node 1 is built
     nodes = _derived_nodes(s, range(1, n_nodes), fit0, tol)
     return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *nodes]
 
@@ -287,11 +284,14 @@ def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> R
 
 
 def _require_large_invariant(report: NullityReport, tol: float) -> float:
-    _require_non_sasakian(report, tol)
-    inv = report.boeckx
-    if abs(inv) <= 1.0 + INVARIANT_GUARD:
-        raise InvariantTooSmall(f"|I_M| = {abs(inv)} <= 1: construction undefined")
-    return inv
+    """I_M of a class I or III space (|I_M| > 1); :class:`InvariantTooSmall` otherwise."""
+    _require_non_sasakian(report)
+    if report.class_tag == "II":
+        raise InvariantTooSmall(f"|I_M| = {abs(report.boeckx)} <= 1: construction undefined")
+    if report.class_tag in ("IV", "V"):
+        raise InvariantTooSmall(
+            f"class {report.class_tag} (|I_M| within {tol:g} of 1): construction undefined")
+    return report.boeckx
 
 
 def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, inv: float, tol: float):
@@ -301,8 +301,8 @@ def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, inv: float
     xs = d_pos.vectors
     ys = (s.phi @ xs.T).T
     gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
-    plus = gamma * xs + ys if inv > 1.0 else gamma * xs - ys
-    minus = -gamma * xs + ys if inv > 1.0 else gamma * xs + ys
+    plus = gamma * xs + ys if inv > 0 else gamma * xs - ys
+    minus = -gamma * xs + ys if inv > 0 else gamma * xs + ys
     return xs, ys, plus, minus
 
 
@@ -313,7 +313,7 @@ def second_bilegendrian_analysis(
     b: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> SecondPairAnalysis:
-    """Analyze the bi-Legendrian pair defined by h~ when |I_M| > 1.
+    """Analyze the bi-Legendrian pair defined by h~ in classes I and III (|I_M| > 1).
 
     Verifies: h~ has real eigenvalues +-lambda_t of multiplicity n with
     lambda_t = sqrt((1 - mu/2)^2 - (1 - kappa)); the eigendistributions are
@@ -332,13 +332,13 @@ def second_bilegendrian_analysis(
     if a is None and b is None:
         mag = np.sqrt(4.0 * delta)
         a, b = 2.0 * mag, mag / 2.0
-        if inv < -1.0:
+        if inv < 0:
             a, b = -a, -b
     elif a is None or b is None:
         raise InvalidPangPair("supply both a and b, or neither")
-    if inv > 1.0 and not (a > 0 and b > 0):
+    if inv > 0 and not (a > 0 and b > 0):
         raise InvalidPangPair("a, b must be positive when I_M > 1")
-    if inv < -1.0 and not (a < 0 and b < 0):
+    if inv < 0 and not (a < 0 and b < 0):
         raise InvalidPangPair("a, b must be negative when I_M < -1")
     lam_t = float(np.sqrt(delta))
     checks = ResidualReport(tol=tol)
@@ -397,7 +397,7 @@ def second_bilegendrian_analysis(
 def sasakian_structure(
     s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
 ) -> SasakianPackage:
-    """The compatible Sasakian structure of a |I_M| > 1 nullity space.
+    """The compatible Sasakian structure of a class I or III (|I_M| > 1) nullity space.
 
     phi-bar = +-((1 - mu/2) phi + phi h) / sqrt(delta) (sign of I_M),
     g-bar = -d eta(., phi-bar .) + eta (x) eta.  Verified: contact metric
@@ -410,7 +410,7 @@ def sasakian_structure(
     ker(eta).
     """
     inv = _require_large_invariant(report, tol)
-    sign = 1.0 if inv > 1.0 else -1.0
+    sign = 1.0 if inv > 0 else -1.0
     phi_bar = sign * _phi_bar(s, report)
     sbar = ContactMetricStructure.compatible(s.model, phi_bar, s.xi, s.eta)
 
@@ -427,7 +427,7 @@ def sasakian_structure(
     checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 
-    i1, i2, i3 = (phi_bar, phi_t1, phi_t) if inv > 1.0 else (phi_bar, phi_t, phi_t1)
+    i1, i2, i3 = (phi_bar, phi_t1, phi_t) if inv > 0 else (phi_bar, phi_t, phi_t1)
     proj = s.contact_projector()
     checks.add("triple_i1_square", (i1 @ i1 + np.eye(s.dim)) @ proj)
     checks.add("triple_i2_square", (i2 @ i2 - np.eye(s.dim)) @ proj)

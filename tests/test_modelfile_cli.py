@@ -1,6 +1,7 @@
 """Model file format and the command-line interface (exit codes, JSON reports)."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,34 @@ def test_cli_derive_two_steps_on_the_unit_band(tmp_path, capsys, name):
     assert node1["kind"] == "paracontact"
     assert node1["kappa"] == pytest.approx(kappa - 2.0 + (1.0 - mu / 2.0) ** 2, abs=1e-9)
     assert node1["mu"] == pytest.approx(2.0, abs=1e-9)
+
+
+# family_3d(lam, d) has I_M = d / lam: points outside the class band
+# |I_M - 1| <= tol (1e-9) but within 1e-8 of |I_M| = 1, inside it, and on I_M = +-1
+# at a lambda where d / lam is inexact
+BAND_POINTS = [(1.0, 1.0 + 3e-9, "I"), (1.0, 1.0 - 3e-9, "II"), (1.0, 1.0 + 5e-10, "IV"),
+               (1.0, 1.0 - 5e-10, "IV"), (1.0, 1.0, "IV"), (0.625, 0.625, "IV"),
+               (0.625, -0.625, "V")]
+
+
+@pytest.mark.parametrize("lam,d,cls", BAND_POINTS)
+def test_cli_constructions_follow_the_class_band(tmp_path, capsys, lam, d, cls):
+    # the class decides where the space sits: derive exits 3 exactly in classes IV
+    # and V, a class I or III construction is never "undefined", and no message
+    # states a false inequality
+    path = _emit(tmp_path, "family-3d", "--lam", repr(lam), "--d", repr(d))
+    assert main(["analyze", path, "--sasakian", "--legendre3", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("\n{") :])
+    assert payload["nullity"]["class"] == payload["nullity"]["class_pang_checked"] == cls
+    errors = [payload[key].get("error", "") for key in ("sasakian_construction", "legendre3")]
+    code = main(["derive", path, "--steps", "6"])
+    errors.append(capsys.readouterr().err)
+    assert (code == 3) == (cls in ("IV", "V"))
+    if cls in ("I", "III"):
+        assert not any("construction undefined" in e for e in errors)
+    for value in re.findall(r"\|I_M\| = (\S+) <= 1", "\n".join(errors)):
+        assert float(value) <= 1.0
 
 
 def test_cli_derive_tower_constants(tmp_path, capsys):

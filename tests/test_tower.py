@@ -304,9 +304,9 @@ def test_sasakian_report_holds_the_3web(lam, d):
     assert not {"metric_positive_definite", "sasakian_h_zero"} & set(rep.entries)
 
 
-def test_constructions_stop_at_a_failed_tower_node(monkeypatch):
-    # one failing entry in every validation: node 1 fails its checks, and neither
-    # construction may build on it
+@pytest.fixture
+def failing_validation(monkeypatch):
+    """One failing entry in every validation of the tower: node 1 fails its checks."""
     real = tower.validate_contact
 
     def failing(structures, tol):
@@ -315,12 +315,37 @@ def test_constructions_stop_at_a_failed_tower_node(monkeypatch):
             rep.add("injected_failure", 1.0)
         return reports
 
+    monkeypatch.setattr(tower, "validate_contact", failing)
+
+
+def test_constructions_stop_at_a_failed_tower_node(failing_validation):
+    # neither construction may build on a node that fails its checks
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    monkeypatch.setattr(tower, "validate_contact", failing)
     for build in (sasakian_structure, second_bilegendrian_analysis):
         with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification"):
             build(s, fit)
+
+
+def test_a_failed_canonical_pair_is_built_once(failing_validation, monkeypatch):
+    # the error of the failed pair is kept on the structure: the second
+    # construction raises it again without building nodes 1 and 2 anew
+    real, calls = tower._derived_nodes, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(tower, "_derived_nodes", counted)
+    s = family(1.0, 2.0)
+    fit = nullity_fit(s)
+    errors = []
+    for build in (sasakian_structure, second_bilegendrian_analysis):
+        with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification") as exc:
+            build(s, fit)
+        errors.append(exc.value)
+    assert calls == [(1, 2)]
+    assert errors[0] is errors[1]
 
 
 def test_validate_contact_of_tower_contact_nodes():
