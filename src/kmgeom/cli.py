@@ -318,7 +318,7 @@ def cmd_derive(args) -> int:
     if not report["valid"]:
         _write_outputs(report, args.json)
         return EXIT_INVALID
-    if doc.structure.eps < 0:
+    if doc.structure is None or doc.structure.eps < 0:
         print("error: derive requires a contact structure", file=sys.stderr)
         return EXIT_INVALID
     if "error" in report["nullity"]:

@@ -53,6 +53,13 @@ from .riemann import (
 SASAKIAN_FACTOR = 10.0
 
 
+def _detached(exc: GeometryError) -> GeometryError:
+    """A copy of ``exc`` without its traceback, cause or context: it holds no frames."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
+
+
 @dataclass(frozen=True, eq=False)
 class MetricStructure:
     """Tensor quadruple (phi, xi, eta, g) on a Lie model with
@@ -107,15 +114,17 @@ class MetricStructure:
 
     def cached(self, key, build):
         """``build()``, computed on the first call with ``key`` and kept on the instance;
-        a :class:`GeometryError` it raises is kept too, and raised again by later calls."""
+        a :class:`GeometryError` it raises is kept too, and a copy of it raised by later calls."""
         if key not in self._cache:
             try:
                 self._cache[key] = build()
             except GeometryError as exc:
-                self._cache[key] = exc
-        if isinstance(self._cache[key], GeometryError):
-            raise self._cache[key]
-        return self._cache[key]
+                self._cache[key] = _detached(exc)
+                raise
+        value = self._cache[key]
+        if isinstance(value, GeometryError):
+            raise _detached(value)
+        return value
 
     def cached_array(self, key, build) -> np.ndarray:
         """:meth:`cached` for an array, which is kept read-only."""

@@ -17,7 +17,7 @@ bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair 
 one stack, and each member gets what it gets alone, its exception included.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,7 +163,11 @@ def eigendistributions(
     if k < 2:
         raise SasakianDegenerate(
             f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
-    return pair[0], pair[1]
+    # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
+    # 2 lambda, where ``tol`` is the band of the invariant-based class
+    d_pos, d_neg = (replace(ld, definiteness=_definiteness(
+        np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * lam), tol)) for ld in pair)
+    return d_pos, d_neg
 
 
 def _cached_eigendistributions(
@@ -194,11 +198,8 @@ _CLASS_BY_PATTERN = {
 def classify_class(
     s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
 ) -> str:
-    """Class I-V from Pang definiteness, cross-checked against the invariant rule; as
-    Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g, it is read in units of 2 lambda, where
-    ``tol`` is the band of the invariant-based class."""
-    pattern = tuple(_definiteness(np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * report.lam), tol)
-                    for ld in _cached_eigendistributions(s, report, tol))
+    """Class I-V from Pang definiteness, cross-checked against the invariant rule."""
+    pattern = tuple(ld.definiteness for ld in _cached_eigendistributions(s, report, tol))
     pang_tag = _CLASS_BY_PATTERN.get(pattern)
     if pang_tag is None:
         raise ClassificationMismatch(f"Pang pattern {pattern} matches no class")

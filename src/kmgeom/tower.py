@@ -376,22 +376,11 @@ def second_bilegendrian_analysis(
     if abs(new_inv) <= 1.0:
         raise InternalInconsistency(f"generated invariant {new_inv} not outside [-1, 1]")
     # the generated structures must induce the same paracontact constants
-    checks.add(
-        "regenerated_kappa_delta",
-        abs((kappa_new - 2.0 + (1.0 - mu_new / 2.0) ** 2) - node.kappa),
-    )
+    checks.add("regenerated_kappa_delta",
+               abs((kappa_new - 2.0 + (1.0 - mu_new / 2.0) ** 2) - node.kappa))
     return SecondPairAnalysis(
-        lambda_t=lam_t,
-        d_plus=d_plus,
-        d_minus=d_minus,
-        pang_value=expected_pang,
-        a=float(a),
-        b=float(b),
-        kappa_new=kappa_new,
-        mu_new=mu_new,
-        new_invariant=float(new_inv),
-        checks=checks,
-    )
+        lambda_t=lam_t, d_plus=d_plus, d_minus=d_minus, pang_value=expected_pang, a=float(a),
+        b=float(b), kappa_new=kappa_new, mu_new=mu_new, new_invariant=float(new_inv), checks=checks)
 
 
 def sasakian_structure(

@@ -424,6 +424,15 @@ def test_cli_analyze_model_without_structure(tmp_path, capsys):
     assert "jacobi" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc", [{"dim": 3, "brackets": []},
+                                 {"dim": 3, "brackets": [], "structure": None}])
+def test_cli_derive_requires_a_structure(tmp_path, capsys, doc):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    assert main(["derive", str(path), "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "error: derive requires a contact structure\n"
+
+
 def test_cli_derive_reports_non_nullity_as_one_error_line(tmp_path, capsys):
     from kmgeom.catalog import CatalogEntry
     from conftest import twisted_contact_3d

@@ -58,13 +58,13 @@ def _assert_node_matches_alone(node):
 def test_tower_nodes_match_their_structures_verified_alone(lam, d):
     s = family(lam, d)
     fit = nullity_fit(s)
-    # |I_M| = 1 (classes IV and V) has nodes 0 and 1 only
-    n_nodes = 2 if abs(abs(fit.boeckx) - 1.0) < 1e-8 else 6
+    # classes IV and V have nodes 0 and 1 only
+    n_nodes = 2 if fit.class_tag in ("IV", "V") else 6
     nodes = sequence(s, n_nodes)
     assert len(nodes) == n_nodes
     for node in nodes[1:]:
         _assert_node_matches_alone(node)
-    if abs(fit.boeckx) > 1.0 + 1e-8:  # the construction pair exists for |I_M| > 1
+    if fit.class_tag in ("I", "III"):  # the construction pair exists for |I_M| > 1
         st, node2 = _canonical_pair(family(lam, d), fit, 1e-9)
         assert node2.index == 2
         _assert_node_matches_alone(node2)

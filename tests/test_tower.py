@@ -2,6 +2,7 @@
 second bi-Legendrian pair and the compatible Sasakian structures."""
 
 import itertools
+import traceback
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kmgeom.errors import (
     DegenerateInvariant,
     InternalInconsistency,
     InvariantTooSmall,
+    NotNullity,
     SasakianDegenerate,
     SasakianOrInvalid,
 )
@@ -339,13 +341,32 @@ def test_a_failed_canonical_pair_is_built_once(failing_validation, monkeypatch):
     monkeypatch.setattr(tower, "_derived_nodes", counted)
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    errors = []
     for build in (sasakian_structure, second_bilegendrian_analysis):
-        with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification") as exc:
+        with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification"):
             build(s, fit)
-        errors.append(exc.value)
     assert calls == [(1, 2)]
-    assert errors[0] is errors[1]
+
+
+def test_a_kept_error_is_raised_as_a_fresh_copy():
+    # the builder runs once; each later call raises a copy with its own attributes
+    # and a traceback of its own, and the kept error holds no frames
+    s, calls = family(1.0, 2.0), []
+
+    def build():
+        calls.append(1)
+        raise NotNullity("no nullity condition", 0.5)
+
+    raised = []
+    for _ in range(3):
+        with pytest.raises(NotNullity, match="^no nullity condition$") as exc:
+            s.cached("kept-error", build)
+        raised.append(exc.value)
+    assert calls == [1]
+    assert [e.residual for e in raised] == [0.5, 0.5, 0.5]
+    assert len({id(e) for e in raised}) == 3
+    assert len(traceback.extract_tb(raised[2].__traceback__)) == len(
+        traceback.extract_tb(raised[1].__traceback__))
+    assert s._cache["kept-error"].__traceback__ is None
 
 
 def test_validate_contact_of_tower_contact_nodes():
