@@ -17,6 +17,12 @@ Subcommands:
 Residuals print in scientific notation with three significant digits; JSON
 reports are emitted with sorted keys so that serialize/parse/serialize
 round-trips are byte-identical.
+
+The parser, the exit codes and the ``error:`` lines need no arrays: numpy and
+the engine modules are imported by the functions that compute, so a usage
+error, ``--help`` or a malformed model file exits without loading them.  The
+engine is called through its modules (``contact.nullity_fit``), so a
+rebinding of a module's function is seen by every call.
 """
 
 import argparse
@@ -25,16 +31,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
-from . import catalog as catalog_mod
-from . import modelfile
-from .contact import (
-    blair_identity_suite,
-    classification_flags,
-    nullity_fit,
-    validate_contact,
-)
+from . import DEFAULT_TOL, modelfile
 from .errors import (
     DegenerateInvariant,
     GeometryError,
@@ -46,11 +43,6 @@ from .errors import (
     SasakianDegenerate,
     SasakianOrInvalid,
 )
-from .legendre import classify_class
-from .lie_model import jacobi_residual
-from .paracontact import canonical_pc_connection, integrability_and_parasasaki
-from .report import DEFAULT_TOL
-from .tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -67,6 +59,7 @@ def render_json(report: dict) -> str:
     ones, and a non-finite float (Python or numpy) as the string of its repr, so that
     strict JSON parsers read it.  Keys are strings; a value JSON has no form for
     (``np.bool_``) raises TypeError."""
+    import numpy as np
 
     def render(x, newline: str) -> str:  # the text of x, whose lines continue with newline
         if isinstance(x, (float, np.floating)):
@@ -100,12 +93,14 @@ def _load(path: str) -> modelfile.ModelDocument:
 
 
 def _validate_doc(doc: modelfile.ModelDocument, tol: float) -> dict:
+    from . import contact, lie_model
+
     report = {
         "model": {
             "name": doc.name,
             "dim": doc.model.dim,
             "basis_labels": list(doc.model.labels()),
-            "jacobi_residual": jacobi_residual(doc.model),
+            "jacobi_residual": lie_model.jacobi_residual(doc.model),
         },
         "tol": tol,
     }
@@ -115,7 +110,7 @@ def _validate_doc(doc: modelfile.ModelDocument, tol: float) -> dict:
         report["structure"] = None
         report["valid"] = bool(jacobi_ok)
         return report
-    srep = validate_contact(doc.structure, tol)
+    srep = contact.validate_contact(doc.structure, tol)
     report["structure"] = {"kind": doc.structure.kind, **srep.to_dict()}
     report["valid"] = bool(jacobi_ok and srep.valid)
     return report
@@ -138,6 +133,8 @@ def _analyze_doc(
     a: float | None = None,
     b: float | None = None,
 ) -> dict:
+    from . import contact, legendre, paracontact, tower
+
     report = _validate_doc(doc, tol)
     s = doc.structure
     if s is None or not report["valid"]:
@@ -146,33 +143,33 @@ def _analyze_doc(
         report["expected"] = doc.expected
 
     try:
-        fit = nullity_fit(s, tol)
+        fit = contact.nullity_fit(s, tol)
     except NotNullity as exc:
         report["nullity"] = {"error": "not_nullity", "residual": exc.residual}
         return report
     report["nullity"] = fit.to_dict()
     if s.eps > 0:
         try:
-            report["nullity"]["class_pang_checked"] = classify_class(s, fit, tol)
+            report["nullity"]["class_pang_checked"] = legendre.classify_class(s, fit, tol)
         except SasakianDegenerate:
             report["nullity"]["class_pang_checked"] = None
-        report["flags"] = classification_flags(s, fit, tol)
+        report["flags"] = contact.classification_flags(s, fit, tol)
         nij, side = s.nijenhuis_norm(tol)
         report["nullity"]["nijenhuis_norm"] = nij
         report["identities"] = dict(side.to_dict()["residuals"])
         if fit.mu is not None:
-            blair = blair_identity_suite(s, fit.kappa, fit.mu, tol)
+            blair = contact.blair_identity_suite(s, fit.kappa, fit.mu, tol)
             report["identities"].update(blair.to_dict()["residuals"])
         if run_sasakian:
-            report["sasakian_construction"] = _construction(sasakian_structure, s, fit, tol=tol)
+            report["sasakian_construction"] = _construction(tower.sasakian_structure, s, fit, tol=tol)
         if run_legendre3:
             report["legendre3"] = _construction(
-                second_bilegendrian_analysis, s, fit, a=a, b=b, tol=tol
+                tower.second_bilegendrian_analysis, s, fit, a=a, b=b, tol=tol
             )
     else:
-        _, pc_rep = canonical_pc_connection(s, tol)
+        _, pc_rep = paracontact.canonical_pc_connection(s, tol)
         report["identities"] = dict(pc_rep.to_dict()["residuals"])
-        flags = integrability_and_parasasaki(s, tol)
+        flags = paracontact.integrability_and_parasasaki(s, tol)
         report["flags"] = {key: flags[key] for key in ("integrable", "para_sasakian")}
         report["identities"]["nijenhuis_d_component"] = flags["nijenhuis_d_residual"]
         report["identities"]["pc_parallel_phi"] = flags["pc_parallel_phi_residual"]
@@ -314,7 +311,13 @@ def cmd_derive(args) -> int:
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = _analyze_doc(doc, args.tol)
+    from . import tower
+
+    try:
+        report = _analyze_doc(doc, args.tol)
+    except GeometryError as exc:  # as in analyze: an error line, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if not report["valid"]:
         _write_outputs(report, args.json)
         return EXIT_INVALID
@@ -327,7 +330,7 @@ def cmd_derive(args) -> int:
               f"{_fmt(report['nullity']['residual'])}): no derived structures", file=sys.stderr)
         return EXIT_INVALID
     try:
-        nodes = sequence(doc.structure, args.steps, args.tol)
+        nodes = tower.sequence(doc.structure, args.steps, args.tol)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
@@ -337,6 +340,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as catalog_mod
+
     if args.catalog_command == "list":
         for name in catalog_mod.list_entries():
             print(name)

@@ -21,19 +21,23 @@ duplicates (the same unordered pair listed twice with different
 coefficients, including an (i, j) / (j, i) pair that fails antisymmetry).
 ``dim``, ``i`` and ``j`` are integers (an integral float such as 3.0 reads as
 one); a bool or a non-integral number there, or a bool coefficient, is a
-format error.
+format error.  The checks that need no arrays (the JSON itself, ``dim``,
+``basis_labels`` and every bracket entry) run before numpy and the engine are
+imported, so a malformed file is rejected without loading them.
 """
+
+from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .catalog import CatalogEntry, _structure_constants
-from .contact import ContactMetricStructure, MetricStructure
 from .errors import ModelFormatError
-from .lie_model import LieModel
-from .paracontact import ParacontactMetricStructure
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
+    from .contact import MetricStructure
+    from .lie_model import LieModel
 
 
 @dataclass
@@ -51,7 +55,8 @@ def _number(x, cast=float):
     return cast(x)
 
 
-def _parse_brackets(dim: int, entries: list) -> np.ndarray:
+def _parse_brackets(dim: int, entries: list) -> dict[tuple[int, int], dict[int, float]]:
+    """The coefficients of each bracket [e_i, e_j], i < j, by 0-based (i, j) and k."""
     seen: dict[tuple[int, int], dict[int, float]] = {}
     for entry in entries:
         try:
@@ -73,10 +78,15 @@ def _parse_brackets(dim: int, entries: list) -> np.ndarray:
                 f"inconsistent duplicate bracket for pair ({key[0] + 1}, {key[1] + 1})"
             )
         seen.setdefault(key, signed)  # a consistent duplicate keeps the first entry
-    return _structure_constants(dim, seen)
+    return seen
 
 
 def _parse_structure(model: LieModel, block: dict):
+    import numpy as np
+
+    from .contact import ContactMetricStructure
+    from .paracontact import ParacontactMetricStructure
+
     try:
         kind = block["kind"]
         phi = np.asarray(block["phi"], dtype=float)
@@ -114,7 +124,13 @@ def loads(text: str) -> ModelDocument:
         labels = tuple(str(x) for x in labels)
         if len(labels) != dim:
             raise ModelFormatError("basis_labels length does not match dim")
-    c = _parse_brackets(dim, doc.get("brackets", []))
+    brackets = _parse_brackets(dim, doc.get("brackets", []))
+    import numpy as np
+
+    from .catalog import _structure_constants
+    from .lie_model import LieModel
+
+    c = _structure_constants(dim, brackets)
     if not np.all(np.isfinite(c)):
         raise ModelFormatError("bracket coefficients must be finite (no NaN or infinity)")
     model = LieModel(c=c, basis_labels=labels)
@@ -136,6 +152,8 @@ def load(path: str) -> ModelDocument:
 
 def dumps_entry(entry: CatalogEntry) -> str:
     """Serialize a catalog entry in the model file format."""
+    import numpy as np
+
     model = entry.model
     s = entry.structure
     dim = model.dim

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-DEFAULT_TOL = 1e-9
+from . import DEFAULT_TOL
 
 
 def max_abs(residual) -> float:

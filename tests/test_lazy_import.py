@@ -1,0 +1,119 @@
+"""numpy and the engine load only when a command computes.
+
+A cold ``python -m kmgeom.cli`` that exits on a parse error, a usage error or
+``--help`` imports no numpy and prints what an in-process call prints; the
+package's public names resolve on first access to their submodules' objects.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kmgeom
+from kmgeom import cli, modelfile
+from kmgeom.catalog import family_3d
+
+# The public names of the package by defining submodule, as they were imported
+# eagerly before the package resolved them on access.
+PUBLIC = {
+    "catalog": ["CatalogEntry", "family_3d", "heisenberg_3d", "nilpotent_h_5d",
+                "tangent_bundle_constants"],
+    "contact": ["ContactMetricStructure", "NullityReport", "blair_identity_suite",
+                "boeckx_invariant", "classification_flags", "nijenhuis_norm", "nullity_fit",
+                "validate_contact"],
+    "errors": ["GeometryError"],
+    "legendre": ["LegendreDistribution", "bilegendrian_connection", "classify_class",
+                 "conjugate_distribution", "eigendistributions", "legendre_pair_constants",
+                 "libermann_map", "psi_to_paracontact"],
+    "lie_model": ["LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
+    "paracontact": ["ParacontactMetricStructure", "canonical_pc_connection",
+                    "integrability_and_parasasaki"],
+    "report": ["DEFAULT_TOL", "ResidualReport"],
+    "riemann": ["AffineConnection", "levi_civita", "signature"],
+    "tower": ["SasakianPackage", "TowerNode", "sasakian_structure",
+              "second_bilegendrian_analysis", "sequence", "step_checks"],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+def _child(*args, cwd):
+    """(exit code, stdout, stderr without the import log, imported module names)
+    of a fresh ``python -X importtime *args``, with ``src`` on its path."""
+    src = os.path.dirname(os.path.dirname(kmgeom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    lines = proc.stderr.splitlines(keepends=True)
+    log = [line for line in lines if line.startswith("import time:")]
+    modules = {line.rsplit("|", 1)[-1].strip() for line in log}
+    return proc.returncode, proc.stdout, "".join(line for line in lines if line not in log), modules
+
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, last_err", [
+    (["analyze", "malformed.json"], 2, "error: cannot analyze malformed.json"),
+    (["validate", "missing.json"], 2,
+     "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    (["derive", "malformed.json"], 2,
+     "kmgeom derive: error: the following arguments are required: --steps"),
+    (["--help"], 0, None),
+], ids=["malformed-file", "missing-file", "usage-error", "help"])
+def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch, argv, code,
+                                                   last_err):
+    (tmp_path / "malformed.json").write_text('{"dim": 3, "brackets": [')
+    got = _child("-m", "kmgeom.cli", *argv, cwd=tmp_path)
+    assert got[0] == code
+    assert got[2].splitlines()[-1:] == ([last_err] if last_err else [])
+    assert not {m for m in got[3] if m.split(".")[0] == "numpy"}, "numpy imported"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _in_process(argv, capsys) == got[:3]
+
+
+def test_cold_analyze_that_computes_imports_numpy(tmp_path):
+    (tmp_path / "m.json").write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+    code, out, err, modules = _child("-m", "kmgeom.cli", "analyze", "m.json", "--json", "-",
+                                     cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert json.loads(out[out.index("\n{") + 1:])["nullity"]["class"] == "I"
+    assert "numpy" in modules
+
+
+def test_bare_package_import_loads_no_numpy(tmp_path):
+    code, _, err, modules = _child("-c", "import kmgeom", cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert "kmgeom" in modules and "numpy" not in modules
+
+
+def test_public_names_are_their_submodules_objects():
+    for module, names in PUBLIC.items():
+        for name in names:
+            assert getattr(kmgeom, name) is getattr(importlib.import_module(f"kmgeom.{module}"), name)
+
+
+def test_star_import_and_dir_list_every_public_name():
+    assert sorted(kmgeom.__all__) == NAMES
+    assert set(NAMES) <= set(dir(kmgeom))
+    namespace = {}
+    exec("from kmgeom import *", namespace)
+    assert {name: namespace[name] for name in NAMES} == {n: getattr(kmgeom, n) for n in NAMES}
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kmgeom.no_such_name  # noqa: B018
+    assert not hasattr(kmgeom, "ModelFormatError")  # an errors name the package never exported

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import reference_json
 from kmgeom import modelfile
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.cli import main, render_json
-from kmgeom.errors import ModelFormatError
+from kmgeom.errors import ClassificationMismatch, ModelFormatError
 from kmgeom.lie_model import LieModel
 
 
@@ -447,3 +448,22 @@ def test_cli_derive_reports_non_nullity_as_one_error_line(tmp_path, capsys):
     assert "tower" not in payload
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cli_derive_reports_an_analyze_error_as_one_error_line(tmp_path, capsys, monkeypatch):
+    # a GeometryError of derive's analyze step is an error line and exit 1, as in analyze
+    def mismatch(*args, **kwargs):
+        raise ClassificationMismatch("Pang class II, invariant class I")
+
+    from kmgeom.legendre import classify_class
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kmgeom" and vars(module).get("classify_class") is classify_class:
+            monkeypatch.setattr(module, "classify_class", mismatch)
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    assert main(["analyze", path]) == 1
+    capsys.readouterr()
+    assert main(["derive", path, "--steps", "3", "--json", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Pang class II, invariant class I\n"
