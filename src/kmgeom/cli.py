@@ -275,7 +275,8 @@ def cmd_analyze(args) -> int:
     def run(path: str) -> tuple[dict | None, int]:
         try:
             doc = _load(path)
-        except ModelFormatError:
+        except ModelFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return None, EXIT_PARSE
         try:
             report = _analyze_doc(

@@ -21,11 +21,14 @@ invariant and class of a contact structure or the spectral type of a
 paracontact h~, and one eps-signed (kappa, mu) identity suite,
 :func:`blair_identity_suite`.
 
-:func:`validate_contact`, :func:`nullity_fit`, :func:`h_square_scalar` and
-:func:`spectral_type` take one structure or a stack (a list of one kind on one
-(M, eta, xi), such as tower nodes; a single structure is a stack of one).  A
-stack gives each member what it gets alone, its exception included, and each
-member keeps its own connection, R(., .) xi and fit.
+:func:`validate_contact` and :func:`nullity_fit` take one structure or a stack
+(a list of one kind on one (M, eta, xi), such as tower nodes; a single
+structure is a stack of one).  A stack gives each member what it gets alone,
+its exception included, and each member keeps its own connection and fit.
+The fit is one pass over the stack and the only reader of R(., .) xi, which
+it does not keep: (kappa, mu), and for a paracontact stack the scalar s with
+h~^2 = s phi~^2 and the side residuals, from which the report decides the
+spectral type.
 """
 
 from dataclasses import dataclass, field
@@ -70,8 +73,8 @@ class MetricStructure:
     a contact metric structure for eps = +1 and a paracontact one for
     eps = -1 (the subclasses set ``eps`` and ``kind``).  h = (1/2) L_xi phi is
     computed on construction; the basis of ker(eta) and the Nijenhuis tensor
-    once, and the Levi-Civita connection, nabla phi, R(., .) xi and the
-    nullity fit once per ``tol``, are kept with their arrays read-only.
+    once, and the Levi-Civita connection, nabla phi and the nullity fit once
+    per ``tol``, are kept with their arrays read-only.
     """
 
     model: LieModel
@@ -148,11 +151,6 @@ class MetricStructure:
             ("nabla_phi", tol), lambda: self.levi_civita(tol).nabla_endo_all(self.phi)
         )
 
-    def curvature_xi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """R_{e_i e_j} xi at [i, j, :] for the Levi-Civita connection."""
-        self.levi_civita(tol)  # a degenerate metric raises
-        return _each([self], "curvature_xi", tol)[0]
-
     def nijenhuis_tensor(self) -> np.ndarray:
         """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
         return self.cached_array(
@@ -200,14 +198,6 @@ def _connections(members: list[MetricStructure], tol: float) -> list[AffineConne
     conn.gamma.flags.writeable = False
     return [AffineConnection(gamma, bad)
             for gamma, bad in zip(conn.gamma, conn.degenerate.tolist())]
-
-
-def _curvatures(members: list[MetricStructure], tol: float) -> list[np.ndarray]:
-    """Each member's R(., .) xi (NaN for a degenerate metric), in one stacked pass."""
-    gamma = _stack_of([c.gamma for c in _each(members, "levi_civita", tol)])
-    r_xi = curvature_xi(members[0].model, AffineConnection(gamma), members[0].xi)
-    r_xi.flags.writeable = False
-    return list(r_xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,20 +341,26 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     return max_abs(nij), side
 
 
-def _fit_r_xi(
-    members: list[MetricStructure], tol: float
-) -> list[tuple[float, float | None, float]]:
-    """Least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta).
+def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[tuple]:
+    """Least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta),
+    with R(., .) xi formed here from the members' connections and not kept.
 
     Shared by the contact and paracontact fits; returns (kappa, mu, residual)
     per member, with mu = None when ||h|| <= tol (the mu-term, and its column
     of the fit, is identically zero); the residual is that of the full equation
     R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y).
+    A paracontact member's tuple goes on with the least-squares s of
+    h~^2 = s phi~^2 and the residual of that fit, the residual of
+    h~^2 = (1 + kappa~) phi~^2, and that of
+    R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).  s is preferred
+    over an eigensolver: a g~-symmetric h~ need not be diagonalizable under an
+    indefinite metric, while s is defined on every structure certified here.
     """
     s0, nb = members[0], len(members)
     xi, eta = s0.xi, s0.eta
-    r_xi = _stack_of(_each(members, "curvature_xi", tol))
-    h = _stack_of([t.h for t in members])
+    _, _, h, phi = _stack(members, "h", "phi")
+    gamma = _stack_of([c.gamma for c in _each(members, "levi_civita", tol)])
+    r_xi = curvature_xi(s0.model, AffineConnection(gamma), xi)  # NaN for a degenerate metric
     dbasis = s0.contact_basis()
     h_zero = np.abs(h).max(axis=(1, 2)) <= tol  # NaN is not zero
     a = np.empty((nb, dbasis.size, 1 if h_zero.all() else 2))
@@ -384,11 +380,22 @@ def _fit_r_xi(
         mu = np.where(h_zero, 0.0, sol[:, 1])
         pred = pred + mu[:, None, None, None] * (eta_y(eta, h) - eta_x(eta, h))
     residual = max_abs_each(r_xi - pred, nb)
-    return [(kb, None if hz else mb, rb) for kb, mb, rb, hz in
-            zip(kappa.tolist(), sol[:, -1].tolist(), residual.tolist(), h_zero.tolist())]
+    side = [()] * nb
+    if s0.eps < 0:
+        p2, h2 = phi @ phi, h @ h
+        scal = np.sum(h2 * p2, axis=(1, 2)) / np.sum(p2 * p2, axis=(1, 2))
+        # rows R~_{xi e_i} xi + phi~ R~_{xi phi~ e_i} xi against the columns of 2 (phi~^2 - h~^2)
+        r_xi_x = np.einsum("i,bijk->bjk", xi, r_xi)
+        phi_t = phi.swapaxes(1, 2)
+        reflection = r_xi_x + phi_t @ r_xi_x @ phi_t - 2.0 * (p2 - h2).swapaxes(1, 2)
+        side = zip(scal.tolist(), max_abs_each(h2 - scal[:, None, None] * p2, nb).tolist(),
+                   max_abs_each(h2 - (1.0 + kappa)[:, None, None] * p2, nb).tolist(),
+                   max_abs_each(reflection, nb).tolist())
+    return [(kb, None if hz else mb, rb, *extra) for kb, mb, rb, hz, extra in
+            zip(kappa.tolist(), sol[:, -1].tolist(), residual.tolist(), h_zero.tolist(), side)]
 
 
-_BUILDERS = {"levi_civita": _connections, "curvature_xi": _curvatures, "nullity": _fit_r_xi}
+_BUILDERS = {"levi_civita": _connections, "nullity": _fit_r_xi}
 
 
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
@@ -413,44 +420,6 @@ def classify_by_invariant(boeckx: float | None, tol: float = DEFAULT_TOL) -> str
     return "II"
 
 
-def h_square_scalar(s):
-    """Least-squares scalar with h^2 = s phi^2, and the residual of that fit
-    (one pair per member of a stack).
-
-    Preferred over an eigensolver: g~-symmetric operators under an indefinite
-    metric may be non-diagonalizable, while s is always well-defined on the
-    paracontact structures this engine certifies.
-    """
-    members, single, h, phi = _stack(s, "h", "phi")
-    h2, p2 = h @ h, phi @ phi
-    scal = np.sum(h2 * p2, axis=(1, 2)) / np.sum(p2 * p2, axis=(1, 2))
-    residual = max_abs_each(h2 - scal[:, None, None] * p2, len(members))
-    return _unstack(list(zip(scal.tolist(), residual.tolist())), single)
-
-
-def spectral_type(s, tol: float = DEFAULT_TOL):
-    """Classify a paracontact h~ by the sign of s in h~^2 = s phi~^2 (one result
-    per member of a stack).
-
-    Returns (type, s, lambda): real eigenvalue pair +-sqrt(s) for s > 0,
-    complex pair for s < 0, nilpotent for s = 0 with h~ != 0, zero otherwise;
-    :class:`InternalInconsistency` when h~^2 is not proportional to phi~^2.
-    """
-    members, single = _stack(s)
-    out = []
-    for t, (scal, fit_residual) in zip(members, h_square_scalar(members)):
-        if not fit_residual <= tol:
-            msg = f"h~^2 is not proportional to phi~^2 (residual {fit_residual:.3e})"
-            out.append(InternalInconsistency(msg))
-        elif max_abs(t.h) <= tol:
-            out.append(("zero", scal, None))
-        elif scal > tol:
-            out.append(("real_pair", scal, float(np.sqrt(scal))))
-        else:
-            out.append(("complex_pair" if scal < -tol else "nilpotent", scal, None))
-    return _unstack(out, single)
-
-
 def nullity_fit(s, tol: float = DEFAULT_TOL):
     """Fit (kappa, mu), verify the full nullity tensor equation, and add the
     invariants of h that the sign of ``s`` selects (one stacked pass for a stack).
@@ -460,43 +429,29 @@ def nullity_fit(s, tol: float = DEFAULT_TOL):
     lands above 1 beyond roundoff, which no contact metric structure can do;
     otherwise the Boeckx invariant and the class.  Paracontact: the spectral
     type of h~ and the side checks h~^2 = (1 + kappa~) phi~^2 and
-    R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).
+    R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X);
+    :class:`InternalInconsistency` when h~^2 is not proportional to phi~^2.
     """
     members, single = _stack(s)
-    nb = len(members)
-    constants = _each(members, "nullity", tol)
-    degenerate = [c.degenerate for c in _each(members, "levi_civita", tol)]
-    side = [()] * nb
-    if members[0].eps < 0:
-        kappa = np.array([c[0] for c in constants])
-        phi, h = _stack(members, "phi", "h")[2:]
-        p2, h2 = phi @ phi, h @ h
-        # rows R~_{xi e_i} xi + phi~ R~_{xi phi~ e_i} xi against the columns of 2 (phi~^2 - h~^2)
-        r_xi = _stack_of(_each(members, "curvature_xi", tol))
-        r_xi_x = np.einsum("i,bijk->bjk", members[0].xi, r_xi)
-        phi_t = phi.swapaxes(1, 2)
-        reflection = r_xi_x + phi_t @ r_xi_x @ phi_t - 2.0 * (p2 - h2).swapaxes(1, 2)
-        side = zip(spectral_type(members, tol),
-                   max_abs_each(h2 - (1.0 + kappa)[:, None, None] * p2, nb).tolist(),
-                   max_abs_each(reflection, nb).tolist())
     out = []
-    for t, fitted, bad, extra in zip(members, constants, degenerate, side):
+    for t, fitted, conn in zip(members, _each(members, "nullity", tol),
+                               _each(members, "levi_civita", tol)):
         try:
-            out.append(_nullity_report(t, fitted, bad, extra, tol))
+            out.append(_nullity_report(t, fitted, conn.degenerate, tol))
         except GeometryError as exc:
             out.append(exc)
     return _unstack(out, single)
 
 
-def _nullity_report(
-    s: MetricStructure, fitted: tuple, degenerate: bool, side: tuple, tol: float
-) -> NullityReport:
-    """One member of :func:`nullity_fit`, from its (kappa, mu, residual) and, for a
-    paracontact member, its spectral type and h~^2 and reflection residuals; the one
-    place that decides kappa < 1 and, by its class, where I_M sits relative to +-1."""
+def _nullity_report(s: MetricStructure, fitted: tuple, degenerate: bool, tol: float) -> NullityReport:
+    """One member of :func:`nullity_fit`, from its tuple of :func:`_fit_r_xi`; the one
+    place that decides kappa < 1 and, by its class, where I_M sits relative to +-1,
+    and the spectral type of a paracontact h~ by the sign of s in h~^2 = s phi~^2:
+    a real eigenvalue pair +-sqrt(s) for s > 0, a complex pair for s < 0,
+    nilpotent for s = 0 with h~ != 0, zero for h~ = 0."""
     if degenerate:
         raise DegenerateMetric(DEGENERATE)
-    kappa, mu, residual = fitted
+    kappa, mu, residual, *side = fitted
     if not residual <= tol:
         kind = "" if s.eps > 0 else "paracontact "
         raise NotNullity(
@@ -504,12 +459,17 @@ def _nullity_report(
             residual,
         )
     if s.eps < 0:
-        stype, h_square_residual, reflection = side
-        if isinstance(stype, GeometryError):
-            raise stype
+        scal, scal_residual, h_square_residual, reflection = side
+        if not scal_residual <= tol:
+            raise InternalInconsistency(
+                f"h~^2 is not proportional to phi~^2 (residual {scal_residual:.3e})")
+        # mu is None exactly when the fit found h~ = 0
+        stype = ("zero" if mu is None else "real_pair" if scal > tol
+                 else "complex_pair" if scal < -tol else "nilpotent")
         return NullityReport(
-            kappa=kappa, mu=mu, residual=residual, lam=stype[2], spectral_type=stype[0],
-            h_square_scalar=stype[1], h_square_vs_kappa_residual=h_square_residual,
+            kappa=kappa, mu=mu, residual=residual,
+            lam=float(np.sqrt(scal)) if stype == "real_pair" else None, spectral_type=stype,
+            h_square_scalar=scal, h_square_vs_kappa_residual=h_square_residual,
             curvature_reflection_residual=reflection,
         )
     if kappa > 1.0 + tol:

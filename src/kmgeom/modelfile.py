@@ -29,8 +29,7 @@ imported, so a malformed file is rejected without loading them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ModelFormatError
 
@@ -40,12 +39,11 @@ if TYPE_CHECKING:
     from .lie_model import LieModel
 
 
-@dataclass
-class ModelDocument:
+class ModelDocument(NamedTuple):
     model: LieModel
     structure: MetricStructure | None
-    name: str | None = None
-    expected: dict = field(default_factory=dict)
+    name: str | None
+    expected: dict
 
 
 def _number(x, cast=float):

@@ -15,7 +15,8 @@ of that scalar classifies the spectrum (real pair / complex pair / nilpotent).
 :class:`kmgeom.contact.MetricStructure`: its fields ``phi``, ``g`` and ``h``
 hold phi~, g~ and h~.  It is validated and fitted by the contact functions,
 :func:`kmgeom.contact.validate_contact` and :func:`kmgeom.contact.nullity_fit`,
-whose :class:`kmgeom.contact.NullityReport` carries the spectral type of h~.
+whose :class:`kmgeom.contact.NullityReport` carries the spectral type of h~,
+decided in the fit's one pass from the scalar s with h~^2 = s phi~^2.
 This module adds what only the paracontact side has: the canonical
 paracontact connection and the integrability and para-Sasakian predicates.
 """
@@ -104,8 +105,9 @@ def integrability_and_parasasaki(
     Integrability is computed two independent ways (Nijenhuis torsion valued
     in R xi on the contact distribution, and vanishing of nabla^pc phi~); a
     disagreement beyond 10 tol signals an engine bug, not a model property.
+    The curvature form R~_{XY} xi = -(eta(Y) X - eta(X) Y) that a para-Sasakian
+    structure satisfies is the kappa~ = -1 nullity condition of :func:`nullity_fit`.
     """
-    xi, eta = s.xi, s.eta
     kbasis = s.contact_basis()
     nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
     worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
@@ -123,19 +125,10 @@ def integrability_and_parasasaki(
 
     # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X, the closed form at h~ = 0
     ps = max_abs(s.nabla_phi(tol) - nabla_phi_closed_form(s, 0.0))
-    para_sasakian = ps <= tol
-    curv_res = None
-    if para_sasakian:
-        # curvature consequence R~_{XY} xi = -(eta(Y) X - eta(X) Y), i.e. the
-        # kappa~ = -1 nullity form that the covariant condition forces
-        ident = np.eye(s.dim)
-        curv_res = max_abs(s.curvature_xi(tol) + eta_y(eta, ident) - eta_x(eta, ident))
-
     return {
         "integrable": bool(integrable_n),
-        "para_sasakian": bool(para_sasakian),
+        "para_sasakian": bool(ps <= tol),
         "nijenhuis_d_residual": worst_d,
         "pc_parallel_phi_residual": worst_pc,
         "para_sasaki_residual": ps,
-        "para_sasaki_curvature_residual": curv_res,
     }

@@ -1,7 +1,8 @@
 """numpy and the engine load only when a command computes.
 
 A cold ``python -m kmgeom.cli`` that exits on a parse error, a usage error or
-``--help`` imports no numpy and prints what an in-process call prints; the
+``--help`` imports neither numpy nor ``dataclasses`` and prints what an
+in-process call prints; the
 package's public names resolve on first access to their submodules' objects.
 """
 
@@ -79,6 +80,7 @@ def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch
     assert got[0] == code
     assert got[2].splitlines()[-1:] == ([last_err] if last_err else [])
     assert not {m for m in got[3] if m.split(".")[0] == "numpy"}, "numpy imported"
+    assert "dataclasses" not in got[3]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     assert _in_process(argv, capsys) == got[:3]

@@ -340,6 +340,22 @@ def test_cli_sasakian_reports_error_inside_unit_band(tmp_path, capsys):
     assert "sasakian construction:" in out
 
 
+def test_cli_analyze_prints_the_reason_of_a_parse_error(tmp_path, capsys):
+    """analyze names why a file does not parse, as validate does, alone and in a batch."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 3, "brackets": [')
+    reason = "error: not valid JSON: Expecting value: line 1 column 25 (char 24)"
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [reason]
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [reason, f"error: cannot analyze {bad}"]
+    _emit(tmp_path, "nilpotent-h-5d")
+    assert main(["analyze", "--batch", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [reason]
+    assert captured.out.count("== ") == 2
+
+
 def test_cli_batch(tmp_path, capsys):
     _emit(tmp_path, "family-3d", "--lam", "1", "--d", "0")
     _emit(tmp_path, "nilpotent-h-5d")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from kmgeom.contact import h_square_scalar, nullity_fit, spectral_type, validate_contact
+from kmgeom.catalog import heisenberg_3d
+from kmgeom.contact import nullity_fit, validate_contact
+from kmgeom.errors import InternalInconsistency
 from kmgeom.paracontact import (
     ParacontactMetricStructure,
     canonical_pc_connection,
@@ -39,8 +41,6 @@ def test_validate_rejects_flipped_pairing(model_5d):
 
 def test_validate_rejects_wrong_eigenrank():
     # phi~ with (phi~)^2 = I - eta (x) xi but a 2-dimensional +1 eigenspace
-    from kmgeom.catalog import heisenberg_3d
-
     st = heisenberg_3d().structure
     bad = ParacontactMetricStructure(
         model=st.model, phi=np.diag([1.0, 1.0, 0.0]), xi=st.xi, eta=st.eta, g=st.g
@@ -83,18 +83,42 @@ def test_h_tilde_eigenvalues_canonical_class_i():
     [(1.0, 0.0, "complex_pair", -1.0), (1.0, 2.0, "real_pair", 3.0)],
 )
 def test_spectral_type_canonical(lam, d, expected_type, expected_s):
-    st = canonical(lam, d)
-    stype, s_val, lam_t = spectral_type(st)
-    assert stype == expected_type
-    assert s_val == pytest.approx(expected_s, abs=1e-9)
+    fit = nullity_fit(canonical(lam, d))
+    assert fit.spectral_type == expected_type
+    assert fit.h_square_scalar == pytest.approx(expected_s, abs=1e-9)
     if expected_type == "real_pair":
-        assert lam_t == pytest.approx(np.sqrt(expected_s), abs=1e-9)
+        assert fit.lam == pytest.approx(np.sqrt(expected_s), abs=1e-9)
 
 
 def test_h_square_scalar_5d(model_5d):
-    s_val, res = h_square_scalar(model_5d.structure)
-    assert s_val == pytest.approx(0.0, abs=1e-12)
-    assert res <= 1e-12
+    # at tol 1e-12 the fit raises unless the residual of h~^2 = s phi~^2 is <= 1e-12
+    fit = nullity_fit(model_5d.structure, tol=1e-12)
+    assert fit.h_square_scalar == pytest.approx(0.0, abs=1e-12)
+
+
+def _not_proportional():
+    """heisenberg_3d's paracontact tensors with h~ = diag(1, 0, 0): h~^2 is not a
+    multiple of phi~^2, while the curvature still fits the kappa~ = -1 form."""
+    st = heisenberg_3d().structure
+    return ParacontactMetricStructure(st.model, st.phi, st.xi, st.eta, st.g,
+                                      h=np.diag([1.0, 0.0, 0.0])), st
+
+
+def test_fit_raises_when_h_square_is_not_proportional_to_phi_square():
+    bad, _ = _not_proportional()
+    with pytest.raises(InternalInconsistency,
+                       match=r"^h~\^2 is not proportional to phi~\^2 \(residual 5\.000e-01\)$"):
+        nullity_fit(bad)
+
+
+def test_a_stack_member_keeps_its_inconsistency():
+    bad, good = _not_proportional()
+    fits = nullity_fit([bad, good])
+    assert isinstance(fits[0], InternalInconsistency)
+    assert str(fits[0]) == "h~^2 is not proportional to phi~^2 (residual 5.000e-01)"
+    alone = heisenberg_3d().structure
+    assert fits[1] == nullity_fit(alone)
+    assert fits[1].spectral_type == "zero"
 
 
 def test_para_nullity_fit_5d(model_5d):
@@ -162,4 +186,7 @@ def test_heisenberg_is_para_sasakian(heisenberg):
     flags = integrability_and_parasasaki(heisenberg.structure)
     assert flags["para_sasakian"]
     assert flags["integrable"]
-    assert flags["para_sasaki_curvature_residual"] <= 1e-12
+    # the curvature form the covariant condition forces: the kappa~ = -1 nullity form
+    fit = nullity_fit(heisenberg.structure)
+    assert fit.kappa == pytest.approx(-1.0, abs=1e-12)
+    assert fit.residual <= 1e-12

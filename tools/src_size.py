@@ -6,9 +6,19 @@ Code lines are the lines that are not blank, not a comment and not part of a
 docstring (of a module, class or function).  Loops are the ``for`` and ``while``
 statements plus the ``for`` clauses of comprehensions.  Run from anywhere:
 
-    python tools/src_size.py
+    python tools/src_size.py [--unreachable]
+
+``--unreachable`` also lists the functions and methods of ``src/kmgeom`` that no
+code path from ``cli.main`` names.  The scan is static and goes by name: a
+reached body reaches every function or method of a name it uses (as a name or an
+attribute), the body of every module-level table it names (such as
+``contact._BUILDERS``), and the dunder methods of every class it names.  The
+package's ``__init__`` (its export table) is left out, so a name that only it
+lists shows as unreachable.  Dynamic lookups (``getattr`` with a computed name)
+are not followed.
 """
 
+import argparse
 import ast
 import os
 import sys
@@ -48,7 +58,62 @@ def count(path: str) -> tuple[int, int, int]:
     return len(lines), code, loops
 
 
-def main() -> int:
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names and attribute names used under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreachable() -> list[str]:
+    """``module.function`` and ``module.Class.method`` of ``src/kmgeom`` (``__init__``
+    left out) that no code path from ``cli.main`` names, by the static scan above."""
+    defs, tables = {}, {}  # name -> [(qualified name, node)]; table name -> [value]
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name):
+                        tables.setdefault(target.id, []).append(node.value)
+            if not isinstance(node, (ast.ClassDef, *FUNCTIONS)):
+                continue
+            qual = f"{name[:-3]}.{node.name}"
+            members = [(qual, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{qual}.{m.name}", m) for m in node.body if isinstance(m, FUNCTIONS)]
+            for q, member in members:
+                defs.setdefault(member.name, []).append((q, member))
+    reached, seen = {"cli.main"}, set()
+    todo = [node for qual, node in defs["main"] if qual == "cli.main"]
+    while todo:
+        node = todo.pop()
+        for used in _names(node) - seen:
+            seen.add(used)
+            todo += tables.get(used, [])
+            for qual, member in defs.get(used, []):
+                reached.add(qual)
+                if isinstance(member, ast.ClassDef):  # its dunders run implicitly
+                    dunders = [m for m in member.body if isinstance(m, FUNCTIONS)
+                               and m.name.startswith("__") and m.name.endswith("__")]
+                    reached.update(f"{qual}.{m.name}" for m in dunders)
+                    todo += dunders
+                else:
+                    todo.append(member)
+    return sorted(qual for pairs in defs.values() for qual, member in pairs
+                  if qual not in reached and not isinstance(member, ast.ClassDef))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--unreachable", action="store_true",
+                        help="also list the functions and methods no path from cli.main names")
+    args = parser.parse_args(argv)
     names = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
     raw = code = loops = 0
     for name in names:
@@ -58,6 +123,11 @@ def main() -> int:
     print(f"{'src/kmgeom':18s} {raw:5d} {code:5d} {loops:5d}  (raw, code lines, loops)")
     r, c, n = count(REFERENCE)
     print(f"{'tests/reference.py':18s} {r:5d} {c:5d} {n:5d}  (moved out of src/kmgeom; not in its total)")
+    if args.unreachable:
+        found = unreachable()
+        print(f"not reached from cli.main ({len(found)}, static scan by name):")
+        for qual in found:
+            print(f"  {qual}")
     return 0
 
 
