@@ -275,8 +275,8 @@ def cmd_analyze(args) -> int:
     def run(path: str) -> tuple[dict | None, int]:
         try:
             doc = _load(path)
-        except ModelFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except ModelFormatError as exc:  # as validate prints it; a batch also names the file
+            print(f"error: {path + ': ' if len(paths) > 1 else ''}{exc}", file=sys.stderr)
             return None, EXIT_PARSE
         try:
             report = _analyze_doc(

@@ -25,14 +25,13 @@ paracontact h~, and one eps-signed (kappa, mu) identity suite,
 (a list of one kind on one (M, eta, xi), such as tower nodes; a single
 structure is a stack of one).  A stack gives each member what it gets alone,
 its exception included, and each member keeps its own connection and fit.
-The fit is one pass over the stack and the only reader of R(., .) xi, which
-it does not keep: (kappa, mu), and for a paracontact stack the scalar s with
-h~^2 = s phi~^2 and the side residuals, from which the report decides the
-spectral type.
+The fit, one pass over the stack, alone reads R(., .) xi (not kept) and
+compares h~^2 with phi~^2.
 """
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -341,21 +340,24 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     return max_abs(nij), side
 
 
-def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[tuple]:
-    """Least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta),
-    with R(., .) xi formed here from the members' connections and not kept.
+class _Fit(NamedTuple):
+    """A member's :func:`_fit_r_xi` reading; the paracontact fields are None for contact."""
 
-    Shared by the contact and paracontact fits; returns (kappa, mu, residual)
-    per member, with mu = None when ||h|| <= tol (the mu-term, and its column
-    of the fit, is identically zero); the residual is that of the full equation
-    R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y).
-    A paracontact member's tuple goes on with the least-squares s of
-    h~^2 = s phi~^2 and the residual of that fit, the residual of
-    h~^2 = (1 + kappa~) phi~^2, and that of
-    R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X).  s is preferred
+    kappa: float
+    mu: float | None  # None when ||h|| <= tol: the mu-term, and its column of the fit, vanish
+    residual: float  # of R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y)
+    h_square_scalar: float | None = None  # least-squares s of h~^2 = s phi~^2
+    h_square_residual: float | None = None  # of that fit
+    h_square_vs_kappa_residual: float | None = None  # of h~^2 = (1 + kappa~) phi~^2
+    reflection_residual: float | None = None  # of the reflection check of nullity_fit
+
+
+def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
+    """Each member's :class:`_Fit` in one pass over the stack: least-squares (kappa, mu)
+    from R_{b xi} xi = kappa b + mu h b over ker(eta), with R(., .) xi formed here
+    from the members' connections and not kept.  The s of h~^2 = s phi~^2 is preferred
     over an eigensolver: a g~-symmetric h~ need not be diagonalizable under an
-    indefinite metric, while s is defined on every structure certified here.
-    """
+    indefinite metric, while s is defined on every structure certified here."""
     s0, nb = members[0], len(members)
     xi, eta = s0.xi, s0.eta
     _, _, h, phi = _stack(members, "h", "phi")
@@ -391,7 +393,7 @@ def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[tuple]:
         side = zip(scal.tolist(), max_abs_each(h2 - scal[:, None, None] * p2, nb).tolist(),
                    max_abs_each(h2 - (1.0 + kappa)[:, None, None] * p2, nb).tolist(),
                    max_abs_each(reflection, nb).tolist())
-    return [(kb, None if hz else mb, rb, *extra) for kb, mb, rb, hz, extra in
+    return [_Fit(kb, None if hz else mb, rb, *extra) for kb, mb, rb, hz, extra in
             zip(kappa.tolist(), sol[:, -1].tolist(), residual.tolist(), h_zero.tolist(), side)]
 
 
@@ -434,24 +436,24 @@ def nullity_fit(s, tol: float = DEFAULT_TOL):
     """
     members, single = _stack(s)
     out = []
-    for t, fitted, conn in zip(members, _each(members, "nullity", tol),
-                               _each(members, "levi_civita", tol)):
+    for t, fit, conn in zip(members, _each(members, "nullity", tol),
+                            _each(members, "levi_civita", tol)):
         try:
-            out.append(_nullity_report(t, fitted, conn.degenerate, tol))
+            out.append(_nullity_report(t, fit, conn.degenerate, tol))
         except GeometryError as exc:
             out.append(exc)
     return _unstack(out, single)
 
 
-def _nullity_report(s: MetricStructure, fitted: tuple, degenerate: bool, tol: float) -> NullityReport:
-    """One member of :func:`nullity_fit`, from its tuple of :func:`_fit_r_xi`; the one
+def _nullity_report(s: MetricStructure, fit: _Fit, degenerate: bool, tol: float) -> NullityReport:
+    """One member of :func:`nullity_fit`, from its :func:`_fit_r_xi` reading; the one
     place that decides kappa < 1 and, by its class, where I_M sits relative to +-1,
     and the spectral type of a paracontact h~ by the sign of s in h~^2 = s phi~^2:
     a real eigenvalue pair +-sqrt(s) for s > 0, a complex pair for s < 0,
     nilpotent for s = 0 with h~ != 0, zero for h~ = 0."""
     if degenerate:
         raise DegenerateMetric(DEGENERATE)
-    kappa, mu, residual, *side = fitted
+    kappa, mu, residual = fit.kappa, fit.mu, fit.residual
     if not residual <= tol:
         kind = "" if s.eps > 0 else "paracontact "
         raise NotNullity(
@@ -459,18 +461,18 @@ def _nullity_report(s: MetricStructure, fitted: tuple, degenerate: bool, tol: fl
             residual,
         )
     if s.eps < 0:
-        scal, scal_residual, h_square_residual, reflection = side
-        if not scal_residual <= tol:
+        if not fit.h_square_residual <= tol:
             raise InternalInconsistency(
-                f"h~^2 is not proportional to phi~^2 (residual {scal_residual:.3e})")
+                f"h~^2 is not proportional to phi~^2 (residual {fit.h_square_residual:.3e})")
+        scal = fit.h_square_scalar
         # mu is None exactly when the fit found h~ = 0
         stype = ("zero" if mu is None else "real_pair" if scal > tol
                  else "complex_pair" if scal < -tol else "nilpotent")
         return NullityReport(
             kappa=kappa, mu=mu, residual=residual,
             lam=float(np.sqrt(scal)) if stype == "real_pair" else None, spectral_type=stype,
-            h_square_scalar=scal, h_square_vs_kappa_residual=h_square_residual,
-            curvature_reflection_residual=reflection,
+            h_square_scalar=scal, h_square_vs_kappa_residual=fit.h_square_vs_kappa_residual,
+            curvature_reflection_residual=fit.reflection_residual,
         )
     if kappa > 1.0 + tol:
         raise NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)

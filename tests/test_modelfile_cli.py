@@ -352,7 +352,7 @@ def test_cli_analyze_prints_the_reason_of_a_parse_error(tmp_path, capsys):
     _emit(tmp_path, "nilpotent-h-5d")
     assert main(["analyze", "--batch", str(tmp_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [reason]
+    assert captured.err.splitlines() == [reason.replace("error: ", f"error: {bad}: ", 1)]
     assert captured.out.count("== ") == 2
 
 

@@ -1,4 +1,4 @@
-"""The reachability scan of ``tools/src_size.py --unreachable``: it follows module-level
+"""The reachability scan of ``tools/src_size.py``: it follows module-level
 tables and the implicit dunders of a named class, and leaves the export table out."""
 
 import importlib.util
@@ -21,7 +21,7 @@ def test_unreachable_follows_tables_and_dunders():
 
 
 def test_unreachable_is_logged_after_the_sizes(capsys):
-    assert src_size.main(["--unreachable"]) == 0
+    assert src_size.main() == 0
     out = capsys.readouterr().out.splitlines()
     head = next(i for i, line in enumerate(out) if line.startswith("not reached from cli.main"))
     assert out[head - 2].startswith("src/kmgeom") and out[head + 1:] == [

@@ -6,9 +6,9 @@ Code lines are the lines that are not blank, not a comment and not part of a
 docstring (of a module, class or function).  Loops are the ``for`` and ``while``
 statements plus the ``for`` clauses of comprehensions.  Run from anywhere:
 
-    python tools/src_size.py [--unreachable]
+    python tools/src_size.py
 
-``--unreachable`` also lists the functions and methods of ``src/kmgeom`` that no
+After the sizes it lists the functions and methods of ``src/kmgeom`` that no
 code path from ``cli.main`` names.  The scan is static and goes by name: a
 reached body reaches every function or method of a name it uses (as a name or an
 attribute), the body of every module-level table it names (such as
@@ -18,7 +18,6 @@ lists shows as unreachable.  Dynamic lookups (``getattr`` with a computed name)
 are not followed.
 """
 
-import argparse
 import ast
 import os
 import sys
@@ -109,11 +108,7 @@ def unreachable() -> list[str]:
                   if qual not in reached and not isinstance(member, ast.ClassDef))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--unreachable", action="store_true",
-                        help="also list the functions and methods no path from cli.main names")
-    args = parser.parse_args(argv)
+def main() -> int:
     names = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
     raw = code = loops = 0
     for name in names:
@@ -123,11 +118,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'src/kmgeom':18s} {raw:5d} {code:5d} {loops:5d}  (raw, code lines, loops)")
     r, c, n = count(REFERENCE)
     print(f"{'tests/reference.py':18s} {r:5d} {c:5d} {n:5d}  (moved out of src/kmgeom; not in its total)")
-    if args.unreachable:
-        found = unreachable()
-        print(f"not reached from cli.main ({len(found)}, static scan by name):")
-        for qual in found:
-            print(f"  {qual}")
+    found = unreachable()
+    print(f"not reached from cli.main ({len(found)}, static scan by name):")
+    for qual in found:
+        print(f"  {qual}")
     return 0
 
 
