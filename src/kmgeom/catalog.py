@@ -15,35 +15,25 @@
 """
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .contact import ContactMetricStructure, MetricStructure, classify_by_invariant
 from .errors import NonPositiveLambda
-from .lie_model import LieModel
+from .lie_model import LieModel, _structure_constants
 from .paracontact import ParacontactMetricStructure
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     model: LieModel
     structure: MetricStructure
-    expected: dict = field(default_factory=dict)
+    expected: dict = {}  # one dict shared by the entries that omit it: read it, do not mutate it
 
     @property
     def kind(self) -> str:
         return self.structure.kind
-
-
-def _structure_constants(dim: int, brackets: dict[tuple[int, int], dict[int, float]]) -> np.ndarray:
-    c = np.zeros((dim, dim, dim))
-    for (i, j), coeffs in brackets.items():
-        for k, v in coeffs.items():
-            c[i, j, k] = v
-            c[j, i, k] = -v
-    return c
 
 
 def nilpotent_h_5d() -> CatalogEntry:

@@ -133,7 +133,7 @@ def _analyze_doc(
     a: float | None = None,
     b: float | None = None,
 ) -> dict:
-    from . import contact, legendre, paracontact, tower
+    from . import contact, legendre, paracontact
 
     report = _validate_doc(doc, tol)
     s = doc.structure
@@ -160,6 +160,8 @@ def _analyze_doc(
         if fit.mu is not None:
             blair = contact.blair_identity_suite(s, fit.kappa, fit.mu, tol)
             report["identities"].update(blair.to_dict()["residuals"])
+        if run_sasakian or run_legendre3:
+            from . import tower
         if run_sasakian:
             report["sasakian_construction"] = _construction(tower.sasakian_structure, s, fit, tol=tol)
         if run_legendre3:

@@ -29,7 +29,6 @@ The fit, one pass over the stack, alone reads R(., .) xi (not kept) and
 compares h~^2 with phi~^2.
 """
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -62,7 +61,6 @@ def _detached(exc: GeometryError) -> GeometryError:
     return copy
 
 
-@dataclass(frozen=True, eq=False)
 class MetricStructure:
     """Tensor quadruple (phi, xi, eta, g) on a Lie model with
 
@@ -76,21 +74,15 @@ class MetricStructure:
     per ``tol``, are kept with their arrays read-only.
     """
 
-    model: LieModel
-    phi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    g: np.ndarray
-    h: np.ndarray = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("phi", "xi", "eta", "g"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.h is None:
-            h = 0.5 * lie_derivative_endo(self.model, self.xi, self.phi)
+    def __init__(self, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
+                 g: np.ndarray, h: np.ndarray | None = None):
+        self.model = model
+        self.phi, self.xi, self.eta, self.g = (np.asarray(a, dtype=float) for a in (phi, xi, eta, g))
+        if h is None:
+            h = 0.5 * lie_derivative_endo(model, self.xi, self.phi)
             h.flags.writeable = False
-            object.__setattr__(self, "h", h)
+        self.h = h
+        self._cache = {}
 
     @classmethod
     def compatible(cls, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray):
@@ -199,7 +191,6 @@ def _connections(members: list[MetricStructure], tol: float) -> list[AffineConne
             for gamma, bad in zip(conn.gamma, conn.degenerate.tolist())]
 
 
-@dataclass(frozen=True, eq=False)
 class ContactMetricStructure(MetricStructure):
     """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h; the
     Nijenhuis norm and its side report are kept once per ``tol``."""
@@ -217,8 +208,7 @@ def _kernel_basis(eta: np.ndarray) -> np.ndarray:
     return vt[1:]
 
 
-@dataclass(frozen=True)
-class NullityReport:
+class NullityReport(NamedTuple):
     """Fitted nullity constants of a contact (eps = +1) or paracontact (eps = -1)
     structure, with the invariants of its h that the sign selects.
 

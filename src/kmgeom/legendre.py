@@ -17,7 +17,7 @@ bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair 
 one stack, and each member gets what it gets alone, its exception included.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .report import DEFAULT_TOL, ResidualReport, finite_stack, max_abs, max_abs_
 from .riemann import AffineConnection, form_xy, on_pairs
 
 
-@dataclass(frozen=True)
-class LegendreDistribution:
+class LegendreDistribution(NamedTuple):
     """n vectors (rows) spanning a Legendre subbundle, with its Pang data."""
 
     vectors: np.ndarray  # shape (n, dim)
@@ -165,7 +164,7 @@ def eigendistributions(
             f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
     # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
     # 2 lambda, where ``tol`` is the band of the invariant-based class
-    d_pos, d_neg = (replace(ld, definiteness=_definiteness(
+    d_pos, d_neg = (ld._replace(definiteness=_definiteness(
         np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * lam), tol)) for ld in pair)
     return d_pos, d_neg
 

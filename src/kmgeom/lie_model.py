@@ -15,8 +15,6 @@ functions vanish and exterior/Lie derivatives reduce to finite-dimensional
 algebra in the structure constants.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -27,7 +25,6 @@ Endomorphism = np.ndarray
 BilinearForm = np.ndarray
 
 
-@dataclass(frozen=True)
 class LieModel:
     """A Lie algebra with structure constants ``c[i, j, k]``.
 
@@ -36,11 +33,8 @@ class LieModel:
     models can be loaded, inspected and rejected with a diagnostic.
     """
 
-    c: np.ndarray
-    basis_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+    def __init__(self, c: np.ndarray, basis_labels: tuple[str, ...] | None = None):
+        c = np.asarray(c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatch(f"structure constants must be cubic, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
@@ -48,9 +42,10 @@ class LieModel:
         anti = np.max(np.abs(c + c.transpose(1, 0, 2)))
         if anti > 1e-12:
             raise DimensionMismatch(f"structure constants not antisymmetric (residual {anti:.3e})")
-        object.__setattr__(self, "c", c)
-        if self.basis_labels is not None and len(self.basis_labels) != c.shape[0]:
+        if basis_labels is not None and len(basis_labels) != c.shape[0]:
             raise DimensionMismatch("basis_labels length does not match dimension")
+        self.c = c
+        self.basis_labels = basis_labels
 
     @property
     def dim(self) -> int:
@@ -78,6 +73,17 @@ class LieModel:
         u = self.check_vector(u)
         # ad(u)[k, j] = sum_i u_i c[i, j, k]
         return np.einsum("i,ijk->kj", u, self.c)
+
+
+def _structure_constants(dim: int, brackets: dict[tuple[int, int], dict[int, float]]) -> np.ndarray:
+    """c[i, j, k] of the brackets [e_i, e_j] = sum_k coeffs[k] e_k, given for i, j by
+    0-based (i, j) and k, with c[j, i, k] = -c[i, j, k]."""
+    c = np.zeros((dim, dim, dim))
+    for (i, j), coeffs in brackets.items():
+        for k, v in coeffs.items():
+            c[i, j, k] = v
+            c[j, i, k] = -v
+    return c
 
 
 def jacobi_residual(m: LieModel) -> float:

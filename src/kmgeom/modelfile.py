@@ -125,8 +125,7 @@ def loads(text: str) -> ModelDocument:
     brackets = _parse_brackets(dim, doc.get("brackets", []))
     import numpy as np
 
-    from .catalog import _structure_constants
-    from .lie_model import LieModel
+    from .lie_model import LieModel, _structure_constants
 
     c = _structure_constants(dim, brackets)
     if not np.all(np.isfinite(c)):

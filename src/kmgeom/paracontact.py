@@ -21,8 +21,6 @@ This module adds what only the paracontact side has: the canonical
 paracontact connection and the integrability and para-Sasakian predicates.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .contact import MetricStructure, nabla_phi_closed_form
@@ -31,7 +29,6 @@ from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import AffineConnection, eta_x, eta_y, form_xy, on_pairs
 
 
-@dataclass(frozen=True, eq=False)
 class ParacontactMetricStructure(MetricStructure):
     """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h: the
     eps = -1 member of :class:`MetricStructure`, whose ``phi``, ``g`` and ``h``

@@ -6,8 +6,6 @@ propagates NaN, so a non-finite residual can never compare as a pass.
 leading member axis): a NaN stays with the member that produced it.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import DEFAULT_TOL
@@ -35,7 +33,6 @@ def finite_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
     return np.where(bad[..., None, None], np.eye(*a.shape[-2:]), a), bad
 
 
-@dataclass
 class ResidualReport:
     """A table of named non-negative residuals checked against one tolerance.
 
@@ -43,9 +40,11 @@ class ResidualReport:
     max-abs deviations of tensor identities evaluated over the model basis.
     """
 
-    tol: float = DEFAULT_TOL
-    entries: dict[str, float] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
+    def __init__(self, tol: float = DEFAULT_TOL, entries: dict[str, float] | None = None,
+                 notes: dict[str, str] | None = None):
+        self.tol = tol
+        self.entries = {} if entries is None else entries
+        self.notes = {} if notes is None else notes
 
     def add(self, name: str, residual, note: str | None = None) -> None:
         """Record the max-abs of ``residual`` (a number or a whole residual array)."""

@@ -22,7 +22,7 @@ stack of metrics on one model, with a leading member axis (a single metric is
 a stack of one); each member's result is what it gets alone.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def signature(g: BilinearForm, tol: float = DEFAULT_TOL):
     return counts[0] if g.ndim == 2 else counts
 
 
-@dataclass(frozen=True)
-class AffineConnection:
+class AffineConnection(NamedTuple):
     """Connection coefficients ``gamma[i, j, k]`` in the model basis (with a leading
     member axis for a stack, whose ``degenerate`` members have a NaN ``gamma``)."""
 

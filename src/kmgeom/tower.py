@@ -25,7 +25,7 @@ which verifies each node: a node that fails its checks stops the construction;
 where the space sits relative to |I_M| = 1 is read from the class of its fit.
 """
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ from .report import DEFAULT_TOL, ResidualReport, max_abs
 from .riemann import eta_x, eta_y, form_xy
 
 
-@dataclass(frozen=True)
-class TowerNode:
+class TowerNode(NamedTuple):
     """One structure in the derived sequence, with its freshly fitted constants."""
 
     index: int
@@ -91,8 +90,7 @@ class TowerNode:
         }
 
 
-@dataclass(frozen=True)
-class SasakianPackage:
+class SasakianPackage(NamedTuple):
     """A compatible Sasakian structure, with the checks of its anti-hypercomplex
     triple and 3-web on ker(eta)."""
 
@@ -107,8 +105,7 @@ class SasakianPackage:
         return {"sign": self.sign, "checks": self.checks.to_dict()}
 
 
-@dataclass
-class SecondPairAnalysis:
+class SecondPairAnalysis(NamedTuple):
     """Analysis of the bi-Legendrian pair carried by h~ when |I_M| > 1."""
 
     lambda_t: float
@@ -120,7 +117,7 @@ class SecondPairAnalysis:
     kappa_new: float
     mu_new: float
     new_invariant: float
-    checks: ResidualReport = field(default_factory=ResidualReport)
+    checks: ResidualReport
 
     def to_dict(self) -> dict:
         return {
@@ -216,7 +213,7 @@ def _derived_nodes(prev: MetricStructure, ks, fit0: NullityReport, tol: float) -
         checks, fit = verified[id(s)]
         if isinstance(fit, GeometryError):
             raise fit
-        checks = replace(checks, entries=dict(checks.entries), notes=dict(checks.notes))
+        checks = ResidualReport(checks.tol, dict(checks.entries), dict(checks.notes))
         predicted = fit0.kappa + (s.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
         checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
         checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))

@@ -1,9 +1,14 @@
-"""numpy and the engine load only when a command computes.
+"""numpy and the engine load only when a command computes, and each command
+loads only the modules it uses.
 
 A cold ``python -m kmgeom.cli`` that exits on a parse error, a usage error or
-``--help`` imports no numpy, no kmgeom module in it imports ``dataclasses``, and
-it prints what an in-process call prints; the package's public names resolve on
-first access to their submodules' objects.
+``--help`` imports no numpy, and it prints what an in-process call prints.  A
+cold ``analyze`` that computes imports neither ``kmgeom.tower`` (only a
+construction or ``derive`` needs it) nor ``kmgeom.catalog`` (only ``catalog``
+needs it).  In none of these calls does a kmgeom module import ``dataclasses``,
+read from the nesting of the ``-X importtime`` rows: argparse itself may import
+it on newer Pythons.  The package's public names resolve on first access to
+their submodules' objects.
 """
 
 import importlib
@@ -66,6 +71,11 @@ def _child(*args, cwd):
     return proc.returncode, proc.stdout, "".join(line for line in lines if line not in log), modules
 
 
+def _kmgeom_importers(modules, name):
+    """The kmgeom modules among those whose import ran the import of ``name``."""
+    return [m for m in modules.get(name, []) if m.split(".")[0] == "kmgeom"]
+
+
 def _in_process(argv, capsys):
     """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
     try:
@@ -91,8 +101,7 @@ def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch
     assert got[0] == code
     assert got[2].splitlines()[-1:] == ([last_err] if last_err else [])
     assert not {m for m in got[3] if m.split(".")[0] == "numpy"}, "numpy imported"
-    # by kmgeom's own imports: argparse itself may import dataclasses on newer Pythons
-    assert not [m for m in got[3].get("dataclasses", []) if m.split(".")[0] == "kmgeom"]
+    assert not _kmgeom_importers(got[3], "dataclasses")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     assert _in_process(argv, capsys) == got[:3]
@@ -104,7 +113,21 @@ def test_cold_analyze_that_computes_imports_numpy(tmp_path):
                                      cwd=tmp_path)
     assert (code, err) == (0, "")
     assert json.loads(out[out.index("\n{") + 1:])["nullity"]["class"] == "I"
-    assert "numpy" in modules
+    assert "numpy" in modules and "kmgeom.legendre" in modules
+    assert not {"kmgeom.tower", "kmgeom.catalog"} & set(modules)
+    assert not _kmgeom_importers(modules, "dataclasses")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "m.json", "--sasakian", "--legendre3"],
+    ["derive", "m.json", "--steps", "6"],
+], ids=["constructions", "derive"])
+def test_cold_tower_call_imports_no_dataclasses(tmp_path, argv):
+    (tmp_path / "m.json").write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+    code, _, err, modules = _child("-m", "kmgeom.cli", *argv, cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert not _kmgeom_importers(modules, "dataclasses")
+    assert "kmgeom.tower" in modules and "kmgeom.catalog" not in modules
 
 
 def test_bare_package_import_loads_no_numpy(tmp_path):

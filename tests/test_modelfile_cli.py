@@ -3,7 +3,6 @@
 import json
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,7 +143,7 @@ def test_dumps_entry_brackets_match_loop_reference():
     entry = nilpotent_h_5d()
     raw = np.random.default_rng(3).standard_normal((5, 5, 5))
     for c in (entry.model.c, 0.5 * (raw - raw.transpose(1, 0, 2))):  # sparse, dense
-        dumped = json.loads(modelfile.dumps_entry(replace(entry, model=LieModel(c=c))))
+        dumped = json.loads(modelfile.dumps_entry(entry._replace(model=LieModel(c=c))))
         reference = []
         for i in range(5):
             for j in range(i + 1, 5):
