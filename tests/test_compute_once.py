@@ -1,7 +1,8 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
 derived structure, Nijenhuis tensor, Nijenhuis side report, kernel basis of
-eta and h-eigenframe built once per run of the CLI, one Legendre validation
-per bi-Legendrian pair, and one argument parser per process."""
+eta, h-eigenframe and paracontact integrability check built once per run of
+the CLI, one Legendre validation per bi-Legendrian pair, and one argument
+parser per process."""
 
 import hashlib
 import sys
@@ -16,6 +17,8 @@ COUNTED = {
     "levi_civita": riemann.levi_civita,
     "step_checks": tower.step_checks,
     "canonical_pc_connection": paracontact.canonical_pc_connection,
+    # read by two paracontact stage rows of the CLI, computed once
+    "integrability_and_parasasaki": paracontact.integrability_and_parasasaki,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
     "nijenhuis_norm": contact.nijenhuis_norm,  # builds the side report
     "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
@@ -94,7 +97,7 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
           "_kernel_basis": 2}),
         (nilpotent_h_5d(), ["analyze"], 1,
          {"levi_civita": 1, "step_checks": 0, "canonical_pc_connection": 1, "nijenhuis_tensor": 1,
-          "nijenhuis_norm": 0, "_kernel_basis": 1}),
+          "nijenhuis_norm": 0, "_kernel_basis": 1, "integrability_and_parasasaki": 1}),
     ],
     ids=["class-I-analyze", "class-II-derive", "class-I-derive", "class-II-mu-2-derive",
          "nilpotent-h-5d-analyze"],

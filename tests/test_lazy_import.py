@@ -1,14 +1,18 @@
 """numpy and the engine load only when a command computes, and each command
 loads only the modules it uses.
 
-A cold ``python -m kmgeom.cli`` that exits on a parse error, a usage error or
-``--help`` imports no numpy, and it prints what an in-process call prints.  A
-cold ``analyze`` that computes imports neither ``kmgeom.tower`` (only a
-construction or ``derive`` needs it) nor ``kmgeom.catalog`` (only ``catalog``
-needs it).  In none of these calls does a kmgeom module import ``dataclasses``,
-read from the nesting of the ``-X importtime`` rows: argparse itself may import
-it on newer Pythons.  The package's public names resolve on first access to
-their submodules' objects.
+The child imports ``kmgeom.cli`` and calls its ``main`` (``CLI``), so that the
+module has an ``-X importtime`` row of its own: an import at its top level nests
+under that row, while the imports of a command run after it.  A cold call that
+exits on a parse error, a usage error or ``--help`` imports no numpy, nests no
+engine module, numpy or ``dataclasses`` row under ``kmgeom.cli``, and prints
+what an in-process call and ``python -m kmgeom.cli`` print.  A cold ``analyze``
+that computes imports neither ``kmgeom.tower`` (only a construction or
+``derive`` needs it) nor ``kmgeom.catalog`` (only ``catalog`` needs it), and
+nests no engine module under ``kmgeom.cli``.  In none of these calls does a
+kmgeom module import ``dataclasses``, read from the nesting of the rows:
+argparse itself may import it on newer Pythons.  The package's public names
+resolve on first access to their submodules' objects.
 """
 
 import importlib
@@ -44,6 +48,8 @@ PUBLIC = {
               "second_bilegendrian_analysis", "sequence", "step_checks"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
+ENGINE = {f"kmgeom.{module}" for module in PUBLIC if module != "errors"}
+CLI = ("-c", "import sys, kmgeom.cli; sys.exit(kmgeom.cli.main(sys.argv[1:]))")
 
 
 def _child(*args, cwd):
@@ -76,6 +82,11 @@ def _kmgeom_importers(modules, name):
     return [m for m in modules.get(name, []) if m.split(".")[0] == "kmgeom"]
 
 
+def _nested_under(modules, name):
+    """The modules whose import ran inside the import of ``name``."""
+    return {m for m, outer in modules.items() if name in outer}
+
+
 def _in_process(argv, capsys):
     """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
     try:
@@ -97,11 +108,15 @@ def _in_process(argv, capsys):
 def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch, argv, code,
                                                    last_err):
     (tmp_path / "malformed.json").write_text('{"dim": 3, "brackets": [')
-    got = _child("-m", "kmgeom.cli", *argv, cwd=tmp_path)
+    got = _child(*CLI, *argv, cwd=tmp_path)
     assert got[0] == code
     assert got[2].splitlines()[-1:] == ([last_err] if last_err else [])
     assert not {m for m in got[3] if m.split(".")[0] == "numpy"}, "numpy imported"
     assert not _kmgeom_importers(got[3], "dataclasses")
+    eager = _nested_under(got[3], "kmgeom.cli")
+    assert "kmgeom.modelfile" in eager  # the row of kmgeom.cli is there
+    assert not {m for m in eager if m in ENGINE or m.split(".")[0] in ("numpy", "dataclasses")}
+    assert _child("-m", "kmgeom.cli", *argv, cwd=tmp_path)[:3] == got[:3]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     assert _in_process(argv, capsys) == got[:3]
@@ -109,13 +124,13 @@ def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch
 
 def test_cold_analyze_that_computes_imports_numpy(tmp_path):
     (tmp_path / "m.json").write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
-    code, out, err, modules = _child("-m", "kmgeom.cli", "analyze", "m.json", "--json", "-",
-                                     cwd=tmp_path)
+    code, out, err, modules = _child(*CLI, "analyze", "m.json", "--json", "-", cwd=tmp_path)
     assert (code, err) == (0, "")
     assert json.loads(out[out.index("\n{") + 1:])["nullity"]["class"] == "I"
     assert "numpy" in modules and "kmgeom.legendre" in modules
     assert not {"kmgeom.tower", "kmgeom.catalog"} & set(modules)
     assert not _kmgeom_importers(modules, "dataclasses")
+    assert not ENGINE & _nested_under(modules, "kmgeom.cli")
 
 
 @pytest.mark.parametrize("argv", [
@@ -124,7 +139,7 @@ def test_cold_analyze_that_computes_imports_numpy(tmp_path):
 ], ids=["constructions", "derive"])
 def test_cold_tower_call_imports_no_dataclasses(tmp_path, argv):
     (tmp_path / "m.json").write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
-    code, _, err, modules = _child("-m", "kmgeom.cli", *argv, cwd=tmp_path)
+    code, _, err, modules = _child(*CLI, *argv, cwd=tmp_path)
     assert (code, err) == (0, "")
     assert not _kmgeom_importers(modules, "dataclasses")
     assert "kmgeom.tower" in modules and "kmgeom.catalog" not in modules

@@ -363,6 +363,39 @@ def test_cli_batch(tmp_path, capsys):
     assert out.count("== ") == 2
 
 
+def test_cli_failed_json_write_is_an_error_line(tmp_path, capsys):
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    target = tmp_path / "no-such-dir" / "x.json"
+    assert main(["analyze", path, "--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("model family-3d")  # the human report comes first
+    assert captured.err.splitlines() == [
+        f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'"]
+
+
+def test_cli_failed_catalog_write_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    assert main(["catalog", "emit", "heisenberg-3d", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'"]
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["PATH", "--batch", "DIR"], "error: --batch takes no model file"),
+    (["--batch", "DIR", "--json", "OUT"], "error: --batch takes no --json"),
+    (["PATH", "--a", "1", "--b", "12"], "error: --a and --b apply only with --legendre3"),
+    (["PATH", "--b", "12"], "error: --a and --b apply only with --legendre3"),
+], ids=["path-and-batch", "batch-and-json", "pang-pair-without-legendre3", "b-without-legendre3"])
+def test_cli_rejects_options_that_would_be_ignored(tmp_path, capsys, extra, error):
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    out = tmp_path / "report.json"  # a batch of this one model wrote it before
+    argv = [{"PATH": path, "DIR": str(tmp_path), "OUT": str(out)}.get(a, a) for a in extra]
+    assert main(["analyze", *argv]) == 2
+    assert capsys.readouterr() == ("", error + "\n")
+    assert not out.exists()
+
+
 def test_cli_catalog_constants(capsys):
     assert main(["catalog", "emit", "tangent-bundle-constants", "--c", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -15,7 +15,7 @@ def test_unreachable_follows_tables_and_dunders():
     # named only by contact._BUILDERS and catalog._ENTRIES
     assert not {"contact._fit_r_xi", "contact._connections", "catalog.nilpotent_h_5d"} & found
     # called by no name, but run when the class is built
-    assert "contact.MetricStructure.__post_init__" not in found
+    assert "contact.MetricStructure.__init__" not in found
     # exported by the package's __init__ only
     assert "legendre.psi_to_paracontact" in found
 

@@ -1,0 +1,344 @@
+"""Check that the CLI's output is unchanged: run one fixed set of calls on two source
+trees and compare, call by call, the exit code, stdout, stderr and each file written.
+
+    python tools/equiv.py --against REV [--record FILE]
+    python tools/equiv.py [--record FILE]
+
+``--against REV`` extracts ``git archive REV src`` into a temporary directory and
+compares it with the working tree's ``src``; without it the working tree is compared
+with itself, which shows any output that is not reproducible.  Each tree runs the
+whole set in one interpreter of its own, as ``kmgeom.cli.main(argv)`` calls with
+stdout and stderr captured, in the same work directories of inputs, so that the paths
+in the messages match.  An exception that escapes ``main`` is recorded as exit
+``"uncaught"`` with its type and message on stderr.  The input models are emitted by
+the reference tree (REV, or the working tree) and written here.
+
+For each call the tool prints ``identical`` or the first stream that differs and its
+byte offset, then a summary count; it exits 1 when a call differs.  ``--record FILE``
+writes one sha256 per call of the working tree (``<digest>  <call>``).
+
+The set: every catalog entry, ten ``family_3d`` points (I_M - 1 = 3e-9 and
+lambda = 1e-5 among them), the twisted non-nullity model and contact and paracontact
+H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``derive
+--steps 7`` and ``validate`` with ``--json -``; then the edge calls: malformed and
+missing files, usage errors, ``--help``, ``catalog list``/``emit``, ``--batch``,
+``derive`` on a paracontact model and on models without a structure, failed writes
+and options that do not go together; last, every step of every op of the benchmark's
+three workloads (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed
+in a directory of its own, with the ``out.json`` it writes.  Standard library only;
+the children import numpy through kmgeom.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+
+# (lambda, d) of the family_3d points: I_M = d / lambda
+FAMILY = [(1.0, 2.0), (1.0, 0.5), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.0 + 3e-9),
+          (1.0, 1.0 - 3e-9), (1e-5, 2e-5), (1e-5, 0.0), (2.5, -4.0)]
+HEISENBERG_DIMS = (5, 11, 21)
+PERFBENCH_SEEDS = (1, 2)
+UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.json")
+
+
+def _eye(n: int, k: int) -> list[float]:
+    return [1.0 if i == k else 0.0 for i in range(n)]
+
+
+def heisenberg(dim: int, kind: str) -> dict:
+    """H_dim with [X_i, Y_i] = 2 xi: phi X_i = Y_i and g = I (contact, Sasakian), or
+    phi = +1 on X, -1 on Y and g pairing X_i with Y_i (paracontact, para-Sasakian)."""
+    n = (dim - 1) // 2
+    brackets = [{"i": k + 1, "j": n + k + 1, "coeffs": {str(dim): 2.0}} for k in range(n)]
+    if kind == "contact":
+        phi = [[1.0 if i == j + n and j < n else -1.0 if j == i + n and i < n else 0.0
+                for j in range(dim)] for i in range(dim)]
+        g = [_eye(dim, i) for i in range(dim)]
+    else:
+        phi = [[(1.0 if i < n else -1.0) if i == j and i < 2 * n else 0.0 for j in range(dim)]
+               for i in range(dim)]
+        g = [[1.0 if abs(i - j) == n and max(i, j) < 2 * n or i == j == dim - 1 else 0.0
+              for j in range(dim)] for i in range(dim)]
+    xi = _eye(dim, dim - 1)
+    return {"name": f"heisenberg-{dim}-{kind}", "dim": dim, "brackets": brackets,
+            "structure": {"kind": kind, "phi": phi, "xi": xi, "eta": xi, "g": g}}
+
+
+PHI_3D = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+FRAME_3D = {"kind": "contact", "phi": PHI_3D, "xi": [0, 0, 1], "eta": [0, 0, 1],
+            "g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+H3_BRACKETS = [{"i": 1, "j": 2, "coeffs": {"3": 2.0}}]
+# [X, Y] = 2 xi + X, [xi, Y] = X: a valid contact metric structure, not a nullity space
+TWISTED = {"name": "twisted-contact-3d", "dim": 3, "structure": FRAME_3D, "brackets": [
+    {"i": 1, "j": 2, "coeffs": {"3": 2.0, "1": 1.0}}, {"i": 3, "j": 2, "coeffs": {"1": 1.0}}]}
+MALFORMED = {
+    "not-json": "this is not json",
+    "truncated": '{"dim": 3, "brackets": [',
+    "not-object": "[1, 2]",
+    "dim-float": '{"dim": 3.5, "brackets": []}',
+    "dim-bool": '{"dim": true, "brackets": []}',
+    "bracket-range": '{"dim": 3, "brackets": [{"i": 1, "j": 4, "coeffs": {"3": 1.0}}]}',
+    "coeff-bool": '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": true}}]}',
+    "coeff-nan": '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": NaN}}]}',
+    "inconsistent": '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1.0}}, '
+                    '{"i": 2, "j": 1, "coeffs": {"3": 1.0}}]}',
+    "labels-length": '{"dim": 3, "basis_labels": ["X", "Y"], "brackets": []}',
+    "structure-shape": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
+        **FRAME_3D, "phi": [[0.0, -1.0], [1.0, 0.0]]}}),
+    "structure-kind": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
+        **FRAME_3D, "kind": "almost-contact"}}),
+}
+
+
+def _catalog_names(src: str) -> list[str]:
+    proc = subprocess.run([sys.executable, "-m", "kmgeom.cli", "catalog", "list"], env=_env(src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return [line for line in proc.stdout.splitlines() if " " not in line]
+
+
+def model_calls(names: list[str]) -> list[dict]:
+    """The catalog emits that make the input models of the set."""
+    calls = [{"argv": ["catalog", "emit", n, "--out", f"models/cat-{n}.json"]}
+             for n in names if n != "family-3d"]
+    calls += [{"argv": ["catalog", "emit", "family-3d", "--lam", repr(lam), "--d", repr(d),
+                        "--out", f"models/fam-{i}.json"]} for i, (lam, d) in enumerate(FAMILY)]
+    return calls
+
+
+def write_inputs(work: str, names: list[str]) -> list[str]:
+    """Write the hand-made inputs under ``work``; the model files of the main set."""
+    for sub in ("models", "bad", "batch-mixed", "batch-one", "empty"):
+        os.makedirs(os.path.join(work, sub), exist_ok=True)
+
+    def dump(rel: str, doc) -> None:
+        with open(os.path.join(work, rel), "w", encoding="utf-8") as fh:
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc, indent=1))
+
+    models = [f"models/cat-{n}.json" for n in names if n != "family-3d"]
+    models += [f"models/fam-{i}.json" for i in range(len(FAMILY))]
+    dump("models/twisted.json", TWISTED)
+    models.append("models/twisted.json")
+    for dim in HEISENBERG_DIMS:
+        for kind in ("contact", "paracontact"):
+            dump(f"models/h{dim}-{kind}.json", heisenberg(dim, kind))
+            models.append(f"models/h{dim}-{kind}.json")
+    for name, text in MALFORMED.items():
+        dump(f"bad/{name}.json", text)
+    dump("bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
+    dump("bad/no-structure-broken-jacobi.json", {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "coeffs": {"3": 2.0}}, {"i": 1, "j": 3, "coeffs": {"1": -1.0}},
+        {"i": 2, "j": 3, "coeffs": {"1": 1.0}}]})
+    dump("bad/degenerate-metric.json", {"dim": 3, "brackets": H3_BRACKETS, "structure": {
+        **FRAME_3D, "g": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}})
+    for i in (0, 1, 3):
+        dump(f"batch-mixed/fam-{i}.json", _read(os.path.join(work, f"models/fam-{i}.json")))
+    dump("batch-mixed/truncated.json", MALFORMED["truncated"])
+    dump("batch-one/fam-0.json", _read(os.path.join(work, "models/fam-0.json")))
+    return models
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def call_set(models: list[str], names: list[str]) -> list[dict]:
+    """Each call: ``name``, ``argv`` and the ``files`` it may write (read, then removed)."""
+    calls = []
+
+    def add(name, *argv, files=()):
+        calls.append({"name": name, "argv": list(argv), "files": list(files)})
+
+    for path in models:
+        model = os.path.basename(path)[:-5]
+        add(f"analyze:{model}", "analyze", path, "--sasakian", "--legendre3", "--json", "-")
+        add(f"derive:{model}", "derive", path, "--steps", "7", "--json", "-")
+        add(f"validate:{model}", "validate", path, "--json", "-")
+    for bad in [*MALFORMED, "no-structure", "no-structure-broken-jacobi", "degenerate-metric"]:
+        for command in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
+            add(f"edge-{command[0]}:{bad}", command[0], f"bad/{bad}.json", *command[1:], "--json", "-")
+    for command in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
+        add(f"edge-{command[0]}:missing", command[0], "missing.json", *command[1:])
+    fam_i, fam_iv, h5p = "models/fam-0.json", "models/fam-3.json", "models/h5-paracontact.json"
+    for argv in (["--help"], ["analyze", "--help"], ["derive", "--help"], ["validate", "--help"],
+                 ["catalog", "--help"], ["catalog", "emit", "--help"]):
+        add(f"edge-help:{' '.join(argv)}", *argv)
+    for argv in ([], ["bogus"], ["analyze"], ["validate"], ["derive", fam_i],
+                 ["derive", fam_i, "--steps", "x"], ["analyze", fam_i, "--bogus"], ["catalog"],
+                 ["catalog", "emit"]):
+        add(f"edge-usage:{' '.join(argv) or '(none)'}", *argv)
+    add("edge-catalog:list", "catalog", "list")
+    for name in names:
+        add(f"edge-catalog:emit {name}", "catalog", "emit", name)
+    for extra in (["family-3d", "--lam", "2", "--d", "-1"], ["family-3d", "--lam", "-1", "--d", "0"],
+                  ["nope"], ["tangent-bundle-constants", "--c", "4"]):
+        add(f"edge-catalog:emit {' '.join(extra)}", "catalog", "emit", *extra)
+    add("edge-catalog:emit --out", "catalog", "emit", "heisenberg-3d", "--out", "out.json",
+        files=["out.json"])
+    add("edge-batch:mixed", "analyze", "--batch", "batch-mixed")
+    add("edge-batch:one", "analyze", "--batch", "batch-one", "--sasakian")
+    add("edge-batch:empty", "analyze", "--batch", "empty")
+    add("edge-derive:paracontact", "derive", h5p, "--steps", "3")
+    add("edge-derive:steps-0", "derive", fam_i, "--steps", "0", "--json", "-")
+    add("edge-derive:class-IV-steps-2", "derive", fam_iv, "--steps", "2", "--json", "-")
+    add("edge-derive:class-IV-steps-3", "derive", fam_iv, "--steps", "3", "--json", "-")
+    add("edge-derive:json-file", "derive", fam_i, "--steps", "4", "--json", "out.json",
+        files=["out.json"])
+    add("edge-analyze:json-file", "analyze", h5p, "--json", "out.json", files=["out.json"])
+    add("edge-analyze:tol", "analyze", fam_iv, "--tol", "1e-6", "--json", "-")
+    for pair in (["--a", "1", "--b", "12"], ["--a", "-1", "--b", "-12"], ["--a", "1"]):
+        add(f"edge-analyze:legendre3 {' '.join(pair)}", "analyze", fam_i, "--legendre3", *pair,
+            "--json", "-")
+    # a failed write (exit 2 with an error line) and options that do not go together
+    for argv in (["analyze", fam_i], ["validate", fam_i], ["derive", fam_i, "--steps", "3"]):
+        add(f"edge-write:{argv[0]} --json", *argv, "--json", UNWRITABLE)
+    add("edge-write:catalog emit --out", "catalog", "emit", "heisenberg-3d", "--out", UNWRITABLE)
+    add("edge-options:path and --batch", "analyze", fam_i, "--batch", "batch-mixed")
+    add("edge-options:--batch and --json", "analyze", "--batch", "batch-one", "--json", "out.json",
+        files=["out.json"])
+    add("edge-options:--a without --legendre3", "analyze", fam_i, "--a", "1", "--b", "12")
+    add("edge-options:--b without --legendre3", "analyze", fam_i, "--b", "12")
+    return calls
+
+
+def perfbench_calls(work: str) -> list[dict]:
+    """The steps of the benchmark's ops, their model files written under ``work/perf``;
+    a call's ``cwd`` is its directory relative to ``work``."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    calls = []
+    for workload in workloads.WORKLOADS:
+        for seed in PERFBENCH_SEEDS:
+            cwd = os.path.join("perf", f"{workload}-{seed}")
+            os.makedirs(os.path.join(work, cwd))
+            for i, op in enumerate(workloads.build(workload, seed, os.path.join(work, cwd))):
+                calls += [{"name": f"perf:{workload}:{seed}:{i}.{j} {op.kind}", "argv": step.argv,
+                           "files": ["out.json"], "cwd": cwd} for j, step in enumerate(op.steps)]
+    return calls
+
+
+def _env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=src, COLUMNS="80", PYTHONHASHSEED="0")
+
+
+def run_calls(src: str, work: str, calls: list[dict]) -> list[dict]:
+    """The record of each call, run by the tree ``src`` in one fresh interpreter in ``work``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "calls.json"), os.path.join(tmp, "results.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(calls, fh)
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", spec, out],
+                       cwd=work, env=_env(src), check=True, timeout=600)
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def worker(spec: str, out: str) -> int:
+    """Run the calls of ``spec`` in this process and write their records to ``out``."""
+    from kmgeom import cli
+
+    with open(spec, encoding="utf-8") as fh:
+        calls = json.load(fh)
+    work = os.getcwd()
+    records = []
+    for call in calls:
+        os.chdir(os.path.join(work, call.get("cwd", "")))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(call["argv"])
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+            except Exception as exc:  # noqa: BLE001 - recorded, as a traceback would show it
+                code = "uncaught"
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        files = {}
+        for name in call.get("files", []):
+            if os.path.exists(name):
+                files[name] = _read(name)
+                os.remove(name)
+        records.append({"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+                        "files": files})
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(records, fh)
+    return 0
+
+
+def first_difference(base: dict, head: dict) -> str | None:
+    """The first stream of two records that differs and its byte offset, or None."""
+    if base["exit"] != head["exit"]:
+        return f"exit {base['exit']!r} -> {head['exit']!r}"
+    streams = [("stdout", base["stdout"], head["stdout"]), ("stderr", base["stderr"], head["stderr"])]
+    streams += [(f"file {name}", base["files"].get(name), head["files"].get(name))
+                for name in sorted({*base["files"], *head["files"]})]
+    for stream, a, b in streams:
+        if a != b:
+            if a is None or b is None:
+                return f"{stream} {'written' if a is None else 'not written'}"
+            a, b = a.encode(), b.encode()
+            offset = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            return f"{stream} at byte {offset}"
+    return None
+
+
+def digest(record: dict) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def extract(rev: str, dest: str) -> str:
+    """``src`` of the git revision ``rev``, extracted under ``dest``."""
+    proc = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+                          capture_output=True, check=True, timeout=120)
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return os.path.join(dest, "src")
+
+
+def main(argv: list[str] | None = None, keep=None) -> int:
+    """The command line; ``keep``, a predicate on a call's name, leaves out the calls it
+    rejects (a test runs a subset)."""
+    if argv is None and sys.argv[1:2] == ["--worker"]:
+        return worker(*sys.argv[2:4])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="git revision to compare with")
+    parser.add_argument("--record", metavar="FILE", help="write one sha256 per call here")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        head = os.path.join(ROOT, "src")
+        base = extract(args.against, os.path.join(tmp, "base")) if args.against else head
+        work = os.path.join(tmp, "work")
+        os.makedirs(os.path.join(work, "models"))
+        names = _catalog_names(base)
+        run_calls(base, work, model_calls(names))
+        calls = call_set(write_inputs(work, names), names) + perfbench_calls(work)
+        calls = [c for c in calls if keep is None or keep(c["name"])]
+        base_records, head_records = run_calls(base, work, calls), run_calls(head, work, calls)
+    differ = 0
+    for call, a, b in zip(calls, base_records, head_records):
+        diff = first_difference(a, b)
+        differ += diff is not None
+        print(f"{'identical' if diff is None else 'DIFFERS'}  {call['name']}"
+              + ("" if diff is None else f": {diff}"))
+    if args.record:
+        with open(args.record, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{digest(r)}  {c['name']}\n" for c, r in zip(calls, head_records))
+    print(f"{len(calls)} calls against {args.against or 'the working tree'}: "
+          f"{len(calls) - differ} identical, {differ} differ "
+          f"({time.perf_counter() - start:.1f} s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
