@@ -17,8 +17,6 @@ the submodule that defines it, which is imported on first access (PEP 562), so
 ``import kmgeom`` loads neither numpy nor the engine.
 """
 
-import importlib
-
 # the default tol of every residual check and of the CLI's --tol; defined here, not
 # in report, so that the CLI's parser reads it without importing numpy
 DEFAULT_TOL = 1e-9
@@ -51,7 +49,8 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    # __import__, unlike importlib.import_module, gives the submodule its -X importtime row
+    return getattr(__import__(f"{__name__}.{_SUBMODULE[name]}", fromlist=[name]), name)
 
 
 def __dir__() -> list[str]:

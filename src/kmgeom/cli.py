@@ -212,26 +212,18 @@ def _identities(c) -> dict:
     return identities
 
 
-def _integrability(c) -> dict:
-    """``paracontact.integrability_and_parasasaki``, computed once per structure."""
-    from . import paracontact
-
-    return c.s.cached(("integrability_and_parasasaki", c.tol),
-                      lambda: paracontact.integrability_and_parasasaki(c.s, c.tol))
-
-
 def _pc_identities(c) -> dict:
     """The canonical connection's suite and the integrability residuals."""
     from . import paracontact
 
     _, pc_rep = paracontact.canonical_pc_connection(c.s, c.tol)
-    found = _integrability(c)
+    found = c.s.integrability_and_parasasaki(c.tol)
     return {**pc_rep.entries, "nijenhuis_d_component": found["nijenhuis_d_residual"],
             "pc_parallel_phi": found["pc_parallel_phi_residual"]}
 
 
 def _pc_flags(c) -> dict:
-    found = _integrability(c)
+    found = c.s.integrability_and_parasasaki(c.tol)
     return {"integrable": found["integrable"], "para_sasakian": found["para_sasakian"]}
 
 
@@ -304,11 +296,8 @@ def _human_nullity(nul: dict, report: dict) -> None:
     if "error" in nul:
         print(f"nullity: {nul['error']} (residual {_fmt(nul['residual'])})")
         return
-    extra = ""
-    if nul.get("class") is not None:
-        extra = f", class {nul['class']}"
-    if nul.get("spectral_type"):
-        extra += f", spectral type {nul['spectral_type']}"
+    # a contact fit has a class, a paracontact one a spectral type
+    extra = f", class {nul['class']}" if "class" in nul else f", spectral type {nul['spectral_type']}"
     boeckx = nul.get("boeckx")
     inv = "" if boeckx is None else f", I_M = {boeckx:+.6g}"
     print(

@@ -26,7 +26,9 @@ paracontact h~, and one eps-signed (kappa, mu) identity suite,
 structure is a stack of one).  A stack gives each member what it gets alone,
 its exception included, and each member keeps its own connection and fit.
 The fit, one pass over the stack, alone reads R(., .) xi (not kept) and
-compares h~^2 with phi~^2.
+compares h~^2 with phi~^2.  Everything a structure keeps goes through one
+memo, :func:`_each` (:meth:`MetricStructure.cached` is its stack-of-one
+case), which keeps every array of an entry read-only.
 """
 
 from functools import partial
@@ -107,44 +109,40 @@ class MetricStructure:
         return np.eye(self.dim) - np.outer(self.xi, self.eta)
 
     def cached(self, key, build):
-        """``build()``, computed on the first call with ``key`` and kept on the instance;
-        a :class:`GeometryError` it raises is kept too, and a copy of it raised by later calls."""
-        if key not in self._cache:
+        """``build()``, kept under ``key``: the stack-of-one case of :func:`_each`.  A
+        :class:`GeometryError` it raises is kept too, and each later call raises a copy of it."""
+
+        def build_one(_):
             try:
-                self._cache[key] = build()
-            except GeometryError as exc:
+                return [build()]
+            except GeometryError as exc:  # kept without frames; this first call raises exc
                 self._cache[key] = _detached(exc)
                 raise
-        value = self._cache[key]
+
+        value = _each([self], key, build_one)[0]
         if isinstance(value, GeometryError):
             raise _detached(value)
         return value
 
-    def cached_array(self, key, build) -> np.ndarray:
-        """:meth:`cached` for an array, which is kept read-only."""
-        arr = self.cached(key, build)
-        arr.flags.writeable = False
-        return arr
-
     def contact_basis(self) -> np.ndarray:
         """Orthonormal (Euclidean) basis of ker(eta), shape (2n, dim)."""
-        return self.cached_array("contact_basis", lambda: _kernel_basis(self.eta))
+        return self.cached("contact_basis", lambda: _kernel_basis(self.eta))
 
     def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
-        conn = _each([self], "levi_civita", tol)[0]
+        conn = _kept_connections([self], tol)[0]
         if conn.degenerate:
             raise DegenerateMetric(DEGENERATE)
         return conn
 
     def nabla_phi(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """(nabla_{e_i} phi) e_j at [i, j, :] for the Levi-Civita connection."""
-        return self.cached_array(
+        return self.cached(
             ("nabla_phi", tol), lambda: self.levi_civita(tol).nabla_endo_all(self.phi)
         )
 
     def nijenhuis_tensor(self) -> np.ndarray:
         """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
-        return self.cached_array(
+        return self.cached(
             "nijenhuis_tensor",
             lambda: nijenhuis_tensor(self.model, self.phi, self.xi, self.eta, self.eps),
         )
@@ -173,20 +171,37 @@ def _stack_of(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _each(members: list[MetricStructure], key: str, tol: float) -> list:
-    """Each member's cached (key, tol) entry; the members that lack it get it
-    from one stacked call of the builder of ``key`` (:data:`_BUILDERS`)."""
-    missing = [t for t in members if (key, tol) not in t._cache]
+def _each(members: list[MetricStructure], key, build) -> list:
+    """Each member's entry ``key``, the one memo: the members that lack it get it from
+    one call ``build(missing)`` (one value per member), kept with every array it holds,
+    directly or in a tuple or record, read-only (:func:`_read_only`)."""
+    missing = [t for t in members if key not in t._cache]
     if missing:
-        for t, value in zip(missing, _BUILDERS[key](missing, tol)):
-            t._cache[key, tol] = value
-    return [t._cache[key, tol] for t in members]
+        for t, value in zip(missing, build(missing)):
+            t._cache[key] = _read_only(value)
+    return [t._cache[key] for t in members]
+
+
+def _read_only(value):
+    """``value``, with every array it holds, directly or in a tuple or record, read-only,
+    and the array that a view looks into."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        _read_only(value.base)  # a view's base too, so the view cannot be made writeable
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _kept_connections(members: list[MetricStructure], tol: float) -> list[AffineConnection]:
+    """Each member's :func:`_connections` entry, kept under ("levi_civita", tol)."""
+    return _each(members, ("levi_civita", tol), partial(_connections, tol=tol))
 
 
 def _connections(members: list[MetricStructure], tol: float) -> list[AffineConnection]:
     """Each member's Levi-Civita connection, from one stacked solve."""
     conn = levi_civita(members[0].model, _stack_of([t.g for t in members]), tol)
-    conn.gamma.flags.writeable = False
     return [AffineConnection(gamma, bad)
             for gamma, bad in zip(conn.gamma, conn.degenerate.tolist())]
 
@@ -305,7 +320,7 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
         add("trace_phi_h", np.trace(phi @ h, axis1=1, axis2=2))
     add("h_g_symmetric", h.swapaxes(1, 2) @ g - g @ h)
     if eps < 0:
-        conns = _each(members, "levi_civita", tol)
+        conns = _kept_connections(members, tol)
         degenerate = np.array([c.degenerate for c in conns])
         # xi @ gamma has rows nabla_{e_i} xi, the columns of the operator nabla xi;
         # a degenerate metric has no connection: recorded as inf, and reporting goes on
@@ -342,6 +357,11 @@ class _Fit(NamedTuple):
     reflection_residual: float | None = None  # of the reflection check of nullity_fit
 
 
+def _kept_fits(members: list[MetricStructure], tol: float) -> list[_Fit]:
+    """Each member's :func:`_fit_r_xi` entry, kept under ("nullity", tol)."""
+    return _each(members, ("nullity", tol), partial(_fit_r_xi, tol=tol))
+
+
 def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
     """Each member's :class:`_Fit` in one pass over the stack: least-squares (kappa, mu)
     from R_{b xi} xi = kappa b + mu h b over ker(eta), with R(., .) xi formed here
@@ -351,10 +371,10 @@ def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
     s0, nb = members[0], len(members)
     xi, eta = s0.xi, s0.eta
     _, _, h, phi = _stack(members, "h", "phi")
-    gamma = _stack_of([c.gamma for c in _each(members, "levi_civita", tol)])
+    gamma = _stack_of([c.gamma for c in _kept_connections(members, tol)])
     r_xi = curvature_xi(s0.model, AffineConnection(gamma), xi)  # NaN for a degenerate metric
     dbasis = s0.contact_basis()
-    h_zero = np.abs(h).max(axis=(1, 2)) <= tol  # NaN is not zero
+    h_zero = max_abs_each(h, nb) <= tol  # NaN is not zero
     a = np.empty((nb, dbasis.size, 1 if h_zero.all() else 2))
     a[..., 0] = dbasis.ravel()  # rows b
     if a.shape[2] > 1:  # rows h b, zero where the mu-term vanishes
@@ -385,9 +405,6 @@ def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
                    max_abs_each(reflection, nb).tolist())
     return [_Fit(kb, None if hz else mb, rb, *extra) for kb, mb, rb, hz, extra in
             zip(kappa.tolist(), sol[:, -1].tolist(), residual.tolist(), h_zero.tolist(), side)]
-
-
-_BUILDERS = {"levi_civita": _connections, "nullity": _fit_r_xi}
 
 
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
@@ -425,34 +442,30 @@ def nullity_fit(s, tol: float = DEFAULT_TOL):
     :class:`InternalInconsistency` when h~^2 is not proportional to phi~^2.
     """
     members, single = _stack(s)
-    out = []
-    for t, fit, conn in zip(members, _each(members, "nullity", tol),
-                            _each(members, "levi_civita", tol)):
-        try:
-            out.append(_nullity_report(t, fit, conn.degenerate, tol))
-        except GeometryError as exc:
-            out.append(exc)
-    return _unstack(out, single)
+    each = zip(members, _kept_fits(members, tol), _kept_connections(members, tol))
+    return _unstack([_nullity_report(t, fit, conn.degenerate, tol) for t, fit, conn in each], single)
 
 
-def _nullity_report(s: MetricStructure, fit: _Fit, degenerate: bool, tol: float) -> NullityReport:
-    """One member of :func:`nullity_fit`, from its :func:`_fit_r_xi` reading; the one
-    place that decides kappa < 1 and, by its class, where I_M sits relative to +-1,
-    and the spectral type of a paracontact h~ by the sign of s in h~^2 = s phi~^2:
+def _nullity_report(s: MetricStructure, fit: _Fit, degenerate: bool,
+                    tol: float) -> NullityReport | GeometryError:
+    """One member of :func:`nullity_fit` (its report, or its error, returned), from its
+    :func:`_fit_r_xi` reading; the one place that decides kappa < 1 and, by its class,
+    where I_M sits relative to +-1, and the spectral type of a paracontact h~ by the
+    sign of s in h~^2 = s phi~^2:
     a real eigenvalue pair +-sqrt(s) for s > 0, a complex pair for s < 0,
     nilpotent for s = 0 with h~ != 0, zero for h~ = 0."""
     if degenerate:
-        raise DegenerateMetric(DEGENERATE)
+        return DegenerateMetric(DEGENERATE)
     kappa, mu, residual = fit.kappa, fit.mu, fit.residual
     if not residual <= tol:
         kind = "" if s.eps > 0 else "paracontact "
-        raise NotNullity(
+        return NotNullity(
             f"curvature does not satisfy a {kind}nullity condition (residual {residual:.3e})",
             residual,
         )
     if s.eps < 0:
         if not fit.h_square_residual <= tol:
-            raise InternalInconsistency(
+            return InternalInconsistency(
                 f"h~^2 is not proportional to phi~^2 (residual {fit.h_square_residual:.3e})")
         scal = fit.h_square_scalar
         # mu is None exactly when the fit found h~ = 0
@@ -465,7 +478,7 @@ def _nullity_report(s: MetricStructure, fit: _Fit, degenerate: bool, tol: float)
             curvature_reflection_residual=fit.reflection_residual,
         )
     if kappa > 1.0 + tol:
-        raise NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)
+        return NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)
 
     sasakian = kappa >= 1.0 - tol
     lam = None if sasakian else float(np.sqrt(1.0 - kappa))

@@ -35,7 +35,8 @@ class SasakianOrInvalid(GeometryError):
 
 
 class SasakianDegenerate(GeometryError):
-    """Operation requires a non-Sasakian structure (kappa < 1)."""
+    """Operation requires a non-Sasakian structure: the fit is outside the Sasakian
+    band (kappa < 1 - tol, mu determined)."""
 
 
 class DegenerateInvariant(GeometryError):

@@ -172,17 +172,9 @@ def eigendistributions(
 def _cached_eigendistributions(
     s: ContactMetricStructure, report: NullityReport, tol: float
 ) -> tuple[LegendreDistribution, LegendreDistribution]:
-    """:func:`eigendistributions`, built once per (report, tol) and kept on ``s``
-    with read-only arrays."""
-
-    def build():
-        pair = eigendistributions(s, report, tol)
-        for ld in pair:
-            ld.vectors.flags.writeable = False
-            ld.pang.flags.writeable = False
-        return pair
-
-    return s.cached(("eigendistributions", report, tol), build)
+    """:func:`eigendistributions`, built once per (report, tol) and kept on ``s``."""
+    return s.cached(("eigendistributions", report, tol),
+                    lambda: eigendistributions(s, report, tol))
 
 
 _CLASS_BY_PATTERN = {

@@ -32,10 +32,15 @@ from .riemann import AffineConnection, eta_x, eta_y, form_xy, on_pairs
 class ParacontactMetricStructure(MetricStructure):
     """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h: the
     eps = -1 member of :class:`MetricStructure`, whose ``phi``, ``g`` and ``h``
-    are phi~, g~ and h~."""
+    are phi~, g~ and h~; the integrability predicates are kept once per ``tol``."""
 
     eps = -1.0
     kind = "paracontact"
+
+    def integrability_and_parasasaki(self, tol: float = DEFAULT_TOL) -> dict:
+        """:func:`integrability_and_parasasaki` of this structure, computed once per ``tol``."""
+        return self.cached(("integrability_and_parasasaki", tol),
+                           lambda: integrability_and_parasasaki(self, tol))
 
 
 def canonical_pc_connection(
@@ -69,7 +74,6 @@ def _pc_connection(
 
         gamma = lc.gamma + eta_x(eta, phi) + eta_y(eta, phi - phih)
         gamma += form_xy((ident - h).T @ g @ phi, xi)
-        gamma.flags.writeable = False
         conn = AffineConnection(gamma=gamma)
 
         report = ResidualReport(tol=tol)
@@ -77,7 +81,6 @@ def _pc_connection(
         report.add("parallel_xi", xi @ conn.gamma)  # [i, :] = nabla_{e_i} xi
         report.add("parallel_metric", conn.nabla_bilinear_all(g))
         nabla_phi = conn.nabla_endo_all(phi)
-        nabla_phi.flags.writeable = False
         report.add("phi_derivative_identity",
                    nabla_phi - (s.nabla_phi(tol) - nabla_phi_closed_form(s, h)))
 

@@ -11,16 +11,16 @@ import numpy as np
 from . import DEFAULT_TOL
 
 
-def max_abs(residual) -> float:
-    """Max-abs of a residual scalar or array; NaN anywhere gives NaN."""
-    return float(np.max(np.abs(residual)))
-
-
 def max_abs_each(residual, n: int) -> np.ndarray:
-    """:func:`max_abs` of each member of a stack of ``n`` (a leading axis of ``n``,
-    or a scalar shared by all); NaN in a member gives NaN for it alone."""
+    """Max-abs of each member of a stack of ``n`` (a leading axis of ``n``, or a
+    scalar shared by all); NaN in a member gives NaN for it alone."""
     r = np.abs(np.asarray(residual, dtype=float))
     return np.full(n, r) if r.ndim == 0 else r.reshape(n, -1).max(1)
+
+
+def max_abs(residual) -> float:
+    """Max-abs of a residual scalar or array (a stack of one); NaN anywhere gives NaN."""
+    return float(max_abs_each(residual, 1)[0])
 
 
 def finite_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
@@ -47,10 +47,9 @@ class ResidualReport:
         self.notes = {} if notes is None else notes
 
     def add(self, name: str, residual, note: str | None = None) -> None:
-        """Record the max-abs of ``residual`` (a number or a whole residual array)."""
-        self.entries[name] = max_abs(residual)
-        if note:
-            self.notes[name] = note
+        """Record the max-abs of ``residual`` (a number or a whole residual array), a
+        stack of one."""
+        ResidualReport.add_each([self], name, residual, [note])
 
     @staticmethod
     def add_each(reports: list["ResidualReport"], name: str, residual, notes=()) -> None:

@@ -139,7 +139,9 @@ def _delta(kappa: float, mu: float) -> float:
 
 def _require_non_sasakian(report: NullityReport) -> None:
     if report.boeckx is None:
-        raise SasakianDegenerate("construction requires a non-Sasakian structure (kappa < 1)")
+        raise SasakianDegenerate(
+            "construction requires a non-Sasakian structure: the fit puts this one in the Sasakian "
+            f"band (kappa >= 1 - tol, or mu indeterminate), kappa = {report.kappa:.12g}")
 
 
 def _step(report: NullityReport, k: int) -> tuple[float, float]:

@@ -151,6 +151,15 @@ def test_bare_package_import_loads_no_numpy(tmp_path):
     assert "kmgeom" in modules and "numpy" not in modules
 
 
+def test_a_lazy_name_gives_its_submodule_an_import_row(tmp_path):
+    # the first access of a public name imports its submodule through the import that
+    # -X importtime logs: kmgeom.legendre gets a row of its own, at the top level
+    code, _, err, modules = _child("-c", "import kmgeom; kmgeom.classify_class", cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert modules.get("kmgeom.legendre") == []
+    assert "kmgeom.contact" in _nested_under(modules, "kmgeom.legendre")
+
+
 def test_public_names_are_their_submodules_objects():
     for module, names in PUBLIC.items():
         for name in names:

@@ -269,6 +269,17 @@ def test_cli_constructions_follow_the_class_band(tmp_path, capsys, lam, d, cls):
         assert float(value) <= 1.0
 
 
+@pytest.mark.parametrize("d", ["2e-5", "0"])
+def test_cli_derive_names_the_sasakian_band(tmp_path, capsys, d):
+    # lambda = 1e-5: kappa = 1 - 1e-10 < 1, yet within tol of 1; the guard says that
+    # the fit puts the structure in the Sasakian band, and prints kappa
+    path = _emit(tmp_path, "family-3d", "--lam", "1e-5", "--d", d)
+    assert main(["derive", path, "--steps", "6"]) == 1
+    assert capsys.readouterr().err == (
+        "error: construction requires a non-Sasakian structure: the fit puts this one in the "
+        "Sasakian band (kappa >= 1 - tol, or mu indeterminate), kappa = 0.9999999999\n")
+
+
 def test_cli_derive_tower_constants(tmp_path, capsys):
     path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
     assert main(["derive", path, "--steps", "3", "--json", "-"]) == 0

@@ -12,7 +12,7 @@ spec.loader.exec_module(src_size)
 
 def test_unreachable_follows_tables_and_dunders():
     found = set(src_size.unreachable())
-    # named only by contact._BUILDERS and catalog._ENTRIES
+    # passed by name to the memo by their accessors, or named only by catalog._ENTRIES
     assert not {"contact._fit_r_xi", "contact._connections", "catalog.nilpotent_h_5d"} & found
     # called by no name, but run when the class is built
     assert "contact.MetricStructure.__init__" not in found

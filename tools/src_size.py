@@ -12,7 +12,7 @@ After the sizes it lists the functions and methods of ``src/kmgeom`` that no
 code path from ``cli.main`` names.  The scan is static and goes by name: a
 reached body reaches every function or method of a name it uses (as a name or an
 attribute), the body of every module-level table it names (such as
-``contact._BUILDERS``), and the dunder methods of every class it names.  The
+``catalog._ENTRIES``), and the dunder methods of every class it names.  The
 package's ``__init__`` (its export table) is left out, so a name that only it
 lists shows as unreachable.  Dynamic lookups (``getattr`` with a computed name)
 are not followed.
