@@ -49,7 +49,8 @@ Exit codes:
 * 2: a parse or IO error (an unreadable or malformed model file; a failed
   ``--json`` or ``--out`` write, after the text report) or a usage error,
   options that would be ignored included: ``--batch`` with a model file or
-  with ``--json``, and ``--a``/``--b`` without ``--legendre3``.
+  with ``--json``, and ``--a``/``--b`` without ``--legendre3``; a ``--tol``
+  that is not a finite number >= 0 is one too.
 * 3: the tower row meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
@@ -470,8 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(batch=None, sasakian=False, legendre3=False, a=None, b=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def tolerance(text: str) -> float:
+        """The value of ``--tol``: a finite number >= 0, or a usage error (exit 2)."""
+        tol = float(text)
+        if not 0.0 <= tol < math.inf:
+            raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+        return tol
+
     def add_common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="residual tolerance")
         p.add_argument("--json", help="write the JSON report to this path ('-' for stdout)")
         p.set_defaults(func=cmd_run)
 

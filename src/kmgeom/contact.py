@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import (DegenerateMetric, DimensionMismatch, GeometryError, InternalInconsistency,
                      NotNullity, SasakianOrInvalid)
-from .lie_model import LieModel, d_one_form, lie_derivative_endo
-from .report import DEFAULT_TOL, ResidualReport, finite_stack, max_abs, max_abs_each
+from .lie_model import LieModel, check_finite, d_one_form, lie_derivative_endo
+from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each
 from .riemann import (
     DEGENERATE,
     AffineConnection,
@@ -70,16 +70,23 @@ class MetricStructure:
         g(phi X, phi Y) = eps (g(X, Y) - eta(X) eta(Y)),
 
     a contact metric structure for eps = +1 and a paracontact one for
-    eps = -1 (the subclasses set ``eps`` and ``kind``).  h = (1/2) L_xi phi is
-    computed on construction; the basis of ker(eta) and the Nijenhuis tensor
-    once, and the Levi-Civita connection, nabla phi and the nullity fit once
-    per ``tol``, are kept with their arrays read-only.
+    eps = -1 (the subclasses set ``eps`` and ``kind``).  Construction is where the
+    tensors enter the engine: a shape other than (dim, dim), (dim,), (dim,),
+    (dim, dim) or a NaN or infinite entry raises :class:`DimensionMismatch`.
+    h = (1/2) L_xi phi is computed on construction; the basis of ker(eta) and
+    the Nijenhuis tensor once, and the Levi-Civita connection, nabla phi and the
+    nullity fit once per ``tol``, are kept with their arrays read-only.
     """
 
     def __init__(self, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
                  g: np.ndarray, h: np.ndarray | None = None):
         self.model = model
         self.phi, self.xi, self.eta, self.g = (np.asarray(a, dtype=float) for a in (phi, xi, eta, g))
+        d = model.dim
+        shapes = (self.phi.shape, self.xi.shape, self.eta.shape, self.g.shape)
+        if shapes != ((d, d), (d,), (d,), (d, d)):
+            raise DimensionMismatch("structure tensor shapes do not match the model dimension")
+        check_finite("structure tensors", self.phi, self.xi, self.eta, self.g)
         if h is None:
             h = 0.5 * lie_derivative_endo(model, self.xi, self.phi)
             h.flags.writeable = False
@@ -307,9 +314,8 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
             [f"signature ({p},{q},{z}), expected ({n + 1},{n},0)" for p, q, z in sigs])
         for sign, name in ((1.0, "plus_one_eigenrank"), (-1.0, "minus_one_eigenrank")):
             # columns: (phi -+ I) applied to a ker(eta) basis; its rank counts singular values
-            mat, bad = finite_stack((phi - sign * ident) @ k.T)
-            sv = np.linalg.svd(mat, compute_uv=False)
-            ranks = np.where(bad, 0, np.sum(sv > max(tol, 1e-12), axis=-1)).tolist()
+            sv = np.linalg.svd((phi - sign * ident) @ k.T, compute_uv=False)
+            ranks = np.sum(sv > max(tol, 1e-12), axis=-1).tolist()
             add(name, [abs(rank - n) for rank in ranks], [f"rank {r}, expected {n}" for r in ranks])
 
     add("h_xi", h @ xi)
@@ -367,24 +373,24 @@ def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
     from R_{b xi} xi = kappa b + mu h b over ker(eta), with R(., .) xi formed here
     from the members' connections and not kept.  The s of h~^2 = s phi~^2 is preferred
     over an eigensolver: a g~-symmetric h~ need not be diagonalizable under an
-    indefinite metric, while s is defined on every structure certified here."""
+    indefinite metric, while s is defined on every structure certified here.
+    The design matrix is finite, as the tensors are checked where a structure is
+    built; a degenerate member's R(., .) xi is NaN, and so is its fit."""
     s0, nb = members[0], len(members)
     xi, eta = s0.xi, s0.eta
     _, _, h, phi = _stack(members, "h", "phi")
     gamma = _stack_of([c.gamma for c in _kept_connections(members, tol)])
     r_xi = curvature_xi(s0.model, AffineConnection(gamma), xi)  # NaN for a degenerate metric
     dbasis = s0.contact_basis()
-    h_zero = max_abs_each(h, nb) <= tol  # NaN is not zero
+    h_zero = max_abs_each(h, nb) <= tol
     a = np.empty((nb, dbasis.size, 1 if h_zero.all() else 2))
     a[..., 0] = dbasis.ravel()  # rows b
     if a.shape[2] > 1:  # rows h b, zero where the mu-term vanishes
         a[..., 1] = (dbasis @ h.swapaxes(1, 2) * ~h_zero[:, None, None]).reshape(nb, -1)
-    a, bad = finite_stack(a)
     t = (dbasis @ (xi @ r_xi)).reshape(nb, -1)  # rows R_{b xi} xi
     # lstsq does not stack, and a stacked pinv solve moves the last bits of the
     # constants (and of I_M in error messages): one lstsq per member
     sol = np.array([np.linalg.lstsq(ab, tb, rcond=None)[0] for ab, tb in zip(a, t)])
-    sol[bad] = np.nan
     kappa = sol[:, 0]
     ident = np.eye(len(eta))
     pred = kappa[:, None, None, None] * (eta_y(eta, ident) - eta_x(eta, ident))
@@ -408,9 +414,10 @@ def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
 
 
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
-    """I_M = (1 - mu/2) / sqrt(1 - kappa); undefined at kappa >= 1."""
+    """I_M = (1 - mu/2) / sqrt(1 - kappa); undefined in the Sasakian band kappa >= 1 - tol."""
     if kappa >= 1.0 - tol:
-        raise SasakianOrInvalid(f"Boeckx invariant undefined for kappa = {kappa} >= 1")
+        raise SasakianOrInvalid("Boeckx invariant undefined in the Sasakian band "
+                                f"(kappa >= 1 - tol), kappa = {kappa:.12g}")
     return (1.0 - mu / 2.0) / np.sqrt(1.0 - kappa)
 
 

@@ -11,7 +11,7 @@ class GeometryError(Exception):
 
 
 class DimensionMismatch(GeometryError):
-    """Operands do not match the model dimension."""
+    """Operands do not match the model dimension, or have a NaN or infinite entry."""
 
 
 class ModelFormatError(GeometryError):
@@ -31,7 +31,7 @@ class NotNullity(GeometryError):
 
 
 class SasakianOrInvalid(GeometryError):
-    """kappa >= 1: the Boeckx invariant is undefined."""
+    """kappa in the Sasakian band (kappa >= 1 - tol): the Boeckx invariant is undefined."""
 
 
 class SasakianDegenerate(GeometryError):

@@ -15,6 +15,9 @@ is exactly the canonical paracontact structure.
 :func:`legendre_distribution` and :func:`involutivity_residual` take a stack of
 bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair is
 one stack, and each member gets what it gets alone, its exception included.
+They and :func:`libermann_map` check their input first: a basis, eta or xi of
+another dimension than the model's, or with a NaN or infinite entry, raises
+:class:`DimensionMismatch` for the whole call, so no such entry reaches LAPACK.
 """
 
 from typing import NamedTuple
@@ -25,18 +28,19 @@ from .contact import ContactMetricStructure, NullityReport, _unstack
 from .errors import (
     ClassificationMismatch,
     DegeneratePang,
+    DimensionMismatch,
     GeometryError,
     NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
 )
-from .lie_model import LieModel, d_one_form, reeb_vector
+from .lie_model import LieModel, check_finite, d_one_form, reeb_vector
 from .paracontact import (
     ParacontactMetricStructure,
     canonical_pc_connection,
     integrability_and_parasasaki,
 )
-from .report import DEFAULT_TOL, ResidualReport, finite_stack, max_abs, max_abs_each
+from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each
 from .riemann import AffineConnection, form_xy, on_pairs
 
 
@@ -72,9 +76,14 @@ def _definiteness(eig: np.ndarray, tol: float) -> str:
     return "indefinite"
 
 
-def _bases(vectors) -> tuple[np.ndarray, bool]:
-    """(``vectors`` as a stack of bases (B, n, dim), whether it was one basis)."""
+def _bases(model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors) -> tuple[np.ndarray, bool]:
+    """(``vectors`` as a stack of bases (B, n, dim), whether it was one basis), after the
+    check of the Legendre functions' input: :class:`DimensionMismatch` unless the basis
+    vectors, eta and xi have the model's dimension and are finite."""
     v = np.asarray(vectors, dtype=float)
+    if v.shape[-1:] != (model.dim,):
+        raise DimensionMismatch(f"basis vectors must have length {model.dim}")
+    check_finite("basis, eta and xi", v, model.check_vector(eta), model.check_vector(xi))
     return (np.atleast_2d(v)[None], True) if v.ndim < 3 else (v, False)
 
 
@@ -85,19 +94,18 @@ def legendre_distribution(
     vectors: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> LegendreDistribution | list:
-    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data
-    (DegeneratePang if it is not finite); a stack of bases gives a list, in one pass."""
-    v, single = _bases(vectors)
+    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data; a
+    stack of bases gives a list, in one pass."""
+    v, single = _bases(model, eta, xi, vectors)
     n, nb = (model.dim - 1) // 2, len(v)
     if v.shape[1:] != (n, model.dim):
         raise NotTransversal(f"expected {n} basis vectors of length {model.dim}")
-    # a non-finite member is an identity here (its SVD would fail the stack); it fails on eta
-    rank = np.linalg.matrix_rank(finite_stack(v)[0], tol=1e-12)
+    rank = np.linalg.matrix_rank(v, tol=1e-12)
     worst_eta = max_abs_each(v @ eta, nb).tolist()
     deta = d_one_form(model, eta)
     iso = max_abs_each(v @ deta @ v.swapaxes(1, 2), nb).tolist()
     pi = 2.0 * (v @ model.ad(xi).T) @ deta @ v.swapaxes(1, 2)  # [b, i, j] = 2 d eta([xi, b_i], b_j)
-    eig = np.linalg.eigvalsh(finite_stack(0.5 * (pi + pi.swapaxes(1, 2)))[0])
+    eig = np.linalg.eigvalsh(0.5 * (pi + pi.swapaxes(1, 2)))
     out = []
     for b in range(nb):
         if rank[b] < n:
@@ -107,8 +115,6 @@ def legendre_distribution(
                 f"basis not tangent to the contact distribution ({worst_eta[b]:.3e})"))
         elif not iso[b] <= tol:
             out.append(NotTransversal(f"d eta does not vanish on the span ({iso[b]:.3e})"))
-        elif not np.isfinite(pi[b]).all():
-            out.append(DegeneratePang("Pang form is not finite"))
         else:
             out.append(LegendreDistribution(v[b], pi[b], _definiteness(eig[b], tol)))
     return _unstack(out, single)
@@ -123,7 +129,7 @@ def involutivity_residual(
     Zero iff the distribution is a foliation whose leaves stay tangent to
     ker(eta).
     """
-    v, single = _bases(vectors)
+    v, single = _bases(model, eta, xi, vectors)
     xis = np.broadcast_to(xi, (len(v), 1, model.dim))
     q, _ = np.linalg.qr(np.concatenate([v, xis], axis=1).swapaxes(1, 2))
     br = on_pairs(model.c, v, v)  # [b, i, j, :] = [v_bi, v_bj]
@@ -138,7 +144,8 @@ def eigendistributions(
     """g-orthonormal eigenbases of h for +-lambda, verified Legendre and involutive
     as one stack; the first failure, in the order (+lambda, -lambda), is raised."""
     if report.lam is None:
-        raise SasakianDegenerate("h has no +-lambda eigenspaces when kappa >= 1")
+        raise SasakianDegenerate("h has no +-lambda eigenspaces: the fit puts this structure in the "
+                                 f"Sasakian band (kappa >= 1 - tol), kappa = {report.kappa:.12g}")
     lam = report.lam
     # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
     # g = L L^T, to the symmetric problem L^-1 (g h) L^-T w = lam w; the vectors
@@ -223,7 +230,12 @@ def libermann_map(
 
     ``other`` supplies the complementary Legendre distribution on which the
     map acts nontrivially.  Verifies Lambda^2 = 0 and Lambda [xi, X] = X/2.
+    A basis of another dimension or with a non-finite entry raises
+    :class:`DimensionMismatch`, and a Pang form that is not finite, or whose
+    determinant is not above ``tol``, :class:`DegeneratePang`.
     """
+    _bases(s.model, s.eta, s.xi, ld.vectors)
+    _bases(s.model, s.eta, s.xi, other.vectors)
     pi = ld.pang
     if not (np.isfinite(pi).all() and abs(np.linalg.det(pi)) > tol):  # no det of a NaN
         raise DegeneratePang("Pang form is singular; no Libermann map")

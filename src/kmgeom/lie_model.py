@@ -25,6 +25,13 @@ Endomorphism = np.ndarray
 BilinearForm = np.ndarray
 
 
+def check_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise :class:`DimensionMismatch` unless every entry of ``arrays`` is finite: the
+    one check of the engine's entry points, so that no NaN or infinity reaches LAPACK."""
+    if not np.isfinite(np.concatenate(arrays, axis=None)).all():
+        raise DimensionMismatch(f"{what} must be finite (no NaN or infinity)")
+
+
 class LieModel:
     """A Lie algebra with structure constants ``c[i, j, k]``.
 
@@ -37,8 +44,7 @@ class LieModel:
         c = np.asarray(c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatch(f"structure constants must be cubic, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise DimensionMismatch("structure constants must be finite (NaN or inf found)")
+        check_finite("structure constants", c)
         anti = np.max(np.abs(c + c.transpose(1, 0, 2)))
         if anti > 1e-12:
             raise DimensionMismatch(f"structure constants not antisymmetric (residual {anti:.3e})")

@@ -23,7 +23,9 @@ coefficients, including an (i, j) / (j, i) pair that fails antisymmetry).
 one); a bool or a non-integral number there, or a bool coefficient, is a
 format error.  The checks that need no arrays (the JSON itself, ``dim``,
 ``basis_labels`` and every bracket entry) run before numpy and the engine are
-imported, so a malformed file is rejected without loading them.
+imported, so a malformed file is rejected without loading them.  The structure
+reads and checks its own tensors (their shapes and finiteness); its
+:class:`DimensionMismatch` is re-raised here as a format error with the same text.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ModelFormatError
+from .errors import DimensionMismatch, ModelFormatError
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
@@ -80,27 +82,19 @@ def _parse_brackets(dim: int, entries: list) -> dict[tuple[int, int], dict[int, 
 
 
 def _parse_structure(model: LieModel, block: dict):
-    import numpy as np
-
+    """The structure of ``block``, whose tensors the structure reads and checks itself."""
     from .contact import ContactMetricStructure
     from .paracontact import ParacontactMetricStructure
 
     try:
         kind = block["kind"]
-        phi = np.asarray(block["phi"], dtype=float)
-        xi = np.asarray(block["xi"], dtype=float)
-        eta = np.asarray(block["eta"], dtype=float)
-        g = np.asarray(block["g"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        for cls in (ContactMetricStructure, ParacontactMetricStructure):
+            if kind == cls.kind:
+                return cls(model, block["phi"], block["xi"], block["eta"], block["g"])
+    except DimensionMismatch as exc:  # a shape or an entry the structure rejects
+        raise ModelFormatError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key, or a tensor not of numbers
         raise ModelFormatError(f"malformed structure block: {exc}") from exc
-    dim = model.dim
-    if phi.shape != (dim, dim) or g.shape != (dim, dim) or xi.shape != (dim,) or eta.shape != (dim,):
-        raise ModelFormatError("structure tensor shapes do not match the model dimension")
-    if not all(np.all(np.isfinite(t)) for t in (phi, xi, eta, g)):
-        raise ModelFormatError("structure tensors must be finite (no NaN or infinity)")
-    for cls in (ContactMetricStructure, ParacontactMetricStructure):
-        if kind == cls.kind:
-            return cls(model, phi, xi, eta, g)
     raise ModelFormatError(f"unknown structure kind {kind!r}")
 
 

@@ -1,9 +1,11 @@
 """Residual reports: named max-abs residuals with a shared pass/fail tolerance.
 
-:func:`max_abs` is the one reduction from a residual array to a number; it
-propagates NaN, so a non-finite residual can never compare as a pass.
-:func:`max_abs_each` is its per-member form for a stack of structures (a
-leading member axis): a NaN stays with the member that produced it.
+:func:`max_abs_each` is the one reduction from a residual array to a number per
+member of a stack of structures (a leading member axis), and :func:`max_abs` its
+stack-of-one case.  Non-finite input is rejected where tensors enter the engine
+(:class:`kmgeom.contact.MetricStructure` and the kernels that take raw arrays);
+the reduction still propagates a NaN, such as the fit of a degenerate member or
+one fed straight to a kernel: it stays with its member and never reads as a pass.
 """
 
 import numpy as np
@@ -21,16 +23,6 @@ def max_abs_each(residual, n: int) -> np.ndarray:
 def max_abs(residual) -> float:
     """Max-abs of a residual scalar or array (a stack of one); NaN anywhere gives NaN."""
     return float(max_abs_each(residual, 1)[0])
-
-
-def finite_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
-    """(``a`` with each member that has a non-finite entry replaced by the
-    identity, mask of those members): LAPACK fails a whole stack on one NaN
-    member, so the caller solves the stand-in and writes NaN into their results."""
-    if np.isfinite(a).all():
-        return a, False
-    bad = ~np.isfinite(a).all(axis=(-2, -1))
-    return np.where(bad[..., None, None], np.eye(*a.shape[-2:]), a), bad
 
 
 class ResidualReport:

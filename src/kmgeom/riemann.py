@@ -19,7 +19,9 @@ connection in ``tests/reference.py``.
 
 :func:`levi_civita`, :func:`curvature_xi` and :func:`signature` also take a
 stack of metrics on one model, with a leading member axis (a single metric is
-a stack of one); each member's result is what it gets alone.
+a stack of one); each member's result is what it gets alone.  Both check their
+input: a member with a NaN or infinite entry is degenerate to :func:`levi_civita`,
+and :func:`signature` rejects the whole stack.
 """
 
 from typing import NamedTuple
@@ -27,19 +29,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch
-from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, d_one_form
-from .report import DEFAULT_TOL, finite_stack
+from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, check_finite, d_one_form
+from .report import DEFAULT_TOL
 
 DEGENERATE = "metric determinant below tolerance"
 
 
 def signature(g: BilinearForm, tol: float = DEFAULT_TOL):
     """(p, q, z) counts of positive / negative / zero eigenvalues of a symmetric form,
-    or their list for a stack; a member with a non-finite entry counts (0, 0, dim)."""
+    or their list for a stack; :class:`DimensionMismatch` for a form that is not square
+    or has a NaN or infinite entry."""
     g = np.asarray(g, dtype=float)
-    safe, bad = finite_stack(0.5 * (g + g.swapaxes(-1, -2)))
-    eig = np.linalg.eigvalsh(safe)
-    eig[bad] = np.nan  # counted neither positive nor negative
+    if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
+        raise DimensionMismatch(f"form shape {g.shape} is not square")
+    check_finite("form", g)
+    eig = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(-1, -2)))
     p, q = (np.sum(x, axis=-1).reshape(-1).tolist() for x in (eig > tol, eig < -tol))
     counts = [(a, b, g.shape[-1] - a - b) for a, b in zip(p, q)]
     return counts[0] if g.ndim == 2 else counts
@@ -70,9 +74,9 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
 
     The d^2 right-hand sides share one ``g``, so the connection is one inverse
     of ``g`` and one matmul rather than a solve against all of them.
-    Raises :class:`DegenerateMetric` when ``|det g|`` falls below ``tol``; in a
-    stack (B, dim, dim) such a member is marked ``degenerate`` instead.  A NaN
-    determinant (a NaN entry) passes the guard, with a NaN connection.
+    Raises :class:`DegenerateMetric` unless ``|det g|`` is above ``tol``, which a NaN
+    or infinite entry never is; in a stack (B, dim, dim) such a member is marked
+    ``degenerate`` instead, with a NaN connection.
     The result is metric (``nabla g = 0``) and torsion-free by construction,
     which the connection identity suite of ``tests/reference.py`` re-checks
     numerically.
@@ -82,22 +86,19 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
     if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
         raise DimensionMismatch(f"metric shape {g.shape} does not match dim {d}")
     gs = g.reshape(-1, d, d)
-    with np.errstate(invalid="ignore"):  # a NaN member must not fail the stack under -W error
-        det = abs(np.linalg.det(gs))
-    degenerate = det <= tol
+    # a member with a non-finite entry has the determinant of zeros: no det of a NaN
+    finite = np.isfinite(gs).all(axis=(1, 2))
+    degenerate = ~(abs(np.linalg.det(np.where(finite[:, None, None], gs, 0.0))) > tol)
     if g.ndim == 2 and degenerate[0]:
         raise DegenerateMetric(DEGENERATE)
+    if degenerate.any():  # solved as the identity, then NaN
+        gs = np.where(degenerate[:, None, None], np.eye(d), gs)
     # b[., i, j, k] = g([e_i, e_j], e_k), one matmul; transpose(0,3,1,2)[., i,j,k] = b[., j,k,i]
     b = m.c @ gs[:, None]
     rhs = 0.5 * (b - b.transpose(0, 3, 1, 2) + b.transpose(0, 2, 3, 1))
-    bad = ~(det > tol)  # degenerate, or a NaN entry: solved as the identity, then NaN
-    any_bad = bad.any()
-    if any_bad:
-        gs = np.where(bad[:, None, None], np.eye(d), gs)
     # g . gamma[i, j, :] = rhs[i, j, :] for every (i, j)
     gamma = rhs @ np.linalg.inv(gs).swapaxes(1, 2)[:, None]
-    if any_bad:
-        gamma[bad] = np.nan
+    gamma[degenerate] = np.nan
     gamma = gamma.reshape(g.shape[:-2] + (d, d, d))
     return AffineConnection(gamma, degenerate if g.ndim == 3 else False)
 

@@ -105,6 +105,14 @@ def test_boeckx_invariant_values():
         boeckx_invariant(1.0, 0.0)
 
 
+def test_boeckx_invariant_names_the_sasakian_band():
+    """kappa = 1 - 1e-10 is below 1: the message names the band it is in."""
+    with pytest.raises(SasakianOrInvalid) as exc:
+        boeckx_invariant(1.0 - 1e-10, 2.0)
+    assert str(exc.value) == ("Boeckx invariant undefined in the Sasakian band "
+                              "(kappa >= 1 - tol), kappa = 0.9999999999")
+
+
 @pytest.mark.parametrize("lam,d", [(1.0, 0.0), (2.0, 1.0)])
 def test_blair_identities_family(lam, d):
     s = family(lam, d)

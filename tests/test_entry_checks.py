@@ -1,0 +1,132 @@
+"""Tensors are checked where they enter the engine.
+
+Each entry point that takes raw arrays rejects a NaN or infinite entry, and an
+input of the wrong shape, with its designated GeometryError and without a numpy
+warning, so that no such entry reaches LAPACK:
+
+* ``MetricStructure`` (both kinds): DimensionMismatch
+* ``levi_civita``: DegenerateMetric (in a stack, a degenerate member)
+* ``signature``, ``legendre_distribution``, ``involutivity_residual`` and the
+  bases of ``libermann_map``: DimensionMismatch
+
+A non-finite Pang form given to ``libermann_map`` raises DegeneratePang
+(tests/test_legendre.py).
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from kmgeom.contact import nullity_fit
+from kmgeom.errors import DegenerateMetric, DimensionMismatch
+from kmgeom.legendre import (eigendistributions, involutivity_residual, legendre_distribution,
+                             libermann_map)
+from kmgeom.riemann import levi_civita, signature
+
+from conftest import family, heisenberg_model
+
+CONTACT = family(1.0, 2.0)  # class I, dim 3
+PARACONTACT = heisenberg_model(5, "paracontact")
+H5 = heisenberg_model(5)
+LEGENDRE_BASIS = np.eye(5)[:2]  # span{X_1, X_2} of H_5
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+def _poisoned(a, value):
+    """A copy of ``a`` with its first entry set to ``value``."""
+    a = np.array(a, dtype=float)
+    a.flat[0] = value
+    return a
+
+
+def _structure(s, field):
+    def build(value):
+        arrays = {name: getattr(s, name) for name in ("phi", "xi", "eta", "g")}
+        arrays[field] = _poisoned(arrays[field], value)
+        return type(s)(s.model, **arrays)
+    return build
+
+
+def _legendre(call, field):
+    def run(value):
+        args = {"eta": H5.eta, "xi": H5.xi, "vectors": LEGENDRE_BASIS}
+        args[field] = _poisoned(args[field], value)
+        return call(H5.model, **args)
+    return run
+
+
+def _libermann(value=None):
+    """libermann_map with the first entry of D(lambda)'s basis set to ``value``, or with
+    that basis one entry short when ``value`` is None."""
+    d_pos, d_neg = eigendistributions(CONTACT, nullity_fit(CONTACT))
+    vectors = d_pos.vectors[:, :-1] if value is None else _poisoned(d_pos.vectors, value)
+    return libermann_map(CONTACT, d_pos._replace(vectors=vectors), d_neg)
+
+
+CASES = {
+    **{f"{s.kind}-{field}": (_structure(s, field), DimensionMismatch, "structure tensors must be finite")
+       for s in (CONTACT, PARACONTACT) for field in ("phi", "xi", "eta", "g")},
+    "levi_civita-g": (lambda v: levi_civita(CONTACT.model, _poisoned(CONTACT.g, v)), DegenerateMetric,
+                      "metric determinant below tolerance"),
+    "signature-g": (lambda v: signature(_poisoned(CONTACT.g, v)), DimensionMismatch, "form must be finite"),
+    **{f"{call.__name__}-{field}": (_legendre(call, field), DimensionMismatch,
+                                    "basis, eta and xi must be finite")
+       for call in (legendre_distribution, involutivity_residual) for field in ("vectors", "eta", "xi")},
+    "libermann_map-vectors": (_libermann, DimensionMismatch, "basis, eta and xi must be finite"),
+}
+
+
+def _raises_without_warning(error, match, call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call(*args)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("case", list(CASES))
+def test_non_finite_entry_raises_its_error(case, value):
+    call, error, match = CASES[case]
+    _raises_without_warning(error, match, call, value)
+
+
+def _misshapen(s, field):
+    def build():
+        arrays = {name: getattr(s, name) for name in ("phi", "xi", "eta", "g")}
+        arrays[field] = arrays[field][:-1, :-1] if field == "g" else arrays[field][:-1]
+        return type(s)(s.model, **arrays)
+    return build
+
+
+def _short_basis(call):
+    return lambda: call(H5.model, H5.eta, H5.xi, LEGENDRE_BASIS[:, :-1])
+
+
+SHAPE_CASES = {
+    **{f"{s.kind}-{field}": (_misshapen(s, field), "structure tensor shapes do not match")
+       for s in (CONTACT, PARACONTACT) for field in ("g", "eta")},
+    "signature-g": (lambda: signature(CONTACT.g[:, :-1]), "form shape"),
+    **{f"{call.__name__}-vectors": (_short_basis(call), "basis vectors must have length 5")
+       for call in (legendre_distribution, involutivity_residual)},
+    "libermann_map-vectors": (_libermann, "basis vectors must have length 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_wrong_shape_raises_dimension_mismatch(case):
+    call, match = SHAPE_CASES[case]
+    _raises_without_warning(DimensionMismatch, match, call)
+
+
+@NON_FINITE
+def test_non_finite_metric_is_a_degenerate_member_of_a_stack(value):
+    g = np.stack([CONTACT.g, _poisoned(CONTACT.g, value), 2.0 * CONTACT.g])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conn = levi_civita(CONTACT.model, g)
+    assert conn.degenerate.tolist() == [False, True, False]
+    assert np.isnan(conn.gamma[1]).all()
+    for b in (0, 2):
+        np.testing.assert_allclose(conn.gamma[b], levi_civita(CONTACT.model, g[b]).gamma,
+                                   rtol=0, atol=1e-15)

@@ -10,23 +10,9 @@ import pytest
 
 import kmgeom
 from kmgeom.catalog import get_entry, heisenberg_3d, list_entries, nilpotent_h_5d
-from kmgeom.contact import (
-    ContactMetricStructure,
-    blair_identity_suite,
-    classification_flags,
-    nijenhuis_norm,
-    nullity_fit,
-    validate_contact,
-)
-from kmgeom.legendre import involutivity_residual
+from kmgeom.contact import ContactMetricStructure, validate_contact
 from kmgeom.lie_model import LieModel, jacobi_residual
-from kmgeom.paracontact import (
-    ParacontactMetricStructure,
-    canonical_pc_connection,
-    integrability_and_parasasaki,
-)
 from kmgeom.riemann import AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs
-from kmgeom.tower import TowerNode, sequence, step_checks
 
 from conftest import CLASS_PARAMS, family, heisenberg_model, rebased, twisted_contact_3d
 from reference import (
@@ -232,10 +218,10 @@ def test_jacobi_residual_closed_forms_at_dim_81():
     assert jacobi_residual(LieModel(c=c)) == 1.5
 
 
-# ------------------------------------------------------------- non-finite input
+# ------------------------------------------------------------- non-finite residuals
 
-# numpy warns when a determinant guard meets the NaN; the residuals are the test
-nan_input = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# Non-finite tensors are rejected where they enter the engine (tests/test_entry_checks.py);
+# a NaN fed straight to a residual kernel still never reads as a pass.
 
 
 def _with_nan(a, index):
@@ -250,58 +236,6 @@ def test_nan_connection_fails_metric_compatibility():
     rep = connection_identity_suite(s.model, AffineConnection(gamma=gamma), s.g)
     assert np.isnan(rep["metric_compatibility"])
     assert not rep.valid
-
-
-def test_nan_phi_is_not_sasakian():
-    s = heisenberg_model(3)
-    fit = nullity_fit(s)
-    assert classification_flags(s, fit)["sasakian"]
-    bad = ContactMetricStructure(model=s.model, phi=_with_nan(s.phi, (0, 0)), xi=s.xi, eta=s.eta, g=s.g)
-    nij, side = nijenhuis_norm(bad)
-    assert np.isnan(nij)
-    assert not side.valid
-    assert not classification_flags(bad, fit)["sasakian"]
-
-
-@nan_input
-def test_nan_metric_fails_blair_identities():
-    s = family(1.0, 2.0)
-    fit = nullity_fit(s)
-    g = _with_nan(s.g, (0, 1))
-    bad = ContactMetricStructure(model=s.model, phi=s.phi, xi=s.xi, eta=s.eta, g=g)
-    rep = blair_identity_suite(bad, fit.kappa, fit.mu)
-    assert np.isnan(rep["nabla_phi_identity"])
-
-
-@nan_input
-def test_nan_metric_is_not_para_sasakian():
-    s = heisenberg_model(3, "paracontact")
-    assert integrability_and_parasasaki(s)["para_sasakian"]
-    bad = ParacontactMetricStructure(
-        model=s.model, phi=s.phi, xi=s.xi, eta=s.eta, g=_with_nan(s.g, (0, 0))
-    )
-    flags = integrability_and_parasasaki(bad)
-    assert not flags["para_sasakian"]
-    assert np.isnan(flags["para_sasaki_residual"])
-    _, rep = canonical_pc_connection(bad)
-    assert np.isnan(rep["phi_derivative_identity"])
-
-
-def test_nan_vector_is_not_involutive():
-    s = heisenberg_model(5)
-    vectors = _with_nan(np.eye(5)[:2], (1, 0))
-    assert np.isnan(involutivity_residual(s.model, s.eta, s.xi, vectors))
-
-
-@nan_input
-def test_nan_metric_fails_levi_civita_relation():
-    s = family(1.0, 2.0)
-    fit = nullity_fit(s)
-    g = _with_nan(s.g, (0, 1))
-    bad = ContactMetricStructure(model=s.model, phi=s.phi, xi=s.xi, eta=s.eta, g=g)
-    checks = step_checks(TowerNode(0, bad, fit), sequence(s, 2)[1])
-    assert np.isnan(checks["levi_civita_relation"])
-    assert not checks.valid
 
 
 def test_import_does_not_load_scipy():

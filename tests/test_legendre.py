@@ -10,6 +10,7 @@ from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import (
     ClassificationMismatch,
     DegeneratePang,
+    DimensionMismatch,
     NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
@@ -217,14 +218,27 @@ def test_legendre_distribution_rejects_non_isotropic_basis(model_5d):
 
 @pytest.mark.parametrize("dim", [3, 5])
 def test_nan_xi_gives_a_degenerate_pang_form(dim):
-    """A NaN xi makes the Pang form of a valid Legendre basis NaN: DegeneratePang,
-    not the label "flat" (n = 1) or a LAPACK error."""
+    """A NaN xi never forms a Pang form: legendre_distribution rejects it at its door
+    with DimensionMismatch, not DegeneratePang, the label "flat" (n = 1), a LAPACK
+    error or a warning."""
     s = family(1.0, 2.0) if dim == 3 else heisenberg_model(dim)
     basis = eigendistributions(s, nullity_fit(s))[0].vectors if dim == 3 else np.eye(dim)[:2]
     xi = s.xi.copy()
     xi[0] = np.nan
-    with pytest.raises(DegeneratePang, match="not finite"):
-        legendre_distribution(s.model, s.eta, xi, basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="basis, eta and xi must be finite"):
+            legendre_distribution(s.model, s.eta, xi, basis)
+
+
+def test_eigendistributions_name_the_sasakian_band():
+    """The fit of family_3d(1e-5, 2e-5) reads kappa = 0.9999999998999999, below 1 but
+    in the Sasakian band: the message names the band, not kappa >= 1."""
+    s = family(1e-5, 2e-5)
+    with pytest.raises(SasakianDegenerate) as exc:
+        eigendistributions(s, nullity_fit(s))
+    assert str(exc.value) == ("h has no +-lambda eigenspaces: the fit puts this structure in the "
+                              "Sasakian band (kappa >= 1 - tol), kappa = 0.9999999999")
 
 
 def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():

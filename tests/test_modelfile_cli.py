@@ -407,6 +407,20 @@ def test_cli_rejects_options_that_would_be_ignored(tmp_path, capsys, extra, erro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["analyze"], ["derive", "--steps", "3"]],
+                         ids=["validate", "analyze", "derive"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_cli_tol_is_a_finite_number_at_least_zero(tmp_path, capsys, tol, command):
+    """Any other --tol is a usage error: exit 2, before the model is read."""
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], path, *command[1:], f"--tol={tol}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument --tol: not a finite number >= 0: '{tol}'\n")
+
+
 def test_cli_catalog_constants(capsys):
     assert main(["catalog", "emit", "tangent-bundle-constants", "--c", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -21,7 +21,8 @@ The set: every catalog entry, ten ``family_3d`` points (I_M - 1 = 3e-9 and
 lambda = 1e-5 among them), the twisted non-nullity model and contact and paracontact
 H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``derive
 --steps 7`` and ``validate`` with ``--json -``; then the edge calls: malformed and
-missing files, usage errors, ``--help``, ``catalog list``/``emit``, ``--batch``,
+missing files (structure tensors with a NaN, an infinite entry or the wrong shape among
+them), usage errors, ``--tol nan``, ``--help``, ``catalog list``/``emit``, ``--batch``,
 ``derive`` on a paracontact model and on models without a structure, failed writes
 and options that do not go together; last, every step of every op of the benchmark's
 three workloads (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed
@@ -97,6 +98,12 @@ MALFORMED = {
         **FRAME_3D, "phi": [[0.0, -1.0], [1.0, 0.0]]}}),
     "structure-kind": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
         **FRAME_3D, "kind": "almost-contact"}}),
+    "structure-phi-nan": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
+        **FRAME_3D, "phi": [[float("nan"), -1.0, 0.0], *PHI_3D[1:]]}}),
+    "structure-g-inf": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
+        **FRAME_3D, "g": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]}}),
+    "structure-g-2x2": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
+        **FRAME_3D, "g": [[1, 0], [0, 1]]}}),
 }
 
 
@@ -196,6 +203,7 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
         files=["out.json"])
     add("edge-analyze:json-file", "analyze", h5p, "--json", "out.json", files=["out.json"])
     add("edge-analyze:tol", "analyze", fam_iv, "--tol", "1e-6", "--json", "-")
+    add("edge-analyze:tol nan", "analyze", fam_i, "--tol", "nan", "--json", "-")
     for pair in (["--a", "1", "--b", "12"], ["--a", "-1", "--b", "-12"], ["--a", "1"]):
         add(f"edge-analyze:legendre3 {' '.join(pair)}", "analyze", fam_i, "--legendre3", *pair,
             "--json", "-")
