@@ -49,8 +49,9 @@ Exit codes:
 * 2: a parse or IO error (an unreadable or malformed model file; a failed
   ``--json`` or ``--out`` write, after the text report) or a usage error,
   options that would be ignored included: ``--batch`` with a model file or
-  with ``--json``, and ``--a``/``--b`` without ``--legendre3``; a ``--tol``
-  that is not a finite number >= 0 is one too.
+  with ``--json``, and ``--a``/``--b`` without ``--legendre3``; a number
+  option that is not a finite number (``--tol``: a finite number >= 0) is one
+  too.
 * 3: the tower row meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
@@ -58,11 +59,12 @@ Residuals print in scientific notation with three significant digits; JSON
 reports are emitted with sorted keys so that serialize/parse/serialize
 round-trips are byte-identical.
 
-The parser, the exit codes and the ``error:`` lines need no arrays: numpy and
-the engine modules are imported by the functions that compute, so a usage
-error, ``--help`` or a malformed model file exits without loading them.  The
-engine is called through its modules (``contact.nullity_fit``), so a
-rebinding of a module's function is seen by every call.
+The parser, the exit codes and the ``error:`` lines need no arrays: the rows
+call the engine by the package's public names (``kmgeom.nullity_fit``), and the
+package imports a name's submodule, and numpy with it, on first access, so a
+usage error, ``--help`` or a malformed model file exits without loading them.
+Each access reads the name from its defining module, so a rebinding of a
+module's function (``contact.nullity_fit``) is seen by every call.
 """
 
 import argparse
@@ -71,6 +73,8 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+
+import kmgeom
 
 from . import DEFAULT_TOL, modelfile
 from .errors import (
@@ -153,9 +157,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _model(c) -> dict:
-    from . import lie_model
-
-    residual = lie_model.jacobi_residual(c.doc.model)
+    residual = kmgeom.jacobi_residual(c.doc.model)
     return {
         "name": c.doc.name,
         "dim": c.doc.model.dim,
@@ -166,11 +168,9 @@ def _model(c) -> dict:
 
 
 def _structure(c) -> dict | None:
-    from . import contact
-
     if c.s is None:
         return None
-    return {"kind": c.s.kind, **contact.validate_contact(c.s, c.tol).to_dict()}
+    return {"kind": c.s.kind, **kmgeom.validate_contact(c.s, c.tol).to_dict()}
 
 
 def _valid(c) -> bool:
@@ -179,45 +179,31 @@ def _valid(c) -> bool:
 
 
 def _nullity(c) -> dict:
-    from . import contact
-
     try:
-        c.fit = contact.nullity_fit(c.s, c.tol)
+        c.fit = kmgeom.nullity_fit(c.s, c.tol)
     except NotNullity as exc:
         return {"error": "not_nullity", "residual": exc.residual}
     return c.fit.to_dict()
 
 
 def _pang_class(c) -> str | None:
-    from . import legendre
-
     try:
-        return legendre.classify_class(c.s, c.fit, c.tol)
+        return kmgeom.classify_class(c.s, c.fit, c.tol)
     except SasakianDegenerate:
         return None
 
 
-def _flags(c) -> dict:
-    from . import contact
-
-    return contact.classification_flags(c.s, c.fit, c.tol)
-
-
 def _identities(c) -> dict:
     """The Nijenhuis side report, and the Blair suite when mu is determined."""
-    from . import contact
-
     identities = dict(c.s.nijenhuis_norm(c.tol)[1].entries)
     if c.fit.mu is not None:
-        identities.update(contact.blair_identity_suite(c.s, c.fit.kappa, c.fit.mu, c.tol).entries)
+        identities.update(kmgeom.blair_identity_suite(c.s, c.fit.kappa, c.fit.mu, c.tol).entries)
     return identities
 
 
 def _pc_identities(c) -> dict:
     """The canonical connection's suite and the integrability residuals."""
-    from . import paracontact
-
-    _, pc_rep = paracontact.canonical_pc_connection(c.s, c.tol)
+    _, pc_rep = kmgeom.canonical_pc_connection(c.s, c.tol)
     found = c.s.integrability_and_parasasaki(c.tol)
     return {**pc_rep.entries, "nijenhuis_d_component": found["nijenhuis_d_residual"],
             "pc_parallel_phi": found["pc_parallel_phi_residual"]}
@@ -229,12 +215,10 @@ def _pc_flags(c) -> dict:
 
 
 def _construction(c, build, **kwargs) -> dict:
-    """The report of the construction ``build(tower)`` on the structure and its fit, or
-    the reason it does not apply."""
-    from . import tower
-
+    """The report of the construction ``build`` (a public function of the package) on the
+    structure and its fit, or the reason it does not apply."""
     try:
-        return build(tower)(c.s, c.fit, tol=c.tol, **kwargs).to_dict()
+        return build(c.s, c.fit, tol=c.tol, **kwargs).to_dict()
     except (InternalInconsistency, InvalidPangPair, InvariantTooSmall, NotNullity,
             SasakianDegenerate, SasakianOrInvalid) as exc:
         return {"error": str(exc)}
@@ -251,10 +235,8 @@ def _no_nullity(c):
 
 
 def _tower(c) -> list[dict]:
-    from . import tower
-
     try:
-        nodes = tower.sequence(c.s, c.steps, c.tol)
+        nodes = kmgeom.sequence(c.s, c.steps, c.tol)
     except GeometryError as exc:
         code = EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
         raise _Stop(code, f"error: {exc}") from exc
@@ -353,17 +335,17 @@ _STAGES = (
     ("expected", lambda c: _analyzed(c) and c.doc.expected, lambda c: c.doc.expected, None),
     ("nullity", _analyzed, _nullity, _human_nullity),
     ("nullity.class_pang_checked", _contact, _pang_class, None),
-    ("flags", _contact, _flags, _human_flags),
+    ("flags", _contact, lambda c: kmgeom.classification_flags(c.s, c.fit, c.tol), _human_flags),
     ("nullity.nijenhuis_norm", _contact, lambda c: c.s.nijenhuis_norm(c.tol)[0], None),
     ("identities", _contact, _identities, _human_identities),
     ("identities", _paracontact, _pc_identities, None),
     ("flags", _paracontact, _pc_flags, None),
     ("sasakian_construction", lambda c: _contact(c) and c.sasakian,
-     lambda c: _construction(c, lambda tower: tower.sasakian_structure),
+     lambda c: _construction(c, kmgeom.sasakian_structure),
      _human_construction("sasakian construction",
                          lambda sas: f"sign {sas['sign']}, valid = {sas['checks']['valid']}")),
     ("legendre3", lambda c: _contact(c) and c.legendre3,
-     lambda c: _construction(c, lambda tower: tower.second_bilegendrian_analysis, a=c.a, b=c.b),
+     lambda c: _construction(c, kmgeom.second_bilegendrian_analysis, a=c.a, b=c.b),
      _human_construction("second bi-Legendrian pair", lambda leg: (
          f"lambda~ = {leg['lambda_tilde']:.6g}, (a, b) = ({leg['a']:.6g}, {leg['b']:.6g}), "
          f"new constants ({leg['kappa_new']:.6g}, {leg['mu_new']:.6g})"))),
@@ -471,12 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(batch=None, sasakian=False, legendre3=False, a=None, b=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def number(text: str, least: float = -math.inf) -> float:
+        """The value of a number option: a finite number (>= ``least``), or a usage
+        error (exit 2)."""
+        x = float(text)
+        if not (math.isfinite(x) and x >= least):
+            bound = f" >= {least:g}" if math.isfinite(least) else ""
+            raise argparse.ArgumentTypeError(f"not a finite number{bound}: {text!r}")
+        return x
+
     def tolerance(text: str) -> float:
-        """The value of ``--tol``: a finite number >= 0, or a usage error (exit 2)."""
-        tol = float(text)
-        if not 0.0 <= tol < math.inf:
-            raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
-        return tol
+        """The value of ``--tol``: a finite number >= 0."""
+        return number(text, 0.0)
 
     def add_common(p):
         p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="residual tolerance")
@@ -493,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--sasakian", action="store_true", help="build the compatible Sasakian structure")
     p_ana.add_argument("--legendre3", action="store_true",
                        help="analyze the second bi-Legendrian pair (|I_M| > 1)")
-    p_ana.add_argument("--a", type=float, default=None, help="Pang coefficient a for --legendre3")
-    p_ana.add_argument("--b", type=float, default=None, help="Pang coefficient b for --legendre3")
+    p_ana.add_argument("--a", type=number, default=None, help="Pang coefficient a for --legendre3")
+    p_ana.add_argument("--b", type=number, default=None, help="Pang coefficient b for --legendre3")
     add_common(p_ana)
 
     p_der = sub.add_parser("derive", help="build the derived structure sequence")
@@ -507,9 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     cat_sub.add_parser("list", help="list entry names").set_defaults(func=cmd_catalog)
     p_emit = cat_sub.add_parser("emit", help="emit an entry as a model file")
     p_emit.add_argument("name")
-    p_emit.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    p_emit.add_argument("--d", type=float, default=None)
-    p_emit.add_argument("--c", type=float, default=None, help="tangent bundle curvature parameter")
+    p_emit.add_argument("--lam", "--lambda", dest="lam", type=number, default=None)
+    p_emit.add_argument("--d", type=number, default=None)
+    p_emit.add_argument("--c", type=number, default=None, help="tangent bundle curvature parameter")
     p_emit.add_argument("--out", help="output path (default stdout)")
     p_emit.set_defaults(func=cmd_catalog)
     return parser

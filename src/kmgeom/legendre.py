@@ -16,7 +16,8 @@ is exactly the canonical paracontact structure.
 bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair is
 one stack, and each member gets what it gets alone, its exception included.
 They and :func:`libermann_map` check their input first: a basis, eta or xi of
-another dimension than the model's, or with a NaN or infinite entry, raises
+another dimension than the model's, or with a NaN or infinite entry (and a Pang
+form given to :func:`libermann_map` that is not n x n), raises
 :class:`DimensionMismatch` for the whole call, so no such entry reaches LAPACK.
 """
 
@@ -230,19 +231,20 @@ def libermann_map(
 
     ``other`` supplies the complementary Legendre distribution on which the
     map acts nontrivially.  Verifies Lambda^2 = 0 and Lambda [xi, X] = X/2.
-    A basis of another dimension or with a non-finite entry raises
-    :class:`DimensionMismatch`, and a Pang form that is not finite, or whose
-    determinant is not above ``tol``, :class:`DegeneratePang`.
+    A basis of another dimension or with a non-finite entry, or a Pang form that is
+    not n x n, raises :class:`DimensionMismatch`, and a Pang form that is not finite,
+    or whose determinant is not above ``tol``, :class:`DegeneratePang`.
     """
     _bases(s.model, s.eta, s.xi, ld.vectors)
     _bases(s.model, s.eta, s.xi, other.vectors)
-    pi = ld.pang
+    pi, n = ld.pang, ld.n
+    if np.shape(pi) != (n, n):
+        raise DimensionMismatch(f"Pang form shape {np.shape(pi)} is not ({n}, {n})")
     if not (np.isfinite(pi).all() and abs(np.linalg.det(pi)) > tol):  # no det of a NaN
         raise DegeneratePang("Pang form is singular; no Libermann map")
     model, eta, xi = s.model, s.eta, s.xi
     deta = d_one_form(model, eta)
 
-    n = ld.n
     # action on the complementary basis: Lambda q_r = sum_j coeffs[r, j] l_j,
     # with sum_j coeffs[r, j] Pi_L(l_j, l_k) = d eta(q_r, l_k)
     rhs = other.vectors @ deta @ ld.vectors.T

@@ -33,6 +33,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
+import kmgeom
+
 from .errors import DimensionMismatch, ModelFormatError
 
 if TYPE_CHECKING:
@@ -83,12 +85,9 @@ def _parse_brackets(dim: int, entries: list) -> dict[tuple[int, int], dict[int, 
 
 def _parse_structure(model: LieModel, block: dict):
     """The structure of ``block``, whose tensors the structure reads and checks itself."""
-    from .contact import ContactMetricStructure
-    from .paracontact import ParacontactMetricStructure
-
     try:
         kind = block["kind"]
-        for cls in (ContactMetricStructure, ParacontactMetricStructure):
+        for cls in (kmgeom.ContactMetricStructure, kmgeom.ParacontactMetricStructure):
             if kind == cls.kind:
                 return cls(model, block["phi"], block["xi"], block["eta"], block["g"])
     except DimensionMismatch as exc:  # a shape or an entry the structure rejects

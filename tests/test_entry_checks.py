@@ -7,7 +7,7 @@ warning, so that no such entry reaches LAPACK:
 * ``MetricStructure`` (both kinds): DimensionMismatch
 * ``levi_civita``: DegenerateMetric (in a stack, a degenerate member)
 * ``signature``, ``legendre_distribution``, ``involutivity_residual`` and the
-  bases of ``libermann_map``: DimensionMismatch
+  bases of ``libermann_map``: DimensionMismatch (its Pang form too, when it is not n x n)
 
 A non-finite Pang form given to ``libermann_map`` raises DegeneratePang
 (tests/test_legendre.py).
@@ -99,6 +99,12 @@ def _misshapen(s, field):
     return build
 
 
+def _libermann_pang():
+    """libermann_map with D(lambda)'s Pang form one column too wide."""
+    d_pos, d_neg = eigendistributions(CONTACT, nullity_fit(CONTACT))
+    return libermann_map(CONTACT, d_pos._replace(pang=np.ones((1, 2))), d_neg)
+
+
 def _short_basis(call):
     return lambda: call(H5.model, H5.eta, H5.xi, LEGENDRE_BASIS[:, :-1])
 
@@ -110,6 +116,7 @@ SHAPE_CASES = {
     **{f"{call.__name__}-vectors": (_short_basis(call), "basis vectors must have length 5")
        for call in (legendre_distribution, involutivity_residual)},
     "libermann_map-vectors": (_libermann, "basis vectors must have length 3"),
+    "libermann_map-pang": (_libermann_pang, r"Pang form shape \(1, 2\) is not \(1, 1\)"),
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import reference_json
 
+import kmgeom
 from kmgeom import modelfile
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.cli import main, render_json
@@ -421,6 +422,26 @@ def test_cli_tol_is_a_finite_number_at_least_zero(tmp_path, capsys, tol, command
     assert out == "" and err.endswith(f"error: argument --tol: not a finite number >= 0: '{tol}'\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option, argv", [
+    ("--c", ["catalog", "emit", "tangent-bundle-constants", "--c={}"]),
+    ("--lam/--lambda", ["catalog", "emit", "family-3d", "--lam={}", "--d", "0"]),
+    ("--lam/--lambda", ["catalog", "emit", "family-3d", "--lambda={}", "--d", "0"]),
+    ("--d", ["catalog", "emit", "family-3d", "--lam", "1", "--d={}"]),
+    ("--a", ["analyze", "MODEL", "--legendre3", "--a={}", "--b", "1"]),
+    ("--b", ["analyze", "MODEL", "--legendre3", "--a", "1", "--b={}"]),
+], ids=["c", "lam", "lambda", "d", "a", "b"])
+def test_cli_number_options_are_finite(tmp_path, capsys, option, argv, value):
+    """A non-finite number option is a usage error: exit 2, before anything is computed."""
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "MODEL" else arg.format(value) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {option}: not a finite number: '{value}'\n")
+
+
 def test_cli_catalog_constants(capsys):
     assert main(["catalog", "emit", "tangent-bundle-constants", "--c", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -540,3 +561,38 @@ def test_cli_derive_reports_an_analyze_error_as_one_error_line(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Pang class II, invariant class I\n"
+
+
+# the public names that the CLI's stage rows call, each through the package
+CLI_CALLS = ["jacobi_residual", "validate_contact", "nullity_fit", "classify_class",
+             "classification_flags", "blair_identity_suite", "canonical_pc_connection",
+             "sasakian_structure", "second_bilegendrian_analysis", "sequence"]
+
+
+def test_cli_calls_the_engine_through_its_defining_modules(tmp_path, capsys, monkeypatch):
+    """A rebinding of a public function in its defining module (as a tracer makes) is what
+    the CLI calls: each name of CLI_CALLS is called from kmgeom.cli, through the rebinding,
+    in a class-I analyze with both constructions, a class-II derive and a paracontact
+    analyze."""
+    callers = {name: [] for name in CLI_CALLS}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            callers[name].append(sys._getframe(1).f_globals["__name__"])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in CLI_CALLS:
+        fn = getattr(kmgeom, name)
+        monkeypatch.setattr(sys.modules[fn.__module__], name, counting(name, fn))
+    # each run right after its emit: the two family-3d points share one file name
+    assert main(["analyze", _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2"),
+                 "--sasakian", "--legendre3"]) == 0
+    assert ", class I\n" in capsys.readouterr().out
+    assert main(["derive", _emit(tmp_path, "family-3d", "--lam", "1", "--d", "0.5"),
+                 "--steps", "3"]) == 0
+    assert ", class II\n" in capsys.readouterr().out
+    assert main(["analyze", _emit(tmp_path, "nilpotent-h-5d")]) == 0
+    assert {name: "kmgeom.cli" in seen for name, seen in callers.items()} == dict.fromkeys(
+        CLI_CALLS, True)

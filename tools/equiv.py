@@ -22,12 +22,13 @@ lambda = 1e-5 among them), the twisted non-nullity model and contact and paracon
 H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``derive
 --steps 7`` and ``validate`` with ``--json -``; then the edge calls: malformed and
 missing files (structure tensors with a NaN, an infinite entry or the wrong shape among
-them), usage errors, ``--tol nan``, ``--help``, ``catalog list``/``emit``, ``--batch``,
-``derive`` on a paracontact model and on models without a structure, failed writes
-and options that do not go together; last, every step of every op of the benchmark's
-three workloads (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed
-in a directory of its own, with the ``out.json`` it writes.  Standard library only;
-the children import numpy through kmgeom.
+them), usage errors, non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a``
+and ``--b``), ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive`` on a
+paracontact model and on models without a structure, failed writes and options that
+do not go together; last, every step of every op of the benchmark's three workloads
+(``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
+of its own, with the ``out.json`` it writes.  Standard library only; the children
+import numpy through kmgeom.
 """
 
 import argparse
@@ -188,7 +189,9 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
     for name in names:
         add(f"edge-catalog:emit {name}", "catalog", "emit", name)
     for extra in (["family-3d", "--lam", "2", "--d", "-1"], ["family-3d", "--lam", "-1", "--d", "0"],
-                  ["nope"], ["tangent-bundle-constants", "--c", "4"]):
+                  ["nope"], ["tangent-bundle-constants", "--c", "4"],
+                  ["tangent-bundle-constants", "--c", "nan"],
+                  ["family-3d", "--lam", "nan", "--d", "0"]):
         add(f"edge-catalog:emit {' '.join(extra)}", "catalog", "emit", *extra)
     add("edge-catalog:emit --out", "catalog", "emit", "heisenberg-3d", "--out", "out.json",
         files=["out.json"])
@@ -204,7 +207,8 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
     add("edge-analyze:json-file", "analyze", h5p, "--json", "out.json", files=["out.json"])
     add("edge-analyze:tol", "analyze", fam_iv, "--tol", "1e-6", "--json", "-")
     add("edge-analyze:tol nan", "analyze", fam_i, "--tol", "nan", "--json", "-")
-    for pair in (["--a", "1", "--b", "12"], ["--a", "-1", "--b", "-12"], ["--a", "1"]):
+    for pair in (["--a", "1", "--b", "12"], ["--a", "-1", "--b", "-12"], ["--a", "1"],
+                 ["--a", "inf", "--b", "inf"]):
         add(f"edge-analyze:legendre3 {' '.join(pair)}", "analyze", fam_i, "--legendre3", *pair,
             "--json", "-")
     # a failed write (exit 2 with an error line) and options that do not go together
