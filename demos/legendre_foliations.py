@@ -27,7 +27,7 @@ s = family_3d(1.0, 2.0).structure
 fit = nullity_fit(s)
 print(f"base structure: kappa = {fit.kappa:g}, mu = {fit.mu:g}, I = {fit.boeckx:g}")
 
-d_pos, d_neg = eigendistributions(s, fit)
+d_pos, d_neg = eigendistributions(s)
 print("\n== h-eigendistributions ==")
 print(f"  D(+lambda): span {np.round(d_pos.vectors, 6).tolist()}  "
       f"Pang {d_pos.pang.ravel().tolist()} ({d_pos.definiteness})")
@@ -54,7 +54,7 @@ for name in ("preserves_l1", "preserves_l2", "parallel_xi", "parallel_deta",
     print(f"  {name:20s} {rep[name]:.2e}")
 
 print("\n== second bi-Legendrian pair (|I| > 1 only) ==")
-ana = second_bilegendrian_analysis(s, fit)
+ana = second_bilegendrian_analysis(s)
 print(f"  h~ eigenvalues +-lambda~ with lambda~ = {ana.lambda_t:.6f}")
 print(f"  Pang value on the normalized eigenbasis: {ana.pang_value:g}")
 print(f"  generating Pang coefficients (a, b) = ({ana.a:.6g}, {ana.b:.6g}), "

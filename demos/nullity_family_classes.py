@@ -27,9 +27,9 @@ for lam, d in [(1.0, 2.0), (1.0, 0.0), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0),
     entry = family_3d(lam, d)
     s = entry.structure
     assert validate_contact(s).valid
-    fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s, fit)
-    tag = classify_class(s, fit)
+    fit = nullity_fit(s)  # kept on s: eigendistributions and classify_class read it
+    d_pos, d_neg = eigendistributions(s)
+    tag = classify_class(s)
     print(f"{f'({lam:g}, {d:g})':>14s} {fit.kappa:7.2f} {fit.mu:5.1f} "
           f"{fit.boeckx:6.2f} {d_pos.definiteness:>9s} {d_neg.definiteness:>9s} {tag:>6s}")
 

@@ -23,7 +23,7 @@ from kmgeom import (
 for d in (2.0, -2.0):
     s = family_3d(1.0, d).structure
     fit = nullity_fit(s)
-    pkg = sasakian_structure(s, fit)
+    pkg = sasakian_structure(s)
     print(f"== (lambda, d) = (1, {d:g}): I = {fit.boeckx:+g}, sign {pkg.sign} ==")
     print(f"  phi-bar =\n{np.round(pkg.phi_bar, 6)}")
     print(f"  contact metric axioms valid: {validate_contact(pkg.structure).valid}")

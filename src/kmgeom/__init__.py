@@ -12,7 +12,9 @@ structures, whose report also checks the anti-hypercomplex triple and the
 The public names are the keys of ``_SUBMODULE`` plus ``DEFAULT_TOL``, each
 under one spelling: a paracontact structure keeps phi~, g~ and h~ in ``phi``,
 ``g`` and ``h``, and one validator (:func:`validate_contact`) and one nullity
-fit (:func:`nullity_fit`) serve both kinds.  ``_SUBMODULE`` maps each name to
+fit (:func:`nullity_fit`) serve both kinds; each derived result and construction
+is one function of ``(s, tol)`` that reads the structure's fit, which
+:func:`nullity_fit` keeps on it.  ``_SUBMODULE`` maps each name to
 the submodule that defines it, which is imported on first access (PEP 562), so
 ``import kmgeom`` loads neither numpy nor the engine.
 """

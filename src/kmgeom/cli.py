@@ -188,14 +188,14 @@ def _nullity(c) -> dict:
 
 def _pang_class(c) -> str | None:
     try:
-        return kmgeom.classify_class(c.s, c.fit, c.tol)
+        return kmgeom.classify_class(c.s, c.tol)
     except SasakianDegenerate:
         return None
 
 
 def _identities(c) -> dict:
     """The Nijenhuis side report, and the Blair suite when mu is determined."""
-    identities = dict(c.s.nijenhuis_norm(c.tol)[1].entries)
+    identities = dict(kmgeom.nijenhuis_norm(c.s, c.tol)[1].entries)
     if c.fit.mu is not None:
         identities.update(kmgeom.blair_identity_suite(c.s, c.fit.kappa, c.fit.mu, c.tol).entries)
     return identities
@@ -204,21 +204,21 @@ def _identities(c) -> dict:
 def _pc_identities(c) -> dict:
     """The canonical connection's suite and the integrability residuals."""
     _, pc_rep = kmgeom.canonical_pc_connection(c.s, c.tol)
-    found = c.s.integrability_and_parasasaki(c.tol)
+    found = kmgeom.integrability_and_parasasaki(c.s, c.tol)
     return {**pc_rep.entries, "nijenhuis_d_component": found["nijenhuis_d_residual"],
             "pc_parallel_phi": found["pc_parallel_phi_residual"]}
 
 
 def _pc_flags(c) -> dict:
-    found = c.s.integrability_and_parasasaki(c.tol)
+    found = kmgeom.integrability_and_parasasaki(c.s, c.tol)
     return {"integrable": found["integrable"], "para_sasakian": found["para_sasakian"]}
 
 
 def _construction(c, build, **kwargs) -> dict:
     """The report of the construction ``build`` (a public function of the package) on the
-    structure and its fit, or the reason it does not apply."""
+    structure, or the reason it does not apply."""
     try:
-        return build(c.s, c.fit, tol=c.tol, **kwargs).to_dict()
+        return build(c.s, tol=c.tol, **kwargs).to_dict()
     except (InternalInconsistency, InvalidPangPair, InvariantTooSmall, NotNullity,
             SasakianDegenerate, SasakianOrInvalid) as exc:
         return {"error": str(exc)}
@@ -335,8 +335,8 @@ _STAGES = (
     ("expected", lambda c: _analyzed(c) and c.doc.expected, lambda c: c.doc.expected, None),
     ("nullity", _analyzed, _nullity, _human_nullity),
     ("nullity.class_pang_checked", _contact, _pang_class, None),
-    ("flags", _contact, lambda c: kmgeom.classification_flags(c.s, c.fit, c.tol), _human_flags),
-    ("nullity.nijenhuis_norm", _contact, lambda c: c.s.nijenhuis_norm(c.tol)[0], None),
+    ("flags", _contact, lambda c: kmgeom.classification_flags(c.s, c.tol), _human_flags),
+    ("nullity.nijenhuis_norm", _contact, lambda c: kmgeom.nijenhuis_norm(c.s, c.tol)[0], None),
     ("identities", _contact, _identities, _human_identities),
     ("identities", _paracontact, _pc_identities, None),
     ("flags", _paracontact, _pc_flags, None),

@@ -24,11 +24,13 @@ paracontact h~, and one eps-signed (kappa, mu) identity suite,
 :func:`validate_contact` and :func:`nullity_fit` take one structure or a stack
 (a list of one kind on one (M, eta, xi), such as tower nodes; a single
 structure is a stack of one).  A stack gives each member what it gets alone,
-its exception included, and each member keeps its own connection and fit.
-The fit, one pass over the stack, alone reads R(., .) xi (not kept) and
-compares h~^2 with phi~^2.  Everything a structure keeps goes through one
-memo, :func:`_each` (:meth:`MetricStructure.cached` is its stack-of-one
-case), which keeps every array of an entry read-only.
+its exception included, and each member keeps its own connection and its fit's
+report, or error.  The fit, one pass over the stack, alone reads R(., .) xi (not
+kept) and compares h~^2 with phi~^2.  Every derived result, such as
+:func:`nijenhuis_norm` and :func:`classification_flags`, is one function of
+(s, tol) that reads the structure's kept fit.  Everything a structure keeps goes
+through one memo, :func:`_each` (:meth:`MetricStructure.cached` is its
+stack-of-one case), which keeps every array of an entry read-only.
 """
 
 from functools import partial
@@ -167,9 +169,10 @@ def _stack(s, *names: str) -> tuple:
 
 
 def _unstack(results: list, single: bool):
-    """A stack's results, or a single structure's result (raising its exception)."""
+    """A stack's results, or a single structure's result (raising a :func:`_detached`
+    copy of its exception, so that a kept one collects no frames)."""
     if single and isinstance(results[0], GeometryError):
-        raise results[0]
+        raise _detached(results[0])
     return results[0] if single else results
 
 
@@ -214,15 +217,11 @@ def _connections(members: list[MetricStructure], tol: float) -> list[AffineConne
 
 
 class ContactMetricStructure(MetricStructure):
-    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h; the
-    Nijenhuis norm and its side report are kept once per ``tol``."""
+    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h: the eps = +1
+    member of :class:`MetricStructure`."""
 
     eps = 1.0
     kind = "contact"
-
-    def nijenhuis_norm(self, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
-        """:func:`nijenhuis_norm` of this structure, built once per ``tol``."""
-        return self.cached(("nijenhuis_norm", tol), lambda: nijenhuis_norm(self, tol))
 
 
 def _kernel_basis(eta: np.ndarray) -> np.ndarray:
@@ -338,48 +337,39 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
 
 
 def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
-    """Max-abs of N_phi over basis pairs, plus side identities.
+    """Max-abs of N_phi over basis pairs, plus side identities, built once per ``tol``
+    and kept on ``s``.
 
     The side residuals check phi N(X,Y) + N(phi X, Y) = 2 eta(X) h Y and the
     vanishing of eta(N(phi X, Y)).
     """
-    nij = s.nijenhuis_tensor()
-    nij_phi = np.tensordot(s.phi.T, nij, 1)  # [i, j, :] = N(phi e_i, e_j)
-    side = ResidualReport(tol=tol)
-    side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * eta_x(s.eta, s.h))
-    side.add("nijenhuis_eta_component", nij_phi @ s.eta)
-    return max_abs(nij), side
+
+    def build():
+        nij = s.nijenhuis_tensor()
+        nij_phi = np.tensordot(s.phi.T, nij, 1)  # [i, j, :] = N(phi e_i, e_j)
+        side = ResidualReport(tol=tol)
+        side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * eta_x(s.eta, s.h))
+        side.add("nijenhuis_eta_component", nij_phi @ s.eta)
+        return max_abs(nij), side
+
+    return s.cached(("nijenhuis_norm", tol), build)
 
 
-class _Fit(NamedTuple):
-    """A member's :func:`_fit_r_xi` reading; the paracontact fields are None for contact."""
-
-    kappa: float
-    mu: float | None  # None when ||h|| <= tol: the mu-term, and its column of the fit, vanish
-    residual: float  # of R_{X Y} xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y)
-    h_square_scalar: float | None = None  # least-squares s of h~^2 = s phi~^2
-    h_square_residual: float | None = None  # of that fit
-    h_square_vs_kappa_residual: float | None = None  # of h~^2 = (1 + kappa~) phi~^2
-    reflection_residual: float | None = None  # of the reflection check of nullity_fit
-
-
-def _kept_fits(members: list[MetricStructure], tol: float) -> list[_Fit]:
-    """Each member's :func:`_fit_r_xi` entry, kept under ("nullity", tol)."""
-    return _each(members, ("nullity", tol), partial(_fit_r_xi, tol=tol))
-
-
-def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
-    """Each member's :class:`_Fit` in one pass over the stack: least-squares (kappa, mu)
-    from R_{b xi} xi = kappa b + mu h b over ker(eta), with R(., .) xi formed here
-    from the members' connections and not kept.  The s of h~^2 = s phi~^2 is preferred
-    over an eigensolver: a g~-symmetric h~ need not be diagonalizable under an
-    indefinite metric, while s is defined on every structure certified here.
+def _fit_r_xi(members: list[MetricStructure],
+              tol: float) -> list[NullityReport | GeometryError]:
+    """Each member's :func:`nullity_fit` report, or its error, in one pass over the stack:
+    least-squares (kappa, mu) from R_{b xi} xi = kappa b + mu h b over ker(eta), with
+    R(., .) xi formed here from the members' connections and not kept.  The s of
+    h~^2 = s phi~^2 is preferred over an eigensolver: a g~-symmetric h~ need not be
+    diagonalizable under an indefinite metric, while s is defined on every structure
+    certified here.
     The design matrix is finite, as the tensors are checked where a structure is
     built; a degenerate member's R(., .) xi is NaN, and so is its fit."""
     s0, nb = members[0], len(members)
     xi, eta = s0.xi, s0.eta
     _, _, h, phi = _stack(members, "h", "phi")
-    gamma = _stack_of([c.gamma for c in _kept_connections(members, tol)])
+    conns = _kept_connections(members, tol)
+    gamma = _stack_of([c.gamma for c in conns])
     r_xi = curvature_xi(s0.model, AffineConnection(gamma), xi)  # NaN for a degenerate metric
     dbasis = s0.contact_basis()
     h_zero = max_abs_each(h, nb) <= tol
@@ -409,8 +399,10 @@ def _fit_r_xi(members: list[MetricStructure], tol: float) -> list[_Fit]:
         side = zip(scal.tolist(), max_abs_each(h2 - scal[:, None, None] * p2, nb).tolist(),
                    max_abs_each(h2 - (1.0 + kappa)[:, None, None] * p2, nb).tolist(),
                    max_abs_each(reflection, nb).tolist())
-    return [_Fit(kb, None if hz else mb, rb, *extra) for kb, mb, rb, hz, extra in
-            zip(kappa.tolist(), sol[:, -1].tolist(), residual.tolist(), h_zero.tolist(), side)]
+    each = zip(members, conns, kappa.tolist(), sol[:, -1].tolist(), residual.tolist(),
+               h_zero.tolist(), side)
+    return [_nullity_report(t, c.degenerate, tol, kb, None if hz else mb, rb, *extra)
+            for t, c, kb, mb, rb, hz, extra in each]
 
 
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
@@ -447,23 +439,27 @@ def nullity_fit(s, tol: float = DEFAULT_TOL):
     type of h~ and the side checks h~^2 = (1 + kappa~) phi~^2 and
     R~_{xi X} xi + phi~ R~_{xi phi~ X} xi = 2 (phi~^2 X - h~^2 X);
     :class:`InternalInconsistency` when h~^2 is not proportional to phi~^2.
+    Each member's report, or its error, is kept on it under ("nullity", tol).
     """
     members, single = _stack(s)
-    each = zip(members, _kept_fits(members, tol), _kept_connections(members, tol))
-    return _unstack([_nullity_report(t, fit, conn.degenerate, tol) for t, fit, conn in each], single)
+    return _unstack(_each(members, ("nullity", tol), partial(_fit_r_xi, tol=tol)), single)
 
 
-def _nullity_report(s: MetricStructure, fit: _Fit, degenerate: bool,
-                    tol: float) -> NullityReport | GeometryError:
+def _nullity_report(s: MetricStructure, degenerate: bool, tol: float, kappa: float,
+                    mu: float | None, residual: float, scal: float | None = None,
+                    scal_residual: float | None = None, vs_kappa: float | None = None,
+                    reflection: float | None = None) -> NullityReport | GeometryError:
     """One member of :func:`nullity_fit` (its report, or its error, returned), from its
-    :func:`_fit_r_xi` reading; the one place that decides kappa < 1 and, by its class,
-    where I_M sits relative to +-1, and the spectral type of a paracontact h~ by the
-    sign of s in h~^2 = s phi~^2:
+    :func:`_fit_r_xi` reading: mu is None when ||h|| <= tol (the mu-term, and its column
+    of the fit, vanish), ``residual`` is that of the nullity equation, and the
+    paracontact readings are the least-squares s of h~^2 = s phi~^2, the residual of
+    that fit, of h~^2 = (1 + kappa~) phi~^2 and of the reflection check.  The one place
+    that decides kappa < 1 and, by its class, where I_M sits relative to +-1, and the
+    spectral type of a paracontact h~ by the sign of s:
     a real eigenvalue pair +-sqrt(s) for s > 0, a complex pair for s < 0,
     nilpotent for s = 0 with h~ != 0, zero for h~ = 0."""
     if degenerate:
         return DegenerateMetric(DEGENERATE)
-    kappa, mu, residual = fit.kappa, fit.mu, fit.residual
     if not residual <= tol:
         kind = "" if s.eps > 0 else "paracontact "
         return NotNullity(
@@ -471,18 +467,17 @@ def _nullity_report(s: MetricStructure, fit: _Fit, degenerate: bool,
             residual,
         )
     if s.eps < 0:
-        if not fit.h_square_residual <= tol:
+        if not scal_residual <= tol:
             return InternalInconsistency(
-                f"h~^2 is not proportional to phi~^2 (residual {fit.h_square_residual:.3e})")
-        scal = fit.h_square_scalar
+                f"h~^2 is not proportional to phi~^2 (residual {scal_residual:.3e})")
         # mu is None exactly when the fit found h~ = 0
         stype = ("zero" if mu is None else "real_pair" if scal > tol
                  else "complex_pair" if scal < -tol else "nilpotent")
         return NullityReport(
             kappa=kappa, mu=mu, residual=residual,
             lam=float(np.sqrt(scal)) if stype == "real_pair" else None, spectral_type=stype,
-            h_square_scalar=scal, h_square_vs_kappa_residual=fit.h_square_vs_kappa_residual,
-            curvature_reflection_residual=fit.reflection_residual,
+            h_square_scalar=scal, h_square_vs_kappa_residual=vs_kappa,
+            curvature_reflection_residual=reflection,
         )
     if kappa > 1.0 + tol:
         return NotNullity(f"fitted kappa = {kappa} exceeds 1", residual)
@@ -542,15 +537,14 @@ def blair_identity_suite(
     return report
 
 
-def classification_flags(
-    s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
-) -> dict:
-    """Sasakian / K-contact / Tanaka-Webster-parallel predicates.
+def classification_flags(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> dict:
+    """Sasakian / K-contact / Tanaka-Webster-parallel predicates of a contact nullity space.
 
     ``k_contact`` is the fit's h = 0 (mu indeterminate); ``tw_parallel`` uses the
     mu = 2 criterion for non-Sasakian nullity spaces.
     """
-    nij, _ = s.nijenhuis_norm(tol)
+    report = nullity_fit(s, tol)
+    nij, _ = nijenhuis_norm(s, tol)
     return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": report.mu is None,
             "tw_parallel": _tw_parallel(report, tol)}
 

@@ -48,7 +48,8 @@ class InvariantTooSmall(GeometryError):
 
 
 class InvalidPangPair(GeometryError):
-    """Pang coefficients (a, b) half given, or not of the sign of I_M."""
+    """Pang coefficients (a, b) half given, not of the sign of I_M, or generating
+    constants beyond the float range or an invariant within [-1, 1]."""
 
 
 class NotTransversal(GeometryError):

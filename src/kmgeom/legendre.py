@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contact import ContactMetricStructure, NullityReport, _unstack
+from .contact import ContactMetricStructure, _unstack, nullity_fit
 from .errors import (
     ClassificationMismatch,
     DegeneratePang,
@@ -140,49 +140,48 @@ def involutivity_residual(
 
 
 def eigendistributions(
-    s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
+    s: ContactMetricStructure, tol: float = DEFAULT_TOL
 ) -> tuple[LegendreDistribution, LegendreDistribution]:
-    """g-orthonormal eigenbases of h for +-lambda, verified Legendre and involutive
-    as one stack; the first failure, in the order (+lambda, -lambda), is raised."""
-    if report.lam is None:
-        raise SasakianDegenerate("h has no +-lambda eigenspaces: the fit puts this structure in the "
-                                 f"Sasakian band (kappa >= 1 - tol), kappa = {report.kappa:.12g}")
-    lam = report.lam
-    # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
-    # g = L L^T, to the symmetric problem L^-1 (g h) L^-T w = lam w; the vectors
-    # v = L^-T w are then g-orthonormal
-    gh = s.g @ s.h
-    l_inv = np.linalg.inv(np.linalg.cholesky(s.g))
-    vals, w = np.linalg.eigh(l_inv @ (0.5 * (gh + gh.T)) @ l_inv.T)
-    vecs = l_inv.T @ w
-    band = max(100 * tol, 1e-8 * max(1.0, abs(lam)))
-    idx = [np.flatnonzero(np.abs(vals - target) <= band) for target in (lam, -lam)]
-    # the members before the first of another multiplicity than n, as one stack
-    k = next((b for b, found in enumerate(idx) if len(found) != s.n), 2)
-    if k:
-        bases = vecs.T[np.array(idx[:k])]
-        pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
-        for ld, residual in zip(pair, involutivity_residual(s.model, s.eta, s.xi, bases)):
-            if isinstance(ld, GeometryError):
-                raise ld
-            if not residual <= tol:
-                raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
-    if k < 2:
-        raise SasakianDegenerate(
-            f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
-    # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
-    # 2 lambda, where ``tol`` is the band of the invariant-based class
-    d_pos, d_neg = (ld._replace(definiteness=_definiteness(
-        np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * lam), tol)) for ld in pair)
-    return d_pos, d_neg
+    """g-orthonormal eigenbases of h for +-lambda (lambda of the structure's nullity
+    fit), verified Legendre and involutive as one stack; the first failure, in the
+    order (+lambda, -lambda), is raised.  Built once per ``tol`` and kept on ``s``,
+    as is its error."""
 
+    def build():
+        report = nullity_fit(s, tol)
+        if report.lam is None:
+            raise SasakianDegenerate("h has no +-lambda eigenspaces: the fit puts this structure in the "
+                                     f"Sasakian band (kappa >= 1 - tol), kappa = {report.kappa:.12g}")
+        lam = report.lam
+        # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
+        # g = L L^T, to the symmetric problem L^-1 (g h) L^-T w = lam w; the vectors
+        # v = L^-T w are then g-orthonormal
+        gh = s.g @ s.h
+        l_inv = np.linalg.inv(np.linalg.cholesky(s.g))
+        vals, w = np.linalg.eigh(l_inv @ (0.5 * (gh + gh.T)) @ l_inv.T)
+        vecs = l_inv.T @ w
+        band = max(100 * tol, 1e-8 * max(1.0, abs(lam)))
+        idx = [np.flatnonzero(np.abs(vals - target) <= band) for target in (lam, -lam)]
+        # the members before the first of another multiplicity than n, as one stack
+        k = next((b for b, found in enumerate(idx) if len(found) != s.n), 2)
+        if k:
+            bases = vecs.T[np.array(idx[:k])]
+            pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
+            for ld, residual in zip(pair, involutivity_residual(s.model, s.eta, s.xi, bases)):
+                if isinstance(ld, GeometryError):
+                    raise ld
+                if not residual <= tol:
+                    raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
+        if k < 2:
+            raise SasakianDegenerate(
+                f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
+        # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
+        # 2 lambda, where ``tol`` is the band of the invariant-based class
+        d_pos, d_neg = (ld._replace(definiteness=_definiteness(
+            np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * lam), tol)) for ld in pair)
+        return d_pos, d_neg
 
-def _cached_eigendistributions(
-    s: ContactMetricStructure, report: NullityReport, tol: float
-) -> tuple[LegendreDistribution, LegendreDistribution]:
-    """:func:`eigendistributions`, built once per (report, tol) and kept on ``s``."""
-    return s.cached(("eigendistributions", report, tol),
-                    lambda: eigendistributions(s, report, tol))
+    return s.cached(("eigendistributions", tol), build)
 
 
 _CLASS_BY_PATTERN = {
@@ -194,11 +193,11 @@ _CLASS_BY_PATTERN = {
 }
 
 
-def classify_class(
-    s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
-) -> str:
-    """Class I-V from Pang definiteness, cross-checked against the invariant rule."""
-    pattern = tuple(ld.definiteness for ld in _cached_eigendistributions(s, report, tol))
+def classify_class(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> str:
+    """Class I-V from Pang definiteness, cross-checked against the invariant rule of
+    the structure's nullity fit."""
+    report = nullity_fit(s, tol)
+    pattern = tuple(ld.definiteness for ld in eigendistributions(s, tol))
     pang_tag = _CLASS_BY_PATTERN.get(pattern)
     if pang_tag is None:
         raise ClassificationMismatch(f"Pang pattern {pattern} matches no class")

@@ -18,7 +18,8 @@ hold phi~, g~ and h~.  It is validated and fitted by the contact functions,
 whose :class:`kmgeom.contact.NullityReport` carries the spectral type of h~,
 decided in the fit's one pass from the scalar s with h~^2 = s phi~^2.
 This module adds what only the paracontact side has: the canonical
-paracontact connection and the integrability and para-Sasakian predicates.
+paracontact connection and the integrability and para-Sasakian predicates,
+each a function of (s, tol) whose result is kept on ``s``.
 """
 
 import numpy as np
@@ -32,15 +33,10 @@ from .riemann import AffineConnection, eta_x, eta_y, form_xy, on_pairs
 class ParacontactMetricStructure(MetricStructure):
     """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h: the
     eps = -1 member of :class:`MetricStructure`, whose ``phi``, ``g`` and ``h``
-    are phi~, g~ and h~; the integrability predicates are kept once per ``tol``."""
+    are phi~, g~ and h~."""
 
     eps = -1.0
     kind = "paracontact"
-
-    def integrability_and_parasasaki(self, tol: float = DEFAULT_TOL) -> dict:
-        """:func:`integrability_and_parasasaki` of this structure, computed once per ``tol``."""
-        return self.cached(("integrability_and_parasasaki", tol),
-                           lambda: integrability_and_parasasaki(self, tol))
 
 
 def canonical_pc_connection(
@@ -100,7 +96,8 @@ def _pc_connection(
 def integrability_and_parasasaki(
     s: ParacontactMetricStructure, tol: float = DEFAULT_TOL
 ) -> dict:
-    """Integrability and para-Sasakian predicates.
+    """Integrability and para-Sasakian predicates, computed once per ``tol`` and kept
+    on ``s``.
 
     Integrability is computed two independent ways (Nijenhuis torsion valued
     in R xi on the contact distribution, and vanishing of nabla^pc phi~); a
@@ -108,27 +105,31 @@ def integrability_and_parasasaki(
     The curvature form R~_{XY} xi = -(eta(Y) X - eta(X) Y) that a para-Sasakian
     structure satisfies is the kappa~ = -1 nullity condition of :func:`nullity_fit`.
     """
-    kbasis = s.contact_basis()
-    nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
-    worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
-    integrable_n = worst_d <= tol
 
-    _, _, pc_nabla_phi = _pc_connection(s, tol)
-    worst_pc = max_abs(pc_nabla_phi)
-    integrable_pc = worst_pc <= tol
+    def build():
+        kbasis = s.contact_basis()
+        nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
+        worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
+        integrable_n = worst_d <= tol
 
-    if integrable_n != integrable_pc and abs(worst_d - worst_pc) > 10.0 * tol:
-        raise InternalInconsistency(
-            f"integrability criteria disagree: Nijenhuis residual {worst_d:.3e}, "
-            f"nabla^pc phi~ residual {worst_pc:.3e}"
-        )
+        _, _, pc_nabla_phi = _pc_connection(s, tol)
+        worst_pc = max_abs(pc_nabla_phi)
+        integrable_pc = worst_pc <= tol
 
-    # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X, the closed form at h~ = 0
-    ps = max_abs(s.nabla_phi(tol) - nabla_phi_closed_form(s, 0.0))
-    return {
-        "integrable": bool(integrable_n),
-        "para_sasakian": bool(ps <= tol),
-        "nijenhuis_d_residual": worst_d,
-        "pc_parallel_phi_residual": worst_pc,
-        "para_sasaki_residual": ps,
-    }
+        if integrable_n != integrable_pc and abs(worst_d - worst_pc) > 10.0 * tol:
+            raise InternalInconsistency(
+                f"integrability criteria disagree: Nijenhuis residual {worst_d:.3e}, "
+                f"nabla^pc phi~ residual {worst_pc:.3e}"
+            )
+
+        # para-Sasakian: (nabla~_X phi~) Y = -g~(X, Y) xi + eta(Y) X, the closed form at h~ = 0
+        ps = max_abs(s.nabla_phi(tol) - nabla_phi_closed_form(s, 0.0))
+        return {
+            "integrable": bool(integrable_n),
+            "para_sasakian": bool(ps <= tol),
+            "nijenhuis_d_residual": worst_d,
+            "pc_parallel_phi_residual": worst_pc,
+            "para_sasaki_residual": ps,
+        }
+
+    return s.cached(("integrability_and_parasasaki", tol), build)

@@ -20,9 +20,11 @@ every step:
   whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
   and the 3-web its eigendistributions cut on the contact distribution.
 
-Every construction builds its tower nodes 1 and 2 through the one node builder,
-which verifies each node: a node that fails its checks stops the construction;
-where the space sits relative to |I_M| = 1 is read from the class of its fit.
+Every construction is a function of (s, tol) that reads the structure's one kept
+fit, ``nullity_fit(s, tol)``, and builds its tower nodes 1 and 2 through the
+one node builder, which verifies each node: a node that fails its checks stops
+the construction; where the space sits relative to |I_M| = 1 is read from the
+class of that fit.
 """
 
 from typing import NamedTuple
@@ -33,8 +35,10 @@ from .contact import (
     ContactMetricStructure,
     MetricStructure,
     NullityReport,
+    _detached,
     _tw_parallel,
     blair_identity_suite,
+    nijenhuis_norm,
     nullity_fit,
     validate_contact,
 )
@@ -48,7 +52,7 @@ from .errors import (
 )
 from .legendre import (
     LegendreDistribution,
-    _cached_eigendistributions,
+    eigendistributions,
     involutivity_residual,
     legendre_distribution,
     legendre_pair_constants,
@@ -71,7 +75,6 @@ class TowerNode(NamedTuple):
 
     kind = property(lambda self: self.structure.kind)  # "contact" | "paracontact"
     phi = property(lambda self: self.structure.phi)
-    G = property(lambda self: self.structure.g)
     kappa = property(lambda self: self.fit.kappa)
     mu = property(lambda self: self.fit.mu)
     fit_residual = property(lambda self: self.fit.residual)
@@ -166,18 +169,18 @@ def _phi_bar(s: ContactMetricStructure, report: NullityReport) -> np.ndarray:
 
 
 def _canonical_pair(
-    s: ContactMetricStructure, report: NullityReport, tol: float
+    s: ContactMetricStructure, tol: float
 ) -> tuple[ParacontactMetricStructure, TowerNode]:
     """The canonical paracontact structure of ``s`` and the tower node derived
     from it (nodes 1 and 2, verified as :func:`sequence` verifies them, without
-    the closed-form checks of :func:`step_checks`), built once per (report, tol)
+    the closed-form checks of :func:`step_checks`), built once per ``tol``
     and kept on ``s``, as is the error of a node that fails."""
 
     def build():
-        node1, node2 = _derived_nodes(s, (1, 2), report, tol)
+        node1, node2 = _derived_nodes(s, (1, 2), nullity_fit(s, tol), tol)
         return node1.structure, node2
 
-    return s.cached(("canonical_pair", report, tol), build)
+    return s.cached(("canonical_pair", tol), build)
 
 
 def _derived_nodes(prev: MetricStructure, ks, fit0: NullityReport, tol: float) -> list[TowerNode]:
@@ -213,8 +216,8 @@ def _derived_nodes(prev: MetricStructure, ks, fit0: NullityReport, tol: float) -
     nodes = []
     for k, s in zip(ks, structures):
         checks, fit = verified[id(s)]
-        if isinstance(fit, GeometryError):
-            raise fit
+        if isinstance(fit, GeometryError):  # kept on s: a copy collects the frames
+            raise _detached(fit)
         checks = ResidualReport(checks.tol, dict(checks.entries), dict(checks.notes))
         predicted = fit0.kappa + (s.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
         checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
@@ -282,8 +285,9 @@ def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> R
     return checks
 
 
-def _require_large_invariant(report: NullityReport, tol: float) -> float:
+def _require_large_invariant(s: ContactMetricStructure, tol: float) -> float:
     """I_M of a class I or III space (|I_M| > 1); :class:`InvariantTooSmall` otherwise."""
+    report = nullity_fit(s, tol)
     _require_non_sasakian(report)
     if report.class_tag == "II":
         raise InvariantTooSmall(f"|I_M| = {abs(report.boeckx)} <= 1: construction undefined")
@@ -293,10 +297,10 @@ def _require_large_invariant(report: NullityReport, tol: float) -> float:
     return report.boeckx
 
 
-def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, inv: float, tol: float):
+def _phi_eigenframe(s: ContactMetricStructure, inv: float, tol: float):
     """g-orthonormal h-eigenbasis (X_1..X_n with h X_i = lambda X_i), Y_i = phi X_i,
     and the h~-eigenvectors gamma X_i +- Y_i for +-lambda~ (gamma = sqrt((I_M-1)/(I_M+1)))."""
-    d_pos, _ = _cached_eigendistributions(s, report, tol)
+    d_pos, _ = eigendistributions(s, tol)
     xs = d_pos.vectors
     ys = (s.phi @ xs.T).T
     gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
@@ -307,7 +311,6 @@ def _phi_eigenframe(s: ContactMetricStructure, report: NullityReport, inv: float
 
 def second_bilegendrian_analysis(
     s: ContactMetricStructure,
-    report: NullityReport,
     a: float | None = None,
     b: float | None = None,
     tol: float = DEFAULT_TOL,
@@ -322,11 +325,13 @@ def second_bilegendrian_analysis(
     the opposite eigendistribution); and the generated family of compatible
     nullity structures with Pang coefficients (a, b), constrained by
     a b = 4 ((1 - mu/2)^2 - (1 - kappa)), reproduces the paracontact
-    constants of the next tower node.  A caller's (a, b) must be given whole and
-    carry the sign of I_M; otherwise :class:`InvalidPangPair` is raised before
-    anything is built.
+    constants of the next tower node.  A caller's (a, b) must be given whole,
+    carry the sign of I_M and generate finite constants (kappa', mu') and a finite
+    regenerated paracontact kappa with an invariant outside [-1, 1]; otherwise
+    :class:`InvalidPangPair` is raised before anything is built.
     """
-    inv = _require_large_invariant(report, tol)
+    inv = _require_large_invariant(s, tol)
+    report = nullity_fit(s, tol)
     delta = _delta(report.kappa, report.mu)
     if a is None and b is None:
         mag = np.sqrt(4.0 * delta)
@@ -339,15 +344,27 @@ def second_bilegendrian_analysis(
         raise InvalidPangPair("a, b must be positive when I_M > 1")
     if inv < 0 and not (a < 0 and b < 0):
         raise InvalidPangPair("a, b must be negative when I_M < -1")
+    try:  # the generated constants, and the paracontact kappa they regenerate
+        kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
+        regenerated = kappa_new - 2.0 + (1.0 - mu_new / 2.0) ** 2
+    except OverflowError:  # a float ** past the largest float
+        kappa_new = mu_new = regenerated = np.inf
+    if not np.isfinite([kappa_new, mu_new, regenerated]).all():
+        raise InvalidPangPair(f"(a, b) = ({a:g}, {b:g}) generates constants beyond the float range")
+    # a = b generates the Sasakian member of the family (kappa' = 1); the
+    # invariant degenerates to +-infinity there
+    new_inv = (a + b) / abs(a - b) if abs(a - b) > 1e-15 else np.sign(a) * np.inf
+    if abs(new_inv) <= 1.0:
+        raise InvalidPangPair(f"generated invariant {new_inv} not outside [-1, 1]")
     lam_t = float(np.sqrt(delta))
     checks = ResidualReport(tol=tol)
 
-    st, node = _canonical_pair(s, report, tol)
+    st, node = _canonical_pair(s, tol)
     h_t = st.h
 
     checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * st.phi @ st.phi)
 
-    _, _, plus, minus = _phi_eigenframe(s, report, inv, tol)
+    _, _, plus, minus = _phi_eigenframe(s, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
     bases = np.stack([plus, minus])  # one stack; its first failure (plus, then minus) is raised
     pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
@@ -367,24 +384,14 @@ def second_bilegendrian_analysis(
         checks.add(f"libermann_{name}_closed_form", lam_op @ proj - closed)
 
     checks.add("pang_coefficient_product", abs(a * b - 4.0 * delta))
-
-    kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
-    # a = b generates the Sasakian member of the family (kappa' = 1); the
-    # invariant degenerates to +-infinity there
-    new_inv = (a + b) / abs(a - b) if abs(a - b) > 1e-15 else np.sign(a) * np.inf
-    if abs(new_inv) <= 1.0:
-        raise InternalInconsistency(f"generated invariant {new_inv} not outside [-1, 1]")
     # the generated structures must induce the same paracontact constants
-    checks.add("regenerated_kappa_delta",
-               abs((kappa_new - 2.0 + (1.0 - mu_new / 2.0) ** 2) - node.kappa))
+    checks.add("regenerated_kappa_delta", abs(regenerated - node.kappa))
     return SecondPairAnalysis(
         lambda_t=lam_t, d_plus=d_plus, d_minus=d_minus, pang_value=expected_pang, a=float(a),
         b=float(b), kappa_new=kappa_new, mu_new=mu_new, new_invariant=float(new_inv), checks=checks)
 
 
-def sasakian_structure(
-    s: ContactMetricStructure, report: NullityReport, tol: float = DEFAULT_TOL
-) -> SasakianPackage:
+def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> SasakianPackage:
     """The compatible Sasakian structure of a class I or III (|I_M| > 1) nullity space.
 
     phi-bar = +-((1 - mu/2) phi + phi h) / sqrt(delta) (sign of I_M),
@@ -397,20 +404,20 @@ def sasakian_structure(
     eigendistributions D(lambda), D(-lambda), D(lambda~), D(-lambda~) spans
     ker(eta).
     """
-    inv = _require_large_invariant(report, tol)
+    inv = _require_large_invariant(s, tol)
     sign = 1.0 if inv > 0 else -1.0
-    phi_bar = sign * _phi_bar(s, report)
+    phi_bar = sign * _phi_bar(s, nullity_fit(s, tol))
     sbar = ContactMetricStructure.compatible(s.model, phi_bar, s.xi, s.eta)
 
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(sbar, tol))
     checks.add("h_bar_vanishes", sbar.h)
-    nij, _ = sbar.nijenhuis_norm(tol)
+    nij, _ = nijenhuis_norm(sbar, tol)
     checks.add("nijenhuis_vanishes", nij)
     fit = nullity_fit(sbar, tol)
     checks.add("fitted_kappa_is_one", abs(fit.kappa - 1.0))
 
-    st, node = _canonical_pair(s, report, tol)
+    st, node = _canonical_pair(s, tol)
     phi_t, phi_t1 = st.phi, node.phi
     checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
@@ -426,7 +433,7 @@ def sasakian_structure(
     checks.add("phi_tilde1_kills_xi", phi_t1 @ s.xi)
 
     # 3-web: the determinant on ker(eta) of each pair of the four eigenframes, one stack
-    xs, ys, plus, minus = _phi_eigenframe(s, report, inv, tol)
+    xs, ys, plus, minus = _phi_eigenframe(s, inv, tol)
     frames = np.stack([xs, ys, plus / np.linalg.norm(plus, axis=1, keepdims=True),
                        minus / np.linalg.norm(minus, axis=1, keepdims=True)])
     first, second = np.triu_indices(4, 1)

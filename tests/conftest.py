@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kmgeom.catalog import family_3d, heisenberg_3d, nilpotent_h_5d
-from kmgeom.contact import ContactMetricStructure, nullity_fit
+from kmgeom.contact import ContactMetricStructure
 from kmgeom.lie_model import LieModel
 from kmgeom.paracontact import ParacontactMetricStructure
 from kmgeom.tower import sasakian_structure
@@ -41,7 +41,7 @@ def heisenberg():
 def sasakian_fixture() -> ContactMetricStructure:
     """A genuine Sasakian structure: the compatible one built from a class-I space."""
     s = family(1.0, 2.0)
-    return sasakian_structure(s, nullity_fit(s)).structure
+    return sasakian_structure(s).structure
 
 
 def twisted_contact_3d(a=1.0, r=1.0) -> ContactMetricStructure:

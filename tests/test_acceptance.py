@@ -85,7 +85,7 @@ def test_criterion_3_contact_branch():
         predicted = fit.kappa + (1.0 - fit.mu / 2.0) ** 2
         assert abs(node.kappa - predicted) <= 1e-8
         assert abs(node.mu - 2.0) <= 1e-8
-        p, q, z = signature(node.G)
+        p, q, z = signature(node.structure.g)
         assert (q, z) == (0, 0)
         inv = fit.boeckx
         expected_h1 = np.sqrt(1.0 - inv**2) * s.h
@@ -104,7 +104,7 @@ def test_criterion_4_paracontact_branch_and_second_pair():
     assert abs(node.kappa - predicted) <= 1e-8
     assert abs(node.mu - 2.0) <= 1e-8
 
-    ana = second_bilegendrian_analysis(s, fit)
+    ana = second_bilegendrian_analysis(s)
     assert abs(ana.lambda_t - np.sqrt(3.0)) <= 1e-9
     assert abs(ana.pang_value - 4.0) <= 1e-8  # 4 lambda (I_M - 1) with lambda=1, I=2
     assert ana.checks["pang_value_plus"] <= 1e-8
@@ -143,7 +143,7 @@ def test_criterion_6_sasakian_structures():
     for d in (2.0, -2.0):
         s = family(1.0, d)
         fit = nullity_fit(s)
-        pkg = sasakian_structure(s, fit)
+        pkg = sasakian_structure(s)
         assert validate_contact(pkg.structure).valid
         nij, _ = nijenhuis_norm(pkg.structure)
         assert nij <= 1e-8
@@ -227,7 +227,7 @@ def test_criterion_8_closed_form_cross_checks():
         for d in GRID_DS:
             s = family(lam, d)
             fit = nullity_fit(s)
-            d_pos, d_neg = eigendistributions(s, fit)
+            d_pos, d_neg = eigendistributions(s)
             for ld, coeff in (
                 (d_pos, 2 * fit.lam - fit.mu + 2),
                 (d_neg, -2 * fit.lam - fit.mu + 2),
@@ -241,7 +241,7 @@ def test_criterion_8_closed_form_cross_checks():
     for lam, d in [(1.0, 0.0), (1.0, 2.0), (2.0, 1.0), (0.5, -2.0), (1.0, -1.0)]:
         s = family(lam, d)
         fit = nullity_fit(s)
-        d_pos, d_neg = eigendistributions(s, fit)
+        d_pos, d_neg = eigendistributions(s)
         st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
         st_can = sequence(s, 2)[1].structure
         worst_psi = max(
@@ -268,18 +268,18 @@ def test_criterion_9_negative_paths(sasakian_fixture):
         s = family(1.0, d)
         fit = nullity_fit(s)
         assert fit.class_tag == tag
-        assert classify_class(s, fit) == tag
+        assert classify_class(s) == tag
         assert step_checks(*sequence(s, 2)).valid  # node 1 exists at |I_M| = 1
         with pytest.raises(DegenerateInvariant):
             sequence(s, 3)
         with pytest.raises(InvariantTooSmall):
-            sasakian_structure(s, fit)
+            sasakian_structure(s)
         with pytest.raises(InvariantTooSmall):
-            second_bilegendrian_analysis(s, fit)
+            second_bilegendrian_analysis(s)
 
     fit = nullity_fit(sasakian_fixture)
     with pytest.raises(SasakianDegenerate):
-        eigendistributions(sasakian_fixture, fit)
+        eigendistributions(sasakian_fixture)
     with pytest.raises(SasakianOrInvalid):
         boeckx_invariant(fit.kappa, 0.0)
     _pass(9, "boundary classes IV/V and Sasakian structures rejected with the "

@@ -1,7 +1,7 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
-derived structure, Nijenhuis tensor, Nijenhuis side report, kernel basis of
-eta, h-eigenframe and paracontact integrability check built once per run of
-the CLI, one Legendre validation per bi-Legendrian pair, and one argument
+nullity fit, derived structure, Nijenhuis tensor, Nijenhuis side report, kernel
+basis of eta, h-eigenframe and paracontact integrability check built once per
+run of the CLI, one Legendre validation per bi-Legendrian pair, and one argument
 parser per process."""
 
 import hashlib
@@ -17,28 +17,29 @@ COUNTED = {
     "levi_civita": riemann.levi_civita,
     "step_checks": tower.step_checks,
     "canonical_pc_connection": paracontact.canonical_pc_connection,
-    # read by two paracontact stage rows of the CLI, computed once
-    "integrability_and_parasasaki": paracontact.integrability_and_parasasaki,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
-    "nijenhuis_norm": contact.nijenhuis_norm,  # builds the side report
     "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
-    "eigendistributions": legendre.eigendistributions,
     # one call per bi-Legendrian pair: each validates its two distributions as a stack
     "legendre_distribution": legendre.legendre_distribution,
     "involutivity_residual": legendre.involutivity_residual,
     "libermann_map": legendre.libermann_map,
     "build_parser": cli.build_parser,
 }
+# the memo entries counted where the memo (contact._each) builds them, one per member:
+# the integrability check read by two paracontact stage rows of the CLI, the
+# Nijenhuis norm with its side report, the h-eigenframe and the nullity fit
+KEPT = ("integrability_and_parasasaki", "nijenhuis_norm", "eigendistributions", "nullity")
 
 
 def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
     """Count calls of the functions in COUNTED, rebinding each name in every
-    kmgeom module that binds it; also collect a digest of every metric solved
-    (each member of a stacked Levi-Civita call) and, per counted build, the
-    structures that asked for it (kept alive, so that their ids stay distinct)."""
-    counts = dict.fromkeys(COUNTED, 0)
+    kmgeom module that binds it, and the builds of the memo entries in KEPT; also
+    collect a digest of every metric solved (each member of a stacked Levi-Civita
+    call) and, per counted build, the structures that asked for it (kept alive, so
+    that their ids stay distinct)."""
+    counts = dict.fromkeys([*COUNTED, *KEPT], 0)
     solved = []
-    askers = {"nijenhuis_norm": [], "_kernel_basis": []}
+    askers = {name: [] for name in (*KEPT, "_kernel_basis")}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -46,8 +47,6 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
             if name == "levi_civita":  # one solve per member of a stack of metrics
                 for g in np.reshape(args[1], (-1, args[0].dim, args[0].dim)):
                     solved.append(hashlib.sha1(args[0].c.tobytes() + g.tobytes()).digest())
-            if name == "nijenhuis_norm":
-                askers[name].append(args[0])
             return fn(*args, **kwargs)
 
         return wrapper
@@ -59,6 +58,21 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
 
+    each = contact._each
+
+    def counting_each(members, key, build):
+        name = key if isinstance(key, str) else key[0]
+        if name not in KEPT:
+            return each(members, key, build)
+
+        def counted(missing):
+            counts[name] += len(missing)
+            askers[name].extend(missing)
+            return build(missing)
+
+        return each(members, key, counted)
+
+    monkeypatch.setattr(contact, "_each", counting_each)
     contact_basis = contact.MetricStructure.contact_basis
 
     def asking_contact_basis(self):
@@ -79,25 +93,27 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], 4,
          {"levi_civita": 3, "step_checks": 0,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
-          "_kernel_basis": 3, "legendre_distribution": 2, "involutivity_residual": 2}),
+          "_kernel_basis": 3, "legendre_distribution": 2, "involutivity_residual": 2,
+          "nullity": 4}),
         # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its
         # structure; one stack per kind (nodes 1, 2) after node 0
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"], 3,
          {"levi_civita": 3, "step_checks": 0, "nijenhuis_tensor": 1, "eigendistributions": 1,
           "nijenhuis_norm": 1, "_kernel_basis": 3, "legendre_distribution": 1,
-          "involutivity_residual": 1}),
+          "involutivity_residual": 1, "nullity": 3}),
         # class I: every node from 1 on is paracontact, and node 5 is node 1;
         # nodes 1-4 are solved as one stack
         (family_3d(1.0, 2.0), ["derive", "--steps", "6"], 5,
          {"levi_civita": 2, "step_checks": 0, "nijenhuis_tensor": 1, "nijenhuis_norm": 1,
-          "_kernel_basis": 2}),
+          "_kernel_basis": 2, "nullity": 5}),
         # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
         (family_3d(1.0, 0.0), ["derive", "--steps", "6"], 2,
          {"levi_civita": 2, "step_checks": 0, "nijenhuis_tensor": 1, "nijenhuis_norm": 1,
-          "_kernel_basis": 2}),
+          "_kernel_basis": 2, "nullity": 2}),
         (nilpotent_h_5d(), ["analyze"], 1,
          {"levi_civita": 1, "step_checks": 0, "canonical_pc_connection": 1, "nijenhuis_tensor": 1,
-          "nijenhuis_norm": 0, "_kernel_basis": 1, "integrability_and_parasasaki": 1}),
+          "nijenhuis_norm": 0, "_kernel_basis": 1, "integrability_and_parasasaki": 1,
+          "nullity": 1}),
     ],
     ids=["class-I-analyze", "class-II-derive", "class-I-derive", "class-II-mu-2-derive",
          "nilpotent-h-5d-analyze"],
@@ -115,11 +131,16 @@ def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv,
         assert counts[name] == len({id(st) for st in structures})
 
 
-@pytest.mark.parametrize("pair", [["--a", "-1", "--b", "-12"], ["--a", "1"]],
-                         ids=["wrong-sign", "half-given"])
+@pytest.mark.parametrize(
+    "pair",
+    [["--a", "-1", "--b", "-12"], ["--a", "1"], ["--a", "1e155", "--b", "1e155"],
+     ["--a", "1e200", "--b", "1e-200"], ["--a", "1", "--b", "1e-20"]],
+    ids=["wrong-sign", "half-given", "mu-beyond-float-range", "kappa-beyond-float-range",
+         "invariant-one"])
 def test_rejected_pang_pair_builds_nothing(tmp_path, capsys, monkeypatch, pair):
-    # the second pair checks (a, b) before its eigenframe, Legendre stack and
-    # Libermann maps: only the h-eigenpair of the class is validated
+    # the second pair checks (a, b), and the finite constants and |I'| > 1 it
+    # generates, before its eigenframe, Legendre stack and Libermann maps: only the
+    # h-eigenpair of the class is validated
     path = tmp_path / "model.json"
     path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
     counts, _, _ = _count_calls(monkeypatch)

@@ -165,13 +165,13 @@ def test_blair_identities_both_signs(name):
 
 def test_classification_flags():
     s = family(1.0, 0.0)
-    flags = classification_flags(s, nullity_fit(s))
+    flags = classification_flags(s)
     assert flags == {"sasakian": False, "k_contact": False, "tw_parallel": True}
     s = family(1.0, 2.0)
-    flags = classification_flags(s, nullity_fit(s))
+    flags = classification_flags(s)
     assert not flags["tw_parallel"]  # mu = -2
 
 
 def test_classification_flags_sasakian(sasakian_fixture):
-    flags = classification_flags(sasakian_fixture, nullity_fit(sasakian_fixture))
+    flags = classification_flags(sasakian_fixture)
     assert flags["sasakian"] and flags["k_contact"] and not flags["tw_parallel"]

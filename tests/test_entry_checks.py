@@ -18,7 +18,6 @@ import warnings
 import numpy as np
 import pytest
 
-from kmgeom.contact import nullity_fit
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
 from kmgeom.legendre import (eigendistributions, involutivity_residual, legendre_distribution,
                              libermann_map)
@@ -59,7 +58,7 @@ def _legendre(call, field):
 def _libermann(value=None):
     """libermann_map with the first entry of D(lambda)'s basis set to ``value``, or with
     that basis one entry short when ``value`` is None."""
-    d_pos, d_neg = eigendistributions(CONTACT, nullity_fit(CONTACT))
+    d_pos, d_neg = eigendistributions(CONTACT)
     vectors = d_pos.vectors[:, :-1] if value is None else _poisoned(d_pos.vectors, value)
     return libermann_map(CONTACT, d_pos._replace(vectors=vectors), d_neg)
 
@@ -101,7 +100,7 @@ def _misshapen(s, field):
 
 def _libermann_pang():
     """libermann_map with D(lambda)'s Pang form one column too wide."""
-    d_pos, d_neg = eigendistributions(CONTACT, nullity_fit(CONTACT))
+    d_pos, d_neg = eigendistributions(CONTACT)
     return libermann_map(CONTACT, d_pos._replace(pang=np.ones((1, 2))), d_neg)
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kmgeom import legendre
 from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import (
     ClassificationMismatch,
@@ -35,14 +36,14 @@ E3 = np.eye(3)
 
 def test_eigendistributions_family_class_ii():
     s = family(1.0, 0.0)
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     assert np.allclose(np.abs(d_pos.vectors), [[1.0, 0.0, 0.0]])
     assert np.allclose(np.abs(d_neg.vectors), [[0.0, 1.0, 0.0]])
 
 
 def test_eigendistribution_eigenvalues_lambda_two():
     s = family(2.0, 1.0)
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     for v in d_pos.vectors:
         assert np.allclose(s.h @ v, 2.0 * v)
     for v in d_neg.vectors:
@@ -52,7 +53,7 @@ def test_eigendistribution_eigenvalues_lambda_two():
 def test_eigendistributions_reject_sasakian(sasakian_fixture):
     fit = nullity_fit(sasakian_fixture)
     with pytest.raises(SasakianDegenerate):
-        eigendistributions(sasakian_fixture, fit)
+        eigendistributions(sasakian_fixture)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +66,7 @@ def test_eigendistributions_reject_sasakian(sasakian_fixture):
 )
 def test_pang_closed_form_values(lam, d, coeff_pos, coeff_neg):
     s = family(lam, d)
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     g_pos = d_pos.vectors @ s.g @ d_pos.vectors.T
     g_neg = d_neg.vectors @ s.g @ d_neg.vectors.T
     assert np.allclose(d_pos.pang, coeff_pos * g_pos, atol=1e-9)
@@ -76,18 +77,19 @@ def test_pang_closed_form_values(lam, d, coeff_pos, coeff_neg):
 def test_classify_all_five_classes(tag, params):
     s = family(*params)
     fit = nullity_fit(s)
-    assert classify_class(s, fit) == tag == fit.class_tag
+    assert classify_class(s) == tag == fit.class_tag
 
 
-def test_classify_mismatch_detection():
+def test_classify_mismatch_detection(monkeypatch):
     s = family(1.0, 0.0)
     fit = nullity_fit(s)
     wrong = type(fit)(
         kappa=fit.kappa, mu=fit.mu, residual=fit.residual,
         lam=fit.lam, boeckx=fit.boeckx, class_tag="I",
     )
+    monkeypatch.setattr(legendre, "nullity_fit", lambda *args: wrong)
     with pytest.raises(ClassificationMismatch):
-        classify_class(s, wrong)
+        classify_class(s)
 
 
 def test_libermann_closed_form_second_pair():
@@ -95,7 +97,7 @@ def test_libermann_closed_form_second_pair():
     # eigendistribution is h~_1 / (2 lambda~^2); here lambda~^2 = 3
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    ana = second_bilegendrian_analysis(s, fit)
+    ana = second_bilegendrian_analysis(s)
     node = sequence(s, 3)[2]
     lam_map = libermann_map(s, ana.d_plus, ana.d_minus)
     h_t1 = node.structure.h
@@ -110,14 +112,14 @@ def test_libermann_closed_form_second_pair():
 
 def test_libermann_rejects_flat_pang():
     s = family(1.0, 1.0)  # class IV: the negative eigendistribution is flat
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     with pytest.raises(DegeneratePang):
         libermann_map(s, d_neg, d_pos)
 
 
 def test_conjugate_distribution_swaps_eigenspaces():
     s = family(1.0, 0.0)
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     q = conjugate_distribution(s, d_pos)
     assert np.allclose(q.span_projector(), d_neg.span_projector(), atol=1e-12)
     # phi^2 = -I on the contact distribution collapses Q back onto L
@@ -129,7 +131,7 @@ def test_conjugate_distribution_swaps_eigenspaces():
 def test_psi_image_is_canonical_paracontact(lam, d):
     s = family(lam, d)
     fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s, fit)
+    d_pos, d_neg = eigendistributions(s)
     st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     st_can = sequence(s, 2)[1].structure
     assert np.max(np.abs(st_psi.phi - st_can.phi)) <= 1e-9
@@ -140,7 +142,7 @@ def test_psi_image_is_canonical_paracontact(lam, d):
 def test_psi_swapped_arguments_negate_phi():
     s = family(1.0, 0.0)
     fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s, fit)
+    d_pos, d_neg = eigendistributions(s)
     a = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     b = psi_to_paracontact(s.model, d_neg, d_pos, s.eta)
     proj = a.contact_projector()
@@ -149,14 +151,14 @@ def test_psi_swapped_arguments_negate_phi():
 
 def test_psi_rejects_non_transversal_pair():
     s = family(1.0, 0.0)
-    d_pos, _ = eigendistributions(s, nullity_fit(s))
+    d_pos, _ = eigendistributions(s)
     with pytest.raises(NotTransversal):
         psi_to_paracontact(s.model, d_pos, d_pos, s.eta)
 
 
 def test_bilegendrian_connection_rejects_non_transversal_pair():
     s = family(1.0, 0.0)
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     with pytest.raises(NotTransversal):
         bilegendrian_connection(st, d_pos, d_pos)
@@ -165,7 +167,7 @@ def test_bilegendrian_connection_rejects_non_transversal_pair():
 def test_bilegendrian_connection_parallelism():
     s = family(1.0, 0.0)
     fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s, fit)
+    d_pos, d_neg = eigendistributions(s)
     st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     _, rep = bilegendrian_connection(st, d_pos, d_neg, contact=s)
     assert rep.valid, rep.failures()
@@ -176,7 +178,7 @@ def test_bilegendrian_connection_parallelism():
 def test_bilegendrian_pang_parallel_class_i():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s, fit)
+    d_pos, d_neg = eigendistributions(s)
     st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
     _, rep = bilegendrian_connection(st, d_pos, d_neg, contact=s)
     assert rep["parallel_pang_l1"] <= 1e-9
@@ -222,7 +224,7 @@ def test_nan_xi_gives_a_degenerate_pang_form(dim):
     with DimensionMismatch, not DegeneratePang, the label "flat" (n = 1), a LAPACK
     error or a warning."""
     s = family(1.0, 2.0) if dim == 3 else heisenberg_model(dim)
-    basis = eigendistributions(s, nullity_fit(s))[0].vectors if dim == 3 else np.eye(dim)[:2]
+    basis = eigendistributions(s)[0].vectors if dim == 3 else np.eye(dim)[:2]
     xi = s.xi.copy()
     xi[0] = np.nan
     with warnings.catch_warnings():
@@ -236,14 +238,14 @@ def test_eigendistributions_name_the_sasakian_band():
     in the Sasakian band: the message names the band, not kappa >= 1."""
     s = family(1e-5, 2e-5)
     with pytest.raises(SasakianDegenerate) as exc:
-        eigendistributions(s, nullity_fit(s))
+        eigendistributions(s)
     assert str(exc.value) == ("h has no +-lambda eigenspaces: the fit puts this structure in the "
                               "Sasakian band (kappa >= 1 - tol), kappa = 0.9999999999")
 
 
 def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():
     s = family(1.0, 2.0)
-    d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+    d_pos, d_neg = eigendistributions(s)
     nan_form = LegendreDistribution(d_pos.vectors, np.full((1, 1), np.nan), "flat")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -92,14 +92,14 @@ def test_classification_consistent_on_grid():
         for d in list(GRID_DS) + [lam, -lam]:
             s = family(lam, d)
             fit = nullity_fit(s)
-            assert classify_class(s, fit) == fit.class_tag
+            assert classify_class(s) == fit.class_tag
 
 
 def test_eigendistributions_orthogonal_on_grid():
     for lam in (0.5, 1.5, 3.0):
         for d in (-1.0, 0.5, 2.0):
             s = family(lam, d)
-            d_pos, d_neg = eigendistributions(s, nullity_fit(s))
+            d_pos, d_neg = eigendistributions(s)
             cross = d_pos.vectors @ s.g @ d_neg.vectors.T
             assert np.max(np.abs(cross)) <= 1e-9
             for ld in (d_pos, d_neg):

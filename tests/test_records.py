@@ -2,7 +2,7 @@
 
 Value records (fits, connections, distributions, tower nodes, construction
 reports, catalog entries) are immutable tuples: equal fits compare and hash
-equal, so a fit keys a structure's cache.  A structure is equal only to itself,
+equal, and a structure keeps one fit per tol.  A structure is equal only to itself,
 so two structures with equal arrays keep separate caches, and the arrays a
 structure keeps stay read-only.
 """
@@ -17,8 +17,7 @@ import kmgeom
 from kmgeom.catalog import family_3d
 from kmgeom.contact import NullityReport, nullity_fit
 from kmgeom.legendre import eigendistributions
-from kmgeom.tower import (_canonical_pair, sasakian_structure, second_bilegendrian_analysis,
-                          sequence)
+from kmgeom.tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
 
 def _records():
@@ -27,11 +26,11 @@ def _records():
     return {
         "NullityReport": fit,
         "AffineConnection": s.levi_civita(),
-        "LegendreDistribution": eigendistributions(s, fit)[0],
+        "LegendreDistribution": eigendistributions(s)[0],
         "CatalogEntry": family_3d(1.0, 2.0),
         "TowerNode": sequence(s, 2)[1],
-        "SasakianPackage": sasakian_structure(s, fit),
-        "SecondPairAnalysis": second_bilegendrian_analysis(s, fit),
+        "SasakianPackage": sasakian_structure(s),
+        "SecondPairAnalysis": second_bilegendrian_analysis(s),
     }
 
 
@@ -41,7 +40,7 @@ def test_equal_fits_compare_and_hash_equal_and_share_a_cache_entry():
     again = nullity_fit(family(1.0, 2.0))
     assert fit is not again and fit == again and hash(fit) == hash(again)
     assert NullityReport(*fit) == fit
-    assert _canonical_pair(s, again, 1e-9) is _canonical_pair(s, fit, 1e-9)
+    assert nullity_fit(s) is nullity_fit(s)
 
 
 @pytest.mark.parametrize("name, record", list(_records().items()), ids=list(_records()))

@@ -64,7 +64,7 @@ def test_tower_nodes_match_their_structures_verified_alone(lam, d):
     for node in nodes[1:]:
         _assert_node_matches_alone(node)
     if fit.class_tag in ("I", "III"):  # the construction pair exists for |I_M| > 1
-        st, node2 = _canonical_pair(family(lam, d), fit, 1e-9)
+        st, node2 = _canonical_pair(family(lam, d), 1e-9)
         assert node2.index == 2
         _assert_node_matches_alone(node2)
         alone = _fresh(st)
@@ -151,7 +151,7 @@ def _assert_members_match_alone(s, bases):
 
 
 def _eigenbases(s):
-    return np.stack([ld.vectors for ld in eigendistributions(s, nullity_fit(s))])
+    return np.stack([ld.vectors for ld in eigendistributions(s)])
 
 
 @pytest.mark.parametrize("seed, cls", enumerate(sorted(CLASS_PARAMS)))
@@ -167,7 +167,7 @@ def test_eigenpair_members_match_their_bases_validated_alone(seed, cls):
 @pytest.mark.parametrize("cls", ["I", "III"])
 def test_second_pair_members_match_their_bases_validated_alone(cls):
     s = family(*CLASS_PARAMS[cls])
-    analysis = second_bilegendrian_analysis(s, nullity_fit(s))
+    analysis = second_bilegendrian_analysis(s)
     bases = [analysis.d_plus.vectors, analysis.d_minus.vectors]
     stacked = _assert_members_match_alone(s, bases)
     for ld, want in zip(stacked, (analysis.d_plus, analysis.d_minus)):
@@ -233,8 +233,6 @@ def test_failing_members_get_their_own_exception_in_member_order():
 def test_a_pair_raises_its_first_members_failure_first(monkeypatch):
     """eigendistributions raises the first failure in the order (+lambda, -lambda),
     a Legendre failure of a member before its involutivity."""
-    s = family(*CLASS_PARAMS["I"])
-    fit = nullity_fit(s)
     real = legendre.legendre_distribution
 
     def failing(*members):
@@ -257,5 +255,5 @@ def test_a_pair_raises_its_first_members_failure_first(monkeypatch):
     for members, values, error, message in cases:
         monkeypatch.setattr(legendre, "legendre_distribution", failing(*members))
         monkeypatch.setattr(legendre, "involutivity_residual", residuals(values))
-        with pytest.raises(error, match=re.escape(message)):
-            eigendistributions(s, fit)
+        with pytest.raises(error, match=re.escape(message)):  # a fresh structure: no kept pair
+            eigendistributions(family(*CLASS_PARAMS["I"]))

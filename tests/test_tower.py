@@ -7,6 +7,7 @@ import traceback
 import numpy as np
 import pytest
 
+from kmgeom import DEFAULT_TOL
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
 from kmgeom import tower
 from kmgeom.errors import (
@@ -26,7 +27,7 @@ from kmgeom.tower import (
     step_checks,
 )
 
-from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family, rebased
+from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family, rebased, twisted_contact_3d
 
 
 @pytest.mark.parametrize(
@@ -65,7 +66,7 @@ def test_derive_next_contact_branch_deep_case():
     assert node.kind == "contact"
     assert node.kappa == pytest.approx(-2.0, abs=1e-8)
     assert node.mu == pytest.approx(2.0, abs=1e-8)
-    p, q, z = signature(node.G)
+    p, q, z = signature(node.structure.g)
     assert (q, z) == (0, 0)
     # h_2 = sqrt(1 - I^2) h with I = 1/2
     expected = np.sqrt(1 - 0.25) * s.h
@@ -193,7 +194,7 @@ def test_constants_two_periodic_on_grid():
 def test_second_bilegendrian_analysis_class_i():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    ana = second_bilegendrian_analysis(s, fit)
+    ana = second_bilegendrian_analysis(s)
     assert ana.checks.valid, ana.checks.failures()
     assert ana.lambda_t == pytest.approx(np.sqrt(3.0), abs=1e-9)
     assert ana.pang_value == pytest.approx(4.0, abs=1e-8)
@@ -206,7 +207,7 @@ def test_second_bilegendrian_analysis_class_i():
 def test_second_bilegendrian_analysis_caller_supplied_pair():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    ana = second_bilegendrian_analysis(s, fit, a=6.0, b=2.0)
+    ana = second_bilegendrian_analysis(s, a=6.0, b=2.0)
     assert ana.checks.valid, ana.checks.failures()
     assert ana.kappa_new == pytest.approx(0.0, abs=1e-12)
     assert ana.mu_new == pytest.approx(-2.0, abs=1e-12)
@@ -216,14 +217,14 @@ def test_second_bilegendrian_analysis_caller_supplied_pair():
 def test_second_bilegendrian_analysis_wrong_product():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)
-    ana = second_bilegendrian_analysis(s, fit, a=1.0, b=1.0)
+    ana = second_bilegendrian_analysis(s, a=1.0, b=1.0)
     assert ana.checks["pang_coefficient_product"] > 1.0  # reported, not hidden
 
 
 def test_second_bilegendrian_analysis_class_iii():
     s = family(1.0, -2.0)
     fit = nullity_fit(s)
-    ana = second_bilegendrian_analysis(s, fit)
+    ana = second_bilegendrian_analysis(s)
     assert ana.checks.valid, ana.checks.failures()
     assert ana.a < 0 and ana.b < 0
     assert ana.new_invariant < -1.0
@@ -233,14 +234,14 @@ def test_second_bilegendrian_analysis_class_iii():
 def test_second_bilegendrian_rejects_small_invariant():
     s = family(1.0, 0.0)
     with pytest.raises(InvariantTooSmall):
-        second_bilegendrian_analysis(s, nullity_fit(s))
+        second_bilegendrian_analysis(s)
 
 
 @pytest.mark.parametrize("d,sign", [(2.0, "+"), (-2.0, "-")])
 def test_sasakian_structure(d, sign):
     s = family(1.0, d)
     fit = nullity_fit(s)
-    pkg = sasakian_structure(s, fit)
+    pkg = sasakian_structure(s)
     assert pkg.sign == sign
     assert pkg.checks.valid, pkg.checks.failures()
     assert pkg.checks["h_bar_vanishes"] <= 1e-9
@@ -253,7 +254,7 @@ def test_sasakian_structure(d, sign):
 def test_sasakian_structure_explicit_tensor_class_i():
     # phi-bar_+ = (2 phi + phi h)/sqrt(3) at (kappa, mu) = (0, -2)
     s = family(1.0, 2.0)
-    pkg = sasakian_structure(s, nullity_fit(s))
+    pkg = sasakian_structure(s)
     expected = (2.0 * s.phi + s.phi @ s.h) / np.sqrt(3.0)
     assert np.max(np.abs(pkg.phi_bar - expected)) <= 1e-12
 
@@ -262,12 +263,12 @@ def test_sasakian_output_is_fixed_point():
     # every Sasakian output is rejected at step 1 of the tower
     for d in (2.0, -2.0):
         s = family(1.0, d)
-        sas = sasakian_structure(s, nullity_fit(s)).structure
+        sas = sasakian_structure(s).structure
         fit = nullity_fit(sas)
         with pytest.raises(SasakianDegenerate):
             sequence(sas, 2)
         with pytest.raises(SasakianDegenerate):
-            eigendistributions(sas, fit)
+            eigendistributions(sas)
         with pytest.raises(SasakianOrInvalid):
             boeckx_invariant(fit.kappa, 0.0)
 
@@ -275,13 +276,13 @@ def test_sasakian_output_is_fixed_point():
 def test_sasakian_rejects_small_invariant():
     s = family(2.0, 1.0)
     with pytest.raises(InvariantTooSmall):
-        sasakian_structure(s, nullity_fit(s))
+        sasakian_structure(s)
 
 
 @pytest.mark.parametrize("d", [2.0, -2.0])
 def test_anti_hypercomplex_and_3web(d):
     s = family(1.0, d)
-    rep = sasakian_structure(s, nullity_fit(s)).checks
+    rep = sasakian_structure(s).checks
     assert rep.valid, rep.failures()
     web_entries = [k for k in rep.entries if k.startswith("web_")]
     assert len(web_entries) == 6
@@ -299,7 +300,7 @@ LARGE_INVARIANT = [(lam, d) for lam in GRID_LAMBDAS for d in GRID_DS if abs(d) >
 @pytest.mark.parametrize("lam,d", LARGE_INVARIANT)
 def test_sasakian_report_holds_the_3web(lam, d):
     s = family(lam, d)
-    rep = sasakian_structure(s, nullity_fit(s), tol=1e-9).checks
+    rep = sasakian_structure(s, tol=1e-9).checks
     assert rep.valid, rep.failures()
     assert [k for k in rep.entries if k in WEB_KEYS] == WEB_KEYS
     assert all(rep.notes[k].startswith("|det| = ") for k in WEB_KEYS[2:])
@@ -323,10 +324,9 @@ def failing_validation(monkeypatch):
 def test_constructions_stop_at_a_failed_tower_node(failing_validation):
     # neither construction may build on a node that fails its checks
     s = family(1.0, 2.0)
-    fit = nullity_fit(s)
     for build in (sasakian_structure, second_bilegendrian_analysis):
         with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification"):
-            build(s, fit)
+            build(s)
 
 
 def test_a_failed_canonical_pair_is_built_once(failing_validation, monkeypatch):
@@ -340,10 +340,9 @@ def test_a_failed_canonical_pair_is_built_once(failing_validation, monkeypatch):
 
     monkeypatch.setattr(tower, "_derived_nodes", counted)
     s = family(1.0, 2.0)
-    fit = nullity_fit(s)
     for build in (sasakian_structure, second_bilegendrian_analysis):
         with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification"):
-            build(s, fit)
+            build(s)
     assert calls == [(1, 2)]
 
 
@@ -367,6 +366,15 @@ def test_a_kept_error_is_raised_as_a_fresh_copy():
     assert len(traceback.extract_tb(raised[2].__traceback__)) == len(
         traceback.extract_tb(raised[1].__traceback__))
     assert s._cache["kept-error"].__traceback__ is None
+    # the kept fit error of a structure that is no nullity space, likewise
+    twisted, fits = twisted_contact_3d(), []
+    for _ in range(2):
+        with pytest.raises(NotNullity) as exc:
+            nullity_fit(twisted)
+        fits.append(exc.value)
+    assert fits[0] is not fits[1]
+    assert str(fits[0]) == str(fits[1]) and fits[0].residual == fits[1].residual
+    assert twisted._cache[("nullity", DEFAULT_TOL)].__traceback__ is None
 
 
 def test_validate_contact_of_tower_contact_nodes():

@@ -23,7 +23,7 @@ H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``deri
 --steps 7`` and ``validate`` with ``--json -``; then the edge calls: malformed and
 missing files (structure tensors with a NaN, an infinite entry or the wrong shape among
 them), usage errors, non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a``
-and ``--b``), ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive`` on a
+and ``--b``), Pang coefficients that ``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive`` on a
 paracontact model and on models without a structure, failed writes and options that
 do not go together; last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
@@ -207,8 +207,11 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
     add("edge-analyze:json-file", "analyze", h5p, "--json", "out.json", files=["out.json"])
     add("edge-analyze:tol", "analyze", fam_iv, "--tol", "1e-6", "--json", "-")
     add("edge-analyze:tol nan", "analyze", fam_i, "--tol", "nan", "--json", "-")
+    # the last three: Pang coefficients whose generated constants pass the float range,
+    # or whose generated invariant is 1
     for pair in (["--a", "1", "--b", "12"], ["--a", "-1", "--b", "-12"], ["--a", "1"],
-                 ["--a", "inf", "--b", "inf"]):
+                 ["--a", "inf", "--b", "inf"], ["--a", "1e155", "--b", "1e155"],
+                 ["--a", "1e200", "--b", "1e-200"], ["--a", "1", "--b", "1e-20"]):
         add(f"edge-analyze:legendre3 {' '.join(pair)}", "analyze", fam_i, "--legendre3", *pair,
             "--json", "-")
     # a failed write (exit 2 with an error line) and options that do not go together
