@@ -24,8 +24,8 @@ the submodule that defines it, which is imported on first access (PEP 562), so
 DEFAULT_TOL = 1e-9
 
 _SUBMODULE = {
-    "CatalogEntry": "catalog", "family_3d": "catalog", "heisenberg_3d": "catalog",
-    "nilpotent_h_5d": "catalog", "tangent_bundle_constants": "catalog",
+    "family_3d": "catalog", "heisenberg": "catalog", "nilpotent_h_5d": "catalog",
+    "tangent_bundle_constants": "catalog", "CatalogEntry": "modelfile",
     "ContactMetricStructure": "contact", "NullityReport": "contact",
     "blair_identity_suite": "contact", "boeckx_invariant": "contact",
     "classification_flags": "contact", "nijenhuis_norm": "contact", "nullity_fit": "contact",

@@ -1,39 +1,33 @@
-"""Built-in fixture models.
+"""Built-in fixture models, and the one source of the model families and
+transforms that the tests check the paper's claims on.
 
 * ``nilpotent_h_5d``: the 5-dimensional solvable model carrying a left-invariant
   paracontact metric structure whose h~ is nonzero but squares to zero
   (nilpotent spectral type, kappa~ = -1).
 * ``family_3d(lambda, d)``: a two-parameter family of 3-dimensional contact
   metric nullity structures with kappa = 1 - lambda^2, mu = 2 - 2d and Boeckx
-  invariant d / lambda; sweeping d at fixed lambda realizes all five classes.
-  Its correctness is anchored by hand-computed Christoffel symbols frozen in
-  the test suite.
-* ``heisenberg_3d``: the Heisenberg model whose flat bi-Legendrian pair
-  induces a para-Sasakian structure.
+  invariant d / lambda; sweeping d at fixed lambda realizes all five classes,
+  one point each in ``STANDARD_FAMILY_PARAMS``.  Its correctness is anchored by
+  hand-computed Christoffel symbols frozen in the test suite.
+* ``heisenberg(dim, kind)``: the Heisenberg model H_dim, Sasakian (contact) or
+  para-Sasakian (paracontact); the ``heisenberg-3d`` entry is its dim-3
+  paracontact case, whose flat bi-Legendrian pair induces the para-Sasakian
+  structure.
 * ``tangent_bundle_constants(c)``: the (kappa, mu, I) constants of the unit
   tangent bundle of a constant-curvature-c space (constants only, no model).
+* ``rebased(entry, p)`` and ``d_homothetic(entry, a)``: the same structure in
+  another basis, and its D-homothetic deformation; each keeps the structure's kind.
 """
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
-from .contact import ContactMetricStructure, MetricStructure, classify_by_invariant
+from .contact import ContactMetricStructure, classify_by_invariant
 from .errors import NonPositiveLambda
 from .lie_model import LieModel, _structure_constants
+from .modelfile import CatalogEntry
 from .paracontact import ParacontactMetricStructure
-
-
-class CatalogEntry(NamedTuple):
-    name: str
-    model: LieModel
-    structure: MetricStructure
-    expected: dict = {}  # one dict shared by the entries that omit it: read it, do not mutate it
-
-    @property
-    def kind(self) -> str:
-        return self.structure.kind
 
 
 def nilpotent_h_5d() -> CatalogEntry:
@@ -118,22 +112,31 @@ def family_3d(lam: float, d: float) -> CatalogEntry:
     )
 
 
-def heisenberg_3d() -> CatalogEntry:
-    """Heisenberg model: the flat bi-Legendrian pair induces a para-Sasakian structure.
+def heisenberg(dim: int, kind: str = "contact") -> CatalogEntry:
+    """H_dim with [X_i, Y_i] = 2 xi on the basis (X_1..X_n, Y_1..Y_n, xi), labelled
+    (X, Y, xi) at dim 3.
 
-    Brackets [X,Y] = 2 xi only; phi~ = +1 on X, -1 on Y; g~ pairs X with Y.
+    contact: phi X_i = Y_i, g = I (Sasakian, kappa = 1).  paracontact:
+    phi~ = +1 on X, -1 on Y, g~ pairs X_i with Y_i (para-Sasakian).
     """
-    c = _structure_constants(3, {(0, 1): {2: 2.0}})
-    model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
-    phi = np.diag([1.0, -1.0, 0.0])
-    g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    structure = ParacontactMetricStructure(model=model, phi=phi, xi=np.eye(3)[2], eta=np.eye(3)[2], g=g)
-    return CatalogEntry(
-        name="heisenberg-3d",
-        model=model,
-        structure=structure,
-        expected={"kind": "paracontact", "para_sasakian": True, "k_paracontact": True},
-    )
+    n = (dim - 1) // 2
+    c = np.zeros((dim, dim, dim))
+    c[range(n), range(n, 2 * n), -1] = 2.0
+    c[range(n, 2 * n), range(n), -1] = -2.0
+    model = LieModel(c=c, basis_labels=("X", "Y", "xi") if dim == 3 else None)
+    xi = np.eye(dim)[-1]
+    pair = np.zeros((dim, dim))
+    pair[n : 2 * n, :n] = np.eye(n)  # X_i -> Y_i
+    if kind == "contact":
+        structure = ContactMetricStructure(model, pair - pair.T, xi, xi, np.eye(dim))
+        expected = {"kind": kind, "kappa": 1.0, "sasakian": True}
+    else:
+        g = pair + pair.T
+        g[-1, -1] = 1.0
+        phi = np.diag([1.0] * n + [-1.0] * n + [0.0])
+        structure = ParacontactMetricStructure(model, phi, xi, xi, g)
+        expected = {"kind": kind, "para_sasakian": True, "k_paracontact": True}
+    return CatalogEntry(f"heisenberg-{dim}-{kind}", model, structure, expected)
 
 
 def broken_jacobi_3d() -> CatalogEntry:
@@ -180,6 +183,33 @@ def tangent_bundle_constants(c: float) -> tuple[float, float, float | None]:
     return kappa, mu, (1.0 + c) / abs(1.0 - c)
 
 
+def rebased(entry: CatalogEntry, p: np.ndarray) -> CatalogEntry:
+    """``entry`` in the basis f_a = sum_i p[i, a] e_i (p invertible), with the
+    structure constants antisymmetrized and the metric symmetrized after the change.
+    The name and expected block stay (its constants do not depend on the basis); the
+    basis labels go.
+
+    The einsum contracts one operand at a time (``optimize=True``): O(dim^4), where
+    the plain four-operand loop is O(dim^7) and takes tens of seconds at dim 41."""
+    s = entry.structure
+    p_inv = np.linalg.inv(p)
+    c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, p_inv, optimize=True)
+    g = p.T @ s.g @ p
+    model = LieModel(c=0.5 * (c - c.transpose(1, 0, 2)))
+    structure = type(s)(model, p_inv @ s.phi @ p, p_inv @ s.xi, s.eta @ p, 0.5 * (g + g.T))
+    return entry._replace(model=model, structure=structure)
+
+
+def d_homothetic(entry: CatalogEntry, a: float) -> CatalogEntry:
+    """The D-homothetic deformation eta' = a eta, xi' = xi / a, phi' = phi with its
+    compatible metric g' = a g + a (a - 1) eta (x) eta.  It takes (kappa, mu) to
+    ((kappa + eps (a^2 - 1)) / a^2, (mu + 2a - 2) / a) and keeps I_M (Tanno); the
+    expected block, which holds the undeformed constants, is dropped."""
+    s = entry.structure
+    deformed = type(s).compatible(s.model, s.phi, s.xi / a, a * s.eta)
+    return CatalogEntry(entry.name, entry.model, deformed)
+
+
 STANDARD_FAMILY_PARAMS = {
     "family-3d-class-I": (1.0, 2.0),
     "family-3d-class-II": (1.0, 0.0),
@@ -193,7 +223,7 @@ STANDARD_FAMILY_PARAMS = {
 # explicit (lambda, d), the others no argument
 _ENTRIES = {
     "nilpotent-h-5d": nilpotent_h_5d,
-    "heisenberg-3d": heisenberg_3d,
+    "heisenberg-3d": lambda: heisenberg(3, "paracontact")._replace(name="heisenberg-3d"),
     "family-3d": family_3d,
     **{name: functools.partial(family_3d, *p) for name, p in STANDARD_FAMILY_PARAMS.items()},
     "broken-jacobi-3d": broken_jacobi_3d,

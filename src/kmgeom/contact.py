@@ -81,7 +81,7 @@ class MetricStructure:
     """
 
     def __init__(self, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-                 g: np.ndarray, h: np.ndarray | None = None):
+                 g: np.ndarray):
         self.model = model
         self.phi, self.xi, self.eta, self.g = (np.asarray(a, dtype=float) for a in (phi, xi, eta, g))
         d = model.dim
@@ -89,10 +89,8 @@ class MetricStructure:
         if shapes != ((d, d), (d,), (d,), (d, d)):
             raise DimensionMismatch("structure tensor shapes do not match the model dimension")
         check_finite("structure tensors", self.phi, self.xi, self.eta, self.g)
-        if h is None:
-            h = 0.5 * lie_derivative_endo(model, self.xi, self.phi)
-            h.flags.writeable = False
-        self.h = h
+        self.h = 0.5 * lie_derivative_endo(model, self.xi, self.phi)
+        self.h.flags.writeable = False
         self._cache = {}
 
     @classmethod

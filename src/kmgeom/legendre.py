@@ -31,6 +31,7 @@ from .errors import (
     DegeneratePang,
     DimensionMismatch,
     GeometryError,
+    InvalidPangPair,
     NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
@@ -365,8 +366,12 @@ def legendre_pair_constants(a: float, b: float, tol: float = DEFAULT_TOL) -> tup
 
         kappa = 1 - (a - b)^2 / 16,   mu = 2 - (a + b) / 2.
 
-    The pair is Sasakian exactly when a = b.
+    The pair is Sasakian exactly when a = b.  A pair whose constants fall beyond
+    the float range raises :class:`InvalidPangPair`.
     """
-    kappa = 1.0 - (a - b) ** 2 / 16.0
+    a, b = float(a), float(b)  # a product of Python floats overflows to inf, with no warning
+    kappa = 1.0 - (a - b) * (a - b) / 16.0  # and, unlike **, with no OverflowError
     mu = 2.0 - (a + b) / 2.0
+    if not np.isfinite([kappa, mu]).all():
+        raise InvalidPangPair(f"(a, b) = ({a:g}, {b:g}) generates constants beyond the float range")
     return kappa, mu, bool(abs(a - b) <= tol)

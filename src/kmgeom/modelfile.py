@@ -38,16 +38,19 @@ import kmgeom
 from .errors import DimensionMismatch, ModelFormatError
 
 if TYPE_CHECKING:
-    from .catalog import CatalogEntry
     from .contact import MetricStructure
     from .lie_model import LieModel
 
 
-class ModelDocument(NamedTuple):
+class CatalogEntry(NamedTuple):
+    """A named model with its structure and expected block: a catalog entry, or a
+    model file as loaded (whose name and structure may be None).  Defined here, not
+    in :mod:`kmgeom.catalog`, so that loading a file imports no fixture code."""
+
+    name: str | None
     model: LieModel
     structure: MetricStructure | None
-    name: str | None
-    expected: dict
+    expected: dict = {}  # one dict shared by the entries that omit it: read it, do not mutate it
 
 
 def _number(x, cast=float):
@@ -97,7 +100,7 @@ def _parse_structure(model: LieModel, block: dict):
     raise ModelFormatError(f"unknown structure kind {kind!r}")
 
 
-def loads(text: str) -> ModelDocument:
+def loads(text: str) -> CatalogEntry:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -127,15 +130,15 @@ def loads(text: str) -> ModelDocument:
     structure = None
     if "structure" in doc and doc["structure"] is not None:
         structure = _parse_structure(model, doc["structure"])
-    return ModelDocument(
+    return CatalogEntry(
+        name=doc.get("name"),
         model=model,
         structure=structure,
-        name=doc.get("name"),
         expected=doc.get("expected", {}),
     )
 
 
-def load(path: str) -> ModelDocument:
+def load(path: str) -> CatalogEntry:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 

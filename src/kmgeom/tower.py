@@ -344,12 +344,10 @@ def second_bilegendrian_analysis(
         raise InvalidPangPair("a, b must be positive when I_M > 1")
     if inv < 0 and not (a < 0 and b < 0):
         raise InvalidPangPair("a, b must be negative when I_M < -1")
-    try:  # the generated constants, and the paracontact kappa they regenerate
-        kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
-        regenerated = kappa_new - 2.0 + (1.0 - mu_new / 2.0) ** 2
-    except OverflowError:  # a float ** past the largest float
-        kappa_new = mu_new = regenerated = np.inf
-    if not np.isfinite([kappa_new, mu_new, regenerated]).all():
+    kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
+    half = 1.0 - mu_new / 2.0
+    regenerated = kappa_new - 2.0 + half * half  # the paracontact kappa; may overflow to inf
+    if not np.isfinite(regenerated):
         raise InvalidPangPair(f"(a, b) = ({a:g}, {b:g}) generates constants beyond the float range")
     # a = b generates the Sasakian member of the family (kappa' = 1); the
     # invariant degenerates to +-infinity there

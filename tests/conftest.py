@@ -4,20 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from kmgeom.catalog import family_3d, heisenberg_3d, nilpotent_h_5d
+from kmgeom.catalog import STANDARD_FAMILY_PARAMS, family_3d, get_entry, nilpotent_h_5d
 from kmgeom.contact import ContactMetricStructure
 from kmgeom.lie_model import LieModel
-from kmgeom.paracontact import ParacontactMetricStructure
 from kmgeom.tower import sasakian_structure
 
-# one parameter pair per class: I, II, III, IV, V
-CLASS_PARAMS = {
-    "I": (1.0, 2.0),
-    "II": (1.0, 0.0),
-    "III": (1.0, -2.0),
-    "IV": (1.0, 1.0),
-    "V": (1.0, -1.0),
-}
+# one parameter pair per class, by its tag: I, II, III, IV, V
+CLASS_PARAMS = {name.rsplit("-", 1)[1]: p for name, p in STANDARD_FAMILY_PARAMS.items()}
 
 GRID_LAMBDAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 GRID_DS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -34,7 +27,7 @@ def model_5d():
 
 @pytest.fixture(scope="session")
 def heisenberg():
-    return heisenberg_3d()
+    return get_entry("heisenberg-3d")
 
 
 @pytest.fixture(scope="session")
@@ -67,44 +60,12 @@ def twisted_contact_3d(a=1.0, r=1.0) -> ContactMetricStructure:
     )
 
 
-def rebased(s: ContactMetricStructure, p: np.ndarray) -> ContactMetricStructure:
-    """The same structure in the basis f_a = sum_i p[i, a] e_i (p invertible), with the
-    structure constants antisymmetrized and the metric symmetrized after the change.
-
-    The einsum contracts one operand at a time (``optimize=True``): O(dim^4), where
-    the plain four-operand loop is O(dim^7) and takes tens of seconds at dim 41."""
-    p_inv = np.linalg.inv(p)
-    c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, p_inv, optimize=True)
-    g = p.T @ s.g @ p
-    return ContactMetricStructure(
-        model=LieModel(c=0.5 * (c - c.transpose(1, 0, 2))),
-        phi=p_inv @ s.phi @ p,
-        xi=p_inv @ s.xi,
-        eta=s.eta @ p,
-        g=0.5 * (g + g.T),
-    )
-
-
-def heisenberg_model(dim, kind="contact"):
-    """H_dim with [X_i, Y_i] = 2 xi on the basis (X_1..X_n, Y_1..Y_n, xi).
-
-    contact: phi X_i = Y_i, g = I (Sasakian, kappa = 1).  paracontact:
-    phi~ = +1 on X, -1 on Y, g~ pairs X_i with Y_i (para-Sasakian).
-    """
-    n = (dim - 1) // 2
-    c = np.zeros((dim, dim, dim))
-    c[range(n), range(n, 2 * n), -1] = 2.0
-    c[range(n, 2 * n), range(n), -1] = -2.0
-    model = LieModel(c=c)
-    xi = np.eye(dim)[-1]
-    pair = np.zeros((dim, dim))
-    pair[n : 2 * n, :n] = np.eye(n)  # X_i -> Y_i
-    if kind == "contact":
-        return ContactMetricStructure(model=model, phi=pair - pair.T, xi=xi, eta=xi, g=np.eye(dim))
-    g = pair + pair.T
-    g[-1, -1] = 1.0
-    phi = np.diag([1.0] * n + [-1.0] * n + [0.0])
-    return ParacontactMetricStructure(model=model, phi=phi, xi=xi, eta=xi, g=g)
+def _random_basis(rng, dim, cond):
+    """Rows of a random basis whose singular values run geometrically over
+    [cond^-1/2, cond^1/2], so the rebased metric has condition number about cond^2."""
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q1 @ np.diag(np.geomspace(cond**-0.5, cond**0.5, dim)) @ q2.T
 
 
 def jsonable(x):

@@ -7,7 +7,7 @@ per-criterion lines.  Tolerances are pinned here and nowhere else.
 import numpy as np
 import pytest
 
-from kmgeom.catalog import heisenberg_3d, nilpotent_h_5d, tangent_bundle_constants
+from kmgeom.catalog import heisenberg, nilpotent_h_5d, tangent_bundle_constants
 from kmgeom.contact import (
     boeckx_invariant,
     nijenhuis_norm,
@@ -214,7 +214,7 @@ def test_criterion_7_identity_suites():
         check_family(family(lam, d))
 
     worst = max(worst, _paracontact_suite_residual(nilpotent_h_5d().structure))
-    worst = max(worst, _paracontact_suite_residual(heisenberg_3d().structure))
+    worst = max(worst, _paracontact_suite_residual(heisenberg(3, "paracontact").structure))
     assert worst <= tol
     _pass(7, f"identity suites on all fixtures and 50 random parameter draws "
              f"(worst residual {worst:.2e})")

@@ -7,7 +7,6 @@ from kmgeom.catalog import (
     broken_jacobi_3d,
     family_3d,
     get_entry,
-    heisenberg_3d,
     list_entries,
     nilpotent_h_5d,
     scaled_metric_invalid_3d,
@@ -52,7 +51,7 @@ def test_nilpotent_5d_expectations():
 
 
 def test_heisenberg_expectations():
-    entry = heisenberg_3d()
+    entry = get_entry("heisenberg-3d")
     assert validate_contact(entry.structure).valid
     assert np.max(np.abs(entry.structure.h)) == 0.0
     fit = nullity_fit(entry.structure)

@@ -12,11 +12,11 @@ from kmgeom.contact import (
     nullity_fit,
     validate_contact,
 )
-from kmgeom.catalog import heisenberg_3d, nilpotent_h_5d
+from kmgeom.catalog import heisenberg, nilpotent_h_5d
 from kmgeom.errors import NotNullity, SasakianOrInvalid
 from kmgeom.tower import sequence
 
-from conftest import CLASS_PARAMS, family, heisenberg_model, twisted_contact_3d
+from conftest import CLASS_PARAMS, family, twisted_contact_3d
 from reference import nabla_endo
 
 
@@ -145,8 +145,8 @@ def _suite_cases():
         yield f"class-{cls}-node-1", nodes[1].structure
         if cls not in ("IV", "V"):
             yield f"class-{cls}-node-2", nodes[2].structure
-    yield "heisenberg-5-paracontact", heisenberg_model(5, "paracontact")
-    yield "heisenberg-3d", heisenberg_3d().structure
+    yield "heisenberg-5-paracontact", heisenberg(5, "paracontact").structure
+    yield "heisenberg-3d", heisenberg(3, "paracontact").structure
     yield "nilpotent-h-5d", nilpotent_h_5d().structure
 
 

@@ -18,16 +18,17 @@ import warnings
 import numpy as np
 import pytest
 
+from kmgeom.catalog import heisenberg
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
 from kmgeom.legendre import (eigendistributions, involutivity_residual, legendre_distribution,
                              libermann_map)
 from kmgeom.riemann import levi_civita, signature
 
-from conftest import family, heisenberg_model
+from conftest import family
 
 CONTACT = family(1.0, 2.0)  # class I, dim 3
-PARACONTACT = heisenberg_model(5, "paracontact")
-H5 = heisenberg_model(5)
+PARACONTACT = heisenberg(5, "paracontact").structure
+H5 = heisenberg(5).structure
 LEGENDRE_BASIS = np.eye(5)[:2]  # span{X_1, X_2} of H_5
 NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 

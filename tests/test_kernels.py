@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import kmgeom
-from kmgeom.catalog import get_entry, heisenberg_3d, list_entries, nilpotent_h_5d
-from kmgeom.contact import ContactMetricStructure, validate_contact
+from kmgeom.catalog import family_3d, get_entry, heisenberg, list_entries, nilpotent_h_5d, rebased
+from kmgeom.contact import validate_contact
 from kmgeom.lie_model import LieModel, jacobi_residual
 from kmgeom.riemann import AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs
 
-from conftest import CLASS_PARAMS, family, heisenberg_model, rebased, twisted_contact_3d
+from conftest import CLASS_PARAMS, family, twisted_contact_3d
 from reference import (
     connection_identity_suite,
     curvature,
@@ -28,14 +28,9 @@ from reference import (
 KERNEL_TOL = 1e-13
 
 
-def changed_basis(s: ContactMetricStructure, seed: int) -> ContactMetricStructure:
-    """The same structure in the basis P e_a, P a random well-conditioned matrix."""
-    p = np.eye(s.dim) + 0.3 * np.random.default_rng(seed).standard_normal((s.dim, s.dim))
-    p_inv = np.linalg.inv(p)
-    c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, p_inv)
-    return ContactMetricStructure(
-        model=LieModel(c=c), phi=p_inv @ s.phi @ p, xi=p_inv @ s.xi, eta=s.eta @ p, g=p.T @ s.g @ p
-    )
+def _near_identity(dim, seed, scale=0.3):
+    """A random well-conditioned change of basis I + scale * N(0, 1)."""
+    return np.eye(dim) + scale * np.random.default_rng(seed).standard_normal((dim, dim))
 
 
 def _tensors(s):
@@ -45,12 +40,13 @@ def _tensors(s):
 
 KERNEL_CASES = {
     **{f"family-{tag}": lambda p=p: family(*p) for tag, p in CLASS_PARAMS.items()},
-    "heisenberg-3d": lambda: heisenberg_3d().structure,
+    "heisenberg-3d": lambda: get_entry("heisenberg-3d").structure,
     "nilpotent-h-5d": lambda: nilpotent_h_5d().structure,
-    "heisenberg-11-contact": lambda: heisenberg_model(11),
-    "heisenberg-11-paracontact": lambda: heisenberg_model(11, "paracontact"),
+    "heisenberg-11-contact": lambda: heisenberg(11).structure,
+    "heisenberg-11-paracontact": lambda: heisenberg(11, "paracontact").structure,
     "not-nullity": lambda: twisted_contact_3d(a=0.7, r=-1.3),
-    "family-I-changed-basis": lambda: changed_basis(family(*CLASS_PARAMS["I"]), 1),
+    "family-I-changed-basis":
+        lambda: rebased(family_3d(*CLASS_PARAMS["I"]), _near_identity(3, 1)).structure,
 }
 
 
@@ -165,17 +161,15 @@ def test_matmul_contractions_match_einsum(name):
 
 @pytest.mark.parametrize("dim", [3, 5, 11])
 def test_rebased_matches_the_plain_einsum(dim):
-    s = family(*CLASS_PARAMS["I"]) if dim == 3 else heisenberg_model(dim)
-    p = np.eye(dim) + 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
-    c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, np.linalg.inv(p))  # one O(dim^7) loop
-    got = rebased(s, p).model.c
+    entry = family_3d(*CLASS_PARAMS["I"]) if dim == 3 else heisenberg(dim)
+    p = _near_identity(dim, dim)
+    c = np.einsum("ia,jb,ijk,lk->abl", p, p, entry.model.c, np.linalg.inv(p))  # one O(dim^7) loop
+    got = rebased(entry, p).model.c
     assert np.max(np.abs(got - 0.5 * (c - c.transpose(1, 0, 2)))) <= 1e-12 * max(np.max(np.abs(c)), 1.0)
 
 
 def test_rebased_heisenberg_41_is_valid():
-    s = heisenberg_model(41)
-    p = np.eye(41) + 0.05 * np.random.default_rng(41).standard_normal((41, 41))
-    t = rebased(s, p)
+    t = rebased(heisenberg(41), _near_identity(41, 41, 0.05)).structure
     assert jacobi_residual(t.model) <= 1e-10
     assert validate_contact(t).valid
 
@@ -191,7 +185,7 @@ DENSE_FORM_CASES = {
        lambda dim=dim: _near_antisymmetric(_random_antisymmetric(dim, dim, zero_frac=0.7), dim)
        for dim in (4, 7)},
     "near-antisymmetric-semidirect-7": lambda: _near_antisymmetric(_semidirect(7, 7), 1),
-    "near-antisymmetric-heisenberg-11": lambda: _near_antisymmetric(heisenberg_model(11).model.c, 3),
+    "near-antisymmetric-heisenberg-11": lambda: _near_antisymmetric(heisenberg(11).model.c, 3),
     "semidirect-broken-21": CONTRACTION_CASES["semidirect-broken-21"],
 }
 
@@ -211,7 +205,7 @@ def test_jacobi_residual_closed_forms_at_dim_81():
     """H_81 and H_81 with [xi, X_1] = a Y_1, whose cyclic sum is -2a Y_1 on the
     triples (X_1, X_b, Y_b), from [X_1, [X_b, Y_b]] = [X_1, 2 xi], and 0 elsewhere.
     (The einsum reference's arrays would take 344 MB each at this dimension.)"""
-    m = heisenberg_model(81).model
+    m = heisenberg(81).model
     assert jacobi_residual(m) == 0.0
     c = m.c.copy()
     c[80, 0, 40], c[0, 80, 40] = 0.75, -0.75

@@ -30,8 +30,7 @@ from kmgeom.catalog import family_3d
 # The public names of the package by defining submodule, as they were imported
 # eagerly before the package resolved them on access.
 PUBLIC = {
-    "catalog": ["CatalogEntry", "family_3d", "heisenberg_3d", "nilpotent_h_5d",
-                "tangent_bundle_constants"],
+    "catalog": ["family_3d", "heisenberg", "nilpotent_h_5d", "tangent_bundle_constants"],
     "contact": ["ContactMetricStructure", "NullityReport", "blair_identity_suite",
                 "boeckx_invariant", "classification_flags", "nijenhuis_norm", "nullity_fit",
                 "validate_contact"],
@@ -40,6 +39,7 @@ PUBLIC = {
                  "conjugate_distribution", "eigendistributions", "legendre_pair_constants",
                  "libermann_map", "psi_to_paracontact"],
     "lie_model": ["LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
+    "modelfile": ["CatalogEntry"],
     "paracontact": ["ParacontactMetricStructure", "canonical_pc_connection",
                     "integrability_and_parasasaki"],
     "report": ["DEFAULT_TOL", "ResidualReport"],
@@ -48,7 +48,7 @@ PUBLIC = {
               "second_bilegendrian_analysis", "sequence", "step_checks"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
-ENGINE = {f"kmgeom.{module}" for module in PUBLIC if module != "errors"}
+ENGINE = {f"kmgeom.{module}" for module in PUBLIC if module not in ("errors", "modelfile")}
 CLI = ("-c", "import sys, kmgeom.cli; sys.exit(kmgeom.cli.main(sys.argv[1:]))")
 
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from kmgeom import legendre
+from kmgeom.catalog import heisenberg
 from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import (
     ClassificationMismatch,
     DegeneratePang,
     DimensionMismatch,
+    InvalidPangPair,
     NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
@@ -29,7 +31,7 @@ from kmgeom.legendre import (
 )
 from kmgeom.tower import second_bilegendrian_analysis, sequence
 
-from conftest import CLASS_PARAMS, family, heisenberg_model
+from conftest import CLASS_PARAMS, family
 
 E3 = np.eye(3)
 
@@ -207,6 +209,14 @@ def test_legendre_pair_constants():
     kappa, mu, _ = legendre_pair_constants(8.0, 2.0)
     assert kappa == pytest.approx(-1.25)
     assert mu == pytest.approx(-3.0)
+    beyond = [(1e200, 1e-200), (-1e200, 1e200), (1e308, 1e308), np.array([1e200, 1e-200])]
+    for a, b in beyond:  # numpy floats too, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPangPair, match=r"beyond the float range$"):
+                legendre_pair_constants(a, b)
+    # kappa = 1 and a finite mu: only the paracontact kappa they regenerate overflows
+    assert legendre_pair_constants(1e155, 1e155) == (1.0, 2.0 - 1e155, True)
 
 
 def test_legendre_distribution_rejects_non_isotropic_basis(model_5d):
@@ -223,7 +233,7 @@ def test_nan_xi_gives_a_degenerate_pang_form(dim):
     """A NaN xi never forms a Pang form: legendre_distribution rejects it at its door
     with DimensionMismatch, not DegeneratePang, the label "flat" (n = 1), a LAPACK
     error or a warning."""
-    s = family(1.0, 2.0) if dim == 3 else heisenberg_model(dim)
+    s = family(1.0, 2.0) if dim == 3 else heisenberg(dim).structure
     basis = eigendistributions(s)[0].vectors if dim == 3 else np.eye(dim)[:2]
     xi = s.xi.copy()
     xi[0] = np.nan

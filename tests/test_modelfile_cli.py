@@ -325,17 +325,15 @@ def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
     # 1e-9 gate by roundoff (2.7e-9), and whose tower node 2 fails its own
     # checks (metric_compatibility 3.0e-9); the report keeps the structure's own
     # verdict, and the second pair is not built on the failed node
-    from kmgeom.catalog import CatalogEntry
-    from conftest import rebased
+    from kmgeom.catalog import rebased
 
     p = np.array([
         [-2.767607356654867, 2.4921399063025014, 7.24083077801514],
         [-0.10227472896429135, 0.038814206225568644, -0.20694048506778487],
         [-1.4856411127181344, 0.7735698326462813, 5.643547379266397],
     ])
-    s = rebased(family_3d(1.0, 2.0).structure, p)
     path = tmp_path / "rebased.json"
-    path.write_text(modelfile.dumps_entry(CatalogEntry(name="rebased", model=s.model, structure=s)))
+    path.write_text(modelfile.dumps_entry(rebased(family_3d(1.0, 2.0), p)))
     assert main(["analyze", str(path), "--sasakian", "--legendre3", "--json", "-"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("\n{") :])  # the human text holds a "{" too

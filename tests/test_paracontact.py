@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kmgeom.catalog import heisenberg_3d
+from kmgeom import catalog
 from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import InternalInconsistency
 from kmgeom.paracontact import (
@@ -41,7 +41,7 @@ def test_validate_rejects_flipped_pairing(model_5d):
 
 def test_validate_rejects_wrong_eigenrank():
     # phi~ with (phi~)^2 = I - eta (x) xi but a 2-dimensional +1 eigenspace
-    st = heisenberg_3d().structure
+    st = catalog.heisenberg(3, "paracontact").structure
     bad = ParacontactMetricStructure(
         model=st.model, phi=np.diag([1.0, 1.0, 0.0]), xi=st.xi, eta=st.eta, g=st.g
     )
@@ -97,11 +97,13 @@ def test_h_square_scalar_5d(model_5d):
 
 
 def _not_proportional():
-    """heisenberg_3d's paracontact tensors with h~ = diag(1, 0, 0): h~^2 is not a
-    multiple of phi~^2, while the curvature still fits the kappa~ = -1 form."""
-    st = heisenberg_3d().structure
-    return ParacontactMetricStructure(st.model, st.phi, st.xi, st.eta, st.g,
-                                      h=np.diag([1.0, 0.0, 0.0])), st
+    """H_3's paracontact tensors with h~ = diag(1, 0, 0) set in place of the h~ they
+    give: h~^2 is not a multiple of phi~^2, while the curvature still fits the
+    kappa~ = -1 form."""
+    st = catalog.heisenberg(3, "paracontact").structure
+    bad = ParacontactMetricStructure(st.model, st.phi, st.xi, st.eta, st.g)
+    bad.h = np.diag([1.0, 0.0, 0.0])
+    return bad, st
 
 
 def test_fit_raises_when_h_square_is_not_proportional_to_phi_square():
@@ -116,7 +118,7 @@ def test_a_stack_member_keeps_its_inconsistency():
     fits = nullity_fit([bad, good])
     assert isinstance(fits[0], InternalInconsistency)
     assert str(fits[0]) == "h~^2 is not proportional to phi~^2 (residual 5.000e-01)"
-    alone = heisenberg_3d().structure
+    alone = catalog.heisenberg(3, "paracontact").structure
     assert fits[1] == nullity_fit(alone)
     assert fits[1].spectral_type == "zero"
 

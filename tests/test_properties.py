@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kmgeom.catalog import heisenberg_3d, nilpotent_h_5d
+from kmgeom.catalog import heisenberg, nilpotent_h_5d
 from kmgeom.contact import nullity_fit
 from kmgeom.legendre import classify_class, eigendistributions
 from kmgeom.lie_model import LieModel, d_one_form, lie_derivative_endo
@@ -71,7 +71,7 @@ def test_reeb_contractions_exact_on_catalog_models():
     # structure constants are exact floats: i_xi d eta = 0 and eta(xi) = 1 hold exactly
     structures = _catalog_contact_structures()
     structures.append(nilpotent_h_5d().structure)
-    structures.append(heisenberg_3d().structure)
+    structures.append(heisenberg(3, "paracontact").structure)
     for s in structures:
         deta = d_one_form(s.model, s.eta)
         assert np.all(deta @ s.xi == 0.0)

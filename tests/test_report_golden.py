@@ -20,7 +20,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import heisenberg_model, jsonable, reference_json, twisted_contact_3d
+from conftest import jsonable, reference_json, twisted_contact_3d
 
 from kmgeom import catalog, cli, modelfile
 
@@ -39,8 +39,8 @@ def _entries() -> dict:
         name: catalog.get_entry(name) for name in catalog.list_entries() if name != "family-3d"
     }
     for name, s in (
-        ("heisenberg-5-contact", heisenberg_model(5, "contact")),
-        ("heisenberg-5-paracontact", heisenberg_model(5, "paracontact")),
+        ("heisenberg-5-contact", catalog.heisenberg(5, "contact").structure),
+        ("heisenberg-5-paracontact", catalog.heisenberg(5, "paracontact").structure),
         ("twisted-contact-3d", twisted_contact_3d()),
     ):
         entries[name] = catalog.CatalogEntry(name=name, model=s.model, structure=s)

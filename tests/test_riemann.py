@@ -13,12 +13,12 @@ all other derivatives vanish (g the identity, basis X, Y, xi).
 import numpy as np
 import pytest
 
-from kmgeom.catalog import family_3d, nilpotent_h_5d
+from kmgeom.catalog import family_3d, heisenberg, nilpotent_h_5d
 from kmgeom.errors import DegenerateMetric
 from kmgeom.lie_model import LieModel
 from kmgeom.riemann import levi_civita, on_pairs, signature
 
-from conftest import family, heisenberg_model
+from conftest import _random_basis, family
 from reference import connection_identity_suite, curvature, curvature_tensor, nabla
 
 
@@ -103,18 +103,10 @@ def test_identity_suite_abelian():
     assert rep.worst[1] == 0.0
 
 
-def _random_basis(rng, dim, cond):
-    """Rows of a random basis whose singular values run geometrically over
-    [cond^-1/2, cond^1/2], so the rebased metric has condition number about cond^2."""
-    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q1 @ np.diag(np.geomspace(cond**-0.5, cond**0.5, dim)) @ q2.T
-
-
 @pytest.mark.parametrize(
     "structure",
     [family_3d(1.0, 2.0).structure, nilpotent_h_5d().structure]
-    + [heisenberg_model(dim, kind) for dim in (3, 5, 11, 21, 41) for kind in ("contact", "paracontact")],
+    + [heisenberg(dim, kind).structure for dim in (3, 5, 11, 21, 41) for kind in ("contact", "paracontact")],
     ids=["family_3d", "nilpotent_h_5d"]
     + [f"H_{dim}-{kind}" for dim in (3, 5, 11, 21, 41) for kind in ("contact", "paracontact")],
 )

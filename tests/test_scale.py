@@ -13,9 +13,8 @@ import pytest
 
 import kmgeom
 from kmgeom import modelfile
-from kmgeom.catalog import CatalogEntry
+from kmgeom.catalog import heisenberg
 
-from conftest import heisenberg_model
 
 # ROADMAP gate for a dim-81 analyze; the dense Jacobi product alone is 344 MB
 PEAK_RSS_MB = 150
@@ -47,9 +46,8 @@ def _run_child(argv):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
 @pytest.mark.parametrize("kind", ["contact", "paracontact"])
 def test_dim_81_analyze_peak_rss(tmp_path, kind):
-    s = heisenberg_model(81, kind)
     path = tmp_path / f"heisenberg-81-{kind}.json"
-    path.write_text(modelfile.dumps_entry(CatalogEntry(f"heisenberg-81-{kind}", s.model, s)))
+    path.write_text(modelfile.dumps_entry(heisenberg(81, kind)))
     rc, out, peak_mb = _run_child(["analyze", str(path), "--sasakian", "--legendre3", "--json", "-"])
     assert rc == 0
     report = json.loads(out[out.index("\n{") + 1:])  # the JSON report follows the human one

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from kmgeom import legendre
+from kmgeom.catalog import family_3d, heisenberg, rebased
 from kmgeom.contact import ContactMetricStructure, nullity_fit, validate_contact
 from kmgeom.errors import DegenerateMetric, DimensionMismatch, NotIntegrable, NotTransversal
 from kmgeom.legendre import eigendistributions, involutivity_residual, legendre_distribution
 from kmgeom.lie_model import LieModel
 from kmgeom.tower import _canonical_pair, second_bilegendrian_analysis, sequence
 
-from conftest import CLASS_PARAMS, family, heisenberg_model, rebased
-from test_riemann import _random_basis
+from conftest import CLASS_PARAMS, _random_basis, family
 
 # classes I-V and a mu = 2 point
 POINTS = [*CLASS_PARAMS.values(), (2.0, 0.0)]
@@ -158,9 +158,10 @@ def _eigenbases(s):
 def test_eigenpair_members_match_their_bases_validated_alone(seed, cls):
     """The +-lambda pair of each class, in the model basis and in two bases of
     condition 10."""
-    s = family(*CLASS_PARAMS[cls])
+    entry = family_3d(*CLASS_PARAMS[cls])
     rng = np.random.default_rng(seed)
-    for t in [s] + [rebased(s, _random_basis(rng, 3, 10.0)) for _ in range(2)]:
+    for t in [entry.structure] + [rebased(entry, _random_basis(rng, 3, 10.0)).structure
+                                  for _ in range(2)]:
         _assert_members_match_alone(t, _eigenbases(t))
 
 
@@ -180,7 +181,7 @@ def test_heisenberg_pair_in_a_shuffled_basis(n):
     each distribution's vectors shuffled."""
     rng = np.random.default_rng(n)
     dim = 2 * n + 1
-    h, sigma = heisenberg_model(dim), rng.permutation(dim)  # the basis f_a = e_sigma(a)
+    h, sigma = heisenberg(dim).structure, rng.permutation(dim)  # the basis f_a = e_sigma(a)
     s = ContactMetricStructure(
         model=LieModel(c=h.model.c[np.ix_(sigma, sigma, sigma)]), phi=h.phi[np.ix_(sigma, sigma)],
         xi=h.xi[sigma], eta=h.eta[sigma], g=h.g[np.ix_(sigma, sigma)],
@@ -200,7 +201,7 @@ def test_heisenberg_pair_in_a_shuffled_basis(n):
 def _bad_members(n=2):
     """On H_{2n+1}: a Legendre basis, then a dependent, a non-annihilated and a
     non-isotropic one, with the messages they raise alone."""
-    s = heisenberg_model(2 * n + 1)
+    s = heisenberg(2 * n + 1).structure
     e = np.eye(2 * n + 1)
     xs = e[:n]
     members = [

@@ -10,6 +10,7 @@ import pytest
 from kmgeom import DEFAULT_TOL
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
 from kmgeom import tower
+from kmgeom.catalog import family_3d, rebased
 from kmgeom.errors import (
     DegenerateInvariant,
     InternalInconsistency,
@@ -27,7 +28,7 @@ from kmgeom.tower import (
     step_checks,
 )
 
-from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family, rebased, twisted_contact_3d
+from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family, twisted_contact_3d
 
 
 @pytest.mark.parametrize(
@@ -172,7 +173,7 @@ def test_sequence_reuses_nodes_equal_up_to_roundoff():
         [-1.9582269570752229, -6.711552248682561, 2.340072929153007],
         [-1.6217339412800236, -5.9681748924593885, 1.9741641876780083],
     ])
-    nodes = sequence(rebased(family(1.0, 0.5), p), 6)
+    nodes = sequence(rebased(family_3d(1.0, 0.5), p).structure, 6)
     assert [n.kind for n in nodes] == ["contact", "paracontact"] * 3
     for k, earlier in ((3, 1), (4, 2), (5, 1)):
         assert nodes[k].structure is nodes[earlier].structure

@@ -59,7 +59,10 @@ def _eye(n: int, k: int) -> list[float]:
 
 def heisenberg(dim: int, kind: str) -> dict:
     """H_dim with [X_i, Y_i] = 2 xi: phi X_i = Y_i and g = I (contact, Sasakian), or
-    phi = +1 on X, -1 on Y and g pairing X_i with Y_i (paracontact, para-Sasakian)."""
+    phi = +1 on X, -1 on Y and g pairing X_i with Y_i (paracontact, para-Sasakian).
+
+    A standard-library copy of ``kmgeom.catalog.heisenberg``: the tool writes one
+    input for both source trees, and an older tree has no ``catalog.heisenberg``."""
     n = (dim - 1) // 2
     brackets = [{"i": k + 1, "j": n + k + 1, "coeffs": {str(dim): 2.0}} for k in range(n)]
     if kind == "contact":
