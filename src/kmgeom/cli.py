@@ -195,10 +195,8 @@ def _pang_class(c) -> str | None:
 
 def _identities(c) -> dict:
     """The Nijenhuis side report, and the Blair suite when mu is determined."""
-    identities = dict(kmgeom.nijenhuis_norm(c.s, c.tol)[1].entries)
-    if c.fit.mu is not None:
-        identities.update(kmgeom.blair_identity_suite(c.s, c.fit.kappa, c.fit.mu, c.tol).entries)
-    return identities
+    blair = {} if c.fit.mu is None else kmgeom.blair_identity_suite(c.s, c.tol).entries
+    return {**kmgeom.nijenhuis_norm(c.s, c.tol)[1].entries, **blair}
 
 
 def _pc_identities(c) -> dict:

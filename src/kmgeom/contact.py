@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (DegenerateMetric, DimensionMismatch, GeometryError, InternalInconsistency,
                      NotNullity, SasakianOrInvalid)
 from .lie_model import LieModel, check_finite, d_one_form, lie_derivative_endo
-from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each
+from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
 from .riemann import (
     DEGENERATE,
     AffineConnection,
@@ -73,8 +73,9 @@ class MetricStructure:
 
     a contact metric structure for eps = +1 and a paracontact one for
     eps = -1 (the subclasses set ``eps`` and ``kind``).  Construction is where the
-    tensors enter the engine: a shape other than (dim, dim), (dim,), (dim,),
-    (dim, dim) or a NaN or infinite entry raises :class:`DimensionMismatch`.
+    tensors enter the engine: a model of dim < 3 (n = 0: no contact distribution), a
+    shape other than (dim, dim), (dim,), (dim,), (dim, dim) or a NaN or infinite entry
+    raises :class:`DimensionMismatch`.
     h = (1/2) L_xi phi is computed on construction; the basis of ker(eta) and
     the Nijenhuis tensor once, and the Levi-Civita connection, nabla phi and the
     nullity fit once per ``tol``, are kept with their arrays read-only.
@@ -85,6 +86,8 @@ class MetricStructure:
         self.model = model
         self.phi, self.xi, self.eta, self.g = (np.asarray(a, dtype=float) for a in (phi, xi, eta, g))
         d = model.dim
+        if d < 3:
+            raise DimensionMismatch(f"a contact or paracontact structure needs dim >= 3, got {d}")
         shapes = (self.phi.shape, self.xi.shape, self.eta.shape, self.g.shape)
         if shapes != ((d, d), (d,), (d,), (d, d)):
             raise DimensionMismatch("structure tensor shapes do not match the model dimension")
@@ -281,6 +284,8 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     decides the signature entry (Riemannian, or (n+1, n) with the +-1
     eigendistributions of phi of rank n each on ker(eta)), ``trace_phi_h``
     (contact) and ``nabla_xi_identity`` (paracontact: nabla xi = -phi + phi h).
+    ``contact_nondegeneracy``, the signature and the eigenranks are read from the one
+    scale-free rank test, :func:`kmgeom.report.rank_test`.
     """
     members, single, phi, g, h = _stack(s, "phi", "g", "h")
     reports = [ResidualReport(tol=tol) for _ in members]
@@ -299,9 +304,8 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     add("eta_is_g_xi", g @ xi - eta)
 
     k = s0.contact_basis()
-    det_restricted = abs(np.linalg.det(k @ deta @ k.T))
-    add("contact_nondegeneracy", 0.0 if det_restricted > tol else 1.0,
-        [f"|det d_eta|_ker eta| = {det_restricted:.3e}"] * len(members))
+    _, singular, det = rank_test(k @ deta @ k.T, tol)
+    add("contact_nondegeneracy", float(singular), [f"|det d_eta|_ker eta| = {det:.3e}"] * len(members))
     sigs = signature(g, tol)
     if eps > 0:
         add("riemannian_signature", [0.0 if (q == 0 and z == 0) else 1.0 for _, q, z in sigs],
@@ -310,9 +314,8 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
         add("paracontact_signature", [0.0 if sig == (n + 1, n, 0) else 1.0 for sig in sigs],
             [f"signature ({p},{q},{z}), expected ({n + 1},{n},0)" for p, q, z in sigs])
         for sign, name in ((1.0, "plus_one_eigenrank"), (-1.0, "minus_one_eigenrank")):
-            # columns: (phi -+ I) applied to a ker(eta) basis; its rank counts singular values
-            sv = np.linalg.svd((phi - sign * ident) @ k.T, compute_uv=False)
-            ranks = np.sum(sv > max(tol, 1e-12), axis=-1).tolist()
+            # columns: (phi -+ I) applied to a ker(eta) basis
+            ranks = rank_test((phi - sign * ident) @ k.T, tol)[0].tolist()
             add(name, [abs(rank - n) for rank in ranks], [f"rank {r}, expected {n}" for r in ranks])
 
     add("h_xi", h @ xi)
@@ -498,11 +501,11 @@ def nabla_phi_closed_form(s: MetricStructure, h: np.ndarray | float) -> np.ndarr
     return s.eps * (form_xy(s.g @ a, s.xi) - eta_y(s.eta, a))
 
 
-def blair_identity_suite(
-    s: MetricStructure, kappa: float, mu: float, tol: float = DEFAULT_TOL
-) -> ResidualReport:
+def blair_identity_suite(s: MetricStructure, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Covariant-derivative identities of a contact (eps = +1) or paracontact
-    (eps = -1) (kappa, mu)-space, in Blair's eps-signed form.
+    (eps = -1) (kappa, mu)-space, in Blair's eps-signed form, at the constants of the
+    structure's kept fit ``nullity_fit(s, tol)`` (whose errors it raises); an
+    indeterminate mu is read as 0, as the mu-terms vanish with h.
 
     Checks, over all basis pairs (X, Y):
 
@@ -514,6 +517,8 @@ def blair_identity_suite(
     * h^2 = (kappa - eps) phi^2
     * nabla_xi h = mu h phi
     """
+    fit = nullity_fit(s, tol)
+    kappa, mu = fit.kappa, 0.0 if fit.mu is None else fit.mu
     report = ResidualReport(tol=tol)
     eps, phi, xi, eta, g, h = s.eps, s.phi, s.xi, s.eta, s.g, s.h
     conn = s.levi_civita(tol)

@@ -19,7 +19,8 @@ class ModelFormatError(GeometryError):
 
 
 class DegenerateMetric(GeometryError):
-    """Metric determinant below tolerance; no Levi-Civita connection."""
+    """Metric singular to the one scale-free rank test (its smallest singular value not
+    above tol times its largest); no Levi-Civita connection."""
 
 
 class NotNullity(GeometryError):

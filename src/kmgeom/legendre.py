@@ -42,7 +42,7 @@ from .paracontact import (
     canonical_pc_connection,
     integrability_and_parasasaki,
 )
-from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each
+from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
 from .riemann import AffineConnection, form_xy, on_pairs
 
 
@@ -102,7 +102,7 @@ def legendre_distribution(
     n, nb = (model.dim - 1) // 2, len(v)
     if v.shape[1:] != (n, model.dim):
         raise NotTransversal(f"expected {n} basis vectors of length {model.dim}")
-    rank = np.linalg.matrix_rank(v, tol=1e-12)
+    dependent = rank_test(v, tol)[1]
     worst_eta = max_abs_each(v @ eta, nb).tolist()
     deta = d_one_form(model, eta)
     iso = max_abs_each(v @ deta @ v.swapaxes(1, 2), nb).tolist()
@@ -110,7 +110,7 @@ def legendre_distribution(
     eig = np.linalg.eigvalsh(0.5 * (pi + pi.swapaxes(1, 2)))
     out = []
     for b in range(nb):
-        if rank[b] < n:
+        if dependent[b]:
             out.append(NotTransversal("basis vectors are linearly dependent"))
         elif not worst_eta[b] <= tol:
             out.append(NotTransversal(
@@ -212,9 +212,10 @@ def classify_class(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> str:
 def _frame(
     l1: LegendreDistribution, l2: LegendreDistribution, xi: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The frame {L1, L2, xi} as columns, and its inverse; NotTransversal unless it spans."""
+    """The frame {L1, L2, xi} as columns, and its inverse; NotTransversal unless it spans
+    (is nonsingular to :func:`rank_test`)."""
     frame = np.column_stack([l1.vectors.T, l2.vectors.T, xi[:, None]])
-    if not abs(np.linalg.det(frame)) > tol:
+    if rank_test(frame, tol)[1]:
         raise NotTransversal("span(L1, L2, xi) has rank below the model dimension")
     return frame, np.linalg.inv(frame)
 
@@ -233,14 +234,14 @@ def libermann_map(
     map acts nontrivially.  Verifies Lambda^2 = 0 and Lambda [xi, X] = X/2.
     A basis of another dimension or with a non-finite entry, or a Pang form that is
     not n x n, raises :class:`DimensionMismatch`, and a Pang form that is not finite,
-    or whose determinant is not above ``tol``, :class:`DegeneratePang`.
+    or singular to :func:`rank_test`, :class:`DegeneratePang`.
     """
     _bases(s.model, s.eta, s.xi, ld.vectors)
     _bases(s.model, s.eta, s.xi, other.vectors)
     pi, n = ld.pang, ld.n
     if np.shape(pi) != (n, n):
         raise DimensionMismatch(f"Pang form shape {np.shape(pi)} is not ({n}, {n})")
-    if not (np.isfinite(pi).all() and abs(np.linalg.det(pi)) > tol):  # no det of a NaN
+    if not np.isfinite(pi).all() or rank_test(pi, tol)[1]:  # no SVD of a NaN
         raise DegeneratePang("Pang form is singular; no Libermann map")
     model, eta, xi = s.model, s.eta, s.xi
     deta = d_one_form(model, eta)

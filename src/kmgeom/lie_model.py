@@ -18,6 +18,7 @@ algebra in the structure constants.
 import numpy as np
 
 from .errors import DimensionMismatch
+from .report import rank_test
 
 Vector = np.ndarray
 OneForm = np.ndarray
@@ -154,7 +155,7 @@ def reeb_vector(m: LieModel, eta: OneForm, tol: float = 1e-9) -> Vector:
     """The unique xi with eta(xi) = 1 and i_xi d eta = 0.
 
     Solves the stacked linear system; raises if eta is not a contact form on
-    the model (system rank-deficient or inconsistent).
+    the model (system rank-deficient to :func:`rank_test`, or inconsistent).
     """
     eta = m.check_vector(eta)
     deta = d_one_form(m, eta)
@@ -163,6 +164,6 @@ def reeb_vector(m: LieModel, eta: OneForm, tol: float = 1e-9) -> Vector:
     b = np.zeros(m.dim + 1)
     b[-1] = 1.0
     xi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ xi - b)) > tol or np.linalg.matrix_rank(a, tol=1e-12) < m.dim:
+    if np.max(np.abs(a @ xi - b)) > tol or rank_test(a, tol)[1]:
         raise DimensionMismatch("one-form has no unique Reeb vector on this model (not contact)")
     return xi

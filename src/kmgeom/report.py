@@ -2,7 +2,9 @@
 
 :func:`max_abs_each` is the one reduction from a residual array to a number per
 member of a stack of structures (a leading member axis), and :func:`max_abs` its
-stack-of-one case.  Non-finite input is rejected where tensors enter the engine
+stack-of-one case; :func:`rank_test` is the one singularity test, scale-free: the
+rank of a matrix, or of each of a stack, relative to its largest singular value.
+Non-finite input is rejected where tensors enter the engine
 (:class:`kmgeom.contact.MetricStructure` and the kernels that take raw arrays);
 the reduction still propagates a NaN, such as the fit of a degenerate member or
 one fed straight to a kernel: it stays with its member and never reads as a pass.
@@ -23,6 +25,22 @@ def max_abs_each(residual, n: int) -> np.ndarray:
 def max_abs(residual) -> float:
     """Max-abs of a residual scalar or array (a stack of one); NaN anywhere gives NaN."""
     return float(max_abs_each(residual, 1)[0])
+
+
+def rank_test(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rank, singular, |det|) of a matrix, or of each of a stack: the engine's one
+    singularity test.
+
+    The rank counts the singular values above ``tol`` times the largest, so a matrix
+    and its nonzero multiples get one verdict.  A matrix is singular unless its
+    smallest singular value is above that (its rank is full): a zero matrix is, and a
+    NaN singular value never reads as nonsingular.  |det| is the product of the
+    singular values (of a square matrix), as the notes print it.  numpy's SVD raises on
+    a NaN entry, so a caller that may meet a non-finite entry zeroes or rejects it first.
+    """
+    sv = np.linalg.svd(a, compute_uv=False)
+    rank = (sv > tol * sv[..., :1]).sum(-1)
+    return rank, rank < sv.shape[-1], sv.prod(-1)
 
 
 class ResidualReport:

@@ -21,7 +21,9 @@ connection in ``tests/reference.py``.
 stack of metrics on one model, with a leading member axis (a single metric is
 a stack of one); each member's result is what it gets alone.  Both check their
 input: a member with a NaN or infinite entry is degenerate to :func:`levi_civita`,
-and :func:`signature` rejects the whole stack.
+and :func:`signature` rejects the whole stack.  Both decide by the one scale-free
+singularity test, :func:`kmgeom.report.rank_test`: a metric and its positive
+multiples get one verdict.
 """
 
 from typing import NamedTuple
@@ -30,21 +32,25 @@ import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch
 from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, check_finite, d_one_form
-from .report import DEFAULT_TOL
+from .report import DEFAULT_TOL, rank_test
 
-DEGENERATE = "metric determinant below tolerance"
+DEGENERATE = "metric is singular (rank below its dimension)"
 
 
 def signature(g: BilinearForm, tol: float = DEFAULT_TOL):
     """(p, q, z) counts of positive / negative / zero eigenvalues of a symmetric form,
     or their list for a stack; :class:`DimensionMismatch` for a form that is not square
-    or has a NaN or infinite entry."""
+    or has a NaN or infinite entry.  The zero eigenvalues are the z = dim - rank
+    smallest in absolute value, with the rank of :func:`rank_test`."""
     g = np.asarray(g, dtype=float)
     if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
         raise DimensionMismatch(f"form shape {g.shape} is not square")
     check_finite("form", g)
-    eig = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(-1, -2)))
-    p, q = (np.sum(x, axis=-1).reshape(-1).tolist() for x in (eig > tol, eig < -tol))
+    sym = 0.5 * (g + g.swapaxes(-1, -2))
+    eig = np.linalg.eigvalsh(sym)
+    # each eigenvalue's place in the order of decreasing |.|: the first rank are nonzero
+    nonzero = np.argsort(np.argsort(-abs(eig))) < rank_test(sym, tol)[0][..., None]
+    p, q = (np.sum(nonzero & x, axis=-1).reshape(-1).tolist() for x in (eig > 0, eig < 0))
     counts = [(a, b, g.shape[-1] - a - b) for a, b in zip(p, q)]
     return counts[0] if g.ndim == 2 else counts
 
@@ -74,8 +80,9 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
 
     The d^2 right-hand sides share one ``g``, so the connection is one inverse
     of ``g`` and one matmul rather than a solve against all of them.
-    Raises :class:`DegenerateMetric` unless ``|det g|`` is above ``tol``, which a NaN
-    or infinite entry never is; in a stack (B, dim, dim) such a member is marked
+    Raises :class:`DegenerateMetric` when ``g`` is singular to :func:`rank_test` (its
+    smallest singular value not above ``tol`` times its largest), which a metric with a
+    NaN or infinite entry always is; in a stack (B, dim, dim) such a member is marked
     ``degenerate`` instead, with a NaN connection.
     The result is metric (``nabla g = 0``) and torsion-free by construction,
     which the connection identity suite of ``tests/reference.py`` re-checks
@@ -86,13 +93,12 @@ def levi_civita(m: LieModel, g: BilinearForm, tol: float = DEFAULT_TOL) -> Affin
     if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
         raise DimensionMismatch(f"metric shape {g.shape} does not match dim {d}")
     gs = g.reshape(-1, d, d)
-    # a member with a non-finite entry has the determinant of zeros: no det of a NaN
+    # a member with a non-finite entry is tested as zeros, which are singular: no SVD of a NaN
     finite = np.isfinite(gs).all(axis=(1, 2))
-    degenerate = ~(abs(np.linalg.det(np.where(finite[:, None, None], gs, 0.0))) > tol)
+    degenerate = rank_test(np.where(finite[:, None, None], gs, 0.0), tol)[1]
     if g.ndim == 2 and degenerate[0]:
         raise DegenerateMetric(DEGENERATE)
-    if degenerate.any():  # solved as the identity, then NaN
-        gs = np.where(degenerate[:, None, None], np.eye(d), gs)
+    gs = np.where(degenerate[:, None, None], np.eye(d), gs)  # solved as the identity, then NaN
     # b[., i, j, k] = g([e_i, e_j], e_k), one matmul; transpose(0,3,1,2)[., i,j,k] = b[., j,k,i]
     b = m.c @ gs[:, None]
     rhs = 0.5 * (b - b.transpose(0, 3, 1, 2) + b.transpose(0, 2, 3, 1))

@@ -60,7 +60,7 @@ from .legendre import (
 )
 from .lie_model import lie_derivative_endo
 from .paracontact import ParacontactMetricStructure
-from .report import DEFAULT_TOL, ResidualReport, max_abs
+from .report import DEFAULT_TOL, ResidualReport, max_abs, rank_test
 from .riemann import eta_x, eta_y, form_xy
 
 
@@ -281,7 +281,7 @@ def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> R
     form = (s.phi + s.eps * s.phi @ s.h).T @ s.g - (p.phi + eps * phih).T @ p.g
     rhs = p.levi_civita(tol).gamma + eta_x(p.eta, shift) + eta_y(p.eta, shift) + form_xy(form, p.xi)
     checks.add("levi_civita_relation", s.levi_civita(tol).gamma - rhs)
-    checks.merge(blair_identity_suite(s, node.kappa, node.mu, tol))
+    checks.merge(blair_identity_suite(s, tol))
     return checks
 
 
@@ -430,14 +430,14 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     checks.add("phi_tilde_kills_xi", phi_t @ s.xi)
     checks.add("phi_tilde1_kills_xi", phi_t1 @ s.xi)
 
-    # 3-web: the determinant on ker(eta) of each pair of the four eigenframes, one stack
+    # 3-web: each pair of the four eigenframes, on ker(eta), is nonsingular; one stack
     xs, ys, plus, minus = _phi_eigenframe(s, inv, tol)
     frames = np.stack([xs, ys, plus / np.linalg.norm(plus, axis=1, keepdims=True),
                        minus / np.linalg.norm(minus, axis=1, keepdims=True)])
     first, second = np.triu_indices(4, 1)
     pairs = np.concatenate([frames[first], frames[second]], axis=1)
-    dets = np.abs(np.linalg.det(s.contact_basis() @ pairs.transpose(0, 2, 1)))
+    _, singular, dets = rank_test(s.contact_basis() @ pairs.transpose(0, 2, 1), tol)
     names = ("d_plus_lambda", "d_minus_lambda", "d_plus_lambda_t", "d_minus_lambda_t")
-    for p, q, det in zip(first, second, dets):
-        checks.add(f"web_{names[p]}__{names[q]}", 0.0 if det > tol else 1.0, note=f"|det| = {det:.3e}")
+    for p, q, bad, det in zip(first, second, singular.tolist(), dets):
+        checks.add(f"web_{names[p]}__{names[q]}", float(bad), note=f"|det| = {det:.3e}")
     return SasakianPackage(sign="+" if sign > 0 else "-", structure=sbar, checks=checks)

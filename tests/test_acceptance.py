@@ -192,7 +192,7 @@ def test_criterion_7_identity_suites():
         worst = max(worst, side.worst[1])
         from kmgeom.contact import blair_identity_suite
 
-        worst = max(worst, blair_identity_suite(s, fit.kappa, fit.mu).worst[1])
+        worst = max(worst, blair_identity_suite(s).worst[1])
         # every tower step: Lemma closed forms, Levi-Civita relation and node suite
         nodes = sequence(s, 6 if abs(abs(fit.boeckx) - 1.0) > 1e-6 else 2)
         for prev, node in zip(nodes, nodes[1:]):

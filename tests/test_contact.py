@@ -116,15 +116,17 @@ def test_boeckx_invariant_names_the_sasakian_band():
 @pytest.mark.parametrize("lam,d", [(1.0, 0.0), (2.0, 1.0)])
 def test_blair_identities_family(lam, d):
     s = family(lam, d)
-    fit = nullity_fit(s)
-    rep = blair_identity_suite(s, fit.kappa, fit.mu)
+    rep = blair_identity_suite(s)
     assert rep.valid, rep.failures()
 
 
 def test_blair_identities_sasakian_specialization(sasakian_fixture):
     s = sasakian_fixture
-    # with h = 0 the first identity reduces to (nabla_X phi) Y = g(X,Y) xi - eta(Y) X
-    rep = blair_identity_suite(s, 1.0, 0.0)
+    # with h = 0 the first identity reduces to (nabla_X phi) Y = g(X,Y) xi - eta(Y) X;
+    # the suite runs at the fit's kappa = 1, with the indeterminate mu read as 0
+    fit = nullity_fit(s)
+    assert fit.mu is None and fit.kappa == pytest.approx(1.0, abs=1e-12)
+    rep = blair_identity_suite(s)
     assert rep.valid, rep.failures()
     conn = s.levi_civita()
     worst = 0.0
@@ -157,9 +159,7 @@ SUITE_CASES = dict(_suite_cases())
 def test_blair_identities_both_signs(name):
     # the eps-signed suite holds on contact (class II node 2) and paracontact
     # (kappa, mu)-spaces alike; mu is indeterminate, and read as 0, where h = 0
-    s = SUITE_CASES[name]
-    fit = nullity_fit(s)
-    rep = blair_identity_suite(s, fit.kappa, 0.0 if fit.mu is None else fit.mu)
+    rep = blair_identity_suite(SUITE_CASES[name])
     assert rep.valid, rep.failures()
 
 

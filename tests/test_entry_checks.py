@@ -4,7 +4,8 @@ Each entry point that takes raw arrays rejects a NaN or infinite entry, and an
 input of the wrong shape, with its designated GeometryError and without a numpy
 warning, so that no such entry reaches LAPACK:
 
-* ``MetricStructure`` (both kinds): DimensionMismatch
+* ``MetricStructure`` (both kinds): DimensionMismatch, also for a model of dim < 3,
+  which has no contact distribution (the loader makes it a format error, exit 2)
 * ``levi_civita``: DegenerateMetric (in a stack, a degenerate member)
 * ``signature``, ``legendre_distribution``, ``involutivity_residual`` and the
   bases of ``libermann_map``: DimensionMismatch (its Pang form too, when it is not n x n)
@@ -13,12 +14,17 @@ A non-finite Pang form given to ``libermann_map`` raises DegeneratePang
 (tests/test_legendre.py).
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from kmgeom.catalog import heisenberg
+from kmgeom.cli import main
+from kmgeom.contact import ContactMetricStructure
+from kmgeom.lie_model import LieModel
+from kmgeom.paracontact import ParacontactMetricStructure
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
 from kmgeom.legendre import (eigendistributions, involutivity_residual, legendre_distribution,
                              libermann_map)
@@ -68,7 +74,7 @@ CASES = {
     **{f"{s.kind}-{field}": (_structure(s, field), DimensionMismatch, "structure tensors must be finite")
        for s in (CONTACT, PARACONTACT) for field in ("phi", "xi", "eta", "g")},
     "levi_civita-g": (lambda v: levi_civita(CONTACT.model, _poisoned(CONTACT.g, v)), DegenerateMetric,
-                      "metric determinant below tolerance"),
+                      "metric is singular"),
     "signature-g": (lambda v: signature(_poisoned(CONTACT.g, v)), DimensionMismatch, "form must be finite"),
     **{f"{call.__name__}-{field}": (_legendre(call, field), DimensionMismatch,
                                     "basis, eta and xi must be finite")
@@ -137,3 +143,22 @@ def test_non_finite_metric_is_a_degenerate_member_of_a_stack(value):
     for b in (0, 2):
         np.testing.assert_allclose(conn.gamma[b], levi_civita(CONTACT.model, g[b]).gamma,
                                    rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("cls", [ContactMetricStructure, ParacontactMetricStructure])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_structure_below_dim_3_is_rejected_at_the_door(dim, cls, tmp_path, capsys):
+    """n = 0 (dim 1) once passed ``validate`` and then failed inside ``analyze`` and
+    ``derive``; dim 2 was an invalid report.  Both are a format error now."""
+    last = np.eye(dim)[-1]
+    tensors = {"phi": np.zeros((dim, dim)), "xi": last, "eta": last, "g": np.eye(dim)}
+    with pytest.raises(DimensionMismatch, match=f"needs dim >= 3, got {dim}"):
+        cls(LieModel(np.zeros((dim, dim, dim))), **tensors)
+    path = tmp_path / "small.json"
+    structure = {"kind": cls.kind, **{name: a.tolist() for name, a in tensors.items()}}
+    path.write_text(json.dumps({"dim": dim, "brackets": [], "structure": structure}))
+    for argv in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert f"needs dim >= 3, got {dim}" in capsys.readouterr().err

@@ -1,16 +1,8 @@
 """``tools/equiv.py``, the output-equivalence check of the CLI: a small subset of its
-call set, run against the working tree itself, so that the tool cannot rot, and its
-standard-library copy of the Heisenberg models against the catalog's."""
+call set, run against the working tree itself, so that the tool cannot rot."""
 
 import importlib.util
-import json
 import os
-
-import numpy as np
-import pytest
-
-from kmgeom import modelfile
-from kmgeom.catalog import heisenberg
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "equiv.py")
 spec = importlib.util.spec_from_file_location("equiv", TOOL)
@@ -44,14 +36,3 @@ def test_call_names_are_unique():
     calls = equiv.call_set(["models/a.json", "models/b.json"], ["heisenberg-3d", "family-3d"])
     assert len({call["name"] for call in calls}) == len(calls)
 
-
-@pytest.mark.parametrize("kind", ["contact", "paracontact"])
-@pytest.mark.parametrize("dim", [3, 5, 11])
-def test_heisenberg_input_is_the_catalog_model(dim, kind):
-    # the tool's standard-library H_d, loaded, has the catalog's arrays
-    doc = modelfile.loads(json.dumps(equiv.heisenberg(dim, kind)))
-    want = heisenberg(dim, kind).structure
-    assert doc.structure.kind == want.kind
-    assert np.array_equal(doc.model.c, want.model.c)
-    for name in ("phi", "xi", "eta", "g"):
-        assert np.array_equal(getattr(doc.structure, name), getattr(want, name)), name

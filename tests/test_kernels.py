@@ -4,15 +4,22 @@ non-finite honesty: a NaN anywhere in a residual must never read as a pass."""
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import kmgeom
+from kmgeom import contact, legendre, lie_model, report, riemann, tower
 from kmgeom.catalog import family_3d, get_entry, heisenberg, list_entries, nilpotent_h_5d, rebased
 from kmgeom.contact import validate_contact
-from kmgeom.lie_model import LieModel, jacobi_residual
-from kmgeom.riemann import AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs
+from kmgeom.errors import GeometryError
+from kmgeom.legendre import eigendistributions, legendre_distribution, libermann_map, psi_to_paracontact
+from kmgeom.lie_model import LieModel, jacobi_residual, reeb_vector
+from kmgeom.report import rank_test
+from kmgeom.riemann import (AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs,
+                            signature)
+from kmgeom.tower import sasakian_structure
 
 from conftest import CLASS_PARAMS, family, twisted_contact_3d
 from reference import (
@@ -239,3 +246,151 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+
+# The one singularity test, report.rank_test, and the nine sites that decide by it.  Each
+# case names the module whose rank_test the site calls, the call and its verdict; the test
+# feeds the site's matrix to rank_test as it is and scaled by 1e-6 and by 1e6, and the
+# verdict must not move.  The |det| of the two notes scales with the matrix, so no verdict holds a note.
+RANK_TEST = report.rank_test
+E5 = np.eye(5)
+
+
+def _h3_times_r2() -> LieModel:
+    """H_5 without its bracket [X_2, Y_2]: d eta has rank 2 on the 4-dim ker(eta)."""
+    c = heisenberg(5).model.c.copy()
+    c[[1, 3], [3, 1]] = 0.0
+    return LieModel(c)
+
+
+def _h5(kind="contact", **tensors):
+    """H_5's structure of ``kind``, with some of its model and tensors replaced."""
+    s = heisenberg(5, kind).structure
+    arrays = {name: getattr(s, name) for name in ("model", "phi", "xi", "eta", "g")}
+    return type(s)(**{**arrays, **tensors})
+
+
+def _error(call):
+    """(type name, message) of the GeometryError ``call()`` raises, or None."""
+    try:
+        call()
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _rank(a):
+    return [x.tolist() for x in rank_test(a)[:2]]
+
+
+def _entries(s, *names):
+    return [validate_contact(s)[name] for name in names]
+
+
+def _legendre(model, *bases):
+    return legendre_distribution(model, E5[4], E5[4], np.stack(bases))
+
+
+def _psi(l1, l2):
+    return _error(lambda: psi_to_paracontact(heisenberg(5).model, l1, l2, E5[4]))
+
+
+def _pang(flip):
+    s = family(1.0, 2.0)  # class I: D(lambda) is positive, D(-lambda) negative
+    d_pos, d_neg = eigendistributions(s)
+    ld = d_pos._replace(pang=np.zeros((1, 1))) if flip else d_pos
+    return _error(lambda: libermann_map(s, ld, d_neg))
+
+
+def _collapsed(frame):
+    """``tower._phi_eigenframe`` with D(lambda~) spanned by D(lambda)'s basis."""
+    def eigenframe(*args):
+        xs, ys, _, minus = frame(*args)
+        return xs, ys, xs, minus
+    return eigenframe
+
+
+def _web(monkeypatch, collapse=False):
+    """The six 3-web flags of class I's Sasakian structure, sorted; with ``collapse``, the
+    pair D(lambda), D(lambda~) is singular."""
+    if collapse:
+        monkeypatch.setattr(tower, "_phi_eigenframe", _collapsed(tower._phi_eigenframe))
+    checks = sasakian_structure(family(1.0, 2.0)).checks
+    return sorted(v for k, v in checks.entries.items() if k.startswith("web_"))
+
+
+NOT_CONTACT = ("DimensionMismatch", "one-form has no unique Reeb vector on this model (not contact)")
+HERE = sys.modules[__name__]
+# name: (module whose rank_test the site calls, the site: the function that must call it,
+# call(monkeypatch), verdict)
+SITE_CASES = {
+    "rank_test": (HERE, "_rank", lambda _: _rank(np.diag([1.0, 3.0])), [2, False]),
+    # cond 1e7 is nonsingular and cond 1e10 singular at tol = 1e-9, at every scale
+    "rank_test-cond-1e7": (HERE, "_rank", lambda _: _rank(np.diag([1.0, 1e-7])), [2, False]),
+    "rank_test-cond-1e10": (HERE, "_rank", lambda _: _rank(np.diag([1.0, 1e-10])), [1, True]),
+    "rank_test-deficient": (HERE, "_rank", lambda _: _rank(np.ones((2, 2))), [1, True]),
+    "rank_test-zero-stack": (HERE, "_rank", lambda _: _rank(np.zeros((2, 3, 3))),
+                             [[0, 0], [True, True]]),
+    "levi_civita": (riemann, "levi_civita",
+                    lambda _: _error(lambda: levi_civita(_h3_times_r2(), 1e-4 * E5)), None),
+    "levi_civita-deficient": (riemann, "levi_civita", lambda _: _error(lambda: levi_civita(
+        _h3_times_r2(), np.diag([1.0, 1.0, 1.0, 1.0, 0.0]))), ("DegenerateMetric", riemann.DEGENERATE)),
+    "levi_civita-nan-stack": (riemann, "levi_civita", lambda _: levi_civita(_h3_times_r2(), np.stack(
+        [E5, np.where(E5 > 0, np.nan, 0.0), 2.0 * E5])).degenerate.tolist(), [False, True, False]),
+    "signature": (riemann, "signature", lambda _: signature(_h5("paracontact").g), (3, 2, 0)),
+    "signature-deficient": (riemann, "signature", lambda _: signature(np.diag([2.0, -1.0, 0.0])),
+                            (1, 1, 1)),
+    "contact_nondegeneracy": (contact, "validate_contact",
+                              lambda _: _entries(_h5(), "contact_nondegeneracy"), [0.0]),
+    "contact_nondegeneracy-deficient": (
+        contact, "validate_contact",
+        lambda _: _entries(_h5(model=_h3_times_r2()), "contact_nondegeneracy"), [1.0]),
+    "eigenranks": (contact, "validate_contact", lambda _: _entries(
+        _h5("paracontact"), "plus_one_eigenrank", "minus_one_eigenrank"), [0.0, 0.0]),
+    "eigenranks-deficient": (  # phi~ = +1 on X_1, X_2, Y_1: ranks 3 and 1 on ker(eta), not 2
+        contact, "validate_contact",
+        lambda _: _entries(_h5("paracontact", phi=np.diag([1.0, 1.0, 1.0, -1.0, 0.0])),
+                           "plus_one_eigenrank", "minus_one_eigenrank"), [1.0, 1.0]),
+    "legendre_distribution": (legendre, "legendre_distribution",
+                              lambda _: _legendre(heisenberg(5).model, E5[:2])[0].n, 2),
+    "legendre_distribution-deficient": (
+        legendre, "legendre_distribution",
+        lambda _: type(_legendre(heisenberg(5).model, E5[[0, 0]])[0]).__name__, "NotTransversal"),
+    "frame": (legendre, "_frame", lambda _: _psi(*_legendre(heisenberg(5).model, E5[:2], E5[2:4])),
+              None),
+    "frame-deficient": (legendre, "_frame",
+                        lambda _: _psi(*_legendre(heisenberg(5).model, E5[:2], E5[:2])),
+                        ("NotTransversal", "span(L1, L2, xi) has rank below the model dimension")),
+    "pang": (legendre, "libermann_map", lambda _: _pang(flip=False), None),
+    "pang-deficient": (legendre, "libermann_map", lambda _: _pang(flip=True),
+                       ("DegeneratePang", "Pang form is singular; no Libermann map")),
+    "web": (tower, "sasakian_structure", _web, [0.0] * 6),
+    "web-deficient": (tower, "sasakian_structure", lambda mp: _web(mp, collapse=True),
+                      [0.0] * 5 + [1.0]),
+    "reeb_vector": (lie_model, "reeb_vector",
+                    lambda _: reeb_vector(heisenberg(5).model, 2.0 * E5[4]).tolist(),
+                    (0.5 * E5[4]).tolist()),
+    "reeb_vector-deficient": (lie_model, "reeb_vector",
+                              lambda _: _error(lambda: reeb_vector(_h3_times_r2(), E5[4])), NOT_CONTACT),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+@pytest.mark.parametrize("case", SITE_CASES)
+def test_singularity_verdict_is_scale_free(case, scale, monkeypatch):
+    """A well-conditioned matrix keeps its verdict when scaled, a rank-deficient one stays
+    singular at every scale, and a NaN member of a levi_civita stack stays degenerate;
+    the site itself reads the verdict from rank_test."""
+    module, site, call, verdict = SITE_CASES[case]
+    callers = set()
+
+    def scaled(a, tol=kmgeom.DEFAULT_TOL):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return RANK_TEST(scale * np.asarray(a), tol)
+
+    monkeypatch.setattr(module, "rank_test", scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call(monkeypatch) == verdict
+    assert site in callers, f"{site} decided without rank_test"

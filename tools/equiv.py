@@ -10,8 +10,11 @@ with itself, which shows any output that is not reproducible.  Each tree runs th
 whole set in one interpreter of its own, as ``kmgeom.cli.main(argv)`` calls with
 stdout and stderr captured, in the same work directories of inputs, so that the paths
 in the messages match.  An exception that escapes ``main`` is recorded as exit
-``"uncaught"`` with its type and message on stderr.  The input models are emitted by
-the reference tree (REV, or the working tree) and written here.
+``"uncaught"`` with its type and message on stderr.  The catalog's input models are
+emitted by the reference tree (REV, or the working tree); the Heisenberg models H_d are
+written by the working tree's ``catalog.heisenberg`` and ``modelfile.dumps_entry`` in a
+child process, without their expected block, and the rest here.  Both trees read the
+same files.
 
 For each call the tool prints ``identical`` or the first stream that differs and its
 byte offset, then a summary count; it exits 1 when a call differs.  ``--record FILE``
@@ -22,13 +25,15 @@ lambda = 1e-5 among them), the twisted non-nullity model and contact and paracon
 H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``derive
 --steps 7`` and ``validate`` with ``--json -``; then the edge calls: malformed and
 missing files (structure tensors with a NaN, an infinite entry or the wrong shape among
-them), usage errors, non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a``
-and ``--b``), Pang coefficients that ``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive`` on a
-paracontact model and on models without a structure, failed writes and options that
-do not go together; last, every step of every op of the benchmark's three workloads
+them, and the dim-1 models of both kinds, n = 0), usage errors, non-finite number
+options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
+``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive``
+on a paracontact model and on models without a structure, failed writes and options
+that do not go together; last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
 of its own, with the ``out.json`` it writes.  Standard library only; the children
-import numpy through kmgeom.
+import numpy through kmgeom (``--heisenberg WORK`` and ``--worker`` are their entry
+points).
 """
 
 import argparse
@@ -51,32 +56,6 @@ FAMILY = [(1.0, 2.0), (1.0, 0.5), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.
 HEISENBERG_DIMS = (5, 11, 21)
 PERFBENCH_SEEDS = (1, 2)
 UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.json")
-
-
-def _eye(n: int, k: int) -> list[float]:
-    return [1.0 if i == k else 0.0 for i in range(n)]
-
-
-def heisenberg(dim: int, kind: str) -> dict:
-    """H_dim with [X_i, Y_i] = 2 xi: phi X_i = Y_i and g = I (contact, Sasakian), or
-    phi = +1 on X, -1 on Y and g pairing X_i with Y_i (paracontact, para-Sasakian).
-
-    A standard-library copy of ``kmgeom.catalog.heisenberg``: the tool writes one
-    input for both source trees, and an older tree has no ``catalog.heisenberg``."""
-    n = (dim - 1) // 2
-    brackets = [{"i": k + 1, "j": n + k + 1, "coeffs": {str(dim): 2.0}} for k in range(n)]
-    if kind == "contact":
-        phi = [[1.0 if i == j + n and j < n else -1.0 if j == i + n and i < n else 0.0
-                for j in range(dim)] for i in range(dim)]
-        g = [_eye(dim, i) for i in range(dim)]
-    else:
-        phi = [[(1.0 if i < n else -1.0) if i == j and i < 2 * n else 0.0 for j in range(dim)]
-               for i in range(dim)]
-        g = [[1.0 if abs(i - j) == n and max(i, j) < 2 * n or i == j == dim - 1 else 0.0
-              for j in range(dim)] for i in range(dim)]
-    xi = _eye(dim, dim - 1)
-    return {"name": f"heisenberg-{dim}-{kind}", "dim": dim, "brackets": brackets,
-            "structure": {"kind": kind, "phi": phi, "xi": xi, "eta": xi, "g": g}}
 
 
 PHI_3D = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -126,8 +105,25 @@ def model_calls(names: list[str]) -> list[dict]:
     return calls
 
 
+def emit_heisenberg(work: str) -> int:
+    """Write H_d of both kinds, d in HEISENBERG_DIMS, under ``work/models`` as this
+    interpreter's kmgeom builds and serializes it, less the expected block that the CLI
+    would check; run in a child with the working tree's ``src`` on its path."""
+    from kmgeom import modelfile
+    from kmgeom.catalog import heisenberg
+
+    for dim in HEISENBERG_DIMS:
+        for kind in ("contact", "paracontact"):
+            doc = json.loads(modelfile.dumps_entry(heisenberg(dim, kind)))
+            del doc["expected"]
+            with open(os.path.join(work, "models", f"h{dim}-{kind}.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1)
+    return 0
+
+
 def write_inputs(work: str, names: list[str]) -> list[str]:
-    """Write the hand-made inputs under ``work``; the model files of the main set."""
+    """Write the inputs under ``work`` (H_d through :func:`emit_heisenberg`, in a child
+    that imports the working tree); the model files of the main set."""
     for sub in ("models", "bad", "batch-mixed", "batch-one", "empty"):
         os.makedirs(os.path.join(work, sub), exist_ok=True)
 
@@ -139,10 +135,10 @@ def write_inputs(work: str, names: list[str]) -> list[str]:
     models += [f"models/fam-{i}.json" for i in range(len(FAMILY))]
     dump("models/twisted.json", TWISTED)
     models.append("models/twisted.json")
-    for dim in HEISENBERG_DIMS:
-        for kind in ("contact", "paracontact"):
-            dump(f"models/h{dim}-{kind}.json", heisenberg(dim, kind))
-            models.append(f"models/h{dim}-{kind}.json")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--heisenberg", work],
+                   env=_env(os.path.join(ROOT, "src")), check=True, timeout=120)
+    models += [f"models/h{dim}-{kind}.json" for dim in HEISENBERG_DIMS
+               for kind in ("contact", "paracontact")]
     for name, text in MALFORMED.items():
         dump(f"bad/{name}.json", text)
     dump("bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
@@ -151,6 +147,9 @@ def write_inputs(work: str, names: list[str]) -> list[str]:
         {"i": 2, "j": 3, "coeffs": {"1": 1.0}}]})
     dump("bad/degenerate-metric.json", {"dim": 3, "brackets": H3_BRACKETS, "structure": {
         **FRAME_3D, "g": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}})
+    for kind in ("contact", "paracontact"):
+        dump(f"bad/dim-1-{kind}.json", {"dim": 1, "brackets": [], "structure": {
+            "kind": kind, "phi": [[0]], "xi": [1], "eta": [1], "g": [[1]]}})
     for i in (0, 1, 3):
         dump(f"batch-mixed/fam-{i}.json", _read(os.path.join(work, f"models/fam-{i}.json")))
     dump("batch-mixed/truncated.json", MALFORMED["truncated"])
@@ -175,7 +174,8 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
         add(f"analyze:{model}", "analyze", path, "--sasakian", "--legendre3", "--json", "-")
         add(f"derive:{model}", "derive", path, "--steps", "7", "--json", "-")
         add(f"validate:{model}", "validate", path, "--json", "-")
-    for bad in [*MALFORMED, "no-structure", "no-structure-broken-jacobi", "degenerate-metric"]:
+    for bad in [*MALFORMED, "no-structure", "no-structure-broken-jacobi", "degenerate-metric",
+                "dim-1-contact", "dim-1-paracontact"]:
         for command in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
             add(f"edge-{command[0]}:{bad}", command[0], f"bad/{bad}.json", *command[1:], "--json", "-")
     for command in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
@@ -328,6 +328,8 @@ def main(argv: list[str] | None = None, keep=None) -> int:
     rejects (a test runs a subset)."""
     if argv is None and sys.argv[1:2] == ["--worker"]:
         return worker(*sys.argv[2:4])
+    if argv is None and sys.argv[1:2] == ["--heisenberg"]:
+        return emit_heisenberg(sys.argv[2])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
     parser.add_argument("--record", metavar="FILE", help="write one sha256 per call here")
