@@ -292,8 +292,9 @@ def _human_flags(flags: dict, report: dict) -> None:
 
 
 def _human_identities(identities: dict, report: dict) -> None:
-    # the largest residual, ties to the smallest name: the line follows from the sorted JSON
-    worst = min(identities.items(), key=lambda kv: (-kv[1], kv[0]))
+    # the worst residual (a NaN first), ties to the smallest name: the line follows from
+    # the sorted JSON
+    worst = kmgeom.ResidualReport(entries=dict(sorted(identities.items()))).worst
     print(f"identity suites: {len(identities)} checks, worst {worst[0]} = {_fmt(worst[1])}")
 
 

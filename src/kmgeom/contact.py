@@ -284,8 +284,10 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     decides the signature entry (Riemannian, or (n+1, n) with the +-1
     eigendistributions of phi of rank n each on ker(eta)), ``trace_phi_h``
     (contact) and ``nabla_xi_identity`` (paracontact: nabla xi = -phi + phi h).
-    ``contact_nondegeneracy``, the signature and the eigenranks are read from the one
-    scale-free rank test, :func:`kmgeom.report.rank_test`.
+    ``contact_nondegeneracy``, the signature and the eigenranks are read by the one
+    scale-free singularity rule, :func:`kmgeom.report.nonzero_sv`: the first from
+    :func:`kmgeom.report.rank_test`, the signature from its own eigenvalues and both
+    eigenranks from one stacked :func:`kmgeom.report.rank_test`.
     """
     members, single, phi, g, h = _stack(s, "phi", "g", "h")
     reports = [ResidualReport(tol=tol) for _ in members]
@@ -313,10 +315,10 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     else:
         add("paracontact_signature", [0.0 if sig == (n + 1, n, 0) else 1.0 for sig in sigs],
             [f"signature ({p},{q},{z}), expected ({n + 1},{n},0)" for p, q, z in sigs])
-        for sign, name in ((1.0, "plus_one_eigenrank"), (-1.0, "minus_one_eigenrank")):
-            # columns: (phi -+ I) applied to a ker(eta) basis
-            ranks = rank_test((phi - sign * ident) @ k.T, tol)[0].tolist()
-            add(name, [abs(rank - n) for rank in ranks], [f"rank {r}, expected {n}" for r in ranks])
+        # [b, 0] and [b, 1]: columns (phi - I) and (phi + I) applied to a ker(eta) basis
+        ranks = rank_test(np.stack([phi - ident, phi + ident], 1) @ k.T, tol)[0].T.tolist()
+        for name, col in zip(("plus_one_eigenrank", "minus_one_eigenrank"), ranks):
+            add(name, [abs(rank - n) for rank in col], [f"rank {r}, expected {n}" for r in col])
 
     add("h_xi", h @ xi)
     add("eta_circ_h", eta @ h)

@@ -19,6 +19,11 @@ They and :func:`libermann_map` check their input first: a basis, eta or xi of
 another dimension than the model's, or with a NaN or infinite entry (and a Pang
 form given to :func:`libermann_map` that is not n x n), raises
 :class:`DimensionMismatch` for the whole call, so no such entry reaches LAPACK.
+
+Each Pang form is decomposed once: :func:`legendre_distribution` keeps the eigenvalues
+of its symmetric part (one ``eigvalsh`` per stack) on the
+:class:`LegendreDistribution`, and :func:`eigendistributions` reads the definiteness
+in units of 2 lambda from those, rescaled.
 """
 
 from typing import NamedTuple
@@ -52,6 +57,7 @@ class LegendreDistribution(NamedTuple):
     vectors: np.ndarray  # shape (n, dim)
     pang: np.ndarray  # shape (n, n)
     definiteness: str  # positive | negative | flat | degenerate | indefinite
+    pang_eig: np.ndarray  # eigenvalues of the symmetrized Pang form (pang + pang^T) / 2
 
     @property
     def n(self) -> int:
@@ -118,7 +124,7 @@ def legendre_distribution(
         elif not iso[b] <= tol:
             out.append(NotTransversal(f"d eta does not vanish on the span ({iso[b]:.3e})"))
         else:
-            out.append(LegendreDistribution(v[b], pi[b], _definiteness(eig[b], tol)))
+            out.append(LegendreDistribution(v[b], pi[b], _definiteness(eig[b], tol), eig[b]))
     return _unstack(out, single)
 
 
@@ -177,10 +183,10 @@ def eigendistributions(
             raise SasakianDegenerate(
                 f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
         # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
-        # 2 lambda, where ``tol`` is the band of the invariant-based class
-        d_pos, d_neg = (ld._replace(definiteness=_definiteness(
-            np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * lam), tol)) for ld in pair)
-        return d_pos, d_neg
+        # 2 lambda, where ``tol`` is the band of the invariant-based class, from the
+        # eigenvalues the Legendre validation kept
+        return tuple(ld._replace(definiteness=_definiteness(ld.pang_eig / (2.0 * lam), tol))
+                     for ld in pair)
 
     return s.cached(("eigendistributions", tol), build)
 

@@ -2,8 +2,10 @@
 
 :func:`max_abs_each` is the one reduction from a residual array to a number per
 member of a stack of structures (a leading member axis), and :func:`max_abs` its
-stack-of-one case; :func:`rank_test` is the one singularity test, scale-free: the
-rank of a matrix, or of each of a stack, relative to its largest singular value.
+stack-of-one case.  :func:`nonzero_sv` is the one singularity rule, scale-free: it
+reads singular values, and counts those above ``tol`` times the largest.  Each site
+passes the values its own decomposition already gives: :func:`rank_test` an SVD's,
+a symmetric form the |.| of its eigenvalues, a least-squares solve ``lstsq``'s own.
 Non-finite input is rejected where tensors enter the engine
 (:class:`kmgeom.contact.MetricStructure` and the kernels that take raw arrays);
 the reduction still propagates a NaN, such as the fit of a degenerate member or
@@ -27,19 +29,26 @@ def max_abs(residual) -> float:
     return float(max_abs_each(residual, 1)[0])
 
 
-def rank_test(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rank, singular, |det|) of a matrix, or of each of a stack: the engine's one
-    singularity test.
+def nonzero_sv(sv, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which singular values of a matrix, or of each of a stack (an array whose last axis
+    holds them, in any order), count as nonzero: the engine's one singularity rule.
 
-    The rank counts the singular values above ``tol`` times the largest, so a matrix
-    and its nonzero multiples get one verdict.  A matrix is singular unless its
-    smallest singular value is above that (its rank is full): a zero matrix is, and a
+    They are those above ``tol`` times the largest, so a matrix and its nonzero
+    multiples get one verdict, and a NaN never counts.  A symmetric matrix passes the
+    |.| of its eigenvalues, which are its singular values.
+    """
+    return sv > tol * sv.max(-1, keepdims=True, initial=0.0)
+
+
+def rank_test(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rank, singular, |det|) of a matrix, or of each of a stack, by :func:`nonzero_sv`
+    of its SVD.  A matrix is singular unless its rank is full: a zero matrix is, and a
     NaN singular value never reads as nonsingular.  |det| is the product of the
     singular values (of a square matrix), as the notes print it.  numpy's SVD raises on
     a NaN entry, so a caller that may meet a non-finite entry zeroes or rejects it first.
     """
     sv = np.linalg.svd(a, compute_uv=False)
-    rank = (sv > tol * sv[..., :1]).sum(-1)
+    rank = nonzero_sv(sv, tol).sum(-1)
     return rank, rank < sv.shape[-1], sv.prod(-1)
 
 
@@ -80,9 +89,10 @@ class ResidualReport:
 
     @property
     def worst(self) -> tuple[str, float]:
+        """The largest entry, the first of equal ones; a NaN ranks above every number."""
         if not self.entries:
             return ("", 0.0)
-        name = max(self.entries, key=self.entries.get)
+        name = max(self.entries, key=lambda k: (np.isnan(self.entries[k]), self.entries[k]))
         return (name, self.entries[name])
 
     def failures(self) -> dict[str, float]:

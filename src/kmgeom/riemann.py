@@ -22,8 +22,10 @@ stack of metrics on one model, with a leading member axis (a single metric is
 a stack of one); each member's result is what it gets alone.  Both check their
 input: a member with a NaN or infinite entry is degenerate to :func:`levi_civita`,
 and :func:`signature` rejects the whole stack.  Both decide by the one scale-free
-singularity test, :func:`kmgeom.report.rank_test`: a metric and its positive
-multiples get one verdict.
+singularity rule, :func:`kmgeom.report.nonzero_sv`, on the one decomposition each
+makes: :func:`levi_civita` on the SVD of :func:`kmgeom.report.rank_test`, and
+:func:`signature` on the |.| of the eigenvalues it counts by sign.  A metric and its
+positive multiples get one verdict.
 """
 
 from typing import NamedTuple
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch
 from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, check_finite, d_one_form
-from .report import DEFAULT_TOL, rank_test
+from .report import DEFAULT_TOL, nonzero_sv, rank_test
 
 DEGENERATE = "metric is singular (rank below its dimension)"
 
@@ -40,16 +42,14 @@ DEGENERATE = "metric is singular (rank below its dimension)"
 def signature(g: BilinearForm, tol: float = DEFAULT_TOL):
     """(p, q, z) counts of positive / negative / zero eigenvalues of a symmetric form,
     or their list for a stack; :class:`DimensionMismatch` for a form that is not square
-    or has a NaN or infinite entry.  The zero eigenvalues are the z = dim - rank
-    smallest in absolute value, with the rank of :func:`rank_test`."""
+    or has a NaN or infinite entry.  The zero eigenvalues are those whose |.|, the
+    form's singular values, :func:`nonzero_sv` does not count: one ``eigvalsh`` decides."""
     g = np.asarray(g, dtype=float)
     if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
         raise DimensionMismatch(f"form shape {g.shape} is not square")
     check_finite("form", g)
-    sym = 0.5 * (g + g.swapaxes(-1, -2))
-    eig = np.linalg.eigvalsh(sym)
-    # each eigenvalue's place in the order of decreasing |.|: the first rank are nonzero
-    nonzero = np.argsort(np.argsort(-abs(eig))) < rank_test(sym, tol)[0][..., None]
+    eig = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(-1, -2)))
+    nonzero = nonzero_sv(abs(eig), tol)
     p, q = (np.sum(nonzero & x, axis=-1).reshape(-1).tolist() for x in (eig > 0, eig < 0))
     counts = [(a, b, g.shape[-1] - a - b) for a, b in zip(p, q)]
     return counts[0] if g.ndim == 2 else counts

@@ -34,6 +34,12 @@ from conftest import CLASS_PARAMS, GRID_DS, GRID_LAMBDAS, family
 from reference import nabla
 
 
+def _worst(*values) -> float:
+    """The largest of ``values``, and NaN if any is NaN (the builtin max keeps its first
+    argument when a later one is NaN, so a NaN residual could read as a pass)."""
+    return float(np.max(values))
+
+
 def _pass(n: int, message: str) -> None:
     print(f"[PASS] acceptance criterion {n}: {message}")
 
@@ -68,7 +74,7 @@ def test_criterion_2_canonical_paracontact_constants_grid():
                 assert checks.valid, checks.failures()
             fit, pfit = nodes[0].fit, nullity_fit(nodes[1].structure)
             predicted = fit.kappa - 2.0 + (1.0 - fit.mu / 2.0) ** 2
-            worst = max(worst, abs(pfit.kappa - predicted), abs(pfit.mu - 2.0))
+            worst = _worst(worst, abs(pfit.kappa - predicted), abs(pfit.mu - 2.0))
             assert abs(pfit.kappa - predicted) <= 1e-8
             assert abs(pfit.mu - 2.0) <= 1e-8
     _pass(2, f"canonical paracontact constants and every tower step match the closed "
@@ -166,10 +172,10 @@ def _contact_identity_residual(s) -> float:
     """Max residual of the h-operator identity block, including nabla xi = -phi - phi h."""
     rep = validate_contact(s)
     keys = ("h_xi", "eta_circ_h", "h_phi_anticommute", "trace_h", "trace_phi_h")
-    worst = max(rep[k] for k in keys)
+    worst = _worst(*(rep[k] for k in keys))
     conn = levi_civita(s.model, s.g)
     nabla_xi = np.column_stack([nabla(conn, np.eye(s.dim)[i], s.xi) for i in range(s.dim)])
-    return max(worst, float(np.max(np.abs(nabla_xi + s.phi + s.phi @ s.h))))
+    return _worst(worst, float(np.max(np.abs(nabla_xi + s.phi + s.phi @ s.h))))
 
 
 def _paracontact_suite_residual(st) -> float:
@@ -177,7 +183,7 @@ def _paracontact_suite_residual(st) -> float:
     _, pc_rep = canonical_pc_connection(st)
     worst = pc_rep.worst[1]
     fit = nullity_fit(st)
-    return max(worst, fit.h_square_vs_kappa_residual, fit.curvature_reflection_residual)
+    return _worst(worst, fit.h_square_vs_kappa_residual, fit.curvature_reflection_residual)
 
 
 def test_criterion_7_identity_suites():
@@ -187,19 +193,19 @@ def test_criterion_7_identity_suites():
     def check_family(s):
         nonlocal worst
         fit = nullity_fit(s)
-        worst = max(worst, _contact_identity_residual(s))
+        worst = _worst(worst, _contact_identity_residual(s))
         _, side = nijenhuis_norm(s)
-        worst = max(worst, side.worst[1])
+        worst = _worst(worst, side.worst[1])
         from kmgeom.contact import blair_identity_suite
 
-        worst = max(worst, blair_identity_suite(s).worst[1])
+        worst = _worst(worst, blair_identity_suite(s).worst[1])
         # every tower step: Lemma closed forms, Levi-Civita relation and node suite
         nodes = sequence(s, 6 if abs(abs(fit.boeckx) - 1.0) > 1e-6 else 2)
         for prev, node in zip(nodes, nodes[1:]):
             checks = step_checks(prev, node, tol=1e-9)
             assert checks.valid, checks.failures()
-            worst = max(worst, checks.worst[1], node.checks.worst[1])
-        worst = max(worst, _paracontact_suite_residual(nodes[1].structure))
+            worst = _worst(worst, checks.worst[1], node.checks.worst[1])
+        worst = _worst(worst, _paracontact_suite_residual(nodes[1].structure))
 
     for lam, d in CLASS_PARAMS.values():
         check_family(family(lam, d))
@@ -213,8 +219,8 @@ def test_criterion_7_identity_suites():
         d = np.sign(rng.standard_normal()) * lam * rng.uniform(1.15, 3.0)
         check_family(family(lam, d))
 
-    worst = max(worst, _paracontact_suite_residual(nilpotent_h_5d().structure))
-    worst = max(worst, _paracontact_suite_residual(heisenberg(3, "paracontact").structure))
+    worst = _worst(worst, _paracontact_suite_residual(nilpotent_h_5d().structure))
+    worst = _worst(worst, _paracontact_suite_residual(heisenberg(3, "paracontact").structure))
     assert worst <= tol
     _pass(7, f"identity suites on all fixtures and 50 random parameter draws "
              f"(worst residual {worst:.2e})")
@@ -233,7 +239,7 @@ def test_criterion_8_closed_form_cross_checks():
                 (d_neg, -2 * fit.lam - fit.mu + 2),
             ):
                 gram = ld.vectors @ s.g @ ld.vectors.T
-                worst_pang = max(worst_pang, float(np.max(np.abs(ld.pang - coeff * gram))))
+                worst_pang = _worst(worst_pang, float(np.max(np.abs(ld.pang - coeff * gram))))
     assert worst_pang <= 1e-9
 
     # induced paracontact structure of the eigenpair vs the canonical one
@@ -244,7 +250,7 @@ def test_criterion_8_closed_form_cross_checks():
         d_pos, d_neg = eigendistributions(s)
         st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
         st_can = sequence(s, 2)[1].structure
-        worst_psi = max(
+        worst_psi = _worst(
             worst_psi,
             float(np.max(np.abs(st_psi.phi - st_can.phi))),
             float(np.max(np.abs(st_psi.g - st_can.g))),
@@ -257,7 +263,7 @@ def test_criterion_8_closed_form_cross_checks():
         if abs(c - 1.0) < 1e-9:
             continue
         kappa, mu, inv = tangent_bundle_constants(float(c))
-        worst_tb = max(worst_tb, abs(boeckx_invariant(kappa, mu) - inv))
+        worst_tb = _worst(worst_tb, abs(boeckx_invariant(kappa, mu) - inv))
     assert worst_tb <= 1e-10
     _pass(8, f"closed-form cross-checks: Pang {worst_pang:.2e}, induced-vs-canonical "
              f"{worst_psi:.2e}, tangent-bundle invariant {worst_tb:.2e}")

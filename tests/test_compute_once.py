@@ -1,8 +1,9 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
 nullity fit, derived structure, Nijenhuis tensor, Nijenhuis side report, kernel
 basis of eta, h-eigenframe and paracontact integrability check built once per
-run of the CLI, one Legendre validation per bi-Legendrian pair, and one argument
-parser per process."""
+run of the CLI, one Legendre validation per bi-Legendrian pair, one argument
+parser per process, and one decomposition per verdict: numpy's SVD and symmetric
+eigenvalue calls per CLI call are pinned."""
 
 import hashlib
 import sys
@@ -12,6 +13,9 @@ import pytest
 
 from kmgeom import cli, contact, legendre, modelfile, paracontact, riemann, tower
 from kmgeom.catalog import family_3d, nilpotent_h_5d
+from kmgeom.modelfile import CatalogEntry
+
+from conftest import twisted_contact_3d
 
 COUNTED = {
     "levi_civita": riemann.levi_civita,
@@ -129,6 +133,35 @@ def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv,
     assert len(solved) == len(set(solved)) == n_metrics  # no metric is solved twice
     for name, structures in askers.items():  # one build per structure that asks
         assert counts[name] == len({id(st) for st in structures})
+
+
+@pytest.mark.parametrize(
+    "entry, argv, expected",
+    [
+        # each metric's signature reads its one eigvalsh, both paracontact eigenranks are one
+        # stacked SVD, and each Pang form's definiteness is read from the eigenvalues its
+        # Legendre validation kept
+        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], {"svd": 17, "eigvalsh": 5}),
+        (family_3d(1.0, 2.0), ["derive", "--steps", "6"], {"svd": 8, "eigvalsh": 3}),
+        (CatalogEntry(name="twisted", model=twisted_contact_3d().model,
+                      structure=twisted_contact_3d()), ["analyze"], {"svd": 3, "eigvalsh": 1}),
+    ],
+    ids=["class-I-analyze", "class-I-derive", "not-nullity-analyze"],
+)
+def test_cli_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch, entry, argv, expected):
+    """numpy's SVD and symmetric eigenvalue calls of one CLI call: no verdict factors a
+    matrix that a decomposition of its site has already factored."""
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(entry))
+    counts = dict.fromkeys(expected, 0)
+    for name in expected:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert counts == expected
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 call set, run against the working tree itself, so that the tool cannot rot."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "equiv.py")
 spec = importlib.util.spec_from_file_location("equiv", TOOL)
@@ -36,3 +38,46 @@ def test_call_names_are_unique():
     calls = equiv.call_set(["models/a.json", "models/b.json"], ["heisenberg-3d", "family-3d"])
     assert len({call["name"] for call in calls}) == len(calls)
 
+
+def test_declared_moves_hold_against_their_parent_alone(tmp_path, monkeypatch, capsys):
+    def git(*args):
+        config = ["-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"]
+        return subprocess.run(["git", "-C", str(tmp_path), *config, *args], capture_output=True,
+                              text=True, check=True, timeout=60).stdout.strip()
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "parent")
+    moves = tmp_path / "moves.json"
+    moves.write_text(json.dumps({"parent": git("rev-parse", "HEAD"), "moves": {"call": "why"}}))
+    monkeypatch.setattr(equiv, "ROOT", str(tmp_path))
+    assert equiv.allowed_moves(str(moves), "HEAD") == {"call": "why"}
+    git("commit", "-q", "--allow-empty", "-m", "child")
+    assert equiv.allowed_moves(str(moves), "HEAD~1") == {"call": "why"}
+    capsys.readouterr()
+    assert equiv.allowed_moves(str(moves), "HEAD") == {}  # a stale list allows nothing
+    assert capsys.readouterr().out.endswith("not HEAD: none allowed\n")
+
+
+def test_only_a_declared_move_passes_the_gate(monkeypatch, capsys):
+    name = "analyze:h5-contact"
+    monkeypatch.setattr(equiv, "extract", lambda rev, dest: os.path.join(equiv.ROOT, "src"))
+    monkeypatch.setattr(equiv, "first_difference", lambda base, head: "stdout at byte 0")
+    for moves, code, line in (({}, 1, f"DIFFERS  {name}: stdout at byte 0"),
+                              ({name: "why"}, 0, f"MOVED  {name}: stdout at byte 0 (why)")):
+        def allowed_moves(path, rev):
+            assert (path, rev) == (equiv.MOVES, "REV")
+            return moves
+
+        monkeypatch.setattr(equiv, "allowed_moves", allowed_moves)
+        assert equiv.main(["--against", "REV"], keep=lambda call: call == name) == code
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == line
+        assert f"0 identical, 1 differ ({len(moves)} declared in {equiv.MOVES})" in out[-1]
+
+
+def test_the_shipped_move_list_names_a_commit_and_its_moves():
+    with open(os.path.join(equiv.ROOT, equiv.MOVES), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"parent", "moves"}
+    assert len(doc["parent"]) == 40 and int(doc["parent"], 16) >= 0
+    assert all(isinstance(reason, str) and reason for reason in doc["moves"].values())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kmgeom
-from kmgeom import contact, legendre, lie_model, report, riemann, tower
+from kmgeom import cli, contact, legendre, lie_model, report, riemann, tower
 from kmgeom.catalog import family_3d, get_entry, heisenberg, list_entries, nilpotent_h_5d, rebased
 from kmgeom.contact import validate_contact
 from kmgeom.errors import GeometryError
@@ -239,6 +239,17 @@ def test_nan_connection_fails_metric_compatibility():
     assert not rep.valid
 
 
+def test_a_nan_entry_is_the_worst(capsys):
+    """A NaN residual ranks above every number, wherever it stands in the table: in a
+    report's ``worst`` and in the identity line of the human output."""
+    for entries in ({"a": 1.0, "b": np.nan, "c": np.inf}, {"b": np.nan, "a": 1.0}):
+        assert report.ResidualReport(entries=entries).worst[0] == "b"
+        cli._human_identities(entries, {})
+        assert capsys.readouterr().out == (
+            f"identity suites: {len(entries)} checks, worst b = nan\n")
+    assert report.ResidualReport(entries={"b": 2.0, "a": 2.0}).worst == ("b", 2.0)
+
+
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(kmgeom.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -249,11 +260,13 @@ def test_import_does_not_load_scipy():
 
 
 
-# The one singularity test, report.rank_test, and the nine sites that decide by it.  Each
-# case names the module whose rank_test the site calls, the call and its verdict; the test
-# feeds the site's matrix to rank_test as it is and scaled by 1e-6 and by 1e6, and the
-# verdict must not move.  The |det| of the two notes scales with the matrix, so no verdict holds a note.
-RANK_TEST = report.rank_test
+# The one singularity rule, report.nonzero_sv, and the sites that decide by it: through
+# report.rank_test (an SVD of the site's matrix), or on the singular values the site's own
+# decomposition gave (signature: |eigenvalues|; reeb_vector: lstsq's).  Each case names the
+# module whose rank_test or nonzero_sv the site calls, the call and its verdict; the test
+# feeds the rule the site's input as it is and scaled by 1e-6 and by 1e6, and the verdict
+# must not move.  The |det| of the two notes scales with the matrix, so no verdict holds a note.
+RULES = {"rank_test": report.rank_test, "nonzero_sv": report.nonzero_sv}
 E5 = np.eye(5)
 
 
@@ -322,8 +335,8 @@ def _web(monkeypatch, collapse=False):
 
 NOT_CONTACT = ("DimensionMismatch", "one-form has no unique Reeb vector on this model (not contact)")
 HERE = sys.modules[__name__]
-# name: (module whose rank_test the site calls, the site: the function that must call it,
-# call(monkeypatch), verdict)
+# name: (module whose rank_test or nonzero_sv the site calls, the site: the function that
+# must call it, call(monkeypatch), verdict)
 SITE_CASES = {
     "rank_test": (HERE, "_rank", lambda _: _rank(np.diag([1.0, 3.0])), [2, False]),
     # cond 1e7 is nonsingular and cond 1e10 singular at tol = 1e-9, at every scale
@@ -341,6 +354,11 @@ SITE_CASES = {
     "signature": (riemann, "signature", lambda _: signature(_h5("paracontact").g), (3, 2, 0)),
     "signature-deficient": (riemann, "signature", lambda _: signature(np.diag([2.0, -1.0, 0.0])),
                             (1, 1, 1)),
+    # the |.| of the eigenvalues are the singular values: cond 1e7 is nondegenerate, 1e10 not
+    "signature-cond-1e7": (riemann, "signature", lambda _: signature(np.diag([1.0, -1e-7])),
+                           (1, 1, 0)),
+    "signature-cond-1e10": (riemann, "signature", lambda _: signature(np.diag([1.0, -1e-10])),
+                            (1, 0, 1)),
     "contact_nondegeneracy": (contact, "validate_contact",
                               lambda _: _entries(_h5(), "contact_nondegeneracy"), [0.0]),
     "contact_nondegeneracy-deficient": (
@@ -381,16 +399,22 @@ SITE_CASES = {
 def test_singularity_verdict_is_scale_free(case, scale, monkeypatch):
     """A well-conditioned matrix keeps its verdict when scaled, a rank-deficient one stays
     singular at every scale, and a NaN member of a levi_civita stack stays degenerate;
-    the site itself reads the verdict from rank_test."""
+    the site itself reads the verdict from the one rule: rank_test of its matrix, or
+    nonzero_sv of the singular values its own decomposition gave (a matrix scaled by a
+    positive factor has its singular values scaled by it)."""
     module, site, call, verdict = SITE_CASES[case]
     callers = set()
 
-    def scaled(a, tol=kmgeom.DEFAULT_TOL):
-        callers.add(sys._getframe(1).f_code.co_name)
-        return RANK_TEST(scale * np.asarray(a), tol)
+    def scaled(rule):
+        def wrapper(a, tol=kmgeom.DEFAULT_TOL):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return rule(scale * np.asarray(a), tol)
+        return wrapper
 
-    monkeypatch.setattr(module, "rank_test", scaled)
+    for name, rule in RULES.items():
+        if vars(module).get(name) is rule:
+            monkeypatch.setattr(module, name, scaled(rule))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert call(monkeypatch) == verdict
-    assert site in callers, f"{site} decided without rank_test"
+    assert site in callers, f"{site} decided without the shared rule"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kmgeom import legendre
+from kmgeom import DEFAULT_TOL, legendre
 from kmgeom.catalog import heisenberg
 from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import (
@@ -80,6 +80,22 @@ def test_classify_all_five_classes(tag, params):
     s = family(*params)
     fit = nullity_fit(s)
     assert classify_class(s) == tag == fit.class_tag
+
+
+@pytest.mark.parametrize("tag,params",
+                         [*sorted(CLASS_PARAMS.items()), ("I", (1.0, 1.0 + 1.5e-9))])
+def test_definiteness_reads_the_kept_pang_eigenvalues(tag, params):
+    """The definiteness of each eigendistribution, read from the eigenvalues its Legendre
+    validation kept, is the one a second eigvalsh of pi + pi^T, in units of 4 lambda,
+    gives: the two rescalings differ by powers of two, so the values agree bitwise.  At
+    I_M - 1 = 1.5e-9, D(-lambda) reads 1.5e-9 in units of 2 lambda, positive at tol 1e-9
+    and flat in any other unit twice as large."""
+    s = family(*params)
+    lam = nullity_fit(s).lam
+    for ld in eigendistributions(s):
+        eig = np.linalg.eigvalsh(ld.pang + ld.pang.T) / (4.0 * lam)
+        assert np.array_equal(ld.pang_eig / (2.0 * lam), eig)
+        assert ld.definiteness == legendre._definiteness(eig, DEFAULT_TOL)
 
 
 def test_classify_mismatch_detection(monkeypatch):
@@ -256,7 +272,7 @@ def test_eigendistributions_name_the_sasakian_band():
 def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():
     s = family(1.0, 2.0)
     d_pos, d_neg = eigendistributions(s)
-    nan_form = LegendreDistribution(d_pos.vectors, np.full((1, 1), np.nan), "flat")
+    nan_form = LegendreDistribution(d_pos.vectors, np.full((1, 1), np.nan), "flat", np.zeros(1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegeneratePang, match="singular"):

@@ -144,6 +144,7 @@ def _assert_members_match_alone(s, bases):
         assert np.allclose(ld.vectors, alone.vectors, rtol=0.0, atol=1e-12)
         assert np.allclose(ld.pang, alone.pang, rtol=0.0, atol=1e-12)
         assert ld.definiteness == alone.definiteness
+        assert np.allclose(ld.pang_eig, alone.pang_eig, rtol=0.0, atol=1e-12)
         assert isinstance(residual, float)
         assert residual == pytest.approx(involutivity_residual(s.model, s.eta, s.xi, basis),
                                          abs=1e-12)

@@ -20,6 +20,13 @@ For each call the tool prints ``identical`` or the first stream that differs and
 byte offset, then a summary count; it exits 1 when a call differs.  ``--record FILE``
 writes one sha256 per call of the working tree (``<digest>  <call>``).
 
+Against REV, ``tests/data/equiv_moves.json`` declares the calls a change moves on
+purpose: a JSON object ``{"parent": "<commit>", "moves": {"<call>": "<reason>", ...}}``.
+A listed call that differs prints ``MOVED`` and its reason, and the tool exits 1 only
+when a call differs that the file does not list.  The moves hold against their parent
+commit alone: when REV is another commit, the file allows nothing, so a list left over
+from an earlier change never excuses a new move.
+
 The set: every catalog entry, ten ``family_3d`` points (I_M - 1 = 3e-9 and
 lambda = 1e-5 among them), the twisted non-nullity model and contact and paracontact
 H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``derive
@@ -49,6 +56,7 @@ import tempfile
 import time
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+MOVES = os.path.join("tests", "data", "equiv_moves.json")  # under ROOT
 
 # (lambda, d) of the family_3d points: I_M = d / lambda
 FAMILY = [(1.0, 2.0), (1.0, 0.5), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.0 + 3e-9),
@@ -323,6 +331,19 @@ def extract(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
+def allowed_moves(path: str, rev: str) -> dict:
+    """The moved calls, with their reasons, that ``path`` (under ROOT) declares, if its
+    parent is the commit ``rev`` names; none otherwise."""
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True, timeout=60)
+    if doc["parent"] != proc.stdout.strip():
+        print(f"{path} declares moves against {doc['parent']}, not {rev}: none allowed")
+        return {}
+    return doc["moves"]
+
+
 def main(argv: list[str] | None = None, keep=None) -> int:
     """The command line; ``keep``, a predicate on a call's name, leaves out the calls it
     rejects (a test runs a subset)."""
@@ -334,6 +355,7 @@ def main(argv: list[str] | None = None, keep=None) -> int:
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
     parser.add_argument("--record", metavar="FILE", help="write one sha256 per call here")
     args = parser.parse_args(argv)
+    allowed = allowed_moves(MOVES, args.against) if args.against else {}
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         head = os.path.join(ROOT, "src")
@@ -345,19 +367,23 @@ def main(argv: list[str] | None = None, keep=None) -> int:
         calls = call_set(write_inputs(work, names), names) + perfbench_calls(work)
         calls = [c for c in calls if keep is None or keep(c["name"])]
         base_records, head_records = run_calls(base, work, calls), run_calls(head, work, calls)
-    differ = 0
+    differ = undeclared = 0
     for call, a, b in zip(calls, base_records, head_records):
         diff = first_difference(a, b)
         differ += diff is not None
-        print(f"{'identical' if diff is None else 'DIFFERS'}  {call['name']}"
-              + ("" if diff is None else f": {diff}"))
+        moved = diff is not None and call["name"] in allowed
+        undeclared += diff is not None and not moved
+        status = "identical" if diff is None else "MOVED" if moved else "DIFFERS"
+        print(f"{status}  {call['name']}" + ("" if diff is None else f": {diff}")
+              + (f" ({allowed[call['name']]})" if moved else ""))
     if args.record:
         with open(args.record, "w", encoding="utf-8") as fh:
             fh.writelines(f"{digest(r)}  {c['name']}\n" for c, r in zip(calls, head_records))
     print(f"{len(calls)} calls against {args.against or 'the working tree'}: "
-          f"{len(calls) - differ} identical, {differ} differ "
-          f"({time.perf_counter() - start:.1f} s)")
-    return 1 if differ else 0
+          f"{len(calls) - differ} identical, {differ} differ"
+          + (f" ({differ - undeclared} declared in {MOVES})" if args.against else "")
+          + f" ({time.perf_counter() - start:.1f} s)")
+    return 1 if undeclared else 0
 
 
 if __name__ == "__main__":
