@@ -5,13 +5,15 @@ metric structure where h~ = (1/2) L_xi phi~ does not vanish yet squares to
 zero: the metric being indefinite, a symmetric operator can be nonzero with
 h~^2 = 0, which never happens in the Riemannian (contact) world.  The
 curvature nevertheless satisfies a nullity condition, and h~^2 = 0 pins its
-kappa~ at exactly -1.
+kappa~ at exactly -1.  Its canonical paracontact connection is the eps = -1
+member of the one eps-signed canonical connection, whose eps = +1 member is the
+generalized Tanaka-Webster connection of a contact structure.
 """
 
 import numpy as np
 
 from kmgeom import (
-    canonical_pc_connection,
+    canonical_connection,
     integrability_and_parasasaki,
     jacobi_residual,
     nilpotent_h_5d,
@@ -50,10 +52,11 @@ print(f"  full-tensor residual = {fit.residual:.2e}")
 print(f"  spectral type: {fit.spectral_type}")
 print(f"  h~^2 - (1 + kappa~) phi~^2 residual = {fit.h_square_vs_kappa_residual:.2e}")
 
-print("\n== canonical paracontact connection ==")
-_, pc_report = canonical_pc_connection(st)
+print("\n== canonical paracontact connection (canonical_connection at eps = -1) ==")
+_, pc_report, nabla_phi = canonical_connection(st)
 for name, value in sorted(pc_report.entries.items()):
     print(f"  {name:32s} {value:.2e}")
+print(f"  max |nabla* phi~| = {np.max(np.abs(nabla_phi)):.2e}   (integrable)")
 
 flags = integrability_and_parasasaki(st)
 print("\nintegrable:", flags["integrable"], " para-Sasakian:", flags["para_sasakian"],

@@ -11,8 +11,9 @@ structures, whose report also checks the anti-hypercomplex triple and the
 
 The public names are the keys of ``_SUBMODULE`` plus ``DEFAULT_TOL``, each
 under one spelling: a paracontact structure keeps phi~, g~ and h~ in ``phi``,
-``g`` and ``h``, and one validator (:func:`validate_contact`) and one nullity
-fit (:func:`nullity_fit`) serve both kinds; each derived result and construction
+``g`` and ``h``, and one validator (:func:`validate_contact`), one nullity
+fit (:func:`nullity_fit`) and one canonical connection
+(:func:`canonical_connection`) serve both kinds; each derived result and construction
 is one function of ``(s, tol)`` that reads the structure's fit, which
 :func:`nullity_fit` keeps on it.  ``_SUBMODULE`` maps each name to
 the submodule that defines it, which is imported on first access (PEP 562), so
@@ -27,9 +28,10 @@ _SUBMODULE = {
     "family_3d": "catalog", "heisenberg": "catalog", "nilpotent_h_5d": "catalog",
     "tangent_bundle_constants": "catalog", "CatalogEntry": "modelfile",
     "ContactMetricStructure": "contact", "NullityReport": "contact",
-    "blair_identity_suite": "contact", "boeckx_invariant": "contact",
-    "classification_flags": "contact", "nijenhuis_norm": "contact", "nullity_fit": "contact",
-    "validate_contact": "contact",
+    "ParacontactMetricStructure": "contact", "blair_identity_suite": "contact",
+    "boeckx_invariant": "contact", "canonical_connection": "contact",
+    "classification_flags": "contact", "integrability_and_parasasaki": "contact",
+    "nijenhuis_norm": "contact", "nullity_fit": "contact", "validate_contact": "contact",
     "GeometryError": "errors",
     "LegendreDistribution": "legendre", "bilegendrian_connection": "legendre",
     "classify_class": "legendre", "conjugate_distribution": "legendre",
@@ -37,8 +39,6 @@ _SUBMODULE = {
     "libermann_map": "legendre", "psi_to_paracontact": "legendre",
     "LieModel": "lie_model", "d_one_form": "lie_model", "jacobi_residual": "lie_model",
     "lie_derivative_endo": "lie_model",
-    "ParacontactMetricStructure": "paracontact", "canonical_pc_connection": "paracontact",
-    "integrability_and_parasasaki": "paracontact",
     "ResidualReport": "report",
     "AffineConnection": "riemann", "levi_civita": "riemann", "signature": "riemann",
     "SasakianPackage": "tower", "TowerNode": "tower", "sasakian_structure": "tower",

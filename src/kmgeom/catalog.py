@@ -23,11 +23,10 @@ import functools
 
 import numpy as np
 
-from .contact import ContactMetricStructure, classify_by_invariant
+from .contact import ContactMetricStructure, ParacontactMetricStructure, classify_by_invariant
 from .errors import NonPositiveLambda
 from .lie_model import LieModel, _structure_constants
 from .modelfile import CatalogEntry
-from .paracontact import ParacontactMetricStructure
 
 
 def nilpotent_h_5d() -> CatalogEntry:

@@ -201,7 +201,7 @@ def _identities(c) -> dict:
 
 def _pc_identities(c) -> dict:
     """The canonical connection's suite and the integrability residuals."""
-    _, pc_rep = kmgeom.canonical_pc_connection(c.s, c.tol)
+    _, pc_rep, _ = kmgeom.canonical_connection(c.s, c.tol)
     found = kmgeom.integrability_and_parasasaki(c.s, c.tol)
     return {**pc_rep.entries, "nijenhuis_d_component": found["nijenhuis_d_residual"],
             "pc_parallel_phi": found["pc_parallel_phi_residual"]}

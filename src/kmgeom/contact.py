@@ -1,4 +1,4 @@
-"""Contact metric structures and the (kappa, mu)-nullity machinery.
+"""Contact and paracontact metric structures and the (kappa, mu)-nullity machinery.
 
 A contact metric structure is a quadruple (phi, xi, eta, g) with
 
@@ -13,13 +13,24 @@ Reeb field to be Killing; a structure is a (kappa, mu)-space when
 for constants kappa, mu.  Non-Sasakian (kappa < 1) spaces carry the Boeckx
 invariant I_M = (1 - mu/2) / sqrt(1 - kappa), which positions the structure
 in one of five classes and drives every derived construction downstream.
+
+A paracontact metric structure (phi~, xi, eta, g~) has phi~^2 = I - eta (x) xi,
+g~ of signature (n+1, n) and the +-1 eigendistributions of phi~ on ker(eta) of
+rank n each.  Its h~ = (1/2) L_xi phi~ is g~-symmetric but, the metric being
+indefinite, need not be diagonalizable; on a nullity space h~^2 = s phi~^2, and
+the sign of s classifies the spectrum (real pair / complex pair / nilpotent).
+
 Contact and paracontact structures differ by the sign eps = +1 / -1 in
-phi^2 = -eps (I - eta (x) xi) and share one base, :class:`MetricStructure`,
-one validator, :func:`validate_contact`, and one nullity fit,
-:func:`nullity_fit`, whose :class:`NullityReport` carries the Boeckx
-invariant and class of a contact structure or the spectral type of a
-paracontact h~, and one eps-signed (kappa, mu) identity suite,
-:func:`blair_identity_suite`.
+phi^2 = -eps (I - eta (x) xi) and share one base, :class:`MetricStructure`
+(:class:`ContactMetricStructure` and :class:`ParacontactMetricStructure` set the
+sign; the latter keeps phi~, g~ and h~ in ``phi``, ``g`` and ``h``), one
+validator, :func:`validate_contact`, one nullity fit, :func:`nullity_fit`,
+whose :class:`NullityReport` carries the Boeckx invariant and class of a contact
+structure or the spectral type of a paracontact h~, one eps-signed (kappa, mu)
+identity suite, :func:`blair_identity_suite`, and one eps-signed canonical
+connection, :func:`canonical_connection`: Tanno's generalized Tanaka-Webster
+connection for eps = +1 and Zamkovoy's canonical paracontact connection for
+eps = -1, which :func:`integrability_and_parasasaki` reads for both signs.
 
 :func:`validate_contact` and :func:`nullity_fit` take one structure or a stack
 (a list of one kind on one (M, eta, xi), such as tower nodes; a single
@@ -27,8 +38,9 @@ structure is a stack of one).  A stack gives each member what it gets alone,
 its exception included, and each member keeps its own connection and its fit's
 report, or error.  The fit, one pass over the stack, alone reads R(., .) xi (not
 kept) and compares h~^2 with phi~^2.  Every derived result, such as
-:func:`nijenhuis_norm` and :func:`classification_flags`, is one function of
-(s, tol) that reads the structure's kept fit.  Everything a structure keeps goes
+:func:`nijenhuis_norm`, :func:`classification_flags` and
+:func:`canonical_connection`, is one function of (s, tol) that reads the
+structure's kept fit or connection.  Everything a structure keeps goes
 through one memo, :func:`_each` (:meth:`MetricStructure.cached` is its
 stack-of-one case), which keeps every array of an entry read-only.
 """
@@ -51,6 +63,7 @@ from .riemann import (
     form_xy,
     levi_civita,
     nijenhuis_tensor,
+    on_pairs,
     signature,
 )
 
@@ -223,6 +236,15 @@ class ContactMetricStructure(MetricStructure):
 
     eps = 1.0
     kind = "contact"
+
+
+class ParacontactMetricStructure(MetricStructure):
+    """Tensor quadruple (phi, xi, eta, g) on a Lie model, with cached h: the
+    eps = -1 member of :class:`MetricStructure`, whose ``phi``, ``g`` and ``h``
+    are phi~, g~ and h~."""
+
+    eps = -1.0
+    kind = "paracontact"
 
 
 def _kernel_basis(eta: np.ndarray) -> np.ndarray:
@@ -501,6 +523,96 @@ def nabla_phi_closed_form(s: MetricStructure, h: np.ndarray | float) -> np.ndarr
     """
     a = np.eye(s.dim) + s.eps * h
     return s.eps * (form_xy(s.g @ a, s.xi) - eta_y(s.eta, a))
+
+
+def canonical_connection(
+    s: MetricStructure, tol: float = DEFAULT_TOL
+) -> tuple[AffineConnection, ResidualReport, np.ndarray]:
+    """The canonical connection of ``s``, its defining-property report and
+    (nabla*_{e_i} phi) e_j at [i, j, :], built once per ``tol`` and kept on ``s``.
+
+        nabla*_X Y = nabla_X Y + eta(X) phi Y - eta(Y) nabla_X xi + g(nabla_X xi, Y) xi,
+        nabla xi = -phi (I + eps h),
+
+    Tanno's generalized Tanaka-Webster connection for eps = +1 and the canonical
+    paracontact connection for eps = -1.
+
+    Verified properties: parallel eta / xi / g; the phi-derivative shift
+    nabla* phi = nabla phi - (the closed form of :func:`nabla_phi_closed_form`);
+    torsion reflection through phi in the xi slot; torsion equal to
+    2 d eta(X, Y) xi on the contact distribution; and the full closed-form
+    torsion -eps (eta(X) phi h Y - eta(Y) phi h X) + 2 g(X, phi Y) xi.
+    """
+
+    def build():
+        m, eps, phi, xi, eta, g, h = s.model, s.eps, s.phi, s.xi, s.eta, s.g, s.h
+        lc = s.levi_civita(tol)
+        phih = phi @ h
+
+        gamma = lc.gamma + eta_x(eta, phi) + eta_y(eta, phi + eps * phih)
+        gamma += form_xy((np.eye(s.dim) + eps * h).T @ g @ phi, xi)
+        conn = AffineConnection(gamma=gamma)
+
+        report = ResidualReport(tol=tol)
+        report.add("parallel_eta", -(conn.gamma @ eta))  # [i, j] = (nabla_{e_i} eta)(e_j)
+        report.add("parallel_xi", xi @ conn.gamma)  # [i, :] = nabla_{e_i} xi
+        report.add("parallel_metric", conn.nabla_bilinear_all(g))
+        nabla_phi = conn.nabla_endo_all(phi)
+        report.add("phi_derivative_identity",
+                   nabla_phi - (s.nabla_phi(tol) - nabla_phi_closed_form(s, h)))
+
+        tors = conn.torsion(m)
+        t_xi = np.tensordot(xi, tors, 1)  # [j, :] = T(xi, e_j)
+        report.add("torsion_phi_reflection", phi.T @ t_xi + t_xi @ phi.T)
+        closed = -eps * (eta_x(eta, phih) - eta_y(eta, phih)) + 2.0 * form_xy(g @ phi, xi)
+        report.add("torsion_closed_form", tors - closed)
+        kbasis = s.contact_basis()
+        report.add("torsion_on_contact_distribution",
+                   on_pairs(tors - 2.0 * form_xy(s.d_eta(), xi), kbasis, kbasis))
+        return conn, report, nabla_phi
+
+    return s.cached(("canonical_connection", tol), build)
+
+
+def integrability_and_parasasaki(s: MetricStructure, tol: float = DEFAULT_TOL) -> dict:
+    """Integrability and the h = 0 closed form, computed once per ``tol`` and kept on ``s``.
+
+    Integrability (CR integrability for eps = +1) is computed two independent ways:
+    the eps-signed Nijenhuis torsion valued in R xi on the contact distribution, and
+    the vanishing of nabla* phi for :func:`canonical_connection`; a disagreement
+    beyond 10 tol signals an engine bug, not a model property.  ``para_sasakian``
+    reads the closed form of nabla phi at h = 0: the Sasakian one for eps = +1, the
+    para-Sasakian one for eps = -1.  The curvature form R~_{XY} xi =
+    -(eta(Y) X - eta(X) Y) that a para-Sasakian structure satisfies is the
+    kappa~ = -1 nullity condition of :func:`nullity_fit`.
+    """
+
+    def build():
+        kbasis = s.contact_basis()
+        nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
+        worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
+        integrable_n = worst_d <= tol
+
+        worst_pc = max_abs(canonical_connection(s, tol)[2])
+        integrable_pc = worst_pc <= tol
+
+        if integrable_n != integrable_pc and abs(worst_d - worst_pc) > 10.0 * tol:
+            raise InternalInconsistency(
+                f"integrability criteria disagree: Nijenhuis residual {worst_d:.3e}, "
+                f"nabla* phi residual {worst_pc:.3e}"
+            )
+
+        # (nabla_X phi) Y = eps [g(X, Y) xi - eta(Y) X], the closed form at h = 0
+        ps = max_abs(s.nabla_phi(tol) - nabla_phi_closed_form(s, 0.0))
+        return {
+            "integrable": bool(integrable_n),
+            "para_sasakian": bool(ps <= tol),
+            "nijenhuis_d_residual": worst_d,
+            "pc_parallel_phi_residual": worst_pc,
+            "para_sasaki_residual": ps,
+        }
+
+    return s.cached(("integrability_and_parasasaki", tol), build)
 
 
 def blair_identity_suite(s: MetricStructure, tol: float = DEFAULT_TOL) -> ResidualReport:

@@ -30,7 +30,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contact import ContactMetricStructure, _unstack, nullity_fit
+from .contact import (
+    ContactMetricStructure,
+    ParacontactMetricStructure,
+    _unstack,
+    canonical_connection,
+    integrability_and_parasasaki,
+    nullity_fit,
+)
 from .errors import (
     ClassificationMismatch,
     DegeneratePang,
@@ -42,11 +49,6 @@ from .errors import (
     SasakianDegenerate,
 )
 from .lie_model import LieModel, check_finite, d_one_form, reeb_vector
-from .paracontact import (
-    ParacontactMetricStructure,
-    canonical_pc_connection,
-    integrability_and_parasasaki,
-)
 from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
 from .riemann import AffineConnection, form_xy, on_pairs
 
@@ -325,7 +327,7 @@ def bilegendrian_connection(
             "induced paracontact structure is not integrable; "
             "the bi-Legendrian and canonical connections need not coincide"
         )
-    conn, _ = canonical_pc_connection(induced, tol)
+    conn = canonical_connection(induced, tol)[0]
     model, eta, xi = induced.model, induced.eta, induced.xi
     deta = d_one_form(model, eta)
 
@@ -353,7 +355,7 @@ def bilegendrian_connection(
     expected = proj2 @ ad_xi @ proj1 + proj1 @ ad_xi @ proj2  # column i: expected T(e_i, xi)
     report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)
 
-    report.add("parallel_phi_t", flags["pc_parallel_phi_residual"])  # max-abs of nabla^pc phi~
+    report.add("parallel_phi_t", flags["pc_parallel_phi_residual"])  # max-abs of nabla* phi~
     report.add("parallel_g_t", conn.nabla_bilinear_all(induced.g))
 
     if contact is not None:

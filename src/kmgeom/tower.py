@@ -35,6 +35,7 @@ from .contact import (
     ContactMetricStructure,
     MetricStructure,
     NullityReport,
+    ParacontactMetricStructure,
     _detached,
     _tw_parallel,
     blair_identity_suite,
@@ -59,7 +60,6 @@ from .legendre import (
     libermann_map,
 )
 from .lie_model import lie_derivative_endo
-from .paracontact import ParacontactMetricStructure
 from .report import DEFAULT_TOL, ResidualReport, max_abs, rank_test
 from .riemann import eta_x, eta_y, form_xy
 

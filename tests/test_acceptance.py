@@ -10,6 +10,7 @@ import pytest
 from kmgeom.catalog import heisenberg, nilpotent_h_5d, tangent_bundle_constants
 from kmgeom.contact import (
     boeckx_invariant,
+    canonical_connection,
     nijenhuis_norm,
     nullity_fit,
     validate_contact,
@@ -21,7 +22,6 @@ from kmgeom.errors import (
     SasakianOrInvalid,
 )
 from kmgeom.legendre import classify_class, eigendistributions, libermann_map, psi_to_paracontact
-from kmgeom.paracontact import canonical_pc_connection
 from kmgeom.riemann import levi_civita, signature
 from kmgeom.tower import (
     sasakian_structure,
@@ -180,7 +180,7 @@ def _contact_identity_residual(s) -> float:
 
 def _paracontact_suite_residual(st) -> float:
     """Worst residual over the canonical-connection properties and fit side checks."""
-    _, pc_rep = canonical_pc_connection(st)
+    _, pc_rep, _ = canonical_connection(st)
     worst = pc_rep.worst[1]
     fit = nullity_fit(st)
     return _worst(worst, fit.h_square_vs_kappa_residual, fit.curvature_reflection_residual)

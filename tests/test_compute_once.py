@@ -1,6 +1,7 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
 nullity fit, derived structure, Nijenhuis tensor, Nijenhuis side report, kernel
-basis of eta, h-eigenframe and paracontact integrability check built once per
+basis of eta, h-eigenframe, canonical connection and paracontact integrability
+check built once per
 run of the CLI, one Legendre validation per bi-Legendrian pair, one argument
 parser per process, and one decomposition per verdict: numpy's SVD and symmetric
 eigenvalue calls per CLI call are pinned."""
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmgeom import cli, contact, legendre, modelfile, paracontact, riemann, tower
+from kmgeom import cli, contact, legendre, modelfile, riemann, tower
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.modelfile import CatalogEntry
 
@@ -20,7 +21,6 @@ from conftest import twisted_contact_3d
 COUNTED = {
     "levi_civita": riemann.levi_civita,
     "step_checks": tower.step_checks,
-    "canonical_pc_connection": paracontact.canonical_pc_connection,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
     "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
     # one call per bi-Legendrian pair: each validates its two distributions as a stack
@@ -30,9 +30,11 @@ COUNTED = {
     "build_parser": cli.build_parser,
 }
 # the memo entries counted where the memo (contact._each) builds them, one per member:
+# the canonical connection read by its CLI stage row and by the integrability check,
 # the integrability check read by two paracontact stage rows of the CLI, the
 # Nijenhuis norm with its side report, the h-eigenframe and the nullity fit
-KEPT = ("integrability_and_parasasaki", "nijenhuis_norm", "eigendistributions", "nullity")
+KEPT = ("canonical_connection", "integrability_and_parasasaki", "nijenhuis_norm",
+        "eigendistributions", "nullity")
 
 
 def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
@@ -115,7 +117,7 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
          {"levi_civita": 2, "step_checks": 0, "nijenhuis_tensor": 1, "nijenhuis_norm": 1,
           "_kernel_basis": 2, "nullity": 2}),
         (nilpotent_h_5d(), ["analyze"], 1,
-         {"levi_civita": 1, "step_checks": 0, "canonical_pc_connection": 1, "nijenhuis_tensor": 1,
+         {"levi_civita": 1, "step_checks": 0, "canonical_connection": 1, "nijenhuis_tensor": 1,
           "nijenhuis_norm": 0, "_kernel_basis": 1, "integrability_and_parasasaki": 1,
           "nullity": 1}),
     ],
@@ -188,7 +190,7 @@ def test_cached_connection_is_shared_and_read_only():
     assert s.levi_civita() is conn
     with pytest.raises(ValueError):
         conn.gamma[0, 0, 0] = 1.0
-    pc, _ = paracontact.canonical_pc_connection(nilpotent_h_5d().structure)
+    pc, _, _ = contact.canonical_connection(nilpotent_h_5d().structure)
     with pytest.raises(ValueError):
         pc.gamma[0, 0, 0] = 1.0
 

@@ -1,4 +1,5 @@
-"""Contact metric validation, h, Nijenhuis torsion, nullity fit, Boeckx invariant."""
+"""Contact metric validation, h, Nijenhuis torsion, nullity fit, Boeckx invariant,
+and the eps = +1 member of the canonical connection (generalized Tanaka-Webster)."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from kmgeom.contact import (
     ContactMetricStructure,
     blair_identity_suite,
     boeckx_invariant,
+    canonical_connection,
     classification_flags,
+    integrability_and_parasasaki,
     nijenhuis_norm,
     nullity_fit,
     validate_contact,
 )
-from kmgeom.catalog import heisenberg, nilpotent_h_5d
+from kmgeom.catalog import STANDARD_FAMILY_PARAMS, family_3d, heisenberg, nilpotent_h_5d
+from kmgeom.report import max_abs
 from kmgeom.errors import NotNullity, SasakianOrInvalid
 from kmgeom.tower import sequence
 
@@ -185,3 +189,42 @@ def test_classification_flags():
 def test_classification_flags_sasakian(sasakian_fixture):
     flags = classification_flags(sasakian_fixture)
     assert flags["sasakian"] and flags["k_contact"] and not flags["tw_parallel"]
+
+
+# contact (kappa, mu)-spaces: the five class points and the Sasakian H_d
+TW_CASES = {**{name: family_3d(*p).structure for name, p in STANDARD_FAMILY_PARAMS.items()},
+            **{f"heisenberg-{dim}-contact": heisenberg(dim).structure for dim in (5, 11, 21)}}
+
+
+@pytest.mark.parametrize("name", TW_CASES)
+def test_canonical_connection_contact(name):
+    # the eps = +1 member is Tanno's generalized Tanaka-Webster connection: parallel
+    # eta, xi and g, the phi-derivative shift and the torsion closed form all hold
+    _, rep, _ = canonical_connection(TW_CASES[name])
+    assert rep.entries and all(v <= 1e-12 for v in rep.entries.values()), rep.entries
+
+
+@pytest.mark.parametrize("name", TW_CASES)
+def test_contact_nullity_spaces_are_cr_integrable(name):
+    # both criteria read 0 (measured 0.0 on every case), so they agree and nothing raises
+    flags = integrability_and_parasasaki(TW_CASES[name])
+    assert flags["integrable"]
+    assert flags["nijenhuis_d_residual"] <= 1e-12
+    assert flags["pc_parallel_phi_residual"] <= 1e-12
+
+
+def test_h_zero_closed_form_is_the_sasakian_one():
+    assert integrability_and_parasasaki(heisenberg(5).structure)["para_sasakian"]
+    for p in STANDARD_FAMILY_PARAMS.values():
+        assert not integrability_and_parasasaki(family_3d(*p).structure)["para_sasakian"]
+
+
+@pytest.mark.parametrize("lam,d,expected", [
+    (1.0, 0.0, 0.0), (0.5, 0.0, 0.0),  # mu = 2
+    (1.0, 2.0, 4.0), (0.7, 0.3, 0.42), (1.3, -0.2, 0.52),  # lambda |2 - mu|
+])
+def test_tanaka_webster_derivative_of_h(lam, d, expected):
+    # |nabla* h| in the catalog basis vanishes exactly at mu = 2 and scales with lambda
+    s = family_3d(lam, d).structure
+    conn, _, _ = canonical_connection(s)
+    assert max_abs(conn.nabla_endo_all(s.h)) == pytest.approx(expected, abs=1e-12)

@@ -22,9 +22,8 @@ import pytest
 
 from kmgeom.catalog import heisenberg
 from kmgeom.cli import main
-from kmgeom.contact import ContactMetricStructure
+from kmgeom.contact import ContactMetricStructure, ParacontactMetricStructure
 from kmgeom.lie_model import LieModel
-from kmgeom.paracontact import ParacontactMetricStructure
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
 from kmgeom.legendre import (eigendistributions, involutivity_residual, legendre_distribution,
                              libermann_map)

@@ -31,17 +31,16 @@ from kmgeom.catalog import family_3d
 # eagerly before the package resolved them on access.
 PUBLIC = {
     "catalog": ["family_3d", "heisenberg", "nilpotent_h_5d", "tangent_bundle_constants"],
-    "contact": ["ContactMetricStructure", "NullityReport", "blair_identity_suite",
-                "boeckx_invariant", "classification_flags", "nijenhuis_norm", "nullity_fit",
-                "validate_contact"],
+    "contact": ["ContactMetricStructure", "NullityReport", "ParacontactMetricStructure",
+                "blair_identity_suite", "boeckx_invariant", "canonical_connection",
+                "classification_flags", "integrability_and_parasasaki", "nijenhuis_norm",
+                "nullity_fit", "validate_contact"],
     "errors": ["GeometryError"],
     "legendre": ["LegendreDistribution", "bilegendrian_connection", "classify_class",
                  "conjugate_distribution", "eigendistributions", "legendre_pair_constants",
                  "libermann_map", "psi_to_paracontact"],
     "lie_model": ["LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
     "modelfile": ["CatalogEntry"],
-    "paracontact": ["ParacontactMetricStructure", "canonical_pc_connection",
-                    "integrability_and_parasasaki"],
     "report": ["DEFAULT_TOL", "ResidualReport"],
     "riemann": ["AffineConnection", "levi_civita", "signature"],
     "tower": ["SasakianPackage", "TowerNode", "sasakian_structure",

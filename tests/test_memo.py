@@ -32,7 +32,7 @@ def _arrays(value) -> list:
          {"levi_civita", "nullity", "nijenhuis_tensor", "contact_basis", "eigendistributions"}),
         (nilpotent_h_5d(), ["analyze"],
          {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "contact_basis",
-          "canonical_pc_connection", "integrability_and_parasasaki"}),
+          "canonical_connection", "integrability_and_parasasaki"}),
     ],
     ids=["class-I-analyze", "class-II-derive", "nilpotent-h-5d-analyze"],
 )

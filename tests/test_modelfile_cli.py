@@ -563,7 +563,7 @@ def test_cli_derive_reports_an_analyze_error_as_one_error_line(tmp_path, capsys,
 
 # the public names that the CLI's stage rows call, each through the package
 CLI_CALLS = ["jacobi_residual", "validate_contact", "nullity_fit", "classify_class",
-             "classification_flags", "blair_identity_suite", "canonical_pc_connection",
+             "classification_flags", "blair_identity_suite", "canonical_connection",
              "sasakian_structure", "second_bilegendrian_analysis", "sequence"]
 
 

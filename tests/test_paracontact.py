@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from kmgeom import catalog
-from kmgeom.contact import nullity_fit, validate_contact
-from kmgeom.errors import InternalInconsistency
-from kmgeom.paracontact import (
+from kmgeom.contact import (
     ParacontactMetricStructure,
-    canonical_pc_connection,
+    canonical_connection,
     integrability_and_parasasaki,
+    nullity_fit,
+    validate_contact,
 )
+from kmgeom.errors import InternalInconsistency
 from kmgeom.tower import sequence
 
 from conftest import family
@@ -147,13 +148,13 @@ def test_para_nullity_fit_canonical(lam, d, kappa_t, stype):
 
 
 def test_canonical_pc_connection_5d(model_5d):
-    _, rep = canonical_pc_connection(model_5d.structure)
+    _, rep, _ = canonical_connection(model_5d.structure)
     assert rep.valid, rep.failures()
 
 
 def test_canonical_pc_connection_parallelizes_integrable_phi():
     st = canonical(1.0, 2.0)
-    conn, rep = canonical_pc_connection(st)
+    conn, rep, _ = canonical_connection(st)
     assert rep.valid, rep.failures()
     worst = max(np.max(np.abs(nabla_endo(conn, i, st.phi))) for i in range(3))
     assert worst <= 1e-12
@@ -161,7 +162,7 @@ def test_canonical_pc_connection_parallelizes_integrable_phi():
 
 def test_pc_torsion_reduces_when_h_vanishes(heisenberg):
     st = heisenberg.structure
-    conn, rep = canonical_pc_connection(st)
+    conn, rep, _ = canonical_connection(st)
     assert rep.valid, rep.failures()
     tors = conn.torsion(st.model)
     basis = np.eye(3)
