@@ -3,9 +3,10 @@
 The +-lambda eigendistributions of h form a bi-Legendrian pair.  Assigning
 phi~ = +1 on one, -1 on the other and g~ = d eta(., phi~ .) + eta (x) eta
 induces a paracontact metric structure, which coincides with the canonical
-one; its canonical connection is simultaneously the bi-Legendrian connection
-of the pair and parallelizes g, phi and h.  The canonical structure is node 1
-of the tower (tower.sequence), certified against node 0 by tower.step_checks.
+one, h / lambda; its canonical connection is simultaneously the bi-Legendrian
+connection of the pair and parallelizes g, phi and h.  bilegendrian_connection(s)
+builds it from the pair and reports both claims.  The canonical structure is node
+1 of the tower (tower.sequence), certified against node 0 by tower.step_checks.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from kmgeom import (
     family_3d,
     libermann_map,
     nullity_fit,
-    psi_to_paracontact,
     second_bilegendrian_analysis,
     sequence,
     step_checks,
@@ -37,18 +37,13 @@ q = conjugate_distribution(s, d_pos)
 print(f"  conjugate phi D(+lambda) spans D(-lambda): "
       f"{np.allclose(q.span_projector(), d_neg.span_projector())}")
 
-print("\n== induced paracontact structure ==")
-st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
+print("\n== induced paracontact structure and bi-Legendrian connection ==")
 node0, node1 = sequence(s, 2)
-st_can, checks = node1.structure, step_checks(node0, node1)
-print(f"  matches the canonical structure: "
-      f"{np.max(np.abs(st_psi.phi - st_can.phi)):.1e} (phi~), "
-      f"{np.max(np.abs(st_psi.g - st_can.g)):.1e} (g~)")
-print(f"  canonical-structure checks valid: {checks.valid}")
-
-print("\n== bi-Legendrian connection ==")
-_, rep = bilegendrian_connection(st_psi, d_pos, d_neg, contact=s)
-for name in ("preserves_l1", "preserves_l2", "parallel_xi", "parallel_deta",
+checks = step_checks(node0, node1)
+print(f"  canonical-structure (tower node 1) checks valid: {checks.valid}")
+_, rep = bilegendrian_connection(s)
+for name in ("induced_is_canonical", "induced_integrable",
+             "preserves_l1", "preserves_l2", "parallel_xi", "parallel_deta",
              "parallel_g", "parallel_phi", "parallel_h",
              "parallel_pang_l1", "parallel_pang_l2", "torsion_mixed_pair"):
     print(f"  {name:20s} {rep[name]:.2e}")

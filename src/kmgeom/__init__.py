@@ -5,9 +5,10 @@ structure constants, fits curvature nullity constants, and mechanically
 constructs and re-verifies every derived structure of a nullity space: the
 canonical paracontact structure, the alternating contact/paracontact tower
 (each step certified against the paper's closed forms by one eps-signed
-:func:`step_checks`), the second bi-Legendrian pair, and compatible Sasakian
-structures, whose report also checks the anti-hypercomplex triple and the
-3-web on the contact distribution.
+:func:`step_checks`), the bi-Legendrian connection of the h-eigenpair (whose
+induced paracontact structure is checked to be the canonical one), the second
+bi-Legendrian pair, and compatible Sasakian structures, whose report also checks
+the anti-hypercomplex triple and the 3-web on the contact distribution.
 
 The public names are the keys of ``_SUBMODULE`` plus ``DEFAULT_TOL``, each
 under one spelling: a paracontact structure keeps phi~, g~ and h~ in ``phi``,
@@ -36,7 +37,7 @@ _SUBMODULE = {
     "LegendreDistribution": "legendre", "bilegendrian_connection": "legendre",
     "classify_class": "legendre", "conjugate_distribution": "legendre",
     "eigendistributions": "legendre", "legendre_pair_constants": "legendre",
-    "libermann_map": "legendre", "psi_to_paracontact": "legendre",
+    "libermann_map": "legendre",
     "LieModel": "lie_model", "d_one_form": "lie_model", "jacobi_residual": "lie_model",
     "lie_derivative_endo": "lie_model",
     "ResidualReport": "report",

@@ -176,9 +176,11 @@ def _stack(s, *names: str) -> tuple:
     one kind on one (M, eta, xi), with the members' arrays ``names`` stacked."""
     single = isinstance(s, MetricStructure)
     members = [s] if single else list(s)
+    first = members[0]
     for t in members[1:]:
-        if t.kind != members[0].kind or t.model is not members[0].model:
-            raise DimensionMismatch("a stack holds structures of one kind on one model")
+        if (t.kind != first.kind or t.model is not first.model
+                or not (np.array_equal(t.eta, first.eta) and np.array_equal(t.xi, first.xi))):
+            raise DimensionMismatch("a stack holds structures of one kind on one (M, eta, xi)")
     return members, single, *[_stack_of([getattr(t, n) for t in members]) for n in names]
 
 

@@ -62,7 +62,7 @@ class DegeneratePang(GeometryError):
 
 
 class NotIntegrable(GeometryError):
-    """Induced paracontact structure fails integrability; connection coincidence inapplicable."""
+    """An h-eigendistribution is not involutive, so it is no Legendre foliation."""
 
 
 class ClassificationMismatch(GeometryError):

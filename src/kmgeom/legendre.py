@@ -1,5 +1,5 @@
 """Legendre distributions: Pang forms, class assignment, Libermann maps and
-the bijection onto paracontact metric structures.
+the bi-Legendrian connection of the h-eigenpair.
 
 On a contact model, a Legendre distribution is an n-dimensional subbundle L
 of ker(eta) with d eta|_{L x L} = 0.  The Pang form
@@ -8,9 +8,10 @@ of ker(eta) with d eta|_{L x L} = 0.  The Pang form
 
 classifies foliations as positive / negative / flat / degenerate, and its
 definiteness pattern on the two h-eigendistributions realizes the five-class
-split of non-Sasakian nullity spaces.  A transversal pair (L1, L2) induces a
-paracontact metric structure (+1 on L1, -1 on L2); for the h-eigenpair this
-is exactly the canonical paracontact structure.
+split of non-Sasakian nullity spaces.  The h-eigenpair (D(lambda), D(-lambda))
+induces a paracontact metric structure (+1 on the first, -1 on the second), which
+is exactly the canonical paracontact structure h / lambda, and whose canonical
+connection is the bi-Legendrian connection of the pair.
 
 :func:`legendre_distribution` and :func:`involutivity_residual` take a stack of
 bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair is
@@ -48,7 +49,7 @@ from .errors import (
     NotTransversal,
     SasakianDegenerate,
 )
-from .lie_model import LieModel, check_finite, d_one_form, reeb_vector
+from .lie_model import LieModel, check_finite, d_one_form
 from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
 from .riemann import AffineConnection, form_xy, on_pairs
 
@@ -286,54 +287,33 @@ def conjugate_distribution(
     return q
 
 
-def psi_to_paracontact(
-    model: LieModel,
-    l1: LegendreDistribution,
-    l2: LegendreDistribution,
-    eta: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> ParacontactMetricStructure:
-    """The induced paracontact metric structure of a transversal Legendre pair.
+def bilegendrian_connection(
+    s: ContactMetricStructure, tol: float = DEFAULT_TOL
+) -> tuple[AffineConnection, ResidualReport]:
+    """Bi-Legendrian connection of the h-eigenpair (L1, L2) = (D(lambda), D(-lambda))
+    of ``eigendistributions(s, tol)``, via the coincidence with the canonical
+    connection of the paracontact structure the pair induces: phi~ = +1 on L1, -1 on
+    L2, 0 on xi, with g~ = d eta(., phi~ .) + eta (x) eta.
 
-    phi~ is +1 on L1, -1 on L2, 0 on the Reeb direction;
-    g~ = d eta(., phi~ .) + eta (x) eta.
+    The report covers: ``induced_is_canonical``, max|phi~ - h / lambda| (lambda of
+    the structure's nullity fit); ``induced_integrable``, the Nijenhuis residual of
+    phi~ on D x D; preservation of both distributions, parallel xi and d eta, the two
+    torsion conditions, and parallelism of phi~, g~, g, phi, h and both Pang forms.
     """
-    xi = reeb_vector(model, eta, tol)
+    l1, l2 = eigendistributions(s, tol)
+    model, eta, xi = s.model, s.eta, s.xi
     frame, frame_inv = _frame(l1, l2, xi, tol)
     n = l1.n
-    phi_t = frame[:, :n] @ frame_inv[:n] - frame[:, n : 2 * n] @ frame_inv[n : 2 * n]
-    return ParacontactMetricStructure.compatible(model, phi_t, xi, eta)
-
-
-def bilegendrian_connection(
-    induced: ParacontactMetricStructure,
-    l1: LegendreDistribution,
-    l2: LegendreDistribution,
-    tol: float = DEFAULT_TOL,
-    contact: ContactMetricStructure | None = None,
-) -> tuple[AffineConnection, ResidualReport]:
-    """Bi-Legendrian connection of an integrable pair, via the coincidence with
-    the canonical paracontact connection of the induced structure.
-
-    The axiom report covers: preservation of both distributions, parallel xi
-    and d eta, the two torsion conditions, and parallelism of phi~ and g~.
-    When ``contact`` is supplied (a nullity structure whose eigendistributions
-    are (L1, L2)), parallelism of g, phi, h and of both Pang forms is checked
-    as well.
-    """
+    proj1 = frame[:, :n] @ frame_inv[:n]
+    proj2 = frame[:, n : 2 * n] @ frame_inv[n : 2 * n]
+    induced = ParacontactMetricStructure.compatible(model, proj1 - proj2, xi, eta)
     flags = integrability_and_parasasaki(induced, tol)
-    if not flags["integrable"]:
-        raise NotIntegrable(
-            "induced paracontact structure is not integrable; "
-            "the bi-Legendrian and canonical connections need not coincide"
-        )
     conn = canonical_connection(induced, tol)[0]
-    model, eta, xi = induced.model, induced.eta, induced.xi
     deta = d_one_form(model, eta)
 
     report = ResidualReport(tol=tol)
-    frame, frame_inv = _frame(l1, l2, xi, tol)
-    n = l1.n
+    report.add("induced_is_canonical", induced.phi - s.h / nullity_fit(s, tol).lam)
+    report.add("induced_integrable", flags["nijenhuis_d_residual"])  # max-abs of N~ on D x D
 
     def off_block(vectors: np.ndarray, block: slice) -> np.ndarray:
         """Frame coordinates outside ``block`` of nabla_{e_i} v, for every e_i and row v."""
@@ -349,23 +329,19 @@ def bilegendrian_connection(
     report.add(
         "torsion_mixed_pair", on_pairs(tors - 2.0 * form_xy(deta, xi), l1.vectors, l2.vectors)
     )
-    proj1 = frame[:, :n] @ frame_inv[:n]
-    proj2 = frame[:, n : 2 * n] @ frame_inv[n : 2 * n]
     ad_xi = model.ad(xi)
     expected = proj2 @ ad_xi @ proj1 + proj1 @ ad_xi @ proj2  # column i: expected T(e_i, xi)
     report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)
 
     report.add("parallel_phi_t", flags["pc_parallel_phi_residual"])  # max-abs of nabla* phi~
     report.add("parallel_g_t", conn.nabla_bilinear_all(induced.g))
-
-    if contact is not None:
-        report.add("parallel_g", conn.nabla_bilinear_all(contact.g))
-        report.add("parallel_phi", conn.nabla_endo_all(contact.phi))
-        report.add("parallel_h", conn.nabla_endo_all(contact.h))
-        for name, ld in (("parallel_pang_l1", l1), ("parallel_pang_l2", l2)):
-            # a[i] expresses nabla_{e_i} of the distribution's basis in that basis
-            a = np.linalg.pinv(ld.vectors.T) @ (ld.vectors @ conn.gamma).transpose(0, 2, 1)
-            report.add(name, a.transpose(0, 2, 1) @ ld.pang + ld.pang @ a)
+    report.add("parallel_g", conn.nabla_bilinear_all(s.g))
+    report.add("parallel_phi", conn.nabla_endo_all(s.phi))
+    report.add("parallel_h", conn.nabla_endo_all(s.h))
+    for name, ld in (("parallel_pang_l1", l1), ("parallel_pang_l2", l2)):
+        # a[i] expresses nabla_{e_i} of the distribution's basis in that basis
+        a = np.linalg.pinv(ld.vectors.T) @ (ld.vectors @ conn.gamma).transpose(0, 2, 1)
+        report.add(name, a.transpose(0, 2, 1) @ ld.pang + ld.pang @ a)
     return conn, report
 
 

@@ -18,7 +18,6 @@ algebra in the structure constants.
 import numpy as np
 
 from .errors import DimensionMismatch
-from .report import nonzero_sv
 
 Vector = np.ndarray
 OneForm = np.ndarray
@@ -150,21 +149,3 @@ def lie_derivative_endo(m: LieModel, xi: Vector, t: Endomorphism) -> Endomorphis
     ad_xi = m.ad(xi)
     return ad_xi @ t - t @ ad_xi
 
-
-def reeb_vector(m: LieModel, eta: OneForm, tol: float = 1e-9) -> Vector:
-    """The unique xi with eta(xi) = 1 and i_xi d eta = 0.
-
-    Solves the stacked linear system; raises if eta is not a contact form on
-    the model (system inconsistent, or rank-deficient to :func:`nonzero_sv` of the
-    singular values the solve returns).
-    """
-    eta = m.check_vector(eta)
-    deta = d_one_form(m, eta)
-    # rows: d eta(., e_j) applied to xi gives (deta^T xi)_j = 0; plus eta(xi) = 1
-    a = np.vstack([deta.T, eta[None, :]])
-    b = np.zeros(m.dim + 1)
-    b[-1] = 1.0
-    xi, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ xi - b)) > tol or not nonzero_sv(sv, tol).all():
-        raise DimensionMismatch("one-form has no unique Reeb vector on this model (not contact)")
-    return xi

@@ -5,7 +5,7 @@ member of a stack of structures (a leading member axis), and :func:`max_abs` its
 stack-of-one case.  :func:`nonzero_sv` is the one singularity rule, scale-free: it
 reads singular values, and counts those above ``tol`` times the largest.  Each site
 passes the values its own decomposition already gives: :func:`rank_test` an SVD's,
-a symmetric form the |.| of its eigenvalues, a least-squares solve ``lstsq``'s own.
+a symmetric form the |.| of its eigenvalues.
 Non-finite input is rejected where tensors enter the engine
 (:class:`kmgeom.contact.MetricStructure` and the kernels that take raw arrays);
 the reduction still propagates a NaN, such as the fit of a degenerate member or

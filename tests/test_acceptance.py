@@ -21,7 +21,12 @@ from kmgeom.errors import (
     SasakianDegenerate,
     SasakianOrInvalid,
 )
-from kmgeom.legendre import classify_class, eigendistributions, libermann_map, psi_to_paracontact
+from kmgeom.legendre import (
+    bilegendrian_connection,
+    classify_class,
+    eigendistributions,
+    libermann_map,
+)
 from kmgeom.riemann import levi_civita, signature
 from kmgeom.tower import (
     sasakian_structure,
@@ -242,19 +247,10 @@ def test_criterion_8_closed_form_cross_checks():
                 worst_pang = _worst(worst_pang, float(np.max(np.abs(ld.pang - coeff * gram))))
     assert worst_pang <= 1e-9
 
-    # induced paracontact structure of the eigenpair vs the canonical one
+    # induced paracontact structure of the eigenpair vs the canonical one h / lambda
     worst_psi = 0.0
     for lam, d in [(1.0, 0.0), (1.0, 2.0), (2.0, 1.0), (0.5, -2.0), (1.0, -1.0)]:
-        s = family(lam, d)
-        fit = nullity_fit(s)
-        d_pos, d_neg = eigendistributions(s)
-        st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-        st_can = sequence(s, 2)[1].structure
-        worst_psi = _worst(
-            worst_psi,
-            float(np.max(np.abs(st_psi.phi - st_can.phi))),
-            float(np.max(np.abs(st_psi.g - st_can.g))),
-        )
+        worst_psi = _worst(worst_psi, bilegendrian_connection(family(lam, d))[1]["induced_is_canonical"])
     assert worst_psi <= 1e-9
 
     # Boeckx invariant of the tangent-bundle constants

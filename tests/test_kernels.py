@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import kmgeom
-from kmgeom import cli, contact, legendre, lie_model, report, riemann, tower
+from kmgeom import cli, contact, legendre, report, riemann, tower
 from kmgeom.catalog import family_3d, get_entry, heisenberg, list_entries, nilpotent_h_5d, rebased
 from kmgeom.contact import validate_contact
 from kmgeom.errors import GeometryError
-from kmgeom.legendre import eigendistributions, legendre_distribution, libermann_map, psi_to_paracontact
-from kmgeom.lie_model import LieModel, jacobi_residual, reeb_vector
+from kmgeom.legendre import eigendistributions, legendre_distribution, libermann_map
+from kmgeom.lie_model import LieModel, jacobi_residual
 from kmgeom.report import rank_test
 from kmgeom.riemann import (AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs,
                             signature)
@@ -262,7 +262,7 @@ def test_import_does_not_load_scipy():
 
 # The one singularity rule, report.nonzero_sv, and the sites that decide by it: through
 # report.rank_test (an SVD of the site's matrix), or on the singular values the site's own
-# decomposition gave (signature: |eigenvalues|; reeb_vector: lstsq's).  Each case names the
+# decomposition gave (signature: |eigenvalues|).  Each case names the
 # module whose rank_test or nonzero_sv the site calls, the call and its verdict; the test
 # feeds the rule the site's input as it is and scaled by 1e-6 and by 1e6, and the verdict
 # must not move.  The |det| of the two notes scales with the matrix, so no verdict holds a note.
@@ -305,8 +305,8 @@ def _legendre(model, *bases):
     return legendre_distribution(model, E5[4], E5[4], np.stack(bases))
 
 
-def _psi(l1, l2):
-    return _error(lambda: psi_to_paracontact(heisenberg(5).model, l1, l2, E5[4]))
+def _frame(l1, l2):
+    return _error(lambda: legendre._frame(l1, l2, E5[4], kmgeom.DEFAULT_TOL))
 
 
 def _pang(flip):
@@ -333,7 +333,6 @@ def _web(monkeypatch, collapse=False):
     return sorted(v for k, v in checks.entries.items() if k.startswith("web_"))
 
 
-NOT_CONTACT = ("DimensionMismatch", "one-form has no unique Reeb vector on this model (not contact)")
 HERE = sys.modules[__name__]
 # name: (module whose rank_test or nonzero_sv the site calls, the site: the function that
 # must call it, call(monkeypatch), verdict)
@@ -375,10 +374,10 @@ SITE_CASES = {
     "legendre_distribution-deficient": (
         legendre, "legendre_distribution",
         lambda _: type(_legendre(heisenberg(5).model, E5[[0, 0]])[0]).__name__, "NotTransversal"),
-    "frame": (legendre, "_frame", lambda _: _psi(*_legendre(heisenberg(5).model, E5[:2], E5[2:4])),
+    "frame": (legendre, "_frame", lambda _: _frame(*_legendre(heisenberg(5).model, E5[:2], E5[2:4])),
               None),
     "frame-deficient": (legendre, "_frame",
-                        lambda _: _psi(*_legendre(heisenberg(5).model, E5[:2], E5[:2])),
+                        lambda _: _frame(*_legendre(heisenberg(5).model, E5[:2], E5[:2])),
                         ("NotTransversal", "span(L1, L2, xi) has rank below the model dimension")),
     "pang": (legendre, "libermann_map", lambda _: _pang(flip=False), None),
     "pang-deficient": (legendre, "libermann_map", lambda _: _pang(flip=True),
@@ -386,11 +385,6 @@ SITE_CASES = {
     "web": (tower, "sasakian_structure", _web, [0.0] * 6),
     "web-deficient": (tower, "sasakian_structure", lambda mp: _web(mp, collapse=True),
                       [0.0] * 5 + [1.0]),
-    "reeb_vector": (lie_model, "reeb_vector",
-                    lambda _: reeb_vector(heisenberg(5).model, 2.0 * E5[4]).tolist(),
-                    (0.5 * E5[4]).tolist()),
-    "reeb_vector-deficient": (lie_model, "reeb_vector",
-                              lambda _: _error(lambda: reeb_vector(_h3_times_r2(), E5[4])), NOT_CONTACT),
 }
 
 

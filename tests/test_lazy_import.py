@@ -38,7 +38,7 @@ PUBLIC = {
     "errors": ["GeometryError"],
     "legendre": ["LegendreDistribution", "bilegendrian_connection", "classify_class",
                  "conjugate_distribution", "eigendistributions", "legendre_pair_constants",
-                 "libermann_map", "psi_to_paracontact"],
+                 "libermann_map"],
     "lie_model": ["LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
     "modelfile": ["CatalogEntry"],
     "report": ["DEFAULT_TOL", "ResidualReport"],

@@ -8,13 +8,12 @@ import pytest
 
 from kmgeom import DEFAULT_TOL, legendre
 from kmgeom.catalog import heisenberg
-from kmgeom.contact import nullity_fit, validate_contact
+from kmgeom.contact import canonical_connection, nullity_fit
 from kmgeom.errors import (
     ClassificationMismatch,
     DegeneratePang,
     DimensionMismatch,
     InvalidPangPair,
-    NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
 )
@@ -27,7 +26,6 @@ from kmgeom.legendre import (
     legendre_distribution,
     legendre_pair_constants,
     libermann_map,
-    psi_to_paracontact,
 )
 from kmgeom.tower import second_bilegendrian_analysis, sequence
 
@@ -145,77 +143,36 @@ def test_conjugate_distribution_swaps_eigenspaces():
     assert np.allclose(back.span_projector(), d_pos.span_projector(), atol=1e-12)
 
 
-@pytest.mark.parametrize("lam,d", [(1.0, 0.0), (1.0, 2.0), (2.0, 1.0), (0.5, -2.0)])
+@pytest.mark.parametrize("lam,d", [*CLASS_PARAMS.values(), (0.7, 0.3), (2.0, 1.0), (0.5, -2.0)])
 def test_psi_image_is_canonical_paracontact(lam, d):
+    # the eigenpair induces h / lambda, and its bi-Legendrian connection is the
+    # canonical connection of tower node 1
     s = family(lam, d)
-    fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s)
-    st_psi = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-    st_can = sequence(s, 2)[1].structure
-    assert np.max(np.abs(st_psi.phi - st_can.phi)) <= 1e-9
-    assert np.max(np.abs(st_psi.g - st_can.g)) <= 1e-9
-    assert validate_contact(st_psi).valid
+    conn, rep = bilegendrian_connection(s)
+    assert rep["induced_is_canonical"] <= 1e-9
+    assert rep["induced_integrable"] <= 1e-9
+    assert rep.valid, rep.failures()
+    node1 = sequence(s, 2)[1].structure
+    assert np.max(np.abs(conn.gamma - canonical_connection(node1)[0].gamma)) <= 1e-9
 
 
-def test_psi_swapped_arguments_negate_phi():
-    s = family(1.0, 0.0)
-    fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s)
-    a = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-    b = psi_to_paracontact(s.model, d_neg, d_pos, s.eta)
-    proj = a.contact_projector()
-    assert np.max(np.abs((a.phi + b.phi) @ proj)) <= 1e-12
-
-
-def test_psi_rejects_non_transversal_pair():
-    s = family(1.0, 0.0)
-    d_pos, _ = eigendistributions(s)
-    with pytest.raises(NotTransversal):
-        psi_to_paracontact(s.model, d_pos, d_pos, s.eta)
-
-
-def test_bilegendrian_connection_rejects_non_transversal_pair():
-    s = family(1.0, 0.0)
-    d_pos, d_neg = eigendistributions(s)
-    st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-    with pytest.raises(NotTransversal):
-        bilegendrian_connection(st, d_pos, d_pos)
+def test_bilegendrian_connection_rejects_sasakian():
+    with pytest.raises(SasakianDegenerate):
+        bilegendrian_connection(heisenberg(5).structure)
 
 
 def test_bilegendrian_connection_parallelism():
-    s = family(1.0, 0.0)
-    fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s)
-    st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-    _, rep = bilegendrian_connection(st, d_pos, d_neg, contact=s)
+    _, rep = bilegendrian_connection(family(1.0, 0.0))
     assert rep.valid, rep.failures()
     for key in ("parallel_g", "parallel_phi", "parallel_h"):
         assert rep[key] <= 1e-9
 
 
 def test_bilegendrian_pang_parallel_class_i():
-    s = family(1.0, 2.0)
-    fit = nullity_fit(s)
-    d_pos, d_neg = eigendistributions(s)
-    st = psi_to_paracontact(s.model, d_pos, d_neg, s.eta)
-    _, rep = bilegendrian_connection(st, d_pos, d_neg, contact=s)
+    _, rep = bilegendrian_connection(family(1.0, 2.0))
     assert rep["parallel_pang_l1"] <= 1e-9
     assert rep["parallel_pang_l2"] <= 1e-9
     assert rep["torsion_mixed_pair"] <= 1e-9
-
-
-def test_bilegendrian_rejects_non_integrable_pair(model_5d):
-    # L1 = span{X1, Y2}, L2 = span{X2, Y1}: Legendre and transversal, but
-    # [X2, Y1] = -2 Y2 lands in L1, so L2 is not involutive
-    m = model_5d.model
-    st = model_5d.structure
-    e = np.eye(5)
-    l1 = legendre_distribution(m, st.eta, st.xi, np.vstack([e[0], e[3]]))
-    l2 = legendre_distribution(m, st.eta, st.xi, np.vstack([e[1], e[2]]))
-    induced = psi_to_paracontact(m, l1, l2, st.eta)
-    assert validate_contact(induced).valid
-    with pytest.raises(NotIntegrable):
-        bilegendrian_connection(induced, l1, l2)
 
 
 def test_legendre_pair_constants():

@@ -9,7 +9,6 @@ from kmgeom.lie_model import (
     d_one_form,
     jacobi_residual,
     lie_derivative_endo,
-    reeb_vector,
 )
 
 from conftest import family
@@ -128,12 +127,3 @@ def test_lie_derivative_family_gives_twice_h():
     assert np.allclose(lphi, 2.0 * s.h)
     assert np.allclose(s.h @ E3[0], E3[0])  # h X = X at lambda = 1
 
-
-def test_reeb_vector_family():
-    s = family(2.0, 1.0)
-    assert np.allclose(reeb_vector(s.model, s.eta), s.xi)
-
-
-def test_reeb_vector_rejects_non_contact_form():
-    with pytest.raises(DimensionMismatch):
-        reeb_vector(abelian(), np.array([0.0, 0.0, 1.0]))

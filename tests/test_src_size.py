@@ -15,11 +15,9 @@ spec.loader.exec_module(src_size)
 UNREACHABLE = {
     "catalog.d_homothetic": "a model transform for the tests; no command deforms a model",
     "catalog.rebased": "a model transform for the tests; no command changes the basis",
-    "legendre.bilegendrian_connection": "library API for an induced paracontact structure",
+    "legendre.bilegendrian_connection": "library API: the bi-Legendrian connection of the h-eigenpair",
     "legendre.conjugate_distribution": "library API: the conjugate Legendre distribution phi L",
-    "legendre.psi_to_paracontact": "library API; named only by the package's export table",
     "lie_model.LieModel.bracket": "a pointwise bracket for library callers and the references",
-    "lie_model.reeb_vector": "called only by legendre.psi_to_paracontact",
     "tower.step_checks": "library certificate of one tower step; no command runs it",
 }
 
@@ -35,7 +33,7 @@ def test_unreachable_follows_tables_and_dunders():
     # called by no name, but run when the class is built
     assert "contact.MetricStructure.__init__" not in found
     # exported by the package's __init__ only
-    assert "legendre.psi_to_paracontact" in found
+    assert "legendre.conjugate_distribution" in found
 
 
 def test_unreachable_is_logged_after_the_sizes(capsys):

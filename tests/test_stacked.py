@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kmgeom import legendre
-from kmgeom.catalog import family_3d, heisenberg, rebased
+from kmgeom.catalog import d_homothetic, family_3d, heisenberg, rebased
 from kmgeom.contact import ContactMetricStructure, nullity_fit, validate_contact
 from kmgeom.errors import DegenerateMetric, DimensionMismatch, NotIntegrable, NotTransversal
 from kmgeom.legendre import eigendistributions, involutivity_residual, legendre_distribution
@@ -127,6 +127,22 @@ def test_a_stack_holds_one_kind_on_one_model():
         validate_contact([nodes[0].structure, nodes[1].structure])
     with pytest.raises(DimensionMismatch):
         nullity_fit([nodes[0].structure, family(1.0, 0.5)])  # same kind, another model
+
+
+def test_a_stack_holds_one_contact_form():
+    """A D-homothetic image shares the model but not eta and xi, which the stacked fit and
+    validation read from the first member: either order raises, so no member is certified
+    or rejected at the other's form (stacked behind its image, s fitted mu = -0.5, and the
+    valid image, behind s, read as invalid)."""
+    entry = family_3d(1.0, 2.0)
+    image, s = d_homothetic(entry, 2.0).structure, entry.structure
+    assert image.model is s.model
+    for stack in ([image, s], [s, image]):
+        with pytest.raises(DimensionMismatch, match=r"\(M, eta, xi\)"):
+            nullity_fit(stack)
+        with pytest.raises(DimensionMismatch, match=r"\(M, eta, xi\)"):
+            validate_contact(stack)
+    assert nullity_fit(s).mu == pytest.approx(-2.0) and validate_contact(image).valid
 
 
 # ---------------------------------------------------------------- bi-Legendrian pairs
