@@ -49,9 +49,10 @@ Exit codes:
 * 2: a parse or IO error (an unreadable or malformed model file; a failed
   ``--json`` or ``--out`` write, after the text report) or a usage error,
   options that would be ignored included: ``--batch`` with a model file or
-  with ``--json``, and ``--a``/``--b`` without ``--legendre3``; a number
-  option that is not a finite number (``--tol``: a finite number >= 0) is one
-  too.
+  with ``--json``, ``--a``/``--b`` without ``--legendre3``, and a ``catalog
+  emit`` option that its entry does not take (``--lam``/``--d`` are
+  family-3d's, ``--c`` tangent-bundle-constants'); a number option that is
+  not a finite number (``--tol``: a finite number >= 0) is one too.
 * 3: the tower row meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
@@ -427,6 +428,10 @@ def cmd_catalog(args) -> int:
             print(name)
         print("tangent-bundle-constants  (constants only; use --c)")
         return EXIT_OK
+    takes = {"tangent-bundle-constants": ("c",), "family-3d": ("lam", "d")}.get(args.name, ())
+    ignored = [f"--{k}" for k in ("lam", "d", "c") if k not in takes and getattr(args, k) is not None]
+    if ignored and (takes or args.name in catalog_mod.list_entries()):  # an unknown name says so
+        raise _Stop(EXIT_PARSE, f"error: {args.name} does not take {', '.join(ignored)}")
     if args.name == "tangent-bundle-constants":
         if args.c is None:
             raise _Stop(EXIT_PARSE, "error: tangent-bundle-constants requires --c")

@@ -13,18 +13,17 @@ induces a paracontact metric structure (+1 on the first, -1 on the second), whic
 is exactly the canonical paracontact structure h / lambda, and whose canonical
 connection is the bi-Legendrian connection of the pair.
 
-:func:`legendre_distribution` and :func:`involutivity_residual` take a stack of
-bases (B, n, dim), a single basis being a stack of one; each bi-Legendrian pair is
-one stack, and each member gets what it gets alone, its exception included.
-They and :func:`libermann_map` check their input first: a basis, eta or xi of
-another dimension than the model's, or with a NaN or infinite entry (and a Pang
-form given to :func:`libermann_map` that is not n x n), raises
-:class:`DimensionMismatch` for the whole call, so no such entry reaches LAPACK.
+:func:`legendre_distribution` and :func:`involutivity_residual` take one basis
+(n, dim) and return one result or raise; a bi-Legendrian pair is two calls, one per
+distribution.  They and :func:`libermann_map` check their input first: a basis, eta or
+xi of another dimension than the model's, or with a NaN or infinite entry, a stack of
+bases (B, n, dim), and a Pang form given to :func:`libermann_map` that is not n x n,
+raise :class:`DimensionMismatch`, so no such entry reaches LAPACK.
 
 Each Pang form is decomposed once: :func:`legendre_distribution` keeps the eigenvalues
-of its symmetric part (one ``eigvalsh`` per stack) on the
-:class:`LegendreDistribution`, and :func:`eigendistributions` reads the definiteness
-in units of 2 lambda from those, rescaled.
+of its symmetric part (one ``eigvalsh``) on the :class:`LegendreDistribution`, and
+:func:`eigendistributions` reads the definiteness in units of 2 lambda from those,
+rescaled.
 """
 
 from typing import NamedTuple
@@ -34,7 +33,6 @@ import numpy as np
 from .contact import (
     ContactMetricStructure,
     ParacontactMetricStructure,
-    _unstack,
     canonical_connection,
     integrability_and_parasasaki,
     nullity_fit,
@@ -43,14 +41,13 @@ from .errors import (
     ClassificationMismatch,
     DegeneratePang,
     DimensionMismatch,
-    GeometryError,
     InvalidPangPair,
     NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
 )
 from .lie_model import LieModel, check_finite, d_one_form
-from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
+from .report import DEFAULT_TOL, ResidualReport, max_abs, rank_test
 from .riemann import AffineConnection, form_xy, on_pairs
 
 
@@ -87,15 +84,15 @@ def _definiteness(eig: np.ndarray, tol: float) -> str:
     return "indefinite"
 
 
-def _bases(model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors) -> tuple[np.ndarray, bool]:
-    """(``vectors`` as a stack of bases (B, n, dim), whether it was one basis), after the
-    check of the Legendre functions' input: :class:`DimensionMismatch` unless the basis
-    vectors, eta and xi have the model's dimension and are finite."""
+def _bases(model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors) -> np.ndarray:
+    """``vectors`` as one basis (n, dim), after the check of the Legendre functions'
+    input: :class:`DimensionMismatch` unless it is one basis (not a stack of them), and
+    its vectors, eta and xi have the model's dimension and are finite."""
     v = np.asarray(vectors, dtype=float)
-    if v.shape[-1:] != (model.dim,):
-        raise DimensionMismatch(f"basis vectors must have length {model.dim}")
+    if v.ndim > 2 or v.shape[-1:] != (model.dim,):
+        raise DimensionMismatch(f"basis vectors must have length {model.dim}, in one basis: {v.shape}")
     check_finite("basis, eta and xi", v, model.check_vector(eta), model.check_vector(xi))
-    return (np.atleast_2d(v)[None], True) if v.ndim < 3 else (v, False)
+    return np.atleast_2d(v)
 
 
 def legendre_distribution(
@@ -104,56 +101,46 @@ def legendre_distribution(
     xi: np.ndarray,
     vectors: np.ndarray,
     tol: float = DEFAULT_TOL,
-) -> LegendreDistribution | list:
-    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data; a
-    stack of bases gives a list, in one pass."""
-    v, single = _bases(model, eta, xi, vectors)
-    n, nb = (model.dim - 1) // 2, len(v)
-    if v.shape[1:] != (n, model.dim):
+) -> LegendreDistribution:
+    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data."""
+    v = _bases(model, eta, xi, vectors)
+    n = (model.dim - 1) // 2
+    if v.shape != (n, model.dim):
         raise NotTransversal(f"expected {n} basis vectors of length {model.dim}")
-    dependent = rank_test(v, tol)[1]
-    worst_eta = max_abs_each(v @ eta, nb).tolist()
+    if rank_test(v, tol)[1]:
+        raise NotTransversal("basis vectors are linearly dependent")
+    worst_eta = max_abs(v @ eta)
+    if not worst_eta <= tol:
+        raise NotTransversal(f"basis not tangent to the contact distribution ({worst_eta:.3e})")
     deta = d_one_form(model, eta)
-    iso = max_abs_each(v @ deta @ v.swapaxes(1, 2), nb).tolist()
-    pi = 2.0 * (v @ model.ad(xi).T) @ deta @ v.swapaxes(1, 2)  # [b, i, j] = 2 d eta([xi, b_i], b_j)
-    eig = np.linalg.eigvalsh(0.5 * (pi + pi.swapaxes(1, 2)))
-    out = []
-    for b in range(nb):
-        if dependent[b]:
-            out.append(NotTransversal("basis vectors are linearly dependent"))
-        elif not worst_eta[b] <= tol:
-            out.append(NotTransversal(
-                f"basis not tangent to the contact distribution ({worst_eta[b]:.3e})"))
-        elif not iso[b] <= tol:
-            out.append(NotTransversal(f"d eta does not vanish on the span ({iso[b]:.3e})"))
-        else:
-            out.append(LegendreDistribution(v[b], pi[b], _definiteness(eig[b], tol), eig[b]))
-    return _unstack(out, single)
+    iso = max_abs(v @ deta @ v.T)
+    if not iso <= tol:
+        raise NotTransversal(f"d eta does not vanish on the span ({iso:.3e})")
+    pi = 2.0 * (v @ model.ad(xi).T) @ deta @ v.T  # [i, j] = 2 d eta([xi, b_i], b_j)
+    eig = np.linalg.eigvalsh(0.5 * (pi + pi.T))
+    return LegendreDistribution(v, pi, _definiteness(eig, tol), eig)
 
 
 def involutivity_residual(
     model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors: np.ndarray
-) -> float | list[float]:
-    """Max deviation of [b_i, b_j] from span(basis), with its eta-component (a
-    list of them, from one pass, for a stack of bases).
+) -> float:
+    """Max deviation of [b_i, b_j] from span(basis), with its eta-component.
 
     Zero iff the distribution is a foliation whose leaves stay tangent to
     ker(eta).
     """
-    v, single = _bases(model, eta, xi, vectors)
-    xis = np.broadcast_to(xi, (len(v), 1, model.dim))
-    q, _ = np.linalg.qr(np.concatenate([v, xis], axis=1).swapaxes(1, 2))
-    br = on_pairs(model.c, v, v)  # [b, i, j, :] = [v_bi, v_bj]
-    off_span = br - br @ (q @ q.swapaxes(1, 2))[:, None]  # the projector q q^T is symmetric
-    each = max_abs_each(np.concatenate([off_span, (br @ eta)[..., None]], axis=-1), len(v))
-    return each[0].item() if single else each.tolist()
+    v = _bases(model, eta, xi, vectors)
+    q, _ = np.linalg.qr(np.vstack([v, xi]).T)
+    br = on_pairs(model.c, v, v)  # [i, j, :] = [v_i, v_j]
+    off_span = br - br @ (q @ q.T)  # the projector q q^T is symmetric
+    return max_abs(np.concatenate([off_span, (br @ eta)[..., None]], axis=-1))
 
 
 def eigendistributions(
     s: ContactMetricStructure, tol: float = DEFAULT_TOL
 ) -> tuple[LegendreDistribution, LegendreDistribution]:
     """g-orthonormal eigenbases of h for +-lambda (lambda of the structure's nullity
-    fit), verified Legendre and involutive as one stack; the first failure, in the
+    fit), each verified Legendre and involutive in turn; the first failure, in the
     order (+lambda, -lambda), is raised.  Built once per ``tol`` and kept on ``s``,
     as is its error."""
 
@@ -171,25 +158,21 @@ def eigendistributions(
         vals, w = np.linalg.eigh(l_inv @ (0.5 * (gh + gh.T)) @ l_inv.T)
         vecs = l_inv.T @ w
         band = max(100 * tol, 1e-8 * max(1.0, abs(lam)))
-        idx = [np.flatnonzero(np.abs(vals - target) <= band) for target in (lam, -lam)]
-        # the members before the first of another multiplicity than n, as one stack
-        k = next((b for b, found in enumerate(idx) if len(found) != s.n), 2)
-        if k:
-            bases = vecs.T[np.array(idx[:k])]
-            pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
-            for ld, residual in zip(pair, involutivity_residual(s.model, s.eta, s.xi, bases)):
-                if isinstance(ld, GeometryError):
-                    raise ld
-                if not residual <= tol:
-                    raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
-        if k < 2:
-            raise SasakianDegenerate(
-                f"eigenvalue {(lam, -lam)[k]} has multiplicity {len(idx[k])}, expected {s.n}")
-        # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
-        # 2 lambda, where ``tol`` is the band of the invariant-based class, from the
-        # eigenvalues the Legendre validation kept
-        return tuple(ld._replace(definiteness=_definiteness(ld.pang_eig / (2.0 * lam), tol))
-                     for ld in pair)
+        pair = []
+        for target in (lam, -lam):  # each distribution in turn: its first failure is raised
+            found = np.flatnonzero(np.abs(vals - target) <= band)
+            if len(found) != s.n:
+                raise SasakianDegenerate(
+                    f"eigenvalue {target} has multiplicity {len(found)}, expected {s.n}")
+            ld = legendre_distribution(s.model, s.eta, s.xi, vecs.T[found], tol)
+            residual = involutivity_residual(s.model, s.eta, s.xi, ld.vectors)
+            if not residual <= tol:
+                raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
+            # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
+            # 2 lambda, where ``tol`` is the band of the invariant-based class, from the
+            # eigenvalues the Legendre validation kept
+            pair.append(ld._replace(definiteness=_definiteness(ld.pang_eig / (2.0 * lam), tol)))
+        return tuple(pair)
 
     return s.cached(("eigendistributions", tol), build)
 

@@ -121,14 +121,13 @@ def curvature_xi(m: LieModel, conn: AffineConnection, xi: Vector) -> np.ndarray:
 
 
 def on_pairs(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """t(a_r, b_s) at [..., r, s, :] for the rows a_r of ``a`` and b_s of ``b``
-    (two matrices, or two stacks of them with one leading member axis).
+    """t(a_r, b_s) at [r, s, :] for the rows a_r of the matrix ``a`` and b_s of ``b``.
 
     ``t`` is a vector-valued bilinear array in the pair layout, such as the
     structure constants, a torsion or a Nijenhuis tensor.
     """
-    tb = b[..., None, :, :] @ t  # [..., k, s, :] = t(e_k, b_s)
-    return (a @ tb.reshape(*tb.shape[:-3], len(t), -1)).reshape(*a.shape[:-1], *tb.shape[-2:])
+    tb = b @ t  # [k, s, :] = t(e_k, b_s)
+    return (a @ tb.reshape(len(t), -1)).reshape(len(a), *tb.shape[1:])
 
 
 def eta_x(eta: OneForm, a: Endomorphism) -> np.ndarray:

@@ -351,7 +351,7 @@ def second_bilegendrian_analysis(
         raise InvalidPangPair(f"(a, b) = ({a:g}, {b:g}) generates constants beyond the float range")
     # a = b generates the Sasakian member of the family (kappa' = 1); the
     # invariant degenerates to +-infinity there
-    new_inv = (a + b) / abs(a - b) if abs(a - b) > 1e-15 else np.sign(a) * np.inf
+    new_inv = (a + b) / abs(a - b) if a != b else np.sign(a) * np.inf
     if abs(new_inv) <= 1.0:
         raise InvalidPangPair(f"generated invariant {new_inv} not outside [-1, 1]")
     lam_t = float(np.sqrt(delta))
@@ -364,16 +364,12 @@ def second_bilegendrian_analysis(
 
     _, _, plus, minus = _phi_eigenframe(s, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
-    bases = np.stack([plus, minus])  # one stack; its first failure (plus, then minus) is raised
-    pair = legendre_distribution(s.model, s.eta, s.xi, bases, tol)
-    involutive = involutivity_residual(s.model, s.eta, s.xi, bases)
-    for sign, name, vecs, ld, residual in zip((1.0, -1.0), ("plus", "minus"), bases, pair, involutive):
-        checks.add(f"{name}_eigenvector_pattern", vecs @ h_t.T - sign * lam_t * vecs)
-        if isinstance(ld, GeometryError):
-            raise ld
-        checks.add(f"{name}_involutive", residual)
+    # plus, then minus: the first failure raises
+    d_plus, d_minus = (legendre_distribution(s.model, s.eta, s.xi, vecs, tol) for vecs in (plus, minus))
+    for sign, name, ld in ((1.0, "plus", d_plus), (-1.0, "minus", d_minus)):
+        checks.add(f"{name}_eigenvector_pattern", ld.vectors @ h_t.T - sign * lam_t * ld.vectors)
+        checks.add(f"{name}_involutive", involutivity_residual(s.model, s.eta, s.xi, ld.vectors))
         checks.add(f"pang_value_{name}", ld.pang - expected_pang * np.eye(s.n))
-    d_plus, d_minus = pair
     # each Libermann map is +-h~_1 / (2 delta) on the opposite distribution (h~_1 of the node)
     for sign, name, ld, other in ((1.0, "plus", d_plus, d_minus), (-1.0, "minus", d_minus, d_plus)):
         proj = other.span_projector()

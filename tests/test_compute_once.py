@@ -2,7 +2,7 @@
 nullity fit, derived structure, Nijenhuis tensor, Nijenhuis side report, kernel
 basis of eta, h-eigenframe, canonical connection and paracontact integrability
 check built once per
-run of the CLI, one Legendre validation per bi-Legendrian pair, one argument
+run of the CLI, one Legendre validation per distribution, one argument
 parser per process, and one decomposition per verdict: numpy's SVD and symmetric
 eigenvalue calls per CLI call are pinned."""
 
@@ -23,7 +23,7 @@ COUNTED = {
     "step_checks": tower.step_checks,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
     "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
-    # one call per bi-Legendrian pair: each validates its two distributions as a stack
+    # one call per distribution: a bi-Legendrian pair is two
     "legendre_distribution": legendre.legendre_distribution,
     "involutivity_residual": legendre.involutivity_residual,
     "libermann_map": legendre.libermann_map,
@@ -95,18 +95,19 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
         # one Nijenhuis tensor for the structure and one for its Sasakian partner;
         # tower nodes 1 and 2 are built without the closed-form checks no caller
         # reads, and their two metrics are solved as one stack; the h- and the
-        # h~-eigenpair are one Legendre validation each
+        # h~-eigenpair are two Legendre validations each, one per distribution
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], 4,
          {"levi_civita": 3, "step_checks": 0,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
-          "_kernel_basis": 3, "legendre_distribution": 2, "involutivity_residual": 2,
+          "_kernel_basis": 3, "legendre_distribution": 4, "involutivity_residual": 4,
           "nullity": 4}),
         # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its
-        # structure; one stack per kind (nodes 1, 2) after node 0
+        # structure; one stack per kind (nodes 1, 2) after node 0; the class reads the
+        # h-eigenpair, one Legendre validation per distribution
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"], 3,
          {"levi_civita": 3, "step_checks": 0, "nijenhuis_tensor": 1, "eigendistributions": 1,
-          "nijenhuis_norm": 1, "_kernel_basis": 3, "legendre_distribution": 1,
-          "involutivity_residual": 1, "nullity": 3}),
+          "nijenhuis_norm": 1, "_kernel_basis": 3, "legendre_distribution": 2,
+          "involutivity_residual": 2, "nullity": 3}),
         # class I: every node from 1 on is paracontact, and node 5 is node 1;
         # nodes 1-4 are solved as one stack
         (family_3d(1.0, 2.0), ["derive", "--steps", "6"], 5,
@@ -142,9 +143,11 @@ def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv,
     [
         # each metric's signature reads its one eigvalsh, both paracontact eigenranks are one
         # stacked SVD, and each Pang form's definiteness is read from the eigenvalues its
-        # Legendre validation kept
-        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], {"svd": 17, "eigvalsh": 5}),
-        (family_3d(1.0, 2.0), ["derive", "--steps", "6"], {"svd": 8, "eigvalsh": 3}),
+        # Legendre validation kept.  Each distribution is validated by its own call, with one
+        # rank-test svd and one Pang eigvalsh: one of each per distribution, so 2 per pair
+        # (analyze: the h- and h~-pairs; derive: the h-pair), and each matrix still once
+        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], {"svd": 19, "eigvalsh": 7}),
+        (family_3d(1.0, 2.0), ["derive", "--steps", "6"], {"svd": 9, "eigvalsh": 4}),
         (CatalogEntry(name="twisted", model=twisted_contact_3d().model,
                       structure=twisted_contact_3d()), ["analyze"], {"svd": 3, "eigvalsh": 1}),
     ],
@@ -174,14 +177,14 @@ def test_cli_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch, entry, a
          "invariant-one"])
 def test_rejected_pang_pair_builds_nothing(tmp_path, capsys, monkeypatch, pair):
     # the second pair checks (a, b), and the finite constants and |I'| > 1 it
-    # generates, before its eigenframe, Legendre stack and Libermann maps: only the
-    # h-eigenpair of the class is validated
+    # generates, before its eigenframe, Legendre validations and Libermann maps: only the
+    # h-eigenpair of the class is validated, one call per distribution
     path = tmp_path / "model.json"
     path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
     counts, _, _ = _count_calls(monkeypatch)
     assert cli.main(["analyze", str(path), "--legendre3", *pair]) == 0
     capsys.readouterr()
-    assert (counts["legendre_distribution"], counts["libermann_map"]) == (1, 0)
+    assert (counts["legendre_distribution"], counts["libermann_map"]) == (2, 0)
 
 
 def test_cached_connection_is_shared_and_read_only():

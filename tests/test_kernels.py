@@ -301,8 +301,8 @@ def _entries(s, *names):
     return [validate_contact(s)[name] for name in names]
 
 
-def _legendre(model, *bases):
-    return legendre_distribution(model, E5[4], E5[4], np.stack(bases))
+def _legendre(model, basis):
+    return legendre_distribution(model, E5[4], E5[4], basis)
 
 
 def _frame(l1, l2):
@@ -370,14 +370,15 @@ SITE_CASES = {
         lambda _: _entries(_h5("paracontact", phi=np.diag([1.0, 1.0, 1.0, -1.0, 0.0])),
                            "plus_one_eigenrank", "minus_one_eigenrank"), [1.0, 1.0]),
     "legendre_distribution": (legendre, "legendre_distribution",
-                              lambda _: _legendre(heisenberg(5).model, E5[:2])[0].n, 2),
+                              lambda _: _legendre(heisenberg(5).model, E5[:2]).n, 2),
     "legendre_distribution-deficient": (
         legendre, "legendre_distribution",
-        lambda _: type(_legendre(heisenberg(5).model, E5[[0, 0]])[0]).__name__, "NotTransversal"),
-    "frame": (legendre, "_frame", lambda _: _frame(*_legendre(heisenberg(5).model, E5[:2], E5[2:4])),
-              None),
+        lambda _: _error(lambda: _legendre(heisenberg(5).model, E5[[0, 0]])),
+        ("NotTransversal", "basis vectors are linearly dependent")),
+    "frame": (legendre, "_frame", lambda _: _frame(_legendre(heisenberg(5).model, E5[:2]),
+                                                   _legendre(heisenberg(5).model, E5[2:4])), None),
     "frame-deficient": (legendre, "_frame",
-                        lambda _: _frame(*_legendre(heisenberg(5).model, E5[:2], E5[:2])),
+                        lambda _: _frame(*[_legendre(heisenberg(5).model, E5[:2])] * 2),
                         ("NotTransversal", "span(L1, L2, xi) has rank below the model dimension")),
     "pang": (legendre, "libermann_map", lambda _: _pang(flip=False), None),
     "pang-deficient": (legendre, "libermann_map", lambda _: _pang(flip=True),

@@ -1,19 +1,25 @@
 """Legendre distributions, Pang forms, Libermann maps, the induced paracontact
-structure and the bi-Legendrian connection."""
+structure and the bi-Legendrian connection.
 
+The Legendre functions take one basis: each distribution of a bi-Legendrian pair is
+validated by a call of its own, and the pair raises its first failure in the order
+(+lambda, -lambda)."""
+
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from kmgeom import DEFAULT_TOL, legendre
-from kmgeom.catalog import heisenberg
-from kmgeom.contact import canonical_connection, nullity_fit
+from kmgeom.catalog import family_3d, heisenberg, rebased
+from kmgeom.contact import ContactMetricStructure, canonical_connection, nullity_fit
 from kmgeom.errors import (
     ClassificationMismatch,
     DegeneratePang,
     DimensionMismatch,
     InvalidPangPair,
+    NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
 )
@@ -23,13 +29,15 @@ from kmgeom.legendre import (
     classify_class,
     conjugate_distribution,
     eigendistributions,
+    involutivity_residual,
     legendre_distribution,
     legendre_pair_constants,
     libermann_map,
 )
+from kmgeom.lie_model import LieModel
 from kmgeom.tower import second_bilegendrian_analysis, sequence
 
-from conftest import CLASS_PARAMS, family
+from conftest import CLASS_PARAMS, _random_basis, family
 
 E3 = np.eye(3)
 
@@ -234,3 +242,124 @@ def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(DegeneratePang, match="singular"):
             libermann_map(s, nan_form, d_neg)
+
+
+# ------------------------------------------------- one basis per call, one call per distribution
+
+
+def _assert_validates_alone(s, ld):
+    """``ld``'s basis, validated by a call of its own, gives ``ld``'s Pang data and an
+    involutive span."""
+    alone = legendre_distribution(s.model, s.eta, s.xi, ld.vectors)
+    np.testing.assert_allclose(alone.vectors, ld.vectors, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(alone.pang, ld.pang, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(alone.pang_eig, ld.pang_eig, rtol=0.0, atol=1e-12)
+    residual = involutivity_residual(s.model, s.eta, s.xi, ld.vectors)
+    assert isinstance(residual, float) and residual <= DEFAULT_TOL
+    return alone, residual
+
+
+@pytest.mark.parametrize("seed, cls", enumerate(sorted(CLASS_PARAMS)))
+def test_eigenpair_bases_validate_alone_in_any_basis(seed, cls):
+    """The +-lambda pair of each class, in the model basis and in two bases of
+    condition 10: each distribution validates alone, and the pair reads the class."""
+    entry = family_3d(*CLASS_PARAMS[cls])
+    rng = np.random.default_rng(seed)
+    for t in [entry.structure] + [rebased(entry, _random_basis(rng, 3, 10.0)).structure
+                                  for _ in range(2)]:
+        pair = eigendistributions(t)
+        for ld in pair:
+            _assert_validates_alone(t, ld)
+        assert legendre._CLASS_BY_PATTERN[tuple(ld.definiteness for ld in pair)] == cls
+
+
+@pytest.mark.parametrize("cls", ["I", "III"])
+def test_second_pair_bases_validate_alone(cls):
+    s = family(*CLASS_PARAMS[cls])
+    analysis = second_bilegendrian_analysis(s)
+    for name, ld in (("plus", analysis.d_plus), ("minus", analysis.d_minus)):
+        alone, residual = _assert_validates_alone(s, ld)
+        assert alone.definiteness == ld.definiteness
+        assert residual == analysis.checks[f"{name}_involutive"]
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_heisenberg_pair_in_a_shuffled_basis(n):
+    """(span{X_i}, span{Y_i}) of H_{2n+1}, with the model basis and the order of
+    each distribution's vectors shuffled."""
+    rng = np.random.default_rng(n)
+    dim = 2 * n + 1
+    h, sigma = heisenberg(dim).structure, rng.permutation(dim)  # the basis f_a = e_sigma(a)
+    s = ContactMetricStructure(
+        model=LieModel(c=h.model.c[np.ix_(sigma, sigma, sigma)]), phi=h.phi[np.ix_(sigma, sigma)],
+        xi=h.xi[sigma], eta=h.eta[sigma], g=h.g[np.ix_(sigma, sigma)],
+    )
+    e = np.eye(dim)[sigma].T  # row k: e_k in the f_a
+    xs, ys = e[:n], e[n : 2 * n]
+    for basis in (xs[rng.permutation(n)], ys[rng.permutation(n)]):
+        assert legendre_distribution(s.model, s.eta, s.xi, basis).definiteness == "flat"  # xi central
+        assert involutivity_residual(s.model, s.eta, s.xi, basis) == 0.0
+    # a mixed span is not isotropic: d eta(X_1, Y_1) = -1
+    mixed = np.vstack([xs[:1], ys[:1], xs[2:]])
+    with pytest.raises(NotTransversal, match="d eta does not vanish"):
+        legendre_distribution(s.model, s.eta, s.xi, mixed)
+
+
+def test_each_bad_basis_raises_its_own_message():
+    """On H_5: a dependent, a non-annihilated and a non-isotropic basis."""
+    s = heisenberg(5).structure
+    e = np.eye(5)
+    xs = e[:2]
+    assert legendre_distribution(s.model, s.eta, s.xi, xs).definiteness == "flat"
+    bad = [
+        (np.vstack([xs[:-1], 2.0 * xs[:1]]), "basis vectors are linearly dependent"),
+        (np.vstack([xs[:-1], xs[-1:] + 0.5 * e[-1]]),
+         "basis not tangent to the contact distribution (5.000e-01)"),
+        (np.vstack([xs[:-1], xs[-1:] + e[2:3]]), "d eta does not vanish on the span (1.000e+00)"),
+    ]
+    for basis, message in bad:
+        with pytest.raises(NotTransversal) as exc:
+            legendre_distribution(s.model, s.eta, s.xi, basis)
+        assert str(exc.value) == message
+
+
+def test_a_stack_of_bases_is_a_dimension_mismatch():
+    """A (B, n, dim) array is not one basis: both functions reject it at the door."""
+    s = heisenberg(5).structure
+    bases = np.stack([np.eye(5)[:2], np.eye(5)[2:4]])
+    for call in (legendre_distribution, involutivity_residual):
+        with pytest.raises(DimensionMismatch, match=r"in one basis: \(2, 2, 5\)"):
+            call(s.model, s.eta, s.xi, bases)
+
+
+def test_eigendistributions_raise_the_first_failure_in_order(monkeypatch):
+    """eigendistributions validates D(+lambda), then D(-lambda), each Legendre before
+    involutive, and raises the first failure: the calls stop there."""
+    real = legendre.legendre_distribution
+    cases = [
+        ((0, 1), (0.0, 0.0), NotTransversal, "distribution 0", ["L0"]),
+        ((1,), (0.0, 0.0), NotTransversal, "distribution 1", ["L0", "I0", "L1"]),
+        ((1,), (1.0, 0.0), NotIntegrable, "residual 1.000e+00", ["L0", "I0"]),
+        ((0,), (1.0, 1.0), NotTransversal, "distribution 0", ["L0"]),
+        ((), (0.0, 1.0), NotIntegrable, "residual 1.000e+00", ["L0", "I0", "L1", "I1"]),
+    ]
+    for failing, residuals, error, message, calls in cases:
+        made = []
+
+        def validate(model, eta, xi, basis, tol, failing=failing, made=made):
+            k = sum(c.startswith("L") for c in made)
+            made.append(f"L{k}")
+            if k in failing:
+                raise NotTransversal(f"distribution {k}")
+            return real(model, eta, xi, basis, tol)
+
+        def involutive(model, eta, xi, basis, residuals=residuals, made=made):
+            k = sum(c.startswith("L") for c in made) - 1
+            made.append(f"I{k}")
+            return residuals[k]
+
+        monkeypatch.setattr(legendre, "legendre_distribution", validate)
+        monkeypatch.setattr(legendre, "involutivity_residual", involutive)
+        with pytest.raises(error, match=re.escape(message)):  # a fresh structure: no kept pair
+            eigendistributions(family(*CLASS_PARAMS["I"]))
+        assert made == calls

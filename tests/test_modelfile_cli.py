@@ -406,6 +406,27 @@ def test_cli_rejects_options_that_would_be_ignored(tmp_path, capsys, extra, erro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["heisenberg-3d", "--lam", "2", "--d", "5"], "error: heisenberg-3d does not take --lam, --d"),
+    (["family-3d-class-I", "--c", "3"], "error: family-3d-class-I does not take --c"),
+    (["family-3d", "--lam", "1", "--d", "2", "--c", "3"], "error: family-3d does not take --c"),
+    (["tangent-bundle-constants", "--c", "0.5", "--lam", "3"],
+     "error: tangent-bundle-constants does not take --lam"),
+], ids=["heisenberg-lam-d", "class-entry-c", "family-c", "tangent-bundle-lam"])
+def test_cli_catalog_emit_rejects_options_its_entry_does_not_take(tmp_path, capsys, argv, error):
+    """catalog emit reads --lam and --d for family-3d and --c for tangent-bundle-constants
+    only: any of them given to another entry is a usage error, and nothing is written."""
+    out = tmp_path / "entry.json"
+    assert main(["catalog", "emit", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", error + "\n")
+    assert not out.exists()
+
+
+def test_cli_catalog_emit_names_an_unknown_entry_before_its_options(capsys):
+    assert main(["catalog", "emit", "no-such-entry", "--lam", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: \"unknown catalog entry 'no-such-entry'")
+
+
 @pytest.mark.parametrize("command", [["validate"], ["analyze"], ["derive", "--steps", "3"]],
                          ids=["validate", "analyze", "derive"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])

@@ -3,8 +3,10 @@ tables and the implicit dunders of a named class, and leaves the export table ou
 The names it lists are pinned, each with the reason no CLI path reaches it, so a
 name added later fails here until it is declared."""
 
+import ast
 import importlib.util
 import os
+import re
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "src_size.py")
 spec = importlib.util.spec_from_file_location("src_size", TOOL)
@@ -42,3 +44,20 @@ def test_unreachable_is_logged_after_the_sizes(capsys):
     head = next(i for i, line in enumerate(out) if line.startswith("not reached from cli.main"))
     assert out[head - 2].startswith("src/kmgeom") and out[head + 1:] == [
         f"  {qual}" for qual in src_size.unreachable()]
+
+
+def test_total_line_counts_the_linalg_calls(capsys):
+    """The fourth figure of the src/kmgeom total line is the number of calls whose callee
+    is ``np.linalg.<function>`` (not a method of such a call's result), counted here on
+    the syntax trees."""
+    src_size.main()
+    total = next(line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("src/kmgeom"))
+    calls = 0
+    for name in os.listdir(src_size.SRC):
+        if name.endswith(".py"):
+            with open(os.path.join(src_size.SRC, name), encoding="utf-8") as fh:
+                calls += sum(isinstance(node, ast.Call)
+                             and re.fullmatch(r"np\.linalg\.\w+", ast.unparse(node.func)) is not None
+                             for node in ast.walk(ast.parse(fh.read())))
+    assert int(total.split()[4]) == calls

@@ -1,25 +1,20 @@
 """Stacked verification: the structures of a tower are validated and fitted as
-one stack, the two distributions of a bi-Legendrian pair are validated as one
-stack of bases, and every member gets what it gets alone.
+one stack, and every member gets what it gets alone.  (The Legendre functions take
+one basis; a bi-Legendrian pair is two calls, tested in ``test_legendre.py``.)
 
 A member's fresh copy (same arrays, empty cache) verified on its own is the
 reference; a degenerate metric in one member must stay with it.
 """
 
-import re
-
 import numpy as np
 import pytest
 
-from kmgeom import legendre
-from kmgeom.catalog import d_homothetic, family_3d, heisenberg, rebased
-from kmgeom.contact import ContactMetricStructure, nullity_fit, validate_contact
-from kmgeom.errors import DegenerateMetric, DimensionMismatch, NotIntegrable, NotTransversal
-from kmgeom.legendre import eigendistributions, involutivity_residual, legendre_distribution
-from kmgeom.lie_model import LieModel
-from kmgeom.tower import _canonical_pair, second_bilegendrian_analysis, sequence
+from kmgeom.catalog import d_homothetic, family_3d
+from kmgeom.contact import nullity_fit, validate_contact
+from kmgeom.errors import DegenerateMetric, DimensionMismatch
+from kmgeom.tower import _canonical_pair, sequence
 
-from conftest import CLASS_PARAMS, _random_basis, family
+from conftest import CLASS_PARAMS, family
 
 # classes I-V and a mu = 2 point
 POINTS = [*CLASS_PARAMS.values(), (2.0, 0.0)]
@@ -143,135 +138,3 @@ def test_a_stack_holds_one_contact_form():
         with pytest.raises(DimensionMismatch, match=r"\(M, eta, xi\)"):
             validate_contact(stack)
     assert nullity_fit(s).mu == pytest.approx(-2.0) and validate_contact(image).valid
-
-
-# ---------------------------------------------------------------- bi-Legendrian pairs
-
-
-def _assert_members_match_alone(s, bases):
-    """Each member of a stacked Legendre validation equals its basis validated alone;
-    returns the stacked distributions."""
-    bases = np.asarray(bases)
-    stacked = legendre_distribution(s.model, s.eta, s.xi, bases)
-    residuals = involutivity_residual(s.model, s.eta, s.xi, bases)
-    assert len(stacked) == len(residuals) == len(bases)
-    for basis, ld, residual in zip(bases, stacked, residuals):
-        alone = legendre_distribution(s.model, s.eta, s.xi, basis)
-        assert np.allclose(ld.vectors, alone.vectors, rtol=0.0, atol=1e-12)
-        assert np.allclose(ld.pang, alone.pang, rtol=0.0, atol=1e-12)
-        assert ld.definiteness == alone.definiteness
-        assert np.allclose(ld.pang_eig, alone.pang_eig, rtol=0.0, atol=1e-12)
-        assert isinstance(residual, float)
-        assert residual == pytest.approx(involutivity_residual(s.model, s.eta, s.xi, basis),
-                                         abs=1e-12)
-    return stacked
-
-
-def _eigenbases(s):
-    return np.stack([ld.vectors for ld in eigendistributions(s)])
-
-
-@pytest.mark.parametrize("seed, cls", enumerate(sorted(CLASS_PARAMS)))
-def test_eigenpair_members_match_their_bases_validated_alone(seed, cls):
-    """The +-lambda pair of each class, in the model basis and in two bases of
-    condition 10."""
-    entry = family_3d(*CLASS_PARAMS[cls])
-    rng = np.random.default_rng(seed)
-    for t in [entry.structure] + [rebased(entry, _random_basis(rng, 3, 10.0)).structure
-                                  for _ in range(2)]:
-        _assert_members_match_alone(t, _eigenbases(t))
-
-
-@pytest.mark.parametrize("cls", ["I", "III"])
-def test_second_pair_members_match_their_bases_validated_alone(cls):
-    s = family(*CLASS_PARAMS[cls])
-    analysis = second_bilegendrian_analysis(s)
-    bases = [analysis.d_plus.vectors, analysis.d_minus.vectors]
-    stacked = _assert_members_match_alone(s, bases)
-    for ld, want in zip(stacked, (analysis.d_plus, analysis.d_minus)):
-        assert np.allclose(ld.pang, want.pang, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 5, 20])
-def test_heisenberg_pair_in_a_shuffled_basis(n):
-    """(span{X_i}, span{Y_i}) of H_{2n+1}, with the model basis and the order of
-    each distribution's vectors shuffled."""
-    rng = np.random.default_rng(n)
-    dim = 2 * n + 1
-    h, sigma = heisenberg(dim).structure, rng.permutation(dim)  # the basis f_a = e_sigma(a)
-    s = ContactMetricStructure(
-        model=LieModel(c=h.model.c[np.ix_(sigma, sigma, sigma)]), phi=h.phi[np.ix_(sigma, sigma)],
-        xi=h.xi[sigma], eta=h.eta[sigma], g=h.g[np.ix_(sigma, sigma)],
-    )
-    e = np.eye(dim)[sigma].T  # row k: e_k in the f_a
-    xs, ys = e[:n], e[n : 2 * n]
-    bases = np.stack([xs[rng.permutation(n)], ys[rng.permutation(n)]])
-    stacked = _assert_members_match_alone(s, bases)
-    assert [ld.definiteness for ld in stacked] == ["flat", "flat"]  # xi is central
-    assert involutivity_residual(s.model, s.eta, s.xi, bases) == [0.0, 0.0]
-    # a mixed span is not isotropic: d eta(X_1, Y_1) = -1
-    mixed = np.vstack([xs[:1], ys[:1], xs[2:]])
-    with pytest.raises(NotTransversal, match="d eta does not vanish"):
-        legendre_distribution(s.model, s.eta, s.xi, mixed)
-
-
-def _bad_members(n=2):
-    """On H_{2n+1}: a Legendre basis, then a dependent, a non-annihilated and a
-    non-isotropic one, with the messages they raise alone."""
-    s = heisenberg(2 * n + 1).structure
-    e = np.eye(2 * n + 1)
-    xs = e[:n]
-    members = [
-        (xs, None),
-        (np.vstack([xs[:-1], 2.0 * xs[:1]]), "basis vectors are linearly dependent"),
-        (np.vstack([xs[:-1], xs[-1:] + 0.5 * e[-1]]),
-         "basis not tangent to the contact distribution (5.000e-01)"),
-        (np.vstack([xs[:-1], xs[-1:] + e[n : n + 1]]), "d eta does not vanish on the span"),
-    ]
-    return s, members
-
-
-def test_failing_members_get_their_own_exception_in_member_order():
-    s, members = _bad_members()
-    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
-        bases = np.stack([members[k][0] for k in order])
-        results = legendre_distribution(s.model, s.eta, s.xi, bases)
-        for k, result in zip(order, results):
-            basis, message = members[k]
-            if message is None:
-                assert result.definiteness == legendre_distribution(
-                    s.model, s.eta, s.xi, basis).definiteness
-                continue
-            assert isinstance(result, NotTransversal) and str(result).startswith(message)
-            with pytest.raises(NotTransversal) as alone:
-                legendre_distribution(s.model, s.eta, s.xi, basis)
-            assert str(alone.value) == str(result)
-
-
-def test_a_pair_raises_its_first_members_failure_first(monkeypatch):
-    """eigendistributions raises the first failure in the order (+lambda, -lambda),
-    a Legendre failure of a member before its involutivity."""
-    real = legendre.legendre_distribution
-
-    def failing(*members):
-        def stacked(model, eta, xi, bases, tol):
-            out = real(model, eta, xi, bases, tol)
-            return [NotTransversal(f"member {b}") if b in members else ld
-                    for b, ld in enumerate(out)]
-        return stacked
-
-    def residuals(values):
-        return lambda model, eta, xi, bases: list(values)
-
-    cases = [
-        ((0, 1), (0.0, 0.0), NotTransversal, "member 0"),
-        ((1,), (0.0, 0.0), NotTransversal, "member 1"),
-        ((1,), (1.0, 0.0), NotIntegrable, "residual 1.000e+00"),
-        ((0,), (1.0, 1.0), NotTransversal, "member 0"),
-        ((), (0.0, 1.0), NotIntegrable, "residual 1.000e+00"),
-    ]
-    for members, values, error, message in cases:
-        monkeypatch.setattr(legendre, "legendre_distribution", failing(*members))
-        monkeypatch.setattr(legendre, "involutivity_residual", residuals(values))
-        with pytest.raises(error, match=re.escape(message)):  # a fresh structure: no kept pair
-            eigendistributions(family(*CLASS_PARAMS["I"]))

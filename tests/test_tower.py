@@ -215,6 +215,17 @@ def test_second_bilegendrian_analysis_caller_supplied_pair():
     assert ana.new_invariant == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, b, invariant", [(1e-16, 2e-16, 3.0), (1e-20, 2e-20, 3.0),
+                                             (1.0, 2.0, 3.0), (3.0, 3.0, np.inf)])
+def test_new_invariant_is_free_of_the_scale_of_the_pair(a, b, invariant):
+    """(a + b) / |a - b| does not change when (a, b) is scaled: only a = b, the Sasakian
+    member of the family, reads +-inf (a pair closer than 1e-15 once read inf too)."""
+    ana = second_bilegendrian_analysis(family(*CLASS_PARAMS["I"]), a=a, b=b)
+    assert ana.new_invariant == pytest.approx(invariant, rel=1e-12)
+    negative = second_bilegendrian_analysis(family(*CLASS_PARAMS["III"]), a=-a, b=-b)
+    assert negative.new_invariant == pytest.approx(-invariant, rel=1e-12)
+
+
 def test_second_bilegendrian_analysis_wrong_product():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)

@@ -1,6 +1,7 @@
 """Print the raw and code line counts and the loop count of ``src/kmgeom``, and apart
 from that total those of ``tests/reference.py``, the pointwise references moved out
-of the package.
+of the package.  The ``src/kmgeom`` total line adds a fourth figure: the number of
+``np.linalg`` calls in the package.
 
 Code lines are the lines that are not blank, not a comment and not part of a
 docstring (of a module, class or function).  Loops are the ``for`` and ``while``
@@ -42,8 +43,9 @@ def docstring_lines(tree: ast.Module) -> set[int]:
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
 
 
-def count(path: str) -> tuple[int, int, int]:
-    """(raw, code) line counts and the loop count of the Python file ``path``."""
+def count(path: str) -> tuple[int, int, int, int]:
+    """(raw, code) line counts, the loop count and the number of
+    ``np.linalg.<function>(...)`` calls of the Python file ``path``."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -54,7 +56,9 @@ def count(path: str) -> tuple[int, int, int]:
         if line.strip() and not line.strip().startswith("#") and no not in doc
     )
     loops = sum(isinstance(node, LOOPS) for node in ast.walk(tree))
-    return len(lines), code, loops
+    linalg = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and ast.unparse(node.func.value) == "np.linalg" for node in ast.walk(tree))
+    return len(lines), code, loops, linalg
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -110,13 +114,14 @@ def unreachable() -> list[str]:
 
 def main() -> int:
     names = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
-    raw = code = loops = 0
+    raw = code = loops = linalg = 0
     for name in names:
-        r, c, n = count(os.path.join(SRC, name))
-        raw, code, loops = raw + r, code + c, loops + n
+        r, c, n, k = count(os.path.join(SRC, name))
+        raw, code, loops, linalg = raw + r, code + c, loops + n, linalg + k
         print(f"{name:18s} {r:5d} {c:5d} {n:5d}")
-    print(f"{'src/kmgeom':18s} {raw:5d} {code:5d} {loops:5d}  (raw, code lines, loops)")
-    r, c, n = count(REFERENCE)
+    print(f"{'src/kmgeom':18s} {raw:5d} {code:5d} {loops:5d} {linalg:5d}"
+          "  (raw, code lines, loops, np.linalg calls)")
+    r, c, n, _ = count(REFERENCE)
     print(f"{'tests/reference.py':18s} {r:5d} {c:5d} {n:5d}  (moved out of src/kmgeom; not in its total)")
     found = unreachable()
     print(f"not reached from cli.main ({len(found)}, static scan by name):")
