@@ -409,8 +409,8 @@ def cmd_run(args) -> int:
         raise _Stop(EXIT_PARSE, "error: supply a model file or --batch")
     worst = EXIT_OK
     for path in paths:
-        report, code = _run(args, path, f"{path}: " if len(paths) > 1 else "")
-        if len(paths) > 1:
+        report, code = _run(args, path, f"{path}: " if args.batch else "")
+        if args.batch:
             print(f"== {path}")
         elif report is None and args.command == "analyze":
             print(f"error: cannot analyze {path}", file=sys.stderr)

@@ -328,7 +328,7 @@ def bilegendrian_connection(
     return conn, report
 
 
-def legendre_pair_constants(a: float, b: float, tol: float = DEFAULT_TOL) -> tuple[float, float, bool]:
+def legendre_pair_constants(a: float, b: float) -> tuple[float, float]:
     """Nullity constants of the contact structure generated by a bi-Legendrian
     pair whose Pang coefficients are (a, b):
 
@@ -342,4 +342,4 @@ def legendre_pair_constants(a: float, b: float, tol: float = DEFAULT_TOL) -> tup
     mu = 2.0 - (a + b) / 2.0
     if not np.isfinite([kappa, mu]).all():
         raise InvalidPangPair(f"(a, b) = ({a:g}, {b:g}) generates constants beyond the float range")
-    return kappa, mu, bool(abs(a - b) <= tol)
+    return kappa, mu

@@ -20,11 +20,12 @@ every step:
   whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
   and the 3-web its eigendistributions cut on the contact distribution.
 
-Every construction is a function of (s, tol) that reads the structure's one kept
-fit, ``nullity_fit(s, tol)``, and builds its tower nodes 1 and 2 through the
-one node builder, which verifies each node: a node that fails its checks stops
-the construction; where the space sits relative to |I_M| = 1 is read from the
-class of that fit.
+One function builds tower nodes, :func:`sequence`, which verifies each node and
+keeps the tower on the structure per (N, tol).  Every construction is a function
+of (s, tol) that reads the structure's one kept fit, ``nullity_fit(s, tol)``, and
+reads nodes 1 and 2 from ``sequence(s, 3, tol)``: a node that fails its checks
+stops the construction; where the space sits relative to |I_M| = 1 is read from
+the class of that fit.
 """
 
 from typing import NamedTuple
@@ -168,72 +169,16 @@ def _phi_bar(s: ContactMetricStructure, report: NullityReport) -> np.ndarray:
     return beta * ((1.0 - report.mu / 2.0) * s.phi + s.phi @ s.h)
 
 
-def _canonical_pair(
-    s: ContactMetricStructure, tol: float
-) -> tuple[ParacontactMetricStructure, TowerNode]:
-    """The canonical paracontact structure of ``s`` and the tower node derived
-    from it (nodes 1 and 2, verified as :func:`sequence` verifies them, without
-    the closed-form checks of :func:`step_checks`), built once per ``tol``
-    and kept on ``s``, as is the error of a node that fails."""
-
-    def build():
-        node1, node2 = _derived_nodes(s, (1, 2), nullity_fit(s, tol), tol)
-        return node1.structure, node2
-
-    return s.cached(("canonical_pair", tol), build)
-
-
-def _derived_nodes(prev: MetricStructure, ks, fit0: NullityReport, tol: float) -> list[TowerNode]:
-    """Tower nodes ``ks`` (consecutive, k >= 1) of the contact nullity space with
-    fit ``fit0``, built from the structure ``prev`` of node ks[0] - 1.
-
-    phi_k = (1/2) L_xi phi_{k-1} / root with its compatible metric, (eps, root)
-    from :func:`_step`, gives a contact node (eps = +1) or a paracontact node
-    (eps = -1); one matching an earlier structure (``prev`` or one of these
-    nodes) in kind, phi and g to within ``tol`` shares it.  The distinct
-    structures of each kind are validated and fitted as one stack, and each
-    node's constants compared with those predicted from ``fit0``:
-    (kappa + (1 - mu/2)^2, 2) for a contact node, (kappa - 2 + (1 - mu/2)^2, 2)
-    for a paracontact one.  In index order, the first node whose fit fails
-    raises its error, or whose checks fail raises :class:`InternalInconsistency`.
-    """
-    structures, pool = [], [prev]
-    for k in ks:
-        eps, root = _step(fit0, k)
-        cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
-        s = cls.compatible(prev.model, prev.h / root, prev.xi, prev.eta)
-        same = (t for t in pool
-                if t.kind == s.kind and max_abs(t.phi - s.phi) <= tol and max_abs(t.g - s.g) <= tol)
-        prev = next(same, s)
-        structures.append(prev)
-        pool.append(prev)
-    verified = {}
-    for kind in ("contact", "paracontact"):
-        stack = list({id(s): s for s in structures if s.kind == kind}.values())
-        if stack:
-            results = zip(validate_contact(stack, tol), nullity_fit(stack, tol))
-            verified.update(zip(map(id, stack), results))
-    nodes = []
-    for k, s in zip(ks, structures):
-        checks, fit = verified[id(s)]
-        if isinstance(fit, GeometryError):  # kept on s: a copy collects the frames
-            raise _detached(fit)
-        checks = ResidualReport(checks.tol, dict(checks.entries), dict(checks.notes))
-        predicted = fit0.kappa + (s.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
-        checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
-        checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
-        if not checks.valid:
-            raise InternalInconsistency(f"tower node {k} failed verification: {checks.failures()}")
-        nodes.append(TowerNode(k, s, fit, _tw_parallel(fit, tol), checks))
-    return nodes
-
-
 def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) -> list[TowerNode]:
-    """The derived sequence [node_0, ..., node_{N-1}] (N = max(n_nodes, 1)).
+    """The derived sequence [node_0, ..., node_{N-1}] (N = max(n_nodes, 1)), a fresh
+    list on each call: the one builder of tower nodes.
 
-    Node 0 is the input structure.  Each later node is built by the iterated
-    normalized Lie derivative of the previous structure tensor, validated,
-    freshly fitted, and compared against the predicted constant pattern:
+    Node 0 is the input structure.  Each later node k is built by the iterated
+    normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root with its compatible
+    metric, (eps, root) from :func:`_step`; one matching node 0 or an earlier node in
+    kind, phi and g to within ``tol`` shares its structure.  The distinct structures of
+    each kind are validated and fitted as one stack, and each node's constants are
+    compared with the predicted pattern (a node sharing a structure shares its report):
 
     * class II (|I_M| < 1): kinds alternate contact / paracontact with constants
       (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
@@ -241,13 +186,47 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     * classes I and III (|I_M| > 1): every node from index 1 on is paracontact with constants
       (kappa - 2 + (1-mu/2)^2, 2).
     * classes IV and V (|I_M| within ``tol`` of 1): only nodes 0 and 1 exist;
-      N >= 3 raises :class:`DegenerateInvariant`.
+      N >= 3 raises :class:`DegenerateInvariant` before node 1 is built.
+
+    In index order, the first node whose fit fails raises its error, or whose checks
+    fail raises :class:`InternalInconsistency`.  Nodes 1 to N - 1 are kept on ``s``
+    per (N, tol), as is the error of a tower that fails.
     """
+    n_nodes = max(n_nodes, 1)
     fit0 = nullity_fit(s, tol)
-    if n_nodes > 2:
-        _step(fit0, 2)  # no node 2 in classes IV and V: reject such a tower before node 1 is built
-    nodes = _derived_nodes(s, range(1, n_nodes), fit0, tol)
-    return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *nodes]
+
+    def build():
+        if n_nodes > 2:
+            _step(fit0, 2)  # no node 2 in classes IV and V: reject such a tower before node 1 is built
+        structures = [s]
+        for k in range(1, n_nodes):
+            eps, root = _step(fit0, k)
+            cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
+            t = cls.compatible(s.model, structures[-1].h / root, s.xi, s.eta)
+            same = (u for u in structures
+                    if u.kind == t.kind and max_abs(u.phi - t.phi) <= tol and max_abs(u.g - t.g) <= tol)
+            structures.append(next(same, t))
+        verified = {}
+        for kind in ("contact", "paracontact"):
+            stack = list({id(t): t for t in structures[1:] if t.kind == kind}.values())
+            if stack:
+                results = zip(validate_contact(stack, tol), nullity_fit(stack, tol))
+                verified.update(zip(map(id, stack), results))
+        nodes = []
+        for k, t in enumerate(structures[1:], 1):
+            checks, fit = verified[id(t)]
+            if isinstance(fit, GeometryError):  # kept on t: a copy collects the frames
+                raise _detached(fit)
+            predicted = fit0.kappa + (t.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
+            checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
+            checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
+            if not checks.valid:
+                raise InternalInconsistency(f"tower node {k} failed verification: {checks.failures()}")
+            nodes.append(TowerNode(k, t, fit, _tw_parallel(fit, tol), checks))
+        return tuple(nodes)
+
+    # node 0 is s itself: kept on s, it would make s hold a reference to itself
+    return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *s.cached(("sequence", n_nodes, tol), build)]
 
 
 def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -344,7 +323,7 @@ def second_bilegendrian_analysis(
         raise InvalidPangPair("a, b must be positive when I_M > 1")
     if inv < 0 and not (a < 0 and b < 0):
         raise InvalidPangPair("a, b must be negative when I_M < -1")
-    kappa_new, mu_new, _ = legendre_pair_constants(a, b, tol)
+    kappa_new, mu_new = legendre_pair_constants(a, b)
     half = 1.0 - mu_new / 2.0
     regenerated = kappa_new - 2.0 + half * half  # the paracontact kappa; may overflow to inf
     if not np.isfinite(regenerated):
@@ -357,10 +336,10 @@ def second_bilegendrian_analysis(
     lam_t = float(np.sqrt(delta))
     checks = ResidualReport(tol=tol)
 
-    st, node = _canonical_pair(s, tol)
-    h_t = st.h
+    _, node1, node2 = sequence(s, 3, tol)
+    h_t = node1.structure.h
 
-    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * st.phi @ st.phi)
+    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * node1.phi @ node1.phi)
 
     _, _, plus, minus = _phi_eigenframe(s, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
@@ -370,16 +349,16 @@ def second_bilegendrian_analysis(
         checks.add(f"{name}_eigenvector_pattern", ld.vectors @ h_t.T - sign * lam_t * ld.vectors)
         checks.add(f"{name}_involutive", involutivity_residual(s.model, s.eta, s.xi, ld.vectors))
         checks.add(f"pang_value_{name}", ld.pang - expected_pang * np.eye(s.n))
-    # each Libermann map is +-h~_1 / (2 delta) on the opposite distribution (h~_1 of the node)
+    # each Libermann map is +-h~_1 / (2 delta) on the opposite distribution (h~_1 of node 2)
     for sign, name, ld, other in ((1.0, "plus", d_plus, d_minus), (-1.0, "minus", d_minus, d_plus)):
         proj = other.span_projector()
-        closed = sign * (node.structure.h / (2.0 * delta)) @ proj
+        closed = sign * (node2.structure.h / (2.0 * delta)) @ proj
         lam_op = libermann_map(s, ld, other, tol)
         checks.add(f"libermann_{name}_closed_form", lam_op @ proj - closed)
 
     checks.add("pang_coefficient_product", abs(a * b - 4.0 * delta))
     # the generated structures must induce the same paracontact constants
-    checks.add("regenerated_kappa_delta", abs(regenerated - node.kappa))
+    checks.add("regenerated_kappa_delta", abs(regenerated - node2.kappa))
     return SecondPairAnalysis(
         lambda_t=lam_t, d_plus=d_plus, d_minus=d_minus, pang_value=expected_pang, a=float(a),
         b=float(b), kappa_new=kappa_new, mu_new=mu_new, new_invariant=float(new_inv), checks=checks)
@@ -411,8 +390,8 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     fit = nullity_fit(sbar, tol)
     checks.add("fitted_kappa_is_one", abs(fit.kappa - 1.0))
 
-    st, node = _canonical_pair(s, tol)
-    phi_t, phi_t1 = st.phi, node.phi
+    _, node1, node2 = sequence(s, 3, tol)
+    phi_t, phi_t1 = node1.phi, node2.phi
     checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 

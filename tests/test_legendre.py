@@ -184,10 +184,11 @@ def test_bilegendrian_pang_parallel_class_i():
 
 
 def test_legendre_pair_constants():
-    assert legendre_pair_constants(2.0, 6.0) == (0.0, -2.0, False)
-    kappa, mu, sas = legendre_pair_constants(4.0, 4.0)
-    assert (kappa, mu, sas) == (1.0, -2.0, True)
-    kappa, mu, _ = legendre_pair_constants(8.0, 2.0)
+    assert legendre_pair_constants(2.0, 6.0) == (0.0, -2.0)
+    assert legendre_pair_constants(4.0, 4.0) == (1.0, -2.0)  # a = b: the Sasakian member
+    # the constants alone: whether a pair is Sasakian (a = b) is the caller's to read
+    assert legendre_pair_constants(1e-16, 2e-16) == (1.0, 2.0 - 1.5e-16)
+    kappa, mu = legendre_pair_constants(8.0, 2.0)
     assert kappa == pytest.approx(-1.25)
     assert mu == pytest.approx(-3.0)
     beyond = [(1e200, 1e-200), (-1e200, 1e200), (1e308, 1e308), np.array([1e200, 1e-200])]
@@ -197,7 +198,7 @@ def test_legendre_pair_constants():
             with pytest.raises(InvalidPangPair, match=r"beyond the float range$"):
                 legendre_pair_constants(a, b)
     # kappa = 1 and a finite mu: only the paracontact kappa they regenerate overflows
-    assert legendre_pair_constants(1e155, 1e155) == (1.0, 2.0 - 1e155, True)
+    assert legendre_pair_constants(1e155, 1e155) == (1.0, 2.0 - 1e155)
 
 
 def test_legendre_distribution_rejects_non_isotropic_basis(model_5d):

@@ -373,6 +373,21 @@ def test_cli_batch(tmp_path, capsys):
     assert out.count("== ") == 2
 
 
+def test_cli_batch_of_one_file_prints_as_a_batch(tmp_path, capsys):
+    # a --batch directory that holds one file: its header, and its label on a parse error
+    (tmp_path / "good").mkdir()
+    (tmp_path / "bad").mkdir()
+    good = _emit(tmp_path / "good", "nilpotent-h-5d")
+    capsys.readouterr()
+    assert main(["analyze", "--batch", str(tmp_path / "good")]) == 0
+    assert capsys.readouterr().out.startswith(f"== {good}\nmodel ")
+    bad = tmp_path / "bad" / "truncated.json"
+    bad.write_text('{"dim": 3, "brackets": [')
+    assert main(["analyze", "--batch", str(bad.parent)]) == 2
+    assert capsys.readouterr() == (f"== {bad}\n", f"error: {bad}: not valid JSON: "
+                                   "Expecting value: line 1 column 25 (char 24)\n")
+
+
 def test_cli_failed_json_write_is_an_error_line(tmp_path, capsys):
     path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
     target = tmp_path / "no-such-dir" / "x.json"

@@ -24,6 +24,22 @@ UNREACHABLE = {
 }
 
 
+# the most code lines src/kmgeom may hold (the second figure of its total line): a
+# change that adds a capability raises it in its own diff and says why in CHANGES.md
+CODE_LINE_BUDGET = 1675
+
+
+def _total_line(capsys) -> list[str]:
+    """The figures of the src/kmgeom total line of ``tools/src_size.py``."""
+    src_size.main()
+    return next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("src/kmgeom")).split()
+
+
+def test_code_lines_stay_within_the_budget(capsys):
+    assert int(_total_line(capsys)[2]) <= CODE_LINE_BUDGET
+
+
 def test_unreachable_is_the_declared_list():
     assert src_size.unreachable() == sorted(UNREACHABLE)
 
@@ -50,9 +66,7 @@ def test_total_line_counts_the_linalg_calls(capsys):
     """The fourth figure of the src/kmgeom total line is the number of calls whose callee
     is ``np.linalg.<function>`` (not a method of such a call's result), counted here on
     the syntax trees."""
-    src_size.main()
-    total = next(line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("src/kmgeom"))
+    total = _total_line(capsys)
     calls = 0
     for name in os.listdir(src_size.SRC):
         if name.endswith(".py"):
@@ -60,4 +74,4 @@ def test_total_line_counts_the_linalg_calls(capsys):
                 calls += sum(isinstance(node, ast.Call)
                              and re.fullmatch(r"np\.linalg\.\w+", ast.unparse(node.func)) is not None
                              for node in ast.walk(ast.parse(fh.read())))
-    assert int(total.split()[4]) == calls
+    assert int(total[4]) == calls

@@ -12,7 +12,7 @@ import pytest
 from kmgeom.catalog import d_homothetic, family_3d
 from kmgeom.contact import nullity_fit, validate_contact
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
-from kmgeom.tower import _canonical_pair, sequence
+from kmgeom.tower import sequence
 
 from conftest import CLASS_PARAMS, family
 
@@ -59,7 +59,8 @@ def test_tower_nodes_match_their_structures_verified_alone(lam, d):
     for node in nodes[1:]:
         _assert_node_matches_alone(node)
     if fit.class_tag in ("I", "III"):  # the construction pair exists for |I_M| > 1
-        st, node2 = _canonical_pair(family(lam, d), 1e-9)
+        _, node1, node2 = sequence(family(lam, d), 3, 1e-9)
+        st = node1.structure
         assert node2.index == 2
         _assert_node_matches_alone(node2)
         alone = _fresh(st)

@@ -9,7 +9,7 @@ import pytest
 
 from kmgeom import DEFAULT_TOL
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
-from kmgeom import tower
+from kmgeom import contact, tower
 from kmgeom.catalog import family_3d, rebased
 from kmgeom.errors import (
     DegenerateInvariant,
@@ -342,20 +342,62 @@ def test_constructions_stop_at_a_failed_tower_node(failing_validation):
 
 
 def test_a_failed_canonical_pair_is_built_once(failing_validation, monkeypatch):
-    # the error of the failed pair is kept on the structure: the second
-    # construction raises it again without building nodes 1 and 2 anew
-    real, calls = tower._derived_nodes, []
+    # the error of the failed tower is kept on the structure: the second
+    # construction raises it again without validating nodes 1 and 2 anew
+    real, stacks = tower.validate_contact, []
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counted(structures, tol):
+        if isinstance(structures, list):  # a stack of tower nodes, not phi-bar alone
+            stacks.append(len(structures))
+        return real(structures, tol)
 
-    monkeypatch.setattr(tower, "_derived_nodes", counted)
+    monkeypatch.setattr(tower, "validate_contact", counted)
     s = family(1.0, 2.0)
     for build in (sasakian_structure, second_bilegendrian_analysis):
         with pytest.raises(InternalInconsistency, match="^tower node 1 failed verification"):
             build(s)
-    assert calls == [(1, 2)]
+    assert stacks == [2]
+
+
+def _structures_built(monkeypatch) -> list:
+    """Every MetricStructure constructed from here on."""
+    built, init = [], contact.MetricStructure.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(contact.MetricStructure, "__init__", recording_init)
+    return built
+
+
+def test_a_tower_is_built_once_per_length_and_tol(monkeypatch):
+    # the second call reads the kept nodes into a list of its own
+    s = family(1.0, 2.0)
+    built = _structures_built(monkeypatch)
+    first = sequence(s, 3)
+    assert len(built) == 2
+    second = sequence(s, 3)
+    assert len(built) == 2
+    assert first == second and first is not second
+    first.append(first[0])
+    assert len(sequence(s, 3)) == 3
+    assert len(built) == 2
+    sequence(s, 3, tol=1e-8)  # another tol is another tower
+    assert len(built) == 4
+
+
+def test_the_constructions_read_their_nodes_from_the_tower(monkeypatch):
+    # sasakian_structure builds phi-bar and reads phi~ and phi~_1 from sequence(s, 3)
+    s = family(1.0, 2.0)
+    built = _structures_built(monkeypatch)
+    sasakian_structure(s)
+    assert len(built) == 3
+    nodes = sequence(s, 3)
+    assert len(built) == 3
+    second_bilegendrian_analysis(s)
+    assert len(built) == 3
+    assert [node.structure for node in nodes[1:]] == built[1:]
 
 
 def test_a_kept_error_is_raised_as_a_fresh_copy():
