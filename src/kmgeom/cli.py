@@ -87,7 +87,6 @@ from .errors import (
     ModelFormatError,
     NotNullity,
     SasakianDegenerate,
-    SasakianOrInvalid,
 )
 
 EXIT_OK = 0
@@ -219,7 +218,7 @@ def _construction(c, build, **kwargs) -> dict:
     try:
         return build(c.s, tol=c.tol, **kwargs).to_dict()
     except (InternalInconsistency, InvalidPangPair, InvariantTooSmall, NotNullity,
-            SasakianDegenerate, SasakianOrInvalid) as exc:
+            SasakianDegenerate) as exc:
         return {"error": str(exc)}
 
 

@@ -11,7 +11,9 @@ class GeometryError(Exception):
 
 
 class DimensionMismatch(GeometryError):
-    """Operands do not match the model dimension, or have a NaN or infinite entry."""
+    """Operands do not match the model dimension, or have a NaN or infinite entry, or a
+    structure is of the wrong kind: a stack mixing kinds or contact forms, or a
+    paracontact structure given to an operation on contact structures."""
 
 
 class ModelFormatError(GeometryError):

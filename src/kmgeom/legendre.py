@@ -146,6 +146,8 @@ def eigendistributions(
 
     def build():
         report = nullity_fit(s, tol)
+        if report.class_tag is None:  # the fit of a contact structure always has a class
+            raise DimensionMismatch("h-eigendistributions require a contact structure, not a paracontact one")
         if report.lam is None:
             raise SasakianDegenerate("h has no +-lambda eigenspaces: the fit puts this structure in the "
                                      f"Sasakian band (kappa >= 1 - tol), kappa = {report.kappa:.12g}")

@@ -20,12 +20,15 @@ every step:
   whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
   and the 3-web its eigendistributions cut on the contact distribution.
 
-One function builds tower nodes, :func:`sequence`, which verifies each node and
-keeps the tower on the structure per (N, tol).  Every construction is a function
-of (s, tol) that reads the structure's one kept fit, ``nullity_fit(s, tol)``, and
-reads nodes 1 and 2 from ``sequence(s, 3, tol)``: a node that fails its checks
-stops the construction; where the space sits relative to |I_M| = 1 is read from
-the class of that fit.
+One function builds tower nodes, :func:`sequence`.  The tower keeps nothing of
+its own: each node's successor is kept on that node's structure, per (eps, root,
+tol), and each node's verification, its (checks, fit), on its structure per tol, so
+a tower of any length reads one set of nodes, each built and verified once.  Every
+construction is a function of (s, tol) that reads the structure's one kept fit,
+``nullity_fit(s, tol)``, and reads nodes 1 and 2 from ``sequence(s, 3, tol)``: a
+node that fails its checks stops the construction; where the space sits relative to
+|I_M| = 1 is read from the class of that fit.  The constructions take a contact
+structure: a paracontact one raises :class:`DimensionMismatch`.
 """
 
 from typing import NamedTuple
@@ -38,6 +41,7 @@ from .contact import (
     NullityReport,
     ParacontactMetricStructure,
     _detached,
+    _each,
     _tw_parallel,
     blair_identity_suite,
     nijenhuis_norm,
@@ -46,6 +50,7 @@ from .contact import (
 )
 from .errors import (
     DegenerateInvariant,
+    DimensionMismatch,
     GeometryError,
     InternalInconsistency,
     InvalidPangPair,
@@ -142,6 +147,8 @@ def _delta(kappa: float, mu: float) -> float:
 
 
 def _require_non_sasakian(report: NullityReport) -> None:
+    if report.class_tag is None:  # the fit of a contact structure always has a class
+        raise DimensionMismatch("construction requires a contact structure, not a paracontact one")
     if report.boeckx is None:
         raise SasakianDegenerate(
             "construction requires a non-Sasakian structure: the fit puts this one in the Sasakian "
@@ -176,9 +183,12 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     Node 0 is the input structure.  Each later node k is built by the iterated
     normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root with its compatible
     metric, (eps, root) from :func:`_step`; one matching node 0 or an earlier node in
-    kind, phi and g to within ``tol`` shares its structure.  The distinct structures of
-    each kind are validated and fitted as one stack, and each node's constants are
-    compared with the predicted pattern (a node sharing a structure shares its report):
+    kind, phi and g to within ``tol`` shares its structure.  Node k's structure is kept
+    on node k - 1's under ("next", eps, root, tol), so a walk of any length reads the
+    links it has walked before.  The distinct structures of each kind that lack their
+    verification are validated and fitted as one stack, and each keeps its
+    (checks, fit) under ("node", tol); each node's constants are compared with the
+    predicted pattern on that report (nodes sharing a structure share it):
 
     * class II (|I_M| < 1): kinds alternate contact / paracontact with constants
       (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
@@ -186,47 +196,39 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     * classes I and III (|I_M| > 1): every node from index 1 on is paracontact with constants
       (kappa - 2 + (1-mu/2)^2, 2).
     * classes IV and V (|I_M| within ``tol`` of 1): only nodes 0 and 1 exist;
-      N >= 3 raises :class:`DegenerateInvariant` before node 1 is built.
+      N >= 3 raises :class:`DegenerateInvariant` before any node is verified.
 
     In index order, the first node whose fit fails raises its error, or whose checks
-    fail raises :class:`InternalInconsistency`.  Nodes 1 to N - 1 are kept on ``s``
-    per (N, tol), as is the error of a tower that fails.
+    fail raises :class:`InternalInconsistency`.
     """
-    n_nodes = max(n_nodes, 1)
     fit0 = nullity_fit(s, tol)
+    structures = [s]
+    for k in range(1, max(n_nodes, 1)):
+        eps, root = _step(fit0, k)
 
-    def build():
-        if n_nodes > 2:
-            _step(fit0, 2)  # no node 2 in classes IV and V: reject such a tower before node 1 is built
-        structures = [s]
-        for k in range(1, n_nodes):
-            eps, root = _step(fit0, k)
+        def successor():  # of node k - 1; the reuse search runs over the walk so far
             cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
             t = cls.compatible(s.model, structures[-1].h / root, s.xi, s.eta)
             same = (u for u in structures
                     if u.kind == t.kind and max_abs(u.phi - t.phi) <= tol and max_abs(u.g - t.g) <= tol)
-            structures.append(next(same, t))
-        verified = {}
-        for kind in ("contact", "paracontact"):
-            stack = list({id(t): t for t in structures[1:] if t.kind == kind}.values())
-            if stack:
-                results = zip(validate_contact(stack, tol), nullity_fit(stack, tol))
-                verified.update(zip(map(id, stack), results))
-        nodes = []
-        for k, t in enumerate(structures[1:], 1):
-            checks, fit = verified[id(t)]
-            if isinstance(fit, GeometryError):  # kept on t: a copy collects the frames
-                raise _detached(fit)
-            predicted = fit0.kappa + (t.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
-            checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
-            checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
-            if not checks.valid:
-                raise InternalInconsistency(f"tower node {k} failed verification: {checks.failures()}")
-            nodes.append(TowerNode(k, t, fit, _tw_parallel(fit, tol), checks))
-        return tuple(nodes)
+            return next(same, t)
 
-    # node 0 is s itself: kept on s, it would make s hold a reference to itself
-    return [TowerNode(0, s, fit0, _tw_parallel(fit0, tol)), *s.cached(("sequence", n_nodes, tol), build)]
+        structures.append(structures[-1].cached(("next", eps, root, tol), successor))
+    for kind in ("contact", "paracontact"):
+        _each([t for t in dict.fromkeys(structures[1:]) if t.kind == kind], ("node", tol),
+              lambda stack: list(zip(validate_contact(stack, tol), nullity_fit(stack, tol))))
+    nodes = [TowerNode(0, s, fit0, _tw_parallel(fit0, tol))]
+    for k, t in enumerate(structures[1:], 1):
+        checks, fit = t._cache[("node", tol)]
+        if isinstance(fit, GeometryError):  # kept on t: a copy collects the frames
+            raise _detached(fit)
+        predicted = fit0.kappa + (t.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
+        checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
+        checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
+        if not checks.valid:
+            raise InternalInconsistency(f"tower node {k} failed verification: {checks.failures()}")
+        nodes.append(TowerNode(k, t, fit, _tw_parallel(fit, tol), checks))
+    return nodes
 
 
 def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> ResidualReport:

@@ -12,6 +12,10 @@ warning, so that no such entry reaches LAPACK:
 
 A non-finite Pang form given to ``libermann_map`` raises DegeneratePang
 (tests/test_legendre.py).
+
+A structure of the wrong kind is rejected too: the functions defined on contact
+structures only (the h-eigendistributions and what reads them, and the tower and its
+constructions) raise DimensionMismatch for a paracontact one.
 """
 
 import json
@@ -20,14 +24,15 @@ import warnings
 import numpy as np
 import pytest
 
-from kmgeom.catalog import heisenberg
+from kmgeom.catalog import heisenberg, nilpotent_h_5d
 from kmgeom.cli import main
 from kmgeom.contact import ContactMetricStructure, ParacontactMetricStructure
 from kmgeom.lie_model import LieModel
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
-from kmgeom.legendre import (eigendistributions, involutivity_residual, legendre_distribution,
-                             libermann_map)
+from kmgeom.legendre import (bilegendrian_connection, classify_class, eigendistributions,
+                             involutivity_residual, legendre_distribution, libermann_map)
 from kmgeom.riemann import levi_civita, signature
+from kmgeom.tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
 from conftest import family
 
@@ -161,3 +166,24 @@ def test_a_structure_below_dim_3_is_rejected_at_the_door(dim, cls, tmp_path, cap
             warnings.simplefilter("error")
             assert main([argv[0], str(path), *argv[1:]]) == 2
         assert f"needs dim >= 3, got {dim}" in capsys.readouterr().err
+
+
+CONTACT_ONLY = [eigendistributions, classify_class, bilegendrian_connection,
+                lambda s: sequence(s, 2), sasakian_structure, second_bilegendrian_analysis]
+WRONG_KIND = {
+    "heisenberg-3-paracontact": lambda: heisenberg(3, "paracontact").structure,
+    "nilpotent-h-5d": lambda: nilpotent_h_5d().structure,
+    "class-II-node-1": lambda: sequence(family(1.0, 0.5), 2)[1].structure,  # complex pair
+    "class-I-node-1": lambda: sequence(family(1.0, 2.0), 2)[1].structure,  # real pair
+}
+
+
+@pytest.mark.parametrize("call", CONTACT_ONLY,
+                         ids=["eigendistributions", "classify_class", "bilegendrian_connection",
+                              "sequence", "sasakian_structure", "second_bilegendrian_analysis"])
+@pytest.mark.parametrize("case", list(WRONG_KIND))
+def test_a_paracontact_structure_is_the_wrong_kind_for_a_contact_only_function(case, call):
+    """These read a paracontact fit as Sasakian (it has no I_M), or, for a real-pair h~,
+    reached a Cholesky factor of the indefinite metric and leaked numpy's LinAlgError."""
+    _raises_without_warning(DimensionMismatch, "requires? a contact structure, not a paracontact one",
+                            call, WRONG_KIND[case]())

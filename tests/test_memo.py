@@ -27,10 +27,10 @@ def _arrays(value) -> list:
     [
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
          {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "contact_basis",
-          "eigendistributions", "sequence"}),
+          "eigendistributions", "next", "node"}),
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
          {"levi_civita", "nullity", "nijenhuis_tensor", "contact_basis", "eigendistributions",
-          "sequence"}),
+          "next", "node"}),
         (nilpotent_h_5d(), ["analyze"],
          {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "contact_basis",
           "canonical_connection", "integrability_and_parasasaki"}),

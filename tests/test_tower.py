@@ -371,20 +371,69 @@ def _structures_built(monkeypatch) -> list:
     return built
 
 
-def test_a_tower_is_built_once_per_length_and_tol(monkeypatch):
-    # the second call reads the kept nodes into a list of its own
+def test_a_tower_is_built_once_per_tol_whatever_its_length(monkeypatch):
+    # each node keeps its successor: a longer tower walks the kept links and builds only
+    # the nodes past them, a shorter one builds nothing; each call returns a list of its own
     s = family(1.0, 2.0)
     built = _structures_built(monkeypatch)
     first = sequence(s, 3)
     assert len(built) == 2
+    longer = sequence(s, 6)  # nodes 3 and 4, and node 5's candidate, which is node 1
+    assert len(built) == 5
+    assert longer[5].structure is longer[1].structure
     second = sequence(s, 3)
-    assert len(built) == 2
-    assert first == second and first is not second
+    assert len(built) == 5
+    assert first == second == longer[:3] and first is not second
     first.append(first[0])
     assert len(sequence(s, 3)) == 3
-    assert len(built) == 2
+    sequence(s, 1000)
+    assert len(built) == 5
     sequence(s, 3, tol=1e-8)  # another tol is another tower
-    assert len(built) == 4
+    assert len(built) == 7
+
+
+@pytest.mark.parametrize("lam,d,most", [(1.0, 2.0, 5), (1.0, -2.0, 5), (2.5, -4.0, 5),
+                                        (1.0, 0.5, 3), (2.0, 1.0, 3), (1.0, 0.0, 3)],
+                         ids=["I", "III", "III-2.5", "II", "II-2", "II-I0"])
+def test_a_long_tower_builds_at_most_one_period(monkeypatch, lam, d, most):
+    # from node 1 on the tower has period 4 when |I_M| > 1 and 2 when |I_M| < 1: the
+    # structures built are the distinct nodes and the candidate that closes the period
+    s = family(lam, d)
+    built = _structures_built(monkeypatch)
+    nodes = sequence(s, 1000)
+    assert len(nodes) == 1000 and len(built) <= most
+    period = 4 if abs(d / lam) > 1.0 else 2
+    assert all(nodes[k].structure is nodes[k + period].structure for k in range(1, 1000 - period))
+
+
+def test_a_construction_after_a_longer_tower_builds_only_phi_bar(monkeypatch):
+    # sasakian_structure reads nodes 1 and 2 that sequence(s, 6) built and verified
+    s = family(1.0, 2.0)
+    sequence(s, 6)
+    built = _structures_built(monkeypatch)
+    package = sasakian_structure(s)
+    assert built == [package.structure]
+
+
+def test_a_failed_node_is_validated_once(monkeypatch):
+    # node 2 of this near-boundary class-I space fails its validation (~1.3e-9): the
+    # failure is read again from its kept checks, and the shorter tower still passes
+    s = family(1.0, 1.00003)
+    real, validated = tower.validate_contact, []
+
+    def counted(structures, tol):
+        validated.extend(structures)
+        return real(structures, tol)
+
+    monkeypatch.setattr(tower, "validate_contact", counted)
+    assert len(sequence(s, 2)) == 2
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="^tower node 2 failed verification"):
+            sequence(s, 6)
+        assert len(sequence(s, 2)) == 2
+    with pytest.raises(InternalInconsistency, match="^tower node 2 failed verification"):
+        sequence(s, 3)
+    assert len(validated) == len(set(validated)) == 4  # nodes 1 to 4, each once
 
 
 def test_the_constructions_read_their_nodes_from_the_tower(monkeypatch):

@@ -27,13 +27,14 @@ when a call differs that the file does not list.  The moves hold against their p
 commit alone: when REV is another commit, the file allows nothing, so a list left over
 from an earlier change never excuses a new move.
 
-The set: every catalog entry, ten ``family_3d`` points (I_M - 1 = 3e-9 and
-lambda = 1e-5 among them), the twisted non-nullity model and contact and paracontact
-H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``, ``derive
---steps 7`` and ``validate`` with ``--json -``; then the edge calls: malformed and
-missing files (structure tensors with a NaN, an infinite entry or the wrong shape among
-them, and the dim-1 models of both kinds, n = 0), usage errors, non-finite number
-options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
+The set: every catalog entry, eleven ``family_3d`` points (I_M - 1 = 3e-9,
+lambda = 1e-5 and I_M = 0 among them), the twisted non-nullity model and contact and
+paracontact H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``,
+``derive --steps 7`` and ``validate`` with ``--json -``; each ``family_3d`` point also
+through ``derive --steps 64 --json -``, many periods of its tower; then the edge calls:
+malformed and missing files (structure tensors with a NaN, an infinite entry or the
+wrong shape among them, and the dim-1 models of both kinds, n = 0), usage errors,
+non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
 ``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive``
 on a paracontact model and on models without a structure, failed writes and options
 that do not go together; last, every step of every op of the benchmark's three workloads
@@ -59,8 +60,9 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 MOVES = os.path.join("tests", "data", "equiv_moves.json")  # under ROOT
 
 # (lambda, d) of the family_3d points: I_M = d / lambda
+# (1.0, 0.0) is I_M = 0, where tower node 2 is node 0
 FAMILY = [(1.0, 2.0), (1.0, 0.5), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.0 + 3e-9),
-          (1.0, 1.0 - 3e-9), (1e-5, 2e-5), (1e-5, 0.0), (2.5, -4.0)]
+          (1.0, 1.0 - 3e-9), (1e-5, 2e-5), (1e-5, 0.0), (2.5, -4.0), (1.0, 0.0)]
 HEISENBERG_DIMS = (5, 11, 21)
 PERFBENCH_SEEDS = (1, 2)
 UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.json")
@@ -182,6 +184,8 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
         add(f"analyze:{model}", "analyze", path, "--sasakian", "--legendre3", "--json", "-")
         add(f"derive:{model}", "derive", path, "--steps", "7", "--json", "-")
         add(f"validate:{model}", "validate", path, "--json", "-")
+    for i in range(len(FAMILY)):  # many periods of the tower
+        add(f"derive-long:fam-{i}", "derive", f"models/fam-{i}.json", "--steps", "64", "--json", "-")
     for bad in [*MALFORMED, "no-structure", "no-structure-broken-jacobi", "degenerate-metric",
                 "dim-1-contact", "dim-1-paracontact"]:
         for command in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
