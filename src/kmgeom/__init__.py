@@ -38,7 +38,7 @@ _SUBMODULE = {
     "classify_class": "legendre", "conjugate_distribution": "legendre",
     "eigendistributions": "legendre", "legendre_pair_constants": "legendre",
     "libermann_map": "legendre",
-    "LieModel": "lie_model", "d_one_form": "lie_model", "jacobi_residual": "lie_model",
+    "ContactForm": "lie_model", "LieModel": "lie_model", "d_one_form": "lie_model", "jacobi_residual": "lie_model",
     "lie_derivative_endo": "lie_model",
     "ResidualReport": "report",
     "AffineConnection": "riemann", "levi_civita": "riemann", "signature": "riemann",

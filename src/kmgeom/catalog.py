@@ -25,7 +25,7 @@ import numpy as np
 
 from .contact import ContactMetricStructure, ParacontactMetricStructure, classify_by_invariant
 from .errors import NonPositiveLambda
-from .lie_model import LieModel, _structure_constants
+from .lie_model import ContactForm, LieModel, _structure_constants
 from .modelfile import CatalogEntry
 
 
@@ -56,7 +56,7 @@ def nilpotent_h_5d() -> CatalogEntry:
     g[0, 2] = g[2, 0] = 1.0
     g[1, 3] = g[3, 1] = 1.0
     g[4, 4] = 1.0
-    structure = ParacontactMetricStructure(model=model, phi=phi, xi=xi, eta=eta, g=g)
+    structure = ParacontactMetricStructure(ContactForm(model, xi, eta), phi, g)
     return CatalogEntry(
         name="nilpotent-h-5d",
         model=model,
@@ -90,9 +90,7 @@ def family_3d(lam: float, d: float) -> CatalogEntry:
     )
     model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
     phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    structure = ContactMetricStructure(
-        model=model, phi=phi, xi=np.eye(3)[2], eta=np.eye(3)[2], g=np.eye(3)
-    )
+    structure = ContactMetricStructure(ContactForm(model, np.eye(3)[2], np.eye(3)[2]), phi, np.eye(3))
     kappa = 1.0 - lam * lam
     mu = 2.0 - 2.0 * d
     inv = d / lam
@@ -127,13 +125,13 @@ def heisenberg(dim: int, kind: str = "contact") -> CatalogEntry:
     pair = np.zeros((dim, dim))
     pair[n : 2 * n, :n] = np.eye(n)  # X_i -> Y_i
     if kind == "contact":
-        structure = ContactMetricStructure(model, pair - pair.T, xi, xi, np.eye(dim))
+        structure = ContactMetricStructure(ContactForm(model, xi, xi), pair - pair.T, np.eye(dim))
         expected = {"kind": kind, "kappa": 1.0, "sasakian": True}
     else:
         g = pair + pair.T
         g[-1, -1] = 1.0
         phi = np.diag([1.0] * n + [-1.0] * n + [0.0])
-        structure = ParacontactMetricStructure(model, phi, xi, xi, g)
+        structure = ParacontactMetricStructure(ContactForm(model, xi, xi), phi, g)
         expected = {"kind": kind, "para_sasakian": True, "k_paracontact": True}
     return CatalogEntry(f"heisenberg-{dim}-{kind}", model, structure, expected)
 
@@ -143,9 +141,7 @@ def broken_jacobi_3d() -> CatalogEntry:
     c = _structure_constants(3, {(0, 1): {2: 2.0}, (1, 2): {0: 1.0}, (2, 0): {0: 1.0}})
     model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
     phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    structure = ContactMetricStructure(
-        model=model, phi=phi, xi=np.eye(3)[2], eta=np.eye(3)[2], g=np.eye(3)
-    )
+    structure = ContactMetricStructure(ContactForm(model, np.eye(3)[2], np.eye(3)[2]), phi, np.eye(3))
     return CatalogEntry(
         name="broken-jacobi-3d",
         model=model,
@@ -158,9 +154,7 @@ def scaled_metric_invalid_3d() -> CatalogEntry:
     """family_3d(1, 0) with the metric doubled: breaks the d eta compatibility axiom."""
     base = family_3d(1.0, 0.0)
     s = base.structure
-    structure = ContactMetricStructure(
-        model=base.model, phi=s.phi, xi=s.xi, eta=s.eta, g=2.0 * s.g
-    )
+    structure = ContactMetricStructure(s.form, s.phi, 2.0 * s.g)
     return CatalogEntry(
         name="scaled-metric-3d",
         model=base.model,
@@ -195,7 +189,8 @@ def rebased(entry: CatalogEntry, p: np.ndarray) -> CatalogEntry:
     c = np.einsum("ia,jb,ijk,lk->abl", p, p, s.model.c, p_inv, optimize=True)
     g = p.T @ s.g @ p
     model = LieModel(c=0.5 * (c - c.transpose(1, 0, 2)))
-    structure = type(s)(model, p_inv @ s.phi @ p, p_inv @ s.xi, s.eta @ p, 0.5 * (g + g.T))
+    form = ContactForm(model, p_inv @ s.xi, s.eta @ p)
+    structure = type(s)(form, p_inv @ s.phi @ p, 0.5 * (g + g.T))
     return entry._replace(model=model, structure=structure)
 
 
@@ -205,7 +200,7 @@ def d_homothetic(entry: CatalogEntry, a: float) -> CatalogEntry:
     ((kappa + eps (a^2 - 1)) / a^2, (mu + 2a - 2) / a) and keeps I_M (Tanno); the
     expected block, which holds the undeformed constants, is dropped."""
     s = entry.structure
-    deformed = type(s).compatible(s.model, s.phi, s.xi / a, a * s.eta)
+    deformed = type(s).compatible(ContactForm(s.model, s.xi / a, a * s.eta), s.phi)
     return CatalogEntry(entry.name, entry.model, deformed)
 
 

@@ -14,6 +14,10 @@ for constants kappa, mu.  Non-Sasakian (kappa < 1) spaces carry the Boeckx
 invariant I_M = (1 - mu/2) / sqrt(1 - kappa), which positions the structure
 in one of five classes and drives every derived construction downstream.
 
+Every structure is built on a :class:`kmgeom.lie_model.ContactForm`, the (M, eta, xi)
+it shares with every structure derived from it, which holds d eta, ad xi, the basis
+of ker(eta) and the projector along xi.
+
 A paracontact metric structure (phi~, xi, eta, g~) has phi~^2 = I - eta (x) xi,
 g~ of signature (n+1, n) and the +-1 eigendistributions of phi~ on ker(eta) of
 rank n each.  Its h~ = (1/2) L_xi phi~ is g~-symmetric but, the metric being
@@ -33,7 +37,7 @@ connection for eps = +1 and Zamkovoy's canonical paracontact connection for
 eps = -1, which :func:`integrability_and_parasasaki` reads for both signs.
 
 :func:`validate_contact` and :func:`nullity_fit` take one structure or a stack
-(a list of one kind on one (M, eta, xi), such as tower nodes; a single
+(a list of one kind on one contact form object, such as tower nodes; a single
 structure is a stack of one).  A stack gives each member what it gets alone,
 its exception included, and each member keeps its own connection and its fit's
 report, or error.  The fit, one pass over the stack, alone reads R(., .) xi (not
@@ -42,17 +46,20 @@ kept) and compares h~^2 with phi~^2.  Every derived result, such as
 :func:`canonical_connection`, is one function of (s, tol) that reads the
 structure's kept fit or connection.  Everything a structure keeps goes
 through one memo, :func:`_each` (:meth:`MetricStructure.cached` is its
-stack-of-one case), which keeps every array of an entry read-only.
+stack-of-one case), which keeps every array of an entry read-only, and every
+:class:`kmgeom.report.ResidualReport` of an entry with read-only entries and notes:
+a caller's write to a kept report raises.
 """
 
 from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateMetric, DimensionMismatch, GeometryError, InternalInconsistency,
                      NotNullity, SasakianOrInvalid)
-from .lie_model import LieModel, check_finite, d_one_form, lie_derivative_endo
+from .lie_model import ContactForm, check_finite, lie_derivative_endo
 from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
 from .riemann import (
     DEGENERATE,
@@ -79,42 +86,38 @@ def _detached(exc: GeometryError) -> GeometryError:
 
 
 class MetricStructure:
-    """Tensor quadruple (phi, xi, eta, g) on a Lie model with
+    """Tensors (phi, g) on a contact form (M, eta, xi) with
 
         phi^2 = -eps (I - eta (x) xi),   d eta(X, Y) = g(X, phi Y),
         g(phi X, phi Y) = eps (g(X, Y) - eta(X) eta(Y)),
 
     a contact metric structure for eps = +1 and a paracontact one for
-    eps = -1 (the subclasses set ``eps`` and ``kind``).  Construction is where the
-    tensors enter the engine: a model of dim < 3 (n = 0: no contact distribution), a
-    shape other than (dim, dim), (dim,), (dim,), (dim, dim) or a NaN or infinite entry
-    raises :class:`DimensionMismatch`.
-    h = (1/2) L_xi phi is computed on construction; the basis of ker(eta) and
-    the Nijenhuis tensor once, and the Levi-Civita connection, nabla phi and the
-    nullity fit once per ``tol``, are kept with their arrays read-only.
+    eps = -1 (the subclasses set ``eps`` and ``kind``).  ``model``, ``xi`` and ``eta``
+    are those of ``form``, a :class:`kmgeom.lie_model.ContactForm`, which checked them
+    and keeps what they determine.  Construction is where phi and g enter the engine:
+    a shape other than (dim, dim) or a NaN or infinite entry raises
+    :class:`DimensionMismatch`.
+    phi and g are copied and, with h = (1/2) L_xi phi, computed on construction, kept
+    read-only; the Nijenhuis tensor once, and the Levi-Civita connection, nabla phi
+    and the nullity fit once per ``tol``, are kept with their arrays read-only.
     """
 
-    def __init__(self, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-                 g: np.ndarray):
-        self.model = model
-        self.phi, self.xi, self.eta, self.g = (np.asarray(a, dtype=float) for a in (phi, xi, eta, g))
-        d = model.dim
-        if d < 3:
-            raise DimensionMismatch(f"a contact or paracontact structure needs dim >= 3, got {d}")
-        shapes = (self.phi.shape, self.xi.shape, self.eta.shape, self.g.shape)
-        if shapes != ((d, d), (d,), (d,), (d, d)):
+    def __init__(self, form: ContactForm, phi: np.ndarray, g: np.ndarray):
+        self.form, self.model, self.xi, self.eta = form, form.model, form.xi, form.eta
+        self.phi, self.g = np.array(phi, dtype=float), np.array(g, dtype=float)
+        d = form.model.dim
+        if (self.phi.shape, self.g.shape) != ((d, d), (d, d)):
             raise DimensionMismatch("structure tensor shapes do not match the model dimension")
-        check_finite("structure tensors", self.phi, self.xi, self.eta, self.g)
-        self.h = 0.5 * lie_derivative_endo(model, self.xi, self.phi)
-        self.h.flags.writeable = False
+        check_finite("structure tensors", self.phi, self.g)
+        self.h = 0.5 * lie_derivative_endo(form, self.phi)
+        self.phi.flags.writeable = self.g.flags.writeable = self.h.flags.writeable = False
         self._cache = {}
 
     @classmethod
-    def compatible(cls, model: LieModel, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray):
-        """The structure of ``phi`` on the contact model (model, eta) with its compatible
-        metric g = -eps d eta(., phi .) + eta (x) eta, eps that of the class."""
-        g = -cls.eps * d_one_form(model, eta) @ phi + np.outer(eta, eta)
-        return cls(model, phi, xi, eta, g)
+    def compatible(cls, form: ContactForm, phi: np.ndarray):
+        """The structure of ``phi`` on ``form`` with its compatible metric
+        g = -eps d eta(., phi .) + eta (x) eta, eps that of the class."""
+        return cls(form, phi, -cls.eps * form.d_eta @ phi + np.outer(form.eta, form.eta))
 
     @property
     def dim(self) -> int:
@@ -123,13 +126,6 @@ class MetricStructure:
     @property
     def n(self) -> int:
         return (self.dim - 1) // 2
-
-    def d_eta(self) -> np.ndarray:
-        return d_one_form(self.model, self.eta)
-
-    def contact_projector(self) -> np.ndarray:
-        """Projector onto the contact distribution ker(eta) along xi."""
-        return np.eye(self.dim) - np.outer(self.xi, self.eta)
 
     def cached(self, key, build):
         """``build()``, kept under ``key``: the stack-of-one case of :func:`_each`.  A
@@ -147,10 +143,6 @@ class MetricStructure:
             raise _detached(value)
         return value
 
-    def contact_basis(self) -> np.ndarray:
-        """Orthonormal (Euclidean) basis of ker(eta), shape (2n, dim)."""
-        return self.cached("contact_basis", lambda: _kernel_basis(self.eta))
-
     def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
         conn = _kept_connections([self], tol)[0]
         if conn.degenerate:
@@ -167,19 +159,19 @@ class MetricStructure:
         """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
         return self.cached(
             "nijenhuis_tensor",
-            lambda: nijenhuis_tensor(self.model, self.phi, self.xi, self.eta, self.eps),
+            lambda: nijenhuis_tensor(self.form, self.phi, self.eps),
         )
 
 
 def _stack(s, *names: str) -> tuple:
     """(members, single, *arrays) of one structure (a stack of one) or of a list of
-    one kind on one (M, eta, xi), with the members' arrays ``names`` stacked."""
+    one kind on one (M, eta, xi), one form object, with the members' arrays ``names``
+    stacked."""
     single = isinstance(s, MetricStructure)
     members = [s] if single else list(s)
     first = members[0]
     for t in members[1:]:
-        if (t.kind != first.kind or t.model is not first.model
-                or not (np.array_equal(t.eta, first.eta) and np.array_equal(t.xi, first.xi))):
+        if t.kind != first.kind or t.form is not first.form:
             raise DimensionMismatch("a stack holds structures of one kind on one (M, eta, xi)")
     return members, single, *[_stack_of([getattr(t, n) for t in members]) for n in names]
 
@@ -210,10 +202,16 @@ def _each(members: list[MetricStructure], key, build) -> list:
 
 def _read_only(value):
     """``value``, with every array it holds, directly or in a tuple or record, read-only,
-    and the array that a view looks into."""
+    and the array that a view looks into; a :class:`ResidualReport` with read-only
+    ``entries`` and ``notes``, so that ``add`` on a kept report raises, and a dict as a
+    read-only view of it."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
         _read_only(value.base)  # a view's base too, so the view cannot be made writeable
+    elif isinstance(value, ResidualReport):
+        value.entries, value.notes = MappingProxyType(value.entries), MappingProxyType(value.notes)
+    elif isinstance(value, dict):
+        return MappingProxyType(value)
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
@@ -247,11 +245,6 @@ class ParacontactMetricStructure(MetricStructure):
 
     eps = -1.0
     kind = "paracontact"
-
-
-def _kernel_basis(eta: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(eta[None, :])  # rows 1.. of vt span the kernel
-    return vt[1:]
 
 
 class NullityReport(NamedTuple):
@@ -319,7 +312,7 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     s0 = members[0]
     n, eps, xi, eta = s0.n, s0.eps, s0.xi, s0.eta
     ident = np.eye(s0.dim)
-    deta = s0.d_eta()
+    deta = s0.form.d_eta
 
     add("phi_square", phi @ phi + eps * ident - eps * np.outer(xi, eta))
     add("deta_compatibility", deta - g @ phi)
@@ -329,7 +322,7 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     add("eta_circ_phi", eta @ phi)
     add("eta_is_g_xi", g @ xi - eta)
 
-    k = s0.contact_basis()
+    k = s0.form.basis
     _, singular, det = rank_test(k @ deta @ k.T, tol)
     add("contact_nondegeneracy", float(singular), [f"|det d_eta|_ker eta| = {det:.3e}"] * len(members))
     sigs = signature(g, tol)
@@ -398,7 +391,7 @@ def _fit_r_xi(members: list[MetricStructure],
     conns = _kept_connections(members, tol)
     gamma = _stack_of([c.gamma for c in conns])
     r_xi = curvature_xi(s0.model, AffineConnection(gamma), xi)  # NaN for a degenerate metric
-    dbasis = s0.contact_basis()
+    dbasis = s0.form.basis
     h_zero = max_abs_each(h, nb) <= tol
     a = np.empty((nb, dbasis.size, 1 if h_zero.all() else 2))
     a[..., 0] = dbasis.ravel()  # rows b
@@ -568,15 +561,15 @@ def canonical_connection(
         report.add("torsion_phi_reflection", phi.T @ t_xi + t_xi @ phi.T)
         closed = -eps * (eta_x(eta, phih) - eta_y(eta, phih)) + 2.0 * form_xy(g @ phi, xi)
         report.add("torsion_closed_form", tors - closed)
-        kbasis = s.contact_basis()
+        kbasis = s.form.basis
         report.add("torsion_on_contact_distribution",
-                   on_pairs(tors - 2.0 * form_xy(s.d_eta(), xi), kbasis, kbasis))
+                   on_pairs(tors - 2.0 * form_xy(s.form.d_eta, xi), kbasis, kbasis))
         return conn, report, nabla_phi
 
     return s.cached(("canonical_connection", tol), build)
 
 
-def integrability_and_parasasaki(s: MetricStructure, tol: float = DEFAULT_TOL) -> dict:
+def integrability_and_parasasaki(s: MetricStructure, tol: float = DEFAULT_TOL) -> MappingProxyType:
     """Integrability and the h = 0 closed form, computed once per ``tol`` and kept on ``s``.
 
     Integrability (CR integrability for eps = +1) is computed two independent ways:
@@ -590,9 +583,9 @@ def integrability_and_parasasaki(s: MetricStructure, tol: float = DEFAULT_TOL) -
     """
 
     def build():
-        kbasis = s.contact_basis()
+        kbasis = s.form.basis
         nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
-        worst_d = max_abs(nij @ s.contact_projector().T)  # N on D x D off the line R xi
+        worst_d = max_abs(nij @ s.form.projector.T)  # N on D x D off the line R xi
         integrable_n = worst_d <= tol
 
         worst_pc = max_abs(canonical_connection(s, tol)[2])
@@ -657,12 +650,15 @@ def blair_identity_suite(s: MetricStructure, tol: float = DEFAULT_TOL) -> Residu
 
 
 def classification_flags(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> dict:
-    """Sasakian / K-contact / Tanaka-Webster-parallel predicates of a contact nullity space.
+    """Sasakian / K-contact / Tanaka-Webster-parallel predicates of a contact nullity space;
+    a paracontact one (whose fit has no class) raises :class:`DimensionMismatch`.
 
     ``k_contact`` is the fit's h = 0 (mu indeterminate); ``tw_parallel`` uses the
     mu = 2 criterion for non-Sasakian nullity spaces.
     """
     report = nullity_fit(s, tol)
+    if report.class_tag is None:  # the fit of a contact structure always has a class
+        raise DimensionMismatch("classification flags require a contact structure, not a paracontact one")
     nij, _ = nijenhuis_norm(s, tol)
     return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": report.mu is None,
             "tw_parallel": _tw_parallel(report, tol)}

@@ -13,12 +13,15 @@ induces a paracontact metric structure (+1 on the first, -1 on the second), whic
 is exactly the canonical paracontact structure h / lambda, and whose canonical
 connection is the bi-Legendrian connection of the pair.
 
-:func:`legendre_distribution` and :func:`involutivity_residual` take one basis
-(n, dim) and return one result or raise; a bi-Legendrian pair is two calls, one per
-distribution.  They and :func:`libermann_map` check their input first: a basis, eta or
-xi of another dimension than the model's, or with a NaN or infinite entry, a stack of
-bases (B, n, dim), and a Pang form given to :func:`libermann_map` that is not n x n,
-raise :class:`DimensionMismatch`, so no such entry reaches LAPACK.
+:func:`legendre_distribution` and :func:`involutivity_residual` take the contact form
+(M, eta, xi) of :class:`kmgeom.lie_model.ContactForm`, which checked eta and xi and
+holds d eta and ad xi, and one basis (n, dim), and return one result or raise; a
+bi-Legendrian pair is two calls, one per distribution.  They and :func:`libermann_map`
+check their basis first: one of another dimension than the model's, or with a NaN or
+infinite entry, a stack of bases (B, n, dim), and a Pang form given to
+:func:`libermann_map` that is not n x n, raise :class:`DimensionMismatch`, so no such
+entry reaches LAPACK.  The structure that :func:`bilegendrian_connection` induces is
+built on the form of ``s``.
 
 Each Pang form is decomposed once: :func:`legendre_distribution` keeps the eigenvalues
 of its symmetric part (one ``eigvalsh``) on the :class:`LegendreDistribution`, and
@@ -46,7 +49,7 @@ from .errors import (
     NotTransversal,
     SasakianDegenerate,
 )
-from .lie_model import LieModel, check_finite, d_one_form
+from .lie_model import ContactForm, check_finite
 from .report import DEFAULT_TOL, ResidualReport, max_abs, rank_test
 from .riemann import AffineConnection, form_xy, on_pairs
 
@@ -84,56 +87,50 @@ def _definiteness(eig: np.ndarray, tol: float) -> str:
     return "indefinite"
 
 
-def _bases(model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors) -> np.ndarray:
+def _bases(form: ContactForm, vectors) -> np.ndarray:
     """``vectors`` as one basis (n, dim), after the check of the Legendre functions'
-    input: :class:`DimensionMismatch` unless it is one basis (not a stack of them), and
-    its vectors, eta and xi have the model's dimension and are finite."""
+    input: :class:`DimensionMismatch` unless it is one basis (not a stack of them) of
+    vectors of the model's dimension, all finite."""
     v = np.asarray(vectors, dtype=float)
-    if v.ndim > 2 or v.shape[-1:] != (model.dim,):
-        raise DimensionMismatch(f"basis vectors must have length {model.dim}, in one basis: {v.shape}")
-    check_finite("basis, eta and xi", v, model.check_vector(eta), model.check_vector(xi))
+    if v.ndim > 2 or v.shape[-1:] != (form.model.dim,):
+        raise DimensionMismatch(f"basis vectors must have length {form.model.dim}, in one basis: {v.shape}")
+    check_finite("basis vectors", v)
     return np.atleast_2d(v)
 
 
 def legendre_distribution(
-    model: LieModel,
-    eta: np.ndarray,
-    xi: np.ndarray,
-    vectors: np.ndarray,
-    tol: float = DEFAULT_TOL,
+    form: ContactForm, vectors: np.ndarray, tol: float = DEFAULT_TOL
 ) -> LegendreDistribution:
-    """Validate (eta-annihilation, d eta-isotropy, dimension) and attach Pang data."""
-    v = _bases(model, eta, xi, vectors)
-    n = (model.dim - 1) // 2
-    if v.shape != (n, model.dim):
-        raise NotTransversal(f"expected {n} basis vectors of length {model.dim}")
+    """Validate (eta-annihilation, d eta-isotropy, dimension) on the contact form
+    (M, eta, xi) and attach Pang data."""
+    v = _bases(form, vectors)
+    n, dim = len(form.basis) // 2, form.model.dim
+    if v.shape != (n, dim):
+        raise NotTransversal(f"expected {n} basis vectors of length {dim}")
     if rank_test(v, tol)[1]:
         raise NotTransversal("basis vectors are linearly dependent")
-    worst_eta = max_abs(v @ eta)
+    worst_eta = max_abs(v @ form.eta)
     if not worst_eta <= tol:
         raise NotTransversal(f"basis not tangent to the contact distribution ({worst_eta:.3e})")
-    deta = d_one_form(model, eta)
-    iso = max_abs(v @ deta @ v.T)
+    iso = max_abs(v @ form.d_eta @ v.T)
     if not iso <= tol:
         raise NotTransversal(f"d eta does not vanish on the span ({iso:.3e})")
-    pi = 2.0 * (v @ model.ad(xi).T) @ deta @ v.T  # [i, j] = 2 d eta([xi, b_i], b_j)
+    pi = 2.0 * (v @ form.ad_xi.T) @ form.d_eta @ v.T  # [i, j] = 2 d eta([xi, b_i], b_j)
     eig = np.linalg.eigvalsh(0.5 * (pi + pi.T))
     return LegendreDistribution(v, pi, _definiteness(eig, tol), eig)
 
 
-def involutivity_residual(
-    model: LieModel, eta: np.ndarray, xi: np.ndarray, vectors: np.ndarray
-) -> float:
+def involutivity_residual(form: ContactForm, vectors: np.ndarray) -> float:
     """Max deviation of [b_i, b_j] from span(basis), with its eta-component.
 
     Zero iff the distribution is a foliation whose leaves stay tangent to
     ker(eta).
     """
-    v = _bases(model, eta, xi, vectors)
-    q, _ = np.linalg.qr(np.vstack([v, xi]).T)
-    br = on_pairs(model.c, v, v)  # [i, j, :] = [v_i, v_j]
+    v = _bases(form, vectors)
+    q, _ = np.linalg.qr(np.vstack([v, form.xi]).T)
+    br = on_pairs(form.model.c, v, v)  # [i, j, :] = [v_i, v_j]
     off_span = br - br @ (q @ q.T)  # the projector q q^T is symmetric
-    return max_abs(np.concatenate([off_span, (br @ eta)[..., None]], axis=-1))
+    return max_abs(np.concatenate([off_span, (br @ form.eta)[..., None]], axis=-1))
 
 
 def eigendistributions(
@@ -166,8 +163,8 @@ def eigendistributions(
             if len(found) != s.n:
                 raise SasakianDegenerate(
                     f"eigenvalue {target} has multiplicity {len(found)}, expected {s.n}")
-            ld = legendre_distribution(s.model, s.eta, s.xi, vecs.T[found], tol)
-            residual = involutivity_residual(s.model, s.eta, s.xi, ld.vectors)
+            ld = legendre_distribution(s.form, vecs.T[found], tol)
+            residual = involutivity_residual(s.form, ld.vectors)
             if not residual <= tol:
                 raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
             # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
@@ -230,30 +227,28 @@ def libermann_map(
     not n x n, raises :class:`DimensionMismatch`, and a Pang form that is not finite,
     or singular to :func:`rank_test`, :class:`DegeneratePang`.
     """
-    _bases(s.model, s.eta, s.xi, ld.vectors)
-    _bases(s.model, s.eta, s.xi, other.vectors)
+    _bases(s.form, ld.vectors)
+    _bases(s.form, other.vectors)
     pi, n = ld.pang, ld.n
     if np.shape(pi) != (n, n):
         raise DimensionMismatch(f"Pang form shape {np.shape(pi)} is not ({n}, {n})")
     if not np.isfinite(pi).all() or rank_test(pi, tol)[1]:  # no SVD of a NaN
         raise DegeneratePang("Pang form is singular; no Libermann map")
-    model, eta, xi = s.model, s.eta, s.xi
-    deta = d_one_form(model, eta)
 
     # action on the complementary basis: Lambda q_r = sum_j coeffs[r, j] l_j,
     # with sum_j coeffs[r, j] Pi_L(l_j, l_k) = d eta(q_r, l_k)
-    rhs = other.vectors @ deta @ ld.vectors.T
+    rhs = other.vectors @ s.form.d_eta @ ld.vectors.T
     images = np.linalg.solve(pi.T, rhs.T).T @ ld.vectors
 
     # the full endomorphism in the model basis: it maps the `other` block of
     # the frame to the solved images and kills the rest
-    _, frame_inv = _frame(ld, other, xi, tol)
+    _, frame_inv = _frame(ld, other, s.xi, tol)
     lam_op = images.T @ frame_inv[n : 2 * n]
 
     sq = max_abs(lam_op @ lam_op)
     if not sq <= 10 * tol:
         raise DegeneratePang(f"Lambda^2 != 0 (residual {sq:.3e})")
-    xi_brackets = ld.vectors @ model.ad(xi).T  # rows [xi, l]
+    xi_brackets = ld.vectors @ s.form.ad_xi.T  # rows [xi, l]
     half = max_abs(xi_brackets @ lam_op.T - 0.5 * ld.vectors)
     if not half <= 10 * tol:
         raise DegeneratePang(f"Lambda [xi, X] != X/2 on the foliation (residual {half:.3e})")
@@ -265,7 +260,7 @@ def conjugate_distribution(
 ) -> LegendreDistribution:
     """Q = phi L, the conjugate Legendre distribution (g-orthogonal to L)."""
     vectors = (s.phi @ ld.vectors.T).T
-    q = legendre_distribution(s.model, s.eta, s.xi, vectors, tol)
+    q = legendre_distribution(s.form, vectors, tol)
     ortho = max_abs(ld.vectors @ s.g @ vectors.T)
     if not ortho <= tol:
         raise NotTransversal(f"conjugate distribution not g-orthogonal ({ortho:.3e})")
@@ -286,15 +281,14 @@ def bilegendrian_connection(
     torsion conditions, and parallelism of phi~, g~, g, phi, h and both Pang forms.
     """
     l1, l2 = eigendistributions(s, tol)
-    model, eta, xi = s.model, s.eta, s.xi
+    xi, deta = s.xi, s.form.d_eta
     frame, frame_inv = _frame(l1, l2, xi, tol)
     n = l1.n
     proj1 = frame[:, :n] @ frame_inv[:n]
     proj2 = frame[:, n : 2 * n] @ frame_inv[n : 2 * n]
-    induced = ParacontactMetricStructure.compatible(model, proj1 - proj2, xi, eta)
+    induced = ParacontactMetricStructure.compatible(s.form, proj1 - proj2)
     flags = integrability_and_parasasaki(induced, tol)
     conn = canonical_connection(induced, tol)[0]
-    deta = d_one_form(model, eta)
 
     report = ResidualReport(tol=tol)
     report.add("induced_is_canonical", induced.phi - s.h / nullity_fit(s, tol).lam)
@@ -310,11 +304,11 @@ def bilegendrian_connection(
     report.add("parallel_xi", xi @ conn.gamma)  # [i, :] = nabla_{e_i} xi
     report.add("parallel_deta", conn.nabla_bilinear_all(deta))
 
-    tors = conn.torsion(model)
+    tors = conn.torsion(s.model)
     report.add(
         "torsion_mixed_pair", on_pairs(tors - 2.0 * form_xy(deta, xi), l1.vectors, l2.vectors)
     )
-    ad_xi = model.ad(xi)
+    ad_xi = s.form.ad_xi
     expected = proj2 @ ad_xi @ proj1 + proj1 @ ad_xi @ proj2  # column i: expected T(e_i, xi)
     report.add("torsion_xi_slot", xi @ tors - expected.T)  # xi @ tors has rows T(e_i, xi)
 

@@ -138,14 +138,43 @@ def d_one_form(m: LieModel, eta: OneForm) -> BilinearForm:
     return -0.5 * np.einsum("ijk,k->ij", m.c, eta)
 
 
-def lie_derivative_endo(m: LieModel, xi: Vector, t: Endomorphism) -> Endomorphism:
-    """Lie derivative (L_xi T) X = [xi, T X] - T [xi, X] of a (1,1)-tensor.
+class ContactForm:
+    """The one-form eta with its Reeb field xi on a model: the (M, eta, xi) that every
+    structure of a tower, its Sasakian partner and each induced structure share.
+
+    Construction is where eta and xi enter the engine: a model of dim < 3 (n = 0: no
+    contact distribution), a shape other than (dim,) or a NaN or infinite entry raises
+    :class:`DimensionMismatch`.  What the form determines is computed here, once, and
+    kept read-only: ``d_eta``, ``ad_xi``, the orthonormal (Euclidean) basis ``basis``
+    of ker(eta), shape (2n, dim), and the projector ``projector`` = I - xi (x) eta onto
+    ker(eta) along xi.  A structure is compatible with a form it holds; two structures
+    share (M, eta, xi) when they hold the same form object.
+    """
+
+    def __init__(self, model: LieModel, xi: Vector, eta: OneForm):
+        d = model.dim
+        if d < 3:
+            raise DimensionMismatch(f"a contact or paracontact structure needs dim >= 3, got {d}")
+        xi, eta = np.array(xi, dtype=float), np.array(eta, dtype=float)
+        if (xi.shape, eta.shape) != ((d,), (d,)):
+            raise DimensionMismatch("structure tensor shapes do not match the model dimension")
+        check_finite("structure tensors", xi, eta)
+        self.model, self.xi, self.eta = model, xi, eta
+        self.d_eta = d_one_form(model, eta)
+        self.ad_xi = model.ad(xi)
+        self.basis = np.linalg.svd(eta[None, :])[2][1:]  # rows 1.. of vt span the kernel
+        self.projector = np.eye(d) - np.outer(xi, eta)
+        for a in (xi, eta, self.d_eta, self.ad_xi, self.basis, self.basis.base, self.projector):
+            a.flags.writeable = False
+
+
+def lie_derivative_endo(form: ContactForm, t: Endomorphism) -> Endomorphism:
+    """Lie derivative (L_xi T) X = [xi, T X] - T [xi, X] of a (1,1)-tensor along the
+    Reeb field of ``form``.
 
     For left-invariant data this is the commutator [ad_xi, T].
     """
     t = np.asarray(t, dtype=float)
-    if t.shape != (m.dim, m.dim):
-        raise DimensionMismatch(f"expected {m.dim}x{m.dim} endomorphism, got {t.shape}")
-    ad_xi = m.ad(xi)
-    return ad_xi @ t - t @ ad_xi
-
+    if t.shape != form.ad_xi.shape:
+        raise DimensionMismatch(f"expected {form.model.dim}x{form.model.dim} endomorphism, got {t.shape}")
+    return form.ad_xi @ t - t @ form.ad_xi

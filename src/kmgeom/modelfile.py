@@ -23,9 +23,10 @@ coefficients, including an (i, j) / (j, i) pair that fails antisymmetry).
 one); a bool or a non-integral number there, or a bool coefficient, is a
 format error.  The checks that need no arrays (the JSON itself, ``dim``,
 ``basis_labels`` and every bracket entry) run before numpy and the engine are
-imported, so a malformed file is rejected without loading them.  The structure
-reads and checks its own tensors (their shapes and finiteness); its
-:class:`DimensionMismatch` is re-raised here as a format error with the same text.
+imported, so a malformed file is rejected without loading them.  The contact form
+(xi and eta) and the structure (phi and g) read and check their own tensors (their
+shapes and finiteness); their :class:`DimensionMismatch` is re-raised here as a
+format error with the same text.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _parse_structure(model: LieModel, block: dict):
         kind = block["kind"]
         for cls in (kmgeom.ContactMetricStructure, kmgeom.ParacontactMetricStructure):
             if kind == cls.kind:
-                return cls(model, block["phi"], block["xi"], block["eta"], block["g"])
+                return cls(kmgeom.ContactForm(model, block["xi"], block["eta"]), block["phi"], block["g"])
     except DimensionMismatch as exc:  # a shape or an entry the structure rejects
         raise ModelFormatError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:  # a missing key, or a tensor not of numbers

@@ -7,7 +7,8 @@ reads singular values, and counts those above ``tol`` times the largest.  Each s
 passes the values its own decomposition already gives: :func:`rank_test` an SVD's,
 a symmetric form the |.| of its eigenvalues.
 Non-finite input is rejected where tensors enter the engine
-(:class:`kmgeom.contact.MetricStructure` and the kernels that take raw arrays);
+(:class:`kmgeom.lie_model.ContactForm`, :class:`kmgeom.contact.MetricStructure` and
+the kernels that take raw arrays);
 the reduction still propagates a NaN, such as the fit of a degenerate member or
 one fed straight to a kernel: it stays with its member and never reads as a pass.
 """

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionMismatch
-from .lie_model import BilinearForm, Endomorphism, LieModel, OneForm, Vector, check_finite, d_one_form
+from .lie_model import BilinearForm, ContactForm, Endomorphism, LieModel, OneForm, Vector, check_finite
 from .report import DEFAULT_TOL, nonzero_sv, rank_test
 
 DEGENERATE = "metric is singular (rank below its dimension)"
@@ -145,22 +145,22 @@ def form_xy(b: BilinearForm, v: Vector) -> np.ndarray:
     return np.einsum("...ij,k->...ijk", b, v)
 
 
-def nijenhuis_tensor(
-    m: LieModel, phi: Endomorphism, xi: Vector, eta: OneForm, eps: float
-) -> np.ndarray:
+def nijenhuis_tensor(form: ContactForm, phi: Endomorphism, eps: float) -> np.ndarray:
     """N(e_i, e_j) at [i, j, :] for
 
         N(X, Y) = phi^2 [X, Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y]
                   + 2 eps d eta(X, Y) xi
 
-    with eps = +1 for contact and eps = -1 for paracontact structures.
+    on the contact form (M, eta, xi), with eps = +1 for contact and eps = -1 for
+    paracontact structures.
     """
-    br_phi = np.tensordot(phi.T, m.c, 1)  # [i, j, :] = [phi e_i, e_j]
+    c = form.model.c
+    br_phi = np.tensordot(phi.T, c, 1)  # [i, j, :] = [phi e_i, e_j]
     mixed = br_phi - br_phi.transpose(1, 0, 2)  # [phi X, Y] + [X, phi Y]
     return (
-        m.c @ (phi @ phi).T
-        + on_pairs(m.c, phi.T, phi.T)
+        c @ (phi @ phi).T
+        + on_pairs(c, phi.T, phi.T)
         - mixed @ phi.T
-        + 2.0 * eps * form_xy(d_one_form(m, eta), xi)
+        + 2.0 * eps * form_xy(form.d_eta, form.xi)
     )
 

@@ -20,10 +20,13 @@ every step:
   whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
   and the 3-web its eigendistributions cut on the contact distribution.
 
-One function builds tower nodes, :func:`sequence`.  The tower keeps nothing of
-its own: each node's successor is kept on that node's structure, per (eps, root,
-tol), and each node's verification, its (checks, fit), on its structure per tol, so
-a tower of any length reads one set of nodes, each built and verified once.  Every
+One function builds tower nodes, :func:`sequence`.  Every node, and phi-bar, is
+built on the contact form of the input structure, ``s.form``: they share (M, eta, xi)
+and what it determines.  The tower keeps nothing of its own: each node's successor is
+kept on that node's structure, per (eps, root, tol), and each node's verification, its
+(checks, fit), on its structure per tol, so a tower of any length reads one set of
+nodes, each built and verified once; each :class:`TowerNode` holds a copy of that
+kept report with the two predicted-constant entries added.  Every
 construction is a function of (s, tol) that reads the structure's one kept fit,
 ``nullity_fit(s, tol)``, and reads nodes 1 and 2 from ``sequence(s, 3, tol)``: a
 node that fails its checks stops the construction; where the space sits relative to
@@ -208,20 +211,24 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
 
         def successor():  # of node k - 1; the reuse search runs over the walk so far
             cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
-            t = cls.compatible(s.model, structures[-1].h / root, s.xi, s.eta)
+            t = cls.compatible(s.form, structures[-1].h / root)
             same = (u for u in structures
                     if u.kind == t.kind and max_abs(u.phi - t.phi) <= tol and max_abs(u.g - t.g) <= tol)
             return next(same, t)
 
         structures.append(structures[-1].cached(("next", eps, root, tol), successor))
+    kept = {}
     for kind in ("contact", "paracontact"):
-        _each([t for t in dict.fromkeys(structures[1:]) if t.kind == kind], ("node", tol),
-              lambda stack: list(zip(validate_contact(stack, tol), nullity_fit(stack, tol))))
+        stack = [t for t in dict.fromkeys(structures[1:]) if t.kind == kind]
+        verified = _each(stack, ("node", tol),
+                         lambda stack: list(zip(validate_contact(stack, tol), nullity_fit(stack, tol))))
+        kept.update(zip(stack, verified))
     nodes = [TowerNode(0, s, fit0, _tw_parallel(fit0, tol))]
     for k, t in enumerate(structures[1:], 1):
-        checks, fit = t._cache[("node", tol)]
+        checks, fit = kept[t]
         if isinstance(fit, GeometryError):  # kept on t: a copy collects the frames
             raise _detached(fit)
+        checks = ResidualReport(tol, dict(checks.entries), dict(checks.notes))  # the node's own copy
         predicted = fit0.kappa + (t.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
         checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
         checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))
@@ -255,7 +262,7 @@ def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> R
     root = np.sqrt(abs(kappa - eps))
     checks = ResidualReport(tol=tol)
     checks.add("normalized_lie_derivative",
-               s.phi - 0.5 * lie_derivative_endo(p.model, p.xi, p.phi) / root)
+               s.phi - 0.5 * lie_derivative_endo(p.form, p.phi) / root)
     phih = p.phi @ p.h
     checks.add("h_closed_form", 2.0 * root * s.h - ((2.0 - mu) * phih + 2.0 * (eps - kappa) * p.phi))
     shift = (mu / 2.0) * p.phi - p.h / root
@@ -346,10 +353,10 @@ def second_bilegendrian_analysis(
     _, _, plus, minus = _phi_eigenframe(s, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
     # plus, then minus: the first failure raises
-    d_plus, d_minus = (legendre_distribution(s.model, s.eta, s.xi, vecs, tol) for vecs in (plus, minus))
+    d_plus, d_minus = (legendre_distribution(s.form, vecs, tol) for vecs in (plus, minus))
     for sign, name, ld in ((1.0, "plus", d_plus), (-1.0, "minus", d_minus)):
         checks.add(f"{name}_eigenvector_pattern", ld.vectors @ h_t.T - sign * lam_t * ld.vectors)
-        checks.add(f"{name}_involutive", involutivity_residual(s.model, s.eta, s.xi, ld.vectors))
+        checks.add(f"{name}_involutive", involutivity_residual(s.form, ld.vectors))
         checks.add(f"pang_value_{name}", ld.pang - expected_pang * np.eye(s.n))
     # each Libermann map is +-h~_1 / (2 delta) on the opposite distribution (h~_1 of node 2)
     for sign, name, ld, other in ((1.0, "plus", d_plus, d_minus), (-1.0, "minus", d_minus, d_plus)):
@@ -382,7 +389,7 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     inv = _require_large_invariant(s, tol)
     sign = 1.0 if inv > 0 else -1.0
     phi_bar = sign * _phi_bar(s, nullity_fit(s, tol))
-    sbar = ContactMetricStructure.compatible(s.model, phi_bar, s.xi, s.eta)
+    sbar = ContactMetricStructure.compatible(s.form, phi_bar)
 
     checks = ResidualReport(tol=tol)
     checks.merge(validate_contact(sbar, tol))
@@ -398,7 +405,7 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 
     i1, i2, i3 = (phi_bar, phi_t1, phi_t) if inv > 0 else (phi_bar, phi_t, phi_t1)
-    proj = s.contact_projector()
+    proj = s.form.projector
     checks.add("triple_i1_square", (i1 @ i1 + np.eye(s.dim)) @ proj)
     checks.add("triple_i2_square", (i2 @ i2 - np.eye(s.dim)) @ proj)
     checks.add("triple_i3_square", (i3 @ i3 - np.eye(s.dim)) @ proj)
@@ -413,7 +420,7 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
                        minus / np.linalg.norm(minus, axis=1, keepdims=True)])
     first, second = np.triu_indices(4, 1)
     pairs = np.concatenate([frames[first], frames[second]], axis=1)
-    _, singular, dets = rank_test(s.contact_basis() @ pairs.transpose(0, 2, 1), tol)
+    _, singular, dets = rank_test(s.form.basis @ pairs.transpose(0, 2, 1), tol)
     names = ("d_plus_lambda", "d_minus_lambda", "d_plus_lambda_t", "d_minus_lambda_t")
     for p, q, bad, det in zip(first, second, singular.tolist(), dets):
         checks.add(f"web_{names[p]}__{names[q]}", float(bad), note=f"|det| = {det:.3e}")

@@ -6,7 +6,7 @@ import pytest
 
 from kmgeom.catalog import STANDARD_FAMILY_PARAMS, family_3d, get_entry, nilpotent_h_5d
 from kmgeom.contact import ContactMetricStructure
-from kmgeom.lie_model import LieModel
+from kmgeom.lie_model import ContactForm, LieModel
 from kmgeom.tower import sasakian_structure
 
 # one parameter pair per class, by its tag: I, II, III, IV, V
@@ -55,9 +55,7 @@ def twisted_contact_3d(a=1.0, r=1.0) -> ContactMetricStructure:
     setb(2, 1, {0: r})
     model = LieModel(c=c)
     phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return ContactMetricStructure(
-        model=model, phi=phi, xi=np.eye(3)[2], eta=np.eye(3)[2], g=np.eye(3)
-    )
+    return ContactMetricStructure(ContactForm(model, np.eye(3)[2], np.eye(3)[2]), phi, np.eye(3))
 
 
 def _random_basis(rng, dim, cond):

@@ -1,10 +1,10 @@
 """Compute-once analysis: one Levi-Civita solve per distinct metric, each
-nullity fit, derived structure, Nijenhuis tensor, Nijenhuis side report, kernel
-basis of eta, h-eigenframe, canonical connection and paracontact integrability
-check built once per
-run of the CLI, one Legendre validation per distribution, one argument
-parser per process, and one decomposition per verdict: numpy's SVD and symmetric
-eigenvalue calls per CLI call are pinned."""
+nullity fit, derived structure, Nijenhuis tensor, Nijenhuis side report,
+h-eigenframe, canonical connection and paracontact integrability check built once
+per run of the CLI, one contact form (d eta, ad xi and the kernel basis of eta) per
+model file, one Legendre validation per distribution, one argument parser per
+process, and one decomposition per verdict: numpy's SVD and symmetric eigenvalue
+calls per CLI call are pinned."""
 
 import hashlib
 import sys
@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmgeom import cli, contact, legendre, modelfile, riemann, tower
+from kmgeom import cli, contact, legendre, lie_model, modelfile, riemann, tower
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.modelfile import CatalogEntry
 
@@ -22,7 +22,7 @@ COUNTED = {
     "levi_civita": riemann.levi_civita,
     "step_checks": tower.step_checks,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
-    "_kernel_basis": contact._kernel_basis,  # the SVD behind contact_basis()
+    "d_one_form": lie_model.d_one_form,  # built once, by the contact form of the model file
     # one call per distribution: a bi-Legendrian pair is two
     "legendre_distribution": legendre.legendre_distribution,
     "involutivity_residual": legendre.involutivity_residual,
@@ -45,7 +45,7 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
     that their ids stay distinct)."""
     counts = dict.fromkeys([*COUNTED, *KEPT], 0)
     solved = []
-    askers = {name: [] for name in (*KEPT, "_kernel_basis")}
+    askers = {name: [] for name in KEPT}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -79,13 +79,6 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
         return each(members, key, counted)
 
     monkeypatch.setattr(contact, "_each", counting_each)
-    contact_basis = contact.MetricStructure.contact_basis
-
-    def asking_contact_basis(self):
-        askers["_kernel_basis"].append(self)
-        return contact_basis(self)
-
-    monkeypatch.setattr(contact.MetricStructure, "contact_basis", asking_contact_basis)
     return counts, solved, askers
 
 
@@ -99,27 +92,27 @@ def _count_calls(monkeypatch) -> tuple[dict, list, dict]:
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], 4,
          {"levi_civita": 3, "step_checks": 0,
           "nijenhuis_tensor": 2, "eigendistributions": 1, "nijenhuis_norm": 2,
-          "_kernel_basis": 3, "legendre_distribution": 4, "involutivity_residual": 4,
+          "d_one_form": 1, "legendre_distribution": 4, "involutivity_residual": 4,
           "nullity": 4}),
         # class II: node k + 2 is node k up to roundoff (k >= 1), and shares its
         # structure; one stack per kind (nodes 1, 2) after node 0; the class reads the
         # h-eigenpair, one Legendre validation per distribution
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"], 3,
          {"levi_civita": 3, "step_checks": 0, "nijenhuis_tensor": 1, "eigendistributions": 1,
-          "nijenhuis_norm": 1, "_kernel_basis": 3, "legendre_distribution": 2,
+          "nijenhuis_norm": 1, "d_one_form": 1, "legendre_distribution": 2,
           "involutivity_residual": 2, "nullity": 3}),
         # class I: every node from 1 on is paracontact, and node 5 is node 1;
         # nodes 1-4 are solved as one stack
         (family_3d(1.0, 2.0), ["derive", "--steps", "6"], 5,
          {"levi_civita": 2, "step_checks": 0, "nijenhuis_tensor": 1, "nijenhuis_norm": 1,
-          "_kernel_basis": 2, "nullity": 5}),
+          "d_one_form": 1, "nullity": 5}),
         # mu = 2: the tower returns to node 0 at node 2, and node 3 is node 1
         (family_3d(1.0, 0.0), ["derive", "--steps", "6"], 2,
          {"levi_civita": 2, "step_checks": 0, "nijenhuis_tensor": 1, "nijenhuis_norm": 1,
-          "_kernel_basis": 2, "nullity": 2}),
+          "d_one_form": 1, "nullity": 2}),
         (nilpotent_h_5d(), ["analyze"], 1,
          {"levi_civita": 1, "step_checks": 0, "canonical_connection": 1, "nijenhuis_tensor": 1,
-          "nijenhuis_norm": 0, "_kernel_basis": 1, "integrability_and_parasasaki": 1,
+          "nijenhuis_norm": 0, "d_one_form": 1, "integrability_and_parasasaki": 1,
           "nullity": 1}),
     ],
     ids=["class-I-analyze", "class-II-derive", "class-I-derive", "class-II-mu-2-derive",
@@ -145,9 +138,10 @@ def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv,
         # stacked SVD, and each Pang form's definiteness is read from the eigenvalues its
         # Legendre validation kept.  Each distribution is validated by its own call, with one
         # rank-test svd and one Pang eigvalsh: one of each per distribution, so 2 per pair
-        # (analyze: the h- and h~-pairs; derive: the h-pair), and each matrix still once
-        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], {"svd": 19, "eigvalsh": 7}),
-        (family_3d(1.0, 2.0), ["derive", "--steps", "6"], {"svd": 9, "eigvalsh": 4}),
+        # (analyze: the h- and h~-pairs; derive: the h-pair), and each matrix still once; the
+        # one kernel basis of eta is the contact form's svd
+        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"], {"svd": 17, "eigvalsh": 7}),
+        (family_3d(1.0, 2.0), ["derive", "--steps", "6"], {"svd": 8, "eigvalsh": 4}),
         (CatalogEntry(name="twisted", model=twisted_contact_3d().model,
                       structure=twisted_contact_3d()), ["analyze"], {"svd": 3, "eigvalsh": 1}),
     ],
@@ -218,3 +212,28 @@ def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == first
     # 0 when an earlier test in this process already built the parser
     assert counts["build_parser"] <= 1
+
+
+def test_one_contact_form_per_model_file(tmp_path, capsys, monkeypatch):
+    """d eta and ad xi are computed once per CLI call, by the contact form the loader makes:
+    every structure derived from the loaded one reads them from that form."""
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+    counts = {"d_one_form": 0, "ad": 0}
+    d_one_form, ad = lie_model.d_one_form, lie_model.LieModel.ad
+
+    def counting_d_one_form(*args, **kwargs):
+        counts["d_one_form"] += 1
+        return d_one_form(*args, **kwargs)
+
+    def counting_ad(self, u):
+        counts["ad"] += 1
+        return ad(self, u)
+
+    for modname, module in list(sys.modules.items()):  # every kmgeom module that binds it
+        if modname.split(".")[0] == "kmgeom" and vars(module).get("d_one_form") is d_one_form:
+            monkeypatch.setattr(module, "d_one_form", counting_d_one_form)
+    monkeypatch.setattr(lie_model.LieModel, "ad", counting_ad)
+    assert cli.main(["derive", str(path), "--steps", "6", "--json", "-"]) == 0
+    capsys.readouterr()
+    assert counts == {"d_one_form": 1, "ad": 1}

@@ -32,7 +32,7 @@ def test_validate_family_class_ii():
 
 def test_validate_rejects_scaled_metric():
     s = family(1.0, 0.0)
-    bad = ContactMetricStructure(model=s.model, phi=s.phi, xi=s.xi, eta=s.eta, g=2.0 * s.g)
+    bad = ContactMetricStructure(s.form, s.phi, 2.0 * s.g)
     rep = validate_contact(bad)
     assert not rep.valid
     # compatibility with d eta is scale-breaking
@@ -41,9 +41,7 @@ def test_validate_rejects_scaled_metric():
 
 def test_validate_rejects_paracontact_tensors(model_5d):
     st = model_5d.structure
-    fake = ContactMetricStructure(
-        model=st.model, phi=st.phi, xi=st.xi, eta=st.eta, g=st.g
-    )
+    fake = ContactMetricStructure(st.form, st.phi, st.g)
     rep = validate_contact(fake)
     assert rep["phi_square"] > 1.0  # phi~^2 has the opposite sign
 

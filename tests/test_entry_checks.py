@@ -4,8 +4,9 @@ Each entry point that takes raw arrays rejects a NaN or infinite entry, and an
 input of the wrong shape, with its designated GeometryError and without a numpy
 warning, so that no such entry reaches LAPACK:
 
-* ``MetricStructure`` (both kinds): DimensionMismatch, also for a model of dim < 3,
-  which has no contact distribution (the loader makes it a format error, exit 2)
+* ``ContactForm`` (xi and eta) and ``MetricStructure`` (phi and g, both kinds):
+  DimensionMismatch, also for a model of dim < 3, which has no contact distribution
+  (the loader makes it a format error, exit 2)
 * ``levi_civita``: DegenerateMetric (in a stack, a degenerate member)
 * ``signature``, ``legendre_distribution``, ``involutivity_residual`` and the
   bases of ``libermann_map``: DimensionMismatch (its Pang form too, when it is not n x n)
@@ -14,8 +15,8 @@ A non-finite Pang form given to ``libermann_map`` raises DegeneratePang
 (tests/test_legendre.py).
 
 A structure of the wrong kind is rejected too: the functions defined on contact
-structures only (the h-eigendistributions and what reads them, and the tower and its
-constructions) raise DimensionMismatch for a paracontact one.
+structures only (the h-eigendistributions and what reads them, the classification
+flags, and the tower and its constructions) raise DimensionMismatch for a paracontact one.
 """
 
 import json
@@ -26,8 +27,8 @@ import pytest
 
 from kmgeom.catalog import heisenberg, nilpotent_h_5d
 from kmgeom.cli import main
-from kmgeom.contact import ContactMetricStructure, ParacontactMetricStructure
-from kmgeom.lie_model import LieModel
+from kmgeom.contact import ContactMetricStructure, ParacontactMetricStructure, classification_flags
+from kmgeom.lie_model import ContactForm, LieModel
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
 from kmgeom.legendre import (bilegendrian_connection, classify_class, eigendistributions,
                              involutivity_residual, legendre_distribution, libermann_map)
@@ -50,19 +51,24 @@ def _poisoned(a, value):
     return a
 
 
+def _built(s, **arrays):
+    """``s`` built anew from its tensors, as the loader builds it, with ``arrays`` in place
+    of some: xi and eta enter through the contact form, phi and g through the structure."""
+    t = {**{name: getattr(s, name) for name in ("phi", "xi", "eta", "g")}, **arrays}
+    return type(s)(ContactForm(s.model, t["xi"], t["eta"]), t["phi"], t["g"])
+
+
 def _structure(s, field):
-    def build(value):
-        arrays = {name: getattr(s, name) for name in ("phi", "xi", "eta", "g")}
-        arrays[field] = _poisoned(arrays[field], value)
-        return type(s)(s.model, **arrays)
-    return build
+    return lambda value: _built(s, **{field: _poisoned(getattr(s, field), value)})
 
 
 def _legendre(call, field):
+    """``call`` on H_5's basis and contact form, one of the three poisoned: eta and xi reach
+    a Legendre function through the form, which rejects them where it is made."""
     def run(value):
         args = {"eta": H5.eta, "xi": H5.xi, "vectors": LEGENDRE_BASIS}
         args[field] = _poisoned(args[field], value)
-        return call(H5.model, **args)
+        return call(ContactForm(H5.model, args["xi"], args["eta"]), args["vectors"])
     return run
 
 
@@ -81,9 +87,9 @@ CASES = {
                       "metric is singular"),
     "signature-g": (lambda v: signature(_poisoned(CONTACT.g, v)), DimensionMismatch, "form must be finite"),
     **{f"{call.__name__}-{field}": (_legendre(call, field), DimensionMismatch,
-                                    "basis, eta and xi must be finite")
+                                    f"{'basis vectors' if field == 'vectors' else 'structure tensors'} must be finite")
        for call in (legendre_distribution, involutivity_residual) for field in ("vectors", "eta", "xi")},
-    "libermann_map-vectors": (_libermann, DimensionMismatch, "basis, eta and xi must be finite"),
+    "libermann_map-vectors": (_libermann, DimensionMismatch, "basis vectors must be finite"),
 }
 
 
@@ -102,11 +108,7 @@ def test_non_finite_entry_raises_its_error(case, value):
 
 
 def _misshapen(s, field):
-    def build():
-        arrays = {name: getattr(s, name) for name in ("phi", "xi", "eta", "g")}
-        arrays[field] = arrays[field][:-1, :-1] if field == "g" else arrays[field][:-1]
-        return type(s)(s.model, **arrays)
-    return build
+    return lambda: _built(s, **{field: s.g[:-1, :-1] if field == "g" else getattr(s, field)[:-1]})
 
 
 def _libermann_pang():
@@ -116,7 +118,7 @@ def _libermann_pang():
 
 
 def _short_basis(call):
-    return lambda: call(H5.model, H5.eta, H5.xi, LEGENDRE_BASIS[:, :-1])
+    return lambda: call(H5.form, LEGENDRE_BASIS[:, :-1])
 
 
 SHAPE_CASES = {
@@ -157,7 +159,7 @@ def test_a_structure_below_dim_3_is_rejected_at_the_door(dim, cls, tmp_path, cap
     last = np.eye(dim)[-1]
     tensors = {"phi": np.zeros((dim, dim)), "xi": last, "eta": last, "g": np.eye(dim)}
     with pytest.raises(DimensionMismatch, match=f"needs dim >= 3, got {dim}"):
-        cls(LieModel(np.zeros((dim, dim, dim))), **tensors)
+        cls(ContactForm(LieModel(np.zeros((dim, dim, dim))), last, last), tensors["phi"], tensors["g"])
     path = tmp_path / "small.json"
     structure = {"kind": cls.kind, **{name: a.tolist() for name, a in tensors.items()}}
     path.write_text(json.dumps({"dim": dim, "brackets": [], "structure": structure}))
@@ -169,7 +171,8 @@ def test_a_structure_below_dim_3_is_rejected_at_the_door(dim, cls, tmp_path, cap
 
 
 CONTACT_ONLY = [eigendistributions, classify_class, bilegendrian_connection,
-                lambda s: sequence(s, 2), sasakian_structure, second_bilegendrian_analysis]
+                lambda s: sequence(s, 2), sasakian_structure, second_bilegendrian_analysis,
+                classification_flags]
 WRONG_KIND = {
     "heisenberg-3-paracontact": lambda: heisenberg(3, "paracontact").structure,
     "nilpotent-h-5d": lambda: nilpotent_h_5d().structure,
@@ -180,7 +183,8 @@ WRONG_KIND = {
 
 @pytest.mark.parametrize("call", CONTACT_ONLY,
                          ids=["eigendistributions", "classify_class", "bilegendrian_connection",
-                              "sequence", "sasakian_structure", "second_bilegendrian_analysis"])
+                              "sequence", "sasakian_structure", "second_bilegendrian_analysis",
+                              "classification_flags"])
 @pytest.mark.parametrize("case", list(WRONG_KIND))
 def test_a_paracontact_structure_is_the_wrong_kind_for_a_contact_only_function(case, call):
     """These read a paracontact fit as Sasakian (it has no I_M), or, for a real-pair h~,

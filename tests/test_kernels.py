@@ -15,7 +15,7 @@ from kmgeom.catalog import family_3d, get_entry, heisenberg, list_entries, nilpo
 from kmgeom.contact import validate_contact
 from kmgeom.errors import GeometryError
 from kmgeom.legendre import eigendistributions, legendre_distribution, libermann_map
-from kmgeom.lie_model import LieModel, jacobi_residual
+from kmgeom.lie_model import ContactForm, LieModel, jacobi_residual
 from kmgeom.report import rank_test
 from kmgeom.riemann import (AffineConnection, curvature_xi, levi_civita, nijenhuis_tensor, on_pairs,
                             signature)
@@ -59,7 +59,8 @@ KERNEL_CASES = {
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_kernels_match_pointwise_references(name):
-    m, phi, xi, eta, g, h, eps = _tensors(KERNEL_CASES[name]())
+    s = KERNEL_CASES[name]()
+    m, phi, xi, eta, g, h, eps = _tensors(s)
     conn = levi_civita(m, g)
     e = np.eye(m.dim)
     deta = -0.5 * np.einsum("ijk,k->ij", m.c, eta)
@@ -89,7 +90,7 @@ def test_kernels_match_pointwise_references(name):
         "nabla_endo_all(phi)": conn.nabla_endo_all(phi),
         "nabla_endo_all(h)": conn.nabla_endo_all(h),
         "nabla_bilinear_all(g)": conn.nabla_bilinear_all(g),
-        "nijenhuis_tensor": nijenhuis_tensor(m, phi, xi, eta, eps),
+        "nijenhuis_tensor": nijenhuis_tensor(s.form, phi, eps),
         "on_pairs(c, phi, h)": on_pairs(m.c, phi.T, h.T),
     }
     for kernel, want in expected.items():
@@ -277,11 +278,11 @@ def _h3_times_r2() -> LieModel:
     return LieModel(c)
 
 
-def _h5(kind="contact", **tensors):
-    """H_5's structure of ``kind``, with some of its model and tensors replaced."""
+def _h5(kind="contact", model=None, **tensors):
+    """H_5's structure of ``kind``, with its model or some of its tensors replaced."""
     s = heisenberg(5, kind).structure
-    arrays = {name: getattr(s, name) for name in ("model", "phi", "xi", "eta", "g")}
-    return type(s)(**{**arrays, **tensors})
+    form = s.form if model is None else ContactForm(model, s.xi, s.eta)
+    return type(s)(form, **{"phi": s.phi, "g": s.g, **tensors})
 
 
 def _error(call):
@@ -302,7 +303,7 @@ def _entries(s, *names):
 
 
 def _legendre(model, basis):
-    return legendre_distribution(model, E5[4], E5[4], basis)
+    return legendre_distribution(ContactForm(model, E5[4], E5[4]), basis)
 
 
 def _frame(l1, l2):

@@ -39,7 +39,7 @@ PUBLIC = {
     "legendre": ["LegendreDistribution", "bilegendrian_connection", "classify_class",
                  "conjugate_distribution", "eigendistributions", "legendre_pair_constants",
                  "libermann_map"],
-    "lie_model": ["LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
+    "lie_model": ["ContactForm", "LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
     "modelfile": ["CatalogEntry"],
     "report": ["DEFAULT_TOL", "ResidualReport"],
     "riemann": ["AffineConnection", "levi_civita", "signature"],

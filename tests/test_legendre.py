@@ -34,7 +34,7 @@ from kmgeom.legendre import (
     legendre_pair_constants,
     libermann_map,
 )
-from kmgeom.lie_model import LieModel
+from kmgeom.lie_model import ContactForm, LieModel
 from kmgeom.tower import second_bilegendrian_analysis, sequence
 
 from conftest import CLASS_PARAMS, _random_basis, family
@@ -203,26 +203,23 @@ def test_legendre_pair_constants():
 
 def test_legendre_distribution_rejects_non_isotropic_basis(model_5d):
     # span{X1, Y1} pairs nontrivially under d eta
-    m = model_5d.model
-    st = model_5d.structure
     e = np.eye(5)
     with pytest.raises(NotTransversal):
-        legendre_distribution(m, st.eta, st.xi, np.vstack([e[0], e[2]]))
+        legendre_distribution(model_5d.structure.form, np.vstack([e[0], e[2]]))
 
 
 @pytest.mark.parametrize("dim", [3, 5])
 def test_nan_xi_gives_a_degenerate_pang_form(dim):
-    """A NaN xi never forms a Pang form: legendre_distribution rejects it at its door
-    with DimensionMismatch, not DegeneratePang, the label "flat" (n = 1), a LAPACK
-    error or a warning."""
+    """A NaN xi never forms a Pang form: its contact form, which every Legendre
+    function takes, rejects it at the door with DimensionMismatch, not DegeneratePang,
+    the label "flat" (n = 1), a LAPACK error or a warning."""
     s = family(1.0, 2.0) if dim == 3 else heisenberg(dim).structure
-    basis = eigendistributions(s)[0].vectors if dim == 3 else np.eye(dim)[:2]
     xi = s.xi.copy()
     xi[0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DimensionMismatch, match="basis, eta and xi must be finite"):
-            legendre_distribution(s.model, s.eta, xi, basis)
+        with pytest.raises(DimensionMismatch, match="structure tensors must be finite"):
+            ContactForm(s.model, xi, s.eta)
 
 
 def test_eigendistributions_name_the_sasakian_band():
@@ -251,11 +248,11 @@ def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():
 def _assert_validates_alone(s, ld):
     """``ld``'s basis, validated by a call of its own, gives ``ld``'s Pang data and an
     involutive span."""
-    alone = legendre_distribution(s.model, s.eta, s.xi, ld.vectors)
+    alone = legendre_distribution(s.form, ld.vectors)
     np.testing.assert_allclose(alone.vectors, ld.vectors, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(alone.pang, ld.pang, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(alone.pang_eig, ld.pang_eig, rtol=0.0, atol=1e-12)
-    residual = involutivity_residual(s.model, s.eta, s.xi, ld.vectors)
+    residual = involutivity_residual(s.form, ld.vectors)
     assert isinstance(residual, float) and residual <= DEFAULT_TOL
     return alone, residual
 
@@ -291,19 +288,17 @@ def test_heisenberg_pair_in_a_shuffled_basis(n):
     rng = np.random.default_rng(n)
     dim = 2 * n + 1
     h, sigma = heisenberg(dim).structure, rng.permutation(dim)  # the basis f_a = e_sigma(a)
-    s = ContactMetricStructure(
-        model=LieModel(c=h.model.c[np.ix_(sigma, sigma, sigma)]), phi=h.phi[np.ix_(sigma, sigma)],
-        xi=h.xi[sigma], eta=h.eta[sigma], g=h.g[np.ix_(sigma, sigma)],
-    )
+    form = ContactForm(LieModel(c=h.model.c[np.ix_(sigma, sigma, sigma)]), h.xi[sigma], h.eta[sigma])
+    s = ContactMetricStructure(form, h.phi[np.ix_(sigma, sigma)], h.g[np.ix_(sigma, sigma)])
     e = np.eye(dim)[sigma].T  # row k: e_k in the f_a
     xs, ys = e[:n], e[n : 2 * n]
     for basis in (xs[rng.permutation(n)], ys[rng.permutation(n)]):
-        assert legendre_distribution(s.model, s.eta, s.xi, basis).definiteness == "flat"  # xi central
-        assert involutivity_residual(s.model, s.eta, s.xi, basis) == 0.0
+        assert legendre_distribution(s.form, basis).definiteness == "flat"  # xi central
+        assert involutivity_residual(s.form, basis) == 0.0
     # a mixed span is not isotropic: d eta(X_1, Y_1) = -1
     mixed = np.vstack([xs[:1], ys[:1], xs[2:]])
     with pytest.raises(NotTransversal, match="d eta does not vanish"):
-        legendre_distribution(s.model, s.eta, s.xi, mixed)
+        legendre_distribution(s.form, mixed)
 
 
 def test_each_bad_basis_raises_its_own_message():
@@ -311,7 +306,7 @@ def test_each_bad_basis_raises_its_own_message():
     s = heisenberg(5).structure
     e = np.eye(5)
     xs = e[:2]
-    assert legendre_distribution(s.model, s.eta, s.xi, xs).definiteness == "flat"
+    assert legendre_distribution(s.form, xs).definiteness == "flat"
     bad = [
         (np.vstack([xs[:-1], 2.0 * xs[:1]]), "basis vectors are linearly dependent"),
         (np.vstack([xs[:-1], xs[-1:] + 0.5 * e[-1]]),
@@ -320,7 +315,7 @@ def test_each_bad_basis_raises_its_own_message():
     ]
     for basis, message in bad:
         with pytest.raises(NotTransversal) as exc:
-            legendre_distribution(s.model, s.eta, s.xi, basis)
+            legendre_distribution(s.form, basis)
         assert str(exc.value) == message
 
 
@@ -330,7 +325,7 @@ def test_a_stack_of_bases_is_a_dimension_mismatch():
     bases = np.stack([np.eye(5)[:2], np.eye(5)[2:4]])
     for call in (legendre_distribution, involutivity_residual):
         with pytest.raises(DimensionMismatch, match=r"in one basis: \(2, 2, 5\)"):
-            call(s.model, s.eta, s.xi, bases)
+            call(s.form, bases)
 
 
 def test_eigendistributions_raise_the_first_failure_in_order(monkeypatch):
@@ -347,14 +342,14 @@ def test_eigendistributions_raise_the_first_failure_in_order(monkeypatch):
     for failing, residuals, error, message, calls in cases:
         made = []
 
-        def validate(model, eta, xi, basis, tol, failing=failing, made=made):
+        def validate(form, basis, tol, failing=failing, made=made):
             k = sum(c.startswith("L") for c in made)
             made.append(f"L{k}")
             if k in failing:
                 raise NotTransversal(f"distribution {k}")
-            return real(model, eta, xi, basis, tol)
+            return real(form, basis, tol)
 
-        def involutive(model, eta, xi, basis, residuals=residuals, made=made):
+        def involutive(form, basis, residuals=residuals, made=made):
             k = sum(c.startswith("L") for c in made) - 1
             made.append(f"I{k}")
             return residuals[k]

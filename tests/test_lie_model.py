@@ -1,10 +1,12 @@
-"""Structure-constant substrate: bracket, Jacobi, d of one-forms, Lie derivatives."""
+"""Structure-constant substrate: bracket, Jacobi, d of one-forms, Lie derivatives and
+the contact form (M, eta, xi)."""
 
 import numpy as np
 import pytest
 
 from kmgeom.errors import DimensionMismatch
 from kmgeom.lie_model import (
+    ContactForm,
     LieModel,
     d_one_form,
     jacobi_residual,
@@ -103,15 +105,13 @@ def test_d_one_form_abelian():
 
 
 def test_lie_derivative_of_identity_vanishes(model_5d):
-    m = model_5d.model
-    xi = np.array([0.3, -1.0, 2.0, 0.0, 1.0])
-    assert np.allclose(lie_derivative_endo(m, xi, np.eye(5)), 0.0)
+    form = ContactForm(model_5d.model, np.array([0.3, -1.0, 2.0, 0.0, 1.0]), E5[4])
+    assert np.allclose(lie_derivative_endo(form, np.eye(5)), 0.0)
 
 
 def test_lie_derivative_5d_structure_tensor(model_5d):
-    m = model_5d.model
     s = model_5d.structure
-    lphi = lie_derivative_endo(m, s.xi, s.phi)
+    lphi = lie_derivative_endo(s.form, s.phi)
     # (L_xi phi~) X1 is proportional to Y1 (here -4 Y1), and (L_xi phi~) Y1 = 0
     image = lphi @ E5[0]
     assert abs(image[2]) > 0.5
@@ -123,7 +123,32 @@ def test_lie_derivative_5d_structure_tensor(model_5d):
 
 def test_lie_derivative_family_gives_twice_h():
     s = family(1.0, 0.0)
-    lphi = lie_derivative_endo(s.model, s.xi, s.phi)
+    lphi = lie_derivative_endo(s.form, s.phi)
     assert np.allclose(lphi, 2.0 * s.h)
     assert np.allclose(s.h @ E3[0], E3[0])  # h X = X at lambda = 1
 
+
+
+def test_contact_form_keeps_what_eta_and_xi_determine(model_5d):
+    """d eta, ad xi, an orthonormal basis of ker(eta) and the projector along xi,
+    computed once on construction and read-only."""
+    s = model_5d.structure
+    form = s.form
+    np.testing.assert_array_equal(form.d_eta, d_one_form(s.model, s.eta))
+    np.testing.assert_array_equal(form.ad_xi, s.model.ad(s.xi))
+    assert form.basis.shape == (4, 5)
+    np.testing.assert_allclose(form.basis @ form.basis.T, np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(form.basis @ s.eta, 0.0, atol=1e-15)
+    np.testing.assert_array_equal(form.projector, np.eye(5) - np.outer(s.xi, s.eta))
+    for a in (form.xi, form.eta, form.d_eta, form.ad_xi, form.basis, form.projector):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(ValueError):  # nor can the array a view looks into be written
+        form.basis.base[0, 0] = 1.0
+
+
+def test_contact_form_copies_its_input():
+    xi = E3[2].copy()
+    form = ContactForm(abelian(), xi, xi)
+    xi[0] = 5.0
+    assert form.xi[0] == form.eta[0] == 0.0 and xi.flags.writeable

@@ -1,15 +1,23 @@
 """The one memo (``contact._each``, with ``MetricStructure.cached`` its stack-of-one
 case) keeps every array of every entry read-only, directly or inside a tuple or
-record, on every structure that a CLI run builds."""
+record, on every structure that a CLI run builds; a report it keeps is read-only too,
+so that no caller's write reaches a later call.  And the memo never changes a CLI
+output: a store that never hits, so that every entry is rebuilt on every call, gives
+the same bytes."""
 
+import io
 import traceback
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from kmgeom import cli, contact, modelfile
-from kmgeom.catalog import family_3d, nilpotent_h_5d
+from kmgeom import DEFAULT_TOL, cli, contact, modelfile
+from kmgeom.catalog import family_3d, heisenberg, nilpotent_h_5d
 from kmgeom.errors import NotNullity
+from kmgeom.tower import sequence
+
+from conftest import CLASS_PARAMS
 
 
 def _arrays(value) -> list:
@@ -26,14 +34,13 @@ def _arrays(value) -> list:
     "entry, argv, keys",
     [
         (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
-         {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "contact_basis",
-          "eigendistributions", "next", "node"}),
+         {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "eigendistributions", "next",
+          "node"}),
         (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
-         {"levi_civita", "nullity", "nijenhuis_tensor", "contact_basis", "eigendistributions",
-          "next", "node"}),
+         {"levi_civita", "nullity", "nijenhuis_tensor", "eigendistributions", "next", "node"}),
         (nilpotent_h_5d(), ["analyze"],
-         {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "contact_basis",
-          "canonical_connection", "integrability_and_parasasaki"}),
+         {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "canonical_connection",
+          "integrability_and_parasasaki"}),
     ],
     ids=["class-I-analyze", "class-II-derive", "nilpotent-h-5d-analyze"],
 )
@@ -69,3 +76,79 @@ def test_the_first_raise_of_a_kept_error_carries_the_builders_frames():
     with pytest.raises(NotNullity) as later:
         s.cached("kept-error", build)
     assert "build" not in [frame.name for frame in traceback.extract_tb(later.value.__traceback__)]
+
+
+def test_a_node_report_written_by_a_caller_does_not_reach_a_later_tower():
+    # each node's report is its own copy of the kept verification, with the predicted entries
+    s = family_3d(1.0, 2.0).structure
+    first = sequence(s, 3)
+    first[1].checks.add("note", 1.0)
+    second = sequence(s, 3)
+    assert "note" not in second[1].checks.entries and second[1].checks.valid
+    assert second[1].checks is not first[1].checks
+
+
+def test_the_tower_writes_nothing_into_the_kept_verification():
+    s = family_3d(1.0, 2.0).structure
+    nodes = sequence(s, 3)
+    kept, _ = nodes[1].structure._cache[("node", DEFAULT_TOL)]
+    assert "predicted_kappa_delta" in nodes[1].checks.entries
+    assert not {"predicted_kappa_delta", "predicted_mu_delta"} & set(kept.entries)
+    with pytest.raises(TypeError):
+        kept.add("note", 1.0)
+
+
+def test_a_kept_report_is_read_only():
+    s = heisenberg(5, "paracontact").structure
+    _, report, _ = contact.canonical_connection(s)
+    with pytest.raises(TypeError):
+        report.add("x", 5.0)
+    with pytest.raises(TypeError):
+        report.notes["x"] = "note"
+    assert "x" not in contact.canonical_connection(s)[1].entries and report.valid
+    _, side = contact.nijenhuis_norm(family_3d(1.0, 2.0).structure)
+    with pytest.raises(TypeError):
+        side.add("x", 5.0)
+    with pytest.raises(TypeError):
+        contact.integrability_and_parasasaki(s)["integrable"] = False
+
+
+class _NeverHit(dict):
+    """A store that never reports a hit: the memo rebuilds every entry on every call."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _outputs(calls: list) -> list:
+    """(exit code, stdout, stderr) of each CLI call."""
+    outputs = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+def test_the_memo_never_changes_a_cli_output(tmp_path, monkeypatch):
+    calls = []
+    entries = {**{f"class-{tag}": family_3d(*p) for tag, p in CLASS_PARAMS.items()},
+               **{f"h5-{kind}": heisenberg(5, kind) for kind in ("contact", "paracontact")}}
+    for name, entry in entries.items():
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(modelfile.dumps_entry(entry))
+        calls.append(["analyze", path, "--sasakian", "--legendre3", "--json", "-"])
+        if name.startswith("class-"):
+            calls.append(["derive", path, "--steps", "7", "--json", "-"])
+    kept = _outputs(calls)
+    init = contact.MetricStructure.__init__
+
+    def never_hit(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._cache = _NeverHit()
+
+    monkeypatch.setattr(contact.MetricStructure, "__init__", never_hit)
+    assert _outputs(calls) == kept
+    assert [code for code, _, _ in kept] == [0] * 7 + [3, 0, 3, 0, 0]  # IV and V: no node 2

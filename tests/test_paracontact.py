@@ -32,9 +32,7 @@ def test_validate_rejects_flipped_pairing(model_5d):
     st = model_5d.structure
     g_bad = st.g.copy()
     g_bad[0, 2] = g_bad[2, 0] = -1.0
-    bad = ParacontactMetricStructure(
-        model=st.model, phi=st.phi, xi=st.xi, eta=st.eta, g=g_bad
-    )
+    bad = ParacontactMetricStructure(st.form, st.phi, g_bad)
     rep = validate_contact(bad)
     assert not rep.valid
     assert rep["deta_compatibility"] > 0.1
@@ -43,9 +41,7 @@ def test_validate_rejects_flipped_pairing(model_5d):
 def test_validate_rejects_wrong_eigenrank():
     # phi~ with (phi~)^2 = I - eta (x) xi but a 2-dimensional +1 eigenspace
     st = catalog.heisenberg(3, "paracontact").structure
-    bad = ParacontactMetricStructure(
-        model=st.model, phi=np.diag([1.0, 1.0, 0.0]), xi=st.xi, eta=st.eta, g=st.g
-    )
+    bad = ParacontactMetricStructure(st.form, np.diag([1.0, 1.0, 0.0]), st.g)
     rep = validate_contact(bad)
     assert rep["plus_one_eigenrank"] >= 1.0
     assert rep["minus_one_eigenrank"] >= 1.0
@@ -102,7 +98,7 @@ def _not_proportional():
     give: h~^2 is not a multiple of phi~^2, while the curvature still fits the
     kappa~ = -1 form."""
     st = catalog.heisenberg(3, "paracontact").structure
-    bad = ParacontactMetricStructure(st.model, st.phi, st.xi, st.eta, st.g)
+    bad = ParacontactMetricStructure(st.form, st.phi, st.g)
     bad.h = np.diag([1.0, 0.0, 0.0])
     return bad, st
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from kmgeom.catalog import heisenberg, nilpotent_h_5d
 from kmgeom.contact import nullity_fit
 from kmgeom.legendre import classify_class, eigendistributions
-from kmgeom.lie_model import LieModel, d_one_form, lie_derivative_endo
+from kmgeom.lie_model import ContactForm, LieModel, d_one_form, lie_derivative_endo
 
 from conftest import GRID_DS, GRID_LAMBDAS, family
 
@@ -47,9 +47,9 @@ def test_bracket_bilinear_antisymmetric(raw, u, v, w, a):
     xi=arrays(np.float64, (3,), elements=finite),
 )
 def test_lie_derivative_is_a_derivation_of_composition(raw, s_mat, t_mat, xi):
-    m = random_model(raw)
-    lhs = lie_derivative_endo(m, xi, s_mat @ t_mat)
-    rhs = lie_derivative_endo(m, xi, s_mat) @ t_mat + s_mat @ lie_derivative_endo(m, xi, t_mat)
+    form = ContactForm(random_model(raw), xi, np.eye(3)[2])
+    lhs = lie_derivative_endo(form, s_mat @ t_mat)
+    rhs = lie_derivative_endo(form, s_mat) @ t_mat + s_mat @ lie_derivative_endo(form, t_mat)
     assert np.allclose(lhs, rhs, atol=1e-6)
 
 
@@ -73,8 +73,7 @@ def test_reeb_contractions_exact_on_catalog_models():
     structures.append(nilpotent_h_5d().structure)
     structures.append(heisenberg(3, "paracontact").structure)
     for s in structures:
-        deta = d_one_form(s.model, s.eta)
-        assert np.all(deta @ s.xi == 0.0)
+        assert np.all(s.form.d_eta @ s.xi == 0.0)
         assert float(s.eta @ s.xi) == 1.0
 
 

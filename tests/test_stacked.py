@@ -26,7 +26,7 @@ def _fresh(s, **arrays):
     """A copy of ``s`` with an empty cache, its arrays replaced by ``arrays``."""
     fields = {name: np.array(getattr(s, name)) for name in ("phi", "xi", "eta", "g")}
     fields.update(arrays)
-    return type(s)(s.model, fields["phi"], s.xi, s.eta, fields["g"])
+    return type(s)(s.form, fields["phi"], fields["g"])
 
 
 def _assert_close(a, b):

@@ -19,7 +19,7 @@ from kmgeom.errors import (
     SasakianDegenerate,
     SasakianOrInvalid,
 )
-from kmgeom.legendre import eigendistributions
+from kmgeom.legendre import bilegendrian_connection, eigendistributions
 from kmgeom.riemann import signature
 from kmgeom.tower import (
     sasakian_structure,
@@ -371,6 +371,11 @@ def _structures_built(monkeypatch) -> list:
     return built
 
 
+def _node_key(node):
+    """A tower node with its report read as its entries: each node's report is its own."""
+    return node._replace(checks=None), None if node.checks is None else dict(node.checks.entries)
+
+
 def test_a_tower_is_built_once_per_tol_whatever_its_length(monkeypatch):
     # each node keeps its successor: a longer tower walks the kept links and builds only
     # the nodes past them, a shorter one builds nothing; each call returns a list of its own
@@ -383,7 +388,8 @@ def test_a_tower_is_built_once_per_tol_whatever_its_length(monkeypatch):
     assert longer[5].structure is longer[1].structure
     second = sequence(s, 3)
     assert len(built) == 5
-    assert first == second == longer[:3] and first is not second
+    assert [*map(_node_key, first)] == [*map(_node_key, second)] == [*map(_node_key, longer[:3])]
+    assert first is not second
     first.append(first[0])
     assert len(sequence(s, 3)) == 3
     sequence(s, 1000)
@@ -434,6 +440,24 @@ def test_a_failed_node_is_validated_once(monkeypatch):
     with pytest.raises(InternalInconsistency, match="^tower node 2 failed verification"):
         sequence(s, 3)
     assert len(validated) == len(set(validated)) == 4  # nodes 1 to 4, each once
+
+
+def test_every_derived_structure_is_built_on_the_form_of_its_seed(monkeypatch):
+    """The tower nodes, phi-bar and the structure the h-eigenpair induces hold the contact
+    form (M, eta, xi) of the structure they are derived from: the same object."""
+    for tag, (lam, d) in CLASS_PARAMS.items():
+        s = family(lam, d)
+        nodes = sequence(s, 2 if tag in ("IV", "V") else 6)  # IV and V have nodes 0 and 1 only
+        assert all(node.structure.form is s.form for node in nodes)
+    for tag in ("I", "III"):
+        s = family(*CLASS_PARAMS[tag])
+        assert sasakian_structure(s).structure.form is s.form
+    for tag in ("I", "II"):
+        s = family(*CLASS_PARAMS[tag])
+        built = _structures_built(monkeypatch)
+        bilegendrian_connection(s)
+        assert [t.kind for t in built] == ["paracontact"] and built[0].form is s.form
+        monkeypatch.undo()
 
 
 def test_the_constructions_read_their_nodes_from_the_tower(monkeypatch):
