@@ -25,9 +25,9 @@ for d in (2.0, -2.0):
     fit = nullity_fit(s)
     pkg = sasakian_structure(s)
     print(f"== (lambda, d) = (1, {d:g}): I = {fit.boeckx:+g}, sign {pkg.sign} ==")
-    print(f"  phi-bar =\n{np.round(pkg.phi_bar, 6)}")
+    print(f"  phi-bar =\n{np.round(pkg.structure.phi, 6)}")
     print(f"  contact metric axioms valid: {validate_contact(pkg.structure).valid}")
-    print(f"  g-bar diagonal: {np.round(np.diag(pkg.g_bar), 6).tolist()} (positive definite)")
+    print(f"  g-bar diagonal: {np.round(np.diag(pkg.structure.g), 6).tolist()} (positive definite)")
     print(f"  ||h-bar|| = {np.max(np.abs(pkg.structure.h)):.1e}  (Reeb field Killing)")
     nij, _ = nijenhuis_norm(pkg.structure)
     print(f"  ||N_phi-bar|| = {nij:.1e}  (Sasakian)")

@@ -33,7 +33,7 @@ for lam, d, n_nodes in [(1.0, 0.0, 6), (2.0, 1.0, 5), (1.0, 2.0, 5)]:
         step = "" if prev is None else f", step checks {step_checks(prev, node).worst[1]:.1e}"
         print(f"  node {node.index}: {node.kind:11s} "
               f"(kappa, mu) = ({node.kappa:+.6f}, {node.mu:+.6f}) "
-              f"fit residual {node.fit_residual:.1e}{step}{tw}")
+              f"fit residual {node.fit.residual:.1e}{step}{tw}")
     print()
 
 print("in class IV (|I_M| within tol of 1) the construction refuses:")

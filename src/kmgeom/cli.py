@@ -8,7 +8,7 @@ Subcommands:
   identity suites, the constructions asked for); a structure that is merely
   not a nullity space is reported, not rejected.
 * ``derive <model.json> --steps N``: the analyze report plus the derived
-  structure sequence.
+  structure sequence of N >= 1 nodes.
 * ``catalog list`` / ``catalog emit <name> [--lam --d] [--c] [--out path]``:
   built-in fixtures in the model file format.
 
@@ -52,7 +52,8 @@ Exit codes:
   with ``--json``, ``--a``/``--b`` without ``--legendre3``, and a ``catalog
   emit`` option that its entry does not take (``--lam``/``--d`` are
   family-3d's, ``--c`` tangent-bundle-constants'); a number option that is
-  not a finite number (``--tol``: a finite number >= 0) is one too.
+  not a finite number (``--tol``: a finite number >= 0) is one too, and so is a
+  ``--steps`` count below 1.
 * 3: the tower row meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
@@ -66,9 +67,14 @@ package imports a name's submodule, and numpy with it, on first access, so a
 usage error, ``--help`` or a malformed model file exits without loading them.
 Each access reads the name from its defining module, so a rebinding of a
 module's function (``contact.nullity_fit``) is seen by every call.
+
+:func:`main` is the in-process API: it returns the exit code.  :func:`run`, the
+entry of ``python -m kmgeom.cli`` and of the ``kmgeom`` script, ends the process
+with that code once the output is written, without the interpreter's teardown.
 """
 
 import argparse
+import atexit
 import functools
 import math
 import os
@@ -397,6 +403,8 @@ def cmd_run(args) -> int:
         raise _Stop(EXIT_PARSE, f"error: --batch takes no {'model file' if args.path else '--json'}")
     if (args.a is not None or args.b is not None) and not args.legendre3:
         raise _Stop(EXIT_PARSE, "error: --a and --b apply only with --legendre3")
+    if args.command == "derive" and args.steps < 1:
+        raise _Stop(EXIT_PARSE, f"error: --steps takes a count >= 1, not {args.steps}")
     paths = [args.path]
     if args.batch:
         import glob
@@ -521,5 +529,22 @@ def main(argv: list[str] | None = None) -> int:
         return stop.args[0]
 
 
+def run() -> None:
+    """The process entry: :func:`main` on ``sys.argv``, then the ``atexit`` handlers, as
+    the interpreter's own exit runs them, and stdout and stderr flushed; the process then
+    ends with main's exit code, without the teardown of numpy and the engine.  A
+    ``SystemExit`` of argparse (a usage error, ``--help``), an uncaught exception and a
+    failed flush (a closed pipe, a missing stream) take the interpreter's exit instead,
+    which reports them as it always has."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # noqa: BLE001 - the interpreter's exit flushes and reports again
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

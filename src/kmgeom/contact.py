@@ -269,15 +269,11 @@ class NullityReport(NamedTuple):
     h_square_vs_kappa_residual: float | None = None  # |h~^2 - (1 + kappa) phi~^2|
     curvature_reflection_residual: float | None = None
 
-    @property
-    def mu_indeterminate(self) -> bool:
-        return self.mu is None
-
     def to_dict(self) -> dict:
         out = {
             "kappa": self.kappa,
             "mu": self.mu,
-            "mu_indeterminate": self.mu_indeterminate,
+            "mu_indeterminate": self.mu is None,
             "residual": self.residual,
         }
         if self.class_tag is not None:  # the fit of a contact structure always has a class

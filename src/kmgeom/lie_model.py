@@ -68,12 +68,6 @@ class LieModel:
             raise DimensionMismatch(f"expected vector of length {self.dim}, got shape {u.shape}")
         return u
 
-    def bracket(self, u: Vector, v: Vector) -> Vector:
-        """Lie bracket [u, v] by contraction of the structure constants."""
-        u = self.check_vector(u)
-        v = self.check_vector(v)
-        return np.einsum("i,j,ijk->k", u, v, self.c)
-
     def ad(self, u: Vector) -> Endomorphism:
         """Matrix of ad_u = [u, .] acting on column vectors."""
         u = self.check_vector(u)

@@ -128,9 +128,8 @@ def loads(text: str) -> CatalogEntry:
     if not np.all(np.isfinite(c)):
         raise ModelFormatError("bracket coefficients must be finite (no NaN or infinity)")
     model = LieModel(c=c, basis_labels=labels)
-    structure = None
-    if "structure" in doc and doc["structure"] is not None:
-        structure = _parse_structure(model, doc["structure"])
+    block = doc.get("structure")
+    structure = None if block is None else _parse_structure(model, block)
     return CatalogEntry(
         name=doc.get("name"),
         model=model,

@@ -83,10 +83,8 @@ class TowerNode(NamedTuple):
     checks: ResidualReport | None = None
 
     kind = property(lambda self: self.structure.kind)  # "contact" | "paracontact"
-    phi = property(lambda self: self.structure.phi)
     kappa = property(lambda self: self.fit.kappa)
     mu = property(lambda self: self.fit.mu)
-    fit_residual = property(lambda self: self.fit.residual)
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +92,7 @@ class TowerNode(NamedTuple):
             "kind": self.kind,
             "kappa": self.kappa,
             "mu": self.mu,
-            "fit_residual": self.fit_residual,
+            "fit_residual": self.fit.residual,
             "tw_parallel": self.tw_parallel,
             "constant_formula_delta": (
                 None if self.checks is None else self.checks.entries.get("predicted_kappa_delta")
@@ -109,9 +107,6 @@ class SasakianPackage(NamedTuple):
     sign: str  # "+" for I_M > 1, "-" for I_M < -1
     structure: ContactMetricStructure
     checks: ResidualReport
-
-    phi_bar = property(lambda self: self.structure.phi)
-    g_bar = property(lambda self: self.structure.g)
 
     def to_dict(self) -> dict:
         return {"sign": self.sign, "checks": self.checks.to_dict()}
@@ -348,7 +343,7 @@ def second_bilegendrian_analysis(
     _, node1, node2 = sequence(s, 3, tol)
     h_t = node1.structure.h
 
-    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * node1.phi @ node1.phi)
+    checks.add("lambda_square_vs_h_square_scalar", h_t @ h_t - delta * node1.structure.phi @ node1.structure.phi)
 
     _, _, plus, minus = _phi_eigenframe(s, inv, tol)
     expected_pang = 4.0 * report.lam * (inv - 1.0)
@@ -400,7 +395,7 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     checks.add("fitted_kappa_is_one", abs(fit.kappa - 1.0))
 
     _, node1, node2 = sequence(s, 3, tol)
-    phi_t, phi_t1 = node1.phi, node2.phi
+    phi_t, phi_t1 = node1.structure.phi, node2.structure.phi
     checks.add("composition_minus", phi_t @ phi_t1 + sign * phi_bar)  # phi-bar_- = -sign phi-bar
     checks.add("composition_plus", phi_t1 @ phi_t - sign * phi_bar)
 

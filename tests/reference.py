@@ -4,12 +4,19 @@ Plain functions of an :class:`~kmgeom.riemann.AffineConnection`, written one
 basis direction or one vector at a time: the tests compare the kernels that
 evaluate an identity over all basis pairs at once (``nabla_endo_all``,
 ``nabla_bilinear_all``, ``curvature_xi``) against them, and check the
-connection identities of ``levi_civita`` with them.
+connection identities of ``levi_civita`` with them.  :func:`bracket` is the
+pointwise Lie bracket of a model, which the engine itself never forms.
 """
 
 import numpy as np
 
 from kmgeom.report import DEFAULT_TOL, ResidualReport
+
+
+def bracket(m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lie bracket [u, v] of the model ``m`` by contraction of its structure constants;
+    a vector of the wrong length raises :class:`~kmgeom.errors.DimensionMismatch`."""
+    return np.einsum("i,j,ijk->k", m.check_vector(u), m.check_vector(v), m.c)
 
 
 def direction(conn, i: int) -> np.ndarray:
@@ -39,7 +46,7 @@ def curvature(m, conn, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarra
     return (
         nabla(conn, u, nabla(conn, v, w))
         - nabla(conn, v, nabla(conn, u, w))
-        - nabla(conn, m.bracket(u, v), w)
+        - nabla(conn, bracket(m, u, v), w)
     )
 
 

@@ -161,7 +161,7 @@ def test_criterion_6_sasakian_structures():
         assert np.max(np.abs(pkg.structure.h)) <= 1e-9
         bar_fit = nullity_fit(pkg.structure)
         assert abs(bar_fit.kappa - 1.0) <= 1e-8
-        assert bar_fit.mu_indeterminate  # h = 0
+        assert bar_fit.mu is None  # h = 0
         assert pkg.checks["composition_minus"] <= 1e-8
         assert pkg.checks["composition_plus"] <= 1e-8
         assert pkg.checks["triple_anticommute"] <= 1e-8

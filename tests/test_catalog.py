@@ -57,7 +57,7 @@ def test_heisenberg_expectations():
     fit = nullity_fit(entry.structure)
     # para-Sasakian: the kappa~ = -1 nullity form with h~ = 0
     assert fit.kappa == pytest.approx(-1.0, abs=1e-12)
-    assert fit.mu_indeterminate
+    assert fit.mu is None
     assert fit.spectral_type == "zero"
 
 

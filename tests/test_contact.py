@@ -87,7 +87,7 @@ def test_nullity_fit_family(lam, d, kappa, mu):
 def test_nullity_fit_sasakian(sasakian_fixture):
     fit = nullity_fit(sasakian_fixture)
     assert fit.kappa == pytest.approx(1.0, abs=1e-9)
-    assert fit.mu_indeterminate
+    assert fit.mu is None
     assert fit.boeckx is None
     assert fit.class_tag == "Sasakian"
 

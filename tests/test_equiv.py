@@ -1,10 +1,14 @@
 """``tools/equiv.py``, the output-equivalence check of the CLI: a small subset of its
-call set, run against the working tree itself, so that the tool cannot rot."""
+call set, run against the working tree itself under a memo that never hits, so that
+the tool cannot rot."""
 
 import importlib.util
 import json
 import os
 import subprocess
+
+from kmgeom import contact
+from kmgeom.catalog import family_3d
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "equiv.py")
 spec = importlib.util.spec_from_file_location("equiv", TOOL)
@@ -19,10 +23,21 @@ def test_working_tree_is_identical_to_itself(tmp_path, capsys):
              for command in ("analyze", "derive", "validate")]
     out = capsys.readouterr().out.splitlines()
     assert out[:-1] == [f"identical  {name}" for name in names]
-    assert out[-1].startswith("6 calls against the working tree: 6 identical, 0 differ")
+    assert out[-1].startswith("6 calls against the working tree with a never-hit memo: 6 identical, 0 differ")
     digests = [line.split("  ") for line in record.read_text().splitlines()]
     assert [name for _, name in digests] == names
     assert all(len(digest) == 64 for digest, _ in digests)
+
+
+def test_the_never_hit_worker_builds_every_structure_on_a_never_hit_store(tmp_path, monkeypatch):
+    monkeypatch.setattr(contact.MetricStructure, "__init__", contact.MetricStructure.__init__)
+    spec = tmp_path / "calls.json"
+    spec.write_text(json.dumps([{"argv": ["catalog", "list"]}]))
+    monkeypatch.chdir(tmp_path)
+    assert equiv.worker(str(spec), str(tmp_path / "records.json"), never_hit=True) == 0
+    store = family_3d(1.0, 2.0).structure._cache
+    store["key"] = 1
+    assert isinstance(store, equiv._NeverHit) and "key" not in store and store["key"] == 1
 
 
 def test_first_difference_names_the_stream_and_its_byte_offset():

@@ -3,9 +3,11 @@ case) keeps every array of every entry read-only, directly or inside a tuple or
 record, on every structure that a CLI run builds; a report it keeps is read-only too,
 so that no caller's write reaches a later call.  And the memo never changes a CLI
 output: a store that never hits, so that every entry is rebuilt on every call, gives
-the same bytes."""
+the same bytes (the store and its patch are those of ``tools/equiv.py``)."""
 
+import importlib.util
 import io
+import os
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -18,6 +20,11 @@ from kmgeom.errors import NotNullity
 from kmgeom.tower import sequence
 
 from conftest import CLASS_PARAMS
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "equiv.py")
+spec = importlib.util.spec_from_file_location("equiv", TOOL)
+equiv = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(equiv)
 
 
 def _arrays(value) -> list:
@@ -113,13 +120,6 @@ def test_a_kept_report_is_read_only():
         contact.integrability_and_parasasaki(s)["integrable"] = False
 
 
-class _NeverHit(dict):
-    """A store that never reports a hit: the memo rebuilds every entry on every call."""
-
-    def __contains__(self, key):
-        return False
-
-
 def _outputs(calls: list) -> list:
     """(exit code, stdout, stderr) of each CLI call."""
     outputs = []
@@ -143,12 +143,6 @@ def test_the_memo_never_changes_a_cli_output(tmp_path, monkeypatch):
         if name.startswith("class-"):
             calls.append(["derive", path, "--steps", "7", "--json", "-"])
     kept = _outputs(calls)
-    init = contact.MetricStructure.__init__
-
-    def never_hit(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._cache = _NeverHit()
-
-    monkeypatch.setattr(contact.MetricStructure, "__init__", never_hit)
+    equiv.patch_never_hit(monkeypatch.setattr)
     assert _outputs(calls) == kept
     assert [code for code, _, _ in kept] == [0] * 7 + [3, 0, 3, 0, 0]  # IV and V: no node 2

@@ -226,6 +226,18 @@ def test_cli_derive_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_derive_steps_below_one_is_a_usage_error(tmp_path, capsys, steps):
+    """A tower holds node 0 at least: a count below 1 is a usage error (exit 2, one error
+    line), and no report is written; a count of 1 is node 0 alone."""
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+    capsys.readouterr()
+    assert main(["derive", path, "--steps", steps, "--json", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: --steps takes a count >= 1, not {steps}\n")
+    assert main(["derive", path, "--steps", "1"]) == 0
+    assert capsys.readouterr().out.count("node") == 1
+
+
 @pytest.mark.parametrize("name", ["family-3d-class-IV", "family-3d-class-V"])
 def test_cli_derive_two_steps_on_the_unit_band(tmp_path, capsys, name):
     # at |I_M| = 1 node 2 is undefined, but node 1 (the canonical paracontact

@@ -19,7 +19,6 @@ UNREACHABLE = {
     "catalog.rebased": "a model transform for the tests; no command changes the basis",
     "legendre.bilegendrian_connection": "library API: the bi-Legendrian connection of the h-eigenpair",
     "legendre.conjugate_distribution": "library API: the conjugate Legendre distribution phi L",
-    "lie_model.LieModel.bracket": "a pointwise bracket for library callers and the references",
     "tower.step_checks": "library certificate of one tower step; no command runs it",
 }
 

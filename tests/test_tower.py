@@ -54,7 +54,7 @@ def test_derive_next_contact_branch_identity_case():
     s = family(1.0, 0.0)
     _, st, node = sequence(s, 3)
     assert node.kind == "contact"
-    assert np.allclose(node.phi, st.structure.h)
+    assert np.allclose(node.structure.phi, st.structure.h)
     assert node.kappa == pytest.approx(0.0, abs=1e-8)
     assert node.mu == pytest.approx(2.0, abs=1e-8)
     assert np.max(np.abs(node.structure.h - s.h)) <= 1e-8  # h_2 = h at I_M = 0
@@ -145,7 +145,7 @@ def test_sequence_all_paracontact_pattern():
     for n in nodes[1:]:
         assert n.kappa == pytest.approx(2.0, abs=1e-8)
         assert n.mu == pytest.approx(2.0, abs=1e-8)
-        assert n.fit_residual <= 1e-9
+        assert n.fit.residual <= 1e-9
 
 
 def test_sequence_zero_steps_returns_input_node():
@@ -268,7 +268,7 @@ def test_sasakian_structure_explicit_tensor_class_i():
     s = family(1.0, 2.0)
     pkg = sasakian_structure(s)
     expected = (2.0 * s.phi + s.phi @ s.h) / np.sqrt(3.0)
-    assert np.max(np.abs(pkg.phi_bar - expected)) <= 1e-12
+    assert np.max(np.abs(pkg.structure.phi - expected)) <= 1e-12
 
 
 def test_sasakian_output_is_fixed_point():

@@ -5,11 +5,14 @@ trees and compare, call by call, the exit code, stdout, stderr and each file wri
     python tools/equiv.py [--record FILE]
 
 ``--against REV`` extracts ``git archive REV src`` into a temporary directory and
-compares it with the working tree's ``src``; without it the working tree is compared
-with itself, which shows any output that is not reproducible.  Each tree runs the
-whole set in one interpreter of its own, as ``kmgeom.cli.main(argv)`` calls with
-stdout and stderr captured, in the same work directories of inputs, so that the paths
-in the messages match.  An exception that escapes ``main`` is recorded as exit
+compares it with the working tree's ``src``.  Without it the working tree is compared
+with itself run a second time with a memo that never hits: every structure's store
+(``MetricStructure._cache``) is a dict whose ``in`` is always False
+(:func:`patch_never_hit`), so every kept entry is rebuilt on every read.  That shows
+any output that depends on what was kept, and any output that is not reproducible.
+Each tree runs the whole set in one interpreter of its own, as ``kmgeom.cli.main(argv)``
+calls with stdout and stderr captured, in the same work directories of inputs, so that
+the paths in the messages match.  An exception that escapes ``main`` is recorded as exit
 ``"uncaught"`` with its type and message on stderr.  The catalog's input models are
 emitted by the reference tree (REV, or the working tree); the Heisenberg models H_d are
 written by the working tree's ``catalog.heisenberg`` and ``modelfile.dumps_entry`` in a
@@ -262,21 +265,49 @@ def _env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=src, COLUMNS="80", PYTHONHASHSEED="0")
 
 
-def run_calls(src: str, work: str, calls: list[dict]) -> list[dict]:
-    """The record of each call, run by the tree ``src`` in one fresh interpreter in ``work``."""
+def run_calls(src: str, work: str, calls: list[dict], never_hit: bool = False) -> list[dict]:
+    """The record of each call, run by the tree ``src`` in one fresh interpreter in ``work``
+    (with a memo that never hits, if ``never_hit``)."""
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = os.path.join(tmp, "calls.json"), os.path.join(tmp, "results.json")
         with open(spec, "w", encoding="utf-8") as fh:
             json.dump(calls, fh)
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", spec, out],
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", spec, out,
+                        *(["--never-hit"] if never_hit else [])],
                        cwd=work, env=_env(src), check=True, timeout=600)
         with open(out, encoding="utf-8") as fh:
             return json.load(fh)
 
 
-def worker(spec: str, out: str) -> int:
-    """Run the calls of ``spec`` in this process and write their records to ``out``."""
+class _NeverHit(dict):
+    """A memo store that never reports a hit: the memo rebuilds every entry on every read."""
+
+    def __contains__(self, key):
+        return False
+
+
+def patch_never_hit(set_attr=setattr) -> None:
+    """Give every ``MetricStructure`` built from now on a :class:`_NeverHit` store, by
+    wrapping its ``__init__`` through ``set_attr`` (a test passes its monkeypatch's, which
+    undoes the patch)."""
+    from kmgeom import contact
+
+    init = contact.MetricStructure.__init__
+
+    def never_hit_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._cache = _NeverHit()
+
+    set_attr(contact.MetricStructure, "__init__", never_hit_init)
+
+
+def worker(spec: str, out: str, never_hit: bool = False) -> int:
+    """Run the calls of ``spec`` in this process and write their records to ``out``; with
+    ``never_hit``, under :func:`patch_never_hit`."""
     from kmgeom import cli
+
+    if never_hit:
+        patch_never_hit()
 
     with open(spec, encoding="utf-8") as fh:
         calls = json.load(fh)
@@ -352,7 +383,7 @@ def main(argv: list[str] | None = None, keep=None) -> int:
     """The command line; ``keep``, a predicate on a call's name, leaves out the calls it
     rejects (a test runs a subset)."""
     if argv is None and sys.argv[1:2] == ["--worker"]:
-        return worker(*sys.argv[2:4])
+        return worker(*sys.argv[2:4], never_hit=sys.argv[4:5] == ["--never-hit"])
     if argv is None and sys.argv[1:2] == ["--heisenberg"]:
         return emit_heisenberg(sys.argv[2])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -370,7 +401,8 @@ def main(argv: list[str] | None = None, keep=None) -> int:
         run_calls(base, work, model_calls(names))
         calls = call_set(write_inputs(work, names), names) + perfbench_calls(work)
         calls = [c for c in calls if keep is None or keep(c["name"])]
-        base_records, head_records = run_calls(base, work, calls), run_calls(head, work, calls)
+        base_records = run_calls(base, work, calls)
+        head_records = run_calls(head, work, calls, never_hit=base == head)
     differ = undeclared = 0
     for call, a, b in zip(calls, base_records, head_records):
         diff = first_difference(a, b)
@@ -383,7 +415,7 @@ def main(argv: list[str] | None = None, keep=None) -> int:
     if args.record:
         with open(args.record, "w", encoding="utf-8") as fh:
             fh.writelines(f"{digest(r)}  {c['name']}\n" for c, r in zip(calls, head_records))
-    print(f"{len(calls)} calls against {args.against or 'the working tree'}: "
+    print(f"{len(calls)} calls against {args.against or 'the working tree with a never-hit memo'}: "
           f"{len(calls) - differ} identical, {differ} differ"
           + (f" ({differ - undeclared} declared in {MOVES})" if args.against else "")
           + f" ({time.perf_counter() - start:.1f} s)")
