@@ -45,10 +45,12 @@ kept) and compares h~^2 with phi~^2.  Every derived result, such as
 :func:`nijenhuis_norm`, :func:`classification_flags` and
 :func:`canonical_connection`, is one function of (s, tol) that reads the
 structure's kept fit or connection.  Everything a structure keeps goes
-through one memo, :func:`_each` (:meth:`MetricStructure.cached` is its
-stack-of-one case), which keeps every array of an entry read-only, and every
-:class:`kmgeom.report.ResidualReport` of an entry with read-only entries and notes:
-a caller's write to a kept report raises.
+through one memo, :func:`_each`, the only reader and writer of a structure's store
+(:meth:`MetricStructure.cached` is its stack-of-one case), which keeps every array of
+an entry read-only, and every :class:`kmgeom.report.ResidualReport` of an entry with
+read-only entries and notes: a caller's write to a kept report raises.  A
+:class:`GeometryError` that a build raises is kept too, on every member it was built
+for, and each later read raises a fresh copy of it.
 """
 
 from functools import partial
@@ -130,18 +132,7 @@ class MetricStructure:
     def cached(self, key, build):
         """``build()``, kept under ``key``: the stack-of-one case of :func:`_each`.  A
         :class:`GeometryError` it raises is kept too, and each later call raises a copy of it."""
-
-        def build_one(_):
-            try:
-                return [build()]
-            except GeometryError as exc:  # kept without frames; this first call raises exc
-                self._cache[key] = _detached(exc)
-                raise
-
-        value = _each([self], key, build_one)[0]
-        if isinstance(value, GeometryError):
-            raise _detached(value)
-        return value
+        return _unstack(_each([self], key, lambda _: [build()]), True)
 
     def levi_civita(self, tol: float = DEFAULT_TOL) -> AffineConnection:
         conn = _kept_connections([self], tol)[0]
@@ -190,12 +181,20 @@ def _stack_of(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _each(members: list[MetricStructure], key, build) -> list:
-    """Each member's entry ``key``, the one memo: the members that lack it get it from
-    one call ``build(missing)`` (one value per member), kept with every array it holds,
-    directly or in a tuple or record, read-only (:func:`_read_only`)."""
+    """Each member's entry ``key``, the one memo and the only reader and writer of
+    ``_cache``: the members that lack it get it from one call ``build(missing)`` (one
+    value per member), kept with every array it holds, directly or in a tuple or record,
+    read-only (:func:`_read_only`).  A :class:`GeometryError` that ``build`` raises is
+    kept as each missing member's entry, a :func:`_detached` copy, and raised as is."""
     missing = [t for t in members if key not in t._cache]
     if missing:
-        for t, value in zip(missing, build(missing)):
+        try:
+            values = build(missing)
+        except GeometryError as exc:
+            for t in missing:
+                t._cache[key] = _detached(exc)
+            raise  # this first call gets the builder's frames
+        for t, value in zip(missing, values):
             t._cache[key] = _read_only(value)
     return [t._cache[key] for t in members]
 

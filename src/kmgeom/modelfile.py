@@ -20,8 +20,9 @@ The loader antisymmetrizes bracket entries and rejects inconsistent
 duplicates (the same unordered pair listed twice with different
 coefficients, including an (i, j) / (j, i) pair that fails antisymmetry).
 ``dim``, ``i`` and ``j`` are integers (an integral float such as 3.0 reads as
-one); a bool or a non-integral number there, or a bool coefficient, is a
-format error.  The checks that need no arrays (the JSON itself, ``dim``,
+one); a bool or a non-integral number there, or a bool, NaN or infinite
+coefficient, is a format error, and so is a ``dim`` whose structure constants
+numpy cannot allocate.  The checks that need no arrays (the JSON itself, ``dim``,
 ``basis_labels`` and every bracket entry) run before numpy and the engine are
 imported, so a malformed file is rejected without loading them.  The contact form
 (xi and eta) and the structure (phi and g) read and check their own tensors (their
@@ -32,6 +33,7 @@ format error with the same text.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import kmgeom
@@ -61,7 +63,16 @@ def _number(x, cast=float):
     return cast(x)
 
 
-def _parse_brackets(dim: int, entries: list) -> dict[tuple[int, int], dict[int, float]]:
+def _listed(doc: dict, key: str, item=lambda x: x) -> tuple | None:
+    """``item`` of each element of ``doc[key]``, None when it is absent or null; a value
+    that is not a list (or another iterable) is a format error."""
+    try:
+        return None if doc.get(key) is None else tuple(map(item, doc[key]))
+    except TypeError as exc:
+        raise ModelFormatError(f"'{key}' must be a list") from exc
+
+
+def _parse_brackets(dim: int, entries: tuple) -> dict[tuple[int, int], dict[int, float]]:
     """The coefficients of each bracket [e_i, e_j], i < j, by 0-based (i, j) and k."""
     seen: dict[tuple[int, int], dict[int, float]] = {}
     for entry in entries:
@@ -69,7 +80,7 @@ def _parse_brackets(dim: int, entries: list) -> dict[tuple[int, int], dict[int, 
             i = _number(entry["i"], int) - 1
             j = _number(entry["j"], int) - 1
             coeffs = {int(k) - 1: _number(v) for k, v in entry["coeffs"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed bracket entry {entry!r}") from exc
         if not (0 <= i < dim and 0 <= j < dim) or any(not 0 <= k < dim for k in coeffs):
             raise ModelFormatError(f"bracket indices out of range in {entry!r}")
@@ -77,6 +88,8 @@ def _parse_brackets(dim: int, entries: list) -> dict[tuple[int, int], dict[int, 
             if any(v != 0.0 for v in coeffs.values()):
                 raise ModelFormatError(f"[e_{i + 1}, e_{i + 1}] must vanish")
             continue
+        if not all(map(math.isfinite, coeffs.values())):
+            raise ModelFormatError("bracket coefficients must be finite (no NaN or infinity)")
         key, signed = ((i, j), coeffs) if i < j else ((j, i), {k: -v for k, v in coeffs.items()})
         if key in seen and any(abs(seen[key].get(k, 0.0) - signed.get(k, 0.0)) > 1e-12
                                for k in seen[key].keys() | signed.keys()):
@@ -114,19 +127,16 @@ def loads(text: str) -> CatalogEntry:
         raise ModelFormatError("missing or malformed 'dim'") from exc
     if dim < 1:
         raise ModelFormatError(f"dim must be positive, got {dim}")
-    labels = doc.get("basis_labels")
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != dim:
-            raise ModelFormatError("basis_labels length does not match dim")
-    brackets = _parse_brackets(dim, doc.get("brackets", []))
-    import numpy as np
-
+    labels = _listed(doc, "basis_labels", str)
+    if labels is not None and len(labels) != dim:
+        raise ModelFormatError("basis_labels length does not match dim")
+    brackets = _parse_brackets(dim, _listed(doc, "brackets") or ())
     from .lie_model import LieModel, _structure_constants
 
-    c = _structure_constants(dim, brackets)
-    if not np.all(np.isfinite(c)):
-        raise ModelFormatError("bracket coefficients must be finite (no NaN or infinity)")
+    try:
+        c = _structure_constants(dim, brackets)
+    except (ValueError, MemoryError) as exc:  # dim^3 floats are more than numpy can hold
+        raise ModelFormatError(f"dim {dim} is too large for its structure constants") from exc
     model = LieModel(c=c, basis_labels=labels)
     block = doc.get("structure")
     structure = None if block is None else _parse_structure(model, block)

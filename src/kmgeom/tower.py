@@ -23,10 +23,11 @@ every step:
 One function builds tower nodes, :func:`sequence`.  Every node, and phi-bar, is
 built on the contact form of the input structure, ``s.form``: they share (M, eta, xi)
 and what it determines.  The tower keeps nothing of its own: each node's successor is
-kept on that node's structure, per (eps, root, tol), and each node's verification, its
-(checks, fit), on its structure per tol, so a tower of any length reads one set of
-nodes, each built and verified once; each :class:`TowerNode` holds a copy of that
-kept report with the two predicted-constant entries added.  Every
+kept on that node's structure, per (eps, root, tol), and each node's validation report
+on its structure per tol, beside the fit that :func:`nullity_fit` keeps, so a tower of
+any length reads one set of nodes, each built and verified once; each
+:class:`TowerNode` holds a copy of that kept report with the two predicted-constant
+entries added.  Every
 construction is a function of (s, tol) that reads the structure's one kept fit,
 ``nullity_fit(s, tol)``, and reads nodes 1 and 2 from ``sequence(s, 3, tol)``: a
 node that fails its checks stops the construction; where the space sits relative to
@@ -43,7 +44,6 @@ from .contact import (
     MetricStructure,
     NullityReport,
     ParacontactMetricStructure,
-    _detached,
     _each,
     _tw_parallel,
     blair_identity_suite,
@@ -54,7 +54,6 @@ from .contact import (
 from .errors import (
     DegenerateInvariant,
     DimensionMismatch,
-    GeometryError,
     InternalInconsistency,
     InvalidPangPair,
     InvariantTooSmall,
@@ -184,9 +183,10 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     kind, phi and g to within ``tol`` shares its structure.  Node k's structure is kept
     on node k - 1's under ("next", eps, root, tol), so a walk of any length reads the
     links it has walked before.  The distinct structures of each kind that lack their
-    verification are validated and fitted as one stack, and each keeps its
-    (checks, fit) under ("node", tol); each node's constants are compared with the
-    predicted pattern on that report (nodes sharing a structure share it):
+    verification are fitted and validated as one stack: each keeps its fit, or its
+    error, as :func:`nullity_fit` keeps every fit, and its checks under ("node", tol);
+    each node's constants are compared with the predicted pattern on that report
+    (nodes sharing a structure share it):
 
     * class II (|I_M| < 1): kinds alternate contact / paracontact with constants
       (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
@@ -212,18 +212,18 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
             return next(same, t)
 
         structures.append(structures[-1].cached(("next", eps, root, tol), successor))
-    kept = {}
-    for kind in ("contact", "paracontact"):
-        stack = [t for t in dict.fromkeys(structures[1:]) if t.kind == kind]
-        verified = _each(stack, ("node", tol),
-                         lambda stack: list(zip(validate_contact(stack, tol), nullity_fit(stack, tol))))
-        kept.update(zip(stack, verified))
+
+    def verify(stack):  # each member's checks, after one stacked fit that keeps each one's fit
+        nullity_fit(stack, tol)
+        return validate_contact(stack, tol)
+
+    for kind in ("contact", "paracontact"):  # one stack per kind verifies the nodes that lack it
+        _each([t for t in dict.fromkeys(structures[1:]) if t.kind == kind], ("node", tol), verify)
     nodes = [TowerNode(0, s, fit0, _tw_parallel(fit0, tol))]
     for k, t in enumerate(structures[1:], 1):
-        checks, fit = kept[t]
-        if isinstance(fit, GeometryError):  # kept on t: a copy collects the frames
-            raise _detached(fit)
-        checks = ResidualReport(tol, dict(checks.entries), dict(checks.notes))  # the node's own copy
+        fit = nullity_fit(t, tol)  # kept on t: a kept error raises a copy
+        kept, = _each([t], ("node", tol), verify)
+        checks = ResidualReport(tol, dict(kept.entries), dict(kept.notes))  # the node's own copy
         predicted = fit0.kappa + (t.eps - 1.0) + (1.0 - fit0.mu / 2.0) ** 2
         checks.add("predicted_kappa_delta", abs(fit.kappa - predicted))
         checks.add("predicted_mu_delta", abs((fit.mu if fit.mu is not None else 2.0) - 2.0))

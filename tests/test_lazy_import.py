@@ -6,7 +6,8 @@ module has an ``-X importtime`` row of its own: an import at its top level nests
 under that row, while the imports of a command run after it.  A cold call that
 exits on a parse error, a usage error or ``--help`` imports no numpy, nests no
 engine module, numpy or ``dataclasses`` row under ``kmgeom.cli``, and prints
-what an in-process call and ``python -m kmgeom.cli`` print.  A cold ``analyze``
+what an in-process call and ``python -m kmgeom.cli`` print; a NaN or infinite
+bracket coefficient is such a parse error.  A cold ``analyze``
 that computes imports neither ``kmgeom.tower`` (only a construction or
 ``derive`` needs it) nor ``kmgeom.catalog`` (only ``catalog`` needs it), and
 nests no engine module under ``kmgeom.cli``.  In none of these calls does a
@@ -98,15 +99,19 @@ def _in_process(argv, capsys):
 
 @pytest.mark.parametrize("argv, code, last_err", [
     (["analyze", "malformed.json"], 2, "error: cannot analyze malformed.json"),
+    (["validate", "non-finite.json"], 2,
+     "error: bracket coefficients must be finite (no NaN or infinity)"),
     (["validate", "missing.json"], 2,
      "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     (["derive", "malformed.json"], 2,
      "kmgeom derive: error: the following arguments are required: --steps"),
     (["--help"], 0, None),
-], ids=["malformed-file", "missing-file", "usage-error", "help"])
+], ids=["malformed-file", "non-finite-coefficient", "missing-file", "usage-error", "help"])
 def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch, argv, code,
                                                    last_err):
     (tmp_path / "malformed.json").write_text('{"dim": 3, "brackets": [')
+    (tmp_path / "non-finite.json").write_text(
+        '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": NaN}}]}')
     got = _child(*CLI, *argv, cwd=tmp_path)
     assert got[0] == code
     assert got[2].splitlines()[-1:] == ([last_err] if last_err else [])

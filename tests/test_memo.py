@@ -5,6 +5,7 @@ so that no caller's write reaches a later call.  And the memo never changes a CL
 output: a store that never hits, so that every entry is rebuilt on every call, gives
 the same bytes (the store and its patch are those of ``tools/equiv.py``)."""
 
+import ast
 import importlib.util
 import io
 import os
@@ -85,6 +86,47 @@ def test_the_first_raise_of_a_kept_error_carries_the_builders_frames():
     assert "build" not in [frame.name for frame in traceback.extract_tb(later.value.__traceback__)]
 
 
+def test_an_error_raised_by_a_stacked_build_is_kept_on_every_member_that_lacked_it():
+    # each member that lacked the entry keeps a frameless copy; a member that had it keeps
+    # its own value, and a later call runs no build
+    s = family_3d(1.0, 2.0).structure
+    t, u, v = (contact.ContactMetricStructure(s.form, s.phi, s.g) for _ in range(3))
+    contact._each([v], "kept-error", lambda missing: ["kept"] * len(missing))
+    builds = []
+
+    def build(missing):
+        builds.append(missing)
+        raise NotNullity("no nullity condition", 0.5)
+
+    with pytest.raises(NotNullity) as first:
+        contact._each([t, u, v], "kept-error", build)
+    assert builds == [[t, u]]
+    kept = [t._cache["kept-error"], u._cache["kept-error"]]
+    assert all(isinstance(err, NotNullity) and err is not first.value for err in kept)
+    assert [err.args for err in kept] == [first.value.args] * 2
+    assert all(err.__traceback__ is None for err in kept) and v._cache["kept-error"] == "kept"
+    assert contact._each([t, u, v], "kept-error", build) == [*kept, "kept"]
+    with pytest.raises(NotNullity) as later:
+        t.cached("kept-error", lambda: builds.append("again"))
+    assert builds == [[t, u]] and later.value.residual == 0.5
+
+
+def test_only_the_memo_and_the_constructor_touch_the_store():
+    # MetricStructure.__init__ creates _cache; contact._each alone reads and writes it
+    src = os.path.dirname(contact.__file__)
+    users = set()
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        mod = name[:-3]
+        defs = [(f"{mod}.{n.name}", n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        defs += [(f"{mod}.{c.name}.{m.name}", m) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for m in c.body if isinstance(m, ast.FunctionDef)]
+        users |= {next((qual for qual, d in defs if d.lineno <= n.lineno <= d.end_lineno), mod)
+                  for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_cache"}
+    assert users == {"contact.MetricStructure.__init__", "contact._each"}
+
+
 def test_a_node_report_written_by_a_caller_does_not_reach_a_later_tower():
     # each node's report is its own copy of the kept verification, with the predicted entries
     s = family_3d(1.0, 2.0).structure
@@ -98,7 +140,7 @@ def test_a_node_report_written_by_a_caller_does_not_reach_a_later_tower():
 def test_the_tower_writes_nothing_into_the_kept_verification():
     s = family_3d(1.0, 2.0).structure
     nodes = sequence(s, 3)
-    kept, _ = nodes[1].structure._cache[("node", DEFAULT_TOL)]
+    kept = nodes[1].structure._cache[("node", DEFAULT_TOL)]
     assert "predicted_kappa_delta" in nodes[1].checks.entries
     assert not {"predicted_kappa_delta", "predicted_mu_delta"} & set(kept.entries)
     with pytest.raises(TypeError):

@@ -130,6 +130,44 @@ def test_load_rejects_non_json():
         modelfile.loads("{not json")
 
 
+# model files that once leaked a Python exception past the loader; none of these
+# dims is one whose structure constants numpy could allocate
+LEAKS = {
+    "coeffs-list": ({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [1]}]},
+                    "error: malformed bracket entry {'i': 1, 'j': 2, 'coeffs': [1]}"),
+    "coeff-beyond-float": ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1'
+                           + "0" * 400 + '}}]}', "error: malformed bracket entry "),
+    "brackets-int": ({"dim": 3, "brackets": 5}, "error: 'brackets' must be a list"),
+    "labels-int": ({"dim": 3, "basis_labels": 5, "brackets": []},
+                   "error: 'basis_labels' must be a list"),
+    "dim-too-large": ({"dim": 2000000000000, "brackets": []},
+                      "error: dim 2000000000000 is too large for its structure constants"),
+}
+
+
+@pytest.mark.parametrize("name", LEAKS)
+def test_a_malformed_model_file_is_an_error_line_and_exit_2(tmp_path, capsys, name):
+    doc, reason = LEAKS[name]
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        modelfile.load(str(bad))
+    for argv in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
+        assert main([argv[0], str(bad), *argv[1:], "--json", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(reason) and "Traceback" not in err
+    # in a batch the file is one error line, and the files after it are still analyzed
+    _emit(tmp_path, "nilpotent-h-5d")
+    assert main(["analyze", "--batch", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(reason.replace("error: ", f"error: {bad}: ", 1))
+    assert out.count("== ") == 2 and out.index(f"== {bad}") < out.index("model nilpotent-h-5d")
+
+
+def test_null_brackets_are_no_brackets():
+    assert not modelfile.loads(json.dumps({"dim": 3, "brackets": None})).model.c.any()
+
+
 def test_entry_roundtrip():
     entry = nilpotent_h_5d()
     doc = modelfile.loads(modelfile.dumps_entry(entry))

@@ -100,6 +100,13 @@ MALFORMED = {
         **FRAME_3D, "g": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]}}),
     "structure-g-2x2": json.dumps({"dim": 3, "brackets": H3_BRACKETS, "structure": {
         **FRAME_3D, "g": [[1, 0], [0, 1]]}}),
+    # no dim here is one whose structure constants numpy could allocate
+    "coeffs-list": '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [1]}]}',
+    "coeff-beyond-float": '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1'
+                          + "0" * 400 + '}}]}',
+    "brackets-int": '{"dim": 3, "brackets": 5}',
+    "labels-int": '{"dim": 3, "basis_labels": 5, "brackets": []}',
+    "dim-too-large": '{"dim": 2000000000000, "brackets": []}',
 }
 
 

@@ -10,10 +10,13 @@ statements plus the ``for`` clauses of comprehensions.  Run from anywhere:
     python tools/src_size.py
 
 After the sizes it lists the functions and methods of ``src/kmgeom`` that no
-code path from ``cli.main`` names.  The scan is static and goes by name: a
-reached body reaches every function or method of a name it uses (as a name or an
-attribute), the body of every module-level table it names (such as
-``catalog._ENTRIES``), and the dunder methods of every class it names.  The
+code path from the CLI's entry points, ``cli.main`` and the process entry
+``cli.run``, names.  The scan is static and goes by name: a reached body reaches
+every function or method of a name it uses (as a name or an attribute), the body
+of every module-level table it names (such as ``catalog._ENTRIES``), and the
+dunder methods of every class it names.  A name that a body binds itself (a
+parameter, or an assignment, loop or comprehension target) is its own local, so
+its uses there reach no module function of that name.  The
 package's ``__init__`` (its export table) is left out, so a name that only it
 lists shows as unreachable.  Dynamic lookups (``getattr`` with a computed name)
 are not followed.
@@ -64,20 +67,28 @@ def count(path: str) -> tuple[int, int, int, int]:
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+ROOTS = ("cli.main", "cli.run")
+
+
 def _names(node: ast.AST) -> set[str]:
-    """The names and attribute names used under ``node``."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    """The names and attribute names used under ``node``, less the names it binds
+    itself: its parameters and its assignment, loop and comprehension targets."""
+    nodes = list(ast.walk(node))
+    bound = {n.arg for n in nodes if isinstance(n, ast.arg)}
+    bound |= {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    used = {n.id for n in nodes if isinstance(n, ast.Name)} - bound
+    return used | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
 
 
-def unreachable() -> list[str]:
-    """``module.function`` and ``module.Class.method`` of ``src/kmgeom`` (``__init__``
-    left out) that no code path from ``cli.main`` names, by the static scan above."""
+def unreachable(src: str = SRC) -> list[str]:
+    """``module.function`` and ``module.Class.method`` of the package ``src``
+    (``__init__`` left out) that no code path from :data:`ROOTS` names, by the static
+    scan above."""
     defs, tables = {}, {}  # name -> [(qualified name, node)]; table name -> [value]
-    for name in sorted(os.listdir(SRC)):
+    for name in sorted(os.listdir(src)):
         if not name.endswith(".py") or name == "__init__.py":
             continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
@@ -92,8 +103,8 @@ def unreachable() -> list[str]:
                 members += [(f"{qual}.{m.name}", m) for m in node.body if isinstance(m, FUNCTIONS)]
             for q, member in members:
                 defs.setdefault(member.name, []).append((q, member))
-    reached, seen = {"cli.main"}, set()
-    todo = [node for qual, node in defs["main"] if qual == "cli.main"]
+    reached, seen = set(ROOTS), set()
+    todo = [node for pairs in defs.values() for qual, node in pairs if qual in ROOTS]
     while todo:
         node = todo.pop()
         for used in _names(node) - seen:
@@ -124,7 +135,7 @@ def main() -> int:
     r, c, n, _ = count(REFERENCE)
     print(f"{'tests/reference.py':18s} {r:5d} {c:5d} {n:5d}  (moved out of src/kmgeom; not in its total)")
     found = unreachable()
-    print(f"not reached from cli.main ({len(found)}, static scan by name):")
+    print(f"not reached from {' or '.join(ROOTS)} ({len(found)}, static scan by name):")
     for qual in found:
         print(f"  {qual}")
     return 0
