@@ -13,7 +13,6 @@ import numpy as np
 
 from kmgeom import (
     bilegendrian_connection,
-    conjugate_distribution,
     eigendistributions,
     family_3d,
     libermann_map,
@@ -22,6 +21,7 @@ from kmgeom import (
     sequence,
     step_checks,
 )
+from kmgeom.legendre import legendre_distribution
 
 s = family_3d(1.0, 2.0).structure
 fit = nullity_fit(s)
@@ -33,9 +33,13 @@ print(f"  D(+lambda): span {np.round(d_pos.vectors, 6).tolist()}  "
       f"Pang {d_pos.pang.ravel().tolist()} ({d_pos.definiteness})")
 print(f"  D(-lambda): span {np.round(d_neg.vectors, 6).tolist()}  "
       f"Pang {d_neg.pang.ravel().tolist()} ({d_neg.definiteness})")
-q = conjugate_distribution(s, d_pos)
-print(f"  conjugate phi D(+lambda) spans D(-lambda): "
-      f"{np.allclose(q.span_projector(), d_neg.span_projector())}")
+# phi D(+lambda), validated as a Legendre distribution of its own, is D(-lambda) and
+# g-orthogonal to D(+lambda)
+phi_l = d_pos.vectors @ s.phi.T
+q = legendre_distribution(s.form, phi_l)
+ortho = np.max(np.abs(d_pos.vectors @ s.g @ phi_l.T))
+assert ortho <= 1e-12 and np.allclose(q.span_projector(), d_neg.span_projector())
+print(f"  conjugate phi D(+lambda) spans D(-lambda), max|g(L, phi L)| = {ortho:.1e}")
 
 print("\n== induced paracontact structure and bi-Legendrian connection ==")
 node0, node1 = sequence(s, 2)

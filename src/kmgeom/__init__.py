@@ -35,9 +35,8 @@ _SUBMODULE = {
     "nijenhuis_norm": "contact", "nullity_fit": "contact", "validate_contact": "contact",
     "GeometryError": "errors",
     "LegendreDistribution": "legendre", "bilegendrian_connection": "legendre",
-    "classify_class": "legendre", "conjugate_distribution": "legendre",
-    "eigendistributions": "legendre", "legendre_pair_constants": "legendre",
-    "libermann_map": "legendre",
+    "classify_class": "legendre", "eigendistributions": "legendre",
+    "legendre_pair_constants": "legendre", "libermann_map": "legendre",
     "ContactForm": "lie_model", "LieModel": "lie_model", "d_one_form": "lie_model", "jacobi_residual": "lie_model",
     "lie_derivative_endo": "lie_model",
     "ResidualReport": "report",

@@ -33,9 +33,9 @@ rows, in report order:
   ``legendre3`` (``--legendre3``, with ``--a --b``); a construction that does
   not apply reports ``{"error": reason}``.
 * derive rows: a gate that stops a valid model without a contact structure
-  before its nullity fit, a gate that stops a contact structure that is not
-  a nullity space after writing its report, and ``tower``, reached only by a
-  valid contact nullity space.
+  before its nullity fit, then ``tower``, reached by every valid contact
+  structure: a structure that is not a nullity space gets its report written,
+  and then the row stops the command.
 
 A key that two rows store, one per sign (``flags``, ``identities``), is
 printed by the first row's ``human``.
@@ -43,11 +43,13 @@ printed by the first row's ``human``.
 Exit codes:
 
 * 0: the report of a valid model (for analyze a valid structure suffices);
-  for derive, the tower row ran.
+  for derive, the tower row built its nodes.
 * 1: an invalid model (its report is written), an engine error (an error
-  line), or a derive gate.
-* 2: a parse or IO error (an unreadable or malformed model file; a failed
-  ``--json`` or ``--out`` write, after the text report) or a usage error,
+  line), derive's gate, or derive on a structure that is not a nullity space.
+* 2: a model file that is not usable (one that cannot be read, is not UTF-8
+  JSON or is malformed: one :class:`~kmgeom.errors.ModelFormatError` from
+  :func:`kmgeom.modelfile.load`), a failed ``--json`` or ``--out`` write (after
+  the text report) or a usage error,
   options that would be ignored included: ``--batch`` with a model file or
   with ``--json``, ``--a``/``--b`` without ``--legendre3``, and a ``catalog
   emit`` option that its entry does not take (``--lam``/``--d`` are
@@ -58,8 +60,8 @@ Exit codes:
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
 Residuals print in scientific notation with three significant digits; JSON
-reports are emitted with sorted keys so that serialize/parse/serialize
-round-trips are byte-identical.
+reports are written by :func:`kmgeom.modelfile.render_json`, with sorted keys, so
+that serialize/parse/serialize round-trips are byte-identical.
 
 The parser, the exit codes and the ``error:`` lines need no arrays: the rows
 call the engine by the package's public names (``kmgeom.nullity_fit``), and the
@@ -79,7 +81,6 @@ import functools
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import kmgeom
 
@@ -111,37 +112,6 @@ def _fmt(x: float) -> str:
 
 def _mu(mu: float | None) -> str:
     return "indeterminate" if mu is None else f"{mu:+.6g}"
-
-
-def render_json(report: dict) -> str:
-    """``report`` as JSON text (sorted keys, indent 2) in one walk: numpy values as Python
-    ones, and a non-finite float (Python or numpy) as the string of its repr, so that
-    strict JSON parsers read it.  Keys are strings; a value JSON has no form for
-    (``np.bool_``) raises TypeError."""
-    import numpy as np
-
-    def render(x, newline: str) -> str:  # the text of x, whose lines continue with newline
-        if isinstance(x, (float, np.floating)):
-            text = float.__repr__(float(x))
-            return text if math.isfinite(x) else f'"{text}"'
-        inner = newline + "  "
-        if isinstance(x, dict):
-            body = [f"{encode_basestring_ascii(key)}: {render(x[key], inner)}" for key in sorted(x)]
-            return "{" + inner + ("," + inner).join(body) + newline + "}" if body else "{}"
-        if isinstance(x, str):
-            return encode_basestring_ascii(x)
-        if x is None or isinstance(x, bool):
-            return "null" if x is None else "true" if x else "false"
-        if isinstance(x, (int, np.integer)):
-            return int.__repr__(int(x))
-        if isinstance(x, np.ndarray):
-            return render(x.tolist(), newline)
-        if isinstance(x, (list, tuple)):
-            body = [render(v, inner) for v in x]
-            return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-    return render(report, "\n")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -232,13 +202,11 @@ def _no_contact(c):
     raise _Stop(EXIT_INVALID, "error: derive requires a contact structure")
 
 
-def _no_nullity(c):
-    _write_outputs(c.report, c.json)
-    raise _Stop(EXIT_INVALID, "error: the structure is not a nullity space (residual "
-                f"{_fmt(c.report['nullity']['residual'])}): no derived structures")
-
-
 def _tower(c) -> list[dict]:
+    if c.fit is None:  # not a nullity space: its report, then the stop
+        _write_outputs(c.report, c.json)
+        raise _Stop(EXIT_INVALID, "error: the structure is not a nullity space (residual "
+                    f"{_fmt(c.report['nullity']['residual'])}): no derived structures")
     try:
         nodes = kmgeom.sequence(c.s, c.steps, c.tol)
     except GeometryError as exc:
@@ -354,8 +322,7 @@ _STAGES = (
      _human_construction("second bi-Legendrian pair", lambda leg: (
          f"lambda~ = {leg['lambda_tilde']:.6g}, (a, b) = ({leg['a']:.6g}, {leg['b']:.6g}), "
          f"new constants ({leg['kappa_new']:.6g}, {leg['mu_new']:.6g})"))),
-    (None, lambda c: _derive_gate(c) and c.fit is None, _no_nullity, None),
-    ("tower", lambda c: _derive_gate(c) and _contact(c), _tower, _human_tower),
+    ("tower", _derive_gate, _tower, _human_tower),
 )
 
 
@@ -368,7 +335,7 @@ def _print_human(report: dict) -> None:
 def _write_outputs(report: dict, json_path: str | None) -> None:
     _print_human(report)
     if json_path:
-        _write(None if json_path == "-" else json_path, render_json(report))
+        _write(None if json_path == "-" else json_path, modelfile.render_json(report))
 
 
 def _run(args, path: str, label: str) -> tuple[dict | None, int]:
@@ -376,9 +343,8 @@ def _run(args, path: str, label: str) -> tuple[dict | None, int]:
     exit code) after an error line; a stage may end the command by raising _Stop."""
     try:
         doc = modelfile.load(path)
-    except (ModelFormatError, OSError) as exc:
-        reason = exc if isinstance(exc, ModelFormatError) else f"cannot read {path}: {exc}"
-        print(f"error: {label}{reason}", file=sys.stderr)
+    except ModelFormatError as exc:
+        print(f"error: {label}{exc}", file=sys.stderr)
         return None, EXIT_PARSE
     c = argparse.Namespace(**vars(args), doc=doc, s=doc.structure, report={}, fit=None)
     try:
@@ -443,7 +409,7 @@ def cmd_catalog(args) -> int:
         if args.c is None:
             raise _Stop(EXIT_PARSE, "error: tangent-bundle-constants requires --c")
         kappa, mu, inv = catalog_mod.tangent_bundle_constants(args.c)
-        text = render_json({"c": args.c, "kappa": kappa, "mu": mu, "boeckx": inv})
+        text = modelfile.render_json({"c": args.c, "kappa": kappa, "mu": mu, "boeckx": inv})
     else:
         try:
             entry = catalog_mod.get_entry(args.name, lam=args.lam, d=args.d)

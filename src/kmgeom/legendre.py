@@ -255,18 +255,6 @@ def libermann_map(
     return lam_op
 
 
-def conjugate_distribution(
-    s: ContactMetricStructure, ld: LegendreDistribution, tol: float = DEFAULT_TOL
-) -> LegendreDistribution:
-    """Q = phi L, the conjugate Legendre distribution (g-orthogonal to L)."""
-    vectors = (s.phi @ ld.vectors.T).T
-    q = legendre_distribution(s.form, vectors, tol)
-    ortho = max_abs(ld.vectors @ s.g @ vectors.T)
-    if not ortho <= tol:
-        raise NotTransversal(f"conjugate distribution not g-orthogonal ({ortho:.3e})")
-    return q
-
-
 def bilegendrian_connection(
     s: ContactMetricStructure, tol: float = DEFAULT_TOL
 ) -> tuple[AffineConnection, ResidualReport]:

@@ -16,7 +16,10 @@ Format (1-based indices; unlisted brackets are zero):
       "expected": { ... }
     }
 
-The loader antisymmetrizes bracket entries and rejects inconsistent
+A model file is UTF-8 JSON: :func:`load` turns every failure to read it as such (an
+unreadable file, bytes that are not UTF-8, text that is not JSON or is nested past the
+interpreter's recursion limit) into a :class:`ModelFormatError`, as it does every
+malformed document.  The loader antisymmetrizes bracket entries and rejects inconsistent
 duplicates (the same unordered pair listed twice with different
 coefficients, including an (i, j) / (j, i) pair that fails antisymmetry).
 ``dim``, ``i`` and ``j`` are integers (an integral float such as 3.0 reads as
@@ -28,12 +31,16 @@ imported, so a malformed file is rejected without loading them.  The contact for
 (xi and eta) and the structure (phi and g) read and check their own tensors (their
 shapes and finiteness); their :class:`DimensionMismatch` is re-raised here as a
 format error with the same text.
+
+:func:`render_json` is the package's one JSON writer: it writes the CLI's reports and
+the model files of :func:`dumps_entry`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 import kmgeom
@@ -117,7 +124,7 @@ def _parse_structure(model: LieModel, block: dict):
 def loads(text: str) -> CatalogEntry:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level JSON value must be an object")
@@ -149,8 +156,45 @@ def loads(text: str) -> CatalogEntry:
 
 
 def load(path: str) -> CatalogEntry:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not valid UTF-8: {exc}") from exc
+    return loads(text)
+
+
+def render_json(doc) -> str:
+    """``doc`` as JSON text (sorted keys, indent 2) in one walk: numpy values as Python
+    ones, and a non-finite float (Python or numpy) as the string of its repr, so that
+    strict JSON parsers read it.  Keys are strings; a value JSON has no form for
+    (``np.bool_``) raises TypeError."""
+    import numpy as np
+
+    def render(x, newline: str) -> str:  # the text of x, whose lines continue with newline
+        if isinstance(x, (float, np.floating)):
+            text = float.__repr__(float(x))
+            return text if math.isfinite(x) else f'"{text}"'
+        inner = newline + "  "
+        if isinstance(x, dict):
+            body = [f"{encode_basestring_ascii(key)}: {render(x[key], inner)}" for key in sorted(x)]
+            return "{" + inner + ("," + inner).join(body) + newline + "}" if body else "{}"
+        if isinstance(x, str):
+            return encode_basestring_ascii(x)
+        if x is None or isinstance(x, bool):
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return int.__repr__(int(x))
+        if isinstance(x, np.ndarray):
+            return render(x.tolist(), newline)
+        if isinstance(x, (list, tuple)):
+            body = [render(v, inner) for v in x]
+            return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    return render(doc, "\n")
 
 
 def dumps_entry(entry: CatalogEntry) -> str:
@@ -163,20 +207,13 @@ def dumps_entry(entry: CatalogEntry) -> str:
     # the nonzero c[i, j, k] with i < j, in (i, j, k) order
     upper = np.triu(np.ones((dim, dim), dtype=bool), 1)[:, :, None] & (np.abs(model.c) > 0)
     coeffs = {}
-    for i, j, k in zip(*(idx.tolist() for idx in np.nonzero(upper))):
+    for i, j, k in zip(*np.nonzero(upper)):
         coeffs.setdefault((i, j), {})[str(k + 1)] = model.c[i, j, k]
-    doc = {
+    return render_json({
         "name": entry.name,
         "dim": dim,
         "basis_labels": list(model.labels()),
         "brackets": [{"i": i + 1, "j": j + 1, "coeffs": cs} for (i, j), cs in coeffs.items()],
-        "structure": {
-            "kind": s.kind,
-            "phi": s.phi.tolist(),
-            "xi": s.xi.tolist(),
-            "eta": s.eta.tolist(),
-            "g": s.g.tolist(),
-        },
+        "structure": {"kind": s.kind, "phi": s.phi, "xi": s.xi, "eta": s.eta, "g": s.g},
         "expected": entry.expected,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    })

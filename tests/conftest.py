@@ -83,6 +83,6 @@ def jsonable(x):
 
 
 def reference_json(report) -> str:
-    """The reference for ``cli.render_json``: a walk to Python values, then the
+    """The reference for ``modelfile.render_json``: a walk to Python values, then the
     standard library's encoder."""
     return json.dumps(jsonable(report), indent=2, sort_keys=True)

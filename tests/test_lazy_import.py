@@ -7,7 +7,8 @@ under that row, while the imports of a command run after it.  A cold call that
 exits on a parse error, a usage error or ``--help`` imports no numpy, nests no
 engine module, numpy or ``dataclasses`` row under ``kmgeom.cli``, and prints
 what an in-process call and ``python -m kmgeom.cli`` print; a NaN or infinite
-bracket coefficient is such a parse error.  A cold ``analyze``
+bracket coefficient, bytes that are not UTF-8 and JSON nested past the recursion
+limit are such parse errors.  A cold ``analyze``
 that computes imports neither ``kmgeom.tower`` (only a construction or
 ``derive`` needs it) nor ``kmgeom.catalog`` (only ``catalog`` needs it), and
 nests no engine module under ``kmgeom.cli``.  In none of these calls does a
@@ -38,8 +39,7 @@ PUBLIC = {
                 "nullity_fit", "validate_contact"],
     "errors": ["GeometryError"],
     "legendre": ["LegendreDistribution", "bilegendrian_connection", "classify_class",
-                 "conjugate_distribution", "eigendistributions", "legendre_pair_constants",
-                 "libermann_map"],
+                 "eigendistributions", "legendre_pair_constants", "libermann_map"],
     "lie_model": ["ContactForm", "LieModel", "d_one_form", "jacobi_residual", "lie_derivative_endo"],
     "modelfile": ["CatalogEntry"],
     "report": ["DEFAULT_TOL", "ResidualReport"],
@@ -103,15 +103,25 @@ def _in_process(argv, capsys):
      "error: bracket coefficients must be finite (no NaN or infinity)"),
     (["validate", "missing.json"], 2,
      "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    (["validate", "bom-utf16.json"], 2,
+     "error: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (["derive", "nested-too-deep.json", "--steps", "3"], 2,
+     "error: not valid JSON: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
     (["derive", "malformed.json"], 2,
      "kmgeom derive: error: the following arguments are required: --steps"),
     (["--help"], 0, None),
-], ids=["malformed-file", "non-finite-coefficient", "missing-file", "usage-error", "help"])
+], ids=["malformed-file", "non-finite-coefficient", "missing-file", "bom-utf16", "nested-too-deep",
+        "usage-error", "help"])
 def test_cold_exit_without_arrays_imports_no_numpy(tmp_path, capsys, monkeypatch, argv, code,
                                                    last_err):
     (tmp_path / "malformed.json").write_text('{"dim": 3, "brackets": [')
     (tmp_path / "non-finite.json").write_text(
         '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": NaN}}]}')
+    (tmp_path / "bom-utf16.json").write_bytes(b'\xff\xfe{"dim": 3}')
+    (tmp_path / "nested-too-deep.json").write_text(
+        '{"dim": 3, "expected": ' + "[" * 100000 + "]" * 100000 + "}")
     got = _child(*CLI, *argv, cwd=tmp_path)
     assert got[0] == code
     assert got[2].splitlines()[-1:] == ([last_err] if last_err else [])

@@ -27,7 +27,6 @@ from kmgeom.legendre import (
     LegendreDistribution,
     bilegendrian_connection,
     classify_class,
-    conjugate_distribution,
     eigendistributions,
     involutivity_residual,
     legendre_distribution,
@@ -142,14 +141,25 @@ def test_libermann_rejects_flat_pang():
         libermann_map(s, d_neg, d_pos)
 
 
-def test_conjugate_distribution_swaps_eigenspaces():
-    s = family(1.0, 0.0)
+def _conjugate(s, ld):
+    """phi L, built as a Legendre distribution of its own (which validates it), and
+    max|g(L, phi L)|."""
+    vectors = ld.vectors @ s.phi.T
+    return legendre_distribution(s.form, vectors), np.max(np.abs(ld.vectors @ s.g @ vectors.T))
+
+
+@pytest.mark.parametrize("lam,d", [*CLASS_PARAMS.values(), (0.7, 0.3)])
+def test_phi_maps_each_eigendistribution_orthogonally_onto_the_other(lam, d):
+    # in the bi-Legendrian structure of a (kappa, mu)-space, phi D(lambda) = D(-lambda),
+    # g-orthogonal to D(lambda); phi^2 = -I on the contact distribution maps it back
+    s = family(lam, d)
     d_pos, d_neg = eigendistributions(s)
-    q = conjugate_distribution(s, d_pos)
-    assert np.allclose(q.span_projector(), d_neg.span_projector(), atol=1e-12)
-    # phi^2 = -I on the contact distribution collapses Q back onto L
-    back = conjugate_distribution(s, q)
-    assert np.allclose(back.span_projector(), d_pos.span_projector(), atol=1e-12)
+    for ld, other in ((d_pos, d_neg), (d_neg, d_pos)):
+        q, ortho = _conjugate(s, ld)
+        assert ortho <= 1e-12
+        assert np.allclose(q.span_projector(), other.span_projector(), atol=1e-12)
+        back, _ = _conjugate(s, q)
+        assert np.allclose(back.span_projector(), ld.span_projector(), atol=1e-12)
 
 
 @pytest.mark.parametrize("lam,d", [*CLASS_PARAMS.values(), (0.7, 0.3), (2.0, 1.0), (0.5, -2.0)])

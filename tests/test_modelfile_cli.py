@@ -11,9 +11,10 @@ from conftest import reference_json
 import kmgeom
 from kmgeom import modelfile
 from kmgeom.catalog import family_3d, nilpotent_h_5d
-from kmgeom.cli import main, render_json
+from kmgeom.cli import main
 from kmgeom.errors import ClassificationMismatch, ModelFormatError
 from kmgeom.lie_model import LieModel
+from kmgeom.modelfile import render_json
 
 
 MINIMAL = {
@@ -142,6 +143,11 @@ LEAKS = {
                    "error: 'basis_labels' must be a list"),
     "dim-too-large": ({"dim": 2000000000000, "brackets": []},
                       "error: dim 2000000000000 is too large for its structure constants"),
+    # bytes that are not UTF-8 (a UTF-16 byte-order mark), and JSON nested past the
+    # interpreter's recursion limit
+    "bom-utf16": (b'\xff\xfe{"dim": 3}', "error: not valid UTF-8: 'utf-8' codec can't decode "),
+    "nested-too-deep": ('{"dim": 3, "expected": ' + "[" * 100000 + "]" * 100000 + "}",
+                        "error: not valid JSON: maximum recursion depth exceeded"),
 }
 
 
@@ -149,13 +155,18 @@ LEAKS = {
 def test_a_malformed_model_file_is_an_error_line_and_exit_2(tmp_path, capsys, name):
     doc, reason = LEAKS[name]
     bad = tmp_path / f"{name}.json"
-    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        bad.write_bytes(doc)
+    else:
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(ModelFormatError):
         modelfile.load(str(bad))
     for argv in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
         assert main([argv[0], str(bad), *argv[1:], "--json", "-"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(reason) and "Traceback" not in err
+        # one error line (analyze adds the line that names the file it cannot analyze)
+        assert err.splitlines()[1:] == ([f"error: cannot analyze {bad}"] if argv[0] == "analyze" else [])
     # in a batch the file is one error line, and the files after it are still analyzed
     _emit(tmp_path, "nilpotent-h-5d")
     assert main(["analyze", "--batch", str(tmp_path)]) == 2

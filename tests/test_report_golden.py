@@ -86,7 +86,7 @@ def _run(case: str, raw: list | None = None) -> dict:
     finally:
         cli._write_outputs = real_write_outputs
     report = written[0] if written else None
-    json_text = "" if report is None else cli.render_json(report) + "\n"
+    json_text = "" if report is None else modelfile.render_json(report) + "\n"
     assert len(written) <= 1 and out.endswith(json_text)
     return {
         "exit": code,
@@ -146,7 +146,7 @@ def test_render_json_is_the_reference_text(case):
     raw = []
     _run(case, raw)
     for report in raw:
-        assert cli.render_json(report) == reference_json(report)
+        assert modelfile.render_json(report) == reference_json(report)
 
 
 def test_worst_identity_ties_go_to_the_smallest_name():

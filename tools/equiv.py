@@ -36,7 +36,8 @@ paracontact H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendr
 ``derive --steps 7`` and ``validate`` with ``--json -``; each ``family_3d`` point also
 through ``derive --steps 64 --json -``, many periods of its tower; then the edge calls:
 malformed and missing files (structure tensors with a NaN, an infinite entry or the
-wrong shape among them, and the dim-1 models of both kinds, n = 0), usage errors,
+wrong shape among them, a file that is not UTF-8, one nested past the recursion limit,
+and the dim-1 models of both kinds, n = 0), usage errors,
 non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
 ``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive``
 on a paracontact model and on models without a structure, failed writes and options
@@ -107,6 +108,9 @@ MALFORMED = {
     "brackets-int": '{"dim": 3, "brackets": 5}',
     "labels-int": '{"dim": 3, "basis_labels": 5, "brackets": []}',
     "dim-too-large": '{"dim": 2000000000000, "brackets": []}',
+    # bytes that are not UTF-8, and JSON nested past the interpreter's recursion limit
+    "bom-utf16": b'\xff\xfe{"dim": 3}',
+    "nested-too-deep": '{"dim": 3, "expected": ' + "[" * 100000 + "]" * 100000 + "}",
 }
 
 
@@ -148,8 +152,9 @@ def write_inputs(work: str, names: list[str]) -> list[str]:
         os.makedirs(os.path.join(work, sub), exist_ok=True)
 
     def dump(rel: str, doc) -> None:
-        with open(os.path.join(work, rel), "w", encoding="utf-8") as fh:
-            fh.write(doc if isinstance(doc, str) else json.dumps(doc, indent=1))
+        text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc, indent=1)
+        with open(os.path.join(work, rel), "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
 
     models = [f"models/cat-{n}.json" for n in names if n != "family-3d"]
     models += [f"models/fam-{i}.json" for i in range(len(FAMILY))]
