@@ -231,10 +231,12 @@ def list_entries() -> list[str]:
 
 
 def get_entry(name: str, lam: float | None = None, d: float | None = None) -> CatalogEntry:
+    """The entry ``name``; family-3d takes ``lam`` and ``d``, and without them raises
+    TypeError (a missing argument, not a :class:`NonPositiveLambda`)."""
     if name not in _ENTRIES:
         raise KeyError(f"unknown catalog entry {name!r}; see list_entries()")
     if name != "family-3d":
         return _ENTRIES[name]()
     if lam is None or d is None:
-        raise NonPositiveLambda("family-3d requires --lambda and --d")
+        raise TypeError("family-3d requires lam and d")
     return family_3d(lam, d)

@@ -49,7 +49,8 @@ Exit codes:
 * 2: a model file that is not usable (one that cannot be read, is not UTF-8
   JSON or is malformed: one :class:`~kmgeom.errors.ModelFormatError` from
   :func:`kmgeom.modelfile.load`), a failed ``--json`` or ``--out`` write (after
-  the text report) or a usage error,
+  the text report; a report with a value of the model file nested too deeply to
+  render is one) or a usage error,
   options that would be ignored included: ``--batch`` with a model file or
   with ``--json``, ``--a``/``--b`` without ``--legendre3``, and a ``catalog
   emit`` option that its entry does not take (``--lam``/``--d`` are
@@ -335,7 +336,11 @@ def _print_human(report: dict) -> None:
 def _write_outputs(report: dict, json_path: str | None) -> None:
     _print_human(report)
     if json_path:
-        _write(None if json_path == "-" else json_path, modelfile.render_json(report))
+        try:
+            text = modelfile.render_json(report)
+        except ValueError as exc:  # a value of the model file nested too deeply to write back
+            raise _Stop(EXIT_PARSE, f"error: cannot write the report: {exc}") from exc
+        _write(None if json_path == "-" else json_path, text)
 
 
 def _run(args, path: str, label: str) -> tuple[dict | None, int]:
@@ -405,6 +410,8 @@ def cmd_catalog(args) -> int:
     ignored = [f"--{k}" for k in ("lam", "d", "c") if k not in takes and getattr(args, k) is not None]
     if ignored and (takes or args.name in catalog_mod.list_entries()):  # an unknown name says so
         raise _Stop(EXIT_PARSE, f"error: {args.name} does not take {', '.join(ignored)}")
+    if args.name == "family-3d" and (args.lam is None or args.d is None):
+        raise _Stop(EXIT_PARSE, "error: family-3d requires --lambda and --d")
     if args.name == "tangent-bundle-constants":
         if args.c is None:
             raise _Stop(EXIT_PARSE, "error: tangent-bundle-constants requires --c")

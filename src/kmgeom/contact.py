@@ -51,6 +51,12 @@ an entry read-only, and every :class:`kmgeom.report.ResidualReport` of an entry 
 read-only entries and notes: a caller's write to a kept report raises.  A
 :class:`GeometryError` that a build raises is kept too, on every member it was built
 for, and each later read raises a fresh copy of it.
+
+Each precondition of the contact-only results and of the constructions has one guard
+on the structure's fit: :func:`_require_contact`, a fit with a class (a contact
+structure), else :class:`DimensionMismatch`; and :func:`_require_non_sasakian`, a
+contact fit with an I_M, else :class:`SasakianDegenerate`, the one error of the
+Sasakian band, which :func:`boeckx_invariant` raises too.
 """
 
 from functools import partial
@@ -60,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateMetric, DimensionMismatch, GeometryError, InternalInconsistency,
-                     NotNullity, SasakianOrInvalid)
+                     NotNullity, SasakianDegenerate)
 from .lie_model import ContactForm, check_finite, lie_derivative_endo
 from .report import DEFAULT_TOL, ResidualReport, max_abs, max_abs_each, rank_test
 from .riemann import (
@@ -100,8 +106,9 @@ class MetricStructure:
     a shape other than (dim, dim) or a NaN or infinite entry raises
     :class:`DimensionMismatch`.
     phi and g are copied and, with h = (1/2) L_xi phi, computed on construction, kept
-    read-only; the Nijenhuis tensor once, and the Levi-Civita connection, nabla phi
-    and the nullity fit once per ``tol``, are kept with their arrays read-only.
+    read-only; the Levi-Civita connection, nabla phi, the nullity fit and each derived
+    result that a later call reads again are kept once per ``tol``, with their arrays
+    read-only.
     """
 
     def __init__(self, form: ContactForm, phi: np.ndarray, g: np.ndarray):
@@ -144,13 +151,6 @@ class MetricStructure:
         """(nabla_{e_i} phi) e_j at [i, j, :] for the Levi-Civita connection."""
         return self.cached(
             ("nabla_phi", tol), lambda: self.levi_civita(tol).nabla_endo_all(self.phi)
-        )
-
-    def nijenhuis_tensor(self) -> np.ndarray:
-        """N(e_i, e_j) at [i, j, :] of the eps-signed Nijenhuis tensor of phi."""
-        return self.cached(
-            "nijenhuis_tensor",
-            lambda: nijenhuis_tensor(self.form, self.phi, self.eps),
         )
 
 
@@ -360,7 +360,7 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
     """
 
     def build():
-        nij = s.nijenhuis_tensor()
+        nij = nijenhuis_tensor(s.form, s.phi, s.eps)
         nij_phi = np.tensordot(s.phi.T, nij, 1)  # [i, j, :] = N(phi e_i, e_j)
         side = ResidualReport(tol=tol)
         side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * eta_x(s.eta, s.h))
@@ -423,8 +423,8 @@ def _fit_r_xi(members: list[MetricStructure],
 def boeckx_invariant(kappa: float, mu: float, tol: float = DEFAULT_TOL) -> float:
     """I_M = (1 - mu/2) / sqrt(1 - kappa); undefined in the Sasakian band kappa >= 1 - tol."""
     if kappa >= 1.0 - tol:
-        raise SasakianOrInvalid("Boeckx invariant undefined in the Sasakian band "
-                                f"(kappa >= 1 - tol), kappa = {kappa:.12g}")
+        raise SasakianDegenerate("Boeckx invariant undefined in the Sasakian band "
+                                 f"(kappa >= 1 - tol), kappa = {kappa:.12g}")
     return (1.0 - mu / 2.0) / np.sqrt(1.0 - kappa)
 
 
@@ -579,7 +579,7 @@ def integrability_and_parasasaki(s: MetricStructure, tol: float = DEFAULT_TOL) -
 
     def build():
         kbasis = s.form.basis
-        nij = on_pairs(s.nijenhuis_tensor(), kbasis, kbasis)
+        nij = on_pairs(nijenhuis_tensor(s.form, s.phi, s.eps), kbasis, kbasis)
         worst_d = max_abs(nij @ s.form.projector.T)  # N on D x D off the line R xi
         integrable_n = worst_d <= tol
 
@@ -651,12 +651,29 @@ def classification_flags(s: ContactMetricStructure, tol: float = DEFAULT_TOL) ->
     ``k_contact`` is the fit's h = 0 (mu indeterminate); ``tw_parallel`` uses the
     mu = 2 criterion for non-Sasakian nullity spaces.
     """
-    report = nullity_fit(s, tol)
-    if report.class_tag is None:  # the fit of a contact structure always has a class
-        raise DimensionMismatch("classification flags require a contact structure, not a paracontact one")
+    report = _require_contact(nullity_fit(s, tol))
     nij, _ = nijenhuis_norm(s, tol)
     return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": report.mu is None,
             "tw_parallel": _tw_parallel(report, tol)}
+
+
+def _require_contact(report: NullityReport) -> NullityReport:
+    """``report``, the fit of a contact structure (which always has a class); the fit of
+    a paracontact one raises :class:`DimensionMismatch`."""
+    if report.class_tag is None:
+        raise DimensionMismatch("the operation requires a contact structure, not a paracontact one")
+    return report
+
+
+def _require_non_sasakian(report: NullityReport) -> NullityReport:
+    """``report``, a contact fit (:func:`_require_contact`) with an I_M; one in the
+    Sasakian band (kappa >= 1 - tol, or mu indeterminate) raises
+    :class:`SasakianDegenerate`."""
+    if _require_contact(report).boeckx is None:
+        raise SasakianDegenerate(
+            "construction requires a non-Sasakian structure: the fit puts this one in the Sasakian "
+            f"band (kappa >= 1 - tol, or mu indeterminate), kappa = {report.kappa:.12g}")
+    return report
 
 
 def _tw_parallel(report: NullityReport, tol: float) -> bool:

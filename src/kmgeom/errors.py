@@ -3,6 +3,9 @@
 Every designated failure mode of an operation raises a dedicated subclass of
 :class:`GeometryError`, so callers (and the CLI) can distinguish "the input is
 not a Lie algebra" from "this construction is undefined for your invariant".
+Each failure mode has one class: a structure of the wrong kind is a
+:class:`DimensionMismatch` and one in the Sasakian band a :class:`SasakianDegenerate`,
+whichever operation finds it.
 """
 
 
@@ -33,13 +36,10 @@ class NotNullity(GeometryError):
         self.residual = residual
 
 
-class SasakianOrInvalid(GeometryError):
-    """kappa in the Sasakian band (kappa >= 1 - tol): the Boeckx invariant is undefined."""
-
-
 class SasakianDegenerate(GeometryError):
-    """Operation requires a non-Sasakian structure: the fit is outside the Sasakian
-    band (kappa < 1 - tol, mu determined)."""
+    """Operation requires a non-Sasakian structure, and this one is in the Sasakian band
+    (kappa >= 1 - tol, or mu indeterminate), where the Boeckx invariant is undefined; or
+    its h lacks the +-lambda eigenspaces of multiplicity n that such a structure has."""
 
 
 class DegenerateInvariant(GeometryError):

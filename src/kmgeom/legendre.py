@@ -36,6 +36,7 @@ import numpy as np
 from .contact import (
     ContactMetricStructure,
     ParacontactMetricStructure,
+    _require_non_sasakian,
     canonical_connection,
     integrability_and_parasasaki,
     nullity_fit,
@@ -137,18 +138,12 @@ def eigendistributions(
     s: ContactMetricStructure, tol: float = DEFAULT_TOL
 ) -> tuple[LegendreDistribution, LegendreDistribution]:
     """g-orthonormal eigenbases of h for +-lambda (lambda of the structure's nullity
-    fit), each verified Legendre and involutive in turn; the first failure, in the
-    order (+lambda, -lambda), is raised.  Built once per ``tol`` and kept on ``s``,
-    as is its error."""
+    fit, which passes the non-Sasakian guard of :mod:`kmgeom.contact`), each verified
+    Legendre and involutive in turn; the first failure, in the order (+lambda, -lambda),
+    is raised.  Built once per ``tol`` and kept on ``s``, as is its error."""
 
     def build():
-        report = nullity_fit(s, tol)
-        if report.class_tag is None:  # the fit of a contact structure always has a class
-            raise DimensionMismatch("h-eigendistributions require a contact structure, not a paracontact one")
-        if report.lam is None:
-            raise SasakianDegenerate("h has no +-lambda eigenspaces: the fit puts this structure in the "
-                                     f"Sasakian band (kappa >= 1 - tol), kappa = {report.kappa:.12g}")
-        lam = report.lam
+        lam = _require_non_sasakian(nullity_fit(s, tol)).lam
         # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
         # g = L L^T, to the symmetric problem L^-1 (g h) L^-T w = lam w; the vectors
         # v = L^-T w are then g-orthonormal

@@ -170,7 +170,8 @@ def render_json(doc) -> str:
     """``doc`` as JSON text (sorted keys, indent 2) in one walk: numpy values as Python
     ones, and a non-finite float (Python or numpy) as the string of its repr, so that
     strict JSON parsers read it.  Keys are strings; a value JSON has no form for
-    (``np.bool_``) raises TypeError."""
+    (``np.bool_``) raises TypeError, and one nested deeper than the walk's recursion
+    reaches (a model file's ``expected`` block of some hundreds of levels) ValueError."""
     import numpy as np
 
     def render(x, newline: str) -> str:  # the text of x, whose lines continue with newline
@@ -194,7 +195,10 @@ def render_json(doc) -> str:
             return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
-    return render(doc, "\n")
+    try:
+        return render(doc, "\n")
+    except RecursionError:  # two frames per level: the decoder reads about twice as deep
+        raise ValueError("a value nests too deeply to be written as JSON") from None
 
 
 def dumps_entry(entry: CatalogEntry) -> str:

@@ -31,8 +31,10 @@ entries added.  Every
 construction is a function of (s, tol) that reads the structure's one kept fit,
 ``nullity_fit(s, tol)``, and reads nodes 1 and 2 from ``sequence(s, 3, tol)``: a
 node that fails its checks stops the construction; where the space sits relative to
-|I_M| = 1 is read from the class of that fit.  The constructions take a contact
-structure: a paracontact one raises :class:`DimensionMismatch`.
+|I_M| = 1 is read from the class of that fit.  The constructions start from a
+non-Sasakian contact structure, which the one guard of :mod:`kmgeom.contact` checks
+on that fit: a paracontact one raises :class:`DimensionMismatch`, one in the Sasakian
+band :class:`SasakianDegenerate`.
 """
 
 from typing import NamedTuple
@@ -45,20 +47,14 @@ from .contact import (
     NullityReport,
     ParacontactMetricStructure,
     _each,
+    _require_non_sasakian,
     _tw_parallel,
     blair_identity_suite,
     nijenhuis_norm,
     nullity_fit,
     validate_contact,
 )
-from .errors import (
-    DegenerateInvariant,
-    DimensionMismatch,
-    InternalInconsistency,
-    InvalidPangPair,
-    InvariantTooSmall,
-    SasakianDegenerate,
-)
+from .errors import DegenerateInvariant, InternalInconsistency, InvalidPangPair, InvariantTooSmall
 from .legendre import (
     LegendreDistribution,
     eigendistributions,
@@ -143,24 +139,15 @@ def _delta(kappa: float, mu: float) -> float:
     return (1.0 - mu / 2.0) ** 2 - (1.0 - kappa)
 
 
-def _require_non_sasakian(report: NullityReport) -> None:
-    if report.class_tag is None:  # the fit of a contact structure always has a class
-        raise DimensionMismatch("construction requires a contact structure, not a paracontact one")
-    if report.boeckx is None:
-        raise SasakianDegenerate(
-            "construction requires a non-Sasakian structure: the fit puts this one in the Sasakian "
-            f"band (kappa >= 1 - tol, or mu indeterminate), kappa = {report.kappa:.12g}")
-
-
 def _step(report: NullityReport, k: int) -> tuple[float, float]:
     """(eps, root) of tower node k >= 1 of a non-Sasakian nullity space, built as
     phi_k = (1/2) L_xi phi_{k-1} / root: paracontact (eps = -1) at odd k; at even k
     contact (+1) in class II, paracontact in classes I and III.  root = lambda at
     k = 1, else sqrt(|delta|), which vanishes at |I_M| = 1: nodes k >= 2 raise
-    :class:`DegenerateInvariant` in classes IV and V (|I_M| within ``tol`` of 1)."""
-    _require_non_sasakian(report)
+    :class:`DegenerateInvariant` in classes IV and V (|I_M| within ``tol`` of 1).  A
+    walk starts at k = 1, where the fit passes the non-Sasakian guard."""
     if k == 1:
-        return -1.0, report.lam
+        return -1.0, _require_non_sasakian(report).lam
     if report.class_tag in ("IV", "V"):
         raise DegenerateInvariant(f"|I_M| = {abs(report.boeckx)}: the sequence is undefined")
     branch = 1.0 if report.class_tag == "II" else -1.0
@@ -270,8 +257,7 @@ def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> R
 
 def _require_large_invariant(s: ContactMetricStructure, tol: float) -> float:
     """I_M of a class I or III space (|I_M| > 1); :class:`InvariantTooSmall` otherwise."""
-    report = nullity_fit(s, tol)
-    _require_non_sasakian(report)
+    report = _require_non_sasakian(nullity_fit(s, tol))
     if report.class_tag == "II":
         raise InvariantTooSmall(f"|I_M| = {abs(report.boeckx)} <= 1: construction undefined")
     if report.class_tag in ("IV", "V"):

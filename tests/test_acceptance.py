@@ -19,7 +19,6 @@ from kmgeom.errors import (
     DegenerateInvariant,
     InvariantTooSmall,
     SasakianDegenerate,
-    SasakianOrInvalid,
 )
 from kmgeom.legendre import (
     bilegendrian_connection,
@@ -282,7 +281,7 @@ def test_criterion_9_negative_paths(sasakian_fixture):
     fit = nullity_fit(sasakian_fixture)
     with pytest.raises(SasakianDegenerate):
         eigendistributions(sasakian_fixture)
-    with pytest.raises(SasakianOrInvalid):
+    with pytest.raises(SasakianDegenerate):
         boeckx_invariant(fit.kappa, 0.0)
     _pass(9, "boundary classes IV/V and Sasakian structures rejected with the "
              "designated errors at every construction entry point")

@@ -13,7 +13,7 @@ from kmgeom.catalog import (
     tangent_bundle_constants,
 )
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
-from kmgeom.errors import NonPositiveLambda
+from kmgeom.errors import GeometryError, NonPositiveLambda
 from kmgeom.lie_model import jacobi_residual
 
 from conftest import GRID_DS, GRID_LAMBDAS
@@ -106,5 +106,10 @@ def test_get_entry_and_listing():
     assert entry.expected["kappa"] == pytest.approx(-3.0)
     with pytest.raises(KeyError):
         get_entry("nonexistent")
-    with pytest.raises(NonPositiveLambda):
-        get_entry("family-3d")
+    # a missing (lambda, d) is an argument error, not the lambda <= 0 of NonPositiveLambda
+    for pair in ({}, {"lam": 2.0}, {"d": 1.0}):
+        with pytest.raises(TypeError, match="family-3d requires lam and d") as exc:
+            get_entry("family-3d", **pair)
+        assert not isinstance(exc.value, GeometryError)
+    with pytest.raises(NonPositiveLambda, match="lambda must be positive, got 0.0"):
+        get_entry("family-3d", lam=0.0, d=1.0)

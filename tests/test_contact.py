@@ -17,7 +17,7 @@ from kmgeom.contact import (
 )
 from kmgeom.catalog import STANDARD_FAMILY_PARAMS, family_3d, heisenberg, nilpotent_h_5d
 from kmgeom.report import max_abs
-from kmgeom.errors import NotNullity, SasakianOrInvalid
+from kmgeom.errors import NotNullity, SasakianDegenerate
 from kmgeom.tower import sequence
 
 from conftest import CLASS_PARAMS, family, twisted_contact_3d
@@ -113,13 +113,13 @@ def test_boeckx_invariant_values():
     c = 4.0
     assert boeckx_invariant(c * (2 - c), -2 * c) == pytest.approx(5.0 / 3.0, abs=1e-12)
     assert boeckx_invariant(0.0, 2.0) == 0.0
-    with pytest.raises(SasakianOrInvalid):
+    with pytest.raises(SasakianDegenerate):
         boeckx_invariant(1.0, 0.0)
 
 
 def test_boeckx_invariant_names_the_sasakian_band():
     """kappa = 1 - 1e-10 is below 1: the message names the band it is in."""
-    with pytest.raises(SasakianOrInvalid) as exc:
+    with pytest.raises(SasakianDegenerate) as exc:
         boeckx_invariant(1.0 - 1e-10, 2.0)
     assert str(exc.value) == ("Boeckx invariant undefined in the Sasakian band "
                               "(kappa >= 1 - tol), kappa = 0.9999999999")

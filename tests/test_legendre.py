@@ -235,12 +235,14 @@ def test_nan_xi_gives_a_degenerate_pang_form(dim):
 
 def test_eigendistributions_name_the_sasakian_band():
     """The fit of family_3d(1e-5, 2e-5) reads kappa = 0.9999999998999999, below 1 but
-    in the Sasakian band: the message names the band, not kappa >= 1."""
+    in the Sasakian band: the message of the one non-Sasakian guard names the band, not
+    kappa >= 1."""
     s = family(1e-5, 2e-5)
     with pytest.raises(SasakianDegenerate) as exc:
         eigendistributions(s)
-    assert str(exc.value) == ("h has no +-lambda eigenspaces: the fit puts this structure in the "
-                              "Sasakian band (kappa >= 1 - tol), kappa = 0.9999999999")
+    assert str(exc.value) == (
+        "construction requires a non-Sasakian structure: the fit puts this one in the Sasakian "
+        "band (kappa >= 1 - tol, or mu indeterminate), kappa = 0.9999999999")
 
 
 def test_libermann_map_rejects_a_nan_pang_form_without_a_warning():

@@ -38,20 +38,36 @@ def _arrays(value) -> list:
     return []
 
 
-@pytest.mark.parametrize(
-    "entry, argv, keys",
-    [
-        (family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
-         {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "eigendistributions", "next",
-          "node"}),
-        (family_3d(1.0, 0.5), ["derive", "--steps", "6"],
-         {"levi_civita", "nullity", "nijenhuis_tensor", "eigendistributions", "next", "node"}),
-        (nilpotent_h_5d(), ["analyze"],
-         {"levi_civita", "nullity", "nabla_phi", "nijenhuis_tensor", "canonical_connection",
-          "integrability_and_parasasaki"}),
-    ],
-    ids=["class-I-analyze", "class-II-derive", "nilpotent-h-5d-analyze"],
-)
+def _name(key) -> str:
+    """The name of a memo key: the key itself, or the first item of a tuple key."""
+    return key if isinstance(key, str) else key[0]
+
+
+def _run_cli(tmp_path, capsys, entry, argv) -> None:
+    """``argv`` on the model file of ``entry``, which must exit 0."""
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(entry))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+
+
+# a fixed CLI op set: (entry, argv, the keys its structures keep, among others)
+CLI_OPS = {
+    "class-I-analyze": (
+        family_3d(1.0, 2.0), ["analyze", "--sasakian", "--legendre3"],
+        {"levi_civita", "nullity", "nabla_phi", "nijenhuis_norm", "eigendistributions", "next",
+         "node"}),
+    "class-II-derive": (
+        family_3d(1.0, 0.5), ["derive", "--steps", "6"],
+        {"levi_civita", "nullity", "nijenhuis_norm", "eigendistributions", "next", "node"}),
+    "nilpotent-h-5d-analyze": (
+        nilpotent_h_5d(), ["analyze"],
+        {"levi_civita", "nullity", "nabla_phi", "canonical_connection",
+         "integrability_and_parasasaki"}),
+}
+
+
+@pytest.mark.parametrize("entry, argv, keys", CLI_OPS.values(), ids=CLI_OPS)
 def test_every_kept_array_is_read_only(tmp_path, capsys, monkeypatch, entry, argv, keys):
     built = []
     init = contact.MetricStructure.__init__
@@ -61,14 +77,41 @@ def test_every_kept_array_is_read_only(tmp_path, capsys, monkeypatch, entry, arg
         built.append(self)
 
     monkeypatch.setattr(contact.MetricStructure, "__init__", recording_init)
-    path = tmp_path / "model.json"
-    path.write_text(modelfile.dumps_entry(entry))
-    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
-    capsys.readouterr()
+    _run_cli(tmp_path, capsys, entry, argv)
     entries = [(key, value) for s in built for key, value in s._cache.items()]
-    assert keys <= {key if isinstance(key, str) else key[0] for key, _ in entries}
+    assert keys <= {_name(key) for key, _ in entries}
     kept = [arr for _, value in entries for arr in _arrays(value)]
     assert kept and not [arr for arr in kept if arr.flags.writeable]
+
+
+def test_every_kept_entry_is_read_back_somewhere_in_the_op_set(tmp_path, capsys, monkeypatch):
+    """Over the op set, each key the memo writes into a store is found there again by a
+    later read (the memo's ``in`` test on a member that holds it): a kept entry that no
+    call reads back is built and held for nothing."""
+    kept, read = set(), set()
+
+    class Traffic(dict):
+        def __contains__(self, key):
+            found = dict.__contains__(self, key)
+            if found:
+                read.add(_name(key))
+            return found
+
+        def __setitem__(self, key, value):
+            kept.add(_name(key))
+            dict.__setitem__(self, key, value)
+
+    init = contact.MetricStructure.__init__
+
+    def traffic_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._cache = Traffic()
+
+    monkeypatch.setattr(contact.MetricStructure, "__init__", traffic_init)
+    for entry, argv, _ in CLI_OPS.values():
+        _run_cli(tmp_path, capsys, entry, argv)
+    assert kept >= {key for _, _, keys in CLI_OPS.values() for key in keys}
+    assert kept - read == set()
 
 
 def test_the_first_raise_of_a_kept_error_carries_the_builders_frames():

@@ -131,6 +131,13 @@ def test_load_rejects_non_json():
         modelfile.loads("{not json")
 
 
+def _nested(levels: int) -> list:
+    """A JSON list nested ``levels`` deep."""
+    return json.loads("[" * levels + "]" * levels)
+
+
+FAMILY_I = json.loads(modelfile.dumps_entry(family_3d(1.0, 2.0)))
+
 # model files that once leaked a Python exception past the loader; none of these
 # dims is one whose structure constants numpy could allocate
 LEAKS = {
@@ -173,6 +180,34 @@ def test_a_malformed_model_file_is_an_error_line_and_exit_2(tmp_path, capsys, na
     out, err = capsys.readouterr()
     assert err.startswith(reason.replace("error: ", f"error: {bad}: ", 1))
     assert out.count("== ") == 2 and out.index(f"== {bad}") < out.index("model nilpotent-h-5d")
+
+
+@pytest.mark.parametrize("key", ["expected", "name"])
+def test_a_report_nested_too_deeply_to_write_is_an_error_line_and_exit_2(tmp_path, capsys, key):
+    """A class-I model whose expected block or name nests 900 levels deep loads (the
+    decoder reads it), but its JSON report nests deeper than the writer's recursion
+    reaches: that is a failed write (exit 2, one error line after the text report),
+    where a RecursionError traceback once ended the command.  validate writes no
+    expected block."""
+    doc = json.dumps({k: v for k, v in FAMILY_I.items() if k != key})
+    path = tmp_path / "deep.json"
+    path.write_text(doc[:-1] + f', "{key}": ' + "[" * 900 + "]" * 900 + "}")
+    for argv in (["validate"], ["analyze"], ["derive", "--steps", "3"]):
+        code = main([argv[0], str(path), *argv[1:], "--json", "-"])
+        out, err = capsys.readouterr()
+        if argv == ["validate"] and key == "expected":
+            assert code == 0 and err == "" and json.loads(out[out.index("\n{") + 1:])["valid"]
+            continue
+        assert code == 2 and out.startswith("model ") and "\n{" not in out
+        assert err == "error: cannot write the report: a value nests too deeply to be written as JSON\n"
+
+
+def test_an_expected_block_nested_a_hundred_levels_deep_is_written_back(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**FAMILY_I, "expected": {"kappa": _nested(99)}}))
+    assert main(["analyze", str(path), "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("\n{") + 1:])["expected"] == {"kappa": _nested(99)}
 
 
 def test_null_brackets_are_no_brackets():
@@ -488,10 +523,17 @@ def test_cli_rejects_options_that_would_be_ignored(tmp_path, capsys, extra, erro
     (["family-3d", "--lam", "1", "--d", "2", "--c", "3"], "error: family-3d does not take --c"),
     (["tangent-bundle-constants", "--c", "0.5", "--lam", "3"],
      "error: tangent-bundle-constants does not take --lam"),
-], ids=["heisenberg-lam-d", "class-entry-c", "family-c", "tangent-bundle-lam"])
+    (["family-3d"], "error: family-3d requires --lambda and --d"),
+    (["family-3d", "--lam", "1"], "error: family-3d requires --lambda and --d"),
+    (["family-3d", "--d", "2"], "error: family-3d requires --lambda and --d"),
+    (["family-3d", "--lam", "0", "--d", "1"], "error: lambda must be positive, got 0.0"),
+], ids=["heisenberg-lam-d", "class-entry-c", "family-c", "tangent-bundle-lam", "family-neither",
+        "family-lam-only", "family-d-only", "family-lam-0"])
 def test_cli_catalog_emit_rejects_options_its_entry_does_not_take(tmp_path, capsys, argv, error):
     """catalog emit reads --lam and --d for family-3d and --c for tangent-bundle-constants
-    only: any of them given to another entry is a usage error, and nothing is written."""
+    only: any of them given to another entry is a usage error, and so is a family-3d
+    without both; a lambda <= 0 is the entry's own error.  Each exits 2 and writes
+    nothing."""
     out = tmp_path / "entry.json"
     assert main(["catalog", "emit", *argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", error + "\n")

@@ -61,7 +61,7 @@ def test_structures_with_equal_arrays_are_distinct_keys():
 
 def test_kept_arrays_stay_read_only():
     s = family(1.0, 2.0)
-    kept = [s.phi, s.g, s.h, s.form.basis, s.levi_civita().gamma, s.nabla_phi(), s.nijenhuis_tensor()]
+    kept = [s.phi, s.g, s.h, s.form.basis, s.levi_civita().gamma, s.nabla_phi()]
     for arr in kept:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

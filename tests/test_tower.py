@@ -17,7 +17,6 @@ from kmgeom.errors import (
     InvariantTooSmall,
     NotNullity,
     SasakianDegenerate,
-    SasakianOrInvalid,
 )
 from kmgeom.legendre import bilegendrian_connection, eigendistributions
 from kmgeom.riemann import signature
@@ -281,7 +280,7 @@ def test_sasakian_output_is_fixed_point():
             sequence(sas, 2)
         with pytest.raises(SasakianDegenerate):
             eigendistributions(sas)
-        with pytest.raises(SasakianOrInvalid):
+        with pytest.raises(SasakianDegenerate):
             boeckx_invariant(fit.kappa, 0.0)
 
 

@@ -37,7 +37,8 @@ paracontact H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendr
 through ``derive --steps 64 --json -``, many periods of its tower; then the edge calls:
 malformed and missing files (structure tensors with a NaN, an infinite entry or the
 wrong shape among them, a file that is not UTF-8, one nested past the recursion limit,
-and the dim-1 models of both kinds, n = 0), usage errors,
+a class-I model whose expected block nests 900 deep, and the dim-1 models of both kinds,
+n = 0), usage errors,
 non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
 ``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive``
 on a paracontact model and on models without a structure, failed writes and options
@@ -76,6 +77,9 @@ PHI_3D = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 FRAME_3D = {"kind": "contact", "phi": PHI_3D, "xi": [0, 0, 1], "eta": [0, 0, 1],
             "g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 H3_BRACKETS = [{"i": 1, "j": 2, "coeffs": {"3": 2.0}}]
+# family_3d(1, 2), class I: [X, Y] = 2 xi, [xi, X] = 3 Y, [xi, Y] = -X
+CLASS_I_BRACKETS = [*H3_BRACKETS, {"i": 3, "j": 1, "coeffs": {"2": 3.0}},
+                    {"i": 3, "j": 2, "coeffs": {"1": -1.0}}]
 # [X, Y] = 2 xi + X, [xi, Y] = X: a valid contact metric structure, not a nullity space
 TWISTED = {"name": "twisted-contact-3d", "dim": 3, "structure": FRAME_3D, "brackets": [
     {"i": 1, "j": 2, "coeffs": {"3": 2.0, "1": 1.0}}, {"i": 3, "j": 2, "coeffs": {"1": 1.0}}]}
@@ -111,6 +115,10 @@ MALFORMED = {
     # bytes that are not UTF-8, and JSON nested past the interpreter's recursion limit
     "bom-utf16": b'\xff\xfe{"dim": 3}',
     "nested-too-deep": '{"dim": 3, "expected": ' + "[" * 100000 + "]" * 100000 + "}",
+    # a class-I model whose expected block nests deeper than a report can write back
+    "expected-nested-900": json.dumps({"dim": 3, "brackets": CLASS_I_BRACKETS,
+                                       "structure": FRAME_3D})[:-1]
+                           + ', "expected": ' + "[" * 900 + "]" * 900 + "}",
 }
 
 
