@@ -17,13 +17,20 @@ model file, run the rows of the stage table ``_STAGES`` that apply, in order,
 and write the report.  A row is ``(key, applies, run, human)``: the value of
 ``run`` is stored in the report under ``key`` (``nullity.nijenhuis_norm``
 nests), and ``human`` prints that key in the text report, from the report
-alone.  A row whose key is None is a gate: its ``run`` ends the command.  The
-rows, in report order:
+alone.  A row whose key is None stores nothing in the report: its ``run`` may end
+the command (a gate), or leave a value on the run state for a later row.  The rows,
+in order:
 
 * ``model``, ``tol``, ``structure``, ``valid``: every command; all that
   ``validate`` runs.
+* derive's gate, a row with key None: it stops a valid model without a contact
+  structure before its nullity fit.
 * ``expected`` and ``nullity`` (the fit, or the reason there is none):
   analyze and derive on a valid structure.
+* derive's walk, a row with key None right after the fit: it walks the tower and
+  leaves its nodes on the run state.  A structure that is not a nullity space gets
+  its report written, and then, like a tower that cannot be built, ends the
+  command, before the contact rows compute a report that it would discard.
 * contact rows (a nullity fit with eps > 0): the Pang-checked class, the
   flags, the Nijenhuis norm and the identities (Nijenhuis side report and
   Blair suite).  Paracontact rows (eps < 0): the identities of the canonical
@@ -32,10 +39,7 @@ rows, in report order:
 * opt-in contact rows: ``sasakian_construction`` (``--sasakian``) and
   ``legendre3`` (``--legendre3``, with ``--a --b``); a construction that does
   not apply reports ``{"error": reason}``.
-* derive rows: a gate that stops a valid model without a contact structure
-  before its nullity fit, then ``tower``, reached by every valid contact
-  structure: a structure that is not a nullity space gets its report written,
-  and then the row stops the command.
+* ``tower``, derive's last row: the nodes of the walk, rendered.
 
 A key that two rows store, one per sign (``flags``, ``identities``), is
 printed by the first row's ``human``.
@@ -43,9 +47,10 @@ printed by the first row's ``human``.
 Exit codes:
 
 * 0: the report of a valid model (for analyze a valid structure suffices);
-  for derive, the tower row built its nodes.
+  for derive, the walk built its nodes.
 * 1: an invalid model (its report is written), an engine error (an error
-  line), derive's gate, or derive on a structure that is not a nullity space.
+  line), derive's gate, or derive on a structure that is not a nullity space or
+  is Sasakian (for every ``--steps``).
 * 2: a model file that is not usable (one that cannot be read, is not UTF-8
   JSON or is malformed: one :class:`~kmgeom.errors.ModelFormatError` from
   :func:`kmgeom.modelfile.load`), a failed ``--json`` or ``--out`` write (after
@@ -57,7 +62,7 @@ Exit codes:
   family-3d's, ``--c`` tangent-bundle-constants'); a number option that is
   not a finite number (``--tol``: a finite number >= 0) is one too, and so is a
   ``--steps`` count below 1.
-* 3: the tower row meets class IV or V (|I_M| within ``--tol`` of 1), where
+* 3: derive's walk meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
 Residuals print in scientific notation with three significant digits; JSON
@@ -199,21 +204,24 @@ def _construction(c, build, **kwargs) -> dict:
         return {"error": str(exc)}
 
 
-def _no_contact(c):
-    raise _Stop(EXIT_INVALID, "error: derive requires a contact structure")
+def _no_contact(c) -> None:
+    if c.s is None or c.s.eps < 0:
+        raise _Stop(EXIT_INVALID, "error: derive requires a contact structure")
 
 
-def _tower(c) -> list[dict]:
-    if c.fit is None:  # not a nullity space: its report, then the stop
+def _walk(c) -> None:
+    """Derive's tower, walked right after the fit and left on the run state as
+    ``c.nodes``; a structure that is not a nullity space gets its report written, and
+    then, as a tower that cannot be built, ends the command."""
+    if c.fit is None:
         _write_outputs(c.report, c.json)
         raise _Stop(EXIT_INVALID, "error: the structure is not a nullity space (residual "
                     f"{_fmt(c.report['nullity']['residual'])}): no derived structures")
     try:
-        nodes = kmgeom.sequence(c.s, c.steps, c.tol)
+        c.nodes = kmgeom.sequence(c.s, c.steps, c.tol)
     except GeometryError as exc:
         code = EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
         raise _Stop(code, f"error: {exc}") from exc
-    return [node.to_dict() for node in nodes]
 
 
 def _analyzed(c) -> bool:
@@ -297,17 +305,19 @@ def _always(c) -> bool:
     return True
 
 
-# (key, applies, run, human), run in this order.  A row with key None is a gate: its run
-# always raises _Stop.  A key that two rows store (one per sign) is printed by the first
-# row's ``human``.
+# (key, applies, run, human), run in this order.  A row with key None stores nothing in
+# the report: it may end the command by raising _Stop, or leave a value on the run state
+# for a later row (derive's tower, walked right after the fit, before the contact rows).
+# A key that two rows store (one per sign) is printed by the first row's ``human``.
 _STAGES = (
     ("model", _always, _model, _human_model),
     ("tol", _always, lambda c: c.tol, None),
     ("structure", _always, _structure, _human_structure),
     ("valid", _always, _valid, None),
-    (None, lambda c: _derive_gate(c) and (c.s is None or c.s.eps < 0), _no_contact, None),
+    (None, _derive_gate, _no_contact, None),
     ("expected", lambda c: _analyzed(c) and c.doc.expected, lambda c: c.doc.expected, None),
     ("nullity", _analyzed, _nullity, _human_nullity),
+    (None, _derive_gate, _walk, None),
     ("nullity.class_pang_checked", _contact, _pang_class, None),
     ("flags", _contact, lambda c: kmgeom.classification_flags(c.s, c.tol), _human_flags),
     ("nullity.nijenhuis_norm", _contact, lambda c: kmgeom.nijenhuis_norm(c.s, c.tol)[0], None),
@@ -323,7 +333,7 @@ _STAGES = (
      _human_construction("second bi-Legendrian pair", lambda leg: (
          f"lambda~ = {leg['lambda_tilde']:.6g}, (a, b) = ({leg['a']:.6g}, {leg['b']:.6g}), "
          f"new constants ({leg['kappa_new']:.6g}, {leg['mu_new']:.6g})"))),
-    ("tower", _derive_gate, _tower, _human_tower),
+    ("tower", _derive_gate, lambda c: [node.to_dict() for node in c.nodes], _human_tower),
 )
 
 

@@ -140,10 +140,11 @@ def eigendistributions(
     """g-orthonormal eigenbases of h for +-lambda (lambda of the structure's nullity
     fit, which passes the non-Sasakian guard of :mod:`kmgeom.contact`), each verified
     Legendre and involutive in turn; the first failure, in the order (+lambda, -lambda),
-    is raised.  Built once per ``tol`` and kept on ``s``, as is its error."""
+    is raised.  The guard runs on every call, before the memo; the pair is built once
+    per ``tol`` and kept on ``s``, as is the error of a failed build."""
+    lam = _require_non_sasakian(nullity_fit(s, tol)).lam
 
     def build():
-        lam = _require_non_sasakian(nullity_fit(s, tol)).lam
         # h is g-symmetric: the generalized problem (g h) v = lam g v reduces, with
         # g = L L^T, to the symmetric problem L^-1 (g h) L^-T w = lam w; the vectors
         # v = L^-T w are then g-orthonormal

@@ -139,21 +139,6 @@ def _delta(kappa: float, mu: float) -> float:
     return (1.0 - mu / 2.0) ** 2 - (1.0 - kappa)
 
 
-def _step(report: NullityReport, k: int) -> tuple[float, float]:
-    """(eps, root) of tower node k >= 1 of a non-Sasakian nullity space, built as
-    phi_k = (1/2) L_xi phi_{k-1} / root: paracontact (eps = -1) at odd k; at even k
-    contact (+1) in class II, paracontact in classes I and III.  root = lambda at
-    k = 1, else sqrt(|delta|), which vanishes at |I_M| = 1: nodes k >= 2 raise
-    :class:`DegenerateInvariant` in classes IV and V (|I_M| within ``tol`` of 1).  A
-    walk starts at k = 1, where the fit passes the non-Sasakian guard."""
-    if k == 1:
-        return -1.0, _require_non_sasakian(report).lam
-    if report.class_tag in ("IV", "V"):
-        raise DegenerateInvariant(f"|I_M| = {abs(report.boeckx)}: the sequence is undefined")
-    branch = 1.0 if report.class_tag == "II" else -1.0
-    return (branch if k % 2 == 0 else -1.0), np.sqrt(-branch * _delta(report.kappa, report.mu))
-
-
 def _phi_bar(s: ContactMetricStructure, report: NullityReport) -> np.ndarray:
     """phi-bar_+ = ((1 - mu/2) phi + phi h) / sqrt(delta); phi-bar_- = -phi-bar_+."""
     beta = 1.0 / np.sqrt(_delta(report.kappa, report.mu))
@@ -164,9 +149,12 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     """The derived sequence [node_0, ..., node_{N-1}] (N = max(n_nodes, 1)), a fresh
     list on each call: the one builder of tower nodes.
 
-    Node 0 is the input structure.  Each later node k is built by the iterated
+    Node 0 is the input structure, whose fit must pass the non-Sasakian guard of
+    :mod:`kmgeom.contact` whatever N is.  Each later node k is built by the iterated
     normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root with its compatible
-    metric, (eps, root) from :func:`_step`; one matching node 0 or an earlier node in
+    metric: paracontact (eps = -1) at odd k; at even k contact (+1) in class II,
+    paracontact in classes I and III; root = lambda at k = 1, else sqrt(|delta|)
+    (delta = (1 - mu/2)^2 - (1 - kappa)).  One matching node 0 or an earlier node in
     kind, phi and g to within ``tol`` shares its structure.  Node k's structure is kept
     on node k - 1's under ("next", eps, root, tol), so a walk of any length reads the
     links it has walked before.  The distinct structures of each kind that lack their
@@ -180,16 +168,20 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
       indices; every contact node is flagged Tanaka-Webster parallel.
     * classes I and III (|I_M| > 1): every node from index 1 on is paracontact with constants
       (kappa - 2 + (1-mu/2)^2, 2).
-    * classes IV and V (|I_M| within ``tol`` of 1): only nodes 0 and 1 exist;
-      N >= 3 raises :class:`DegenerateInvariant` before any node is verified.
+    * classes IV and V (|I_M| within ``tol`` of 1): only nodes 0 and 1 exist
+      (delta vanishes); N >= 3 raises :class:`DegenerateInvariant` before node 1 is built.
 
     In index order, the first node whose fit fails raises its error, or whose checks
     fail raises :class:`InternalInconsistency`.
     """
-    fit0 = nullity_fit(s, tol)
+    fit0 = _require_non_sasakian(nullity_fit(s, tol))
+    if n_nodes >= 3 and fit0.class_tag in ("IV", "V"):
+        raise DegenerateInvariant(f"|I_M| = {abs(fit0.boeckx)}: the sequence is undefined")
+    branch = 1.0 if fit0.class_tag == "II" else -1.0
     structures = [s]
     for k in range(1, max(n_nodes, 1)):
-        eps, root = _step(fit0, k)
+        eps = branch if k % 2 == 0 else -1.0
+        root = fit0.lam if k == 1 else np.sqrt(-branch * _delta(fit0.kappa, fit0.mu))
 
         def successor():  # of node k - 1; the reuse search runs over the walk so far
             cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
@@ -255,15 +247,15 @@ def step_checks(prev: TowerNode, node: TowerNode, tol: float = DEFAULT_TOL) -> R
     return checks
 
 
-def _require_large_invariant(s: ContactMetricStructure, tol: float) -> float:
-    """I_M of a class I or III space (|I_M| > 1); :class:`InvariantTooSmall` otherwise."""
+def _require_large_invariant(s: ContactMetricStructure, tol: float) -> NullityReport:
+    """The fit of a class I or III space (|I_M| > 1); :class:`InvariantTooSmall` otherwise."""
     report = _require_non_sasakian(nullity_fit(s, tol))
     if report.class_tag == "II":
         raise InvariantTooSmall(f"|I_M| = {abs(report.boeckx)} <= 1: construction undefined")
     if report.class_tag in ("IV", "V"):
         raise InvariantTooSmall(
             f"class {report.class_tag} (|I_M| within {tol:g} of 1): construction undefined")
-    return report.boeckx
+    return report
 
 
 def _phi_eigenframe(s: ContactMetricStructure, inv: float, tol: float):
@@ -299,8 +291,8 @@ def second_bilegendrian_analysis(
     regenerated paracontact kappa with an invariant outside [-1, 1]; otherwise
     :class:`InvalidPangPair` is raised before anything is built.
     """
-    inv = _require_large_invariant(s, tol)
-    report = nullity_fit(s, tol)
+    report = _require_large_invariant(s, tol)
+    inv = report.boeckx
     delta = _delta(report.kappa, report.mu)
     if a is None and b is None:
         mag = np.sqrt(4.0 * delta)
@@ -367,9 +359,10 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     eigendistributions D(lambda), D(-lambda), D(lambda~), D(-lambda~) spans
     ker(eta).
     """
-    inv = _require_large_invariant(s, tol)
+    report = _require_large_invariant(s, tol)
+    inv = report.boeckx
     sign = 1.0 if inv > 0 else -1.0
-    phi_bar = sign * _phi_bar(s, nullity_fit(s, tol))
+    phi_bar = sign * _phi_bar(s, report)
     sbar = ContactMetricStructure.compatible(s.form, phi_bar)
 
     checks = ResidualReport(tol=tol)

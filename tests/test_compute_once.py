@@ -16,11 +16,12 @@ from kmgeom import cli, contact, legendre, lie_model, modelfile, riemann, tower
 from kmgeom.catalog import family_3d, nilpotent_h_5d
 from kmgeom.modelfile import CatalogEntry
 
-from conftest import twisted_contact_3d
+from conftest import CLASS_PARAMS, twisted_contact_3d
 
 COUNTED = {
     "levi_civita": riemann.levi_civita,
     "step_checks": tower.step_checks,
+    "blair_identity_suite": contact.blair_identity_suite,
     "nijenhuis_tensor": riemann.nijenhuis_tensor,
     "d_one_form": lie_model.d_one_form,  # built once, by the contact form of the model file
     # one call per distribution: a bi-Legendrian pair is two
@@ -129,6 +130,20 @@ def test_cli_solves_each_metric_once(tmp_path, capsys, monkeypatch, entry, argv,
     assert len(solved) == len(set(solved)) == n_metrics  # no metric is solved twice
     for name, structures in askers.items():  # one build per structure that asks
         assert counts[name] == len({id(st) for st in structures})
+
+
+def test_a_derive_that_cannot_walk_its_tower_stops_before_the_contact_rows(tmp_path, capsys, monkeypatch):
+    # class IV: the walk reads |I_M| = 1 off the fit, the one solve, and ends the command
+    # with exit 3 before any contact row reads the eigenframe, the Nijenhuis tensor or the
+    # Blair suite
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.dumps_entry(family_3d(*CLASS_PARAMS["IV"])))
+    counts, _, _ = _count_calls(monkeypatch)
+    assert cli.main(["derive", str(path), "--steps", "6"]) == cli.EXIT_DEGENERATE
+    capsys.readouterr()
+    expected = {"levi_civita": 1, "eigendistributions": 0, "nijenhuis_tensor": 0,
+                "blair_identity_suite": 0}
+    assert {name: counts[name] for name in expected} == expected
 
 
 @pytest.mark.parametrize(

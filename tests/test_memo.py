@@ -17,7 +17,7 @@ import pytest
 
 from kmgeom import DEFAULT_TOL, cli, contact, modelfile
 from kmgeom.catalog import family_3d, heisenberg, nilpotent_h_5d
-from kmgeom.errors import NotNullity
+from kmgeom.errors import GeometryError, NotNullity
 from kmgeom.tower import sequence
 
 from conftest import CLASS_PARAMS
@@ -67,8 +67,8 @@ CLI_OPS = {
 }
 
 
-@pytest.mark.parametrize("entry, argv, keys", CLI_OPS.values(), ids=CLI_OPS)
-def test_every_kept_array_is_read_only(tmp_path, capsys, monkeypatch, entry, argv, keys):
+def _recorded(monkeypatch) -> list:
+    """The list that each structure built from here on joins."""
     built = []
     init = contact.MetricStructure.__init__
 
@@ -77,6 +77,12 @@ def test_every_kept_array_is_read_only(tmp_path, capsys, monkeypatch, entry, arg
         built.append(self)
 
     monkeypatch.setattr(contact.MetricStructure, "__init__", recording_init)
+    return built
+
+
+@pytest.mark.parametrize("entry, argv, keys", CLI_OPS.values(), ids=CLI_OPS)
+def test_every_kept_array_is_read_only(tmp_path, capsys, monkeypatch, entry, argv, keys):
+    built = _recorded(monkeypatch)
     _run_cli(tmp_path, capsys, entry, argv)
     entries = [(key, value) for s in built for key, value in s._cache.items()]
     assert keys <= {_name(key) for key, _ in entries}
@@ -112,6 +118,16 @@ def test_every_kept_entry_is_read_back_somewhere_in_the_op_set(tmp_path, capsys,
         _run_cli(tmp_path, capsys, entry, argv)
     assert kept >= {key for _, _, keys in CLI_OPS.values() for key in keys}
     assert kept - read == set()
+
+
+def test_a_failed_precondition_is_not_kept(tmp_path, capsys, monkeypatch):
+    # on the Sasakian H_5 the class row, --sasakian and --legendre3 each stop at the
+    # non-Sasakian guard, which runs before the memo: the structure keeps only what was built
+    entry = heisenberg(5)
+    built = _recorded(monkeypatch)
+    _run_cli(tmp_path, capsys, entry, ["analyze", "--sasakian", "--legendre3"])
+    s, = built
+    assert s._cache and not [key for key, value in s._cache.items() if isinstance(value, GeometryError)]
 
 
 def test_the_first_raise_of_a_kept_error_carries_the_builders_frames():

@@ -10,9 +10,10 @@ import pytest
 from kmgeom import DEFAULT_TOL
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
 from kmgeom import contact, tower
-from kmgeom.catalog import family_3d, rebased
+from kmgeom.catalog import family_3d, heisenberg, rebased
 from kmgeom.errors import (
     DegenerateInvariant,
+    GeometryError,
     InternalInconsistency,
     InvariantTooSmall,
     NotNullity,
@@ -161,6 +162,28 @@ def test_sequence_rejects_boundary_and_sasakian(sasakian_fixture):
     assert [n.kind for n in sequence(family(1.0, 1.0), 2)] == ["contact", "paracontact"]
     with pytest.raises(SasakianDegenerate):
         sequence(sasakian_fixture, 2)
+
+
+@pytest.mark.parametrize("kind", ["contact", "paracontact"])
+def test_a_one_node_walk_checks_the_non_sasakian_guard(kind):
+    # the guard reads node 0's fit whatever N is: a walk of one node raises what a walk
+    # of two raises (SasakianDegenerate on the Sasakian H_3, DimensionMismatch on the
+    # paracontact one)
+    s = heisenberg(3, kind).structure
+    raised = []
+    for n_nodes in (1, 2):
+        with pytest.raises(GeometryError) as exc:
+            sequence(s, n_nodes)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
+
+
+def test_a_class_iv_walk_of_three_nodes_builds_no_node():
+    # |I_M| = 1 is read from node 0's fit before node 1 is built: nothing is kept
+    s = family(*CLASS_PARAMS["IV"])
+    with pytest.raises(DegenerateInvariant):
+        sequence(s, 3)
+    assert not [key for key in s._cache if key[0] == "next"]
 
 
 def test_sequence_reuses_nodes_equal_up_to_roundoff():

@@ -41,7 +41,8 @@ a class-I model whose expected block nests 900 deep, and the dim-1 models of bot
 n = 0), usage errors,
 non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
 ``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive``
-on a paracontact model and on models without a structure, failed writes and options
+on a paracontact model, on models without a structure and on the Sasakian contact H_3
+with one and two nodes, failed writes and options
 that do not go together; last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
 of its own, with the ``out.json`` it writes.  Standard library only; the children
@@ -138,18 +139,19 @@ def model_calls(names: list[str]) -> list[dict]:
 
 
 def emit_heisenberg(work: str) -> int:
-    """Write H_d of both kinds, d in HEISENBERG_DIMS, under ``work/models`` as this
-    interpreter's kmgeom builds and serializes it, less the expected block that the CLI
-    would check; run in a child with the working tree's ``src`` on its path."""
+    """Write H_d of both kinds, d in HEISENBERG_DIMS, and contact H_3 (an edge input),
+    under ``work/models`` as this interpreter's kmgeom builds and serializes it, less the
+    expected block that the CLI would check; run in a child with the working tree's
+    ``src`` on its path."""
     from kmgeom import modelfile
     from kmgeom.catalog import heisenberg
 
-    for dim in HEISENBERG_DIMS:
-        for kind in ("contact", "paracontact"):
-            doc = json.loads(modelfile.dumps_entry(heisenberg(dim, kind)))
-            del doc["expected"]
-            with open(os.path.join(work, "models", f"h{dim}-{kind}.json"), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
+    inputs = [(3, "contact"), *((d, k) for d in HEISENBERG_DIMS for k in ("contact", "paracontact"))]
+    for dim, kind in inputs:
+        doc = json.loads(modelfile.dumps_entry(heisenberg(dim, kind)))
+        del doc["expected"]
+        with open(os.path.join(work, "models", f"h{dim}-{kind}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
     return 0
 
 
@@ -237,6 +239,9 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
     add("edge-batch:one", "analyze", "--batch", "batch-one", "--sasakian")
     add("edge-batch:empty", "analyze", "--batch", "empty")
     add("edge-derive:paracontact", "derive", h5p, "--steps", "3")
+    for steps in ("1", "2"):  # a Sasakian structure stops at the tower's guard whatever N is
+        add(f"edge-derive:h3-contact-steps-{steps}", "derive", "models/h3-contact.json", "--steps",
+            steps, "--json", "-")
     add("edge-derive:steps-0", "derive", fam_i, "--steps", "0", "--json", "-")
     add("edge-derive:class-IV-steps-2", "derive", fam_iv, "--steps", "2", "--json", "-")
     add("edge-derive:class-IV-steps-3", "derive", fam_iv, "--steps", "3", "--json", "-")
