@@ -71,6 +71,14 @@ def nilpotent_h_5d() -> CatalogEntry:
     )
 
 
+def _frame_3d(c: np.ndarray) -> tuple[LieModel, ContactMetricStructure]:
+    """The model of the structure constants ``c`` on the basis (X, Y, xi), with the
+    contact metric structure phi X = Y, phi Y = -X, xi = eta = e_3 and g the identity."""
+    model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
+    phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return model, ContactMetricStructure(ContactForm(model, np.eye(3)[2], np.eye(3)[2]), phi, np.eye(3))
+
+
 def family_3d(lam: float, d: float) -> CatalogEntry:
     """3-dim contact metric nullity structure with kappa = 1 - lambda^2, mu = 2 - 2d.
 
@@ -88,9 +96,7 @@ def family_3d(lam: float, d: float) -> CatalogEntry:
             (2, 1): {0: lam - d},
         },
     )
-    model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
-    phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    structure = ContactMetricStructure(ContactForm(model, np.eye(3)[2], np.eye(3)[2]), phi, np.eye(3))
+    model, structure = _frame_3d(c)
     kappa = 1.0 - lam * lam
     mu = 2.0 - 2.0 * d
     inv = d / lam
@@ -139,9 +145,7 @@ def heisenberg(dim: int, kind: str = "contact") -> CatalogEntry:
 def broken_jacobi_3d() -> CatalogEntry:
     """Antisymmetric structure constants that violate the Jacobi identity."""
     c = _structure_constants(3, {(0, 1): {2: 2.0}, (1, 2): {0: 1.0}, (2, 0): {0: 1.0}})
-    model = LieModel(c=c, basis_labels=("X", "Y", "xi"))
-    phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    structure = ContactMetricStructure(ContactForm(model, np.eye(3)[2], np.eye(3)[2]), phi, np.eye(3))
+    model, structure = _frame_3d(c)
     return CatalogEntry(
         name="broken-jacobi-3d",
         model=model,

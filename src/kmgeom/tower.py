@@ -3,22 +3,25 @@
 From a non-Sasakian nullity structure the engine builds, and verifies at
 every step:
 
-* the canonical paracontact structure phi~ = h / sqrt(1 - kappa) with
+* the tower, by one step taken over and over: the normalized Lie derivative
+  phi' = (1/2) L_xi phi / sqrt(|kappa - eps|) with its compatible metric, whose sign
+  eps' is eps times the sign of kappa - eps (as h^2 = (kappa - eps) phi^2).  Node 1
+  is the canonical paracontact structure phi~ = h / sqrt(1 - kappa) with
   g~ = d eta(., phi~ .) + eta (x) eta, itself a nullity space with constants
-  (kappa - 2 + (1 - mu/2)^2, 2);
-* the next structure in the tower, obtained by normalizing (1/2) L_xi phi~:
-  a new *contact* structure in class II (|I_M| < 1), a new *paracontact*
-  structure in classes I and III (|I_M| > 1); no construction exists in
-  classes IV and V (|I_M| within ``tol`` of 1);
-* the full iterated sequence of such structures;
+  (kappa - 2 + (1 - mu/2)^2, 2); from node 1 on h^2 = delta phi^2 with
+  delta = (1 - mu/2)^2 - (1 - kappa), so the class shapes are results of the step:
+  node 2 is a new *contact* structure in class II (|I_M| < 1, delta < 0), a new
+  *paracontact* structure in classes I and III (|I_M| > 1, delta > 0), and does not
+  exist in classes IV and V (|I_M| within ``tol`` of 1, delta = 0);
 * for any step of that sequence, of either kind, the paper's closed forms
   (:func:`step_checks`): the normalized Lie derivative, h' and the relation
   between the two Levi-Civita connections, with the node's identity suite;
 * in classes I and III, the second bi-Legendrian pair carried by h~, the family of
   compatible nullity structures it generates, and the Sasakian structure
-  phi-bar = +-((1 - mu/2) phi + phi h) / sqrt((1 - mu/2)^2 - (1 - kappa)),
+  phi-bar = sigma ((1 - mu/2) phi + phi h) / sqrt((1 - mu/2)^2 - (1 - kappa)),
   whose report also checks the anti-hypercomplex triple (phi-bar, phi~, phi~_1)
-  and the 3-web its eigendistributions cut on the contact distribution.
+  and the 3-web its eigendistributions cut on the contact distribution; the one
+  sign sigma = sign(I_M) sets phi-bar, the h~-eigenframe and the default Pang pair.
 
 One function builds tower nodes, :func:`sequence`.  Every node, and phi-bar, is
 built on the contact form of the input structure, ``s.form``: they share (M, eta, xi)
@@ -135,7 +138,8 @@ class SecondPairAnalysis(NamedTuple):
 
 
 def _delta(kappa: float, mu: float) -> float:
-    """(1 - mu/2)^2 - (1 - kappa); positive iff |I_M| > 1."""
+    """delta = (1 - mu/2)^2 - (1 - kappa), with h^2 = delta phi^2 on every tower node
+    from 1 on; positive iff |I_M| > 1."""
     return (1.0 - mu / 2.0) ** 2 - (1.0 - kappa)
 
 
@@ -150,24 +154,26 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     list on each call: the one builder of tower nodes.
 
     Node 0 is the input structure, whose fit must pass the non-Sasakian guard of
-    :mod:`kmgeom.contact` whatever N is.  Each later node k is built by the iterated
-    normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root with its compatible
-    metric: paracontact (eps = -1) at odd k; at even k contact (+1) in class II,
-    paracontact in classes I and III; root = lambda at k = 1, else sqrt(|delta|)
-    (delta = (1 - mu/2)^2 - (1 - kappa)).  One matching node 0 or an earlier node in
-    kind, phi and g to within ``tol`` shares its structure.  Node k's structure is kept
-    on node k - 1's under ("next", eps, root, tol), so a walk of any length reads the
-    links it has walked before.  The distinct structures of each kind that lack their
-    verification are fitted and validated as one stack: each keeps its fit, or its
-    error, as :func:`nullity_fit` keeps every fit, and its checks under ("node", tol);
-    each node's constants are compared with the predicted pattern on that report
-    (nodes sharing a structure share it):
+    :mod:`kmgeom.contact` whatever N is.  Every later node k comes from node k - 1 by
+    one step, the normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root_k with
+    its compatible metric of sign eps_k.  On node k - 1, h^2 = square phi^2, where
+    square = kappa - 1 on node 0 and square = delta = (1 - mu/2)^2 - (1 - kappa) on
+    every node from 1 on ((kappa, mu) of node 0's fit); the step takes
+    (eps_k, root_k) = (sign(square) eps_{k-1}, sqrt(|square|)) from eps_0 = +1.  One
+    matching node 0 or an earlier node in kind, phi and g to within ``tol`` shares its
+    structure.  Node k's structure is kept on node k - 1's under
+    ("next", eps, root, tol), so a walk of any length reads the links it has walked
+    before.  The distinct structures of each kind that lack their verification are
+    fitted and validated as one stack: each keeps its fit, or its error, as
+    :func:`nullity_fit` keeps every fit, and its checks under ("node", tol); each node's
+    constants are compared with the predicted pattern on that report (nodes sharing a
+    structure share it).  The sign of delta, that is the class, decides the shape:
 
-    * class II (|I_M| < 1): kinds alternate contact / paracontact with constants
-      (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
+    * class II (|I_M| < 1, delta < 0): kinds alternate contact / paracontact with
+      constants (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
       indices; every contact node is flagged Tanaka-Webster parallel.
-    * classes I and III (|I_M| > 1): every node from index 1 on is paracontact with constants
-      (kappa - 2 + (1-mu/2)^2, 2).
+    * classes I and III (|I_M| > 1, delta > 0): every node from index 1 on is
+      paracontact with constants (kappa - 2 + (1-mu/2)^2, 2).
     * classes IV and V (|I_M| within ``tol`` of 1): only nodes 0 and 1 exist
       (delta vanishes); N >= 3 raises :class:`DegenerateInvariant` before node 1 is built.
 
@@ -177,13 +183,12 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     fit0 = _require_non_sasakian(nullity_fit(s, tol))
     if n_nodes >= 3 and fit0.class_tag in ("IV", "V"):
         raise DegenerateInvariant(f"|I_M| = {abs(fit0.boeckx)}: the sequence is undefined")
-    branch = 1.0 if fit0.class_tag == "II" else -1.0
-    structures = [s]
-    for k in range(1, max(n_nodes, 1)):
-        eps = branch if k % 2 == 0 else -1.0
-        root = fit0.lam if k == 1 else np.sqrt(-branch * _delta(fit0.kappa, fit0.mu))
+    delta = _delta(fit0.kappa, fit0.mu)
+    structures, eps, square = [s], 1.0, fit0.kappa - 1.0  # h^2 = square phi^2 on the last node
+    for _ in range(1, max(n_nodes, 1)):
+        eps, root, square = np.sign(square) * eps, np.sqrt(np.abs(square)), delta
 
-        def successor():  # of node k - 1; the reuse search runs over the walk so far
+        def successor():  # of the last node; the reuse search runs over the walk so far
             cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
             t = cls.compatible(s.form, structures[-1].h / root)
             same = (u for u in structures
@@ -260,14 +265,12 @@ def _require_large_invariant(s: ContactMetricStructure, tol: float) -> NullityRe
 
 def _phi_eigenframe(s: ContactMetricStructure, inv: float, tol: float):
     """g-orthonormal h-eigenbasis (X_1..X_n with h X_i = lambda X_i), Y_i = phi X_i,
-    and the h~-eigenvectors gamma X_i +- Y_i for +-lambda~ (gamma = sqrt((I_M-1)/(I_M+1)))."""
-    d_pos, _ = eigendistributions(s, tol)
-    xs = d_pos.vectors
+    and the h~-eigenvectors gamma X_i + sigma Y_i for lambda~ and Y_i - sigma gamma X_i
+    for -lambda~ (gamma = sqrt((I_M-1)/(I_M+1)), sigma = sign(I_M))."""
+    xs = eigendistributions(s, tol)[0].vectors
     ys = (s.phi @ xs.T).T
-    gamma = np.sqrt((inv - 1.0) / (inv + 1.0))
-    plus = gamma * xs + ys if inv > 0 else gamma * xs - ys
-    minus = -gamma * xs + ys if inv > 0 else gamma * xs + ys
-    return xs, ys, plus, minus
+    gamma, sigma = np.sqrt((inv - 1.0) / (inv + 1.0)), np.sign(inv)
+    return xs, ys, gamma * xs + sigma * ys, ys - sigma * gamma * xs
 
 
 def second_bilegendrian_analysis(
@@ -296,9 +299,7 @@ def second_bilegendrian_analysis(
     delta = _delta(report.kappa, report.mu)
     if a is None and b is None:
         mag = np.sqrt(4.0 * delta)
-        a, b = 2.0 * mag, mag / 2.0
-        if inv < 0:
-            a, b = -a, -b
+        a, b = np.sign(inv) * 2.0 * mag, np.sign(inv) * mag / 2.0
     elif a is None or b is None:
         raise InvalidPangPair("supply both a and b, or neither")
     if inv > 0 and not (a > 0 and b > 0):
@@ -361,7 +362,7 @@ def sasakian_structure(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> S
     """
     report = _require_large_invariant(s, tol)
     inv = report.boeckx
-    sign = 1.0 if inv > 0 else -1.0
+    sign = np.sign(inv)
     phi_bar = sign * _phi_bar(s, report)
     sbar = ContactMetricStructure.compatible(s.form, phi_bar)
 

@@ -16,9 +16,19 @@ equiv = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(equiv)
 
 
-def test_working_tree_is_identical_to_itself(tmp_path, capsys):
+def test_working_tree_is_identical_to_itself(tmp_path, capsys, monkeypatch):
+    interpreters = []
+    run = subprocess.run
+
+    def counted(argv, *args, **kwargs):
+        if argv[0] == equiv.sys.executable:
+            interpreters.append(argv)
+        return run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(equiv.subprocess, "run", counted)
     record = tmp_path / "record.txt"
     assert equiv.main(["--record", str(record)], keep=lambda name: "h5-" in name) == 0
+    assert len(interpreters) == 3  # the one writer of the model files, then one per tree
     names = [f"{command}:h5-{kind}" for kind in ("contact", "paracontact")
              for command in ("analyze", "derive", "validate")]
     out = capsys.readouterr().out.splitlines()

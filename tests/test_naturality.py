@@ -8,6 +8,10 @@ that keep those relations.
 * Change of basis P: the tower of the rebased structure is the rebased tower,
   phi_k' = P^-1 phi_k P.
 
+The h-eigenpair is natural too: the projector onto D(lambda) along D(-lambda) + R xi
+is unchanged by a D-homothetic deformation (h' = h / a has the same eigenspaces, and
+xi' spans the same line) and is P^-1 Pi P in the rebased structure.
+
 Each relation is checked on the five class points, wherever the construction is defined
 (the tower has nodes 0 and 1 alone in classes IV and V; phi-bar exists in classes I and
 III), to 1e-12 relative to the size of the tensor."""
@@ -15,11 +19,14 @@ III), to 1e-12 relative to the size of the tensor."""
 import numpy as np
 import pytest
 
-from kmgeom.catalog import STANDARD_FAMILY_PARAMS, d_homothetic, family_3d, rebased
+from kmgeom import DEFAULT_TOL
+from kmgeom.catalog import d_homothetic, family_3d, rebased
 from kmgeom.contact import nullity_fit
+from kmgeom.legendre import _frame, eigendistributions
 from kmgeom.tower import sasakian_structure, sequence
 
-CLASS_POINTS = {name.rsplit("-", 1)[1]: p for name, p in STANDARD_FAMILY_PARAMS.items()}
+from conftest import CLASS_PARAMS
+
 BOUND = 1e-12
 SCALES = np.geomspace(1e-2, 1e2, 5)
 SEEDS = range(5)
@@ -43,9 +50,9 @@ def _basis_change(seed: int, cond: float, dim: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("a", SCALES)
-@pytest.mark.parametrize("cls", CLASS_POINTS)
+@pytest.mark.parametrize("cls", CLASS_PARAMS)
 def test_the_tower_is_unchanged_by_a_d_homothetic_deformation(cls, a):
-    entry = family_3d(*CLASS_POINTS[cls])
+    entry = family_3d(*CLASS_PARAMS[cls])
     n_nodes = _nodes(entry.structure)
     nodes = sequence(entry.structure, n_nodes)
     deformed = sequence(d_homothetic(entry, a).structure, n_nodes)
@@ -58,16 +65,16 @@ def test_the_tower_is_unchanged_by_a_d_homothetic_deformation(cls, a):
 @pytest.mark.parametrize("a", SCALES)
 @pytest.mark.parametrize("cls", ["I", "III"])
 def test_phi_bar_is_unchanged_by_a_d_homothetic_deformation(cls, a):
-    entry = family_3d(*CLASS_POINTS[cls])
+    entry = family_3d(*CLASS_PARAMS[cls])
     phi_bar = sasakian_structure(entry.structure).structure.phi
     assert _close(sasakian_structure(d_homothetic(entry, a).structure).structure.phi, phi_bar)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("cond", [1.0, 10.0])
-@pytest.mark.parametrize("cls", CLASS_POINTS)
+@pytest.mark.parametrize("cls", CLASS_PARAMS)
 def test_the_tower_of_a_rebased_structure_is_the_rebased_tower(cls, cond, seed):
-    entry = family_3d(*CLASS_POINTS[cls])
+    entry = family_3d(*CLASS_PARAMS[cls])
     p = _basis_change(seed, cond, entry.model.dim)
     n_nodes = _nodes(entry.structure)
     nodes = sequence(entry.structure, n_nodes)
@@ -77,3 +84,28 @@ def test_the_tower_of_a_rebased_structure_is_the_rebased_tower(cls, cond, seed):
     for node, found in zip(nodes, moved):
         assert found.kind == node.kind
         assert _close(found.structure.phi, p_inv @ node.structure.phi @ p), node.index
+
+
+def _eigen_projector(s) -> np.ndarray:
+    """The projector onto D(lambda) along D(-lambda) + R xi, read from the Legendre
+    frame {D(lambda), D(-lambda), xi} of ``eigendistributions(s)``."""
+    d_pos, d_neg = eigendistributions(s)
+    frame, frame_inv = _frame(d_pos, d_neg, s.xi, DEFAULT_TOL)
+    return frame[:, :d_pos.n] @ frame_inv[:d_pos.n]
+
+
+@pytest.mark.parametrize("a", SCALES)
+@pytest.mark.parametrize("cls", CLASS_PARAMS)
+def test_the_h_eigenpair_is_unchanged_by_a_d_homothetic_deformation(cls, a):
+    entry = family_3d(*CLASS_PARAMS[cls])
+    assert _close(_eigen_projector(d_homothetic(entry, a).structure), _eigen_projector(entry.structure))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cond", [1.0, 10.0])
+@pytest.mark.parametrize("cls", CLASS_PARAMS)
+def test_the_h_eigenpair_of_a_rebased_structure_is_the_rebased_pair(cls, cond, seed):
+    entry = family_3d(*CLASS_PARAMS[cls])
+    p = _basis_change(seed, cond, entry.model.dim)
+    expected = np.linalg.inv(p) @ _eigen_projector(entry.structure) @ p
+    assert _close(_eigen_projector(rebased(entry, p).structure), expected)

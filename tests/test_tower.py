@@ -214,6 +214,31 @@ def test_constants_two_periodic_on_grid():
         assert nodes[2].kappa == pytest.approx(nodes[1].kappa + 2.0, abs=1e-9)
 
 
+def _closed_form(s, lam: float, inv: float, k: int) -> np.ndarray:
+    """Tower node k >= 1 of ``s`` (lambda = ``lam``, I_M = ``inv``) in the algebra
+    {phi, h, phi h}: sigma_k h / lambda at odd k, sigma_k (phi + (I / lambda) phi h) /
+    sqrt(|1 - I^2|) at even k, with sigma_k = +1 for |I| < 1 and
+    (-1)^floor((k - 1) / 2) for |I| > 1."""
+    sigma = 1.0 if abs(inv) < 1.0 else (-1.0) ** ((k - 1) // 2)
+    if k % 2:
+        return sigma * s.h / lam
+    return sigma * (s.phi + (inv / lam) * s.phi @ s.h) / np.sqrt(abs(1.0 - inv * inv))
+
+
+@pytest.mark.parametrize("d", GRID_DS)
+@pytest.mark.parametrize("lam", GRID_LAMBDAS)
+def test_every_node_is_the_closed_form_of_the_step(lam, d):
+    # what the one eps-signed step produces, on the 5 x 5 grid that holds the five
+    # class points: period 2 from node 1 on when |I| < 1, period 4 (phi_{k+2} = -phi_k)
+    # when |I| > 1; at |I| = 1 (classes IV and V) only nodes 0 and 1 exist
+    s = family(lam, d)
+    nodes = sequence(s, 2 if abs(d) == lam else 9)
+    for node in nodes[1:]:
+        expected = _closed_form(s, lam, d / lam, node.index)
+        worst = np.max(np.abs(node.structure.phi - expected))
+        assert worst <= 1e-9 * np.max(np.abs(expected)), (node.index, worst)
+
+
 def test_second_bilegendrian_analysis_class_i():
     s = family(1.0, 2.0)
     fit = nullity_fit(s)

@@ -13,11 +13,13 @@ any output that depends on what was kept, and any output that is not reproducibl
 Each tree runs the whole set in one interpreter of its own, as ``kmgeom.cli.main(argv)``
 calls with stdout and stderr captured, in the same work directories of inputs, so that
 the paths in the messages match.  An exception that escapes ``main`` is recorded as exit
-``"uncaught"`` with its type and message on stderr.  The catalog's input models are
-emitted by the reference tree (REV, or the working tree); the Heisenberg models H_d are
-written by the working tree's ``catalog.heisenberg`` and ``modelfile.dumps_entry`` in a
-child process, without their expected block, and the rest here.  Both trees read the
-same files.
+``"uncaught"`` with its type and message on stderr.  Every input model file (the
+catalog entries, the ``family_3d`` points, and H_d without its expected block) is
+written by one child process of the working tree, with its ``catalog`` and
+``modelfile.dumps_entry``, and that child prints the catalog's entry names; the other
+inputs are written here.  Both trees read the same files, so one comparison starts
+three interpreters: that child and one per tree.  A change to the catalog shows in the
+``catalog emit`` calls of the edge set, which each tree runs.
 
 For each call the tool prints ``identical`` or the first stream that differs and its
 byte offset, then a summary count; it exits 1 when a call differs.  ``--record FILE``
@@ -46,7 +48,7 @@ with one and two nodes, failed writes and options
 that do not go together; last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
 of its own, with the ``out.json`` it writes.  Standard library only; the children
-import numpy through kmgeom (``--heisenberg WORK`` and ``--worker`` are their entry
+import numpy through kmgeom (``--models WORK`` and ``--worker`` are their entry
 points).
 """
 
@@ -123,73 +125,70 @@ MALFORMED = {
 }
 
 
-def _catalog_names(src: str) -> list[str]:
-    proc = subprocess.run([sys.executable, "-m", "kmgeom.cli", "catalog", "list"], env=_env(src),
-                          capture_output=True, text=True, check=True, timeout=120)
-    return [line for line in proc.stdout.splitlines() if " " not in line]
+def _dump(work: str, rel: str, doc) -> None:
+    """Write ``doc`` (bytes, text, or a JSON document, at indent 1) to ``work/rel``."""
+    text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc, indent=1)
+    with open(os.path.join(work, rel), "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode())
 
 
-def model_calls(names: list[str]) -> list[dict]:
-    """The catalog emits that make the input models of the set."""
-    calls = [{"argv": ["catalog", "emit", n, "--out", f"models/cat-{n}.json"]}
-             for n in names if n != "family-3d"]
-    calls += [{"argv": ["catalog", "emit", "family-3d", "--lam", repr(lam), "--d", repr(d),
-                        "--out", f"models/fam-{i}.json"]} for i, (lam, d) in enumerate(FAMILY)]
-    return calls
+def write_models(work: str) -> int:
+    """Write every model file of the set under ``work/models`` as this interpreter's
+    kmgeom builds and serializes it, and print the catalog's entry names, one a line;
+    run in a child with the working tree's ``src`` on its path.  The files: each catalog
+    entry but family-3d and each ``FAMILY`` point, as ``catalog emit`` writes them, and
+    H_d of both kinds, d in HEISENBERG_DIMS, and contact H_3 (an edge input), less the
+    expected block that the CLI would check."""
+    from kmgeom import catalog, modelfile
 
-
-def emit_heisenberg(work: str) -> int:
-    """Write H_d of both kinds, d in HEISENBERG_DIMS, and contact H_3 (an edge input),
-    under ``work/models`` as this interpreter's kmgeom builds and serializes it, less the
-    expected block that the CLI would check; run in a child with the working tree's
-    ``src`` on its path."""
-    from kmgeom import modelfile
-    from kmgeom.catalog import heisenberg
-
+    names = catalog.list_entries()
+    for name in names:
+        if name != "family-3d":
+            _dump(work, f"models/cat-{name}.json", modelfile.dumps_entry(catalog.get_entry(name)) + "\n")
+    for i, (lam, d) in enumerate(FAMILY):
+        _dump(work, f"models/fam-{i}.json", modelfile.dumps_entry(catalog.family_3d(lam, d)) + "\n")
     inputs = [(3, "contact"), *((d, k) for d in HEISENBERG_DIMS for k in ("contact", "paracontact"))]
     for dim, kind in inputs:
-        doc = json.loads(modelfile.dumps_entry(heisenberg(dim, kind)))
+        doc = json.loads(modelfile.dumps_entry(catalog.heisenberg(dim, kind)))
         del doc["expected"]
-        with open(os.path.join(work, "models", f"h{dim}-{kind}.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+        _dump(work, f"models/h{dim}-{kind}.json", doc)
+    print("\n".join(names))
     return 0
 
 
-def write_inputs(work: str, names: list[str]) -> list[str]:
-    """Write the inputs under ``work`` (H_d through :func:`emit_heisenberg`, in a child
-    that imports the working tree); the model files of the main set."""
+def write_inputs(work: str) -> tuple[list[str], list[str]]:
+    """Write the inputs under ``work`` (the model files through :func:`write_models`, in
+    a child that imports the working tree; the rest here); the model files of the main
+    set, and the catalog's entry names."""
     for sub in ("models", "bad", "batch-mixed", "batch-one", "empty"):
         os.makedirs(os.path.join(work, sub), exist_ok=True)
 
-    def dump(rel: str, doc) -> None:
-        text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc, indent=1)
-        with open(os.path.join(work, rel), "wb") as fh:
-            fh.write(text if isinstance(text, bytes) else text.encode())
-
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--models", work],
+                          env=_env(os.path.join(ROOT, "src")), capture_output=True, text=True,
+                          check=True, timeout=120)
+    names = proc.stdout.split()
     models = [f"models/cat-{n}.json" for n in names if n != "family-3d"]
     models += [f"models/fam-{i}.json" for i in range(len(FAMILY))]
-    dump("models/twisted.json", TWISTED)
+    _dump(work, "models/twisted.json", TWISTED)
     models.append("models/twisted.json")
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--heisenberg", work],
-                   env=_env(os.path.join(ROOT, "src")), check=True, timeout=120)
     models += [f"models/h{dim}-{kind}.json" for dim in HEISENBERG_DIMS
                for kind in ("contact", "paracontact")]
     for name, text in MALFORMED.items():
-        dump(f"bad/{name}.json", text)
-    dump("bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
-    dump("bad/no-structure-broken-jacobi.json", {"dim": 3, "brackets": [
+        _dump(work, f"bad/{name}.json", text)
+    _dump(work, "bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
+    _dump(work, "bad/no-structure-broken-jacobi.json", {"dim": 3, "brackets": [
         {"i": 1, "j": 2, "coeffs": {"3": 2.0}}, {"i": 1, "j": 3, "coeffs": {"1": -1.0}},
         {"i": 2, "j": 3, "coeffs": {"1": 1.0}}]})
-    dump("bad/degenerate-metric.json", {"dim": 3, "brackets": H3_BRACKETS, "structure": {
+    _dump(work, "bad/degenerate-metric.json", {"dim": 3, "brackets": H3_BRACKETS, "structure": {
         **FRAME_3D, "g": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}})
     for kind in ("contact", "paracontact"):
-        dump(f"bad/dim-1-{kind}.json", {"dim": 1, "brackets": [], "structure": {
+        _dump(work, f"bad/dim-1-{kind}.json", {"dim": 1, "brackets": [], "structure": {
             "kind": kind, "phi": [[0]], "xi": [1], "eta": [1], "g": [[1]]}})
     for i in (0, 1, 3):
-        dump(f"batch-mixed/fam-{i}.json", _read(os.path.join(work, f"models/fam-{i}.json")))
-    dump("batch-mixed/truncated.json", MALFORMED["truncated"])
-    dump("batch-one/fam-0.json", _read(os.path.join(work, "models/fam-0.json")))
-    return models
+        _dump(work, f"batch-mixed/fam-{i}.json", _read(os.path.join(work, f"models/fam-{i}.json")))
+    _dump(work, "batch-mixed/truncated.json", MALFORMED["truncated"])
+    _dump(work, "batch-one/fam-0.json", _read(os.path.join(work, "models/fam-0.json")))
+    return models, names
 
 
 def _read(path: str) -> str:
@@ -409,8 +408,8 @@ def main(argv: list[str] | None = None, keep=None) -> int:
     rejects (a test runs a subset)."""
     if argv is None and sys.argv[1:2] == ["--worker"]:
         return worker(*sys.argv[2:4], never_hit=sys.argv[4:5] == ["--never-hit"])
-    if argv is None and sys.argv[1:2] == ["--heisenberg"]:
-        return emit_heisenberg(sys.argv[2])
+    if argv is None and sys.argv[1:2] == ["--models"]:
+        return write_models(sys.argv[2])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
     parser.add_argument("--record", metavar="FILE", help="write one sha256 per call here")
@@ -421,10 +420,7 @@ def main(argv: list[str] | None = None, keep=None) -> int:
         head = os.path.join(ROOT, "src")
         base = extract(args.against, os.path.join(tmp, "base")) if args.against else head
         work = os.path.join(tmp, "work")
-        os.makedirs(os.path.join(work, "models"))
-        names = _catalog_names(base)
-        run_calls(base, work, model_calls(names))
-        calls = call_set(write_inputs(work, names), names) + perfbench_calls(work)
+        calls = call_set(*write_inputs(work)) + perfbench_calls(work)
         calls = [c for c in calls if keep is None or keep(c["name"])]
         base_records = run_calls(base, work, calls)
         head_records = run_calls(head, work, calls, never_hit=base == head)
