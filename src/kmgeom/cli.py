@@ -65,6 +65,10 @@ Exit codes:
 * 3: derive's walk meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
+A model file that is not usable and an engine error of a stage each end the
+model file's run with one error line and their exit code (2; 3 or 1), given in one
+place, :func:`_run`; derive's walk maps none of them.
+
 Residuals print in scientific notation with three significant digits; JSON
 reports are written by :func:`kmgeom.modelfile.render_json`, with sorted keys, so
 that serialize/parse/serialize round-trips are byte-identical.
@@ -211,17 +215,14 @@ def _no_contact(c) -> None:
 
 def _walk(c) -> None:
     """Derive's tower, walked right after the fit and left on the run state as
-    ``c.nodes``; a structure that is not a nullity space gets its report written, and
-    then, as a tower that cannot be built, ends the command."""
+    ``c.nodes``.  A structure that is not a nullity space gets its report written and
+    then ends the command; the walk maps no error of ``sequence``, which leaves through
+    :func:`_run` like every engine error of a run."""
     if c.fit is None:
         _write_outputs(c.report, c.json)
         raise _Stop(EXIT_INVALID, "error: the structure is not a nullity space (residual "
                     f"{_fmt(c.report['nullity']['residual'])}): no derived structures")
-    try:
-        c.nodes = kmgeom.sequence(c.s, c.steps, c.tol)
-    except GeometryError as exc:
-        code = EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
-        raise _Stop(code, f"error: {exc}") from exc
+    c.nodes = kmgeom.sequence(c.s, c.steps, c.tol)
 
 
 def _analyzed(c) -> bool:
@@ -355,14 +356,13 @@ def _write_outputs(report: dict, json_path: str | None) -> None:
 
 def _run(args, path: str, label: str) -> tuple[dict | None, int]:
     """Load ``path`` and run the stages that apply: (report, exit code), or (None,
-    exit code) after an error line; a stage may end the command by raising _Stop."""
+    exit code) after an error line.  This is the one door for the errors of a run: a
+    model file that is not usable exits 2, an engine error of a stage 3 when the
+    invariant is degenerate (class IV or V) and 1 otherwise.  A stage may also end the
+    command by raising _Stop."""
     try:
         doc = modelfile.load(path)
-    except ModelFormatError as exc:
-        print(f"error: {label}{exc}", file=sys.stderr)
-        return None, EXIT_PARSE
-    c = argparse.Namespace(**vars(args), doc=doc, s=doc.structure, report={}, fit=None)
-    try:
+        c = argparse.Namespace(**vars(args), doc=doc, s=doc.structure, report={}, fit=None)
         for key, applies, run, _ in _STAGES:
             if not applies(c):
                 continue
@@ -370,10 +370,13 @@ def _run(args, path: str, label: str) -> tuple[dict | None, int]:
             if key is not None:
                 parent, _, leaf = key.rpartition(".")
                 (c.report[parent] if parent else c.report)[leaf] = value
+    except ModelFormatError as exc:
+        print(f"error: {label}{exc}", file=sys.stderr)
+        return None, EXIT_PARSE
     except GeometryError as exc:  # an error line, not a traceback
-        print(f"error analyzing {path}: {exc}" if c.command == "analyze" else f"error: {exc}",
+        print(f"error analyzing {path}: {exc}" if args.command == "analyze" else f"error: {exc}",
               file=sys.stderr)
-        return None, EXIT_INVALID
+        return None, EXIT_DEGENERATE if isinstance(exc, DegenerateInvariant) else EXIT_INVALID
     return c.report, EXIT_OK if c.report["valid"] else EXIT_INVALID
 
 

@@ -296,16 +296,16 @@ def second_bilegendrian_analysis(
     """
     report = _require_large_invariant(s, tol)
     inv = report.boeckx
+    sigma = np.sign(inv)
     delta = _delta(report.kappa, report.mu)
     if a is None and b is None:
         mag = np.sqrt(4.0 * delta)
-        a, b = np.sign(inv) * 2.0 * mag, np.sign(inv) * mag / 2.0
+        a, b = sigma * 2.0 * mag, sigma * mag / 2.0
     elif a is None or b is None:
         raise InvalidPangPair("supply both a and b, or neither")
-    if inv > 0 and not (a > 0 and b > 0):
-        raise InvalidPangPair("a, b must be positive when I_M > 1")
-    if inv < 0 and not (a < 0 and b < 0):
-        raise InvalidPangPair("a, b must be negative when I_M < -1")
+    if not (sigma * a > 0 and sigma * b > 0):
+        wanted = "positive when I_M > 1" if sigma > 0 else "negative when I_M < -1"
+        raise InvalidPangPair(f"a, b must be {wanted}")
     kappa_new, mu_new = legendre_pair_constants(a, b)
     half = 1.0 - mu_new / 2.0
     regenerated = kappa_new - 2.0 + half * half  # the paracontact kappa; may overflow to inf

@@ -10,9 +10,12 @@ TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cost.py")
 
 
 def _rows(stdout: str) -> dict:
-    """{op: (exit, calls, np.linalg counts)} of the tool's table."""
+    """{op: (exit, calls, np.linalg counts)} of the tool's table; the indented function
+    rows under each op's row are skipped."""
     rows = {}
     for line in stdout.splitlines()[2:]:
+        if line.startswith(" "):
+            continue
         op, tree, code, calls, *linalg = line.split()
         assert tree == "head"
         rows[op] = (int(code), int(calls), " ".join(linalg))
@@ -29,6 +32,9 @@ def test_two_processes_give_identical_counts():
     rows = _rows(runs[0].stdout)
     assert len(rows) == int(runs[0].stdout.split()[0])
     assert all(calls > 0 for _, calls, _ in rows.values())
+    # under each op's row, the three kmgeom functions of the op with the most calls
+    functions = [line for line in runs[0].stdout.splitlines() if line.startswith(" ")]
+    assert len(functions) == 3 * len(rows)
     # analyze of a 3-dim model whose brackets break the Jacobi identity stops after the
     # validation: the contact form's kernel basis of eta (one svd), and validate_contact's
     # rank test of d eta on that kernel (one svd) and signature of g (one eigvalsh)

@@ -308,6 +308,21 @@ def test_cli_derive_exit_codes(tmp_path, capsys):
     boundary = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "1")
     assert main(["derive", boundary, "--steps", "3"]) == 3
     capsys.readouterr()
+    # an engine error of the walk ends the run as every engine error of a run does: its
+    # exit code, no report, one error line (class IV at N = 3, the Sasakian guard on
+    # contact H_3, a node 2 that fails its checks near |I_M| = 1)
+    h3, near = tmp_path / "h3-contact.json", tmp_path / "near-class-IV.json"
+    h3.write_text(modelfile.dumps_entry(kmgeom.heisenberg(3, "contact")), encoding="utf-8")
+    near.write_text(modelfile.dumps_entry(family_3d(1.0, 1.00003)), encoding="utf-8")
+    for path, steps, code, line in (
+        (boundary, "3", 3, "error: |I_M| = 1.0: the sequence is undefined\n"),
+        (h3, "2", 1, "error: construction requires a non-Sasakian structure: "),
+        (near, "6", 1, "error: tower node 2 failed verification: "),
+    ):
+        capsys.readouterr()
+        assert main(["derive", str(path), "--steps", steps, "--json", "-"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(line), (path, out, err)
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])
@@ -400,13 +415,15 @@ def test_cli_sasakian_and_legendre3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "a,b,error",
-    [("-1", "-12", "a, b must be positive when I_M > 1"),
-     ("1", None, "supply both a and b, or neither")],
+    "d,a,b,error",
+    [("2", "-1", "-12", "a, b must be positive when I_M > 1"),
+     ("-2", "1", "12", "a, b must be negative when I_M < -1"),
+     ("2", "1", None, "supply both a and b, or neither")],
 )
-def test_cli_legendre3_reports_a_rejected_pang_pair(tmp_path, capsys, a, b, error):
-    # a wrong-sign or half-given (a, b) is the second pair's error, not the run's
-    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", "2")
+def test_cli_legendre3_reports_a_rejected_pang_pair(tmp_path, capsys, d, a, b, error):
+    # a wrong-sign (class I at d = 2, class III at d = -2) or half-given (a, b) is the
+    # second pair's error, not the run's
+    path = _emit(tmp_path, "family-3d", "--lam", "1", "--d", d)
     pair = ["--a", a] + (["--b", b] if b is not None else [])
     code = main(["analyze", path, "--legendre3", *pair, "--json", "-"])
     out = capsys.readouterr().out

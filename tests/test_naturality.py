@@ -8,6 +8,12 @@ that keep those relations.
 * Change of basis P: the tower of the rebased structure is the rebased tower,
   phi_k' = P^-1 phi_k P.
 
+The second bi-Legendrian pair (classes I and III) is natural in its scalars: under a
+D-homothetic deformation by a, lambda~, the default Pang pair (a, b) and the Pang value
+scale by 1 / a, the new invariant is kept, and the generated constants follow Tanno's
+map kappa -> 1 - (1 - kappa) / a^2, mu -> 2 - (2 - mu) / a; under a change of basis all
+seven are unchanged.  These are compared relative to the expected value.
+
 The h-eigenpair is natural too: the projector onto D(lambda) along D(-lambda) + R xi
 is unchanged by a D-homothetic deformation (h' = h / a has the same eigenspaces, and
 xi' spans the same line) and is P^-1 Pi P in the rebased structure.
@@ -23,7 +29,7 @@ from kmgeom import DEFAULT_TOL
 from kmgeom.catalog import d_homothetic, family_3d, rebased
 from kmgeom.contact import nullity_fit
 from kmgeom.legendre import _frame, eigendistributions
-from kmgeom.tower import sasakian_structure, sequence
+from kmgeom.tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
 from conftest import CLASS_PARAMS
 
@@ -84,6 +90,41 @@ def test_the_tower_of_a_rebased_structure_is_the_rebased_tower(cls, cond, seed):
     for node, found in zip(nodes, moved):
         assert found.kind == node.kind
         assert _close(found.structure.phi, p_inv @ node.structure.phi @ p), node.index
+
+
+PAIR_SCALARS = ("lambda_t", "pang_value", "a", "b", "kappa_new", "mu_new", "new_invariant")
+
+
+def _pair_scalars(s) -> dict:
+    """The seven scalars of the second pair of ``s``, with its default Pang pair."""
+    pair = second_bilegendrian_analysis(s)
+    return {name: getattr(pair, name) for name in PAIR_SCALARS}
+
+
+def _relative_close(found: dict, expected: dict) -> bool:
+    return all(abs(found[k] - expected[k]) <= BOUND * abs(expected[k]) for k in PAIR_SCALARS)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("cls", ["I", "III"])
+def test_the_second_pair_scales_under_a_d_homothetic_deformation(cls, scale):
+    entry = family_3d(*CLASS_PARAMS[cls])
+    pair = _pair_scalars(entry.structure)
+    expected = {**{k: pair[k] / scale for k in ("lambda_t", "pang_value", "a", "b")},
+                "kappa_new": 1.0 - (1.0 - pair["kappa_new"]) / scale**2,
+                "mu_new": 2.0 - (2.0 - pair["mu_new"]) / scale,
+                "new_invariant": pair["new_invariant"]}
+    assert _relative_close(_pair_scalars(d_homothetic(entry, scale).structure), expected)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cond", [1.0, 10.0])
+@pytest.mark.parametrize("cls", ["I", "III"])
+def test_the_second_pair_of_a_rebased_structure_is_unchanged(cls, cond, seed):
+    entry = family_3d(*CLASS_PARAMS[cls])
+    p = _basis_change(seed, cond, entry.model.dim)
+    assert _relative_close(_pair_scalars(rebased(entry, p).structure),
+                           _pair_scalars(entry.structure))
 
 
 def _eigen_projector(s) -> np.ndarray:

@@ -15,14 +15,18 @@ not a nullity space is ``tools/equiv.py``'s.
 
 After :data:`WARMUP` passes over the whole list, each op runs twice more.  The first
 run is under ``cProfile``: its total call count (Python functions and builtins) is
-the op's ``calls``.  The second runs with every public function of ``np.linalg``
+the op's ``calls``, and under each op's row the :data:`TOP` functions of ``kmgeom``
+with the most calls follow, ties by name.  A function is named ``module.function``; the
+functions of one module that share a name (its lambdas, its generator expressions) are
+summed.  The second runs with every public function of ``np.linalg``
 replaced by a counting wrapper, as ``tests/test_compute_once.py`` spies them: those
 are the op's ``np.linalg`` counts, the calls the engine makes itself.  The header names
 the Python and numpy versions the counts hold for.
 
 ``--against REV`` extracts ``git archive REV src`` as ``tools/equiv.py`` does, loads
 that tree and the working tree's ``src`` in this process as ``tools/ab.py`` does, and
-prints each op's counts for both, REV (base) first, with head - base in calls.  The
+prints each op's counts for both, REV (base) first, with head - base in calls, and
+in each of head's function rows head - base in that function's calls.  The
 tool exits 1 when an op ends with another exit code than :data:`OPS` expects.
 Standard library only; numpy is the one kmgeom imports.
 """
@@ -46,6 +50,7 @@ import ab  # noqa: E402
 import equiv  # noqa: E402
 
 WARMUP = 2
+TOP = 3  # kmgeom functions listed under each op's row
 HEISENBERG_DIMS = (5, 21, 41)
 FULL = ["--sasakian", "--legendre3", "--json", "out.json"]
 # (op, argv, exit code); the model files are named in write_inputs
@@ -116,9 +121,20 @@ def linalg_spy(np, counts: dict):
             setattr(np.linalg, name, fn)
 
 
+def function_calls(stats: pstats.Stats) -> dict:
+    """{module.function: calls} of the ``kmgeom`` functions that ``stats`` profiled."""
+    calls = {}
+    for (path, _, func), (_, ncalls, *_) in stats.stats.items():
+        if os.path.basename(os.path.dirname(path)) == "kmgeom":
+            name = f"{os.path.splitext(os.path.basename(path))[0]}.{func}"
+            calls[name] = calls.get(name, 0) + ncalls
+    return calls
+
+
 def measure(modules: dict) -> list[tuple]:
-    """(op, exit code, calls, {np.linalg name: calls}) of each op on the tree of
-    ``modules``, after the warm-up; the work directory is the current one."""
+    """(op, exit code, calls, {np.linalg name: calls}, {kmgeom function: calls}) of each
+    op on the tree of ``modules``, after the warm-up; the work directory is the current
+    one."""
     import numpy as np
 
     ab._drop_kmgeom()
@@ -133,24 +149,28 @@ def measure(modules: dict) -> list[tuple]:
         profile.enable()
         code = run_op(cli, argv)
         profile.disable()
-        calls = pstats.Stats(profile).total_calls
+        stats = pstats.Stats(profile)
         linalg = {}
         with linalg_spy(np, linalg):
             run_op(cli, argv)
-        rows.append((op, code, calls, linalg))
+        rows.append((op, code, stats.total_calls, linalg, function_calls(stats)))
     return rows
 
 
 def table(results: dict) -> list[str]:
-    """The lines of each op's counts, per tree, with head - base in calls when both ran."""
+    """The lines of each op's counts, per tree, with head - base in calls when both ran;
+    under each, the tree's :data:`TOP` kmgeom functions with the most calls."""
     lines = [f"{'op':24s} {'tree':4s} {'exit':>4s} {'calls':>7s} {'change':>7s}  np.linalg"]
     base = results.get("base")
     for i, (op, *_) in enumerate(OPS):
         for tree, rows in results.items():
-            _, code, calls, linalg = rows[i]
+            _, code, calls, linalg, functions = rows[i]
             change = f"{calls - base[i][2]:+d}" if base and tree == "head" else ""
             counts = " ".join(f"{name}={n}" for name, n in sorted(linalg.items())) or "-"
             lines.append(f"{op:24s} {tree:4s} {code:4d} {calls:7d} {change:>7s}  {counts}")
+            for name, n in sorted(functions.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]:
+                change = f"{n - base[i][4].get(name, 0):+d}" if base and tree == "head" else ""
+                lines.append(f"  {name:33s}{n:7d} {change:>7s}".rstrip())
     return lines
 
 
@@ -182,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     print("\n".join(table(results)))
     failed = 0
     for tree, rows in results.items():
-        for (op, code, _, _), (_, _, want) in zip(rows, OPS):
+        for (op, code, *_), (_, _, want) in zip(rows, OPS):
             if code != want:
                 print(f"FAILED {tree} {op}: exit {code}, expected {want}")
                 failed += 1

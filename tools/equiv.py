@@ -42,8 +42,8 @@ wrong shape among them, a file that is not UTF-8, one nested past the recursion 
 a class-I model whose expected block nests 900 deep, and the dim-1 models of both kinds,
 n = 0), usage errors,
 non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
-``--legendre3`` rejects, ``--help``, ``catalog list``/``emit``, ``--batch``, ``derive``
-on a paracontact model, on models without a structure and on the Sasakian contact H_3
+``--legendre3`` rejects (of the wrong sign in classes I and III among them), ``--help``,
+``catalog list``/``emit``, ``--batch``, ``derive`` on a paracontact model, on models without a structure and on the Sasakian contact H_3
 with one and two nodes, failed writes and options
 that do not go together; last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
@@ -256,6 +256,8 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
                  ["--a", "1e200", "--b", "1e-200"], ["--a", "1", "--b", "1e-20"]):
         add(f"edge-analyze:legendre3 {' '.join(pair)}", "analyze", fam_i, "--legendre3", *pair,
             "--json", "-")
+    add("edge-analyze:legendre3 class-III --a 1 --b 12", "analyze", "models/fam-2.json",
+        "--legendre3", "--a", "1", "--b", "12", "--json", "-")  # a positive pair, I_M < -1
     # a failed write (exit 2 with an error line) and options that do not go together
     for argv in (["analyze", fam_i], ["validate", fam_i], ["derive", fam_i, "--steps", "3"]):
         add(f"edge-write:{argv[0]} --json", *argv, "--json", UNWRITABLE)
