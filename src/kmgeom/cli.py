@@ -30,19 +30,21 @@ in order:
 * derive's walk, a row with key None right after the fit: it walks the tower and
   leaves its nodes on the run state.  A structure that is not a nullity space gets
   its report written, and then, like a tower that cannot be built, ends the
-  command, before the contact rows compute a report that it would discard.
-* contact rows (a nullity fit with eps > 0): the Pang-checked class, the
-  flags, the Nijenhuis norm and the identities (Nijenhuis side report and
-  Blair suite).  Paracontact rows (eps < 0): the identities of the canonical
-  connection and of integrability, and the integrability flags (one
-  integrability computation per structure serves both).
+  command, before the rows that read the fit compute a report that it would discard.
+* the rows of a fitted structure: ``flags`` and ``identities`` for both signs, and
+  for a contact structure (eps > 0) also the Pang-checked class and the Nijenhuis
+  norm.  The flags are :func:`kmgeom.classification_flags` of the structure's sign;
+  the identities are the Nijenhuis side report and the Blair suite of a contact
+  structure, the suites of the canonical connection and of integrability of a
+  paracontact one (one integrability computation per structure serves the flags
+  too).
 * opt-in contact rows: ``sasakian_construction`` (``--sasakian``) and
   ``legendre3`` (``--legendre3``, with ``--a --b``); a construction that does
   not apply reports ``{"error": reason}``.
 * ``tower``, derive's last row: the nodes of the walk, rendered.
 
-A key that two rows store, one per sign (``flags``, ``identities``), is
-printed by the first row's ``human``.
+Each key of the report is stored by one row, and printed, if at all, by that row's
+``human``.
 
 Exit codes:
 
@@ -180,22 +182,16 @@ def _pang_class(c) -> str | None:
 
 
 def _identities(c) -> dict:
-    """The Nijenhuis side report, and the Blair suite when mu is determined."""
+    """The identity suites of the structure's sign.  Contact: the Nijenhuis side report,
+    and the Blair suite when mu is determined.  Paracontact: the canonical connection's
+    suite and the integrability residuals."""
+    if c.s.eps < 0:
+        found = kmgeom.integrability_and_parasasaki(c.s, c.tol)
+        return {**kmgeom.canonical_connection(c.s, c.tol)[1].entries,
+                "nijenhuis_d_component": found["nijenhuis_d_residual"],
+                "pc_parallel_phi": found["pc_parallel_phi_residual"]}
     blair = {} if c.fit.mu is None else kmgeom.blair_identity_suite(c.s, c.tol).entries
     return {**kmgeom.nijenhuis_norm(c.s, c.tol)[1].entries, **blair}
-
-
-def _pc_identities(c) -> dict:
-    """The canonical connection's suite and the integrability residuals."""
-    _, pc_rep, _ = kmgeom.canonical_connection(c.s, c.tol)
-    found = kmgeom.integrability_and_parasasaki(c.s, c.tol)
-    return {**pc_rep.entries, "nijenhuis_d_component": found["nijenhuis_d_residual"],
-            "pc_parallel_phi": found["pc_parallel_phi_residual"]}
-
-
-def _pc_flags(c) -> dict:
-    found = kmgeom.integrability_and_parasasaki(c.s, c.tol)
-    return {"integrable": found["integrable"], "para_sasakian": found["para_sasakian"]}
 
 
 def _construction(c, build, **kwargs) -> dict:
@@ -229,12 +225,12 @@ def _analyzed(c) -> bool:
     return c.command != "validate" and c.report["valid"] and c.s is not None
 
 
+def _fitted(c) -> bool:
+    return c.fit is not None
+
+
 def _contact(c) -> bool:
     return c.fit is not None and c.s.eps > 0
-
-
-def _paracontact(c) -> bool:
-    return c.fit is not None and c.s.eps < 0
 
 
 def _derive_gate(c) -> bool:
@@ -306,10 +302,10 @@ def _always(c) -> bool:
     return True
 
 
-# (key, applies, run, human), run in this order.  A row with key None stores nothing in
-# the report: it may end the command by raising _Stop, or leave a value on the run state
-# for a later row (derive's tower, walked right after the fit, before the contact rows).
-# A key that two rows store (one per sign) is printed by the first row's ``human``.
+# (key, applies, run, human), run in this order; each key is stored by one row.  A row
+# with key None stores nothing in the report: it may end the command by raising _Stop, or
+# leave a value on the run state for a later row (derive's tower, walked right after the
+# fit, before the rows that read the fit).
 _STAGES = (
     ("model", _always, _model, _human_model),
     ("tol", _always, lambda c: c.tol, None),
@@ -320,11 +316,9 @@ _STAGES = (
     ("nullity", _analyzed, _nullity, _human_nullity),
     (None, _derive_gate, _walk, None),
     ("nullity.class_pang_checked", _contact, _pang_class, None),
-    ("flags", _contact, lambda c: kmgeom.classification_flags(c.s, c.tol), _human_flags),
+    ("flags", _fitted, lambda c: kmgeom.classification_flags(c.s, c.tol), _human_flags),
     ("nullity.nijenhuis_norm", _contact, lambda c: kmgeom.nijenhuis_norm(c.s, c.tol)[0], None),
-    ("identities", _contact, _identities, _human_identities),
-    ("identities", _paracontact, _pc_identities, None),
-    ("flags", _paracontact, _pc_flags, None),
+    ("identities", _fitted, _identities, _human_identities),
     ("sasakian_construction", lambda c: _contact(c) and c.sasakian,
      lambda c: _construction(c, kmgeom.sasakian_structure),
      _human_construction("sasakian construction",

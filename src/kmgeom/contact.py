@@ -52,11 +52,13 @@ read-only entries and notes: a caller's write to a kept report raises.  A
 :class:`GeometryError` that a build raises is kept too, on every member it was built
 for, and each later read raises a fresh copy of it.
 
-Each precondition of the contact-only results and of the constructions has one guard
-on the structure's fit: :func:`_require_contact`, a fit with a class (a contact
-structure), else :class:`DimensionMismatch`; and :func:`_require_non_sasakian`, a
-contact fit with an I_M, else :class:`SasakianDegenerate`, the one error of the
-Sasakian band, which :func:`boeckx_invariant` raises too.
+:func:`classification_flags` answers for both signs: the Sasakian, K-contact and
+Tanaka-Webster-parallel flags of a contact structure, the integrability and
+para-Sasakian flags of a paracontact one.  The precondition of the contact-only
+results and of the constructions has one guard on the structure's fit,
+:func:`_require_non_sasakian`: a fit with a class (a contact structure), else
+:class:`DimensionMismatch`, and with an I_M, else :class:`SasakianDegenerate`, the
+one error of the Sasakian band, which :func:`boeckx_invariant` raises too.
 """
 
 from functools import partial
@@ -351,11 +353,11 @@ def validate_contact(s, tol: float = DEFAULT_TOL):
     return _unstack(reports, single)
 
 
-def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
-    """Max-abs of N_phi over basis pairs, plus side identities, built once per ``tol``
-    and kept on ``s``.
+def nijenhuis_norm(s: MetricStructure, tol: float = DEFAULT_TOL) -> tuple[float, ResidualReport]:
+    """Max-abs of the eps-signed N_phi over basis pairs, plus side identities, built once
+    per ``tol`` and kept on ``s``.
 
-    The side residuals check phi N(X,Y) + N(phi X, Y) = 2 eta(X) h Y and the
+    The side residuals check phi N(X,Y) + N(phi X, Y) = 2 eps eta(X) h Y and the
     vanishing of eta(N(phi X, Y)).
     """
 
@@ -363,7 +365,7 @@ def nijenhuis_norm(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> tuple
         nij = nijenhuis_tensor(s.form, s.phi, s.eps)
         nij_phi = np.tensordot(s.phi.T, nij, 1)  # [i, j, :] = N(phi e_i, e_j)
         side = ResidualReport(tol=tol)
-        side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * eta_x(s.eta, s.h))
+        side.add("nijenhuis_phi_shift", nij @ s.phi.T + nij_phi - 2.0 * s.eps * eta_x(s.eta, s.h))
         side.add("nijenhuis_eta_component", nij_phi @ s.eta)
         return max_abs(nij), side
 
@@ -644,32 +646,30 @@ def blair_identity_suite(s: MetricStructure, tol: float = DEFAULT_TOL) -> Residu
     return report
 
 
-def classification_flags(s: ContactMetricStructure, tol: float = DEFAULT_TOL) -> dict:
-    """Sasakian / K-contact / Tanaka-Webster-parallel predicates of a contact nullity space;
-    a paracontact one (whose fit has no class) raises :class:`DimensionMismatch`.
-
-    ``k_contact`` is the fit's h = 0 (mu indeterminate); ``tw_parallel`` uses the
-    mu = 2 criterion for non-Sasakian nullity spaces.
+def classification_flags(s: MetricStructure, tol: float = DEFAULT_TOL) -> dict:
+    """The flags of a nullity space, after its kept fit ``nullity_fit(s, tol)`` (whose
+    errors it raises).  Contact: the Sasakian / K-contact / Tanaka-Webster-parallel
+    predicates; ``k_contact`` is the fit's h = 0 (mu indeterminate), and ``tw_parallel``
+    uses the mu = 2 criterion for non-Sasakian nullity spaces.  Paracontact: the
+    ``integrable`` and ``para_sasakian`` predicates of
+    :func:`integrability_and_parasasaki`.
     """
-    report = _require_contact(nullity_fit(s, tol))
+    report = nullity_fit(s, tol)
+    if s.eps < 0:
+        found = integrability_and_parasasaki(s, tol)
+        return {"integrable": found["integrable"], "para_sasakian": found["para_sasakian"]}
     nij, _ = nijenhuis_norm(s, tol)
     return {"sasakian": bool(nij <= SASAKIAN_FACTOR * tol), "k_contact": report.mu is None,
             "tw_parallel": _tw_parallel(report, tol)}
 
 
-def _require_contact(report: NullityReport) -> NullityReport:
-    """``report``, the fit of a contact structure (which always has a class); the fit of
-    a paracontact one raises :class:`DimensionMismatch`."""
+def _require_non_sasakian(report: NullityReport) -> NullityReport:
+    """``report``, the fit of a contact structure with an I_M.  The fit of a paracontact
+    one (which has no class) raises :class:`DimensionMismatch`; one in the Sasakian band
+    (kappa >= 1 - tol, or mu indeterminate) :class:`SasakianDegenerate`."""
     if report.class_tag is None:
         raise DimensionMismatch("the operation requires a contact structure, not a paracontact one")
-    return report
-
-
-def _require_non_sasakian(report: NullityReport) -> NullityReport:
-    """``report``, a contact fit (:func:`_require_contact`) with an I_M; one in the
-    Sasakian band (kappa >= 1 - tol, or mu indeterminate) raises
-    :class:`SasakianDegenerate`."""
-    if _require_contact(report).boeckx is None:
+    if report.boeckx is None:
         raise SasakianDegenerate(
             "construction requires a non-Sasakian structure: the fit puts this one in the Sasakian "
             f"band (kappa >= 1 - tol, or mu indeterminate), kappa = {report.kappa:.12g}")

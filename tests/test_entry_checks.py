@@ -15,8 +15,11 @@ A non-finite Pang form given to ``libermann_map`` raises DegeneratePang
 (tests/test_legendre.py).
 
 A structure of the wrong kind is rejected too: the functions defined on contact
-structures only (the h-eigendistributions and what reads them, the classification
-flags, and the tower and its constructions) raise DimensionMismatch for a paracontact one.
+structures only (the h-eigendistributions and what reads them, and the tower and its
+constructions) raise DimensionMismatch for a paracontact one.  The eps-signed entries
+answer for both kinds: on the contact and paracontact structures of ``KINDS`` the
+validator, the Blair suite, the canonical connection and the Nijenhuis side report are
+valid, and the classification flags are those of the structure's kind.
 """
 
 import json
@@ -27,7 +30,9 @@ import pytest
 
 from kmgeom.catalog import heisenberg, nilpotent_h_5d
 from kmgeom.cli import main
-from kmgeom.contact import ContactMetricStructure, ParacontactMetricStructure, classification_flags
+from kmgeom.contact import (ContactMetricStructure, ParacontactMetricStructure, blair_identity_suite,
+                            canonical_connection, classification_flags,
+                            integrability_and_parasasaki, nijenhuis_norm, validate_contact)
 from kmgeom.lie_model import ContactForm, LieModel
 from kmgeom.errors import DegenerateMetric, DimensionMismatch
 from kmgeom.legendre import (bilegendrian_connection, classify_class, eigendistributions,
@@ -171,8 +176,7 @@ def test_a_structure_below_dim_3_is_rejected_at_the_door(dim, cls, tmp_path, cap
 
 
 CONTACT_ONLY = [eigendistributions, classify_class, bilegendrian_connection,
-                lambda s: sequence(s, 2), sasakian_structure, second_bilegendrian_analysis,
-                classification_flags]
+                lambda s: sequence(s, 2), sasakian_structure, second_bilegendrian_analysis]
 WRONG_KIND = {
     "heisenberg-3-paracontact": lambda: heisenberg(3, "paracontact").structure,
     "nilpotent-h-5d": lambda: nilpotent_h_5d().structure,
@@ -183,11 +187,45 @@ WRONG_KIND = {
 
 @pytest.mark.parametrize("call", CONTACT_ONLY,
                          ids=["eigendistributions", "classify_class", "bilegendrian_connection",
-                              "sequence", "sasakian_structure", "second_bilegendrian_analysis",
-                              "classification_flags"])
+                              "sequence", "sasakian_structure", "second_bilegendrian_analysis"])
 @pytest.mark.parametrize("case", list(WRONG_KIND))
 def test_a_paracontact_structure_is_the_wrong_kind_for_a_contact_only_function(case, call):
     """These read a paracontact fit as Sasakian (it has no I_M), or, for a real-pair h~,
     reached a Cholesky factor of the indefinite metric and leaked numpy's LinAlgError."""
     _raises_without_warning(DimensionMismatch, "requires? a contact structure, not a paracontact one",
                             call, WRONG_KIND[case]())
+
+
+@pytest.mark.parametrize("case", list(WRONG_KIND))
+def test_the_flags_of_a_paracontact_structure_are_its_integrability_flags(case):
+    s = WRONG_KIND[case]()
+    found = integrability_and_parasasaki(s)
+    assert classification_flags(s) == {key: found[key] for key in ("integrable", "para_sasakian")}
+
+
+# structures of both kinds: each sign of the tower's nodes in classes I and II
+KINDS = {
+    "heisenberg-5-contact": lambda: H5,
+    "heisenberg-5-paracontact": lambda: PARACONTACT,
+    "nilpotent-h-5d": lambda: nilpotent_h_5d().structure,
+    "class-I-node-1": lambda: sequence(family(1.0, 2.0), 3)[1].structure,
+    "class-I-node-2": lambda: sequence(family(1.0, 2.0), 3)[2].structure,
+    "class-II-node-1": lambda: sequence(family(1.0, 0.5), 3)[1].structure,
+    "class-II-node-2": lambda: sequence(family(1.0, 0.5), 3)[2].structure,
+}
+FLAG_KEYS = {"contact": {"sasakian", "k_contact", "tw_parallel"},
+             "paracontact": {"integrable", "para_sasakian"}}
+
+
+@pytest.mark.parametrize("case", list(KINDS))
+def test_the_eps_signed_entries_answer_for_both_kinds(case):
+    """The Nijenhuis side report read eps = +1 into its phi-shift identity and failed on
+    every paracontact structure with h~ != 0 (8.0 on nilpotent-h-5d)."""
+    s, tol = KINDS[case](), 1e-9
+    reports = {"validate_contact": validate_contact(s, tol),
+               "blair_identity_suite": blair_identity_suite(s, tol),
+               "canonical_connection": canonical_connection(s, tol)[1],
+               "nijenhuis_norm": nijenhuis_norm(s, tol)[1]}
+    for name, report in reports.items():
+        assert report.valid, (name, report.failures())
+    assert set(classification_flags(s, tol)) == FLAG_KEYS[s.kind]

@@ -8,6 +8,7 @@ from kmgeom.contact import (
     ParacontactMetricStructure,
     canonical_connection,
     integrability_and_parasasaki,
+    nijenhuis_norm,
     nullity_fit,
     validate_contact,
 )
@@ -189,3 +190,23 @@ def test_heisenberg_is_para_sasakian(heisenberg):
     fit = nullity_fit(heisenberg.structure)
     assert fit.kappa == pytest.approx(-1.0, abs=1e-12)
     assert fit.residual <= 1e-12
+
+
+# paracontact nullity spaces with h~ != 0
+H_TILDE_NONZERO = {
+    "nilpotent-h-5d": lambda: catalog.nilpotent_h_5d().structure,
+    "class-I-node-1": lambda: canonical(1.0, 2.0),
+    "class-I-node-2": lambda: sequence(family(1.0, 2.0), 3)[2].structure,
+    "class-II-node-1": lambda: canonical(1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(H_TILDE_NONZERO))
+def test_nijenhuis_phi_shift_carries_the_sign(case):
+    """phi~ N(X, Y) + N(phi~ X, Y) = 2 eps eta(X) h~ Y: read with eps = +1, the side
+    identity failed on every paracontact nullity space with h~ != 0 (8.0 on
+    nilpotent-h-5d, 12.0 and 6.93 on nodes 1 and 2 of family_3d(1, 2), 4.0 on node 1
+    of family_3d(1, 0))."""
+    s = H_TILDE_NONZERO[case]()
+    assert s.eps < 0 and s.h.any()
+    assert nijenhuis_norm(s)[1]["nijenhuis_phi_shift"] <= 1e-12

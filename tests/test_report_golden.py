@@ -149,6 +149,12 @@ def test_render_json_is_the_reference_text(case):
         assert modelfile.render_json(report) == reference_json(report)
 
 
+def test_each_report_key_is_stored_by_one_row():
+    """The one row of a key prints it: no key waits on the row order to pick a ``human``."""
+    keys = [key for key, *_ in cli._STAGES if key is not None]
+    assert len(keys) == len(set(keys))
+
+
 def test_worst_identity_ties_go_to_the_smallest_name():
     identities = {"b_check": 1e-16, "c_check": 0.0, "a_check": 1e-16}
     report = {"model": {"name": "m", "dim": 3, "jacobi_residual": 0.0}, "identities": identities}

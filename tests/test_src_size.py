@@ -25,7 +25,7 @@ UNREACHABLE = {
 
 # the most code lines src/kmgeom may hold (the second figure of its total line): a
 # change that adds a capability raises it in its own diff and says why in CHANGES.md
-CODE_LINE_BUDGET = 1634
+CODE_LINE_BUDGET = 1630
 
 
 def _total_line(capsys) -> list[str]:

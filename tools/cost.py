@@ -26,7 +26,9 @@ the Python and numpy versions the counts hold for.
 ``--against REV`` extracts ``git archive REV src`` as ``tools/equiv.py`` does, loads
 that tree and the working tree's ``src`` in this process as ``tools/ab.py`` does, and
 prints each op's counts for both, REV (base) first, with head - base in calls, and
-in each of head's function rows head - base in that function's calls.  The
+in each of head's function rows head - base in that function's calls.  Under head's
+row of an op whose calls moved, the function rows also list every ``kmgeom`` function
+whose calls moved, one that head no longer calls included (with 0 calls).  The
 tool exits 1 when an op ends with another exit code than :data:`OPS` expects.
 Standard library only; numpy is the one kmgeom imports.
 """
@@ -159,7 +161,8 @@ def measure(modules: dict) -> list[tuple]:
 
 def table(results: dict) -> list[str]:
     """The lines of each op's counts, per tree, with head - base in calls when both ran;
-    under each, the tree's :data:`TOP` kmgeom functions with the most calls."""
+    under each, the tree's :data:`TOP` kmgeom functions with the most calls, and under
+    head's row of an op whose calls moved, every kmgeom function whose calls moved."""
     lines = [f"{'op':24s} {'tree':4s} {'exit':>4s} {'calls':>7s} {'change':>7s}  np.linalg"]
     base = results.get("base")
     for i, (op, *_) in enumerate(OPS):
@@ -168,7 +171,15 @@ def table(results: dict) -> list[str]:
             change = f"{calls - base[i][2]:+d}" if base and tree == "head" else ""
             counts = " ".join(f"{name}={n}" for name, n in sorted(linalg.items())) or "-"
             lines.append(f"{op:24s} {tree:4s} {code:4d} {calls:7d} {change:>7s}  {counts}")
-            for name, n in sorted(functions.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]:
+            ranked = sorted(functions.items(), key=lambda kv: (-kv[1], kv[0]))
+            shown = {name for name, _ in ranked[:TOP]}
+            if base and tree == "head" and calls != base[i][2]:
+                # under an op whose total moved, every function whose count moved, a gone one too
+                was = base[i][4]
+                shown |= {name for name in functions.keys() | was.keys()
+                          if functions.get(name, 0) != was.get(name, 0)}
+            for name in sorted(shown, key=lambda name: (-functions.get(name, 0), name)):
+                n = functions.get(name, 0)
                 change = f"{n - base[i][4].get(name, 0):+d}" if base and tree == "head" else ""
                 lines.append(f"  {name:33s}{n:7d} {change:>7s}".rstrip())
     return lines
