@@ -138,7 +138,7 @@ def heisenberg(dim: int, kind: str = "contact") -> CatalogEntry:
         g[-1, -1] = 1.0
         phi = np.diag([1.0] * n + [-1.0] * n + [0.0])
         structure = ParacontactMetricStructure(ContactForm(model, xi, xi), phi, g)
-        expected = {"kind": kind, "para_sasakian": True, "k_paracontact": True}
+        expected = {"kind": kind, "para_sasakian": True, "spectral_type": "zero"}
     return CatalogEntry(f"heisenberg-{dim}-{kind}", model, structure, expected)
 
 

@@ -1,12 +1,18 @@
 """Built-in fixtures: expected values and their provenance checks."""
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
+from kmgeom import cli, modelfile
 from kmgeom.catalog import (
     broken_jacobi_3d,
     family_3d,
     get_entry,
+    heisenberg,
     list_entries,
     nilpotent_h_5d,
     scaled_metric_invalid_3d,
@@ -113,3 +119,38 @@ def test_get_entry_and_listing():
         assert not isinstance(exc.value, GeometryError)
     with pytest.raises(NonPositiveLambda, match="lambda must be positive, got 0.0"):
         get_entry("family-3d", lam=0.0, d=1.0)
+
+
+def _near(found, want) -> bool:
+    return found == want if isinstance(want, (bool, str)) else abs(found - want) <= 1e-9
+
+
+# each key of an expected block, mapped to the analyze value that confirms it
+CONFIRMED_BY = {
+    "kind": lambda report, want: report["structure"]["kind"] == want,
+    **{key: lambda report, want, key=key: _near(report["nullity"][key], want)
+       for key in ("kappa", "mu", "boeckx", "class", "lambda", "spectral_type")},
+    **{key: lambda report, want, key=key: report["flags"][key] == want
+       for key in ("sasakian", "para_sasakian")},
+    "h_nonzero": lambda report, want: (not report["nullity"]["mu_indeterminate"]) == want,
+    "signature": lambda report, want: any(
+        note.startswith("signature ({},{},0)".format(*want))
+        for check, note in report["structure"]["notes"].items() if check.endswith("_signature")),
+    "invalid": lambda report, want: not report["model"]["jacobi_ok"] if want == "jacobi"
+    else report["structure"]["residuals"][want] > report["tol"],
+}
+DECLARING = [get_entry(name) for name in list_entries() if name != "family-3d"]
+DECLARING += [heisenberg(dim, kind) for dim in (3, 5) for kind in ("contact", "paracontact")]
+
+
+@pytest.mark.parametrize("entry", DECLARING, ids=lambda entry: entry.name)
+def test_analyze_confirms_every_key_an_entry_declares(entry, tmp_path):
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(modelfile.dumps_entry(entry), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["analyze", str(path), "--json", str(out)])
+    assert code == (1 if "invalid" in entry.expected else 0)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    unconfirmed = {key: want for key, want in entry.expected.items()
+                   if key not in CONFIRMED_BY or not CONFIRMED_BY[key](report, want)}
+    assert unconfirmed == {}

@@ -1,13 +1,15 @@
 """``tools/equiv.py``, the output-equivalence check of the CLI: a small subset of its
-call set, run against the working tree itself under a memo that never hits, so that
-the tool cannot rot."""
+call set, run against the working tree itself under a memo that never hits, in this
+process, so that the tool cannot rot."""
 
 import importlib.util
 import json
 import os
 import subprocess
+import sys
 
-from kmgeom import contact
+import numpy as np
+
 from kmgeom.catalog import family_3d
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "equiv.py")
@@ -16,38 +18,58 @@ equiv = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(equiv)
 
 
-def test_working_tree_is_identical_to_itself(tmp_path, capsys, monkeypatch):
-    interpreters = []
-    run = subprocess.run
+def test_working_tree_is_identical_to_itself(capsys, monkeypatch):
+    started, stores = [], []
+    popen, run_call = subprocess.Popen, equiv.run_call
 
     def counted(argv, *args, **kwargs):
-        if argv[0] == equiv.sys.executable:
-            interpreters.append(argv)
-        return run(argv, *args, **kwargs)
+        started.append(argv)
+        return popen(argv, *args, **kwargs)
 
-    monkeypatch.setattr(equiv.subprocess, "run", counted)
-    record = tmp_path / "record.txt"
-    assert equiv.main(["--record", str(record)], keep=lambda name: "h5-" in name) == 0
-    assert len(interpreters) == 3  # the one writer of the model files, then one per tree
+    def run_call_of_a_tree(cli, call):
+        assert cli is sys.modules["kmgeom.cli"] and os.environ["COLUMNS"] == "80"
+        stores.append(type(sys.modules["kmgeom.catalog"].family_3d(1.0, 2.0).structure._cache))
+        return run_call(cli, call)
+
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    monkeypatch.setattr(equiv, "run_call", run_call_of_a_tree)
+    caller = {name: module for name, module in sys.modules.items() if name.startswith("kmgeom")}
+    cwd, environ = os.getcwd(), dict(os.environ)
+    assert equiv.main([], keep=lambda name: "h5-" in name) == 0
+    assert started == []  # no child interpreter: both trees ran in this process
+    assert {name: module for name, module in sys.modules.items() if name.startswith("kmgeom")} == caller
+    assert (os.getcwd(), dict(os.environ)) == (cwd, environ)
+    # the base runs on the memo as it is; the never-hit store is the head copy's alone
+    assert stores == [dict] * 6 + [equiv._NeverHit] * 6
+    assert type(family_3d(1.0, 2.0).structure._cache) is dict
     names = [f"{command}:h5-{kind}" for kind in ("contact", "paracontact")
              for command in ("analyze", "derive", "validate")]
     out = capsys.readouterr().out.splitlines()
     assert out[:-1] == [f"identical  {name}" for name in names]
     assert out[-1].startswith("6 calls against the working tree with a never-hit memo: 6 identical, 0 differ")
-    digests = [line.split("  ") for line in record.read_text().splitlines()]
-    assert [name for _, name in digests] == names
-    assert all(len(digest) == 64 for digest, _ in digests)
 
 
-def test_the_never_hit_worker_builds_every_structure_on_a_never_hit_store(tmp_path, monkeypatch):
-    monkeypatch.setattr(contact.MetricStructure, "__init__", contact.MetricStructure.__init__)
-    spec = tmp_path / "calls.json"
-    spec.write_text(json.dumps([{"argv": ["catalog", "list"]}]))
-    monkeypatch.chdir(tmp_path)
-    assert equiv.worker(str(spec), str(tmp_path / "records.json"), never_hit=True) == 0
-    store = family_3d(1.0, 2.0).structure._cache
+def test_the_never_hit_run_builds_every_structure_on_a_never_hit_store(tmp_path):
+    with equiv.kept_caller_state():
+        equiv.run_tree(os.path.join(equiv.ROOT, "src"), str(tmp_path), [{"argv": ["catalog", "list"]}],
+                       never_hit=True)
+        store = sys.modules["kmgeom.catalog"].family_3d(1.0, 2.0).structure._cache
     store["key"] = 1
     assert isinstance(store, equiv._NeverHit) and "key" not in store and store["key"] == 1
+    assert type(family_3d(1.0, 2.0).structure._cache) is dict  # the caller's copy is as it was
+
+
+def test_a_tree_that_changes_the_shared_state_fails_the_run(capsys, monkeypatch):
+    run_call = equiv.run_call
+
+    def careless(cli, call):
+        np.set_printoptions(precision=3)
+        return run_call(cli, call)
+
+    monkeypatch.setattr(equiv, "run_call", careless)
+    with np.printoptions():  # gives the caller's print options back
+        assert equiv.main([], keep=lambda name: name == "edge-catalog:list") == 1
+    assert capsys.readouterr().out.splitlines() == ["the base tree changed numpy's print options"]
 
 
 def test_first_difference_names_the_stream_and_its_byte_offset():

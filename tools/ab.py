@@ -7,8 +7,9 @@ interpreter, and print the median op time of each per op kind.
 ``tools/equiv.py`` does, and times it as the base against the working tree's ``src``,
 the head; without it the working tree is timed against itself, which shows what the
 method reads when nothing changed (a null run).  Each tree's ``kmgeom`` is imported in
-full under its own ``sys.modules`` entries, and those entries are swapped in before each
-op, so both trees run in the same process, on the same numpy and the same warm caches.
+full under its own ``sys.modules`` entries (``equiv.load_tree``), and those entries are
+swapped in before each op, so both trees run in the same process, on the same numpy and
+the same warm caches, as in ``tools/equiv.py`` and ``tools/cost.py``.
 
 The op cycle is the workload's at seed 1, from ``perfbench/workloads.build``;
 every op runs in process here, as ``kmgeom.cli.main(argv)`` calls through
@@ -25,9 +26,7 @@ host-speed scaling: compare them only within one run.
 """
 
 import argparse
-import importlib
 import os
-import pkgutil
 import statistics
 import sys
 import tempfile
@@ -43,33 +42,9 @@ WARMUP_CYCLES = 2
 SEED = 1
 
 
-def _is_kmgeom(name: str) -> bool:
-    return name == "kmgeom" or name.startswith("kmgeom.")
-
-
-def _drop_kmgeom() -> None:
-    for name in [n for n in sys.modules if _is_kmgeom(n)]:
-        del sys.modules[name]
-
-
-def load_tree(src: str) -> dict:
-    """Every module of the ``kmgeom`` under ``src``, imported anew: {name: module}."""
-    _drop_kmgeom()
-    sys.path.insert(0, src)
-    try:
-        package = importlib.import_module("kmgeom")
-        for info in pkgutil.iter_modules(package.__path__):
-            importlib.import_module(f"kmgeom.{info.name}")
-    finally:
-        sys.path.remove(src)
-    modules = {name: module for name, module in sys.modules.items() if _is_kmgeom(name)}
-    _drop_kmgeom()
-    return modules
-
-
 def run_op(modules: dict, op, workdir: str) -> tuple[float, str | None]:
     """(seconds, the first failed check or None) of ``op`` on the tree of ``modules``."""
-    _drop_kmgeom()
+    equiv._drop_kmgeom()
     sys.modules.update(modules)
     seconds, failure = 0.0, None
     for step in op.steps:
@@ -118,20 +93,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", default="sweep-3d", choices=workloads.WORKLOADS)
     parser.add_argument("--cycles", type=int, default=8, help="measured cycles (default 8)")
     args = parser.parse_args(argv)
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, equiv.kept_caller_state():
         head = os.path.join(ROOT, "src")
         base = equiv.extract(args.against, os.path.join(tmp, "base")) if args.against else head
-        trees = {"base": load_tree(base), "head": load_tree(head)}
+        trees = {"base": equiv.load_tree(base), "head": equiv.load_tree(head)}
         workdir = os.path.join(tmp, "work")
         os.makedirs(workdir)
         cycle = workloads.build(args.workload, SEED, workdir)
         os.chdir(workdir)  # the steps' paths are relative to it
-        try:
-            times, failures = measure(trees, cycle, args.cycles, workdir)
-        finally:
-            os.chdir(cwd)
-            _drop_kmgeom()
+        times, failures = measure(trees, cycle, args.cycles, workdir)
     print(f"{args.workload}, seed {SEED}: {args.cycles} cycles of {len(cycle)} ops after "
           f"{WARMUP_CYCLES} warm-up, base {args.against or 'the working tree'}, head the working tree")
     print("\n".join(table(times, cycle)))

@@ -1,8 +1,8 @@
 """Check that the CLI's output is unchanged: run one fixed set of calls on two source
 trees and compare, call by call, the exit code, stdout, stderr and each file written.
 
-    python tools/equiv.py --against REV [--record FILE]
-    python tools/equiv.py [--record FILE]
+    python tools/equiv.py --against REV
+    python tools/equiv.py
 
 ``--against REV`` extracts ``git archive REV src`` into a temporary directory and
 compares it with the working tree's ``src``.  Without it the working tree is compared
@@ -10,20 +10,23 @@ with itself run a second time with a memo that never hits: every structure's sto
 (``MetricStructure._cache``) is a dict whose ``in`` is always False
 (:func:`patch_never_hit`), so every kept entry is rebuilt on every read.  That shows
 any output that depends on what was kept, and any output that is not reproducible.
-Each tree runs the whole set in one interpreter of its own, as ``kmgeom.cli.main(argv)``
-calls with stdout and stderr captured, in the same work directories of inputs, so that
-the paths in the messages match.  An exception that escapes ``main`` is recorded as exit
-``"uncaught"`` with its type and message on stderr.  Every input model file (the
-catalog entries, the ``family_3d`` points, and H_d without its expected block) is
-written by one child process of the working tree, with its ``catalog`` and
-``modelfile.dumps_entry``, and that child prints the catalog's entry names; the other
-inputs are written here.  Both trees read the same files, so one comparison starts
-three interpreters: that child and one per tree.  A change to the catalog shows in the
-``catalog emit`` calls of the edge set, which each tree runs.
+
+Both trees run in this process, the base first, each imported anew right before its
+run (:func:`load_tree`; the never-hit patch goes on the head's copy alone).  Each call
+is one ``kmgeom.cli.main(argv)`` (:func:`run_call`) with stdout and stderr captured and
+``COLUMNS=80``, in the same work directories of inputs, so that the paths in the
+messages match; an exception that escapes ``main`` is recorded as exit ``"uncaught"``
+with its type and message on stderr.  After each run the tool checks that the state the
+trees share (numpy's print options and error state, the warnings filters) is as it was,
+and exits 1 naming the tree when it is not; before it returns it gives back the caller's
+``kmgeom`` modules, working directory and environment.  The input model files (the
+catalog entries, the ``family_3d`` points, and H_d without its expected block) are
+written by the working tree's ``catalog`` (:func:`write_inputs`, which ``tools/cost.py``
+uses too), so a change to the catalog shows only in the ``catalog emit`` calls of the
+edge set, which each tree runs.
 
 For each call the tool prints ``identical`` or the first stream that differs and its
-byte offset, then a summary count; it exits 1 when a call differs.  ``--record FILE``
-writes one sha256 per call of the working tree (``<digest>  <call>``).
+byte offset, then a summary count; it exits 1 when a call differs.
 
 Against REV, ``tests/data/equiv_moves.json`` declares the calls a change moves on
 purpose: a JSON object ``{"parent": "<commit>", "moves": {"<call>": "<reason>", ...}}``.
@@ -34,35 +37,36 @@ from an earlier change never excuses a new move.
 
 The set: every catalog entry, eleven ``family_3d`` points (I_M - 1 = 3e-9,
 lambda = 1e-5 and I_M = 0 among them), the twisted non-nullity model and contact and
-paracontact H_d at d = 5, 11 and 21, each through ``analyze --sasakian --legendre3``,
+paracontact H_d at d = 5, 11, 21 and 41, each through ``analyze --sasakian --legendre3``,
 ``derive --steps 7`` and ``validate`` with ``--json -``; each ``family_3d`` point also
 through ``derive --steps 64 --json -``, many periods of its tower; then the edge calls:
 malformed and missing files (structure tensors with a NaN, an infinite entry or the
-wrong shape among them, a file that is not UTF-8, one nested past the recursion limit,
-a class-I model whose expected block nests 900 deep, and the dim-1 models of both kinds,
-n = 0), usage errors,
-non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a`` and ``--b``), Pang coefficients that
-``--legendre3`` rejects (of the wrong sign in classes I and III among them), ``--help``,
-``catalog list``/``emit``, ``--batch``, ``derive`` on a paracontact model, on models without a structure and on the Sasakian contact H_3
-with one and two nodes, failed writes and options
-that do not go together; last, every step of every op of the benchmark's three workloads
-(``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory
-of its own, with the ``out.json`` it writes.  Standard library only; the children
-import numpy through kmgeom (``--models WORK`` and ``--worker`` are their entry
-points).
+wrong shape among them, a file that is not UTF-8, one nested past the recursion limit, a
+class-I model whose expected block nests 900 deep, and the dim-1 models of both kinds,
+n = 0), usage errors, non-finite number options (``--tol``, ``--c``, ``--lam``, ``--a``
+and ``--b``), Pang coefficients that ``--legendre3`` rejects (of the wrong sign in
+classes I and III among them), ``--help``, ``catalog list``/``emit``, ``--batch``,
+``derive`` on a paracontact model, on models without a structure and on the Sasakian
+contact H_3 with one and two nodes, failed writes and options that do not go together;
+last, every step of every op of the benchmark's three workloads
+(``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory of
+its own, with the ``out.json`` it writes.  Standard library only, besides the numpy
+that kmgeom imports and whose state the tool checks.
 """
 
 import argparse
 import contextlib
-import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+import warnings
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 MOVES = os.path.join("tests", "data", "equiv_moves.json")  # under ROOT
@@ -71,7 +75,7 @@ MOVES = os.path.join("tests", "data", "equiv_moves.json")  # under ROOT
 # (1.0, 0.0) is I_M = 0, where tower node 2 is node 0
 FAMILY = [(1.0, 2.0), (1.0, 0.5), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.0 + 3e-9),
           (1.0, 1.0 - 3e-9), (1e-5, 2e-5), (1e-5, 0.0), (2.5, -4.0), (1.0, 0.0)]
-HEISENBERG_DIMS = (5, 11, 21)
+HEISENBERG_DIMS = (5, 11, 21, 41)
 PERFBENCH_SEEDS = (1, 2)
 UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.json")
 
@@ -132,47 +136,66 @@ def _dump(work: str, rel: str, doc) -> None:
         fh.write(text if isinstance(text, bytes) else text.encode())
 
 
-def write_models(work: str) -> int:
-    """Write every model file of the set under ``work/models`` as this interpreter's
-    kmgeom builds and serializes it, and print the catalog's entry names, one a line;
-    run in a child with the working tree's ``src`` on its path.  The files: each catalog
-    entry but family-3d and each ``FAMILY`` point, as ``catalog emit`` writes them, and
-    H_d of both kinds, d in HEISENBERG_DIMS, and contact H_3 (an edge input), less the
-    expected block that the CLI would check."""
-    from kmgeom import catalog, modelfile
+def _kmgeom_modules() -> dict:
+    return {name: module for name, module in sys.modules.items() if name.split(".")[0] == "kmgeom"}
 
-    names = catalog.list_entries()
-    for name in names:
-        if name != "family-3d":
-            _dump(work, f"models/cat-{name}.json", modelfile.dumps_entry(catalog.get_entry(name)) + "\n")
-    for i, (lam, d) in enumerate(FAMILY):
-        _dump(work, f"models/fam-{i}.json", modelfile.dumps_entry(catalog.family_3d(lam, d)) + "\n")
-    inputs = [(3, "contact"), *((d, k) for d in HEISENBERG_DIMS for k in ("contact", "paracontact"))]
-    for dim, kind in inputs:
-        doc = json.loads(modelfile.dumps_entry(catalog.heisenberg(dim, kind)))
-        del doc["expected"]
-        _dump(work, f"models/h{dim}-{kind}.json", doc)
-    print("\n".join(names))
-    return 0
+
+def _drop_kmgeom() -> None:
+    for name in _kmgeom_modules():
+        del sys.modules[name]
+
+
+def load_tree(src: str) -> dict:
+    """Every module of the ``kmgeom`` under ``src``, imported anew and left in
+    ``sys.modules``: {name: module}."""
+    _drop_kmgeom()
+    sys.path.insert(0, src)
+    try:
+        package = importlib.import_module("kmgeom")
+        for info in pkgutil.iter_modules(package.__path__):
+            importlib.import_module(f"kmgeom.{info.name}")
+    finally:
+        sys.path.remove(src)
+    return _kmgeom_modules()
+
+
+@contextlib.contextmanager
+def kept_caller_state():
+    """After the block, the caller's ``kmgeom`` modules, working directory and
+    environment are back, whatever the block did to them."""
+    modules, cwd, environ = _kmgeom_modules(), os.getcwd(), dict(os.environ)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+        _drop_kmgeom()
+        sys.modules.update(modules)
+        os.environ.clear()
+        os.environ.update(environ)
 
 
 def write_inputs(work: str) -> tuple[list[str], list[str]]:
-    """Write the inputs under ``work`` (the model files through :func:`write_models`, in
-    a child that imports the working tree; the rest here); the model files of the main
-    set, and the catalog's entry names."""
+    """Write the inputs under ``work``; the model files of the main set, and the
+    catalog's entry names.  The model files are built and serialized by the working
+    tree, imported anew: each catalog entry but family-3d and each ``FAMILY`` point, as
+    ``catalog emit`` writes them, and H_d of both kinds, d in HEISENBERG_DIMS, and
+    contact H_3 (an edge input), less the expected block that the CLI would check."""
     for sub in ("models", "bad", "batch-mixed", "batch-one", "empty"):
         os.makedirs(os.path.join(work, sub), exist_ok=True)
-
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--models", work],
-                          env=_env(os.path.join(ROOT, "src")), capture_output=True, text=True,
-                          check=True, timeout=120)
-    names = proc.stdout.split()
-    models = [f"models/cat-{n}.json" for n in names if n != "family-3d"]
-    models += [f"models/fam-{i}.json" for i in range(len(FAMILY))]
+    modules = load_tree(os.path.join(ROOT, "src"))
+    catalog, dumps_entry = modules["kmgeom.catalog"], modules["kmgeom.modelfile"].dumps_entry
+    names = catalog.list_entries()
+    entries = {f"models/cat-{n}.json": catalog.get_entry(n) for n in names if n != "family-3d"}
+    entries.update((f"models/fam-{i}.json", catalog.family_3d(*p)) for i, p in enumerate(FAMILY))
+    for rel, entry in entries.items():
+        _dump(work, rel, dumps_entry(entry) + "\n")
     _dump(work, "models/twisted.json", TWISTED)
-    models.append("models/twisted.json")
-    models += [f"models/h{dim}-{kind}.json" for dim in HEISENBERG_DIMS
-               for kind in ("contact", "paracontact")]
+    heisenberg = [(d, kind) for d in HEISENBERG_DIMS for kind in ("contact", "paracontact")]
+    for dim, kind in [(3, "contact"), *heisenberg]:
+        doc = json.loads(dumps_entry(catalog.heisenberg(dim, kind)))
+        del doc["expected"]
+        _dump(work, f"models/h{dim}-{kind}.json", doc)
+    models = [*entries, "models/twisted.json", *(f"models/h{d}-{k}.json" for d, k in heisenberg)]
     for name, text in MALFORMED.items():
         _dump(work, f"bad/{name}.json", text)
     _dump(work, "bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
@@ -287,24 +310,6 @@ def perfbench_calls(work: str) -> list[dict]:
     return calls
 
 
-def _env(src: str) -> dict:
-    return dict(os.environ, PYTHONPATH=src, COLUMNS="80", PYTHONHASHSEED="0")
-
-
-def run_calls(src: str, work: str, calls: list[dict], never_hit: bool = False) -> list[dict]:
-    """The record of each call, run by the tree ``src`` in one fresh interpreter in ``work``
-    (with a memo that never hits, if ``never_hit``)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        spec, out = os.path.join(tmp, "calls.json"), os.path.join(tmp, "results.json")
-        with open(spec, "w", encoding="utf-8") as fh:
-            json.dump(calls, fh)
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", spec, out,
-                        *(["--never-hit"] if never_hit else [])],
-                       cwd=work, env=_env(src), check=True, timeout=600)
-        with open(out, encoding="utf-8") as fh:
-            return json.load(fh)
-
-
 class _NeverHit(dict):
     """A memo store that never reports a hit: the memo rebuilds every entry on every read."""
 
@@ -327,39 +332,47 @@ def patch_never_hit(set_attr=setattr) -> None:
     set_attr(contact.MetricStructure, "__init__", never_hit_init)
 
 
-def worker(spec: str, out: str, never_hit: bool = False) -> int:
-    """Run the calls of ``spec`` in this process and write their records to ``out``; with
-    ``never_hit``, under :func:`patch_never_hit`."""
-    from kmgeom import cli
+def run_call(cli, call: dict) -> dict:
+    """The record of one call of ``cli.main`` in the current directory: its exit code,
+    stdout, stderr and the ``files`` it wrote (read, then removed)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(call["argv"])
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception as exc:  # noqa: BLE001 - recorded, as a traceback would show it
+            code = "uncaught"
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    files = {}
+    for name in call.get("files", []):
+        if os.path.exists(name):
+            files[name] = _read(name)
+            os.remove(name)
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "files": files}
 
+
+def run_tree(src: str, work: str, calls: list[dict], never_hit: bool = False) -> list[dict]:
+    """The record of each call, run in ``work`` by the tree ``src``, imported anew (with
+    a memo that never hits, if ``never_hit``)."""
+    cli = load_tree(src)["kmgeom.cli"]
     if never_hit:
         patch_never_hit()
-
-    with open(spec, encoding="utf-8") as fh:
-        calls = json.load(fh)
-    work = os.getcwd()
     records = []
     for call in calls:
         os.chdir(os.path.join(work, call.get("cwd", "")))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(call["argv"])
-            except SystemExit as exc:
-                code = 0 if exc.code is None else exc.code
-            except Exception as exc:  # noqa: BLE001 - recorded, as a traceback would show it
-                code = "uncaught"
-                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        files = {}
-        for name in call.get("files", []):
-            if os.path.exists(name):
-                files[name] = _read(name)
-                os.remove(name)
-        records.append({"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
-                        "files": files})
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(records, fh)
-    return 0
+        records.append(run_call(cli, call))
+    return records
+
+
+SHARED = ("numpy's print options", "numpy's error state", "the warnings filters")
+
+
+def shared_state() -> tuple:
+    """The state both trees share that a run could leave changed, as ``SHARED`` names it."""
+    import numpy as np
+
+    return np.get_printoptions(), np.geterr(), list(warnings.filters)
 
 
 def first_difference(base: dict, head: dict) -> str | None:
@@ -377,10 +390,6 @@ def first_difference(base: dict, head: dict) -> str | None:
             offset = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
             return f"{stream} at byte {offset}"
     return None
-
-
-def digest(record: dict) -> str:
-    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
 def extract(rev: str, dest: str) -> str:
@@ -408,26 +417,28 @@ def allowed_moves(path: str, rev: str) -> dict:
 def main(argv: list[str] | None = None, keep=None) -> int:
     """The command line; ``keep``, a predicate on a call's name, leaves out the calls it
     rejects (a test runs a subset)."""
-    if argv is None and sys.argv[1:2] == ["--worker"]:
-        return worker(*sys.argv[2:4], never_hit=sys.argv[4:5] == ["--never-hit"])
-    if argv is None and sys.argv[1:2] == ["--models"]:
-        return write_models(sys.argv[2])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
-    parser.add_argument("--record", metavar="FILE", help="write one sha256 per call here")
     args = parser.parse_args(argv)
     allowed = allowed_moves(MOVES, args.against) if args.against else {}
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, kept_caller_state():
         head = os.path.join(ROOT, "src")
         base = extract(args.against, os.path.join(tmp, "base")) if args.against else head
         work = os.path.join(tmp, "work")
         calls = call_set(*write_inputs(work)) + perfbench_calls(work)
         calls = [c for c in calls if keep is None or keep(c["name"])]
-        base_records = run_calls(base, work, calls)
-        head_records = run_calls(head, work, calls, never_hit=base == head)
+        os.environ["COLUMNS"] = "80"
+        records = []
+        for tree, src in (("base", base), ("head", head)):
+            state = shared_state()
+            records.append(run_tree(src, work, calls, never_hit=tree == "head" and base == head))
+            changed = [what for what, was, now in zip(SHARED, state, shared_state()) if was != now]
+            if changed:
+                print(f"the {tree} tree changed {' and '.join(changed)}")
+                return 1
     differ = undeclared = 0
-    for call, a, b in zip(calls, base_records, head_records):
+    for call, a, b in zip(calls, *records):
         diff = first_difference(a, b)
         differ += diff is not None
         moved = diff is not None and call["name"] in allowed
@@ -435,9 +446,6 @@ def main(argv: list[str] | None = None, keep=None) -> int:
         status = "identical" if diff is None else "MOVED" if moved else "DIFFERS"
         print(f"{status}  {call['name']}" + ("" if diff is None else f": {diff}")
               + (f" ({allowed[call['name']]})" if moved else ""))
-    if args.record:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{digest(r)}  {c['name']}\n" for c, r in zip(calls, head_records))
     print(f"{len(calls)} calls against {args.against or 'the working tree with a never-hit memo'}: "
           f"{len(calls) - differ} identical, {differ} differ"
           + (f" ({differ - undeclared} declared in {MOVES})" if args.against else "")
