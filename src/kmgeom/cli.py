@@ -39,8 +39,10 @@ in order:
   paracontact one (one integrability computation per structure serves the flags
   too).
 * opt-in contact rows: ``sasakian_construction`` (``--sasakian``) and
-  ``legendre3`` (``--legendre3``, with ``--a --b``); a construction that does
-  not apply reports ``{"error": reason}``.
+  ``legendre3`` (``--legendre3``, with ``--a --b``).  A construction's designated
+  error is its row: any :class:`~kmgeom.errors.GeometryError` of the construction is
+  reported as ``{"error": reason}``, the other rows are written, and the exit code
+  follows ``valid``.
 * ``tower``, derive's last row: the nodes of the walk, rendered.
 
 Each key of the report is stored by one row, and printed, if at all, by that row's
@@ -50,9 +52,9 @@ Exit codes:
 
 * 0: the report of a valid model (for analyze a valid structure suffices);
   for derive, the walk built its nodes.
-* 1: an invalid model (its report is written), an engine error (an error
-  line), derive's gate, or derive on a structure that is not a nullity space or
-  is Sasakian (for every ``--steps``).
+* 1: an invalid model (its report is written), an engine error outside the
+  constructions (an error line), derive's gate, or derive on a structure that is
+  not a nullity space or is Sasakian (for every ``--steps``).
 * 2: a model file that is not usable (one that cannot be read, is not UTF-8
   JSON or is malformed: one :class:`~kmgeom.errors.ModelFormatError` from
   :func:`kmgeom.modelfile.load`), a failed ``--json`` or ``--out`` write (after
@@ -67,9 +69,9 @@ Exit codes:
 * 3: derive's walk meets class IV or V (|I_M| within ``--tol`` of 1), where
   no node 2 exists: N >= 3 (N <= 2 gives nodes 0 and 1).
 
-A model file that is not usable and an engine error of a stage each end the
-model file's run with one error line and their exit code (2; 3 or 1), given in one
-place, :func:`_run`; derive's walk maps none of them.
+A model file that is not usable and an engine error of a stage other than a
+construction each end the model file's run with one error line and their exit code
+(2; 3 or 1), given in one place, :func:`_run`; derive's walk maps none of them.
 
 Residuals print in scientific notation with three significant digits; JSON
 reports are written by :func:`kmgeom.modelfile.render_json`, with sorted keys, so
@@ -100,9 +102,6 @@ from . import DEFAULT_TOL, modelfile
 from .errors import (
     DegenerateInvariant,
     GeometryError,
-    InternalInconsistency,
-    InvalidPangPair,
-    InvariantTooSmall,
     ModelFormatError,
     NotNullity,
     SasakianDegenerate,
@@ -196,11 +195,11 @@ def _identities(c) -> dict:
 
 def _construction(c, build, **kwargs) -> dict:
     """The report of the construction ``build`` (a public function of the package) on the
-    structure, or the reason it does not apply."""
+    structure, or ``{"error": reason}``: a construction's designated error is its row,
+    whatever its class, and never ends the run."""
     try:
         return build(c.s, tol=c.tol, **kwargs).to_dict()
-    except (InternalInconsistency, InvalidPangPair, InvariantTooSmall, NotNullity,
-            SasakianDegenerate) as exc:
+    except GeometryError as exc:
         return {"error": str(exc)}
 
 

@@ -5,7 +5,12 @@ Every designated failure mode of an operation raises a dedicated subclass of
 not a Lie algebra" from "this construction is undefined for your invariant".
 Each failure mode has one class: a structure of the wrong kind is a
 :class:`DimensionMismatch` and one in the Sasakian band a :class:`SasakianDegenerate`,
-whichever operation finds it.
+whichever operation finds it.  A check that no valid input can fail, one where the
+engine disagrees with its own fit, raises :class:`InternalInconsistency`.
+
+Each class has one contract in the CLI: a construction's designated error, whatever
+its class, is that construction's ``{"error": reason}`` row; README's error contract
+table gives, for each class, the input that reaches it and its exit code or row.
 """
 
 
@@ -63,16 +68,16 @@ class DegeneratePang(GeometryError):
     """Pang form is singular; the Libermann map is undefined."""
 
 
-class NotIntegrable(GeometryError):
-    """An h-eigendistribution is not involutive, so it is no Legendre foliation."""
-
-
 class ClassificationMismatch(GeometryError):
     """Pang-based and invariant-based class tags disagree."""
 
 
 class InternalInconsistency(GeometryError):
-    """Two independent computations of the same predicate disagree (engine bug signal)."""
+    """Two independent computations of the same predicate disagree (engine bug signal):
+    a derived structure fails its own checks, or an h-eigendistribution of a structure
+    that passed the nullity fit and the non-Sasakian guard is not involutive, although
+    D(+-lambda) of a non-Sasakian (kappa, mu)-space are (Blair, Koufogiorgos and
+    Papantoniou, Israel J. Math. 91, 1995)."""
 
 
 class NonPositiveLambda(GeometryError):

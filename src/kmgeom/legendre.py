@@ -45,8 +45,8 @@ from .errors import (
     ClassificationMismatch,
     DegeneratePang,
     DimensionMismatch,
+    InternalInconsistency,
     InvalidPangPair,
-    NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
 )
@@ -140,8 +140,11 @@ def eigendistributions(
     """g-orthonormal eigenbases of h for +-lambda (lambda of the structure's nullity
     fit, which passes the non-Sasakian guard of :mod:`kmgeom.contact`), each verified
     Legendre and involutive in turn; the first failure, in the order (+lambda, -lambda),
-    is raised.  The guard runs on every call, before the memo; the pair is built once
-    per ``tol`` and kept on ``s``, as is the error of a failed build."""
+    is raised.  On a space that passed the fit and the guard, D(+-lambda) are involutive
+    (Blair, Koufogiorgos and Papantoniou 1995), so a residual above ``tol`` is the
+    engine disagreeing with its own fit: :class:`InternalInconsistency`.  The guard runs
+    on every call, before the memo; the pair is built once per ``tol`` and kept on
+    ``s``, as is the error of a failed build."""
     lam = _require_non_sasakian(nullity_fit(s, tol)).lam
 
     def build():
@@ -162,7 +165,7 @@ def eigendistributions(
             ld = legendre_distribution(s.form, vecs.T[found], tol)
             residual = involutivity_residual(s.form, ld.vectors)
             if not residual <= tol:
-                raise NotIntegrable(f"eigendistribution not involutive (residual {residual:.3e})")
+                raise InternalInconsistency(f"eigendistribution not involutive (residual {residual:.3e})")
             # Pi_{D(+-lambda)} = 2 lambda (I_M +- 1) g: the definiteness is read in units of
             # 2 lambda, where ``tol`` is the band of the invariant-based class, from the
             # eigenvalues the Legendre validation kept

@@ -18,8 +18,8 @@ from kmgeom.errors import (
     ClassificationMismatch,
     DegeneratePang,
     DimensionMismatch,
+    InternalInconsistency,
     InvalidPangPair,
-    NotIntegrable,
     NotTransversal,
     SasakianDegenerate,
 )
@@ -348,9 +348,9 @@ def test_eigendistributions_raise_the_first_failure_in_order(monkeypatch):
     cases = [
         ((0, 1), (0.0, 0.0), NotTransversal, "distribution 0", ["L0"]),
         ((1,), (0.0, 0.0), NotTransversal, "distribution 1", ["L0", "I0", "L1"]),
-        ((1,), (1.0, 0.0), NotIntegrable, "residual 1.000e+00", ["L0", "I0"]),
+        ((1,), (1.0, 0.0), InternalInconsistency, "residual 1.000e+00", ["L0", "I0"]),
         ((0,), (1.0, 1.0), NotTransversal, "distribution 0", ["L0"]),
-        ((), (0.0, 1.0), NotIntegrable, "residual 1.000e+00", ["L0", "I0", "L1", "I1"]),
+        ((), (0.0, 1.0), InternalInconsistency, "residual 1.000e+00", ["L0", "I0", "L1", "I1"]),
     ]
     for failing, residuals, error, message, calls in cases:
         made = []

@@ -356,9 +356,9 @@ def test_cli_derive_two_steps_on_the_unit_band(tmp_path, capsys, name):
 # family_3d(lam, d) has I_M = d / lam: points outside the class band
 # |I_M - 1| <= tol (1e-9) but within 1e-8 of |I_M| = 1, inside it, and on I_M = +-1
 # at a lambda where d / lam is inexact
-BAND_POINTS = [(1.0, 1.0 + 3e-9, "I"), (1.0, 1.0 - 3e-9, "II"), (1.0, 1.0 + 5e-10, "IV"),
-               (1.0, 1.0 - 5e-10, "IV"), (1.0, 1.0, "IV"), (0.625, 0.625, "IV"),
-               (0.625, -0.625, "V")]
+BAND_POINTS = [(1.0, 1.0 + 3e-9, "I"), (1.0, 1.0 + 2e-9, "I"), (1.0, 1.0 - 3e-9, "II"),
+               (1.0, 1.0 + 5e-10, "IV"), (1.0, 1.0 - 5e-10, "IV"), (1.0, 1.0, "IV"),
+               (0.625, 0.625, "IV"), (0.625, -0.625, "V")]
 
 
 @pytest.mark.parametrize("lam,d,cls", BAND_POINTS)

@@ -47,7 +47,12 @@ n = 0), usage errors, non-finite number options (``--tol``, ``--c``, ``--lam``, 
 and ``--b``), Pang coefficients that ``--legendre3`` rejects (of the wrong sign in
 classes I and III among them), ``--help``, ``catalog list``/``emit``, ``--batch``,
 ``derive`` on a paracontact model, on models without a structure and on the Sasakian
-contact H_3 with one and two nodes, failed writes and options that do not go together;
+contact H_3 with one and two nodes, failed writes and options that do not go together,
+and ``analyze --sasakian --legendre3`` of two models that reach the designated errors
+no other call raises (:data:`CONTRACT`): ``family_3d(1, 1 + 2e-9)``, whose tower node
+2's fit raises ``DegenerateMetric`` in both construction rows, and
+``d_homothetic(family_3d(0.01, 0.01 (1 + 1e-8)), 100)``, whose Pang-based class I
+disagrees with its invariant-based class IV (``ClassificationMismatch``, exit 1);
 last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory of
 its own, with the ``out.json`` it writes.  Standard library only, besides the numpy
@@ -78,6 +83,8 @@ FAMILY = [(1.0, 2.0), (1.0, 0.5), (1.0, -2.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1.
 HEISENBERG_DIMS = (5, 11, 21, 41)
 PERFBENCH_SEEDS = (1, 2)
 UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.json")
+# the designated errors that only the edge calls on contract/<name>.json raise
+CONTRACT = ("DegenerateMetric", "ClassificationMismatch")
 
 
 PHI_3D = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -179,8 +186,9 @@ def write_inputs(work: str) -> tuple[list[str], list[str]]:
     catalog's entry names.  The model files are built and serialized by the working
     tree, imported anew: each catalog entry but family-3d and each ``FAMILY`` point, as
     ``catalog emit`` writes them, and H_d of both kinds, d in HEISENBERG_DIMS, and
-    contact H_3 (an edge input), less the expected block that the CLI would check."""
-    for sub in ("models", "bad", "batch-mixed", "batch-one", "empty"):
+    contact H_3 (an edge input), less the expected block that the CLI would check; and
+    the inputs of the :data:`CONTRACT` calls."""
+    for sub in ("models", "bad", "contract", "batch-mixed", "batch-one", "empty"):
         os.makedirs(os.path.join(work, sub), exist_ok=True)
     modules = load_tree(os.path.join(ROOT, "src"))
     catalog, dumps_entry = modules["kmgeom.catalog"], modules["kmgeom.modelfile"].dumps_entry
@@ -198,6 +206,12 @@ def write_inputs(work: str) -> tuple[list[str], list[str]]:
     models = [*entries, "models/twisted.json", *(f"models/h{d}-{k}.json" for d, k in heisenberg)]
     for name, text in MALFORMED.items():
         _dump(work, f"bad/{name}.json", text)
+    # class I: tower node 2's fit finds its metric singular, in both construction rows;
+    # then Pang-based class I against invariant-based IV, which ends the run
+    contract = [catalog.family_3d(1.0, 1.0 + 2e-9),
+                catalog.d_homothetic(catalog.family_3d(0.01, 0.01 * (1 + 1e-8)), 100.0)]
+    for name, entry in zip(CONTRACT, contract):
+        _dump(work, f"contract/{name}.json", dumps_entry(entry) + "\n")
     _dump(work, "bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
     _dump(work, "bad/no-structure-broken-jacobi.json", {"dim": 3, "brackets": [
         {"i": 1, "j": 2, "coeffs": {"3": 2.0}}, {"i": 1, "j": 3, "coeffs": {"1": -1.0}},
@@ -270,6 +284,9 @@ def call_set(models: list[str], names: list[str]) -> list[dict]:
     add("edge-derive:json-file", "derive", fam_i, "--steps", "4", "--json", "out.json",
         files=["out.json"])
     add("edge-analyze:json-file", "analyze", h5p, "--json", "out.json", files=["out.json"])
+    for name in CONTRACT:
+        add(f"edge-contract:{name}", "analyze", f"contract/{name}.json", "--sasakian", "--legendre3",
+            "--json", "-")
     add("edge-analyze:tol", "analyze", fam_iv, "--tol", "1e-6", "--json", "-")
     add("edge-analyze:tol nan", "analyze", fam_i, "--tol", "nan", "--json", "-")
     # the last three: Pang coefficients whose generated constants pass the float range,
