@@ -3,13 +3,14 @@
 From a non-Sasakian nullity structure the engine builds, and verifies at
 every step:
 
-* the tower, by one step taken over and over: the normalized Lie derivative
-  phi' = (1/2) L_xi phi / sqrt(|kappa - eps|) with its compatible metric, whose sign
-  eps' is eps times the sign of kappa - eps (as h^2 = (kappa - eps) phi^2).  Node 1
-  is the canonical paracontact structure phi~ = h / sqrt(1 - kappa) with
-  g~ = d eta(., phi~ .) + eta (x) eta, itself a nullity space with constants
-  (kappa - 2 + (1 - mu/2)^2, 2); from node 1 on h^2 = delta phi^2 with
-  delta = (1 - mu/2)^2 - (1 - kappa), so the class shapes are results of the step:
+* the tower, by one step taken over and over, each a function of the node it starts
+  from: on a node of sign eps, h^2 = s phi^2 with s = -eps tr(h^2) / 2n read from that
+  node's own h, and its successor is the normalized Lie derivative
+  phi' = (1/2) L_xi phi / sqrt(|s|) with its compatible metric of sign eps' = sign(s) eps.
+  On node 0, s = kappa - 1: node 1 is the canonical paracontact structure
+  phi~ = h / sqrt(1 - kappa) with g~ = d eta(., phi~ .) + eta (x) eta, itself a nullity
+  space with constants (kappa - 2 + (1 - mu/2)^2, 2); from node 1 on
+  s = delta = (1 - mu/2)^2 - (1 - kappa), so the class shapes are results of the step:
   node 2 is a new *contact* structure in class II (|I_M| < 1, delta < 0), a new
   *paracontact* structure in classes I and III (|I_M| > 1, delta > 0), and does not
   exist in classes IV and V (|I_M| within ``tol`` of 1, delta = 0);
@@ -26,7 +27,7 @@ every step:
 One function builds tower nodes, :func:`sequence`.  Every node, and phi-bar, is
 built on the contact form of the input structure, ``s.form``: they share (M, eta, xi)
 and what it determines.  The tower keeps nothing of its own: each node's successor is
-kept on that node's structure, per (eps, root, tol), and each node's validation report
+kept on that node's structure, per tol, and each node's validation report
 on its structure per tol, beside the fit that :func:`nullity_fit` keeps, so a tower of
 any length reads one set of nodes, each built and verified once; each
 :class:`TowerNode` holds a copy of that kept report with the two predicted-constant
@@ -154,20 +155,22 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     list on each call: the one builder of tower nodes.
 
     Node 0 is the input structure, whose fit must pass the non-Sasakian guard of
-    :mod:`kmgeom.contact` whatever N is.  Every later node k comes from node k - 1 by
-    one step, the normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root_k with
-    its compatible metric of sign eps_k.  On node k - 1, h^2 = square phi^2, where
-    square = kappa - 1 on node 0 and square = delta = (1 - mu/2)^2 - (1 - kappa) on
-    every node from 1 on ((kappa, mu) of node 0's fit); the step takes
-    (eps_k, root_k) = (sign(square) eps_{k-1}, sqrt(|square|)) from eps_0 = +1.  One
+    :mod:`kmgeom.contact` whatever N is.  Every later node k comes from node k - 1
+    alone, by one step: h^2 = square phi^2 on node k - 1, with
+    square = -eps_{k-1} tr(h^2) / 2n read from that node's own h, and node k is the
+    normalized Lie derivative phi_k = (1/2) L_xi phi_{k-1} / root_k with its compatible
+    metric of sign eps_k, where (eps_k, root_k) = (sign(square) eps_{k-1}, sqrt(|square|)).
+    In exact arithmetic square is kappa - 1 on node 0 and
+    delta = (1 - mu/2)^2 - (1 - kappa) on every node from 1 on ((kappa, mu) of node 0's
+    fit); read from h, it needs no subtraction of those nearly equal constants.  One
     matching node 0 or an earlier node in kind, phi and g to within ``tol`` shares its
-    structure.  Node k's structure is kept on node k - 1's under
-    ("next", eps, root, tol), so a walk of any length reads the links it has walked
-    before.  The distinct structures of each kind that lack their verification are
-    fitted and validated as one stack: each keeps its fit, or its error, as
-    :func:`nullity_fit` keeps every fit, and its checks under ("node", tol); each node's
-    constants are compared with the predicted pattern on that report (nodes sharing a
-    structure share it).  The sign of delta, that is the class, decides the shape:
+    structure.  Node k's structure is kept on node k - 1's under ("next", tol), so a walk
+    of any length reads the links it has walked before.  The distinct structures of each
+    kind that lack their verification are fitted and validated as one stack: each keeps
+    its fit, or its error, as :func:`nullity_fit` keeps every fit, and its checks under
+    ("node", tol); each node's constants are compared with the predicted pattern of node
+    0's fit on that report (nodes sharing a structure share it).  The sign of delta, that
+    is the class, decides the shape:
 
     * class II (|I_M| < 1, delta < 0): kinds alternate contact / paracontact with
       constants (kappa + (1-mu/2)^2, 2) at even and (kappa - 2 + (1-mu/2)^2, 2) at odd
@@ -183,19 +186,18 @@ def sequence(s: ContactMetricStructure, n_nodes: int, tol: float = DEFAULT_TOL) 
     fit0 = _require_non_sasakian(nullity_fit(s, tol))
     if n_nodes >= 3 and fit0.class_tag in ("IV", "V"):
         raise DegenerateInvariant(f"|I_M| = {abs(fit0.boeckx)}: the sequence is undefined")
-    delta = _delta(fit0.kappa, fit0.mu)
-    structures, eps, square = [s], 1.0, fit0.kappa - 1.0  # h^2 = square phi^2 on the last node
+
+    def successor(t):  # the step from t; the reuse search runs over the walk so far
+        square = -t.eps * (t.h * t.h.T).sum() / (2 * t.n)  # h^2 = square phi^2 on t
+        cls = ContactMetricStructure if square * t.eps > 0 else ParacontactMetricStructure
+        u = cls.compatible(s.form, t.h / np.sqrt(abs(square)))
+        same = (v for v in structures
+                if v.kind == u.kind and max_abs(v.phi - u.phi) <= tol and max_abs(v.g - u.g) <= tol)
+        return next(same, u)
+
+    structures = [s]
     for _ in range(1, max(n_nodes, 1)):
-        eps, root, square = np.sign(square) * eps, np.sqrt(np.abs(square)), delta
-
-        def successor():  # of the last node; the reuse search runs over the walk so far
-            cls = ContactMetricStructure if eps > 0 else ParacontactMetricStructure
-            t = cls.compatible(s.form, structures[-1].h / root)
-            same = (u for u in structures
-                    if u.kind == t.kind and max_abs(u.phi - t.phi) <= tol and max_abs(u.g - t.g) <= tol)
-            return next(same, t)
-
-        structures.append(structures[-1].cached(("next", eps, root, tol), successor))
+        structures.append(structures[-1].cached(("next", tol), lambda: successor(structures[-1])))
 
     def verify(stack):  # each member's checks, after one stacked fit that keeps each one's fit
         nullity_fit(stack, tol)

@@ -1,6 +1,7 @@
 """``tools/equiv.py``, the output-equivalence check of the CLI: a small subset of its
 call set, run against the working tree itself under a memo that never hits, in this
-process, so that the tool cannot rot."""
+process, so that the tool cannot rot; and its move classifier on hand-written record
+pairs."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from kmgeom.catalog import family_3d
 
@@ -81,6 +83,56 @@ def test_first_difference_names_the_stream_and_its_byte_offset():
     assert equiv.first_difference(record, {**record, "files": {}}) == "file out.json not written"
 
 
+# a report as analyze --json - writes it: human text, then the JSON document
+REPORT = {"nullity": {"class": "I", "kappa": 0.5, "mu_indeterminate": False, "residual": 4e-16},
+          "tower": [{"kappa": 2.0, "fit_residual": 1e-15}]}
+TEXT = "nullity: kappa = +0.5, mu = -2 (residual 4.441e-16), I_M = +2, class I\n  eta_xi    0.000e+00\n"
+
+
+def _record(report=REPORT, text=TEXT, code=0, stderr="", written=REPORT):
+    """A record whose stdout holds ``text`` and ``report``, and whose out.json holds
+    ``written`` (None: not written)."""
+    return {"exit": code, "stdout": text + json.dumps(report, indent=1) + "\n", "stderr": stderr,
+            "files": {} if written is None else {"out.json": json.dumps(written)}}
+
+
+def _moved(**changes):
+    """REPORT with the entries at the paths "a__b" (a list index as digits) set anew."""
+    report = json.loads(json.dumps(REPORT))
+    for path, value in changes.items():
+        *keys, last = [int(k) if k.isdigit() else k for k in path.split("__")]
+        node = report
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    return report
+
+
+@pytest.mark.parametrize("head, expected", [
+    (_record(_moved(nullity__mu_indeterminate=True)),
+     ("verdict", "stdout $.nullity.mu_indeterminate (False -> True)")),
+    (_record(_moved(nullity__error="not_nullity")), ("verdict", "stdout $.nullity.error (added)")),
+    (_record(_moved(tower__0__kappa=float("nan"))), ("verdict", "stdout $.tower[0].kappa (2.0 -> nan)")),
+    (_record(_moved(nullity__class="II")), ("verdict", "stdout $.nullity.class ('I' -> 'II')")),
+    (_record(code=1), ("verdict", "exit 0 -> 1")),
+    (_record(stderr="error: x\n"), ("verdict", "stderr")),
+    (_record(text=TEXT.replace("eta_xi", "eta_xi_")),
+     ("verdict", "stdout line 2 ('  eta_xi    0.000e+00' -> '  eta_xi_    0.000e+00')")),
+    (_record(_moved(tower__0__kappa=np.nextafter(2.0, 3.0))),
+     ("digits", "largest 2.2e-16 at stdout $.tower[0].kappa")),
+    (_record(_moved(nullity__residual=6e-16, tower__0__fit_residual=3e-15)),
+     ("digits", "residuals 0.67 at stdout $.tower[0].fit_residual")),
+    (_record(text=TEXT.replace("+0.5", "+0.5000001").replace("0.000e+00", "1.000e-16")),
+     ("digits", "largest 2e-07 at stdout line 1 'nullity: kappa'; residuals 1 at stdout line 2 'eta_xi'")),
+    (_record(written=_moved(nullity__kappa=None)),
+     ("verdict", "file out.json $.nullity.kappa (0.5 -> None)")),
+    (_record(written=None), ("verdict", "file out.json")),
+    (_record(), ("digits", "no value moved")),
+])
+def test_classify_sorts_a_move_into_verdict_or_digits(head, expected):
+    assert equiv.classify(_record(), head) == expected
+
+
 def test_call_names_are_unique():
     calls = equiv.call_set(["models/a.json", "models/b.json"], ["heisenberg-3d", "family-3d"])
     assert len({call["name"] for call in calls}) == len(calls)
@@ -118,7 +170,7 @@ def test_only_a_declared_move_passes_the_gate(monkeypatch, capsys):
         monkeypatch.setattr(equiv, "allowed_moves", allowed_moves)
         assert equiv.main(["--against", "REV"], keep=lambda call: call == name) == code
         out = capsys.readouterr().out.splitlines()
-        assert out[-2] == line
+        assert out[-3:-1] == [line, "    digits: no value moved"]  # the records are the same
         assert f"0 identical, 1 differ ({len(moves)} declared in {equiv.MOVES})" in out[-1]
 
 

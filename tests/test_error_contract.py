@@ -52,8 +52,10 @@ CONTRACT = {
                         ["analyze", "m.json", "--legendre3", "--a", "1"], 0, ("legendre3",)),
     "DegenerateMetric": (lambda: family_3d(1.0, 1.0 + 2e-9), ["analyze", "m.json", *FULL], 0,
                          CONSTRUCTIONS),
-    "InternalInconsistency": (lambda: family_3d(1.0, 1.0 + 3e-9), ["analyze", "m.json", *FULL], 0,
-                              CONSTRUCTIONS),
+    "InternalInconsistency": (lambda: d_homothetic(family_3d(0.01, 0.01 * (1 + 3e-9)), 100.0),
+                              ["analyze", "m.json", *FULL], 0, CONSTRUCTIONS),
+    "DegeneratePang": (lambda: family_3d(1.0, 1.0 + 3e-9), ["analyze", "m.json", *FULL], 0,
+                       ("legendre3",)),
     "DegenerateInvariant": (lambda: get_entry("family-3d-class-IV"), ["derive", "m.json", "--steps", "3"],
                             3, ()),
     "ClassificationMismatch": (lambda: d_homothetic(family_3d(0.01, 0.01 * (1 + 1e-8)), 100.0),

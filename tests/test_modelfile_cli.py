@@ -10,7 +10,7 @@ from conftest import reference_json
 
 import kmgeom
 from kmgeom import modelfile
-from kmgeom.catalog import family_3d, nilpotent_h_5d
+from kmgeom.catalog import d_homothetic, family_3d, nilpotent_h_5d
 from kmgeom.cli import main
 from kmgeom.errors import ClassificationMismatch, ModelFormatError
 from kmgeom.lie_model import LieModel
@@ -310,10 +310,11 @@ def test_cli_derive_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     # an engine error of the walk ends the run as every engine error of a run does: its
     # exit code, no report, one error line (class IV at N = 3, the Sasakian guard on
-    # contact H_3, a node 2 that fails its checks near |I_M| = 1)
+    # contact H_3, a node 2 that misses its predicted mu near |I_M| = 1 at a = 100)
     h3, near = tmp_path / "h3-contact.json", tmp_path / "near-class-IV.json"
     h3.write_text(modelfile.dumps_entry(kmgeom.heisenberg(3, "contact")), encoding="utf-8")
-    near.write_text(modelfile.dumps_entry(family_3d(1.0, 1.00003)), encoding="utf-8")
+    near.write_text(modelfile.dumps_entry(d_homothetic(family_3d(0.01, 0.01 * (1 + 3e-9)), 100.0)),
+                    encoding="utf-8")
     for path, steps, code, line in (
         (boundary, "3", 3, "error: |I_M| = 1.0: the sequence is undefined\n"),
         (h3, "2", 1, "error: construction requires a non-Sasakian structure: "),
@@ -435,9 +436,9 @@ def test_cli_legendre3_reports_a_rejected_pang_pair(tmp_path, capsys, d, a, b, e
 def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
     # family-3d(1, 2) in a basis of condition number 1e2: a class-I nullity
     # space (fit residual 5.6e-10), whose Sasakian partner's fit misses the
-    # 1e-9 gate by roundoff (2.7e-9), and whose tower node 2 fails its own
-    # checks (metric_compatibility 3.0e-9); the report keeps the structure's own
-    # verdict, and the second pair is not built on the failed node
+    # 1e-9 gate by roundoff (2.7e-9); the report keeps the structure's own
+    # verdict, and the second pair, built on tower nodes 1 and 2 that each step
+    # reads from its own node, passes
     from kmgeom.catalog import rebased
 
     p = np.array([
@@ -452,7 +453,7 @@ def test_cli_records_not_nullity_of_a_derived_fit(tmp_path, capsys):
     payload = json.loads(out[out.index("\n{") :])  # the human text holds a "{" too
     assert payload["nullity"]["class"] == "I"
     assert "nullity condition" in payload["sasakian_construction"]["error"]
-    assert payload["legendre3"]["error"].startswith("tower node 2 failed verification")
+    assert "error" not in payload["legendre3"] and payload["legendre3"]["checks"]["valid"]
 
 
 def test_cli_sasakian_reports_error_inside_unit_band(tmp_path, capsys):

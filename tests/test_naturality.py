@@ -23,8 +23,8 @@ Each relation is checked on the five class points, wherever the construction is 
 III), to 1e-12 relative to the size of the tensor.  The nodes' constants follow the
 eps-signed D-homothety map kappa -> (kappa + eps (a^2 - 1)) / a^2, mu -> (mu + 2a - 2) / a,
 to 1e-11 relative to max(1, |expected|): the deformed nodes are fitted at curvature scale
-1 / a^2.  A strict xfail pins a false rejection: family_3d(0.5, 1) deformed by a = 100 is
-a valid class-I space whose tower node 1 fails its verification."""
+1 / a^2.  family_3d(0.5, 1) deformed by a = 100, where the fitted kappa' = 1 - 2.5e-5
+sits near 1, keeps its tower too: each step reads its root from its node's own h."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ import pytest
 from kmgeom import DEFAULT_TOL
 from kmgeom.catalog import d_homothetic, family_3d, rebased
 from kmgeom.contact import nullity_fit
-from kmgeom.errors import InternalInconsistency
 from kmgeom.legendre import _frame, eigendistributions
 from kmgeom.tower import sasakian_structure, second_bilegendrian_analysis, sequence
 
@@ -92,9 +91,6 @@ def test_the_tower_constants_follow_the_eps_signed_d_homothety_map(cls, a):
             assert abs(found - expected) <= CONSTANTS_BOUND * max(1.0, abs(expected)), node.index
 
 
-@pytest.mark.xfail(raises=InternalInconsistency, strict=True, reason=(
-    "node 1's root sqrt(1 - kappa') is taken from the fitted kappa' = 0.999975, whose "
-    "subtraction cancels: node 1 fails deta_compatibility and metric_compatibility at 1.1e-9"))
 def test_a_valid_class_i_space_deformed_by_a_100_keeps_its_tower():
     entry = family_3d(0.5, 1.0)  # I_M = 2
     nodes = sequence(entry.structure, 2)

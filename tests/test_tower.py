@@ -10,7 +10,7 @@ import pytest
 from kmgeom import DEFAULT_TOL
 from kmgeom.contact import boeckx_invariant, nullity_fit, validate_contact
 from kmgeom import contact, tower
-from kmgeom.catalog import family_3d, heisenberg, rebased
+from kmgeom.catalog import d_homothetic, family_3d, heisenberg, rebased
 from kmgeom.errors import (
     DegenerateInvariant,
     GeometryError,
@@ -184,6 +184,20 @@ def test_a_class_iv_walk_of_three_nodes_builds_no_node():
     with pytest.raises(DegenerateInvariant):
         sequence(s, 3)
     assert not [key for key in s._cache if key[0] == "next"]
+
+
+def test_each_step_is_read_from_the_node_it_starts_from():
+    # on a node t, h^2 = square phi^2 with square = -eps tr(h^2) / 2n read from t's own h;
+    # its successor is h / sqrt(|square|) of sign sign(square) eps, kept on t per tol alone
+    for tag in ("I", "II", "III"):
+        nodes = sequence(family(*CLASS_PARAMS[tag]), 6)
+        for prev, node in zip(nodes, nodes[1:]):
+            t, u = prev.structure, node.structure
+            square = -t.eps * np.trace(t.h @ t.h) / (2 * t.n)
+            assert np.max(np.abs(t.h @ t.h - square * t.phi @ t.phi)) <= 1e-12, (tag, prev.index)
+            assert u.eps == np.sign(square) * t.eps
+            assert np.max(np.abs(u.phi - t.h / np.sqrt(abs(square)))) <= 1e-12, (tag, prev.index)
+            assert [key for key in t._cache if key[0] == "next"] == [("next", DEFAULT_TOL)]
 
 
 def test_sequence_reuses_nodes_equal_up_to_roundoff():
@@ -469,9 +483,10 @@ def test_a_construction_after_a_longer_tower_builds_only_phi_bar(monkeypatch):
 
 
 def test_a_failed_node_is_validated_once(monkeypatch):
-    # node 2 of this near-boundary class-I space fails its validation (~1.3e-9): the
-    # failure is read again from its kept checks, and the shorter tower still passes
-    s = family(1.0, 1.00003)
+    # node 2 of this class-I space, deformed by a = 100 near |I_M| = 1, fails its
+    # predicted mu (2.6e-9): the failure is read again from its kept checks, and the
+    # shorter tower still passes
+    s = d_homothetic(family_3d(0.01, 0.01 * (1 + 3e-9)), 100.0).structure
     real, validated = tower.validate_contact, []
 
     def counted(structures, tol):

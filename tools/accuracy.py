@@ -20,7 +20,10 @@ invariant-based class, or the name of the error the fit raised); ``near`` when t
 exact | |I_M| - 1 | lies within 10 tol of the band edge tol; both exit codes; the
 number of construction rows of the analyze report that read an error; and the first
 error line (analyze's, else derive's).  Then it prints, for each a and for e >= 1e-6
-and e <= 1e-8, how many points analyze fails, how many derive fails, and how many fail.
+and e <= 1e-8, how many points analyze fails, how many derive fails, and how many fail;
+and, since a construction's error is a row and shows in no exit code, how many of the
+points whose fit reads class I or III (where both constructions are defined) have a
+construction row that reads an error.
 
 The tool exits 0 whatever it finds: it is a log, not a gate.  It runs the public library
 of the working tree's ``src``, and needs no scipy.
@@ -90,18 +93,21 @@ def outcomes(records: list[dict]) -> list[dict]:
     return found
 
 
-def summary(found: list[dict]) -> list[str]:
-    """The failure counts per scale a and gap group, and over all points."""
-    lines = [f"{'a':>6} {'gaps':>10} {'points':>7} {'analyze':>8} {'derive':>7} {'failed':>7}"]
+def summary(classes: list[str], found: list[dict]) -> list[str]:
+    """The failure counts per scale a and gap group, and over all points; and of the
+    points whose fit reads class I or III, how many have a construction error row."""
+    lines = [f"{'a':>6} {'gaps':>10} {'points':>7} {'analyze':>8} {'derive':>7} {'failed':>7} "
+             f"{'I/III rows':>10}"]
     groups = [(a, label, near) for a in SCALES for label, near in (("e >= 1e-6", False),
                                                                    ("e <= 1e-8", True))]
     for a, label, near in [*groups, (None, "all", None)]:
-        rows = [out for (_, e, _, scale), out in zip(points(), found)
+        rows = [(cls, out) for (_, e, _, scale), cls, out in zip(points(), classes, found)
                 if a in (None, scale) and near in (None, e <= 1e-8)]
-        bad = [(out["analyze"] != 0, out["derive"] != 0) for out in rows]
+        bad = [(out["analyze"] != 0, out["derive"] != 0) for _, out in rows]
+        large = [out["rows"] > 0 for cls, out in rows if cls in ("I", "III")]
         lines.append(f"{'all' if a is None else f'{a:g}':>6} {label:>10} {len(rows):>7} "
                      f"{sum(x for x, _ in bad):>8} {sum(y for _, y in bad):>7} "
-                     f"{sum(x or y for x, y in bad):>7}")
+                     f"{sum(x or y for x, y in bad):>7} {f'{sum(large)} of {len(large)}':>10}")
     return lines
 
 
@@ -120,7 +126,7 @@ def main() -> int:
         print(f"lambda {lam:<5g} I_M {inv:+.10f} a {a:<5g} class {cls:<6} {'near' if near else 'far ':4} "
               f"analyze {out['analyze']} ({out['rows']} rows) derive {out['derive']}  {out['error']}")
     print("\npoints whose analyze, derive or either exits non-zero")
-    print("\n".join(summary(found)))
+    print("\n".join(summary(classes, found)))
     print(f"\n{len(points())} points, {2 * len(points())} calls ({time.perf_counter() - start:.1f} s)")
     return 0
 

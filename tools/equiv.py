@@ -26,7 +26,13 @@ uses too), so a change to the catalog shows only in the ``catalog emit`` calls o
 edge set, which each tree runs.
 
 For each call the tool prints ``identical`` or the first stream that differs and its
-byte offset, then a summary count; it exits 1 when a call differs.
+byte offset, then a summary count; it exits 1 when a call differs.  Under each call that
+differs it prints the class of the move (:func:`classify`): ``verdict`` when the exit
+code, stderr, a human line with its numbers masked, or a JSON value other than a finite
+float changed (a key on one side only, a bool, a string, null against a number, a NaN on
+one side), with the first place that shows it; ``digits`` when only finite floats moved,
+with the largest relative move and its path, and apart from it that of the residuals.
+The gate stays byte-exact: the class tells a reader what a move is, and excuses none.
 
 Against REV, ``tests/data/equiv_moves.json`` declares the calls a change moves on
 purpose: a JSON object ``{"parent": "<commit>", "moves": {"<call>": "<reason>", ...}}``.
@@ -48,11 +54,13 @@ and ``--b``), Pang coefficients that ``--legendre3`` rejects (of the wrong sign 
 classes I and III among them), ``--help``, ``catalog list``/``emit``, ``--batch``,
 ``derive`` on a paracontact model, on models without a structure and on the Sasakian
 contact H_3 with one and two nodes, failed writes and options that do not go together,
-and ``analyze --sasakian --legendre3`` of two models that reach the designated errors
+and ``analyze --sasakian --legendre3`` of three models that reach the designated errors
 no other call raises (:data:`CONTRACT`): ``family_3d(1, 1 + 2e-9)``, whose tower node
-2's fit raises ``DegenerateMetric`` in both construction rows, and
+2's fit raises ``DegenerateMetric`` in both construction rows,
 ``d_homothetic(family_3d(0.01, 0.01 (1 + 1e-8)), 100)``, whose Pang-based class I
-disagrees with its invariant-based class IV (``ClassificationMismatch``, exit 1);
+disagrees with its invariant-based class IV (``ClassificationMismatch``, exit 1), and
+``d_homothetic(family_3d(0.01, 0.01 (1 + 3e-9)), 100)``, whose tower node 2 misses its
+predicted mu (``InternalInconsistency``, in both construction rows);
 last, every step of every op of the benchmark's three workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, each workload and seed in a directory of
 its own, with the ``out.json`` it writes.  Standard library only, besides the numpy
@@ -64,8 +72,10 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tarfile
@@ -84,7 +94,7 @@ HEISENBERG_DIMS = (5, 11, 21, 41)
 PERFBENCH_SEEDS = (1, 2)
 UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.json")
 # the designated errors that only the edge calls on contract/<name>.json raise
-CONTRACT = ("DegenerateMetric", "ClassificationMismatch")
+CONTRACT = ("DegenerateMetric", "ClassificationMismatch", "InternalInconsistency")
 
 
 PHI_3D = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -207,9 +217,11 @@ def write_inputs(work: str) -> tuple[list[str], list[str]]:
     for name, text in MALFORMED.items():
         _dump(work, f"bad/{name}.json", text)
     # class I: tower node 2's fit finds its metric singular, in both construction rows;
-    # then Pang-based class I against invariant-based IV, which ends the run
+    # Pang-based class I against invariant-based IV, which ends the run; class I, whose
+    # tower node 2 misses its predicted mu, in both construction rows
     contract = [catalog.family_3d(1.0, 1.0 + 2e-9),
-                catalog.d_homothetic(catalog.family_3d(0.01, 0.01 * (1 + 1e-8)), 100.0)]
+                catalog.d_homothetic(catalog.family_3d(0.01, 0.01 * (1 + 1e-8)), 100.0),
+                catalog.d_homothetic(catalog.family_3d(0.01, 0.01 * (1 + 3e-9)), 100.0)]
     for name, entry in zip(CONTRACT, contract):
         _dump(work, f"contract/{name}.json", dumps_entry(entry) + "\n")
     _dump(work, "bad/no-structure.json", {"dim": 3, "brackets": H3_BRACKETS})
@@ -409,6 +421,109 @@ def first_difference(base: dict, head: dict) -> str | None:
     return None
 
 
+# a number of the human text: not a piece of a word such as "family-3d" or "h5"
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])")
+CHECK_ROW = re.compile(r" +\w+ +\S+")  # a residual entry of the human text: name and value
+
+
+def _split(text: str) -> tuple[list[str], object]:
+    """The human lines of a stream, and the JSON document that starts at its first line
+    that opens with ``{`` and runs to its end (None if there is none, or it does not
+    parse)."""
+    lines = text.split("\n")
+    start = next((i for i, line in enumerate(lines) if line.startswith("{")), len(lines))
+    try:
+        return lines[:start], json.loads("\n".join(lines[start:])) if lines[start:] else None
+    except json.JSONDecodeError:
+        return lines, None
+
+
+def _show(a, b) -> str:
+    """Two sides of a verdict move, each cut to 50 characters."""
+    return " -> ".join(s if len(s) <= 50 else s[:47] + "..." for s in (repr(a), repr(b)))
+
+
+def _relative(a: float, b: float) -> float | None:
+    """0 for the same float (NaN alike), the relative move of two finite floats, and
+    None, a verdict, for a NaN or an infinity on one side only."""
+    if a == b or a != a and b != b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b) else None
+
+
+def _json_moves(a, b, path: str, residual: bool = False):
+    """(path, relative move, residual) of each value of two JSON documents: None, a
+    verdict, for a key on one side only, a list of another length, another type, or
+    any value other than a float that changed (a bool, a string, an int, null).  A
+    residual is an entry under a key that names a residual, ends in ``_delta`` or is
+    ``identities``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            below = residual or "residual" in key or key.endswith("_delta") or key == "identities"
+            if key in a and key in b:
+                yield from _json_moves(a[key], b[key], f"{path}.{key}", below)
+            else:
+                yield f"{path}.{key} ({'added' if key in b else 'removed'})", None, below
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_moves(x, y, f"{path}[{i}]", residual)
+    elif type(a) is float and type(b) is float and _relative(a, b) is not None:
+        yield path, _relative(a, b), residual
+    elif type(a) is not type(b) or a != b:
+        yield f"{path} ({_show(a, b)})", None, residual
+
+
+def _stream_moves(stream: str, a: str | None, b: str | None):
+    """(path, relative move, residual) of each value of two sides of a stream (stdout
+    or a file): its human lines must match with their numbers masked, each number is
+    then compared as a float, and its JSON documents go to :func:`_json_moves`.  A
+    text number's path names its line and the words before it; it is a residual when
+    those name a residual or the worst check, or the line is a check row."""
+    if a is None or b is None:
+        yield stream, None, False
+        return
+    (lines_a, doc_a), (lines_b, doc_b) = _split(a), _split(b)
+    if len(lines_a) != len(lines_b) or (doc_a is None) != (doc_b is None):
+        yield stream, None, False
+        return
+    for no, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+            yield f"{stream} line {no} ({_show(x, y)})", None, False
+            continue
+        end = 0
+        for mx, my in zip(NUMBER.finditer(x), NUMBER.finditer(y)):
+            label, end = x[end:mx.start()].strip(" ,:()="), mx.end()
+            residual = "residual" in label or "worst" in label or bool(CHECK_ROW.fullmatch(x))
+            yield f"{stream} line {no} {label!r}", _relative(float(mx[0]), float(my[0])), residual
+    if doc_a is not None:
+        yield from _json_moves(doc_a, doc_b, f"{stream} $")
+
+
+def classify(base: dict, head: dict) -> tuple[str, str]:
+    """The class of the move between two records of one call, and what shows it.  A
+    ``verdict`` move (the exit code, stderr, a human line with its numbers masked, or a
+    JSON value other than a finite float) names its first place; a ``digits`` move,
+    where only finite floats moved, gives the largest relative move and its path, and
+    apart from it that of the residuals."""
+    if base["exit"] != head["exit"]:
+        return "verdict", f"exit {base['exit']!r} -> {head['exit']!r}"
+    if base["stderr"] != head["stderr"]:
+        return "verdict", "stderr"
+    streams = [("stdout", base["stdout"], head["stdout"])]
+    streams += [(f"file {name}", base["files"].get(name), head["files"].get(name))
+                for name in sorted({*base["files"], *head["files"]})]
+    moves = [move for stream in streams for move in _stream_moves(*stream) if move[1] != 0.0]
+    verdict = next((path for path, rel, _ in moves if rel is None), None)
+    if verdict is not None:
+        return "verdict", verdict
+    largest = {}
+    for path, rel, residual in moves:
+        group = "residuals" if residual else "largest"
+        largest[group] = max(largest.get(group, (0.0, "")), (rel, path))
+    parts = [f"{group} {rel:.2g} at {path}" for group, (rel, path) in sorted(largest.items())]
+    return "digits", "; ".join(parts) or "no value moved"
+
+
 def extract(rev: str, dest: str) -> str:
     """``src`` of the git revision ``rev``, extracted under ``dest``."""
     proc = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
@@ -454,7 +569,7 @@ def main(argv: list[str] | None = None, keep=None) -> int:
             if changed:
                 print(f"the {tree} tree changed {' and '.join(changed)}")
                 return 1
-    differ = undeclared = 0
+    differ = undeclared = verdicts = 0
     for call, a, b in zip(calls, *records):
         diff = first_difference(a, b)
         differ += diff is not None
@@ -463,9 +578,14 @@ def main(argv: list[str] | None = None, keep=None) -> int:
         status = "identical" if diff is None else "MOVED" if moved else "DIFFERS"
         print(f"{status}  {call['name']}" + ("" if diff is None else f": {diff}")
               + (f" ({allowed[call['name']]})" if moved else ""))
+        if diff is not None:
+            kind, detail = classify(a, b)
+            verdicts += kind == "verdict"
+            print(f"    {kind}: {detail}")
     print(f"{len(calls)} calls against {args.against or 'the working tree with a never-hit memo'}: "
           f"{len(calls) - differ} identical, {differ} differ"
           + (f" ({differ - undeclared} declared in {MOVES})" if args.against else "")
+          + (f", {verdicts} of them verdict moves" if differ else "")
           + f" ({time.perf_counter() - start:.1f} s)")
     return 1 if undeclared else 0
 
